@@ -390,7 +390,7 @@ func BenchmarkClusterRead(b *testing.B) {
 // benchWriteVDB builds a one-backend virtual database with k disjoint
 // tables t0..t(k-1), each seeded with `rows` rows, for the write-pipeline
 // benchmarks (no cost model: real engine concurrency is what is measured).
-func benchWriteVDB(b *testing.B, k, rows int, opts ...cjdbc.BackendOption) *cjdbc.VirtualDatabase {
+func benchWriteVDB(b *testing.B, k, rows int) *cjdbc.VirtualDatabase {
 	b.Helper()
 	ctrl := cjdbc.NewController("bench", 1)
 	b.Cleanup(ctrl.Close)
@@ -398,7 +398,7 @@ func benchWriteVDB(b *testing.B, k, rows int, opts ...cjdbc.BackendOption) *cjdb
 	if err != nil {
 		b.Fatal(err)
 	}
-	vdb.AddInMemoryBackend("db0", opts...)
+	vdb.AddInMemoryBackend("db0")
 	sess, _ := vdb.OpenSession("u", "")
 	defer sess.Close()
 	for i := 0; i < k; i++ {
@@ -464,20 +464,11 @@ func BenchmarkSameTableWrites(b *testing.B) {
 // BenchmarkAutoCommitWorkerPool measures the auto-commit write path with
 // the per-backend worker pool (the default): enqueue-time ticket
 // reservation on a pre-bound connection, ready-task handoff, resident
-// workers. Compare with BenchmarkAutoCommitGoroutinePerWrite, which runs
-// the identical workload through the goroutine-per-write execution model
-// the pool replaced (the PR-3/PR-4 lanes baseline).
+// workers. BENCH_PR5.json records the goroutine-per-write execution model
+// it replaced.
 func BenchmarkAutoCommitWorkerPool(b *testing.B) {
 	const tables, rows = 4, 64
 	vdb := benchWriteVDB(b, tables, rows)
-	benchParallelWrites(b, vdb, tables, rows)
-}
-
-// BenchmarkAutoCommitGoroutinePerWrite is the spawn-a-goroutine-per-write
-// baseline (WriteWorkers < 0), kept solely for this comparison.
-func BenchmarkAutoCommitGoroutinePerWrite(b *testing.B) {
-	const tables, rows = 4, 64
-	vdb := benchWriteVDB(b, tables, rows, cjdbc.WithWriteWorkers(-1))
 	benchParallelWrites(b, vdb, tables, rows)
 }
 

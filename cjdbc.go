@@ -183,9 +183,6 @@ type CacheConfig struct {
 	// result set cannot monopolize it (default 4 KiB per entry slot;
 	// negative disables weight accounting).
 	MaxBytes int
-	// MaxRows is the deprecated row-count budget, honoured (as
-	// MaxRows*cache.CompatRowBytes bytes) when MaxBytes is 0.
-	MaxRows int
 	// Staleness relaxes consistency: entries may serve stale data for up
 	// to this duration; 0 keeps strong consistency.
 	Staleness time.Duration
@@ -231,7 +228,6 @@ func (c *Controller) CreateVirtualDatabase(cfg VirtualDatabaseConfig) (*VirtualD
 			Granularity: gran,
 			MaxEntries:  cfg.Cache.MaxEntries,
 			MaxBytes:    cfg.Cache.MaxBytes,
-			MaxRows:     cfg.Cache.MaxRows,
 			Staleness:   cfg.Cache.Staleness,
 			StaleEpochs: cfg.Cache.StaleEpochs,
 		})
@@ -365,9 +361,8 @@ func WithCostParallelism(n int) BackendOption {
 
 // WithWriteWorkers sizes the backend's auto-commit write worker pool: ready
 // writes (lane dependencies satisfied, engine lock ticket granted) execute
-// on this many resident workers with lane work-stealing. 0 means GOMAXPROCS
-// (minimum 2); negative restores the goroutine-per-write execution model as
-// a measurement baseline.
+// on this many resident workers with lane work-stealing. 0 or negative means
+// GOMAXPROCS (minimum 2).
 func WithWriteWorkers(n int) BackendOption {
 	return func(c *backend.Config) { c.WriteWorkers = n }
 }

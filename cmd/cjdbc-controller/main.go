@@ -83,7 +83,6 @@ type cacheFileConfig struct {
 	Granularity string `json:"granularity"`
 	MaxEntries  int    `json:"maxEntries"`
 	MaxBytes    int    `json:"maxBytes"`
-	MaxRows     int    `json:"maxRows"`
 	StalenessMS int    `json:"stalenessMs"`
 	// StaleEpochs enables epoch-tagged invalidation: writes bump a
 	// per-table counter instead of eagerly evicting, and entries older
@@ -96,7 +95,7 @@ type backendFileConfig struct {
 	DSN    string `json:"dsn"` // cjdbc:// URL for a nested controller; empty = in-memory engine
 	Weight int    `json:"weight"`
 	// WriteWorkers sizes the backend's auto-commit write worker pool
-	// (0 = GOMAXPROCS, minimum 2; negative = goroutine-per-write baseline).
+	// (0 or negative = GOMAXPROCS, minimum 2).
 	WriteWorkers int `json:"writeWorkers"`
 	// Tables declares the subset of the virtual database's tables this
 	// backend hosts (RAIDb-2 partial replication); empty hosts everything.
@@ -146,7 +145,6 @@ func main() {
 				Granularity: vc.Cache.Granularity,
 				MaxEntries:  vc.Cache.MaxEntries,
 				MaxBytes:    vc.Cache.MaxBytes,
-				MaxRows:     vc.Cache.MaxRows,
 				Staleness:   time.Duration(vc.Cache.StalenessMS) * time.Millisecond,
 				StaleEpochs: vc.Cache.StaleEpochs,
 			}
@@ -170,7 +168,7 @@ func main() {
 			if bc.Weight > 0 {
 				opts = append(opts, cjdbc.WithWeight(bc.Weight))
 			}
-			if bc.WriteWorkers != 0 {
+			if bc.WriteWorkers > 0 {
 				opts = append(opts, cjdbc.WithWriteWorkers(bc.WriteWorkers))
 			}
 			if len(bc.Tables) > 0 {

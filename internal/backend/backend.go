@@ -63,11 +63,9 @@ type Config struct {
 	// serves concurrently (its CPU/disk parallelism); 0 means 4. Only
 	// meaningful with a cost model.
 	CostParallelism int
-	// WriteWorkers sizes the auto-commit write worker pool: 0 means
-	// GOMAXPROCS (minimum 2, so a write parked on a remote driver's locks
-	// cannot starve disjoint writes on a one-CPU host); negative spawns one
-	// goroutine per ready write instead of resident workers — the execution
-	// model the pool replaced, kept as the measurement baseline.
+	// WriteWorkers sizes the auto-commit write worker pool: 0 or negative
+	// means GOMAXPROCS (minimum 2, so a write parked on a remote driver's
+	// locks cannot starve disjoint writes on a one-CPU host).
 	WriteWorkers int
 	// Tables declares the subset of the virtual database's tables this
 	// backend hosts (RAIDb-2 partial replication, §2.4.3). Empty means the
@@ -249,7 +247,7 @@ func New(cfg Config) *Backend {
 		cfg.CostParallelism = 4
 	}
 	workers := cfg.WriteWorkers
-	if workers == 0 {
+	if workers <= 0 {
 		workers = max(2, runtime.GOMAXPROCS(0))
 	}
 	var declared []string

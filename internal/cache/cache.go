@@ -63,9 +63,6 @@ const (
 	// charges for its bookkeeping (entry struct, LRU element, map slots),
 	// so unbounded numbers of tiny results cannot pile up.
 	MinEntryBytes = 128
-	// CompatRowBytes converts the deprecated MaxRows row budget into a
-	// byte budget: one row slot buys this many bytes.
-	CompatRowBytes = 64
 	// defaultEntryBytes sizes the default byte budget per entry slot.
 	defaultEntryBytes = 4096
 )
@@ -78,15 +75,9 @@ type Config struct {
 	// approximate result size in bytes (ApproxBytes, floored at
 	// MinEntryBytes), so one huge result set cannot monopolize a shard
 	// that entry-count accounting would happily hand it. 0 derives a
-	// budget of 4 KiB per entry slot (or honours MaxRows, below);
-	// negative disables weight accounting. Results heavier than a whole
-	// shard's budget are not admitted at all.
+	// budget of 4 KiB per entry slot; negative disables weight accounting.
+	// Results heavier than a whole shard's budget are not admitted at all.
 	MaxBytes int
-	// MaxRows is the deprecated row-count budget, kept as a compat alias:
-	// when MaxBytes is 0, a positive MaxRows sets MaxBytes to
-	// MaxRows*CompatRowBytes and a negative one disables weight
-	// accounting.
-	MaxRows int
 	// Staleness relaxes consistency: entries stay valid for this long
 	// regardless of updates (0 keeps the cache strongly consistent).
 	Staleness time.Duration
@@ -182,14 +173,7 @@ func New(cfg Config) *ResultCache {
 		cfg.MaxEntries = 4096
 	}
 	if cfg.MaxBytes == 0 {
-		switch {
-		case cfg.MaxRows > 0:
-			cfg.MaxBytes = cfg.MaxRows * CompatRowBytes
-		case cfg.MaxRows < 0:
-			cfg.MaxBytes = -1
-		default:
-			cfg.MaxBytes = cfg.MaxEntries * defaultEntryBytes
-		}
+		cfg.MaxBytes = cfg.MaxEntries * defaultEntryBytes
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -501,10 +485,6 @@ func (c *ResultCache) WeightBytes() int {
 	}
 	return n
 }
-
-// RowWeight is a deprecated alias for WeightBytes, kept for compatibility
-// with the row-count accounting era.
-func (c *ResultCache) RowWeight() int { return c.WeightBytes() }
 
 // Len returns the number of cached entries.
 func (c *ResultCache) Len() int {

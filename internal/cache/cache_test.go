@@ -392,24 +392,6 @@ func TestByteWeightEmptyResultChargesFloor(t *testing.T) {
 	}
 }
 
-// TestMaxRowsCompatAlias: the deprecated MaxRows still bounds the cache,
-// translated into bytes (and negative still disables accounting).
-func TestMaxRowsCompatAlias(t *testing.T) {
-	c := New(Config{Granularity: GranTable, MaxEntries: 100, MaxRows: 10})
-	budget := 10 * CompatRowBytes
-	huge := "SELECT a FROM t"
-	c.Put(huge, stmt(t, huge), res(500))
-	if c.Get(huge) != nil {
-		t.Fatalf("a %d-byte result passed a %d-byte MaxRows-derived budget",
-			ApproxBytes(res(500)), budget)
-	}
-	c = New(Config{Granularity: GranTable, MaxEntries: 100, MaxRows: -1})
-	c.Put(huge, stmt(t, huge), res(500))
-	if c.Get(huge) == nil {
-		t.Fatal("negative MaxRows no longer disables weight accounting")
-	}
-}
-
 // TestStaleEpochsLazyInvalidation: in epoch mode a write bumps a counter
 // instead of evicting; the stale entry stays resident but is hidden (and
 // dropped) at its next lookup, while entries on other tables keep hitting.

@@ -29,7 +29,6 @@ type Pool struct {
 	stopped     bool // workers exit once the ready queue is empty
 	gatesForced bool // ForceGates was called: new gates open immediately
 	gated       map[*ptask]struct{}
-	legacy      bool // goroutine-per-ready-task baseline (workers < 0)
 	workers     sync.WaitGroup
 }
 
@@ -45,22 +44,15 @@ type ptask struct {
 	next       *ptask // ready-queue link
 }
 
-// NewPool creates a pool. workers > 0 runs that many workers; 0 defaults to
-// GOMAXPROCS; negative runs no resident workers and instead spawns one
-// goroutine per task when it becomes ready — the goroutine-per-write
-// execution model the pool replaces, kept as the measurement baseline for
-// benchmarks and equivalence tests.
+// NewPool creates a pool of workers resident workers; workers <= 0 means
+// GOMAXPROCS.
 func NewPool(workers int) *Pool {
 	p := &Pool{
 		lastByKey: make(map[string]*ptask),
 		gated:     make(map[*ptask]struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	if workers < 0 {
-		p.legacy = true
-		return p
-	}
-	if workers == 0 {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p.workers.Add(workers)
@@ -143,13 +135,6 @@ func (p *Pool) maybeReadyLocked(t *ptask) {
 		return
 	}
 	t.queued = true
-	if p.legacy {
-		go func() {
-			t.run()
-			p.finish(t)
-		}()
-		return
-	}
 	if p.readyTail == nil {
 		p.readyHead = t
 	} else {

@@ -11,7 +11,7 @@ import (
 // TestPoolPreservesPerKeyOrder: tasks sharing a key run in submission
 // order; the recorded sequence restricted to any key must be ascending.
 func TestPoolPreservesPerKeyOrder(t *testing.T) {
-	for _, workers := range []int{-1, 1, 4} {
+	for _, workers := range []int{1, 4} {
 		p := NewPool(workers)
 		var mu sync.Mutex
 		order := make(map[string][]int)

@@ -248,10 +248,9 @@ func TestReplicaConsistencyUnderConcurrentWrites(t *testing.T) {
 }
 
 // runReplicaConsistency is the randomized replica-consistency property body
-// shared with the worker-pool equivalence test: writeWorkers selects the
-// auto-commit execution vehicle (0 = default worker pool, 1 = single
-// worker, negative = the goroutine-per-write baseline); whatever runs the
-// writes, all backends must stay byte-identical.
+// shared with the worker-pool equivalence test: writeWorkers sizes the
+// auto-commit worker pool (0 = default, 1 = single worker); however many
+// workers run the writes, all backends must stay byte-identical.
 func runReplicaConsistency(t *testing.T, writeWorkers int, seed int64) {
 	const (
 		nBackends = 3

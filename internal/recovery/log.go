@@ -12,13 +12,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"os"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // EntryClass classifies a log entry.
@@ -50,8 +49,7 @@ type Entry struct {
 	// Tables is the conflict footprint the operation was sequenced under:
 	// a write's table set, or a demarcation's accumulated transaction
 	// footprint. Empty with Global unset means "touched nothing" for
-	// demarcations (and, for legacy write entries predating Global,
-	// conflicts-with-everything).
+	// demarcations and conflicts-with-everything for writes.
 	Tables []string `json:"tables,omitempty"`
 	// Global marks an operation sequenced gate-exclusive (DDL, unknown
 	// footprints, or a demarcation of a transaction that performed one):
@@ -59,9 +57,8 @@ type Entry struct {
 	Global bool `json:"global,omitempty"`
 	// V is the footprint schema version: entries appended by the
 	// conflict-class sequencer carry V=1, so an empty demarcation
-	// footprint means "touched nothing". Entries with V=0 predate
-	// footprints (or passed through a storage that cannot persist them,
-	// like a legacy SQL log table) and their footprint is unknown.
+	// footprint means "touched nothing". Entries with V=0 were appended
+	// without a footprint and theirs is unknown.
 	V uint8 `json:"v,omitempty"`
 }
 
@@ -73,9 +70,8 @@ const FootprintVersion = 1
 // conflict class (their footprints intersect, either was sequenced
 // globally, or they belong to the same transaction). For such pairs the
 // Seq order is the order every backend applied them in. Entries whose
-// footprint is unknown (V=0: written before footprints existed, or read
-// back from a storage that cannot persist them) are conservatively treated
-// as conflicting with everything.
+// footprint is unknown (V=0) are conservatively treated as conflicting with
+// everything.
 func (e *Entry) ConflictsWith(o *Entry) bool {
 	if e.TxID != 0 && e.TxID == o.TxID {
 		return true
@@ -122,136 +118,122 @@ type Log interface {
 	Close() error
 }
 
-// appendStripeCount is the number of per-conflict-class append stripes the
-// memory and SQL logs shard their append path over.
-const appendStripeCount = 16
-
-// classStripe maps an entry's conflict footprint to an append stripe.
-// Entries of one conflict class (same footprint) always land on the same
-// stripe — their appends are already serialized by the sequencer's
-// class critical section — while disjoint classes usually land on different
-// stripes and stop serializing on one log mutex. The mapping needs no
-// conflict-awareness for correctness: stripes only protect storage, and
-// ordering comes from the Seq allocation itself.
-func classStripe(e Entry) int {
-	h := fnv.New32a()
-	for _, t := range e.Tables {
-		h.Write([]byte(t))
-		h.Write([]byte{0})
-	}
-	return int(h.Sum32() % appendStripeCount)
+// store is where a sequencer keeps its entries. The sequencer calls every
+// method under its mutex, so a store needs no synchronization of its own and
+// sees puts in strictly increasing Seq order.
+type store interface {
+	// put makes one entry durable. An error means the store does not hold
+	// the entry.
+	put(e Entry) error
+	// scan returns the entries with Seq greater than after, in Seq order.
+	scan(after uint64) ([]Entry, error)
+	close() error
 }
 
-// appendStripe is one shard of the memory log's entry storage, padded so
-// stripes never share a cache line.
-type appendStripe struct {
-	mu      sync.Mutex
-	entries []Entry
-	_       [88]byte
-}
-
-// MemoryLog keeps the log in process memory. Seq allocation is a lock-free
-// atomic counter and entries are stored under per-conflict-class stripe
-// locks, so appends from disjoint classes do not serialize on one mutex.
-type MemoryLog struct {
-	// seq counts allocated sequence numbers; stored counts entries whose
-	// store has completed. Readers spin until they match, which proves the
-	// prefix [1, seq] has no in-flight holes.
-	seq     atomic.Uint64
-	stored  atomic.Uint64
-	stripes [appendStripeCount]appendStripe
-
-	mu    sync.Mutex // guards marks only
+// sequencer is the one recovery-log implementation: it assigns sequence
+// numbers, tracks checkpoint marks and serializes every store access under
+// one mutex. Two invariants follow by construction. Since returns a
+// gap-free prefix of the log, because no put is in flight while scan runs.
+// Seq advances only on a durable put, so a failed append consumes no
+// sequence number and leaves no hole.
+type sequencer struct {
+	mu    sync.Mutex
+	seq   uint64
 	marks map[string]uint64
+	st    store
 }
 
-// NewMemoryLog creates an empty in-memory log.
-func NewMemoryLog() *MemoryLog {
-	return &MemoryLog{marks: make(map[string]uint64)}
+// open attaches the store and restores the sequence counter and the
+// checkpoint marks from whatever it already holds. It closes the store on
+// error.
+func (l *sequencer) open(st store) error {
+	old, err := st.scan(0)
+	if err != nil {
+		st.close()
+		return err
+	}
+	l.st, l.marks = st, make(map[string]uint64)
+	for _, e := range old {
+		l.record(e)
+	}
+	return nil
 }
 
-func (l *MemoryLog) store(e Entry) {
-	st := &l.stripes[classStripe(e)]
-	st.mu.Lock()
-	st.entries = append(st.entries, e)
-	st.mu.Unlock()
-	l.stored.Add(1)
+// record notes the sequence number and checkpoint mark of an entry the
+// store holds.
+func (l *sequencer) record(e Entry) {
+	l.seq = e.Seq
+	if e.Class == ClassCheckpoint {
+		l.marks[e.Name] = e.Seq
+	}
 }
 
 // Append implements Log.
-func (l *MemoryLog) Append(e Entry) (uint64, error) {
-	e.Seq = l.seq.Add(1)
-	l.store(e)
+func (l *sequencer) Append(e Entry) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e.Seq = l.seq + 1
+	if err := l.st.put(e); err != nil {
+		return 0, err
+	}
+	l.record(e)
 	return e.Seq, nil
 }
 
 // Checkpoint implements Log.
-func (l *MemoryLog) Checkpoint(name string) (uint64, error) {
-	e := Entry{Seq: l.seq.Add(1), Class: ClassCheckpoint, Name: name}
-	l.store(e)
-	l.mu.Lock()
-	l.marks[name] = e.Seq
-	l.mu.Unlock()
-	return e.Seq, nil
+func (l *sequencer) Checkpoint(name string) (uint64, error) {
+	return l.Append(Entry{Class: ClassCheckpoint, Name: name})
 }
 
 // CheckpointSeq implements Log.
-func (l *MemoryLog) CheckpointSeq(name string) (uint64, bool, error) {
+func (l *sequencer) CheckpointSeq(name string) (uint64, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s, ok := l.marks[name]
 	return s, ok, nil
 }
 
-// barrier snapshots the allocated-sequence high-water mark and waits until
-// every allocation at or below it has finished storing, so a subsequent
-// harvest of the stripes sees the complete prefix [1, target].
-func (l *MemoryLog) barrier() uint64 {
-	target := l.seq.Load()
-	for l.stored.Load() < target {
-		runtime.Gosched()
-	}
-	return target
-}
-
-// Since implements Log. Entries are harvested from every stripe and merged
-// back into Seq order; the result is the complete, hole-free prefix
-// (seq, target] as of the barrier.
-func (l *MemoryLog) Since(seq uint64) ([]Entry, error) {
-	target := l.barrier()
-	var out []Entry
-	for i := range l.stripes {
-		st := &l.stripes[i]
-		st.mu.Lock()
-		for _, e := range st.entries {
-			if e.Seq > seq && e.Seq <= target {
-				out = append(out, e)
-			}
-		}
-		st.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
-}
-
-// Len returns the number of entries, for tests and monitoring.
-func (l *MemoryLog) Len() int {
-	return int(l.barrier())
+// Since implements Log.
+func (l *sequencer) Since(seq uint64) ([]Entry, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.st.scan(seq)
 }
 
 // Close implements Log.
-func (l *MemoryLog) Close() error { return nil }
-
-// FileLog stores the log in a flat file, one JSON entry per line (§3.2:
-// "the log can be stored in a flat file").
-type FileLog struct {
-	mu    sync.Mutex
-	f     *os.File
-	w     *bufio.Writer
-	seq   uint64
-	marks map[string]uint64
-	path  string
+func (l *sequencer) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.st.close()
 }
+
+// MemoryLog keeps the log in process memory.
+type MemoryLog struct{ sequencer }
+
+// NewMemoryLog creates an empty in-memory log.
+func NewMemoryLog() *MemoryLog {
+	l := &MemoryLog{}
+	_ = l.open(&memStore{}) // memStore.scan cannot fail
+	return l
+}
+
+type memStore struct{ entries []Entry }
+
+func (s *memStore) put(e Entry) error {
+	s.entries = append(s.entries, e)
+	return nil
+}
+
+func (s *memStore) scan(after uint64) ([]Entry, error) {
+	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Seq > after })
+	return append([]Entry(nil), s.entries[i:]...), nil
+}
+
+func (s *memStore) close() error { return nil }
+
+// FileLog keeps the log in a flat file, one JSON entry per line (the flat
+// file option of §3.2).
+type FileLog struct{ sequencer }
 
 // OpenFileLog opens (creating if needed) a file-backed log, scanning
 // existing entries to restore the sequence counter and checkpoint markers.
@@ -260,110 +242,61 @@ func OpenFileLog(path string) (*FileLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recovery: open log: %w", err)
 	}
-	l := &FileLog{f: f, marks: make(map[string]uint64), path: path}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("recovery: open log: %w", err)
+	}
+	l := &FileLog{}
+	if err := l.open(&fileStore{f: f, end: fi.Size()}); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// fileStore writes each entry at end, the length of the intact log, so a
+// failed write leaves no torn line behind the entries that follow it.
+type fileStore struct {
+	f   *os.File
+	end int64
+}
+
+func (s *fileStore) put(e Entry) error {
+	b, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	n, err := s.f.WriteAt(append(b, '\n'), s.end)
+	if err != nil {
+		// Best effort: scan stops at end and the next put overwrites from
+		// there, so a failed truncate only matters to a reopen.
+		_ = s.f.Truncate(s.end)
+		return fmt.Errorf("recovery: write log: %w", err)
+	}
+	s.end += int64(n)
+	return nil
+}
+
+func (s *fileStore) scan(after uint64) ([]Entry, error) {
+	var out []Entry
+	sc := bufio.NewScanner(io.NewSectionReader(s.f, 0, s.end))
+	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	for sc.Scan() {
 		var e Entry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			return nil, fmt.Errorf("recovery: corrupt log line: %w", err)
 		}
-		if e.Seq > l.seq {
-			l.seq = e.Seq
-		}
-		if e.Class == ClassCheckpoint {
-			l.marks[e.Name] = e.Seq
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		return nil, err
-	}
-	l.w = bufio.NewWriter(f)
-	return l, nil
-}
-
-func (l *FileLog) appendLocked(e Entry) (uint64, error) {
-	l.seq++
-	e.Seq = l.seq
-	b, err := json.Marshal(e)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := l.w.Write(append(b, '\n')); err != nil {
-		return 0, err
-	}
-	if err := l.w.Flush(); err != nil {
-		return 0, err
-	}
-	return e.Seq, nil
-}
-
-// Append implements Log.
-func (l *FileLog) Append(e Entry) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(e)
-}
-
-// Checkpoint implements Log.
-func (l *FileLog) Checkpoint(name string) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seq, err := l.appendLocked(Entry{Class: ClassCheckpoint, Name: name})
-	if err != nil {
-		return 0, err
-	}
-	l.marks[name] = seq
-	return seq, nil
-}
-
-// CheckpointSeq implements Log.
-func (l *FileLog) CheckpointSeq(name string) (uint64, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s, ok := l.marks[name]
-	return s, ok, nil
-}
-
-// Since implements Log.
-func (l *FileLog) Since(seq uint64) ([]Entry, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(l.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []Entry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	for sc.Scan() {
-		var e Entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, err
-		}
-		if e.Seq > seq {
+		if e.Seq > after {
 			out = append(out, e)
 		}
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("recovery: read log: %w", err)
+	}
+	return out, nil
 }
 
-// Close implements Log.
-func (l *FileLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	return l.f.Close()
-}
+func (s *fileStore) close() error { return s.f.Close() }
 
 // SQLExecutor executes one auto-commit SQL statement; the database-backed
 // log uses it to reach its storage, which may itself be a fault-tolerant
@@ -373,75 +306,36 @@ type SQLExecutor interface {
 	QuerySQL(sql string) (columns []string, rows [][]string, err error)
 }
 
-// SQLLog stores the log in a database via SQL, the "log stored in a
-// database using JDBC" option of §3.2. Conflict footprints are stored in a
-// tables_csv column ("*" marks a globally sequenced entry); a log table
-// created before that column existed is detected at open time and used in
-// legacy mode (no footprints persisted), since CREATE TABLE IF NOT EXISTS
-// cannot extend an existing schema.
-//
-// Like MemoryLog, Seq allocation is an atomic counter and the INSERT runs
-// under a per-conflict-class stripe lock, so appends from disjoint classes
-// reach the backing database concurrently instead of serializing on one
-// log mutex (the backing store — possibly itself a replicated virtual
-// database — handles its own write concurrency).
-type SQLLog struct {
-	db      SQLExecutor
-	seq     atomic.Uint64
-	stored  atomic.Uint64
-	stripes [appendStripeCount]struct {
-		mu sync.Mutex
-		_  [112]byte
-	}
-	name   string
-	legacy bool // pre-footprint 6-column table
-}
+// SQLLog keeps the log in a database reached through SQL (the JDBC option
+// of §3.2): one row per entry, with the conflict footprint in a tables_csv
+// column (see encodeTables).
+type SQLLog struct{ sequencer }
 
 // NewSQLLog creates (if needed) the log table and returns a database-backed
 // log. tableName must be a valid SQL identifier.
 func NewSQLLog(db SQLExecutor, tableName string) (*SQLLog, error) {
-	l := &SQLLog{db: db, name: tableName}
 	_, err := db.ExecSQL(fmt.Sprintf(
 		`CREATE TABLE IF NOT EXISTS %s (seq INTEGER PRIMARY KEY, usr VARCHAR, tx INTEGER, class VARCHAR, sql_text VARCHAR, name VARCHAR, tables_csv VARCHAR)`,
 		tableName))
 	if err != nil {
 		return nil, fmt.Errorf("recovery: create log table: %w", err)
 	}
-	// Probe for the footprint column: an existing pre-footprint table kept
-	// its old schema (IF NOT EXISTS is a no-op), so fall back to writing
-	// and reading the six legacy columns. The star expansion's column list
-	// reflects the actual schema even when the table is empty (selecting a
-	// missing column over zero rows would not error — projection is lazy).
-	if cols, _, err := db.QuerySQL(fmt.Sprintf("SELECT * FROM %s WHERE seq = 0", tableName)); err == nil {
-		l.legacy = true
-		for _, c := range cols {
-			if strings.EqualFold(c, "tables_csv") {
-				l.legacy = false
-				break
-			}
-		}
-	}
-	// Restore the sequence counter.
-	_, rows, err := db.QuerySQL(fmt.Sprintf("SELECT MAX(seq) FROM %s", tableName))
-	if err != nil {
+	l := &SQLLog{}
+	if err := l.open(&sqlStore{db: db, table: tableName}); err != nil {
 		return nil, err
-	}
-	if len(rows) == 1 && rows[0][0] != "NULL" {
-		var seq uint64
-		fmt.Sscanf(rows[0][0], "%d", &seq)
-		l.seq.Store(seq)
-		// Every restored sequence number is already in the backing table, so
-		// the stored counter starts level with seq — otherwise the first
-		// Since barrier would wait forever for appends that predate us.
-		l.stored.Store(seq)
 	}
 	return l, nil
 }
 
+type sqlStore struct {
+	db    SQLExecutor
+	table string
+}
+
 // encodeTables renders an entry's conflict footprint for tables_csv: "*"
 // for gate-exclusive entries, "-" for a footprint-aware entry that touched
-// nothing (distinguishing it from legacy rows with no footprint at all),
-// else the comma-joined table list.
+// nothing (distinguishing it from a V=0 entry, written as ""), else the
+// comma-joined table list.
 func encodeTables(e Entry) string {
 	switch {
 	case e.Global:
@@ -452,87 +346,34 @@ func encodeTables(e Entry) string {
 	return strings.Join(e.Tables, ",")
 }
 
-// insert allocates the entry's Seq and writes it to the backing store under
-// its conflict class's stripe lock. The stored counter advances even on an
-// insert error, so a concurrent Since barrier never waits on a failed
-// append (the sequence hole is harmless: Since orders by seq).
-func (l *SQLLog) insert(e Entry) (uint64, error) {
-	e.Seq = l.seq.Add(1)
-	defer l.stored.Add(1)
-	st := &l.stripes[classStripe(e)]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var err error
-	if l.legacy {
-		_, err = l.db.ExecSQL(fmt.Sprintf(
-			"INSERT INTO %s (seq, usr, tx, class, sql_text, name) VALUES (%d, '%s', %d, '%s', '%s', '%s')",
-			l.name, e.Seq, escape(e.User), e.TxID, e.Class, escape(e.SQL), escape(e.Name)))
-	} else {
-		_, err = l.db.ExecSQL(fmt.Sprintf(
-			"INSERT INTO %s (seq, usr, tx, class, sql_text, name, tables_csv) VALUES (%d, '%s', %d, '%s', '%s', '%s', '%s')",
-			l.name, e.Seq, escape(e.User), e.TxID, e.Class, escape(e.SQL), escape(e.Name),
-			escape(encodeTables(e))))
-	}
-	if err != nil {
-		return 0, err
-	}
-	return e.Seq, nil
+func (s *sqlStore) put(e Entry) error {
+	_, err := s.db.ExecSQL(fmt.Sprintf(
+		"INSERT INTO %s (seq, usr, tx, class, sql_text, name, tables_csv) VALUES (%d, '%s', %d, '%s', '%s', '%s', '%s')",
+		s.table, e.Seq, escape(e.User), e.TxID, e.Class, escape(e.SQL), escape(e.Name),
+		escape(encodeTables(e))))
+	return err
 }
 
-// Append implements Log.
-func (l *SQLLog) Append(e Entry) (uint64, error) {
-	return l.insert(e)
-}
-
-// Checkpoint implements Log.
-func (l *SQLLog) Checkpoint(name string) (uint64, error) {
-	return l.insert(Entry{Class: ClassCheckpoint, Name: name})
-}
-
-// CheckpointSeq implements Log.
-func (l *SQLLog) CheckpointSeq(name string) (uint64, bool, error) {
-	_, rows, err := l.db.QuerySQL(fmt.Sprintf(
-		"SELECT MAX(seq) FROM %s WHERE class = 'checkpoint' AND name = '%s'", l.name, escape(name)))
-	if err != nil {
-		return 0, false, err
-	}
-	if len(rows) == 0 || rows[0][0] == "NULL" {
-		return 0, false, nil
-	}
-	var seq uint64
-	fmt.Sscanf(rows[0][0], "%d", &seq)
-	return seq, true, nil
-}
-
-// Since implements Log. The barrier spin mirrors MemoryLog's: every
-// allocated sequence number at or below the snapshot target has finished
-// its INSERT before the query runs, so the result is a hole-free prefix in
-// Seq order (modulo failed appends, whose holes were reported to their
-// callers).
-func (l *SQLLog) Since(seq uint64) ([]Entry, error) {
-	target := l.seq.Load()
-	for l.stored.Load() < target {
-		runtime.Gosched()
-	}
-	cols := "seq, usr, tx, class, sql_text, name, tables_csv"
-	if l.legacy {
-		cols = "seq, usr, tx, class, sql_text, name"
-	}
-	_, rows, err := l.db.QuerySQL(fmt.Sprintf(
-		"SELECT %s FROM %s WHERE seq > %d AND seq <= %d ORDER BY seq", cols, l.name, seq, target))
+func (s *sqlStore) scan(after uint64) ([]Entry, error) {
+	_, rows, err := s.db.QuerySQL(fmt.Sprintf(
+		"SELECT seq, usr, tx, class, sql_text, name, tables_csv FROM %s WHERE seq > %d ORDER BY seq",
+		s.table, after))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Entry, 0, len(rows))
 	for _, r := range rows {
-		var e Entry
-		fmt.Sscanf(r[0], "%d", &e.Seq)
-		e.User = r[1]
-		fmt.Sscanf(r[2], "%d", &e.TxID)
-		e.Class = EntryClass(r[3])
-		e.SQL = r[4]
-		e.Name = r[5]
-		if len(r) > 6 && r[6] != "" && r[6] != "NULL" {
+		if len(r) != 7 {
+			return nil, fmt.Errorf("recovery: log row has %d columns, want 7", len(r))
+		}
+		e := Entry{User: r[1], Class: EntryClass(r[3]), SQL: r[4], Name: r[5]}
+		if e.Seq, err = strconv.ParseUint(r[0], 10, 64); err != nil {
+			return nil, fmt.Errorf("recovery: log row seq: %w", err)
+		}
+		if e.TxID, err = strconv.ParseUint(r[2], 10, 64); err != nil {
+			return nil, fmt.Errorf("recovery: log row %d tx: %w", e.Seq, err)
+		}
+		if r[6] != "" && r[6] != "NULL" {
 			e.V = FootprintVersion
 			switch r[6] {
 			case "*":
@@ -548,17 +389,8 @@ func (l *SQLLog) Since(seq uint64) ([]Entry, error) {
 	return out, nil
 }
 
-// Close implements Log.
-func (l *SQLLog) Close() error { return nil }
+func (s *sqlStore) close() error { return nil }
 
 func escape(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\'' {
-			out = append(out, '\'', '\'')
-		} else {
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
+	return strings.ReplaceAll(s, "'", "''")
 }

@@ -2,8 +2,11 @@ package recovery
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,114 +15,6 @@ import (
 	"cjdbc/internal/backend"
 	"cjdbc/internal/sqlengine"
 )
-
-func testLogContract(t *testing.T, mk func(t *testing.T) Log) {
-	t.Helper()
-
-	t.Run("AppendAssignsMonotonicSeq", func(t *testing.T) {
-		l := mk(t)
-		defer l.Close()
-		s1, err := l.Append(Entry{User: "u", TxID: 1, Class: ClassBegin})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := l.Append(Entry{User: "u", TxID: 1, Class: ClassWrite, SQL: "INSERT INTO t (a) VALUES (1)"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s2 <= s1 {
-			t.Fatalf("seq not monotonic: %d then %d", s1, s2)
-		}
-	})
-
-	t.Run("SinceFiltersBySeq", func(t *testing.T) {
-		l := mk(t)
-		defer l.Close()
-		l.Append(Entry{Class: ClassWrite, SQL: "w1"})
-		mid, _ := l.Append(Entry{Class: ClassWrite, SQL: "w2"})
-		l.Append(Entry{Class: ClassWrite, SQL: "w3"})
-		got, err := l.Since(mid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0].SQL != "w3" {
-			t.Fatalf("Since(%d) = %+v", mid, got)
-		}
-		all, _ := l.Since(0)
-		if len(all) != 3 {
-			t.Fatalf("Since(0) = %d entries", len(all))
-		}
-	})
-
-	t.Run("CheckpointMarkers", func(t *testing.T) {
-		l := mk(t)
-		defer l.Close()
-		l.Append(Entry{Class: ClassWrite, SQL: "before"})
-		seq, err := l.Checkpoint("cp1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Append(Entry{Class: ClassWrite, SQL: "after"})
-		got, ok, err := l.CheckpointSeq("cp1")
-		if err != nil || !ok || got != seq {
-			t.Fatalf("CheckpointSeq = %d, %v, %v (want %d)", got, ok, err, seq)
-		}
-		if _, ok, _ := l.CheckpointSeq("missing"); ok {
-			t.Fatal("missing checkpoint found")
-		}
-		after, _ := l.Since(seq)
-		if len(after) != 1 || after[0].SQL != "after" {
-			t.Fatalf("entries after checkpoint: %+v", after)
-		}
-	})
-}
-
-func TestMemoryLog(t *testing.T) {
-	testLogContract(t, func(t *testing.T) Log { return NewMemoryLog() })
-}
-
-func TestFileLog(t *testing.T) {
-	testLogContract(t, func(t *testing.T) Log {
-		l, err := OpenFileLog(filepath.Join(t.TempDir(), "recovery.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	})
-}
-
-func TestFileLogSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "recovery.log")
-	l, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(Entry{User: "u", TxID: 3, Class: ClassWrite, SQL: "INSERT INTO t (a) VALUES ('x''y')"})
-	l.Checkpoint("cp")
-	l.Append(Entry{Class: ClassWrite, SQL: "w2"})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	seq, ok, _ := l2.CheckpointSeq("cp")
-	if !ok {
-		t.Fatal("checkpoint lost on reopen")
-	}
-	after, _ := l2.Since(seq)
-	if len(after) != 1 || after[0].SQL != "w2" {
-		t.Fatalf("after reopen: %+v", after)
-	}
-	// Appending continues the sequence.
-	s, _ := l2.Append(Entry{Class: ClassWrite, SQL: "w3"})
-	if s <= seq {
-		t.Fatalf("seq restarted: %d <= %d", s, seq)
-	}
-}
 
 // engineExecutor adapts a raw engine to the SQLExecutor interface.
 type engineExecutor struct{ e *sqlengine.Engine }
@@ -151,28 +46,407 @@ func (x engineExecutor) QuerySQL(sql string) ([]string, [][]string, error) {
 	return res.Columns, rows, nil
 }
 
-func TestSQLLog(t *testing.T) {
-	testLogContract(t, func(t *testing.T) Log {
-		l, err := NewSQLLog(engineExecutor{sqlengine.New("logdb")}, "recovery_log")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	})
+// logStorages are the three stores behind the one sequencer. at binds an
+// opener to one fresh storage location; calling the opener again reopens
+// the same storage (which only the persistent ones remember).
+var logStorages = []struct {
+	name       string
+	persistent bool
+	at         func(t *testing.T) func() (Log, error)
+}{
+	{"memory", false, func(t *testing.T) func() (Log, error) {
+		return func() (Log, error) { return NewMemoryLog(), nil }
+	}},
+	{"file", true, func(t *testing.T) func() (Log, error) {
+		path := filepath.Join(t.TempDir(), "recovery.log")
+		return func() (Log, error) { return OpenFileLog(path) }
+	}},
+	{"sql", true, func(t *testing.T) func() (Log, error) {
+		db := engineExecutor{sqlengine.New("logdb")}
+		return func() (Log, error) { return NewSQLLog(db, "recovery_log") }
+	}},
 }
 
-func TestSQLLogEscapesQuotes(t *testing.T) {
-	l, err := NewSQLLog(engineExecutor{sqlengine.New("logdb")}, "rl")
+func mustOpen(t *testing.T, open func() (Log, error)) Log {
+	t.Helper()
+	l, err := open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sql := "INSERT INTO t (s) VALUES ('it''s')"
-	if _, err := l.Append(Entry{Class: ClassWrite, SQL: sql}); err != nil {
+	return l
+}
+
+// prefixErr reports the first place where got is not exactly the entries
+// 1, 2, 3, ... — a hole or a misorder.
+func prefixErr(got []Entry) error {
+	for i, e := range got {
+		if e.Seq != uint64(i+1) {
+			return fmt.Errorf("hole or misorder: entry %d has seq %d", i, e.Seq)
+		}
+	}
+	return nil
+}
+
+// requirePrefix is prefixErr for the test's own goroutine.
+func requirePrefix(t *testing.T, got []Entry) {
+	t.Helper()
+	if err := prefixErr(got); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLogContract is the one suite every store must pass.
+func TestLogContract(t *testing.T) {
+	for _, st := range logStorages {
+		st := st
+		t.Run(st.name, func(t *testing.T) {
+			t.Run("AppendAssignsConsecutiveSeq", func(t *testing.T) {
+				l := mustOpen(t, st.at(t))
+				defer l.Close()
+				for want := uint64(1); want <= 3; want++ {
+					got, err := l.Append(Entry{User: "u", TxID: 1, Class: ClassWrite, SQL: "w"})
+					if err != nil || got != want {
+						t.Fatalf("Append = %d, %v; want %d", got, err, want)
+					}
+				}
+			})
+
+			t.Run("SinceFiltersBySeq", func(t *testing.T) {
+				l := mustOpen(t, st.at(t))
+				defer l.Close()
+				l.Append(Entry{Class: ClassWrite, SQL: "w1"})
+				mid, _ := l.Append(Entry{Class: ClassWrite, SQL: "w2"})
+				l.Append(Entry{Class: ClassWrite, SQL: "w3"})
+				got, err := l.Since(mid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 1 || got[0].SQL != "w3" {
+					t.Fatalf("Since(%d) = %+v", mid, got)
+				}
+				all, _ := l.Since(0)
+				if len(all) != 3 {
+					t.Fatalf("Since(0) = %d entries", len(all))
+				}
+			})
+
+			t.Run("CheckpointMarkers", func(t *testing.T) {
+				l := mustOpen(t, st.at(t))
+				defer l.Close()
+				l.Append(Entry{Class: ClassWrite, SQL: "before"})
+				seq, err := l.Checkpoint("cp1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.Append(Entry{Class: ClassWrite, SQL: "after"})
+				got, ok, err := l.CheckpointSeq("cp1")
+				if err != nil || !ok || got != seq {
+					t.Fatalf("CheckpointSeq = %d, %v, %v (want %d)", got, ok, err, seq)
+				}
+				if _, ok, _ := l.CheckpointSeq("missing"); ok {
+					t.Fatal("missing checkpoint found")
+				}
+				after, _ := l.Since(seq)
+				if len(after) != 1 || after[0].SQL != "after" {
+					t.Fatalf("entries after checkpoint: %+v", after)
+				}
+			})
+
+			// Quotes, table footprints, the gate-exclusive marker and the
+			// footprint version survive every store's encoding.
+			t.Run("EntriesRoundTrip", func(t *testing.T) {
+				l := mustOpen(t, st.at(t))
+				defer l.Close()
+				want := []Entry{
+					{User: "o'brien", TxID: 7, Class: ClassWrite, SQL: "INSERT INTO t (s) VALUES ('it''s')", Tables: []string{"a", "b"}, V: FootprintVersion},
+					{Class: ClassWrite, SQL: "DROP TABLE t", Global: true, V: FootprintVersion},
+					{TxID: 7, Class: ClassCommit, V: FootprintVersion},
+					{TxID: 8, Class: ClassCommit},
+				}
+				for i := range want {
+					seq, err := l.Append(want[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[i].Seq = seq
+				}
+				got, err := l.Since(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+				}
+			})
+
+			// Appends from many goroutines across distinct conflict classes
+			// race Since: every result is a Seq-ordered, hole-free prefix
+			// (run with -race).
+			t.Run("ConcurrentAppends", func(t *testing.T) {
+				l := mustOpen(t, st.at(t))
+				defer l.Close()
+				const writers = 8
+				const perWriter = 50
+				var wg, rwg sync.WaitGroup
+				stop := make(chan struct{})
+				for r := 0; r < 2; r++ {
+					rwg.Add(1)
+					go func() {
+						defer rwg.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							got, err := l.Since(0)
+							if err != nil {
+								t.Errorf("Since: %v", err)
+								return
+							}
+							if err := prefixErr(got); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; i < perWriter; i++ {
+							e := Entry{
+								Class:  ClassWrite,
+								SQL:    fmt.Sprintf("w%d-%d", w, i),
+								Tables: []string{fmt.Sprintf("t%d", w)},
+								V:      FootprintVersion,
+							}
+							if _, err := l.Append(e); err != nil {
+								t.Errorf("append: %v", err)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				close(stop)
+				rwg.Wait()
+				got, err := l.Since(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != writers*perWriter {
+					t.Fatalf("Since(0) = %d entries, want %d", len(got), writers*perWriter)
+				}
+				requirePrefix(t, got)
+			})
+
+			// Reopening restores the sequence counter and the checkpoint
+			// marks from the stored entries.
+			t.Run("SurvivesReopen", func(t *testing.T) {
+				if !st.persistent {
+					t.Skip("store does not outlive the process")
+				}
+				open := st.at(t)
+				l := mustOpen(t, open)
+				l.Append(Entry{User: "u", TxID: 3, Class: ClassWrite, SQL: "INSERT INTO t (a) VALUES ('x''y')"})
+				cp, _ := l.Checkpoint("cp")
+				l.Append(Entry{Class: ClassWrite, SQL: "w2"})
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				l2 := mustOpen(t, open)
+				defer l2.Close()
+				if seq, ok, err := l2.CheckpointSeq("cp"); err != nil || !ok || seq != cp {
+					t.Fatalf("CheckpointSeq after reopen = %d, %v, %v (want %d)", seq, ok, err, cp)
+				}
+				after, err := l2.Since(cp)
+				if err != nil || len(after) != 1 || after[0].SQL != "w2" {
+					t.Fatalf("after reopen: %+v, %v", after, err)
+				}
+				if s, err := l2.Append(Entry{Class: ClassWrite, SQL: "w3"}); err != nil || s != cp+2 {
+					t.Fatalf("append after reopen = %d, %v; want %d", s, err, cp+2)
+				}
+			})
+		})
+	}
+}
+
+// hookStore is a memory store whose put first runs a hook that may block or
+// fail, standing in for a slow or broken disk or database.
+type hookStore struct {
+	memStore
+	beforePut func(e Entry) error
+}
+
+func (s *hookStore) put(e Entry) error {
+	if err := s.beforePut(e); err != nil {
+		return err
+	}
+	return s.memStore.put(e)
+}
+
+// TestSinceIsPrefixWhilePutStalls: while the put of Seq k is stalled, no
+// Since may return anything past k-1, however many appenders and readers
+// pile up behind it; once k is released every result is a contiguous run.
+func TestSinceIsPrefixWhilePutStalls(t *testing.T) {
+	const k = 5
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unstall := func() { once.Do(func() { close(release) }) }
+	defer unstall() // a failing assertion must not strand the stalled put
+	l := &sequencer{}
+	if err := l.open(&hookStore{beforePut: func(e Entry) error {
+		if e.Seq == k {
+			close(entered)
+			<-release
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < k; i++ {
+		l.Append(Entry{Class: ClassWrite, SQL: "early"})
+	}
+
+	const writers, readers = 4, 4
+	var wg sync.WaitGroup
+	results := make(chan []Entry, readers)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		l.Append(Entry{Class: ClassWrite, SQL: "stalled", Tables: []string{"s"}, V: FootprintVersion})
+	}()
+	<-entered
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			l.Append(Entry{Class: ClassWrite, SQL: "late", Tables: []string{fmt.Sprintf("t%d", w)}, V: FootprintVersion})
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := l.Since(0)
+			if err != nil {
+				t.Errorf("Since: %v", err)
+			}
+			results <- got
+		}()
+	}
+	// Give a broken log the chance to answer early; a correct one passes
+	// whatever this window is.
+	timer := time.NewTimer(50 * time.Millisecond)
+	defer timer.Stop()
+	seen := 0
+stalled:
+	for {
+		select {
+		case got := <-results:
+			seen++
+			requirePrefix(t, got)
+			if n := len(got); n > k-1 {
+				t.Fatalf("Since returned %d entries while seq %d was still in flight", n, k)
+			}
+		case <-timer.C:
+			break stalled
+		}
+	}
+	unstall()
+	wg.Wait()
+	for ; seen < readers; seen++ {
+		requirePrefix(t, <-results)
+	}
+	got, _ := l.Since(0)
+	if len(got) != k+writers {
+		t.Fatalf("Since(0) = %d entries, want %d", len(got), k+writers)
+	}
+	requirePrefix(t, got)
+}
+
+// TestFailedPutConsumesNoSeq: Append reports the store's error, the next
+// successful Append gets the next consecutive Seq, and Since has no hole.
+func TestFailedPutConsumesNoSeq(t *testing.T) {
+	errDisk := errors.New("disk full")
+	failing := false
+	l := &sequencer{}
+	if err := l.open(&hookStore{beforePut: func(Entry) error {
+		if failing {
+			return errDisk
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := l.Append(Entry{Class: ClassWrite, SQL: "w1"}); err != nil || s != 1 {
+		t.Fatalf("Append = %d, %v", s, err)
+	}
+	failing = true
+	if _, err := l.Append(Entry{Class: ClassWrite, SQL: "lost"}); !errors.Is(err, errDisk) {
+		t.Fatalf("Append on a failing store = %v, want %v", err, errDisk)
+	}
+	if _, err := l.Checkpoint("cp"); !errors.Is(err, errDisk) {
+		t.Fatalf("Checkpoint on a failing store = %v, want %v", err, errDisk)
+	}
+	if _, ok, _ := l.CheckpointSeq("cp"); ok {
+		t.Fatal("a checkpoint whose put failed left a mark")
+	}
+	failing = false
+	if s, err := l.Append(Entry{Class: ClassWrite, SQL: "w2"}); err != nil || s != 2 {
+		t.Fatalf("Append after the failure = %d, %v; want 2", s, err)
+	}
 	got, err := l.Since(0)
-	if err != nil || len(got) != 1 || got[0].SQL != sql {
-		t.Fatalf("round trip: %+v, %v", got, err)
+	if err != nil || len(got) != 2 || got[0].SQL != "w1" || got[1].SQL != "w2" {
+		t.Fatalf("Since(0) = %+v, %v", got, err)
+	}
+	requirePrefix(t, got)
+}
+
+// TestOpenFileLogCorruptLine: a file that is not a log is an error, not an
+// empty log.
+func TestOpenFileLogCorruptLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "recovery.log")
+	if err := os.WriteFile(path, []byte("{\"seq\":1,\"class\":\"write\"}\nnot json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := OpenFileLog(path); err == nil {
+		l.Close()
+		t.Fatal("corrupt log opened without error")
+	}
+}
+
+// junkExecutor answers every query with one row whose numbers are not.
+type junkExecutor struct{}
+
+func (junkExecutor) ExecSQL(string) (int64, error) { return 0, nil }
+func (junkExecutor) QuerySQL(string) ([]string, [][]string, error) {
+	return nil, [][]string{{"one", "u", "0", "write", "w", "", ""}}, nil
+}
+
+// TestSQLLogRejectsUnparsableRows: a row the log cannot parse is an error,
+// not an entry with Seq 0.
+func TestSQLLogRejectsUnparsableRows(t *testing.T) {
+	if _, err := NewSQLLog(junkExecutor{}, "rl"); err == nil {
+		t.Fatal("unparsable seq accepted")
+	}
+}
+
+// TestSQLLogRejectsForeignSchema: a table that is not the 7-column log
+// table fails at open rather than losing footprints silently.
+func TestSQLLogRejectsForeignSchema(t *testing.T) {
+	db := engineExecutor{sqlengine.New("foreigndb")}
+	if _, err := db.ExecSQL(`CREATE TABLE rl (seq INTEGER PRIMARY KEY, usr VARCHAR, tx INTEGER, class VARCHAR, sql_text VARCHAR, name VARCHAR)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecSQL(`INSERT INTO rl (seq, usr, tx, class, sql_text, name) VALUES (1, 'u', 0, 'write', 'w', '')`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSQLLog(db, "rl"); err == nil {
+		t.Fatal("6-column table accepted as a log table")
 	}
 }
 
@@ -271,7 +545,7 @@ func TestReplayAppliesOnlyCommitted(t *testing.T) {
 	l.Append(Entry{TxID: 3, Class: ClassWrite, SQL: "INSERT INTO t (a) VALUES (4)"})
 
 	b := mkBackend(t, "rb", "CREATE TABLE t (a INTEGER)")
-	applied, err := Replay(l, 0, b)
+	applied, err := ReplayParallel(l, 0, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +565,7 @@ func TestReplayFromCheckpoint(t *testing.T) {
 	l.Append(Entry{Class: ClassWrite, SQL: "INSERT INTO t (a) VALUES (2)"})
 
 	b := mkBackend(t, "cpb", "CREATE TABLE t (a INTEGER)")
-	applied, err := Replay(l, seq, b)
+	applied, err := ReplayParallel(l, seq, b, 1)
 	if err != nil || applied != 1 {
 		t.Fatalf("applied = %d, %v", applied, err)
 	}
@@ -305,7 +579,7 @@ func TestReplayErrorsSurfaceSQL(t *testing.T) {
 	l := NewMemoryLog()
 	l.Append(Entry{Class: ClassWrite, SQL: "INSERT INTO missing (a) VALUES (1)"})
 	b := mkBackend(t, "eb", "CREATE TABLE t (a INTEGER)")
-	_, err := Replay(l, 0, b)
+	_, err := ReplayParallel(l, 0, b, 1)
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("replay error: %v", err)
 	}
@@ -328,62 +602,6 @@ func TestInsertSQLBatching(t *testing.T) {
 	}
 }
 
-// TestSQLLogLegacySchemaStillAppends: a log table created before the
-// tables_csv footprint column existed must keep working — CREATE TABLE IF
-// NOT EXISTS cannot extend it, so the log detects the old schema at open
-// and writes/reads the six legacy columns (footprints simply not persisted).
-func TestSQLLogLegacySchemaStillAppends(t *testing.T) {
-	db := engineExecutor{sqlengine.New("legacydb")}
-	if _, err := db.ExecSQL(`CREATE TABLE rl (seq INTEGER PRIMARY KEY, usr VARCHAR, tx INTEGER, class VARCHAR, sql_text VARCHAR, name VARCHAR)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.ExecSQL(`INSERT INTO rl (seq, usr, tx, class, sql_text, name) VALUES (1, 'u', 0, 'write', 'INSERT INTO t (a) VALUES (1)', '')`); err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewSQLLog(db, "rl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(Entry{User: "u", Class: ClassWrite, SQL: "w2", Tables: []string{"t"}}); err != nil {
-		t.Fatalf("append on legacy schema: %v", err)
-	}
-	got, err := l.Since(0)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("since on legacy schema: %v, %d entries", err, len(got))
-	}
-	if got[1].SQL != "w2" || got[1].Seq != 2 {
-		t.Fatalf("appended entry: %+v", got[1])
-	}
-}
-
-// TestSQLLogFootprintRoundTrip: table footprints and the gate-exclusive
-// marker survive the SQL encoding.
-func TestSQLLogFootprintRoundTrip(t *testing.T) {
-	l, err := NewSQLLog(engineExecutor{sqlengine.New("fpdb")}, "rl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(Entry{Class: ClassWrite, SQL: "w", Tables: []string{"a", "b"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(Entry{Class: ClassWrite, SQL: "ddl", Global: true}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := l.Since(0)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("since: %v, %d", err, len(got))
-	}
-	if len(got[0].Tables) != 2 || got[0].Tables[0] != "a" || got[0].Tables[1] != "b" || got[0].Global {
-		t.Fatalf("footprint entry: %+v", got[0])
-	}
-	if !got[1].Global || len(got[1].Tables) != 0 {
-		t.Fatalf("global entry: %+v", got[1])
-	}
-	if !got[0].ConflictsWith(&got[1]) {
-		t.Fatal("global entry must conflict with everything")
-	}
-}
-
 // TestEntryConflictsWithGlobalDemarcation: a commit of a transaction that
 // was sequenced gate-exclusive (e.g. it performed DDL) conflicts with
 // everything even though its table list is empty.
@@ -397,139 +615,10 @@ func TestEntryConflictsWithGlobalDemarcation(t *testing.T) {
 	if empty.ConflictsWith(&w) {
 		t.Fatal("a footprint-aware commit that touched nothing conflicts with nothing")
 	}
-	// A demarcation from before footprints existed has an UNKNOWN
+	// A demarcation appended without a footprint (V=0) has an UNKNOWN
 	// footprint, not an empty one: it must be treated conservatively.
-	legacy := Entry{TxID: 4, Class: ClassCommit}
-	if !legacy.ConflictsWith(&w) {
-		t.Fatal("a legacy commit's footprint is unknown: must conflict with everything")
-	}
-}
-
-// TestShardedLogConcurrentAppends drives appends from many goroutines across
-// distinct conflict-class stripes while readers call Since concurrently, then
-// asserts the final harvest is the complete, hole-free sequence in Seq order
-// — the property the striped append path must preserve (run with -race).
-func TestShardedLogConcurrentAppends(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() Log
-	}{
-		{"MemoryLog", func() Log { return NewMemoryLog() }},
-		{"SQLLog", func() Log {
-			l, err := NewSQLLog(engineExecutor{sqlengine.New("shardlog")}, "recovery_log")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			l := tc.mk()
-			defer l.Close()
-			const writers = 8
-			const perWriter = 50
-			var wg, rwg sync.WaitGroup
-			stop := make(chan struct{})
-			// Concurrent readers: every Since(0) must be a Seq-ordered,
-			// hole-free prefix even while appends race on other stripes.
-			for r := 0; r < 2; r++ {
-				rwg.Add(1)
-				go func() {
-					defer rwg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						got, err := l.Since(0)
-						if err != nil {
-							t.Errorf("Since: %v", err)
-							return
-						}
-						for i, e := range got {
-							if e.Seq != uint64(i+1) {
-								t.Errorf("hole or misorder: entry %d has seq %d", i, e.Seq)
-								return
-							}
-						}
-					}
-				}()
-			}
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perWriter; i++ {
-						// Distinct footprints land on distinct stripes.
-						e := Entry{
-							Class:  ClassWrite,
-							SQL:    fmt.Sprintf("w%d-%d", w, i),
-							Tables: []string{fmt.Sprintf("t%d", w)},
-							V:      FootprintVersion,
-						}
-						if _, err := l.Append(e); err != nil {
-							t.Errorf("append: %v", err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(stop)
-			rwg.Wait()
-			got, err := l.Since(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != writers*perWriter {
-				t.Fatalf("Since(0) = %d entries, want %d", len(got), writers*perWriter)
-			}
-			for i, e := range got {
-				if e.Seq != uint64(i+1) {
-					t.Fatalf("entry %d has seq %d, want %d", i, e.Seq, i+1)
-				}
-			}
-		})
-	}
-}
-
-// TestSQLLogRestoredSinceDoesNotHang: reopening a SQLLog over an existing
-// table restores the sequence counter; Since must treat the restored prefix
-// as already stored rather than waiting for appends that predate the reopen.
-func TestSQLLogRestoredSinceDoesNotHang(t *testing.T) {
-	db := engineExecutor{sqlengine.New("reopenlog")}
-	l1, err := NewSQLLog(db, "recovery_log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1.Append(Entry{Class: ClassWrite, SQL: "w1"})
-	l1.Append(Entry{Class: ClassWrite, SQL: "w2"})
-	l1.Close()
-
-	l2, err := NewSQLLog(db, "recovery_log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	done := make(chan struct{})
-	var got []Entry
-	go func() {
-		defer close(done)
-		got, err = l2.Since(0)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Since hung on a restored log (stored counter not restored)")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].SQL != "w1" || got[1].SQL != "w2" {
-		t.Fatalf("restored Since(0) = %+v", got)
-	}
-	if s, _ := l2.Append(Entry{Class: ClassWrite, SQL: "w3"}); s != 3 {
-		t.Fatalf("append after restore got seq %d, want 3", s)
+	unknown := Entry{TxID: 4, Class: ClassCommit}
+	if !unknown.ConflictsWith(&w) {
+		t.Fatal("a V=0 commit's footprint is unknown: must conflict with everything")
 	}
 }

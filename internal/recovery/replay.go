@@ -15,8 +15,8 @@ import (
 // Entries whose recorded footprint contains a table the filter rejects are
 // skipped — they were never dispatched to the backend live, so its replay
 // stream is exactly the hosted subsequence of the log. Entries with no
-// recorded tables (legacy V=0, or statements with genuinely unknown
-// footprints) replay everywhere. nil means full replication.
+// recorded tables (V=0, or statements with genuinely unknown footprints)
+// replay everywhere. nil means full replication.
 type HostFilter func(table string) bool
 
 // entryHosted reports whether a log entry belongs on a backend under the
@@ -33,15 +33,6 @@ func entryHosted(e *Entry, hosted HostFilter) bool {
 		}
 	}
 	return true
-}
-
-// Replay applies the committed writes recorded after seq to a backend, in
-// log order. Entries belonging to transactions that aborted (or never
-// finished) are skipped. It is the sequential (workers = 1) form of
-// ReplayParallel, kept as the conservative default for callers that do not
-// configure a worker count.
-func Replay(l Log, seq uint64, b *backend.Backend) (applied int, err error) {
-	return ReplayParallel(l, seq, b, 1)
 }
 
 // Pass carries replay bookkeeping across the multiple passes of one
@@ -78,8 +69,8 @@ type Pass struct {
 	Deferred int
 }
 
-// ReplayPass applies to b the committed writes recorded after seq that prev
-// has not already applied: transactions in prev.TxDone and auto-commit
+// ReplayPassHosted applies to b the committed writes recorded after seq that
+// prev has not already applied: transactions in prev.TxDone and auto-commit
 // entries covered by prev.Last/prev.AutoDone are skipped. It returns the
 // accumulated bookkeeping for the next pass and the transactions that
 // remain unresolved — write entries in the window with no commit or
@@ -88,11 +79,8 @@ type Pass struct {
 // next.Deferred is non-zero: entries held back behind an unresolved
 // transaction apply only in a later pass. On error the backend must stay
 // disabled (see ReplayParallel).
-func ReplayPass(l Log, seq uint64, prev *Pass, b *backend.Backend, workers int) (next *Pass, unresolved []uint64, applied int, err error) {
-	return ReplayPassHosted(l, seq, prev, b, workers, nil)
-}
-
-// ReplayPassHosted is ReplayPass restricted to a backend's hosted tables
+//
+// A non-nil hosted filter restricts the pass to the backend's hosted tables
 // (RAIDb-2 partial replication): entries whose footprint the filter rejects
 // are invisible — not applied, not counted unresolved, and without a stake
 // in the pass's ordering decisions — exactly as they were never dispatched
@@ -117,11 +105,12 @@ func ReplayPassHosted(l Log, seq uint64, prev *Pass, b *backend.Backend, workers
 // is preserved, which is exactly the order every backend originally applied
 // those entries in. Entries of the same transaction are chained through a
 // synthetic per-transaction key; globally sequenced entries (DDL, unknown
-// footprints) and entries predating footprints (V = 0, or read from a
-// legacy log table) are barriers that serialize against everything.
+// footprints) and entries without a footprint (V = 0) are barriers that
+// serialize against everything.
 //
 // workers <= 0 defaults to GOMAXPROCS; workers == 1 replays sequentially in
-// Seq order (the legacy behavior). On error the first failing entry (by
+// Seq order, which is also the reference the parallel path is tested
+// against. On error the first failing entry (by
 // Seq) is reported, every in-flight applier is drained before returning,
 // and no entry that conflicts with the failed one has been applied out of
 // order; entries of classes disjoint from the failure may or may not have
@@ -395,9 +384,8 @@ func replayPass(l Log, seq uint64, prev *Pass, b *backend.Backend, workers int, 
 // its table set plus a synthetic per-transaction key (entries of one
 // transaction conflict with each other regardless of tables, matching
 // Entry.ConflictsWith). The entry is a barrier when it was sequenced
-// gate-exclusive or its footprint is unknown — no tables recorded, or a
-// pre-footprint entry (V = 0: written before footprints existed, or read
-// back from a storage that cannot persist them).
+// gate-exclusive or its footprint is unknown — no tables recorded, or
+// V = 0.
 func replayKeys(e *Entry) (keys []string, barrier bool) {
 	if e.Global || e.V < FootprintVersion || len(e.Tables) == 0 {
 		return nil, true

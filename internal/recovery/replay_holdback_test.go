@@ -23,7 +23,7 @@ func TestReplayPassHoldsBackConflictingAuto(t *testing.T) {
 	l.Append(Entry{Class: ClassWrite, SQL: "UPDATE t SET v = 9 WHERE id = 1",
 		Tables: []string{"t"}, V: FootprintVersion})
 
-	pass, unresolved, applied, err := ReplayPass(l, 0, nil, b, 1)
+	pass, unresolved, applied, err := ReplayPassHosted(l, 0, nil, b, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestReplayPassHoldsBackConflictingAuto(t *testing.T) {
 	}
 
 	l.Append(Entry{Class: ClassCommit, TxID: 9, V: FootprintVersion})
-	pass, _, applied, err = ReplayPass(l, 0, pass, b, 1)
+	pass, _, applied, err = ReplayPassHosted(l, 0, pass, b, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReplayPassDefersWholeTransactionGroup(t *testing.T) {
 	l.Append(Entry{Class: ClassWrite, SQL: "INSERT INTO u (id, v) VALUES (1, 1)",
 		Tables: []string{"u"}, V: FootprintVersion})
 
-	pass, unresolved, applied, err := ReplayPass(l, 0, nil, b, 1)
+	pass, unresolved, applied, err := ReplayPassHosted(l, 0, nil, b, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReplayPassDefersWholeTransactionGroup(t *testing.T) {
 	}
 
 	l.Append(Entry{Class: ClassCommit, TxID: 9, V: FootprintVersion})
-	pass, _, applied, err = ReplayPass(l, 0, pass, b, 1)
+	pass, _, applied, err = ReplayPassHosted(l, 0, pass, b, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestReplayPassDefersWholeTransactionGroup(t *testing.T) {
 	}
 
 	// Unchanged log: nothing applies twice.
-	if _, _, applied, err = ReplayPass(l, 0, pass, b, 1); err != nil || applied != 0 {
+	if _, _, applied, err = ReplayPassHosted(l, 0, pass, b, 1, nil); err != nil || applied != 0 {
 		t.Fatalf("idle pass applied %d err %v, want 0 nil", applied, err)
 	}
 }
@@ -123,14 +123,14 @@ func TestReplayPassDeadTransactionLiftsHoldback(t *testing.T) {
 	l.Append(Entry{Class: ClassWrite, SQL: "INSERT INTO t (id, v) VALUES (2, 2)",
 		Tables: []string{"t"}, V: FootprintVersion})
 
-	pass, unresolved, applied, err := ReplayPass(l, 0, nil, b, 1)
+	pass, unresolved, applied, err := ReplayPassHosted(l, 0, nil, b, 1, nil)
 	if err != nil || applied != 0 || pass.Deferred != 1 || len(unresolved) != 1 {
 		t.Fatalf("bulk pass applied=%d Deferred=%d unresolved=%v err=%v, want 0 1 [4] nil",
 			applied, pass.Deferred, unresolved, err)
 	}
 
 	pass.TxDead = map[uint64]bool{4: true}
-	pass, unresolved, applied, err = ReplayPass(l, 0, pass, b, 1)
+	pass, unresolved, applied, err = ReplayPassHosted(l, 0, pass, b, 1, nil)
 	if err != nil || applied != 1 || pass.Deferred != 0 || len(unresolved) != 0 {
 		t.Fatalf("after TxDead: applied=%d Deferred=%d unresolved=%v err=%v, want 1 0 [] nil",
 			applied, pass.Deferred, unresolved, err)
@@ -162,7 +162,7 @@ func TestReplayPassFrontierSplitsAroundDeferral(t *testing.T) {
 	l.Append(Entry{Class: ClassWrite, SQL: "INSERT INTO u (id, v) VALUES (1, 1)",
 		Tables: []string{"u"}, V: FootprintVersion})
 
-	pass, _, applied, err := ReplayPass(l, 0, nil, b, 1)
+	pass, _, applied, err := ReplayPassHosted(l, 0, nil, b, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestReplayPassFrontierSplitsAroundDeferral(t *testing.T) {
 	}
 
 	l.Append(Entry{Class: ClassCommit, TxID: 3, V: FootprintVersion})
-	pass, _, applied, err = ReplayPass(l, 0, pass, b, 1)
+	pass, _, applied, err = ReplayPassHosted(l, 0, pass, b, 1, nil)
 	if err != nil || applied != 2 || pass.Deferred != 0 {
 		t.Fatalf("catch-up applied=%d Deferred=%d err=%v, want 2 0 nil", applied, pass.Deferred, err)
 	}
