@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -332,6 +333,9 @@ type sqlStore struct {
 	table string
 }
 
+// sqlLogColumns is the log table's schema, in CREATE TABLE order.
+var sqlLogColumns = []string{"seq", "usr", "tx", "class", "sql_text", "name", "tables_csv"}
+
 // encodeTables renders an entry's conflict footprint for tables_csv: "*"
 // for gate-exclusive entries, "-" for a footprint-aware entry that touched
 // nothing (distinguishing it from a V=0 entry, written as ""), else the
@@ -348,23 +352,35 @@ func encodeTables(e Entry) string {
 
 func (s *sqlStore) put(e Entry) error {
 	_, err := s.db.ExecSQL(fmt.Sprintf(
-		"INSERT INTO %s (seq, usr, tx, class, sql_text, name, tables_csv) VALUES (%d, '%s', %d, '%s', '%s', '%s', '%s')",
-		s.table, e.Seq, escape(e.User), e.TxID, e.Class, escape(e.SQL), escape(e.Name),
-		escape(encodeTables(e))))
+		"INSERT INTO %s (%s) VALUES (%d, '%s', %d, '%s', '%s', '%s', '%s')",
+		s.table, strings.Join(sqlLogColumns, ", "), e.Seq, escape(e.User), e.TxID, e.Class,
+		escape(e.SQL), escape(e.Name), escape(encodeTables(e))))
+	if err != nil {
+		// The database may hold the row although it reported an error (a
+		// lost acknowledgement). Left there it would fail every later INSERT
+		// of this seq and replay a write the client saw fail, so take it
+		// out. Best effort: while the row stays, so do the failures, and
+		// each one tries the delete again.
+		_, _ = s.db.ExecSQL(fmt.Sprintf("DELETE FROM %s WHERE seq = %d", s.table, e.Seq))
+	}
 	return err
 }
 
+// scan selects * and checks the column list on every call, so a table with
+// another schema is an error at open even when it is empty.
 func (s *sqlStore) scan(after uint64) ([]Entry, error) {
-	_, rows, err := s.db.QuerySQL(fmt.Sprintf(
-		"SELECT seq, usr, tx, class, sql_text, name, tables_csv FROM %s WHERE seq > %d ORDER BY seq",
-		s.table, after))
+	cols, rows, err := s.db.QuerySQL(fmt.Sprintf(
+		"SELECT * FROM %s WHERE seq > %d ORDER BY seq", s.table, after))
 	if err != nil {
 		return nil, err
 	}
+	if !slices.EqualFunc(cols, sqlLogColumns, strings.EqualFold) {
+		return nil, fmt.Errorf("recovery: log table %s has columns %v, want %v", s.table, cols, sqlLogColumns)
+	}
 	out := make([]Entry, 0, len(rows))
 	for _, r := range rows {
-		if len(r) != 7 {
-			return nil, fmt.Errorf("recovery: log row has %d columns, want 7", len(r))
+		if len(r) != len(cols) {
+			return nil, fmt.Errorf("recovery: log row has %d columns, want %d", len(r), len(cols))
 		}
 		e := Entry{User: r[1], Class: EntryClass(r[3]), SQL: r[4], Name: r[5]}
 		if e.Seq, err = strconv.ParseUint(r[0], 10, 64); err != nil {

@@ -424,7 +424,7 @@ type junkExecutor struct{}
 
 func (junkExecutor) ExecSQL(string) (int64, error) { return 0, nil }
 func (junkExecutor) QuerySQL(string) ([]string, [][]string, error) {
-	return nil, [][]string{{"one", "u", "0", "write", "w", "", ""}}, nil
+	return sqlLogColumns, [][]string{{"one", "u", "0", "write", "w", "", ""}}, nil
 }
 
 // TestSQLLogRejectsUnparsableRows: a row the log cannot parse is an error,
@@ -436,17 +436,70 @@ func TestSQLLogRejectsUnparsableRows(t *testing.T) {
 }
 
 // TestSQLLogRejectsForeignSchema: a table that is not the 7-column log
-// table fails at open rather than losing footprints silently.
+// table fails at open, with or without rows in it, rather than losing
+// footprints silently or failing at the first Append.
 func TestSQLLogRejectsForeignSchema(t *testing.T) {
-	db := engineExecutor{sqlengine.New("foreigndb")}
-	if _, err := db.ExecSQL(`CREATE TABLE rl (seq INTEGER PRIMARY KEY, usr VARCHAR, tx INTEGER, class VARCHAR, sql_text VARCHAR, name VARCHAR)`); err != nil {
+	for _, rows := range []string{"empty", "with a row"} {
+		t.Run(rows, func(t *testing.T) {
+			db := engineExecutor{sqlengine.New("foreigndb")}
+			if _, err := db.ExecSQL(`CREATE TABLE rl (seq INTEGER PRIMARY KEY, usr VARCHAR, tx INTEGER, class VARCHAR, sql_text VARCHAR, name VARCHAR)`); err != nil {
+				t.Fatal(err)
+			}
+			if rows != "empty" {
+				if _, err := db.ExecSQL(`INSERT INTO rl (seq, usr, tx, class, sql_text, name) VALUES (1, 'u', 0, 'write', 'w', '')`); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := NewSQLLog(db, "rl"); err == nil {
+				t.Fatal("6-column table accepted as a log table")
+			}
+		})
+	}
+}
+
+// lostAckExecutor runs every statement; while armed it reports an INSERT
+// that went through as failed, the way a timed-out connection does.
+type lostAckExecutor struct {
+	engineExecutor
+	armed bool
+}
+
+var errLostAck = errors.New("connection reset")
+
+func (x *lostAckExecutor) ExecSQL(sql string) (int64, error) {
+	n, err := x.engineExecutor.ExecSQL(sql)
+	if err == nil && x.armed && strings.HasPrefix(sql, "INSERT") {
+		return 0, errLostAck
+	}
+	return n, err
+}
+
+// TestSQLLogLostAckConsumesNoSeq: an INSERT the database ran but reported as
+// failed must not stay in the table, where it would block its Seq for every
+// later Append and come back from Since and from a reopen.
+func TestSQLLogLostAckConsumesNoSeq(t *testing.T) {
+	db := &lostAckExecutor{engineExecutor: engineExecutor{sqlengine.New("logdb")}}
+	l, err := NewSQLLog(db, "rl")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecSQL(`INSERT INTO rl (seq, usr, tx, class, sql_text, name) VALUES (1, 'u', 0, 'write', 'w', '')`); err != nil {
-		t.Fatal(err)
+	l.Append(Entry{Class: ClassWrite, SQL: "w1"})
+	db.armed = true
+	if _, err := l.Append(Entry{Class: ClassWrite, SQL: "lost"}); !errors.Is(err, errLostAck) {
+		t.Fatalf("Append with a lost ack = %v, want %v", err, errLostAck)
 	}
-	if _, err := NewSQLLog(db, "rl"); err == nil {
-		t.Fatal("6-column table accepted as a log table")
+	db.armed = false
+	if s, err := l.Append(Entry{Class: ClassWrite, SQL: "w2"}); err != nil || s != 2 {
+		t.Fatalf("Append after the lost ack = %d, %v; want 2", s, err)
+	}
+	for _, open := range []func() (Log, error){
+		func() (Log, error) { return l, nil },
+		func() (Log, error) { return NewSQLLog(db, "rl") },
+	} {
+		got, err := mustOpen(t, open).Since(0)
+		if err != nil || len(got) != 2 || got[0].SQL != "w1" || got[1].SQL != "w2" {
+			t.Fatalf("Since(0) = %+v, %v", got, err)
+		}
 	}
 }
 
