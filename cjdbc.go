@@ -137,9 +137,10 @@ type HealthConfig struct {
 	// backend; 0 disables probing.
 	ProbeInterval time.Duration
 	// AutoReintegrate starts a supervisor that brings disabled backends
-	// back automatically: restore from the latest backup (taking one from a
-	// healthy peer if none is cached), replay the recovery log, re-enable —
-	// all under live traffic. Requires a recovery log.
+	// back automatically: restore from the latest backup (or from a
+	// snapshot of the serving backends if none is cached; no backend goes
+	// off-line for it), replay the recovery log, re-enable — all under live
+	// traffic. Requires a recovery log.
 	AutoReintegrate bool
 	// ReintegrateBackoff is the delay before the first re-integration
 	// attempt, doubled each failed attempt up to ReintegrateBackoffCap
@@ -484,7 +485,9 @@ func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*re
 	return v.inner.BackupBackend(backendName, checkpointName)
 }
 
-// RestoreBackend re-integrates a backend from a dump plus log replay.
+// RestoreBackend re-integrates a backend from a dump plus log replay. With a
+// nil dump the virtual database finds one itself, as automatic
+// re-integration does.
 func (v *VirtualDatabase) RestoreBackend(backendName string, dump *recovery.Dump) error {
 	return v.inner.RestoreBackend(backendName, dump)
 }

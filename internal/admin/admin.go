@@ -107,7 +107,22 @@ func (s *Server) handleVDB(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		b.Enable()
+		switch {
+		case b.Enabled():
+		case vdb.RecoveryLog() == nil:
+			// Without a recovery log nothing records what the backend missed
+			// while it was out, so there is no copy-to-exact procedure to
+			// run; flipping the state back is all an operator can do, and
+			// what the backend serves is theirs to vouch for.
+			b.Enable()
+		default:
+			// The call the re-integration supervisor makes: restore, replay
+			// the log, enable only once caught up.
+			if err := vdb.RestoreBackend(bName, nil); err != nil {
+				http.Error(w, err.Error(), http.StatusConflict)
+				return
+			}
+		}
 		writeJSON(w, map[string]string{"enabled": bName})
 	case "checkpoint":
 		cp := r.URL.Query().Get("name")

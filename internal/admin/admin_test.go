@@ -2,6 +2,7 @@ package admin
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -15,19 +16,38 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *controller.VirtualDatabase) {
 	t.Helper()
+	s, vdb, _ := newTestServerN(t, 1, recovery.NewMemoryLog())
+	return s, vdb
+}
+
+// newTestServerN serves one virtual database "app" over n engine backends
+// db0..db(n-1), each holding table t with one row.
+func newTestServerN(t *testing.T, n int, log recovery.Log) (*Server, *controller.VirtualDatabase, []*sqlengine.Engine) {
+	t.Helper()
 	c := controller.New("ctrl", 1)
-	vdb, err := c.AddVirtualDatabase(controller.VDBConfig{
-		Name: "app", ParallelTx: true, RecoveryLog: recovery.NewMemoryLog(),
-	})
+	vdb, err := c.AddVirtualDatabase(controller.VDBConfig{Name: "app", ParallelTx: true, RecoveryLog: log})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := backend.New(backend.Config{Name: "db0", Driver: &backend.EngineDriver{Engine: sqlengine.New("db0")}})
-	t.Cleanup(b.Close)
-	if err := vdb.AddBackend(b); err != nil {
-		t.Fatal(err)
+	engines := make([]*sqlengine.Engine, n)
+	for i := range engines {
+		name := fmt.Sprintf("db%d", i)
+		e := sqlengine.New(name)
+		es := e.NewSession()
+		for _, q := range []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)", "INSERT INTO t (id, v) VALUES (1, 0)"} {
+			if _, err := es.ExecSQL(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		es.Close()
+		engines[i] = e
+		b := backend.New(backend.Config{Name: name, Driver: &backend.EngineDriver{Engine: e}})
+		t.Cleanup(b.Close)
+		if err := vdb.AddBackend(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return New(c), vdb
+	return New(c), vdb, engines
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -92,6 +112,69 @@ func TestDisableEnableBackend(t *testing.T) {
 	}
 	if rec := get(t, s.Handler(), "/vdbs/app/enable?backend=missing"); rec.Code != 404 {
 		t.Errorf("enable missing backend = %d", rec.Code)
+	}
+}
+
+// TestEnableBringsBackendToExact: a backend disabled through the admin API
+// misses the writes made while it is out; enable must not put it back into
+// read routing until it holds them. With a recovery log that is the
+// re-integration procedure (409 when it cannot run); without one only the
+// raw state flip is left.
+func TestEnableBringsBackendToExact(t *testing.T) {
+	s, vdb, engines := newTestServerN(t, 2, recovery.NewMemoryLog())
+	rows := func(e *sqlengine.Engine) string {
+		es := e.NewSession()
+		defer es.Close()
+		res, err := es.ExecSQL("SELECT id, v FROM t ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	sess, err := vdb.NewSession("user", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	if rec := get(t, s.Handler(), "/vdbs/app/disable?backend=db1"); rec.Code != 200 {
+		t.Fatalf("disable status = %d", rec.Code)
+	}
+	for _, q := range []string{"UPDATE t SET v = 7 WHERE id = 1", "INSERT INTO t (id, v) VALUES (2, 9)"} {
+		if _, err := sess.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec := get(t, s.Handler(), "/vdbs/app/enable?backend=db1"); rec.Code != 200 {
+		t.Fatalf("enable status = %d, body=%s", rec.Code, rec.Body.String())
+	}
+	if b, _ := vdb.Backend("db1"); !b.Enabled() {
+		t.Fatal("backend still disabled")
+	}
+	if want, got := rows(engines[0]), rows(engines[1]); got != want {
+		t.Fatalf("enable published an inexact copy: db0 %s, db1 %s", want, got)
+	}
+
+	// With every backend down and no dump to fall back on, there is nothing
+	// to re-integrate from.
+	s, vdb, _ = newTestServerN(t, 2, recovery.NewMemoryLog())
+	get(t, s.Handler(), "/vdbs/app/disable?backend=db0")
+	get(t, s.Handler(), "/vdbs/app/disable?backend=db1")
+	if rec := get(t, s.Handler(), "/vdbs/app/enable?backend=db1"); rec.Code != 409 {
+		t.Fatalf("enable with no source = %d, want 409", rec.Code)
+	}
+	if b, _ := vdb.Backend("db1"); b.Enabled() {
+		t.Fatal("refused enable enabled the backend")
+	}
+
+	// No recovery log: the raw enable is all there is.
+	s, vdb, _ = newTestServerN(t, 2, nil)
+	get(t, s.Handler(), "/vdbs/app/disable?backend=db1")
+	if rec := get(t, s.Handler(), "/vdbs/app/enable?backend=db1"); rec.Code != 200 {
+		t.Fatalf("log-less enable status = %d", rec.Code)
+	}
+	if b, _ := vdb.Backend("db1"); !b.Enabled() {
+		t.Fatal("log-less enable left the backend disabled")
 	}
 }
 

@@ -132,7 +132,7 @@ type Backend struct {
 	// cluster-side fate is still open, so re-integration must not re-enable
 	// the backend until each of them has demarcated (its entries are then
 	// fully in the recovery log and the catch-up replay covers it) — see
-	// the controller's catchUpAndEnable. Enable clears the set.
+	// the controller's catchUp. Enable clears the set.
 	deadTxs map[uint64]struct{}
 
 	// Auto-commit worker pool: pool assigns each task its lane dependencies
@@ -435,7 +435,7 @@ func (b *Backend) reapTxIfDisabled(txID uint64) {
 }
 
 // DeadTxs returns the transactions abandoned while disabled (killed by the
-// teardown or rejected with ErrDisabled); see catchUpAndEnable.
+// teardown or rejected with ErrDisabled); see the controller's catchUp.
 func (b *Backend) DeadTxs() []uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -1,9 +1,18 @@
 package controller
 
+// Bringing a copy to exact (§3.1): checkpoint marker in the recovery log,
+// dump, restore, replay from the marker, publish — while the others keep
+// serving. A backup, a restore, automatic re-integration, integrating a new
+// backend and AddTableHost are all this one procedure over a table set (a
+// whole backend is "all its hosted tables", a moving table is one table),
+// built from three primitives that each exist once: quiesced, snapshot and
+// catchUp.
+
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"cjdbc/internal/backend"
@@ -16,18 +25,17 @@ var (
 	// ErrNoRecoveryLog is returned by checkpoint operations on a virtual
 	// database configured without a recovery log.
 	ErrNoRecoveryLog = errors.New("controller: virtual database has no recovery log")
-	// ErrCheckpointBusy is returned when no transaction-free moment could be
-	// found to place a backup's checkpoint marker.
+	// ErrCheckpointBusy is returned when write transactions stayed open for
+	// the whole bounded wait: no transaction-free moment to place a marker or
+	// flip routing, or a replay window whose transactions never demarcated.
 	ErrCheckpointBusy = errors.New("controller: checkpoint timed out waiting for write transactions to finish")
 )
 
-// checkpointTxWait bounds how long a backup waits for a moment no write
-// transaction spans; reintegrateTxWait bounds how long a re-integration
-// waits for the transactions the backend abandoned to demarcate.
-const (
-	checkpointTxWait  = 10 * time.Second
-	reintegrateTxWait = 10 * time.Second
-)
+// quiesceWait bounds both waits of the procedure: quiesced's wait for a
+// moment no write transaction spans, and catchUp's wait for the
+// transactions still unresolved in its replay window to demarcate. A
+// variable only so tests of the bound need not wait it out.
+var quiesceWait = 10 * time.Second
 
 // Checkpoint inserts a named checkpoint marker in the recovery log, atomic
 // with respect to the cluster-wide write order (§3.1: "the checkpoint
@@ -41,276 +49,55 @@ func (v *VirtualDatabase) Checkpoint(name string) (uint64, error) {
 	return v.log.Checkpoint(name)
 }
 
-// BackupBackend takes an online backup of one backend (§3.1): a checkpoint
-// marker is logged, the backend is disabled (the others keep serving), its
-// content is dumped, the updates that arrived during the dump are replayed
-// from the recovery log, and the backend is re-enabled. The returned dump
-// can later integrate new or failed backends; it is also cached as the
-// virtual database's latest dump for automatic re-integration.
-//
-// The checkpoint is quiesced: the marker is placed at a moment no write
-// transaction spans, with the backend's already-enqueued writes drained, so
-// the dump contains exactly the effects of the log entries at or below the
-// marker — nothing a later replay would duplicate, nothing it would miss.
-func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*recovery.Dump, error) {
-	if v.log == nil {
-		return nil, ErrNoRecoveryLog
-	}
-	b, err := v.Backend(backendName)
-	if err != nil {
-		return nil, err
-	}
-	sp, ok := b.Driver().(backend.SchemaProvider)
-	if !ok {
-		return nil, fmt.Errorf("controller: backend %s cannot be dumped (no schema provider)", backendName)
-	}
-
-	seq, err := v.quiescedCheckpoint(checkpointName, b)
-	if err != nil {
-		return nil, err
-	}
-	// Under partial replication the backend's engine holds exactly its
-	// hosted tables, so the filter is normally a no-op — it guards against
-	// leftovers from a past placement into the dump.
-	dump, dumpErr := recovery.TakeDumpHosted(checkpointName, sp, v.hostFilter(b))
-	// Catch up and re-enable even when the dump failed: writes rejected
-	// while the backend was disabled are only recovered by replay.
-	if err := v.catchUpAndEnable(b, seq); err != nil {
-		return nil, err
-	}
-	if dumpErr != nil {
-		return nil, dumpErr
-	}
-	v.lastDump.Store(dump)
-	return dump, nil
-}
-
-// quiescedCheckpoint waits (bounded) for a moment with no active write
-// transaction, then — still holding the cluster write quiesce — drains the
-// backend's enqueued writes, logs the checkpoint marker, and disables the
-// backend. No transaction spans the marker and every write at or below it
-// has executed on b, which is what makes the dump taken afterwards exact.
-func (v *VirtualDatabase) quiescedCheckpoint(name string, b *backend.Backend) (uint64, error) {
-	deadline := time.Now().Add(checkpointTxWait)
+// quiesced runs fn under the cluster write quiesce at a moment no write
+// transaction spans, waiting (bounded) for one: ErrCheckpointBusy when none
+// came. No write can be sequenced while fn runs, and none is half-way through
+// a transaction, so a marker fn logs has no transaction spanning it and a
+// routing change fn makes falls between two writes for every client.
+func (v *VirtualDatabase) quiesced(fn func() error) error {
+	deadline := time.Now().Add(quiesceWait)
 	for {
 		ticket := v.sched.LockAllWrites()
 		if !v.sched.AnyTxActive() {
-			b.DrainWrites()
-			seq, err := v.log.Checkpoint(name)
-			if err == nil {
-				b.Disable()
-			}
+			err := fn()
 			ticket.Unlock()
-			return seq, err
+			return err
 		}
 		ticket.Unlock()
 		if time.Now().After(deadline) {
-			return 0, ErrCheckpointBusy
+			return ErrCheckpointBusy
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// RestoreBackend re-integrates a failed or stale backend from a dump: the
-// dump is restored, the log is replayed from the dump's checkpoint, and the
-// backend is re-enabled (§3: "tools to automatically re-integrate failed
-// backends into a virtual database").
-func (v *VirtualDatabase) RestoreBackend(backendName string, dump *recovery.Dump) error {
-	if v.log == nil {
-		return ErrNoRecoveryLog
-	}
-	b, err := v.Backend(backendName)
-	if err != nil {
-		return err
-	}
-	seq, ok, err := v.log.CheckpointSeq(dump.Name)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("controller: checkpoint %q not found in recovery log", dump.Name)
-	}
-	b.Disable()
-	// Let the disable teardown's rollbacks finish before the restore starts
-	// dropping the tables they undo into.
-	b.DrainWrites()
-	b.SetRecovering()
-	// The dump may come from a donor hosting more tables than this backend
-	// (RAIDb-2): restore only the hosted subset.
-	if err := recovery.RestoreHosted(dump, b, v.hostFilter(b)); err != nil {
-		b.Disable()
-		return err
-	}
-	v.dropUnhostedLeftovers(b)
-	return v.catchUpAndEnable(b, seq)
+// donorClaim is one donor's share of a snapshot: the tables it will dump.
+type donorClaim struct {
+	donor  *backend.Backend
+	sp     backend.SchemaProvider
+	tables map[string]bool
 }
 
-// dropUnhostedLeftovers removes tables the backend materializes but does not
-// host — the stale copy a crashed RemoveTableHost could not drop, or an
-// AddTableHost bootstrap aborted by the target's crash. A restored backend
-// must hold exactly its hosted subset: catchUpAndEnable reattaches every
-// table the backend contains, so a leftover copy would rejoin the placement
-// and serve stale data.
-func (v *VirtualDatabase) dropUnhostedLeftovers(b *backend.Backend) {
-	hosted := v.hostFilter(b)
-	if hosted == nil {
-		return
-	}
-	names, err := b.TableNames()
-	if err != nil {
-		return
-	}
-	for _, t := range names {
-		if !hosted(t) {
-			_, _ = b.DirectExec(nil, "DROP TABLE IF EXISTS "+t)
-		}
-	}
-}
-
-// IntegrateBackend adds a brand-new backend and brings it up to date from a
-// dump, the "bring new backends into the system" path of §3.
-func (v *VirtualDatabase) IntegrateBackend(b *backend.Backend, dump *recovery.Dump) error {
-	if v.log == nil {
-		return ErrNoRecoveryLog
-	}
-	b.OnWriteFailure(v.writeFailureCallback)
-	if decl := b.DeclaredTables(); len(decl) > 0 {
-		pl, ok := v.repl.(balancer.Placement)
-		if !ok {
-			return fmt.Errorf("controller: backend %s declares hosted tables but virtual database %s uses %s replication; declared subsets need partial replication",
-				b.Name(), v.name, v.repl.Name())
-		}
-		for _, t := range decl {
-			pl.DeclareHost(t, b.Name())
-		}
-	}
-	b.Disable()
-	b.DrainWrites()
-	b.SetRecovering()
-	hosted := v.hostFilter(b)
-	if err := recovery.RestoreHosted(dump, b, hosted); err != nil {
-		return err
-	}
-	v.dropUnhostedLeftovers(b)
-	seq, ok, err := v.log.CheckpointSeq(dump.Name)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("controller: checkpoint %q not found in recovery log", dump.Name)
-	}
-	v.mu.Lock()
-	v.backends = append(v.backends, b)
-	v.mu.Unlock()
-	if v.repl.RequiresParsing() {
-		for _, td := range dump.Tables {
-			if hosted != nil && !hosted(td.Name) {
-				continue
-			}
-			hosts := append(v.repl.Hosts(td.Name), b.Name())
-			v.repl.NoteCreate(td.Name, hosts)
-		}
-	}
-	return v.catchUpAndEnable(b, seq)
-}
-
-// catchUpAndEnable replays the log from seq onto b, then performs a final
-// catch-up inside the total-order critical section so no write lands
-// between the last replayed entry and the enable. The bulk pass fans the
-// log out on the configured number of parallel appliers (disjoint conflict
-// classes replay concurrently, cutting re-integration time — the cost the
-// paper attributes to adding or recovering replicas); on any replay error
-// the backend stays disabled, because a partially replayed backend may hold
-// a mix of conflict classes at different log positions.
-//
-// neededTables returns the tables the target backend hosts that currently
-// exist on some enabled peer — the set a checkpoint dump must contain to
-// fully reseed it. Tables whose every host is down are unrecoverable from
-// live peers and are excluded (their data comes back when a host does).
-func (v *VirtualDatabase) neededTables(target *backend.Backend) []string {
-	hosted := v.hostFilter(target)
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range v.Backends() {
-		if p == target || !p.Enabled() {
-			continue
-		}
-		names, err := p.TableNames()
-		if err != nil {
-			continue
-		}
-		for _, t := range names {
-			if !seen[t] && (hosted == nil || hosted(t)) {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// dumpCovers reports whether the dump contains every needed table.
-func dumpCovers(d *recovery.Dump, needed []string) bool {
-	have := make(map[string]bool, len(d.Tables))
-	for i := range d.Tables {
-		have[d.Tables[i].Name] = true
-	}
-	for _, t := range needed {
-		if !have[t] {
-			return false
-		}
-	}
-	return true
-}
-
-// BootstrapBackupFor takes a checkpoint dump covering every table the
-// target backend hosts, drawing each table from an enabled peer that has it
-// — the RAIDb-2 case where no single donor hosts the target's whole subset.
-// Unlike BackupBackend (which disables its one donor and dumps it off-line)
-// the snapshot happens under the cluster write quiesce: the marker is
-// logged at a moment no write transaction spans, the claimed donors'
-// enqueued writes are drained, and the tables are dumped while writes stay
-// blocked, so the dump is exactly the state at the marker. Donors keep
-// serving reads throughout and are never disabled.
-func (v *VirtualDatabase) BootstrapBackupFor(target *backend.Backend, checkpointName string) (*recovery.Dump, error) {
-	if v.log == nil {
-		return nil, ErrNoRecoveryLog
-	}
-	hosted := v.hostFilter(target)
-	deadline := time.Now().Add(checkpointTxWait)
-	for {
-		ticket := v.sched.LockAllWrites()
-		if !v.sched.AnyTxActive() {
-			dump, err := v.assembleDump(target, hosted, checkpointName)
-			ticket.Unlock()
-			return dump, err
-		}
-		ticket.Unlock()
-		if time.Now().After(deadline) {
-			return nil, ErrCheckpointBusy
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// assembleDump claims each needed table on an enabled donor, drains the
-// claimed donors, logs the checkpoint marker, and snapshots the claimed
-// tables. Runs under LockAllWrites with no write transaction active.
-func (v *VirtualDatabase) assembleDump(target *backend.Backend, hosted recovery.HostFilter, name string) (*recovery.Dump, error) {
-	type claim struct {
-		sp     backend.SchemaProvider
-		tables []string
-	}
-	var claims []claim
+// claimDonors is the one donor-claim rule: each wanted table (nil: every
+// table) is claimed on the first backend, in attach order, that is enabled,
+// can be dumped, hosts the table and materializes it; exclude never donates.
+// Hosting is checked because a copy RemoveTableHost has flipped away from
+// but not yet dropped no longer receives writes. Wanted tables no backend
+// can donate are simply not claimed (under RAIDb-2 their data comes back
+// when a host does); but with peers attached and none of them able to donate
+// anything, there is no live state to bring a copy to, and the claim fails
+// with ErrNoReintegrationSource.
+func (v *VirtualDatabase) claimDonors(wanted recovery.HostFilter, exclude *backend.Backend) ([]donorClaim, error) {
+	var claims []donorClaim
 	claimed := make(map[string]bool)
-	donors := 0
+	peers, donors := 0, 0
 	for _, p := range v.Backends() {
-		if p == target || !p.Enabled() {
+		if p == exclude {
 			continue
 		}
+		peers++
 		sp, ok := p.Driver().(backend.SchemaProvider)
-		if !ok {
+		if !ok || !p.Enabled() {
 			continue
 		}
 		donors++
@@ -318,77 +105,99 @@ func (v *VirtualDatabase) assembleDump(target *backend.Backend, hosted recovery.
 		if err != nil {
 			continue
 		}
-		sort.Strings(names)
-		var mine []string
+		hosts := v.hostFilter(p)
+		mine := make(map[string]bool)
 		for _, t := range names {
-			if !claimed[t] && (hosted == nil || hosted(t)) {
+			if !claimed[t] && (wanted == nil || wanted(t)) && (hosts == nil || hosts(t)) {
 				claimed[t] = true
-				mine = append(mine, t)
+				mine[t] = true
 			}
 		}
 		if len(mine) > 0 {
-			claims = append(claims, claim{sp: sp, tables: mine})
-			p.DrainWrites()
+			claims = append(claims, donorClaim{donor: p, sp: sp, tables: mine})
 		}
 	}
-	if donors == 0 {
+	if donors == 0 && peers > 0 {
 		return nil, ErrNoReintegrationSource
 	}
-	if _, err := v.log.Checkpoint(name); err != nil {
-		return nil, err
+	return claims, nil
+}
+
+// snapshot dumps the wanted tables at a checkpoint marker without taking any
+// backend off-line. It must run inside quiesced: the claimed donors'
+// enqueued writes are drained, the marker is logged (when there is a log;
+// seq is 0 otherwise), and the tables are dumped while writes stay blocked,
+// so the dump holds exactly the effects of the log entries at or below the
+// marker. Donors keep serving reads throughout.
+func (v *VirtualDatabase) snapshot(name string, wanted recovery.HostFilter, exclude *backend.Backend) (seq uint64, dump *recovery.Dump, err error) {
+	claims, err := v.claimDonors(wanted, exclude)
+	if err != nil {
+		return 0, nil, err
 	}
-	dump := &recovery.Dump{Name: name, Taken: time.Now()}
 	for _, c := range claims {
-		part, err := recovery.TakeDumpHosted(name, c.sp, func(t string) bool {
-			for _, want := range c.tables {
-				if want == t {
-					return true
-				}
-			}
-			return false
-		})
+		c.donor.DrainWrites()
+	}
+	if v.log != nil {
+		if seq, err = v.log.Checkpoint(name); err != nil {
+			return 0, nil, err
+		}
+	}
+	dump = &recovery.Dump{Name: name, Taken: time.Now()}
+	for _, c := range claims {
+		part, err := recovery.TakeDumpHosted(name, c.sp, func(t string) bool { return c.tables[t] })
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		dump.Tables = append(dump.Tables, part.Tables...)
 	}
 	sort.Slice(dump.Tables, func(i, j int) bool { return dump.Tables[i].Name < dump.Tables[j].Name })
-	return dump, nil
+	return seq, dump, nil
 }
 
-// Enabling is guarded against in-flight transactions: a transaction with
+// catchUp replays onto b the log entries after seq that touch only the given
+// tables (nil: every table), then calls publish inside the cluster write
+// quiesce of a pass that found nothing left to apply — so no write lands
+// between the last replayed entry and the moment publish puts the copy into
+// routing. The bulk pass runs outside the quiesce on the configured number
+// of parallel appliers (disjoint conflict classes replay concurrently,
+// cutting the re-integration time the paper attributes to adding or
+// recovering replicas); the short passes that follow run inside it. On any
+// error the copy is not published and the caller must discard it or keep its
+// backend disabled, because a partially replayed copy may hold conflict
+// classes at different log positions.
+//
+// Publishing is guarded against in-flight transactions: a transaction with
 // writes in the replay window but no demarcation logged yet cannot be
-// replayed (§3.2 replays only committed transactions), and if the backend
-// were enabled before the transaction ends, the eventual commit broadcast
-// would reach it as a lazy-begin no-op — the backend would silently miss the
+// replayed (§3.2 replays only committed transactions), and if the copy were
+// published before the transaction ends, the eventual commit broadcast would
+// reach it as a lazy-begin no-op — the copy would silently miss the
 // transaction's writes forever. Under the write quiesce, an unresolved
 // transaction that is inactive in the scheduler can never demarcate again
 // (it was abandoned), so waiting until every unresolved transaction is
 // inactive closes the window: abandoned transactions are marked dead in the
 // pass bookkeeping (they replay as rolled back) and one more pass applies
 // whatever was held back behind them — a pass with entries deferred behind
-// an unresolved transaction (Pass.Deferred) never enables directly, because
-// per-conflict-class replay order must match the live order. Partial
-// replication restricts every pass to the backend's hosted tables. The set
-// of transactions the backend itself abandoned at disable time (killed by
-// the teardown, or rejected with ErrDisabled) is a subset of the unresolved
+// an unresolved transaction (Pass.Deferred) never publishes directly, because
+// per-conflict-class replay order must match the live order. The
+// transactions a backend itself abandoned at disable time (killed by the
+// teardown, or rejected with ErrDisabled) are a subset of the unresolved
 // ones, so the same wait covers the crash-consistent disable's obligation.
-func (v *VirtualDatabase) catchUpAndEnable(b *backend.Backend, seq uint64) error {
-	hosted := v.hostFilter(b)
+// Transactions active at publish time that never wrote the tables are safe:
+// any later write they issue dispatches under the published routing and
+// reaches the copy live.
+func (v *VirtualDatabase) catchUp(b *backend.Backend, seq uint64, tables recovery.HostFilter, publish func() error) error {
 	// Bulk replay outside the write lock: may take a while on big logs.
-	pass, _, _, err := recovery.ReplayPassHosted(v.log, seq, nil, b, v.recoveryWorkers, hosted)
+	pass, _, _, err := recovery.ReplayPassHosted(v.log, seq, nil, b, v.recoveryWorkers, tables)
 	if err != nil {
-		b.Disable()
 		return err
 	}
-	deadline := time.Now().Add(reintegrateTxWait)
+	deadline := time.Now().Add(quiesceWait)
 	for {
 		ticket := v.sched.LockAllWrites()
 		var unresolved []uint64
-		pass, unresolved, _, err = recovery.ReplayPassHosted(v.log, seq, pass, b, v.recoveryWorkers, hosted)
+		pass, unresolved, _, err = recovery.ReplayPassHosted(v.log, seq, pass, b, v.recoveryWorkers, tables)
 		if err != nil {
 			ticket.Unlock()
-			b.Disable()
 			return err
 		}
 		active := false
@@ -400,18 +209,9 @@ func (v *VirtualDatabase) catchUpAndEnable(b *backend.Backend, seq uint64) error
 		}
 		if !active {
 			if len(unresolved) == 0 && pass.Deferred == 0 {
-				if pl, ok := v.repl.(balancer.Placement); ok {
-					// Route reads to the tables the restored state actually
-					// contains, including any the placement map lost track of
-					// while the backend was down.
-					if names, err := b.TableNames(); err == nil {
-						pl.ReattachHost(b.Name(), names)
-					}
-				}
-				b.Enable()
+				err := publish()
 				ticket.Unlock()
-				v.health.markHealthy(b.Name())
-				return nil
+				return err
 			}
 			// Unresolved but inactive under the quiesce: abandoned. Mark
 			// them dead so the next pass replays them as rolled back and
@@ -427,11 +227,195 @@ func (v *VirtualDatabase) catchUpAndEnable(b *backend.Backend, seq uint64) error
 		}
 		ticket.Unlock()
 		if time.Now().After(deadline) {
-			b.Disable()
-			return fmt.Errorf("controller: re-integration of %s timed out waiting for in-flight transactions to finish", b.Name())
+			return fmt.Errorf("controller: catch-up of %s: %w", b.Name(), ErrCheckpointBusy)
 		}
 		if active {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
+}
+
+// enable is the publish step of a whole backend: route reads to the tables
+// its restored state actually contains (including any the placement map lost
+// track of while it was down) and enable it.
+func (v *VirtualDatabase) enable(b *backend.Backend) func() error {
+	return func() error {
+		if pl, ok := v.repl.(balancer.Placement); ok {
+			if names, err := b.TableNames(); err == nil {
+				pl.ReattachHost(b.Name(), names)
+			}
+		}
+		b.Enable()
+		return nil
+	}
+}
+
+// reseed brings a whole backend to exact from a dump taken at log position
+// seq: off-line restore of the hosted subset of the dump (it may come from
+// donors hosting more), removal of tables the backend materializes but does
+// not host, catchUp, publish. On any failure the backend stays disabled.
+func (v *VirtualDatabase) reseed(b *backend.Backend, dump *recovery.Dump, seq uint64, hosted recovery.HostFilter, publish func() error) error {
+	b.Disable()
+	// Let the disable teardown's rollbacks finish before the restore starts
+	// dropping the tables they undo into.
+	b.DrainWrites()
+	b.SetRecovering()
+	err := recovery.RestoreHosted(dump, b, hosted)
+	if err == nil {
+		dropUnhostedLeftovers(b, hosted)
+		err = v.catchUp(b, seq, hosted, publish)
+	}
+	if err != nil {
+		b.Disable()
+		return err
+	}
+	v.health.markHealthy(b.Name())
+	return nil
+}
+
+// dropUnhostedLeftovers removes tables the backend materializes but does not
+// host — the stale copy a crashed RemoveTableHost could not drop, or an
+// AddTableHost bootstrap aborted by the target's crash. A restored backend
+// must hold exactly its hosted subset: enable reattaches every table the
+// backend contains, so a leftover copy would rejoin the placement and serve
+// stale data.
+func dropUnhostedLeftovers(b *backend.Backend, hosted recovery.HostFilter) {
+	if hosted == nil {
+		return
+	}
+	names, err := b.TableNames()
+	if err != nil {
+		return
+	}
+	for _, t := range names {
+		if !hosted(t) {
+			_, _ = b.DirectExec(nil, "DROP TABLE IF EXISTS "+t)
+		}
+	}
+}
+
+// checkpointSeq resolves a dump's checkpoint marker to its log position.
+func (v *VirtualDatabase) checkpointSeq(name string) (uint64, error) {
+	seq, ok, err := v.log.CheckpointSeq(name)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, fmt.Errorf("controller: checkpoint %q not found in recovery log", name)
+	}
+	return seq, nil
+}
+
+// BackupBackend takes an online backup of one backend (§3.1): a checkpoint
+// marker is logged, the backend is disabled (the others keep serving), its
+// content is dumped, the updates that arrived during the dump are replayed
+// from the recovery log, and the backend is re-enabled. The returned dump
+// can later integrate new or failed backends; it is also cached as the
+// virtual database's latest dump for automatic re-integration.
+//
+// The marker is placed at a moment no write transaction spans, with the
+// backend's already-enqueued writes drained, so the dump contains exactly
+// the effects of the log entries at or below the marker — nothing a later
+// replay would duplicate, nothing it would miss. This is the one procedure
+// that takes a serving backend off-line, which is why only an operator
+// invokes it: writes never stall for the dump, but reads lose the backend
+// for the dump and the catch-up.
+func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*recovery.Dump, error) {
+	if v.log == nil {
+		return nil, ErrNoRecoveryLog
+	}
+	b, err := v.Backend(backendName)
+	if err != nil {
+		return nil, err
+	}
+	sp, ok := b.Driver().(backend.SchemaProvider)
+	if !ok {
+		return nil, fmt.Errorf("controller: backend %s cannot be dumped (no schema provider)", backendName)
+	}
+	var seq uint64
+	err = v.quiesced(func() (err error) {
+		if !b.Enabled() {
+			// A backend that is not serving may have missed writes: its
+			// state is not the log's state at the marker.
+			return fmt.Errorf("controller: back up %s: %w", backendName, backend.ErrDisabled)
+		}
+		b.DrainWrites()
+		if seq, err = v.log.Checkpoint(checkpointName); err == nil {
+			b.Disable()
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Under partial replication the backend's engine holds exactly its
+	// hosted tables, so the filter is normally a no-op — it guards against
+	// leftovers from a past placement into the dump.
+	hosted := v.hostFilter(b)
+	dump, dumpErr := recovery.TakeDumpHosted(checkpointName, sp, hosted)
+	// Catch up and re-enable even when the dump failed: writes the backend
+	// missed while it was disabled are only recovered by replay.
+	if err := v.catchUp(b, seq, hosted, v.enable(b)); err != nil {
+		b.Disable()
+		return nil, err
+	}
+	v.health.markHealthy(backendName)
+	if dumpErr != nil {
+		return nil, dumpErr
+	}
+	v.lastDump.Store(dump)
+	return dump, nil
+}
+
+// RestoreBackend re-integrates a failed or stale backend from a dump: the
+// dump is restored, the log is replayed from the dump's checkpoint, and the
+// backend is re-enabled (§3: "tools to automatically re-integrate failed
+// backends into a virtual database"). With a nil dump the virtual database
+// finds one itself, as the re-integration supervisor does (see reintegrate).
+func (v *VirtualDatabase) RestoreBackend(backendName string, dump *recovery.Dump) error {
+	if v.log == nil {
+		return ErrNoRecoveryLog
+	}
+	b, err := v.Backend(backendName)
+	if err != nil {
+		return err
+	}
+	if dump == nil {
+		return v.reintegrate(b)
+	}
+	seq, err := v.checkpointSeq(dump.Name)
+	if err != nil {
+		return err
+	}
+	return v.reseed(b, dump, seq, v.hostFilter(b), v.enable(b))
+}
+
+// IntegrateBackend adds a brand-new backend and brings it up to date from a
+// dump, the "bring new backends into the system" path of §3. The backend is
+// attached (declared on the placement, listed, enabled — AddBackend) only as
+// the publish step of its catch-up, so a failure at any point leaves the
+// virtual database exactly as it was.
+func (v *VirtualDatabase) IntegrateBackend(b *backend.Backend, dump *recovery.Dump) error {
+	if v.log == nil {
+		return ErrNoRecoveryLog
+	}
+	if err := v.checkDeclared(b); err != nil {
+		return err
+	}
+	seq, err := v.checkpointSeq(dump.Name)
+	if err != nil {
+		return err
+	}
+	hosted := v.hostFilter(b)
+	if decl := b.DeclaredTables(); len(decl) > 0 {
+		// The placement learns the declaration at publish; until then the
+		// declaration itself says what the backend will host.
+		placed := hosted
+		hosted = func(t string) bool {
+			t = strings.ToLower(t)
+			i := sort.SearchStrings(decl, t)
+			return placed(t) || (i < len(decl) && decl[i] == t)
+		}
+	}
+	return v.reseed(b, dump, seq, hosted, func() error { return v.AddBackend(b) })
 }

@@ -8,10 +8,11 @@ import (
 	"time"
 
 	"cjdbc/internal/backend"
+	"cjdbc/internal/recovery"
 )
 
-// ErrNoReintegrationSource is returned when automatic re-integration needs a
-// bootstrap backup but no enabled backend is available to dump.
+// ErrNoReintegrationSource is returned when bringing a copy to exact needs a
+// snapshot but no enabled backend is available to dump.
 var ErrNoReintegrationSource = errors.New("controller: no enabled backend to back up for re-integration")
 
 // BackendStatus is the health monitor's view of one backend, a refinement of
@@ -70,9 +71,10 @@ type HealthConfig struct {
 	// and probe successes clear the suspect counter. 0 disables probing.
 	ProbeInterval time.Duration
 	// AutoReintegrate starts a supervisor goroutine that restores disabled
-	// backends from the latest backup (taking a bootstrap backup from a
-	// healthy backend if none exists) and re-enables them under live
-	// traffic, with capped exponential backoff between attempts.
+	// backends from the latest backup (or, if there is none it can use,
+	// from a snapshot of the serving backends, none of which goes off-line
+	// for it) and re-enables them under live traffic, with capped
+	// exponential backoff between attempts.
 	AutoReintegrate bool
 	// ReintegrateBackoff is the delay before the first retry after a failed
 	// re-integration attempt (the first attempt runs immediately on
@@ -112,7 +114,7 @@ type healthMonitor struct {
 	wg   sync.WaitGroup
 	once sync.Once
 
-	backups atomic.Uint64 // names bootstrap checkpoints uniquely
+	backups atomic.Uint64 // names re-integration snapshots uniquely
 }
 
 func newHealthMonitor(v *VirtualDatabase, cfg HealthConfig) *healthMonitor {
@@ -331,7 +333,9 @@ func (m *healthMonitor) maybeReintegrate(b *backend.Backend) {
 	attempt := st.attempts
 	m.mu.Unlock()
 
-	err := m.v.reintegrate(b)
+	if err := m.v.RestoreBackend(name, nil); err == nil {
+		return // its publish step marked the backend healthy
+	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -339,12 +343,6 @@ func (m *healthMonitor) maybeReintegrate(b *backend.Backend) {
 	if st.status != StatusRecovering {
 		// A concurrent disable raced the attempt's tail; the backend is
 		// down again and will be retried on its own schedule.
-		return
-	}
-	if err == nil {
-		st.status = StatusHealthy
-		st.failures = 0
-		st.attempts = 0
 		return
 	}
 	if m.cfg.ReintegrateAttempts > 0 && attempt >= m.cfg.ReintegrateAttempts {
@@ -372,63 +370,66 @@ func (m *healthMonitor) backoff(attempt int) time.Duration {
 	return d
 }
 
-// reintegrate brings one disabled backend back: restore from the latest
-// backup, replay the recovery log from the backup's checkpoint, final
-// catch-up under a write quiesce, enable. A backup is only usable if it
-// covers every table the backend hosts (under RAIDb-2 partial replication a
-// dump taken from one donor rarely does); when the cached dump falls short
-// it bootstraps a fresh one — from a single covering donor when one exists
-// (off-line dump, no write stall), otherwise assembled from several donors
-// under the write quiesce (BootstrapBackupFor). The attempt fails fast
-// while the backend's fault is still active (the restore's first DirectExec
-// statement fails), so the supervisor's backoff loop is also the health
-// probe for down backends.
+// reintegrate brings one disabled backend back to exact with a dump it finds
+// itself: the cached backup if it is usable, else a fresh snapshot of the
+// backend's hosted tables, which is cached in turn. Neither takes a serving
+// backend off-line: the snapshot stalls writes for the length of the dump
+// instead (BackupBackend, which makes the opposite trade, is for operators).
+//
+// The cached dump is usable if it contains every hosted table that live
+// donors would supply now (under RAIDb-2 partial replication a dump taken
+// from one donor rarely does) and every one the backend itself holds: a
+// table left out of the restore keeps the backend's own copy, and replaying
+// from an old marker over it would apply entries a second time. A fresh
+// marker has no such entries — a table no enabled backend hosts accepts no
+// writes.
+//
+// The attempt fails fast while the backend's fault is still active (the
+// restore's first DirectExec statement fails), so the supervisor's backoff
+// loop is also the health probe for down backends.
 func (v *VirtualDatabase) reintegrate(b *backend.Backend) error {
-	needed := v.neededTables(b)
-	if dump := v.lastDump.Load(); dump != nil && dumpCovers(dump, needed) {
-		return v.RestoreBackend(b.Name(), dump)
-	}
-	var src *backend.Backend
-	anyEnabled := false
-	for _, cand := range v.Backends() {
-		if cand == b || !cand.Enabled() {
-			continue
-		}
-		anyEnabled = true
-		names, err := cand.TableNames()
-		if err != nil {
-			continue
-		}
-		have := make(map[string]bool, len(names))
-		for _, t := range names {
-			have[t] = true
-		}
-		covers := true
-		for _, t := range needed {
-			if !have[t] {
-				covers = false
-				break
-			}
-		}
-		if covers {
-			src = cand
-			break
+	hosted := v.hostFilter(b)
+	dump := v.lastDump.Load()
+	if dump != nil {
+		// With no donor left the cached dump is the only source.
+		claims, _ := v.claimDonors(hosted, b)
+		own, err := b.TableNames()
+		if err != nil || !dumpCovers(dump, hosted, claims, own) {
+			dump = nil
 		}
 	}
-	if !anyEnabled {
-		return ErrNoReintegrationSource
-	}
-	name := fmt.Sprintf("auto-backup-%d", v.health.backups.Add(1))
-	if src != nil {
-		d, err := v.BackupBackend(src.Name(), name)
+	if dump == nil {
+		name := fmt.Sprintf("auto-backup-%d", v.health.backups.Add(1))
+		err := v.quiesced(func() (err error) {
+			_, dump, err = v.snapshot(name, hosted, b)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		return v.RestoreBackend(b.Name(), d)
+		v.lastDump.Store(dump)
 	}
-	d, err := v.BootstrapBackupFor(b, name)
-	if err != nil {
-		return err
+	return v.RestoreBackend(b.Name(), dump)
+}
+
+// dumpCovers reports whether the dump contains every claimed table and every
+// hosted one of own.
+func dumpCovers(d *recovery.Dump, hosted recovery.HostFilter, claims []donorClaim, own []string) bool {
+	have := make(map[string]bool, len(d.Tables))
+	for i := range d.Tables {
+		have[d.Tables[i].Name] = true
 	}
-	return v.RestoreBackend(b.Name(), d)
+	for _, c := range claims {
+		for t := range c.tables {
+			if !have[t] {
+				return false
+			}
+		}
+	}
+	for _, t := range own {
+		if !have[t] && (hosted == nil || hosted(t)) {
+			return false
+		}
+	}
+	return true
 }

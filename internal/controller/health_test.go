@@ -2,10 +2,14 @@ package controller
 
 import (
 	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cjdbc/internal/backend"
+	"cjdbc/internal/balancer"
 	"cjdbc/internal/recovery"
 )
 
@@ -155,6 +159,96 @@ func TestAutoReintegration(t *testing.T) {
 	}
 }
 
+// TestAutoReintegrationKeepsSoleSurvivorServing: with two backends, one of
+// them down and no backup ever taken, automatic re-integration has exactly
+// one source for its dump — the backend every client depends on. It must
+// copy from it without taking it off-line: a client looping reads and writes
+// through the crash, the heal and the re-integration is never told there is
+// no backend, and the replicas are identical afterwards.
+func TestAutoReintegrationKeepsSoleSurvivorServing(t *testing.T) {
+	const rows = 2000
+	seed := []string{"CREATE TABLE item (i_id INTEGER PRIMARY KEY, i_title VARCHAR, i_cost FLOAT)"}
+	for lo := 0; lo < rows; lo += 200 {
+		q := "INSERT INTO item (i_id, i_title, i_cost) VALUES "
+		for i := lo; i < lo+200; i++ {
+			if i > lo {
+				q += ", "
+			}
+			q += fmt.Sprintf("(%d, 't', 0)", i)
+		}
+		seed = append(seed, q)
+	}
+	v, engines := mkVDB(t, 2, VDBConfig{
+		ParallelTx:  true,
+		RecoveryLog: recovery.NewMemoryLog(),
+		Health: HealthConfig{
+			AutoReintegrate:       true,
+			ReintegrateBackoff:    2 * time.Millisecond,
+			ReintegrateBackoffCap: 20 * time.Millisecond,
+			ReintegrateAttempts:   -1,
+		},
+	}, seed...)
+	t.Cleanup(v.Close)
+	b1, _ := v.Backend("db1")
+	plan := backend.NewFaultPlan(&backend.Rule{Kind: backend.OpWrite, AfterN: 20, Times: 1, Crash: true})
+	b1.SetFaultPlan(plan)
+
+	stop := make(chan struct{})
+	clientDone := make(chan struct{})
+	var ops, refused atomic.Int64
+	go func() {
+		defer close(clientDone)
+		s, err := v.NewSession("user", "pw")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer s.Close()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, q := range []string{
+				"SELECT COUNT(*) FROM item",
+				fmt.Sprintf("UPDATE item SET i_cost = i_cost + 1 WHERE i_id = %d", i%rows),
+			} {
+				ops.Add(1)
+				if _, err := s.Exec(q, nil); errors.Is(err, balancer.ErrNoBackend) || errors.Is(err, ErrNoWriteTarget) {
+					if refused.Add(1) == 1 {
+						t.Errorf("client refused while a backend was being re-integrated: %q: %v", q, err)
+					}
+				}
+			}
+		}
+	}()
+
+	// While the fault lasts every attempt fails, so once the monitor has
+	// noticed the crash db1 stays down or recovering until the heal.
+	deadline := time.Now().Add(10 * time.Second)
+	for v.BackendHealth("db1") == StatusHealthy {
+		if time.Now().After(deadline) {
+			t.Fatal("db1 should be down after the crash")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	plan.Heal()
+	waitStatus(t, v, "db1", StatusHealthy)
+	close(stop)
+	<-clientDone
+
+	if n := refused.Load(); n > 0 {
+		t.Fatalf("%d of %d client operations found no backend", n, ops.Load())
+	}
+	if b0, _ := v.Backend("db0"); !b0.Enabled() || v.StatsSnapshot().BackendsDisabled != 1 {
+		t.Fatalf("the survivor was taken off-line: enabled=%v, disables=%d", b0.Enabled(), v.StatsSnapshot().BackendsDisabled)
+	}
+	if want, got := sortedTableDump(t, engines[0], "item"), sortedTableDump(t, engines[1], "item"); got != want {
+		t.Fatalf("re-integrated replica differs from the survivor:\n%s", firstDiff(want, got))
+	}
+}
+
 // TestReintegrationAttemptsExhausted: without a recovery log every restore
 // attempt fails, and after the configured budget the backend lands in the
 // terminal failed state instead of retrying forever.
@@ -203,4 +297,15 @@ func TestHealthStatusUnknownBackend(t *testing.T) {
 	if got := v.BackendHealth("nope"); got != StatusHealthy {
 		t.Fatalf("unknown backend health = %s, want healthy", got)
 	}
+}
+
+// firstDiff returns the first line on which two table dumps differ.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d: survivor %q, re-integrated %q", i, w[i], g[i])
+		}
+	}
+	return fmt.Sprintf("survivor has %d lines, re-integrated %d", len(w), len(g))
 }

@@ -1,17 +1,17 @@
 package controller
 
 // Dynamic placement (PR 10): add or remove a host for one table while the
-// cluster serves live traffic. AddTableHost bootstraps the new copy with the
-// PR 7/9 machinery — a quiesced single-table checkpoint dump from an enabled
-// donor, a hosted-filtered restore onto the (still enabled, still serving)
-// target, and pass-based log replay with the unresolved-transaction guard —
-// and only then flips routing, inside the cluster write quiesce, so a read
-// can never be served from a not-yet-caught-up copy. RemoveTableHost runs
-// the opposite order: flip routing away first (under the same quiesce, with
-// the typed last-host guard), drain, wait out in-flight reads, then drop the
-// stale copy. An optional policy goroutine watches the balancer's per-table
-// load counters and proposes moves automatically — the hot-shard rebalancing
-// the paper's static RAIDb-2 placement cannot express.
+// cluster serves live traffic. AddTableHost is the copy-to-exact procedure
+// of checkpoint.go over a one-table set — a snapshot of the table from an
+// enabled donor, a restore onto the (still enabled, still serving) target,
+// catchUp — whose publish step flips routing inside the cluster write
+// quiesce, so a read can never be served from a not-yet-caught-up copy.
+// RemoveTableHost runs the opposite order: flip routing away first (under
+// the same quiesce, with the typed last-host guard), drain, wait out
+// in-flight reads, then drop the stale copy. An optional policy goroutine
+// watches the balancer's per-table load counters and proposes moves
+// automatically — the hot-shard rebalancing the paper's static RAIDb-2
+// placement cannot express.
 
 import (
 	"errors"
@@ -98,7 +98,8 @@ func (m *placementManager) close() {
 // write quiesce after a catch-up pass proves the copy has every logged write
 // of the table applied and no unresolved transaction touching it — from that
 // critical section on, every write includes the new host (orderedWrite
-// computes its targets under the same gate) and reads may choose it.
+// computes its targets under the same gate) and reads may choose it. Without
+// a recovery log the whole move runs inside one quiesce instead.
 func (v *VirtualDatabase) AddTableHost(table, backendName string) error {
 	return v.placer.addHost(table, backendName)
 }
@@ -144,210 +145,58 @@ func (m *placementManager) addHost(table, backendName string) error {
 	if !b.Enabled() {
 		return fmt.Errorf("controller: add host %s for %s: %w", b.Name(), table, backend.ErrDisabled)
 	}
+	only := func(t string) bool { return t == table }
+	name := fmt.Sprintf("placement-add-%s-%s-%d", table, b.Name(), m.ckptSeq.Add(1))
+	var seq uint64
+	var dump *recovery.Dump
+	seed := func() (err error) {
+		if seq, dump, err = v.snapshot(name, only, b); err == nil && len(dump.Tables) == 0 {
+			err = fmt.Errorf("controller: no enabled donor hosts %s: %w", table, ErrNoReintegrationSource)
+		}
+		return err
+	}
+	// The copy is invisible until the flip: the table does not route to b,
+	// so restoring onto the enabled, serving backend disturbs nothing.
+	restored := false
+	restore := func() error {
+		restored = true
+		return recovery.RestoreHosted(dump, b, only)
+	}
+	flip := func() error {
+		if !b.Enabled() {
+			// The target crashed during the bootstrap; its copy is stale and
+			// must not be flipped in. Re-integration will reseed it (and
+			// drop the leftover copy it does not host).
+			return fmt.Errorf("controller: add host for %s: backend %s: %w", table, b.Name(), backend.ErrDisabled)
+		}
+		pl.DeclareHost(table, b.Name())
+		return nil
+	}
 	if v.log == nil {
-		// No recovery log means no catch-up replay: copy and flip inside one
-		// write quiesce.
-		err = m.addHostUnlogged(pl, table, b)
-	} else {
-		err = m.addHostLogged(pl, table, b)
+		// No recovery log means no catch-up replay: dump, restore and flip
+		// inside one quiesce, with no write in between.
+		err = v.quiesced(func() error {
+			err := seed()
+			if err == nil {
+				err = restore()
+			}
+			if err == nil {
+				err = flip()
+			}
+			return err
+		})
+	} else if err = v.quiesced(seed); err == nil {
+		if err = restore(); err == nil {
+			err = v.catchUp(b, seq, only, flip)
+		}
 	}
 	if err != nil {
+		if restored {
+			m.dropCopy(b, table)
+		}
 		return err
 	}
 	m.moves.Add(1)
-	return nil
-}
-
-// addHostLogged is the live-traffic bootstrap: quiesced single-table dump,
-// restore outside any lock, bulk replay, then the final catch-up pass and
-// the routing flip inside the write quiesce.
-func (m *placementManager) addHostLogged(pl balancer.Placement, table string, b *backend.Backend) error {
-	name := fmt.Sprintf("placement-add-%s-%s-%d", table, b.Name(), m.ckptSeq.Add(1))
-	seq, dump, err := m.bootstrapTableDump(pl, table, name)
-	if err != nil {
-		return err
-	}
-	only := func(t string) bool { return t == table }
-	// The copy is invisible until the flip: the table does not route to b,
-	// so restoring onto the enabled, serving backend disturbs nothing.
-	if err := recovery.RestoreHosted(dump, b, only); err != nil {
-		m.dropCopy(b, table)
-		return err
-	}
-	if err := m.catchUpAndFlip(pl, table, b, seq); err != nil {
-		m.dropCopy(b, table)
-		return err
-	}
-	return nil
-}
-
-// bootstrapTableDump waits (bounded) for a moment no write transaction
-// spans, then — still holding the cluster write quiesce — snapshots the one
-// table from an enabled donor at a logged checkpoint marker.
-func (m *placementManager) bootstrapTableDump(pl balancer.Placement, table, name string) (uint64, *recovery.Dump, error) {
-	v := m.v
-	deadline := time.Now().Add(checkpointTxWait)
-	for {
-		ticket := v.sched.LockAllWrites()
-		if !v.sched.AnyTxActive() {
-			seq, dump, err := m.claimTableDump(pl, table, name)
-			ticket.Unlock()
-			return seq, dump, err
-		}
-		ticket.Unlock()
-		if time.Now().After(deadline) {
-			return 0, nil, ErrCheckpointBusy
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// claimTableDump runs under LockAllWrites with no write transaction active:
-// it drains one enabled donor hosting the table, logs the checkpoint marker
-// and dumps the table. The donor keeps serving reads and is never disabled.
-func (m *placementManager) claimTableDump(pl balancer.Placement, table, name string) (uint64, *recovery.Dump, error) {
-	donor, sp := m.donorFor(pl, table)
-	if donor == nil {
-		return 0, nil, fmt.Errorf("controller: no enabled donor hosts %s: %w", table, ErrNoReintegrationSource)
-	}
-	donor.DrainWrites()
-	seq, err := m.v.log.Checkpoint(name)
-	if err != nil {
-		return 0, nil, err
-	}
-	dump, err := recovery.TakeDumpHosted(name, sp, func(t string) bool { return t == table })
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(dump.Tables) == 0 {
-		return 0, nil, fmt.Errorf("controller: donor %s does not materialize table %s", donor.Name(), table)
-	}
-	return seq, dump, nil
-}
-
-// donorFor picks an enabled, dumpable backend hosting the table.
-func (m *placementManager) donorFor(pl balancer.Placement, table string) (*backend.Backend, backend.SchemaProvider) {
-	for _, p := range m.v.Backends() {
-		if !p.Enabled() || !pl.Hosted(table, p.Name()) {
-			continue
-		}
-		if sp, ok := p.Driver().(backend.SchemaProvider); ok {
-			return p, sp
-		}
-	}
-	return nil, nil
-}
-
-// catchUpAndFlip is catchUpAndEnable restricted to one table, ending in a
-// routing flip instead of an enable. The same unresolved-transaction guard
-// applies: a transaction with logged writes of the table but no demarcation
-// yet blocks the flip (its eventual commit broadcast would reach the new
-// host as a lazy-begin no-op and the writes would be missed forever); under
-// the quiesce an unresolved-but-inactive transaction is abandoned and is
-// marked dead so it replays as rolled back. Transactions active at flip time
-// that never wrote the table are safe: any post-flip write they issue to it
-// dispatches under the new placement and reaches the new host live.
-func (m *placementManager) catchUpAndFlip(pl balancer.Placement, table string, b *backend.Backend, seq uint64) error {
-	v := m.v
-	only := func(t string) bool { return t == table }
-	// Bulk replay outside the write lock: may take a while on big logs.
-	pass, _, _, err := recovery.ReplayPassHosted(v.log, seq, nil, b, v.recoveryWorkers, only)
-	if err != nil {
-		return err
-	}
-	deadline := time.Now().Add(reintegrateTxWait)
-	for {
-		ticket := v.sched.LockAllWrites()
-		var unresolved []uint64
-		pass, unresolved, _, err = recovery.ReplayPassHosted(v.log, seq, pass, b, v.recoveryWorkers, only)
-		if err != nil {
-			ticket.Unlock()
-			return err
-		}
-		active := false
-		for _, tx := range unresolved {
-			if v.sched.TxActive(tx) {
-				active = true
-				break
-			}
-		}
-		if !active {
-			if len(unresolved) == 0 && pass.Deferred == 0 {
-				if !b.Enabled() {
-					// The target crashed during the bootstrap; its copy is
-					// stale and must not be flipped in. Re-integration will
-					// reseed it (and drop the leftover copy it does not host).
-					ticket.Unlock()
-					return fmt.Errorf("controller: add host for %s: backend %s: %w", table, b.Name(), backend.ErrDisabled)
-				}
-				pl.DeclareHost(table, b.Name())
-				ticket.Unlock()
-				return nil
-			}
-			if len(unresolved) > 0 {
-				if pass.TxDead == nil {
-					pass.TxDead = make(map[uint64]bool, len(unresolved))
-				}
-				for _, tx := range unresolved {
-					pass.TxDead[tx] = true
-				}
-			}
-		}
-		ticket.Unlock()
-		if time.Now().After(deadline) {
-			return fmt.Errorf("controller: add host %s for %s timed out waiting for in-flight transactions to finish", b.Name(), table)
-		}
-		if active {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-}
-
-// addHostUnlogged copies and flips inside one write quiesce: without a
-// recovery log there is no catch-up replay, so the dump must be taken and
-// routing flipped with no write in between.
-func (m *placementManager) addHostUnlogged(pl balancer.Placement, table string, b *backend.Backend) error {
-	v := m.v
-	deadline := time.Now().Add(checkpointTxWait)
-	for {
-		ticket := v.sched.LockAllWrites()
-		if !v.sched.AnyTxActive() {
-			err := m.copyAndFlip(pl, table, b)
-			ticket.Unlock()
-			return err
-		}
-		ticket.Unlock()
-		if time.Now().After(deadline) {
-			return ErrCheckpointBusy
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// copyAndFlip runs under LockAllWrites with no write transaction active.
-func (m *placementManager) copyAndFlip(pl balancer.Placement, table string, b *backend.Backend) error {
-	donor, sp := m.donorFor(pl, table)
-	if donor == nil {
-		return fmt.Errorf("controller: no enabled donor hosts %s: %w", table, ErrNoReintegrationSource)
-	}
-	donor.DrainWrites()
-	only := func(t string) bool { return t == table }
-	dump, err := recovery.TakeDumpHosted("placement-add", sp, only)
-	if err != nil {
-		return err
-	}
-	if len(dump.Tables) == 0 {
-		return fmt.Errorf("controller: donor %s does not materialize table %s", donor.Name(), table)
-	}
-	if err := recovery.RestoreHosted(dump, b, only); err != nil {
-		m.dropCopy(b, table)
-		return err
-	}
-	if !b.Enabled() {
-		m.dropCopy(b, table)
-		return fmt.Errorf("controller: add host for %s: backend %s: %w", table, b.Name(), backend.ErrDisabled)
-	}
-	pl.DeclareHost(table, b.Name())
 	return nil
 }
 
@@ -364,22 +213,8 @@ func (m *placementManager) removeHost(table, backendName string) error {
 	}
 	m.moveMu.Lock()
 	defer m.moveMu.Unlock()
-	deadline := time.Now().Add(checkpointTxWait)
-	for {
-		ticket := v.sched.LockAllWrites()
-		if !v.sched.AnyTxActive() {
-			err := m.flipAwayAndDrain(pl, table, b)
-			ticket.Unlock()
-			if err != nil {
-				return err
-			}
-			break
-		}
-		ticket.Unlock()
-		if time.Now().After(deadline) {
-			return ErrCheckpointBusy
-		}
-		time.Sleep(time.Millisecond)
+	if err := v.quiesced(func() error { return m.flipAwayAndDrain(pl, table, b) }); err != nil {
+		return err
 	}
 	// Routing no longer includes b for this table and its enqueued writes
 	// have executed; once the reads routed under the old placement finish,
@@ -390,12 +225,11 @@ func (m *placementManager) removeHost(table, backendName string) error {
 	return nil
 }
 
-// flipAwayAndDrain runs under LockAllWrites with no write transaction
-// active: it checks that another *enabled* backend keeps serving the table
-// (stricter than the balancer's own last-host rule, which only counts
-// declared hosts), removes the host from the placement atomically, and
-// drains the backend so every write enqueued before the flip has executed
-// before the copy is dropped.
+// flipAwayAndDrain runs inside quiesced: it checks that another *enabled*
+// backend keeps serving the table (stricter than the balancer's own
+// last-host rule, which only counts declared hosts), removes the host from
+// the placement atomically, and drains the backend so every write enqueued
+// before the flip has executed before the copy is dropped.
 func (m *placementManager) flipAwayAndDrain(pl balancer.Placement, table string, b *backend.Backend) error {
 	if !pl.Hosted(table, b.Name()) {
 		return fmt.Errorf("controller: backend %s does not host table %s", b.Name(), table)

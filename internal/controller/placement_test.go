@@ -1,7 +1,8 @@
 package controller
 
-// Dynamic placement tests (PR 10): AddTableHost bootstraps and flips without
-// ever serving a read from the not-yet-caught-up copy, RemoveTableHost flips
+// Dynamic placement tests (PR 10): AddTableHost bootstraps and flips (that it
+// never serves a read from the not-yet-caught-up copy is the copy-to-exact
+// contract, exact_test.go), RemoveTableHost flips
 // routing away before dropping and refuses (typed) to drop a table's last
 // enabled host, moves stay correct under randomized live traffic, and the
 // load-driven policy replicates hot tables and sheds cold replicas on its own.
@@ -128,86 +129,6 @@ func TestPlacementRemoveHostAndLastHostGuard(t *testing.T) {
 	}
 	if err := full.RemoveTableHost("a", "db0"); !errors.Is(err, ErrNoPlacement) {
 		t.Fatalf("full replication: got %v, want ErrNoPlacement", err)
-	}
-}
-
-// TestPlacementNeverServesUncaughtUpCopy slows the target's restore path so
-// the bootstrap window is wide, hammers reads throughout, and checks that no
-// read ever observes the partially restored copy: routing includes the new
-// host only after the flip, and the flip only happens caught-up.
-func TestPlacementNeverServesUncaughtUpCopy(t *testing.T) {
-	const seedRows = 250
-	placement := map[string][]int{"a": {0}}
-	v, engines := mkPartialVDB(t, 2, placement, seedRows, recovery.NewMemoryLog())
-	pl := v.Replication().(balancer.Placement)
-	target, err := v.Backend("db1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every direct statement of the restore/replay sleeps: the copy exists
-	// in a partial state for a long, readable window.
-	target.SetFaultPlan(backend.NewFaultPlan(backend.Slow(backend.OpDirect, 30*time.Millisecond)))
-
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			s, err := v.NewSession("user", "pw")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer s.Close()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				res, err := s.Exec("SELECT COUNT(*) FROM a", nil)
-				if err != nil {
-					t.Errorf("read during bootstrap: %v", err)
-					return
-				}
-				// One concurrent insert below: any committed state has
-				// seedRows or seedRows+1 rows. A read served from the
-				// mid-restore copy would see fewer.
-				if n := res.Rows[0][0].I; n != seedRows && n != seedRows+1 {
-					t.Errorf("read observed a partial copy: %d rows", n)
-					return
-				}
-			}
-		}()
-	}
-
-	addDone := make(chan error, 1)
-	go func() { addDone <- v.AddTableHost("a", "db1") }()
-
-	// A write lands mid-bootstrap; the catch-up replay must carry it over.
-	time.Sleep(50 * time.Millisecond)
-	if pl.Hosted("a", "db1") {
-		t.Error("routing flipped before the bootstrap finished")
-	}
-	s := openSession(t, v)
-	exec(t, s, "INSERT INTO a (id, v) VALUES (9999, 1)")
-
-	if err := <-addDone; err != nil {
-		t.Fatalf("AddTableHost: %v", err)
-	}
-	close(stop)
-	readers.Wait()
-	target.SetFaultPlan(nil)
-
-	if !pl.Hosted("a", "db1") {
-		t.Fatal("db1 not hosted after AddTableHost")
-	}
-	if want, got := sortedTableDump(t, engines[0], "a"), sortedTableDump(t, engines[1], "a"); got != want {
-		t.Fatalf("caught-up copy diverged:\n--- donor:\n%s\n--- db1:\n%s", want, got)
-	}
-	if got := countOn(t, engines[1], "SELECT COUNT(*) FROM a WHERE id = 9999"); got != 1 {
-		t.Fatal("mid-bootstrap write missed the new copy")
 	}
 }
 

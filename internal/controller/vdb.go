@@ -233,34 +233,42 @@ func (v *VirtualDatabase) SetDistributor(d Distributor) {
 // schema (dynamic schema gathering, §2.4.3) and enables it. A backend
 // declaring a hosted-table subset (RAIDb-2) pins that placement on the
 // replication policy before gathering, so the declaration — not the
-// backend's current contents — is what routing trusts.
+// backend's current contents — is what routing trusts. Nothing is changed
+// when it fails.
 func (v *VirtualDatabase) AddBackend(b *backend.Backend) error {
-	b.OnWriteFailure(v.writeFailureCallback)
-	if decl := b.DeclaredTables(); len(decl) > 0 {
-		pl, ok := v.repl.(balancer.Placement)
-		if !ok {
-			return fmt.Errorf("controller: backend %s declares hosted tables but virtual database %s uses %s replication; declared subsets need partial replication",
-				b.Name(), v.name, v.repl.Name())
+	if err := v.checkDeclared(b); err != nil {
+		return err
+	}
+	var names []string
+	if v.repl.RequiresParsing() {
+		var err error
+		if names, err = b.TableNames(); err != nil {
+			return fmt.Errorf("controller: gather schema of %s: %w", b.Name(), err)
 		}
-		for _, t := range decl {
+	}
+	b.OnWriteFailure(v.writeFailureCallback)
+	if pl, ok := v.repl.(balancer.Placement); ok {
+		for _, t := range b.DeclaredTables() {
 			pl.DeclareHost(t, b.Name())
 		}
 	}
-	if v.repl.RequiresParsing() {
-		names, err := b.TableNames()
-		if err != nil {
-			return fmt.Errorf("controller: gather schema of %s: %w", b.Name(), err)
-		}
-		for _, t := range names {
-			hosts := v.repl.Hosts(t)
-			hosts = append(hosts, b.Name())
-			v.repl.NoteCreate(t, hosts)
-		}
+	for _, t := range names {
+		v.repl.NoteCreate(t, append(v.repl.Hosts(t), b.Name()))
 	}
 	v.mu.Lock()
 	v.backends = append(v.backends, b)
 	v.mu.Unlock()
 	b.Enable()
+	return nil
+}
+
+// checkDeclared rejects a backend declaring a hosted-table subset on a
+// replication policy that has no placement to pin it on.
+func (v *VirtualDatabase) checkDeclared(b *backend.Backend) error {
+	if _, ok := v.repl.(balancer.Placement); !ok && len(b.DeclaredTables()) > 0 {
+		return fmt.Errorf("controller: backend %s declares hosted tables but virtual database %s uses %s replication; declared subsets need partial replication",
+			b.Name(), v.name, v.repl.Name())
+	}
 	return nil
 }
 
@@ -575,13 +583,14 @@ func (s *Session) execWrite(plan *plancache.Plan, st sqlparser.Statement, sql st
 // orderedWrite is the single conflict-class sequencing point shared by the
 // local and distributed write paths: it computes the operation's conflict
 // class (a write's table footprint; a demarcation's accumulated transaction
-// footprint), enters that class's critical section, appends the recovery
-// log entry (with the footprint, so replay can reconstruct the partial
-// order), enqueues the operation on the backends, and leaves the critical
-// section without waiting for execution. Holding the class locks across log
-// append and enqueue guarantees every pair of conflicting operations is
-// logged and enqueued to all backends in one consistent relative order;
-// disjoint classes run this section concurrently.
+// footprint), enters that class's critical section, resolves a write's
+// target backends (refusing it, unrecorded, when there are none), appends
+// the recovery log entry (with the footprint, so replay can reconstruct the
+// partial order), enqueues the operation on the backends, and leaves the
+// critical section without waiting for execution. Holding the class locks
+// across log append and enqueue guarantees every pair of conflicting
+// operations is logged and enqueued to all backends in one consistent
+// relative order; disjoint classes run this section concurrently.
 //
 // For ClassWrite, tables/global is the statement's precomputed conflict
 // class (from the plan cache); demarcations ignore it and lock their
@@ -609,50 +618,69 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 
 	ticket := v.sched.LockClass(tables, global)
 	defer ticket.Unlock()
+	var footprint []string
+	var targets []*backend.Backend
 	if demarcation {
 		v.sched.ForgetTx(txID)
 	} else if class == sqlparser.ClassWrite {
+		// Resolve the targets before anything is recorded: a write refused
+		// for want of an enabled host leaves no trace — not in the
+		// transaction's footprint, not in the recovery log, where it would be
+		// replayed into every later re-integration although its client was
+		// told it failed.
+		footprint = st.Tables()
+		var err error
+		if targets, err = v.writeTargets(footprint); err != nil {
+			return backend.Outcomes{}, err
+		}
 		v.sched.NoteTxWrite(txID, tables, global)
 	}
 	if v.log != nil {
 		logTables := tables
-		if class == sqlparser.ClassWrite && global && len(logTables) == 0 && st != nil {
+		if class == sqlparser.ClassWrite && global && len(logTables) == 0 {
 			// Globally sequenced statements (DDL) still reference concrete
 			// tables; record them so a partially-replicated backend's replay
 			// can keep only the DDL it hosts. Global stays set — the entry
 			// remains an ordering barrier.
-			logTables = st.Tables()
+			logTables = footprint
 		}
 		if _, err := v.log.Append(recovery.Entry{User: user, TxID: txID, Class: lc, SQL: sql, Tables: logTables, Global: global, V: recovery.FootprintVersion}); err != nil {
 			return backend.Outcomes{}, err
 		}
 	}
 	if class == sqlparser.ClassWrite {
-		return v.dispatchWrite(txID, st, sql, tables, global)
+		return v.dispatchWrite(txID, st, sql, tables, global, footprint, targets), nil
 	}
 	return v.dispatchEndTx(txID, class, st), nil
 }
 
-// dispatchWrite enqueues a write on every backend hosting the affected
-// tables and maintains the dynamic schema and the cache, delivering all
-// outcomes on one shared channel. Must run inside the write's
-// conflict-class critical section (orderedWrite): conflicting writes
-// invalidate the cache and enqueue in one consistent order, and DDL holds
-// the class gate exclusively so schema maintenance never races a write.
-func (v *VirtualDatabase) dispatchWrite(txID uint64, st sqlparser.Statement, sql string, cTables []string, cGlobal bool) (backend.Outcomes, error) {
-	tables := st.Tables()
+// writeTargets returns, in dispatch order, the enabled backends hosting the
+// tables a write affects, or ErrNoWriteTarget. Must run inside the write's
+// conflict-class critical section, so that a placement flip (which holds the
+// whole gate) falls before or after the write, never between its target
+// choice and its enqueue.
+func (v *VirtualDatabase) writeTargets(tables []string) ([]*backend.Backend, error) {
 	targets := v.repl.WriteTargets(tables, v.Backends())
 	if len(targets) == 0 {
 		if _, ok := v.repl.(balancer.Placement); ok {
 			// Placement, not health, is the cause: name the footprint so the
 			// client can tell a routing impossibility from a dead cluster.
-			return backend.Outcomes{}, fmt.Errorf("%w: %w", ErrNoWriteTarget, &balancer.NoHostError{Tables: tables})
+			return nil, fmt.Errorf("%w: %w", ErrNoWriteTarget, &balancer.NoHostError{Tables: tables})
 		}
-		return backend.Outcomes{}, ErrNoWriteTarget
+		return nil, ErrNoWriteTarget
 	}
 	// Deterministic dispatch order keeps logs and traces comparable.
 	sort.Slice(targets, func(i, j int) bool { return targets[i].Name() < targets[j].Name() })
+	return targets, nil
+}
 
+// dispatchWrite enqueues a write on its targets (writeTargets) and maintains
+// the dynamic schema and the cache, delivering all outcomes on one shared
+// channel. Must run inside the write's conflict-class critical section
+// (orderedWrite): conflicting writes invalidate the cache and enqueue in one
+// consistent order, and DDL holds the class gate exclusively so schema
+// maintenance never races a write.
+func (v *VirtualDatabase) dispatchWrite(txID uint64, st sqlparser.Statement, sql string, cTables []string, cGlobal bool, tables []string, targets []*backend.Backend) backend.Outcomes {
 	outs := backend.NewOutcomes(len(targets))
 	for _, b := range targets {
 		b.EnqueueWriteClassTo(txID, sqlparser.ClassWrite, st, sql, cTables, cGlobal, outs.C)
@@ -677,7 +705,7 @@ func (v *VirtualDatabase) dispatchWrite(txID uint64, st sqlparser.Statement, sql
 			v.chargeCtrl(time.Duration(inv) * d)
 		}
 	}
-	return outs, nil
+	return outs
 }
 
 // execRead is the read path: result cache, then load-balanced read-one.
