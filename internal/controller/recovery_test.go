@@ -178,6 +178,52 @@ func TestRefusedWriteIsNotLogged(t *testing.T) {
 	}
 }
 
+// TestRefusedDemarcationIsNotLogged: a COMMIT that finds no enabled backend
+// was executed nowhere — every replica's teardown rolled the transaction
+// back and the client was told the COMMIT failed. It must leave no entry in
+// the recovery log, or the next re-integration replays the transaction's
+// writes as committed.
+func TestRefusedDemarcationIsNotLogged(t *testing.T) {
+	log := recovery.NewMemoryLog()
+	v, engines := mkVDB(t, 2, VDBConfig{RecoveryLog: log, ParallelTx: true}, seedSchema...)
+	s := openSession(t, v)
+	dump, err := v.BackupBackend("db0", "cp-demarcation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, s, "BEGIN")
+	exec(t, s, "UPDATE item SET i_cost = 0 WHERE i_id = 1")
+	v.DisableBackend("db0")
+	v.DisableBackend("db1")
+	before, err := log.Since(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := s.Exec("COMMIT", nil); !errors.Is(err, ErrNoWriteTarget) {
+		t.Fatalf("COMMIT with every backend disabled: got %v, want ErrNoWriteTarget", err)
+	}
+	if v.Scheduler().AnyTxActive() {
+		t.Fatal("the refused COMMIT left its transaction registered")
+	}
+	after, err := log.Since(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("log grew from %d to %d entries over a refused COMMIT (last: %+v)", len(before), len(after), after[len(after)-1])
+	}
+
+	for i, name := range []string{"db0", "db1"} {
+		if err := v.RestoreBackend(name, dump); err != nil {
+			t.Fatal(err)
+		}
+		if got := countOn(t, engines[i], "SELECT COUNT(*) FROM item WHERE i_cost = 0"); got != 0 {
+			t.Errorf("%s holds the update of a transaction whose COMMIT was refused", name)
+		}
+	}
+}
+
 // TestIntegrateBackendFailureLeavesPlacementUntouched: integrating a backend
 // from a dump whose checkpoint the log does not know, or onto a backend that
 // dies during its restore, fails — and must leave no trace: the new backend's

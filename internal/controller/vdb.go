@@ -532,22 +532,18 @@ func (s *Session) execEndTx(class sqlparser.StatementClass, st sqlparser.Stateme
 	return v.sched.WaitOutcomes(v.sched.Policy(), outs)
 }
 
-// dispatchEndTx enqueues the demarcation on every backend, delivering all
-// outcomes on one shared channel. Must run inside the transaction's
-// conflict-class critical section (orderedWrite).
-func (v *VirtualDatabase) dispatchEndTx(txID uint64, class sqlparser.StatementClass, st sqlparser.Statement) backend.Outcomes {
-	bs := v.Backends()
-	outs := backend.Outcomes{C: make(chan backend.WriteOutcome, len(bs))}
+// dispatchEndTx enqueues the demarcation on its targets (the enabled
+// backends orderedWrite resolved), delivering all outcomes on one shared
+// channel. Must run inside the transaction's conflict-class critical section
+// (orderedWrite).
+func (v *VirtualDatabase) dispatchEndTx(txID uint64, class sqlparser.StatementClass, st sqlparser.Statement, targets []*backend.Backend) backend.Outcomes {
+	outs := backend.NewOutcomes(len(targets))
 	sql := "COMMIT"
 	if class == sqlparser.ClassRollback {
 		sql = "ROLLBACK"
 	}
-	for _, b := range bs {
-		if !b.Enabled() {
-			continue
-		}
+	for _, b := range targets {
 		b.EnqueueWriteTo(txID, class, st, sql, outs.C)
-		outs.N++
 	}
 	return outs
 }
@@ -583,8 +579,8 @@ func (s *Session) execWrite(plan *plancache.Plan, st sqlparser.Statement, sql st
 // orderedWrite is the single conflict-class sequencing point shared by the
 // local and distributed write paths: it computes the operation's conflict
 // class (a write's table footprint; a demarcation's accumulated transaction
-// footprint), enters that class's critical section, resolves a write's
-// target backends (refusing it, unrecorded, when there are none), appends
+// footprint), enters that class's critical section, resolves the target
+// backends (refusing the operation, unrecorded, when there are none), appends
 // the recovery log entry (with the footprint, so replay can reconstruct the
 // partial order), enqueues the operation on the backends, and leaves the
 // critical section without waiting for execution. Holding the class locks
@@ -622,6 +618,22 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 	var targets []*backend.Backend
 	if demarcation {
 		v.sched.ForgetTx(txID)
+		// Same rule as a write: a demarcation no enabled backend can execute is
+		// refused unlogged. Every replica's teardown has rolled the transaction
+		// back, so a logged COMMIT would replay it as committed; with none,
+		// catchUp sees an abandoned transaction and replays it rolled back.
+		targets = v.Backends() // a private copy: filtered in place
+		n := 0
+		for _, b := range targets {
+			if b.Enabled() {
+				targets[n] = b
+				n++
+			}
+		}
+		targets = targets[:n]
+		if n == 0 {
+			return backend.Outcomes{}, ErrNoWriteTarget
+		}
 	} else if class == sqlparser.ClassWrite {
 		// Resolve the targets before anything is recorded: a write refused
 		// for want of an enabled host leaves no trace — not in the
@@ -651,7 +663,7 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 	if class == sqlparser.ClassWrite {
 		return v.dispatchWrite(txID, st, sql, tables, global, footprint, targets), nil
 	}
-	return v.dispatchEndTx(txID, class, st), nil
+	return v.dispatchEndTx(txID, class, st, targets), nil
 }
 
 // writeTargets returns, in dispatch order, the enabled backends hosting the

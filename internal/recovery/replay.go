@@ -108,9 +108,9 @@ func ReplayPassHosted(l Log, seq uint64, prev *Pass, b *backend.Backend, workers
 // footprints) and entries without a footprint (V = 0) are barriers that
 // serialize against everything.
 //
-// workers <= 0 defaults to GOMAXPROCS; workers == 1 replays sequentially in
-// Seq order, which is also the reference the parallel path is tested
-// against. On error the first failing entry (by
+// workers <= 0 defaults to GOMAXPROCS; workers == 1 is the paper's
+// sequential replay — one applier — and the reference the parallel path is
+// tested against. On error the first failing entry (by
 // Seq) is reported, every in-flight applier is drained before returning,
 // and no entry that conflicts with the failed one has been applied out of
 // order; entries of classes disjoint from the failure may or may not have
@@ -304,23 +304,6 @@ func replayPass(l Log, seq uint64, prev *Pass, b *backend.Backend, workers int, 
 		}
 		return &Pass{Last: last, TxDone: done, AutoDone: autoDone, TxDead: dead,
 			Deferred: len(deferTx) + len(deferAuto)}
-	}
-
-	if workers == 1 {
-		for i := range entries {
-			e := &entries[i]
-			if !replayable(i, e) {
-				continue
-			}
-			if _, err := b.DirectExec(nil, e.SQL); err != nil {
-				return applied, nil, unresolved, replayErr(e, err)
-			}
-			if e.TxID == 0 {
-				autoApplied = append(autoApplied, e.Seq)
-			}
-			applied++
-		}
-		return applied, buildNext(), unresolved, nil
 	}
 
 	var (

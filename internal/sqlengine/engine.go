@@ -67,9 +67,6 @@ type Engine struct {
 	// a unique uncommitted-version stamp; pins registers sessions for the
 	// GC watermark; gcDebt accrues superseded versions until an incremental
 	// sweep step (gcBusy serializes steps, gcNext round-robins tables).
-	// gcKick/gcStop/gcWG exist only WithBackgroundGC: triggers then kick the
-	// engine-owned sweeper goroutine instead of sweeping inline, and Close
-	// drains it.
 	clock     epochClock
 	writerSeq atomic.Uint64
 	pins      []pinShard
@@ -77,9 +74,6 @@ type Engine struct {
 	gcEvery   int64
 	gcBusy    atomic.Bool
 	gcNext    int // next round-robin table; touched only while gcBusy is held
-	gcKick    chan struct{}
-	gcStop    chan struct{}
-	gcWG      sync.WaitGroup
 
 	// noIndexPlan forces full scans in the access planner and disables
 	// ordered-index ORDER BY elision. Tests toggle it (atomically, under
@@ -109,25 +103,16 @@ func WithLockTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.lockTimeout = d }
 }
 
-// WithGCThreshold sets how many superseded row versions may accrue before an
-// incremental garbage-collection step runs (folded into statement end and
-// session close). Tests lower it to exercise reclamation.
+// WithGCThreshold sets how many superseded row versions may accrue before a
+// statement end runs one bounded garbage-collection step (gcStep). Session
+// close runs the exact whole-catalog sweep (GC) whenever any debt is
+// outstanding, whatever the threshold. Tests lower it to exercise
+// reclamation, or raise it to isolate the close trigger.
 func WithGCThreshold(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
 			e.gcEvery = int64(n)
 		}
-	}
-}
-
-// WithBackgroundGC moves garbage-collection steps off the write path onto an
-// engine-owned goroutine: crossing the debt threshold kicks the sweeper
-// instead of sweeping inline, so a writer's statement end never carries even
-// one bounded GC batch. The goroutine is drained by Close.
-func WithBackgroundGC() Option {
-	return func(e *Engine) {
-		e.gcKick = make(chan struct{}, 1)
-		e.gcStop = make(chan struct{})
 	}
 }
 
@@ -145,20 +130,6 @@ func New(name string, opts ...Option) *Engine {
 	e.locks = newLockManager()
 	for _, o := range opts {
 		o(e)
-	}
-	if e.gcKick != nil {
-		e.gcWG.Add(1)
-		go func() {
-			defer e.gcWG.Done()
-			for {
-				select {
-				case <-e.gcStop:
-					return
-				case <-e.gcKick:
-					e.gcStep()
-				}
-			}
-		}()
 	}
 	return e
 }
@@ -185,18 +156,8 @@ func (e *Engine) StatsSnapshot() Stats {
 	return out
 }
 
-// Close shuts the engine down; subsequent sessions fail. A background GC
-// sweeper, if one was started, is stopped and drained — Close only returns
-// once no engine-owned goroutine can touch the tables again.
-func (e *Engine) Close() {
-	if e.closed.Swap(true) {
-		return
-	}
-	if e.gcStop != nil {
-		close(e.gcStop)
-		e.gcWG.Wait()
-	}
-}
+// Close shuts the engine down; subsequent sessions fail.
+func (e *Engine) Close() { e.closed.Store(true) }
 
 // TableNames returns the sorted names of the catalog's tables.
 func (e *Engine) TableNames() []string {

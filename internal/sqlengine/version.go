@@ -263,23 +263,15 @@ func (e *Engine) deregisterSession(s *Session) {
 }
 
 // noteGarbage accrues superseded-version debt; once it crosses the engine's
-// GC threshold the debt is handed to the incremental sweeper — a bounded
-// per-table step inline, or a kick to the background goroutine when the
-// engine was built WithBackgroundGC — so a writer's statement end never pays
-// for a whole-catalog sweep.
+// GC threshold the debt is handed to the incremental sweeper — one bounded
+// per-table step, inline — so a writer's statement end never pays for a
+// whole-catalog sweep.
 func (e *Engine) noteGarbage(n int) {
 	if n <= 0 {
 		return
 	}
 	if e.gcDebt.Add(int64(n)) >= e.gcEvery {
 		e.gcDebt.Store(0)
-		if e.gcKick != nil {
-			select {
-			case e.gcKick <- struct{}{}:
-			default: // a sweep is already pending; debt folds into it
-			}
-			return
-		}
 		e.gcStep()
 	}
 }
