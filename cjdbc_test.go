@@ -231,6 +231,76 @@ func TestFailoverAbortsOpenTransaction(t *testing.T) {
 	}
 }
 
+// A statement error raised on a leaf controller must reach the top
+// controller still classified as a statement error: the wire carries the
+// class, so one client's bad statement cannot disable the leaf cluster.
+func TestNestedControllerSurvivesStatementErrors(t *testing.T) {
+	leaf := NewController("leaf", 12)
+	defer leaf.Close()
+	leafVDB, err := leaf.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "leafdb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafVDB.AddInMemoryBackend("l0")
+	leafVDB.AddInMemoryBackend("l1")
+	leafAddr, err := leaf.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := NewController("top", 13)
+	defer top.Close()
+	topVDB, err := top.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "topdb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topVDB.AddClusterBackend("leaf-as-backend", fmt.Sprintf("cjdbc://%s/leafdb", leafAddr)); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := topVDB.OpenSession("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, sql := range []string{
+		"CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)",
+		"INSERT INTO t (id, v) VALUES (1, 'deep')",
+	} {
+		if _, err := sess.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	// The same statements through an in-process session on the leaf give
+	// the message the two-level path must deliver byte-for-byte.
+	leafSess, err := leafVDB.OpenSession("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leafSess.Close()
+	for _, sql := range []string{
+		"INSERT INTO t (id, v) VALUES (1, 'again')", // duplicate key
+		"SELECT 1/0 FROM t",                         // value error on a read
+	} {
+		_, want := leafSess.Exec(sql)
+		_, err := sess.Exec(sql)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: through the tree %v, on the leaf %v", sql, err, want)
+		}
+	}
+	b, err := topVDB.Internal().Backend("leaf-as-backend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Enabled() {
+		t.Fatal("statement errors disabled the leaf cluster")
+	}
+	if rows, err := sess.Query("SELECT v FROM t WHERE id = 1"); err != nil || rows.Len() != 1 {
+		t.Fatalf("read after statement errors: %v", err)
+	}
+	if _, err := sess.Exec("INSERT INTO t (id, v) VALUES (2, 'fine')"); err != nil {
+		t.Fatalf("write after statement errors: %v", err)
+	}
+}
+
 func TestVerticalScalability(t *testing.T) {
 	// Leaf controller with two real backends.
 	leaf := NewController("leaf", 10)

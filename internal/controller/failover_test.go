@@ -91,7 +91,7 @@ func TestErrorClassificationTyped(t *testing.T) {
 		semantic = append(semantic, err)
 	}
 	for _, err := range semantic {
-		if !isSemanticError(err) {
+		if !IsSemanticError(err) {
 			t.Errorf("%v not classified semantic", err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestErrorClassificationTyped(t *testing.T) {
 		errors.New("disk died"),
 		backend.ErrDisabled,
 	} {
-		if isSemanticError(err) {
+		if IsSemanticError(err) {
 			t.Errorf("%v wrongly classified semantic", err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestErrorClassificationTyped(t *testing.T) {
 	ses := e.NewSession()
 	_, err := ses.ExecSQL("SELECT * FROM nope")
 	ses.Close()
-	if err == nil || !isSemanticError(err) {
+	if err == nil || !IsSemanticError(err) {
 		t.Fatalf("engine error lost its sentinel: %v", err)
 	}
 
@@ -122,7 +122,7 @@ func TestErrorClassificationTyped(t *testing.T) {
 	s := openSession(t, v)
 	if _, err := s.Exec("UPDATE item SET i_cost = 1/0", nil); err == nil {
 		t.Fatal("division by zero succeeded")
-	} else if !isSemanticError(err) {
+	} else if !IsSemanticError(err) {
 		t.Fatalf("division by zero classified as backend fault: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond) // let any (wrong) disable callbacks land

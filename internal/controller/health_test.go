@@ -141,12 +141,14 @@ func TestAutoReintegration(t *testing.T) {
 	s := openSession(t, v)
 	exec(t, s, "INSERT INTO item (i_id, i_title, i_cost) VALUES (4, 'd', 40)") // crashes db1
 	// The write ack (partial success) can land before the failure callback
-	// finishes disabling db1; while the plan is down every re-integration
-	// attempt fails too, so the backend must settle disabled.
+	// finishes disabling db1, and the callback disables the backend before
+	// it tells the monitor: wait for the monitor's view to leave healthy, or
+	// waitStatus below can return before re-integration has even started.
+	// While the plan is down every attempt fails, so db1 then stays down.
 	deadline := time.Now().Add(10 * time.Second)
-	for b.Enabled() {
+	for v.BackendHealth("db1") == StatusHealthy {
 		if time.Now().After(deadline) {
-			t.Fatal("db1 should be disabled after the crash")
+			t.Fatal("db1 should be down after the crash")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -326,7 +326,7 @@ func (v *VirtualDatabase) Backend(name string) (*backend.Backend, error) {
 // that failed a write has already diverged from the replicas that applied
 // it, so the only safe containment is immediate disable.
 func (v *VirtualDatabase) writeFailureCallback(fb *backend.Backend, err error) {
-	if isSemanticError(err) {
+	if IsSemanticError(err) {
 		return
 	}
 	v.DisableBackend(fb.Name())
@@ -782,7 +782,7 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 		}
 		// Engine-level errors (bad SQL, missing table) are not failover
 		// material: every replica would answer the same.
-		if isSemanticError(err) {
+		if IsSemanticError(err) {
 			return nil, err
 		}
 		// Reads are retryable, so a read failure only raises suspicion;
@@ -793,12 +793,13 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 	return nil, lastErr
 }
 
-// isSemanticError distinguishes statement errors (identical on every
+// IsSemanticError distinguishes statement errors (identical on every
 // replica, so failover is pointless and disabling a backend would be wrong)
 // from backend faults. The engine, parser, value layer and backend export
 // errors.Is-able sentinels, so the classification survives message-text
-// changes.
-func isSemanticError(err error) bool {
+// changes. Exported for the wire protocol, which carries the class to the
+// client so that it also survives a controller-to-controller hop.
+func IsSemanticError(err error) bool {
 	return errors.Is(err, sqlengine.ErrSemantic) ||
 		errors.Is(err, sqlparser.ErrParse) ||
 		errors.Is(err, sqlval.ErrValue) ||

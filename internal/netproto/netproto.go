@@ -1,51 +1,27 @@
 // Package netproto is the wire protocol between the C-JDBC driver and the
-// controller (§2.3): a length-framed gob stream over TCP. Result sets are
-// fully serialized to the driver, which then browses them locally, exactly
-// as the paper's hybrid type 3/4 driver does. The same protocol serves
-// vertical scalability: a controller can be the client of another
-// controller.
+// controller (§2.3): length-prefixed binary frames over TCP, encoded and
+// decoded by hand (codec.go). Result sets are fully serialized to the
+// driver, which then browses them locally, exactly as the paper's hybrid
+// type 3/4 driver does. The same protocol serves vertical scalability: a
+// controller can be the client of another controller.
 package netproto
 
 import (
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"cjdbc/internal/backend"
 	"cjdbc/internal/controller"
 	"cjdbc/internal/sqlval"
 )
 
-// Op codes of the protocol.
-const (
-	OpConnect uint8 = iota + 1
-	OpExec
-	OpPing
-)
-
-// Request is one client->controller message.
-type Request struct {
-	Op       uint8
-	VDB      string // OpConnect
-	User     string
-	Password string
-	SQL      string // OpExec
-	Params   []sqlval.Value
-}
-
-// Response is one controller->client message. Err is a string because gob
-// cannot carry arbitrary error implementations.
-type Response struct {
-	OK           bool
-	Err          string
-	Columns      []string
-	Rows         [][]sqlval.Value
-	RowsAffected int64
-	LastInsertID int64
-}
+// handshakeTimeout bounds the connect exchange on both ends, so a peer that
+// connects and says nothing does not hold a goroutine. A variable only so
+// tests can shorten it.
+var handshakeTimeout = 10 * time.Second
 
 // Server exposes a controller's virtual databases over TCP.
 type Server struct {
@@ -125,73 +101,84 @@ func (s *Server) Close() {
 
 // serveConn handles one driver connection: a connect handshake followed by
 // a stream of statement executions. The controller session dies with the
-// connection, rolling back any open transaction.
+// connection, rolling back any open transaction. A frame this end cannot
+// decode ends the connection; the statement before it has been answered.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-
-	var hello Request
-	if err := dec.Decode(&hello); err != nil {
-		return
-	}
-	if hello.Op != OpConnect {
-		_ = enc.Encode(Response{Err: "netproto: expected connect"})
-		return
-	}
-	vdb, err := s.ctrl.VirtualDatabase(hello.VDB)
-	if err != nil {
-		_ = enc.Encode(Response{Err: err.Error()})
-		return
-	}
-	sess, err := vdb.NewSession(hello.User, hello.Password)
-	if err != nil {
-		_ = enc.Encode(Response{Err: err.Error()})
+	w := newWire(conn)
+	sess := s.handshake(conn, w)
+	if sess == nil {
 		return
 	}
 	defer sess.Close()
-	if err := enc.Encode(Response{OK: true}); err != nil {
-		return
-	}
-
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		typ, body, err := w.read()
+		if err != nil {
 			return // includes io.EOF: client gone, session cleanup above
 		}
-		switch req.Op {
-		case OpPing:
-			if err := enc.Encode(Response{OK: true}); err != nil {
-				return
-			}
-		case OpExec:
-			res, err := sess.Exec(req.SQL, req.Params)
-			var resp Response
+		switch typ {
+		case framePing:
+			w.begin(framePing)
+		case frameExec:
+			sql, params, err := decodeExec(string(body))
 			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.OK = true
-				resp.Columns = res.Columns
-				resp.Rows = res.Rows
-				resp.RowsAffected = res.RowsAffected
-				resp.LastInsertID = res.LastInsertID
-			}
-			if err := enc.Encode(resp); err != nil {
 				return
+			}
+			res, err := sess.Exec(sql, params)
+			if err == nil {
+				err = w.putResult(res)
+			}
+			if err != nil {
+				w.putError(err)
 			}
 		default:
-			_ = enc.Encode(Response{Err: fmt.Sprintf("netproto: unknown op %d", req.Op)})
+			return
+		}
+		if w.send() != nil {
 			return
 		}
 	}
 }
 
-// Client is one driver connection to a controller.
+// handshake reads the connect frame and answers it, all within
+// handshakeTimeout. It returns nil when the connection is to be dropped:
+// the peer speaks another protocol or went silent (no answer), or the
+// virtual database refused it (answered with an error frame).
+func (s *Server) handshake(conn net.Conn, w *wire) *controller.Session {
+	// A failed SetDeadline surfaces as the failed read or write it guards.
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	typ, body, err := w.read()
+	if err != nil || typ != frameConnect {
+		return nil
+	}
+	name, user, password, err := decodeConnect(string(body))
+	if err != nil {
+		return nil
+	}
+	var sess *controller.Session
+	vdb, err := s.ctrl.VirtualDatabase(name)
+	if err == nil {
+		sess, err = vdb.NewSession(user, password)
+	}
+	w.begin(frameConnect)
+	if err != nil {
+		w.putError(err)
+	}
+	if w.send() != nil || conn.SetDeadline(time.Time{}) != nil {
+		if sess != nil {
+			sess.Close()
+		}
+		return nil
+	}
+	return sess
+}
+
+// Client is one driver connection to a controller. One request is in
+// flight at a time; concurrent callers queue on mu.
 type Client struct {
 	conn net.Conn
-	dec  *gob.Decoder
-	enc  *gob.Encoder
 	mu   sync.Mutex
+	w    *wire
 }
 
 // Dial connects and authenticates against one controller.
@@ -200,62 +187,76 @@ func Dial(addr, vdb, user, password string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn)}
-	if err := c.enc.Encode(Request{Op: OpConnect, VDB: vdb, User: user, Password: password}); err != nil {
+	c := &Client{conn: conn, w: newWire(conn)}
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout)) // as in Server.handshake
+	c.w.putConnect(vdb, user, password)
+	if _, err = c.call(frameConnect); err == nil {
+		err = conn.SetDeadline(time.Time{})
+	}
+	if err != nil {
 		conn.Close()
 		return nil, err
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if !resp.OK {
-		conn.Close()
-		return nil, errors.New(resp.Err)
 	}
 	return c, nil
 }
 
+// call sends the frame built in w.out and returns the body of the answer,
+// which must be a frame of type want. An error frame comes back as the
+// error it carries; a transport or protocol failure closes the connection,
+// whose stream can no longer be trusted, and is reported as ConnLostError.
+func (c *Client) call(want byte) (string, error) {
+	if err := c.w.send(); err != nil {
+		return "", c.lost(err)
+	}
+	typ, body, err := c.w.read()
+	switch {
+	case err != nil:
+	case typ == want:
+		return string(body), nil
+	case typ == frameError:
+		var remote error
+		if remote, err = decodeError(string(body)); err == nil {
+			return "", remote
+		}
+	default:
+		err = protoErr("frame type %d in answer to type %d", typ, want)
+	}
+	return "", c.lost(err)
+}
+
+func (c *Client) lost(err error) error {
+	c.conn.Close()
+	return &ConnLostError{Cause: err}
+}
+
 // Exec runs one statement remotely, returning the fully materialized
-// result. A transport error is reported as ErrConnLost wrapped around the
-// cause, so the driver can fail over to another controller.
+// result. A transport or protocol error is reported as ErrConnLost wrapped
+// around the cause, so the driver can fail over to another controller.
 func (c *Client) Exec(sql string, params []sqlval.Value) (*backend.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(Request{Op: OpExec, SQL: sql, Params: params}); err != nil {
-		return nil, &ConnLostError{Cause: err}
+	if err := c.w.putExec(sql, params); err != nil {
+		c.w.out = c.w.out[:c.w.start]
+		return nil, err // nothing was sent: the connection is still good
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, &ConnLostError{Cause: err}
+	body, err := c.call(frameResult)
+	if err != nil {
+		return nil, err
 	}
-	if !resp.OK {
-		return nil, errors.New(resp.Err)
+	res, err := decodeResult(body)
+	if err != nil {
+		return nil, c.lost(err)
 	}
-	return &backend.Result{
-		Columns:      resp.Columns,
-		Rows:         resp.Rows,
-		RowsAffected: resp.RowsAffected,
-		LastInsertID: resp.LastInsertID,
-	}, nil
+	return res, nil
 }
 
 // Ping verifies the connection is alive.
 func (c *Client) Ping() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(Request{Op: OpPing}); err != nil {
-		return &ConnLostError{Cause: err}
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return &ConnLostError{Cause: err}
-	}
-	if !resp.OK {
-		return errors.New(resp.Err)
-	}
-	return nil
+	c.w.begin(framePing)
+	_, err := c.call(framePing)
+	return err
 }
 
 // Close closes the connection.

@@ -204,7 +204,9 @@ func (n *skipNode) sortedRefs(t *table) []chainRef {
 	t.idxMu.RLock()
 	refs := append([]chainRef(nil), n.refs...)
 	t.idxMu.RUnlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].id < refs[j].id })
+	if len(refs) > 1 { // a unique-key node holds one ref: no closure, no sort
+		sort.Slice(refs, func(i, j int) bool { return refs[i].id < refs[j].id })
+	}
 	return refs
 }
 

@@ -648,6 +648,9 @@ func projectOne(sel *sqlparser.Select, ev *env) ([]sqlval.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		if vals == nil { // a leading star sized itself; otherwise one item, one value
+			vals = make([]sqlval.Value, 0, len(sel.Items))
+		}
 		vals = append(vals, v)
 	}
 	return vals, nil
