@@ -298,68 +298,58 @@ func BenchmarkRecoveryLogAppend(b *testing.B) {
 // BenchmarkRepeatedStatement measures the controller hot path on a repeated
 // statement served from the result cache — the per-request constant factor
 // the parsing cache (§2.4.2) targets: with both caches warm, the request
-// cost is pure controller overhead. "plancache" is the default
-// configuration (plan reused, parse skipped); "parse-every-time" disables
-// the parsing cache, i.e. the pre-parsing-cache baseline. The parameterized
-// variants additionally bind values into a clone of the cached template and
-// re-render the SQL for the result-cache key.
+// cost is pure controller overhead. The "-params" variant additionally
+// binds values into a clone of the cached template and re-renders the SQL
+// for the result-cache key.
 func BenchmarkRepeatedStatement(b *testing.B) {
 	q := "SELECT i_id, i_title FROM item WHERE i_subject = 'HISTORY' ORDER BY i_title LIMIT 10"
 	pq := "SELECT i_title FROM item WHERE i_id = ?"
-	for _, mode := range []struct {
-		name string
-		size int
-	}{
-		{"plancache", 0},
-		{"parse-every-time", -1},
-	} {
-		setup := func(b *testing.B) cjdbc.Session {
-			ctrl := cjdbc.NewController("bench", 1)
-			b.Cleanup(ctrl.Close)
-			vdb, err := ctrl.CreateVirtualDatabase(cjdbc.VirtualDatabaseConfig{
-				Name: "b", PlanCacheSize: mode.size,
-				Cache: &cjdbc.CacheConfig{Granularity: "table"},
-			})
-			if err != nil {
+	setup := func(b *testing.B) cjdbc.Session {
+		ctrl := cjdbc.NewController("bench", 1)
+		b.Cleanup(ctrl.Close)
+		vdb, err := ctrl.CreateVirtualDatabase(cjdbc.VirtualDatabaseConfig{
+			Name:  "b",
+			Cache: &cjdbc.CacheConfig{Granularity: "table"},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			vdb.AddInMemoryBackend(fmt.Sprintf("db%d", i))
+		}
+		sess, _ := vdb.OpenSession("u", "")
+		b.Cleanup(func() { sess.Close() })
+		sess.Exec("CREATE TABLE item (i_id INTEGER PRIMARY KEY, i_title VARCHAR, i_subject VARCHAR)")
+		for i := 0; i < 50; i++ {
+			sess.Exec(fmt.Sprintf("INSERT INTO item (i_id, i_title, i_subject) VALUES (%d, 't%d', 'HISTORY')", i, i))
+		}
+		// Warm both caches for every statement the loop issues.
+		sess.Query(q)
+		for i := 0; i < 50; i++ {
+			sess.Query(pq, i)
+		}
+		return sess
+	}
+	b.Run("plancache", func(b *testing.B) {
+		sess := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.Query(q); err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < 3; i++ {
-				vdb.AddInMemoryBackend(fmt.Sprintf("db%d", i))
-			}
-			sess, _ := vdb.OpenSession("u", "")
-			b.Cleanup(func() { sess.Close() })
-			sess.Exec("CREATE TABLE item (i_id INTEGER PRIMARY KEY, i_title VARCHAR, i_subject VARCHAR)")
-			for i := 0; i < 50; i++ {
-				sess.Exec(fmt.Sprintf("INSERT INTO item (i_id, i_title, i_subject) VALUES (%d, 't%d', 'HISTORY')", i, i))
-			}
-			// Warm both caches for every statement the loop issues.
-			sess.Query(q)
-			for i := 0; i < 50; i++ {
-				sess.Query(pq, i)
-			}
-			return sess
 		}
-		b.Run(mode.name, func(b *testing.B) {
-			sess := setup(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Query(q); err != nil {
-					b.Fatal(err)
-				}
+	})
+	b.Run("plancache-params", func(b *testing.B) {
+		sess := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.Query(pq, i%50); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(mode.name+"-params", func(b *testing.B) {
-			sess := setup(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Query(pq, i%50); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkClusterRead measures the full controller read path (no cost

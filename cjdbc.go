@@ -80,22 +80,10 @@ type VirtualDatabaseConfig struct {
 	// Cache enables the query result cache when non-nil.
 	Cache *CacheConfig
 
-	// PlanCacheSize bounds the parsing cache, which reuses parsed
-	// statements across executions (§2.4.2): 0 means the default capacity
-	// (4096 plans), negative disables it so every request re-parses.
-	PlanCacheSize int
-
 	// RecoveryLogPath stores the recovery log in a flat file; "memory"
 	// keeps it in process memory; "" disables logging (and with it
 	// checkpointing).
 	RecoveryLogPath string
-
-	// RecoveryWorkers is the number of parallel appliers used to replay the
-	// recovery log when a backend is backed up, restored or integrated:
-	// disjoint conflict classes replay concurrently while each class keeps
-	// its logged order. 0 means GOMAXPROCS; 1 replays sequentially (the
-	// paper's §3.2 behavior).
-	RecoveryWorkers int
 
 	// EarlyResponse is "all" (default), "first" or "majority" (§2.4.4).
 	EarlyResponse string
@@ -178,23 +166,11 @@ type PlacementConfig struct {
 type CacheConfig struct {
 	// Granularity is "database", "table" (default) or "column".
 	Granularity string
-	// MaxEntries bounds the cache (default 4096).
+	// MaxEntries bounds the cache (default 4096), and its bytes at 4 KiB per entry.
 	MaxEntries int
-	// MaxBytes bounds the cache by approximate result bytes, so one huge
-	// result set cannot monopolize it (default 4 KiB per entry slot;
-	// negative disables weight accounting).
-	MaxBytes int
 	// Staleness relaxes consistency: entries may serve stale data for up
 	// to this duration; 0 keeps strong consistency.
 	Staleness time.Duration
-	// StaleEpochs switches the cache to epoch-tagged invalidation: a write
-	// bumps a per-table epoch counter in O(1) instead of eagerly walking
-	// every cache shard, and entries are dropped lazily at lookup once
-	// their table has seen StaleEpochs or more writes since they were
-	// cached. 1 keeps table-granularity strong consistency without the
-	// write-side invalidation stampede; larger values relax consistency by
-	// write count; 0 keeps eager invalidation.
-	StaleEpochs int
 }
 
 // VirtualDatabase is the single-database view the middleware exposes.
@@ -228,9 +204,7 @@ func (c *Controller) CreateVirtualDatabase(cfg VirtualDatabaseConfig) (*VirtualD
 		rc = cache.New(cache.Config{
 			Granularity: gran,
 			MaxEntries:  cfg.Cache.MaxEntries,
-			MaxBytes:    cfg.Cache.MaxBytes,
 			Staleness:   cfg.Cache.Staleness,
-			StaleEpochs: cfg.Cache.StaleEpochs,
 		})
 	}
 	var log recovery.Log
@@ -280,18 +254,16 @@ func (c *Controller) CreateVirtualDatabase(cfg VirtualDatabaseConfig) (*VirtualD
 		}
 	}
 	inner, err := c.inner.AddVirtualDatabase(controller.VDBConfig{
-		Name:            cfg.Name,
-		Replication:     repl,
-		Balancer:        bal,
-		Cache:           rc,
-		RecoveryLog:     log,
-		EarlyResponse:   early,
-		ParallelTx:      !cfg.DisableParallelTransactions,
-		Auth:            auth,
-		PlanCacheSize:   cfg.PlanCacheSize,
-		RecoveryWorkers: cfg.RecoveryWorkers,
-		Health:          health,
-		Placement:       placement,
+		Name:          cfg.Name,
+		Replication:   repl,
+		Balancer:      bal,
+		Cache:         rc,
+		RecoveryLog:   log,
+		EarlyResponse: early,
+		ParallelTx:    !cfg.DisableParallelTransactions,
+		Auth:          auth,
+		Health:        health,
+		Placement:     placement,
 		CtrlCost: controller.CtrlCost{
 			PerRequest:      cfg.CtrlCostPerRequest,
 			PerCacheHit:     cfg.CtrlCostPerCacheHit,
@@ -358,14 +330,6 @@ func WithServiceCost(scale time.Duration) BackendOption {
 // machine serves concurrently (only meaningful with WithServiceCost).
 func WithCostParallelism(n int) BackendOption {
 	return func(c *backend.Config) { c.CostParallelism = n }
-}
-
-// WithWriteWorkers sizes the backend's auto-commit write worker pool: ready
-// writes (lane dependencies satisfied, engine lock ticket granted) execute
-// on this many resident workers with lane work-stealing. 0 or negative means
-// GOMAXPROCS (minimum 2).
-func WithWriteWorkers(n int) BackendOption {
-	return func(c *backend.Config) { c.WriteWorkers = n }
 }
 
 // WithTables declares the subset of the virtual database's tables this

@@ -5,7 +5,7 @@
 //
 //	go run ./cmd/cjdbc-controller -config controller.json
 //
-// Example configuration:
+// Unknown keys and trailing data are errors. Example configuration:
 //
 //	{
 //	  "name": "ctrl0",
@@ -19,12 +19,11 @@
 //	      "loadBalancer": "lprf",
 //	      "earlyResponse": "first",
 //	      "recoveryLog": "memory",
-//	      "recoveryWorkers": 0,
 //	      "cache": {"granularity": "table", "maxEntries": 4096},
 //	      "health": {"suspectThreshold": 3, "probeIntervalMs": 1000,
 //	                 "autoReintegrate": true, "reintegrateBackoffMs": 500,
 //	                 "reintegrateBackoffCapMs": 30000, "reintegrateAttempts": 10},
-//	      "backends": [{"name": "db0"}, {"name": "db1", "writeWorkers": 4}],
+//	      "backends": [{"name": "db0"}, {"name": "db1", "weight": 2}],
 //	      "group": "mydb-group"
 //	    }
 //	  ]
@@ -32,9 +31,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -59,7 +61,6 @@ type vdbFileConfig struct {
 	LoadBalancer       string              `json:"loadBalancer"`
 	EarlyResponse      string              `json:"earlyResponse"`
 	RecoveryLog        string              `json:"recoveryLog"`
-	RecoveryWorkers    int                 `json:"recoveryWorkers"`
 	PartialReplication map[string][]string `json:"partialReplication"`
 	Cache              *cacheFileConfig    `json:"cache"`
 	Health             *healthFileConfig   `json:"health"`
@@ -82,21 +83,13 @@ type healthFileConfig struct {
 type cacheFileConfig struct {
 	Granularity string `json:"granularity"`
 	MaxEntries  int    `json:"maxEntries"`
-	MaxBytes    int    `json:"maxBytes"`
 	StalenessMS int    `json:"stalenessMs"`
-	// StaleEpochs enables epoch-tagged invalidation: writes bump a
-	// per-table counter instead of eagerly evicting, and entries older
-	// than this many write epochs are dropped lazily at lookup.
-	StaleEpochs int `json:"staleEpochs"`
 }
 
 type backendFileConfig struct {
 	Name   string `json:"name"`
 	DSN    string `json:"dsn"` // cjdbc:// URL for a nested controller; empty = in-memory engine
 	Weight int    `json:"weight"`
-	// WriteWorkers sizes the backend's auto-commit write worker pool
-	// (0 or negative = GOMAXPROCS, minimum 2).
-	WriteWorkers int `json:"writeWorkers"`
 	// Tables declares the subset of the virtual database's tables this
 	// backend hosts (RAIDb-2 partial replication); empty hosts everything.
 	// Requires partial replication on the virtual database (a
@@ -115,8 +108,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cfg fileConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	cfg, err := loadConfig(raw)
+	if err != nil {
 		fatal(fmt.Errorf("parse %s: %w", *configPath, err))
 	}
 
@@ -136,7 +129,6 @@ func main() {
 			LoadBalancer:       vc.LoadBalancer,
 			EarlyResponse:      vc.EarlyResponse,
 			RecoveryLogPath:    vc.RecoveryLog,
-			RecoveryWorkers:    vc.RecoveryWorkers,
 			PartialReplication: vc.PartialReplication,
 			PartialByTables:    partialByTables,
 		}
@@ -144,9 +136,7 @@ func main() {
 			vcfg.Cache = &cjdbc.CacheConfig{
 				Granularity: vc.Cache.Granularity,
 				MaxEntries:  vc.Cache.MaxEntries,
-				MaxBytes:    vc.Cache.MaxBytes,
 				Staleness:   time.Duration(vc.Cache.StalenessMS) * time.Millisecond,
-				StaleEpochs: vc.Cache.StaleEpochs,
 			}
 		}
 		if vc.Health != nil {
@@ -167,9 +157,6 @@ func main() {
 			var opts []cjdbc.BackendOption
 			if bc.Weight > 0 {
 				opts = append(opts, cjdbc.WithWeight(bc.Weight))
-			}
-			if bc.WriteWorkers > 0 {
-				opts = append(opts, cjdbc.WithWriteWorkers(bc.WriteWorkers))
 			}
 			if len(bc.Tables) > 0 {
 				opts = append(opts, cjdbc.WithTables(bc.Tables...))
@@ -217,6 +204,21 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
+}
+
+// loadConfig decodes a configuration file strictly: unknown keys (typos, or
+// options this version no longer has) and trailing data are errors.
+func loadConfig(raw []byte) (fileConfig, error) {
+	var cfg fileConfig
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return fileConfig{}, err
+	}
+	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
+		return fileConfig{}, errors.New("trailing data after the configuration object")
+	}
+	return cfg, nil
 }
 
 func fatal(err error) {

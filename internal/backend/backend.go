@@ -63,10 +63,6 @@ type Config struct {
 	// serves concurrently (its CPU/disk parallelism); 0 means 4. Only
 	// meaningful with a cost model.
 	CostParallelism int
-	// WriteWorkers sizes the auto-commit write worker pool: 0 or negative
-	// means GOMAXPROCS (minimum 2, so a write parked on a remote driver's
-	// locks cannot starve disjoint writes on a one-CPU host).
-	WriteWorkers int
 	// Tables declares the subset of the virtual database's tables this
 	// backend hosts (RAIDb-2 partial replication, §2.4.3). Empty means the
 	// backend hosts everything (RAIDb-1 full replication). The controller
@@ -246,10 +242,6 @@ func New(cfg Config) *Backend {
 	if cfg.CostParallelism <= 0 {
 		cfg.CostParallelism = 4
 	}
-	workers := cfg.WriteWorkers
-	if workers <= 0 {
-		workers = max(2, runtime.GOMAXPROCS(0))
-	}
 	var declared []string
 	if len(cfg.Tables) > 0 {
 		seen := make(map[string]bool, len(cfg.Tables))
@@ -274,7 +266,8 @@ func New(cfg Config) *Backend {
 		costSem:  make(chan struct{}, cfg.CostParallelism),
 		txs:      make(map[uint64]*txConn),
 		deadTxs:  make(map[uint64]struct{}),
-		pool:     conflictsched.NewPool(workers),
+		// At least 2: a write parked on a remote driver's locks must not starve the rest.
+		pool:     conflictsched.NewPool(max(2, runtime.GOMAXPROCS(0))),
 		autoSem:  make(chan struct{}, 4096),
 		prebound: make(chan Conn, cfg.MaxConns),
 		closed:   make(chan struct{}),

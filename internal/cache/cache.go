@@ -12,10 +12,7 @@
 // at a time; the scheduler's conflict-class sequencing serializes writes
 // that share a table, so shard-by-shard invalidation cannot reorder
 // conflicting updates (disjoint writes invalidate disjoint entries and may
-// interleave freely). Config.StaleEpochs switches to epoch-tagged
-// invalidation: a write bumps a per-table counter in O(1) and stale entries
-// are dropped lazily at lookup, trading eager eviction (and its shard-walk
-// stampede under write bursts) for bounded-epoch staleness.
+// interleave freely).
 package cache
 
 import (
@@ -63,35 +60,21 @@ const (
 	// charges for its bookkeeping (entry struct, LRU element, map slots),
 	// so unbounded numbers of tiny results cannot pile up.
 	MinEntryBytes = 128
-	// defaultEntryBytes sizes the default byte budget per entry slot.
-	defaultEntryBytes = 4096
+	// entryBytes sizes the byte budget per entry slot.
+	entryBytes = 4096
 )
 
 // Config configures a ResultCache.
 type Config struct {
 	Granularity Granularity
-	MaxEntries  int // LRU capacity; 0 means 4096
-	// MaxBytes bounds the cache by weight: every entry charges its
-	// approximate result size in bytes (ApproxBytes, floored at
-	// MinEntryBytes), so one huge result set cannot monopolize a shard
-	// that entry-count accounting would happily hand it. 0 derives a
-	// budget of 4 KiB per entry slot; negative disables weight accounting.
-	// Results heavier than a whole shard's budget are not admitted at all.
-	MaxBytes int
+	// MaxEntries is the LRU capacity (0 means 4096) and sets the byte budget
+	// at 4 KiB per slot: entries charge ApproxBytes (floored at
+	// MinEntryBytes), so one huge result cannot monopolize a shard; results
+	// heavier than a whole shard's budget are not admitted at all.
+	MaxEntries int
 	// Staleness relaxes consistency: entries stay valid for this long
 	// regardless of updates (0 keeps the cache strongly consistent).
 	Staleness time.Duration
-	// StaleEpochs switches invalidation from eager to epoch-tagged: when
-	// positive, a write no longer walks every shard evicting entries (the
-	// invalidation stampede) — it bumps a per-table epoch counter in O(1)
-	// and entries are dropped lazily at lookup once their table has seen
-	// StaleEpochs or more write bumps since they were cached. StaleEpochs=1
-	// preserves table-granularity strong consistency (any later write hides
-	// the entry); larger values relax consistency by allowed write count,
-	// complementing the time-based Staleness limit. Column granularity
-	// degrades to table granularity in this mode: epochs count writes per
-	// table, not per column.
-	StaleEpochs int
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
 }
@@ -133,12 +116,6 @@ type ResultCache struct {
 	puts          atomic.Int64
 	invalidations atomic.Int64
 	evictions     atomic.Int64
-
-	// Epoch-tagged invalidation state (Config.StaleEpochs > 0): one counter
-	// per written table plus a global counter for writes whose footprint
-	// cannot be attributed to tables (database granularity, unknown tables).
-	globalEpoch atomic.Uint64
-	tableEpochs sync.Map // table name -> *atomic.Uint64
 }
 
 type rcShard struct {
@@ -148,7 +125,7 @@ type rcShard struct {
 	byTable map[string]map[*entry]bool
 	max     int
 	weight  int // sum of entry weights (approximate bytes)
-	maxW    int // byte budget; 0 disables weight accounting
+	maxW    int // byte budget
 }
 
 type entry struct {
@@ -160,11 +137,6 @@ type entry struct {
 	weight  int // max(MinEntryBytes, ApproxBytes) against the byte budget
 	created time.Time
 	lruElem *list.Element
-
-	// Epoch snapshot at Put time (StaleEpochs mode): gepoch mirrors the
-	// global counter, epochs[i] the counter of tables[i].
-	gepoch uint64
-	epochs []uint64
 }
 
 // New creates a cache.
@@ -172,18 +144,12 @@ func New(cfg Config) *ResultCache {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 4096
 	}
-	if cfg.MaxBytes == 0 {
-		cfg.MaxBytes = cfg.MaxEntries * defaultEntryBytes
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	n := shardutil.Count(cfg.MaxEntries)
 	perShard := (cfg.MaxEntries + n - 1) / n
-	perShardBytes := 0
-	if cfg.MaxBytes > 0 {
-		perShardBytes = (cfg.MaxBytes + n - 1) / n
-	}
+	perShardBytes := (cfg.MaxEntries*entryBytes + n - 1) / n
 	c := &ResultCache{cfg: cfg, shards: make([]rcShard, n), mask: uint32(n - 1)}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -221,13 +187,6 @@ func (c *ResultCache) Get(sql string) *backend.Result {
 		c.misses.Add(1)
 		return nil
 	}
-	if c.cfg.StaleEpochs > 0 && c.epochStale(e) {
-		s.removeLocked(e)
-		s.mu.Unlock()
-		c.misses.Add(1)
-		c.invalidations.Add(1)
-		return nil
-	}
 	s.lru.MoveToFront(e.lruElem)
 	res := e.res
 	s.mu.Unlock()
@@ -261,7 +220,7 @@ func (c *ResultCache) PutFootprint(sql string, tables, cols []string, colsOK boo
 		w = MinEntryBytes
 	}
 	s.mu.Lock()
-	if s.maxW > 0 && w > s.maxW {
+	if w > s.maxW {
 		// Heavier than the shard's whole byte budget: admitting it would
 		// evict everything else and still overflow, so skip caching.
 		s.mu.Unlock()
@@ -279,13 +238,6 @@ func (c *ResultCache) PutFootprint(sql string, tables, cols []string, colsOK boo
 		weight:  w,
 		created: c.cfg.Clock(),
 	}
-	if c.cfg.StaleEpochs > 0 {
-		e.gepoch = c.globalEpoch.Load()
-		e.epochs = make([]uint64, len(tables))
-		for i, t := range tables {
-			e.epochs[i] = c.tableEpoch(t)
-		}
-	}
 	e.lruElem = s.lru.PushFront(e)
 	s.entries[k] = e
 	s.weight += w
@@ -298,7 +250,7 @@ func (c *ResultCache) PutFootprint(sql string, tables, cols []string, colsOK boo
 		set[e] = true
 	}
 	var evicted int64
-	for len(s.entries) > s.max || (s.maxW > 0 && s.weight > s.maxW) {
+	for len(s.entries) > s.max || s.weight > s.maxW {
 		oldest := s.lru.Back()
 		if oldest == nil {
 			break
@@ -319,20 +271,6 @@ func (c *ResultCache) PutFootprint(sql string, tables, cols []string, colsOK boo
 // (§2.4.2 relaxed consistency).
 func (c *ResultCache) InvalidateWrite(st sqlparser.Statement) int {
 	if c.cfg.Staleness > 0 {
-		return 0
-	}
-	if c.cfg.StaleEpochs > 0 {
-		// Epoch mode: an O(1) counter bump replaces the shard walk. Affected
-		// entries stay resident and are dropped lazily at their next lookup
-		// (or fall off the LRU), so a write burst never stampedes the shards.
-		tables := st.Tables()
-		if c.cfg.Granularity == GranDatabase || len(tables) == 0 {
-			c.globalEpoch.Add(1)
-			return 0
-		}
-		for _, t := range tables {
-			c.bumpTableEpoch(t)
-		}
 		return 0
 	}
 	var dropped int64
@@ -369,40 +307,6 @@ func (c *ResultCache) InvalidateWrite(st sqlparser.Statement) int {
 		c.invalidations.Add(dropped)
 	}
 	return int(dropped)
-}
-
-// tableEpoch returns table t's current write epoch (0 if never written).
-func (c *ResultCache) tableEpoch(t string) uint64 {
-	if v, ok := c.tableEpochs.Load(t); ok {
-		return v.(*atomic.Uint64).Load()
-	}
-	return 0
-}
-
-// bumpTableEpoch advances table t's write epoch, creating the counter on
-// the table's first write.
-func (c *ResultCache) bumpTableEpoch(t string) {
-	v, ok := c.tableEpochs.Load(t)
-	if !ok {
-		v, _ = c.tableEpochs.LoadOrStore(t, new(atomic.Uint64))
-	}
-	v.(*atomic.Uint64).Add(1)
-}
-
-// epochStale reports whether an entry has outlived its epoch allowance: any
-// table it reads (or the global counter) has been bumped StaleEpochs or more
-// times since the entry was cached.
-func (c *ResultCache) epochStale(e *entry) bool {
-	lim := uint64(c.cfg.StaleEpochs)
-	if c.globalEpoch.Load()-e.gepoch >= lim {
-		return true
-	}
-	for i, t := range e.tables {
-		if c.tableEpoch(t)-e.epochs[i] >= lim {
-			return true
-		}
-	}
-	return false
 }
 
 // invalidateTableCols drops entries reading table t. When written (or its
@@ -474,7 +378,7 @@ func (s *rcShard) reset() {
 }
 
 // WeightBytes returns the summed approximate byte weight of all cached
-// entries, the quantity bounded by Config.MaxBytes.
+// entries, the quantity bounded by the 4 KiB-per-slot byte budget.
 func (c *ResultCache) WeightBytes() int {
 	n := 0
 	for i := range c.shards {

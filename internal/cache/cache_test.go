@@ -21,6 +21,17 @@ func res(n int) *backend.Result {
 	return r
 }
 
+// withByteBudget replaces the cache's 4 KiB-per-slot byte budget with a
+// total of budget bytes spread over the shards, so weight tests can work
+// with small results.
+func withByteBudget(c *ResultCache, budget int) *ResultCache {
+	n := len(c.shards)
+	for i := range c.shards {
+		c.shards[i].maxW = (budget + n - 1) / n
+	}
+	return c
+}
+
 func stmt(t *testing.T, sql string) sqlparser.Statement {
 	t.Helper()
 	st, err := sqlparser.Parse(sql)
@@ -306,7 +317,7 @@ func TestByteWeightEviction(t *testing.T) {
 	w4 := ApproxBytes(res(4))
 	// Small MaxEntries keeps the cache on one shard with an exact budget;
 	// budget exactly fits ten 4-row entries.
-	c := New(Config{Granularity: GranTable, MaxEntries: 100, MaxBytes: 10 * w4})
+	c := withByteBudget(New(Config{Granularity: GranTable, MaxEntries: 100}), 10*w4)
 	for i := 0; i < 10; i++ {
 		q := fmt.Sprintf("SELECT a FROM t WHERE id = %d", i)
 		c.Put(q, stmt(t, q), res(4))
@@ -345,7 +356,7 @@ func TestByteWeightWideRowsWeighMore(t *testing.T) {
 	}
 	// And the budget enforces it: a cache sized for narrow rows rejects
 	// the wide result outright.
-	c := New(Config{Granularity: GranTable, MaxEntries: 100, MaxBytes: ApproxBytes(res(40))})
+	c := withByteBudget(New(Config{Granularity: GranTable, MaxEntries: 100}), ApproxBytes(res(40)))
 	q := "SELECT a FROM t"
 	c.Put(q, stmt(t, q), wide)
 	if c.Get(q) != nil {
@@ -356,7 +367,7 @@ func TestByteWeightWideRowsWeighMore(t *testing.T) {
 // TestByteWeightOversizedBypass: a result heavier than the whole budget is
 // not admitted and does not wipe the cache to make room.
 func TestByteWeightOversizedBypass(t *testing.T) {
-	c := New(Config{Granularity: GranTable, MaxEntries: 100, MaxBytes: 4 * ApproxBytes(res(1))})
+	c := withByteBudget(New(Config{Granularity: GranTable, MaxEntries: 100}), 4*ApproxBytes(res(1)))
 	q := "SELECT a FROM t WHERE id = 1"
 	c.Put(q, stmt(t, q), res(1))
 	huge := "SELECT a FROM t"
@@ -369,20 +380,29 @@ func TestByteWeightOversizedBypass(t *testing.T) {
 	}
 }
 
-// TestByteWeightDisabled: a negative MaxBytes turns weight accounting off.
-func TestByteWeightDisabled(t *testing.T) {
-	c := New(Config{Granularity: GranTable, MaxEntries: 100, MaxBytes: -1})
-	huge := "SELECT a FROM t"
-	c.Put(huge, stmt(t, huge), res(100000))
-	if c.Get(huge) == nil {
-		t.Fatal("entry rejected with weight accounting disabled")
+// TestByteBudgetIsFourKiBPerSlot: the byte budget follows MaxEntries at
+// 4 KiB per slot, so a two-slot cache admits a 6 KiB result and rejects a
+// 12 KiB one.
+func TestByteBudgetIsFourKiBPerSlot(t *testing.T) {
+	c := New(Config{Granularity: GranTable, MaxEntries: 2})
+	wide := func(n int) *backend.Result {
+		return &backend.Result{Columns: []string{"a"}, Rows: [][]sqlval.Value{{sqlval.String_(strings.Repeat("x", n))}}}
+	}
+	fits, over := "SELECT a FROM t WHERE id = 1", "SELECT a FROM t WHERE id = 2"
+	c.Put(fits, stmt(t, fits), wide(6<<10))
+	c.Put(over, stmt(t, over), wide(12<<10))
+	if c.Get(fits) == nil {
+		t.Error("a 6 KiB result was rejected by an 8 KiB budget")
+	}
+	if c.Get(over) != nil {
+		t.Error("a 12 KiB result was admitted past an 8 KiB budget")
 	}
 }
 
 // TestByteWeightEmptyResultChargesFloor: zero-row results still charge the
 // per-entry floor, so unbounded numbers of empty results cannot pile up.
 func TestByteWeightEmptyResultChargesFloor(t *testing.T) {
-	c := New(Config{Granularity: GranTable, MaxEntries: 1 << 20, MaxBytes: 10 * MinEntryBytes})
+	c := withByteBudget(New(Config{Granularity: GranTable, MaxEntries: 1 << 20}), 10*MinEntryBytes)
 	for i := 0; i < 200; i++ {
 		q := fmt.Sprintf("SELECT a FROM t WHERE id = %d", i)
 		c.Put(q, stmt(t, q), &backend.Result{Columns: []string{"a"}})
@@ -390,116 +410,4 @@ func TestByteWeightEmptyResultChargesFloor(t *testing.T) {
 	if w := c.WeightBytes(); w > (10+shardutil.MaxShards)*MinEntryBytes {
 		t.Fatalf("weight = %d exceeds budget", w)
 	}
-}
-
-// TestStaleEpochsLazyInvalidation: in epoch mode a write bumps a counter
-// instead of evicting; the stale entry stays resident but is hidden (and
-// dropped) at its next lookup, while entries on other tables keep hitting.
-func TestStaleEpochsLazyInvalidation(t *testing.T) {
-	c := New(Config{Granularity: GranTable, StaleEpochs: 1})
-	qt := "SELECT a FROM t"
-	qu := "SELECT a FROM u"
-	c.Put(qt, stmt(t, qt), res(1))
-	c.Put(qu, stmt(t, qu), res(1))
-	if c.Get(qt) == nil || c.Get(qu) == nil {
-		t.Fatal("expected hits before the write")
-	}
-
-	if n := c.InvalidateWrite(stmt(t, "UPDATE t SET a = 2")); n != 0 {
-		t.Fatalf("epoch-mode invalidation eagerly dropped %d entries", n)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d after bump, want 2 (lazy mode keeps entries resident)", c.Len())
-	}
-	if c.Get(qt) != nil {
-		t.Fatal("stale entry served after its table's epoch bump")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (stale entry dropped at lookup)", c.Len())
-	}
-	if c.Get(qu) == nil {
-		t.Fatal("entry on an unwritten table lost its validity")
-	}
-	st := c.StatsSnapshot()
-	if st.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1 (the lazy drop)", st.Invalidations)
-	}
-
-	// A re-put after the bump is valid again at the new epoch.
-	c.Put(qt, stmt(t, qt), res(2))
-	if c.Get(qt) == nil {
-		t.Fatal("re-cached entry at the current epoch should hit")
-	}
-}
-
-// TestStaleEpochsAllowsBoundedStaleness: StaleEpochs=N serves an entry
-// through N-1 write bumps and hides it at the Nth.
-func TestStaleEpochsAllowsBoundedStaleness(t *testing.T) {
-	c := New(Config{Granularity: GranTable, StaleEpochs: 3})
-	q := "SELECT a FROM t"
-	c.Put(q, stmt(t, q), res(1))
-	up := stmt(t, "UPDATE t SET a = 2")
-	for i := 0; i < 2; i++ {
-		c.InvalidateWrite(up)
-		if c.Get(q) == nil {
-			t.Fatalf("entry hidden after %d bumps, allowance is 3", i+1)
-		}
-	}
-	c.InvalidateWrite(up)
-	if c.Get(q) != nil {
-		t.Fatal("entry served after exhausting its epoch allowance")
-	}
-}
-
-// TestStaleEpochsJoinInvalidatedByEitherTable: an entry reading two tables
-// goes stale when either table's epoch advances.
-func TestStaleEpochsJoinInvalidatedByEitherTable(t *testing.T) {
-	c := New(Config{Granularity: GranTable, StaleEpochs: 1})
-	q := "SELECT t.a, u.a FROM t, u WHERE t.a = u.a"
-	c.Put(q, stmt(t, q), res(1))
-	c.InvalidateWrite(stmt(t, "UPDATE u SET a = 9"))
-	if c.Get(q) != nil {
-		t.Fatal("join entry served after its second table was written")
-	}
-}
-
-// TestStaleEpochsDatabaseGranularity: database granularity bumps the global
-// counter, hiding every entry.
-func TestStaleEpochsDatabaseGranularity(t *testing.T) {
-	c := New(Config{Granularity: GranDatabase, StaleEpochs: 1})
-	qt := "SELECT a FROM t"
-	qu := "SELECT a FROM u"
-	c.Put(qt, stmt(t, qt), res(1))
-	c.Put(qu, stmt(t, qu), res(1))
-	c.InvalidateWrite(stmt(t, "UPDATE t SET a = 2"))
-	if c.Get(qt) != nil || c.Get(qu) != nil {
-		t.Fatal("global epoch bump must hide every entry")
-	}
-}
-
-// TestStaleEpochsConcurrentStress drives readers, writers-as-bumps and puts
-// concurrently (run with -race): epoch counters are lock-free and must not
-// race with shard operations.
-func TestStaleEpochsConcurrentStress(t *testing.T) {
-	c := New(Config{Granularity: GranTable, StaleEpochs: 2, MaxEntries: 256})
-	up := stmt(t, "UPDATE t0 SET a = 1")
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				q := fmt.Sprintf("SELECT a FROM t%d WHERE id = %d", i%4, i%16)
-				switch (g + i) % 3 {
-				case 0:
-					c.Put(q, stmt(t, q), res(1))
-				case 1:
-					c.Get(q)
-				default:
-					c.InvalidateWrite(up)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

@@ -187,7 +187,7 @@ func (v *VirtualDatabase) snapshot(name string, wanted recovery.HostFilter, excl
 // reaches the copy live.
 func (v *VirtualDatabase) catchUp(b *backend.Backend, seq uint64, tables recovery.HostFilter, publish func() error) error {
 	// Bulk replay outside the write lock: may take a while on big logs.
-	pass, _, _, err := recovery.ReplayPassHosted(v.log, seq, nil, b, v.recoveryWorkers, tables)
+	pass, _, _, err := recovery.ReplayPassHosted(v.log, seq, nil, b, 0, tables)
 	if err != nil {
 		return err
 	}
@@ -195,7 +195,7 @@ func (v *VirtualDatabase) catchUp(b *backend.Backend, seq uint64, tables recover
 	for {
 		ticket := v.sched.LockAllWrites()
 		var unresolved []uint64
-		pass, unresolved, _, err = recovery.ReplayPassHosted(v.log, seq, pass, b, v.recoveryWorkers, tables)
+		pass, unresolved, _, err = recovery.ReplayPassHosted(v.log, seq, pass, b, 0, tables)
 		if err != nil {
 			ticket.Unlock()
 			return err

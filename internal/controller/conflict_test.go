@@ -18,13 +18,6 @@ import (
 // t0..t(k-1), each holding rows (id, v) = (0..rows-1, 0). Engines get a
 // long lock timeout so deliberately blocked writers never time out in CI.
 func mkConflictVDB(t *testing.T, n, k, rows int) (*VirtualDatabase, []*sqlengine.Engine) {
-	return mkConflictVDBWorkers(t, n, k, rows, 0)
-}
-
-// mkConflictVDBWorkers is mkConflictVDB with the backends' auto-commit
-// write worker pool size pinned (0 = default pool, negative = the
-// goroutine-per-write baseline).
-func mkConflictVDBWorkers(t *testing.T, n, k, rows, writeWorkers int) (*VirtualDatabase, []*sqlengine.Engine) {
 	t.Helper()
 	var seed []string
 	for i := 0; i < k; i++ {
@@ -45,11 +38,7 @@ func mkConflictVDBWorkers(t *testing.T, n, k, rows, writeWorkers int) (*VirtualD
 		}
 		s.Close()
 		engines[i] = e
-		b := backend.New(backend.Config{
-			Name:         fmt.Sprintf("db%d", i),
-			Driver:       &backend.EngineDriver{Engine: e},
-			WriteWorkers: writeWorkers,
-		})
+		b := backend.New(backend.Config{Name: fmt.Sprintf("db%d", i), Driver: &backend.EngineDriver{Engine: e}})
 		t.Cleanup(b.Close)
 		if err := v.AddBackend(b); err != nil {
 			t.Fatal(err)
@@ -243,15 +232,13 @@ func sortedTableDump(t *testing.T, e *sqlengine.Engine, table string) string {
 // Run with -race this doubles as the mixed disjoint/overlapping stress.
 func TestReplicaConsistencyUnderConcurrentWrites(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
-		runReplicaConsistency(t, 0, seed)
+		runReplicaConsistency(t, seed)
 	}
 }
 
 // runReplicaConsistency is the randomized replica-consistency property body
-// shared with the worker-pool equivalence test: writeWorkers sizes the
-// auto-commit worker pool (0 = default, 1 = single worker); however many
-// workers run the writes, all backends must stay byte-identical.
-func runReplicaConsistency(t *testing.T, writeWorkers int, seed int64) {
+// for one seed: all backends must end byte-identical.
+func runReplicaConsistency(t *testing.T, seed int64) {
 	const (
 		nBackends = 3
 		nTables   = 4
@@ -260,7 +247,7 @@ func runReplicaConsistency(t *testing.T, writeWorkers int, seed int64) {
 		seedRows  = 8
 	)
 	{
-		v, engines := mkConflictVDBWorkers(t, nBackends, nTables, seedRows, writeWorkers)
+		v, engines := mkConflictVDB(t, nBackends, nTables, seedRows)
 
 		// Two extra tables carry the snapshot-reader assertions: inv holds a
 		// conserved sum redistributed by multi-row transfer transactions
@@ -485,26 +472,31 @@ func TestSequencerDisjointClassesDoNotBlock(t *testing.T) {
 }
 
 // TestSequencerTxFootprintAccumulates: a transaction's commit footprint is
-// the union of its writes' tables, and taking it clears it.
+// the union of its writes' tables (sorted), peeking leaves it in place, and
+// ForgetTx — what the demarcation path calls after peeking — clears it.
 func TestSequencerTxFootprintAccumulates(t *testing.T) {
 	s := NewScheduler(1, ResponseAll, true)
-	s.NoteTxWrite(42, []string{"a", "b"}, false)
-	s.NoteTxWrite(42, []string{"b", "c"}, false)
-	tables, global := s.TakeTxFootprint(42)
-	if global || fmt.Sprint(tables) != "[a b c]" {
-		t.Fatalf("footprint = %v global=%v, want [a b c] false", tables, global)
+	s.NoteTxWrite(42, []string{"c", "b"}, false)
+	s.NoteTxWrite(42, []string{"b", "a"}, false)
+	for i := 0; i < 2; i++ {
+		tables, global := s.PeekTxFootprint(42)
+		if global || fmt.Sprint(tables) != "[a b c]" {
+			t.Fatalf("peek %d: footprint = %v global=%v, want [a b c] false", i, tables, global)
+		}
 	}
-	if tables, global = s.TakeTxFootprint(42); len(tables) != 0 || global {
-		t.Fatalf("footprint not cleared: %v %v", tables, global)
+	if !s.TxActive(42) {
+		t.Fatal("peeking cleared the footprint")
+	}
+	s.ForgetTx(42)
+	if tables, global := s.PeekTxFootprint(42); len(tables) != 0 || global || s.TxActive(42) {
+		t.Fatalf("ForgetTx left %v global=%v", tables, global)
 	}
 	s.NoteTxWrite(7, []string{"a"}, true)
-	if _, global = s.TakeTxFootprint(7); !global {
+	if _, global := s.PeekTxFootprint(7); !global {
 		t.Fatal("global write did not mark the transaction footprint global")
 	}
-	s.NoteTxWrite(9, []string{"z"}, false)
-	s.ForgetTx(9)
-	if tables, _ = s.TakeTxFootprint(9); len(tables) != 0 {
-		t.Fatalf("ForgetTx left %v", tables)
+	if s.ForgetTx(7); s.AnyTxActive() {
+		t.Fatal("footprints remain after every transaction was forgotten")
 	}
 }
 

@@ -137,12 +137,3 @@ func TestAutoCommitTransactionalPairAppliesInSequencerOrder(t *testing.T) {
 	openGate()
 	waitForV(engines[1], "slow")
 }
-
-// TestStarvedWorkerPoolKeepsReplicasIdentical is the randomized equivalence
-// property for the worker pool's size: with a deliberately starved single
-// worker the same concurrent workload must leave all replicas
-// byte-identical, exactly as the default pool does — the execution vehicle
-// must not affect what the ordering authority decides. Run with -race.
-func TestStarvedWorkerPoolKeepsReplicasIdentical(t *testing.T) {
-	runReplicaConsistency(t, 1, 3)
-}

@@ -12,9 +12,8 @@ import (
 )
 
 // TestRestoreBackendParallelReplayManyClasses: re-integration replays a log
-// spanning several disjoint conflict classes on parallel appliers (the
-// default RecoveryWorkers = GOMAXPROCS) and converges to the same content
-// as the live backend.
+// spanning several disjoint conflict classes on GOMAXPROCS parallel
+// appliers and converges to the same content as the live backend.
 func TestRestoreBackendParallelReplayManyClasses(t *testing.T) {
 	schema := make([]string, 0, 8)
 	for i := 0; i < 4; i++ {
@@ -104,26 +103,6 @@ func TestRestoreBackendStaysDisabledOnReplayFailure(t *testing.T) {
 	}
 	if got := countOn(t, engines[1], "SELECT COUNT(*) FROM item"); got != 6 {
 		t.Errorf("restored rows = %d, want 6", got)
-	}
-}
-
-// TestSequentialRecoveryWorkersConfig: RecoveryWorkers = 1 keeps the legacy
-// sequential replay and still restores correctly.
-func TestSequentialRecoveryWorkersConfig(t *testing.T) {
-	log := recovery.NewMemoryLog()
-	v, engines := mkVDB(t, 2, VDBConfig{RecoveryLog: log, ParallelTx: true, RecoveryWorkers: 1}, seedSchema...)
-	s := openSession(t, v)
-	dump, err := v.BackupBackend("db0", "cp-seq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec(t, s, "INSERT INTO item (i_id, i_title, i_cost) VALUES (4, 'd', 40)")
-	v.DisableBackend("db1")
-	if err := v.RestoreBackend("db1", dump); err != nil {
-		t.Fatal(err)
-	}
-	if got := countOn(t, engines[1], "SELECT COUNT(*) FROM item"); got != 4 {
-		t.Errorf("restored rows = %d, want 4", got)
 	}
 }
 

@@ -223,32 +223,13 @@ func (s *Scheduler) NoteTxWrite(txID uint64, tables []string, global bool) {
 	}
 }
 
-// TakeTxFootprint removes and returns a transaction's accumulated conflict
-// footprint (sorted), for its commit or abort to lock. A transaction that
-// never wrote has an empty, non-global footprint: its demarcation conflicts
-// with nothing.
-func (s *Scheduler) TakeTxFootprint(txID uint64) (tables []string, global bool) {
-	s.classMu.Lock()
-	f := s.txFeet[txID]
-	delete(s.txFeet, txID)
-	s.classMu.Unlock()
-	if f == nil {
-		return nil, false
-	}
-	tables = make([]string, 0, len(f.tables))
-	for t := range f.tables {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	return tables, f.global
-}
-
 // PeekTxFootprint returns a transaction's accumulated conflict footprint
-// (sorted) without clearing it. The distributed request manager attaches it
-// to commit/abort broadcasts so every controller's applier can chain the
-// demarcation through the conflict tracker instead of treating it as a
-// barrier; the sequencer itself still takes (and clears) the footprint at
-// lock time via TakeTxFootprint.
+// (sorted) without clearing it. A transaction that never wrote has an
+// empty, non-global footprint: its demarcation conflicts with nothing. The
+// commit/abort path locks the footprint's classes and then clears it with
+// ForgetTx; the distributed request manager attaches it to commit/abort
+// broadcasts so every controller's applier can chain the demarcation
+// through the conflict tracker instead of treating it as a barrier.
 func (s *Scheduler) PeekTxFootprint(txID uint64) (tables []string, global bool) {
 	s.classMu.Lock()
 	f := s.txFeet[txID]

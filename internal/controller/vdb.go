@@ -51,15 +51,6 @@ type VDBConfig struct {
 	ParallelTx    bool                 // §2.4.4 parallel transactions
 	CtrlCost      CtrlCost             // controller CPU accounting
 	Auth          *AuthManager         // nil accepts everyone
-	// PlanCacheSize bounds the parsing cache (§2.4.2): 0 means the default
-	// capacity, negative disables the cache (every request re-parses).
-	PlanCacheSize int
-	// RecoveryWorkers is the number of parallel appliers recovery-log
-	// replay fans out on when a backend re-integrates (disjoint conflict
-	// classes replay concurrently; see recovery.ReplayParallel). 0 means
-	// GOMAXPROCS; 1 replays sequentially in Seq order (the paper's §3.2
-	// behavior).
-	RecoveryWorkers int
 	// Health configures failure containment and automatic re-integration
 	// (§3: "tools to automatically re-integrate failed backends"). The zero
 	// value keeps the classic behavior: one-strike disable, no probing, no
@@ -95,10 +86,6 @@ type VirtualDatabase struct {
 	log   recovery.Log
 	sched *Scheduler
 	cost  CtrlCost
-
-	// recoveryWorkers is the replay fan-out for backend re-integration
-	// (VDBConfig.RecoveryWorkers): 0 = GOMAXPROCS, 1 = sequential.
-	recoveryWorkers int
 
 	// health is the per-backend failure containment and re-integration
 	// state machine; always non-nil, its goroutines run only when
@@ -159,21 +146,16 @@ func NewVirtualDatabase(cfg VDBConfig) *VirtualDatabase {
 	if auth == nil {
 		auth = NewAuthManager()
 	}
-	var plans *plancache.Cache
-	if cfg.PlanCacheSize >= 0 {
-		plans = plancache.New(cfg.PlanCacheSize)
-	}
 	v := &VirtualDatabase{
-		name:            cfg.Name,
-		auth:            auth,
-		repl:            repl,
-		bal:             bal,
-		cache:           cfg.Cache,
-		plans:           plans,
-		log:             cfg.RecoveryLog,
-		sched:           NewScheduler(cfg.ControllerID, cfg.EarlyResponse, cfg.ParallelTx),
-		cost:            cfg.CtrlCost,
-		recoveryWorkers: cfg.RecoveryWorkers,
+		name:  cfg.Name,
+		auth:  auth,
+		repl:  repl,
+		bal:   bal,
+		cache: cfg.Cache,
+		plans: plancache.New(plancache.DefaultMaxEntries),
+		log:   cfg.RecoveryLog,
+		sched: NewScheduler(cfg.ControllerID, cfg.EarlyResponse, cfg.ParallelTx),
+		cost:  cfg.CtrlCost,
 	}
 	if _, ok := repl.(balancer.Placement); ok {
 		// Load accounting and the read barrier only serve dynamic
@@ -210,7 +192,7 @@ func (v *VirtualDatabase) Scheduler() *Scheduler { return v.sched }
 // Cache returns the result cache, or nil.
 func (v *VirtualDatabase) Cache() *cache.ResultCache { return v.cache }
 
-// PlanCache returns the parsing cache, or nil when disabled.
+// PlanCache returns the parsing cache.
 func (v *VirtualDatabase) PlanCache() *plancache.Cache { return v.plans }
 
 // RecoveryLog returns the recovery log, or nil.
@@ -467,21 +449,17 @@ func (s *Session) Exec(sql string, params []sqlval.Value) (*backend.Result, erro
 // into the parsing cache on miss.
 func (v *VirtualDatabase) planFor(sql string) (*plancache.Plan, error) {
 	key := plancache.Normalize(sql)
-	if v.plans != nil {
-		if p := v.plans.Get(key); p != nil {
-			return p, nil
-		}
+	if p := v.plans.Get(key); p != nil {
+		return p, nil
 	}
 	st, err := sqlparser.Parse(key)
 	if err != nil {
 		return nil, err
 	}
 	p := plancache.Build(key, st)
-	if v.plans != nil {
-		// Offer, not Put: literal-bound one-off statements pass the
-		// admission doorkeeper so they cannot churn the LRU.
-		v.plans.Offer(p)
-	}
+	// Offer, not Put: literal-bound one-off statements pass the admission
+	// doorkeeper so they cannot churn the LRU.
+	v.plans.Offer(p)
 	return p, nil
 }
 
@@ -827,10 +805,8 @@ func (v *VirtualDatabase) PlanWrite(class sqlparser.StatementClass, sql string) 
 		return &sqlparser.Rollback{}, nil, false, nil
 	}
 	key := plancache.Normalize(sql)
-	if v.plans != nil {
-		if p := v.plans.Get(key); p != nil {
-			return p.Stmt, p.ConflictTables, p.ConflictGlobal, nil
-		}
+	if p := v.plans.Get(key); p != nil {
+		return p.Stmt, p.ConflictTables, p.ConflictGlobal, nil
 	}
 	st, err = sqlparser.Parse(key)
 	if err != nil {

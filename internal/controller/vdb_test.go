@@ -347,15 +347,17 @@ func TestWriteFailureDisablesBackend(t *testing.T) {
 	// The write succeeds on the healthy backend; the failing one is
 	// disabled (§2.4.1: no 2PC).
 	exec(t, s, "INSERT INTO item (i_id, i_title, i_cost) VALUES (9, 'z', 1)")
+	// Wait on the counter, not on Enabled: the backend leaves the enabled
+	// state at the start of its teardown, the counter moves after it.
 	deadline := time.Now().Add(time.Second)
-	for bs[1].Enabled() && time.Now().Before(deadline) {
+	for v.StatsSnapshot().BackendsDisabled == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if bs[1].Enabled() {
 		t.Fatal("failing backend not disabled")
 	}
-	if v.StatsSnapshot().BackendsDisabled != 1 {
-		t.Error("disable counter")
+	if n := v.StatsSnapshot().BackendsDisabled; n != 1 {
+		t.Errorf("disable counter = %d, want 1", n)
 	}
 	// Reads keep working on the survivor.
 	res := exec(t, s, "SELECT COUNT(*) FROM item")
@@ -700,17 +702,6 @@ func TestPlanCacheHitsSkipReparsing(t *testing.T) {
 	}
 	if st.Deferred == 0 {
 		t.Errorf("doorkeeper never deferred a one-off admission (stats %+v)", st)
-	}
-
-	// Disabled plan cache still works.
-	v2, _ := mkVDB(t, 1, VDBConfig{ParallelTx: true, PlanCacheSize: -1}, seedSchema...)
-	if v2.PlanCache() != nil {
-		t.Fatal("plan cache should be disabled")
-	}
-	s2 := openSession(t, v2)
-	res, err := s2.Exec("SELECT i_title FROM item WHERE i_id = 2", nil)
-	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("res=%+v err=%v", res, err)
 	}
 }
 

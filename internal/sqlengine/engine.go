@@ -261,15 +261,14 @@ func (e *Engine) PendingTickets() int {
 	return n
 }
 
-// HeldLocks returns the number of granted table locks (shared holders plus
-// exclusive holders) currently outstanding. Like PendingTickets it must be
-// zero at quiesce; a leftover holder is a leaked session.
+// HeldLocks returns the number of tables whose lock is currently granted to
+// some session. Like PendingTickets it must be zero at quiesce; a leftover
+// holder is a leaked session.
 func (e *Engine) HeldLocks() int {
 	e.locks.mu.Lock()
 	defer e.locks.mu.Unlock()
 	n := 0
 	for _, l := range e.locks.locks {
-		n += len(l.readers)
 		if l.writer != nil {
 			n++
 		}
@@ -277,7 +276,7 @@ func (e *Engine) HeldLocks() int {
 	return n
 }
 
-// lockManager grants table-granularity shared/exclusive locks with
+// lockManager grants table-granularity exclusive locks with
 // timeout-based deadlock resolution (strict two-phase locking: locks are
 // held until commit or rollback). Every exclusive acquisition flows through
 // a per-table FIFO of reservation tickets: the clustering middleware issues
@@ -297,19 +296,18 @@ type lockManager struct {
 
 // lockRequest is one queued lock ticket.
 type lockRequest struct {
-	s         *Session
-	exclusive bool
-	ready     chan struct{} // closed when granted
+	s     *Session
+	ready chan struct{} // closed when granted
 	// granted, when set, is invoked (outside the lock-manager mutex) exactly
-	// once: when the ticket is granted, or when it is dropped unconsumed so
-	// a parked owner is never stranded waiting for a grant that cannot come.
+	// once: when the ticket is granted, or when it leaves the queue ungranted
+	// (dropped unconsumed, or its lock wait timed out or was killed) so a
+	// parked owner is never stranded waiting for a grant that cannot come.
 	granted func()
 }
 
 type tableLock struct {
-	readers map[*Session]int
-	writer  *Session
-	queue   []*lockRequest
+	writer *Session
+	queue  []*lockRequest
 }
 
 func newLockManager() *lockManager {
@@ -319,53 +317,52 @@ func newLockManager() *lockManager {
 func (lm *lockManager) get(tbl string) *tableLock {
 	l, ok := lm.locks[tbl]
 	if !ok {
-		l = &tableLock{readers: make(map[*Session]int)}
+		l = &tableLock{}
 		lm.locks[tbl] = l
 	}
 	return l
 }
 
-// grantableLocked reports whether the request is compatible with current
-// holders. Re-entrant grants (the session already holds the lock) pass.
-func (l *tableLock) grantableLocked(s *Session, exclusive bool) bool {
-	if exclusive {
-		for r := range l.readers {
-			if r != s {
-				return false
-			}
-		}
-		return l.writer == nil || l.writer == s
+// grantLocked hands the table lock to req's session and signals the ticket;
+// a grant callback is collected into fire.
+func (l *tableLock) grantLocked(req *lockRequest, tbl string, fire *[]func()) {
+	l.writer = req.s
+	req.s.held[tbl] = true
+	req.s.lockState.Store(true)
+	close(req.ready)
+	if req.granted != nil {
+		*fire = append(*fire, req.granted)
 	}
-	return l.writer == nil || l.writer == s
-}
-
-func (l *tableLock) grantLocked(s *Session, tbl string, exclusive bool) {
-	if exclusive {
-		l.writer = s
-	} else {
-		l.readers[s]++
-	}
-	s.held[tbl] = true
-	s.lockState.Store(true)
 }
 
 // pumpLocked grants queued requests in FIFO order while the head is
-// compatible; consecutive shared requests batch. Grant callbacks are
+// compatible (the lock is free or already its session's). Grant callbacks are
 // collected into fire, to be invoked by the caller after releasing the
 // lock-manager mutex.
 func (l *tableLock) pumpLocked(tbl string, fire *[]func()) {
 	for len(l.queue) > 0 {
 		head := l.queue[0]
-		if !l.grantableLocked(head.s, head.exclusive) {
+		if l.writer != nil && l.writer != head.s {
 			return
 		}
-		l.grantLocked(head.s, tbl, head.exclusive)
-		close(head.ready)
-		if head.granted != nil {
-			*fire = append(*fire, head.granted)
-		}
+		l.grantLocked(head, tbl, fire)
 		l.queue = l.queue[1:]
 	}
+}
+
+// issueLocked issues a ticket for s at the tail of the table's queue,
+// granting it at once when the table is free and nobody is queued ahead, or
+// when s already holds the lock (re-entrant requests may jump the queue: the
+// holder cannot wait behind requests blocked on it).
+func (lm *lockManager) issueLocked(s *Session, tbl string, granted func(), fire *[]func()) *lockRequest {
+	l := lm.get(tbl)
+	req := &lockRequest{s: s, ready: make(chan struct{}), granted: granted}
+	if l.writer == s || (l.writer == nil && len(l.queue) == 0) {
+		l.grantLocked(req, tbl, fire)
+	} else {
+		l.queue = append(l.queue, req)
+	}
+	return req
 }
 
 // fireAll invokes collected grant callbacks; callers run it after unlocking
@@ -389,20 +386,7 @@ func fireAll(fire []func()) {
 func (lm *lockManager) reserve(s *Session, tbl string, granted func()) {
 	var fire []func()
 	lm.mu.Lock()
-	l := lm.get(tbl)
-	req := &lockRequest{s: s, exclusive: true, ready: make(chan struct{}), granted: granted}
-	// Immediate grant when compatible and either nothing is queued or the
-	// session already holds the lock (re-entrant requests may jump the
-	// queue: the holder cannot wait behind requests blocked on it).
-	if l.grantableLocked(s, true) && (len(l.queue) == 0 || l.writer == s || l.readers[s] > 0) {
-		l.grantLocked(s, tbl, true)
-		close(req.ready)
-		if granted != nil {
-			fire = append(fire, granted)
-		}
-	} else {
-		l.queue = append(l.queue, req)
-	}
+	req := lm.issueLocked(s, tbl, granted, &fire)
 	s.reserved[tbl] = append(s.reserved[tbl], req)
 	s.lockState.Store(true)
 	lm.mu.Unlock()
@@ -453,18 +437,24 @@ func (lm *lockManager) dropReservationsLocked(s *Session, tbl string, fire *[]fu
 			continue
 		default:
 		}
-		for i, q := range l.queue {
-			if q == req {
-				l.queue = append(l.queue[:i], l.queue[i+1:]...)
-				break
-			}
-		}
-		if req.granted != nil {
-			// Dropped unconsumed: notify so a parked owner is not stranded.
-			*fire = append(*fire, req.granted)
-		}
+		l.abandonLocked(req, fire)
 	}
 	l.pumpLocked(tbl, fire)
+}
+
+// abandonLocked removes an ungranted ticket from the queue and collects its
+// grant callback into fire, so a parked owner is not stranded waiting for a
+// grant that can no longer come.
+func (l *tableLock) abandonLocked(req *lockRequest, fire *[]func()) {
+	for i, q := range l.queue {
+		if q == req {
+			l.queue = append(l.queue[:i], l.queue[i+1:]...)
+			break
+		}
+	}
+	if req.granted != nil {
+		*fire = append(*fire, req.granted)
+	}
 }
 
 // waitReservation blocks on a ticket until granted, the deadline, or the
@@ -495,12 +485,7 @@ func (lm *lockManager) waitReservation(req *lockRequest, tbl string, deadline ti
 	default:
 	}
 	if l := lm.locks[tbl]; l != nil {
-		for i, q := range l.queue {
-			if q == req {
-				l.queue = append(l.queue[:i], l.queue[i+1:]...)
-				break
-			}
-		}
+		l.abandonLocked(req, &fire)
 		l.pumpLocked(tbl, &fire)
 	}
 	lm.mu.Unlock()
@@ -516,101 +501,7 @@ func (lm *lockManager) waitReservation(req *lockRequest, tbl string, deadline ti
 func (lm *lockManager) issueNow(s *Session, tbl string) *lockRequest {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	l := lm.get(tbl)
-	req := &lockRequest{s: s, exclusive: true, ready: make(chan struct{})}
-	// Grant immediately when compatible and nobody is queued ahead
-	// (re-entrant grants may jump the queue: the holder cannot wait behind
-	// requests that are blocked on it).
-	if (len(l.queue) == 0 || s.held[tbl]) && l.grantableLocked(s, true) {
-		l.grantLocked(s, tbl, true)
-		close(req.ready)
-	} else {
-		l.queue = append(l.queue, req)
-	}
-	return req
-}
-
-// acquireShared blocks until a shared lock is granted or the deadline
-// passes. Shared requests join the same FIFO queue as tickets, so a reader
-// cannot overtake an already-queued writer of the same table.
-func (lm *lockManager) acquireShared(s *Session, tbl string, deadline time.Time) error {
-	lm.mu.Lock()
-	l := lm.get(tbl)
-	if (len(l.queue) == 0 || s.held[tbl]) && l.grantableLocked(s, false) {
-		l.grantLocked(s, tbl, false)
-		lm.mu.Unlock()
-		return nil
-	}
-	req := &lockRequest{s: s, exclusive: false, ready: make(chan struct{})}
-	l.queue = append(l.queue, req)
-	lm.mu.Unlock()
-
-	failErr := ErrLockTimeout
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case <-req.ready:
-		return nil
-	case <-timer.C:
-	case <-s.killCh:
-		failErr = ErrKilled
-	}
-	// Timed out (or killed): remove the request unless granted concurrently.
-	var fire []func()
-	lm.mu.Lock()
-	select {
-	case <-req.ready:
-		lm.mu.Unlock()
-		return nil
-	default:
-	}
-	for i, q := range l.queue {
-		if q == req {
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			break
-		}
-	}
-	l.pumpLocked(tbl, &fire) // our departure may unblock the new head
-	lm.mu.Unlock()
-	fireAll(fire)
-	return failErr
-}
-
-// releaseShared drops the session's shared locks while keeping its
-// exclusive ones: shared locks live for one statement (read committed, the
-// behaviour of the paper's MySQL/InnoDB backends), while exclusive locks
-// are strict two-phase and only release at commit or rollback. Without
-// this, a long transaction's read of a hot table would serialize against
-// every writer of that table for the whole transaction.
-func (lm *lockManager) releaseShared(s *Session) {
-	if !s.lockState.Load() {
-		return
-	}
-	var fire []func()
-	lm.mu.Lock()
-	for tbl := range s.held {
-		l := lm.locks[tbl]
-		if l == nil {
-			delete(s.held, tbl)
-			continue
-		}
-		if l.writer == s {
-			// Keep the exclusive lock; drop any redundant shared count.
-			delete(l.readers, s)
-			continue
-		}
-		delete(l.readers, s)
-		delete(s.held, tbl)
-		l.pumpLocked(tbl, &fire)
-		if l.writer == nil && len(l.readers) == 0 && len(l.queue) == 0 {
-			delete(lm.locks, tbl)
-		}
-	}
-	if len(s.held) == 0 && len(s.reserved) == 0 {
-		s.lockState.Store(false)
-	}
-	lm.mu.Unlock()
-	fireAll(fire)
+	return lm.issueLocked(s, tbl, nil, nil) // no callback, so nothing to fire
 }
 
 // releaseAll drops every lock the session holds, purges its unconsumed
@@ -629,12 +520,11 @@ func (lm *lockManager) releaseAll(s *Session) {
 		if l == nil {
 			continue
 		}
-		delete(l.readers, s)
 		if l.writer == s {
 			l.writer = nil
 		}
 		l.pumpLocked(tbl, &fire)
-		if l.writer == nil && len(l.readers) == 0 && len(l.queue) == 0 {
+		if l.writer == nil && len(l.queue) == 0 {
 			delete(lm.locks, tbl)
 		}
 	}
@@ -782,7 +672,8 @@ func (s *Session) ReserveWriteLock(table string) {
 // ReserveWriteLockNotify is ReserveWriteLock with a grant notification:
 // granted (when non-nil) is invoked exactly once, as soon as the ticket is
 // granted — possibly synchronously, before this call returns — or when the
-// ticket is dropped unconsumed (session close). A scheduler uses it to park
+// ticket leaves the queue ungranted (dropped unconsumed, or its lock wait
+// timed out or was killed). A scheduler uses it to park
 // the write bound to this ticket until the engine reaches it in the FIFO,
 // instead of blocking a worker on the wait.
 func (s *Session) ReserveWriteLockNotify(table string, granted func()) {
@@ -994,28 +885,24 @@ func (s *Session) lockDeadline() time.Time {
 // Temporary tables are session-private and need no locks. When the session
 // is not in an explicit transaction the caller releases locks at statement
 // end.
-func (s *Session) lockTable(name string, exclusive bool, deadline time.Time) error {
+func (s *Session) lockTable(name string, deadline time.Time) error {
 	if _, isTemp := s.tempGet(name); isTemp {
 		s.engine.locks.cancelReservations(s, name)
 		return nil
 	}
-	if exclusive {
-		req := s.engine.locks.takeReservation(s, name)
-		if req == nil {
-			req = s.engine.locks.issueNow(s, name)
-		}
-		return s.engine.locks.waitReservation(req, name, deadline)
+	req := s.engine.locks.takeReservation(s, name)
+	if req == nil {
+		req = s.engine.locks.issueNow(s, name)
 	}
-	return s.engine.locks.acquireShared(s, name, deadline)
+	return s.engine.locks.waitReservation(req, name, deadline)
 }
 
 // endStatement commits or undoes an auto-commit statement and releases its
-// locks and snapshot pin. Inside a transaction it releases shared locks
-// only (exclusive locks are strict 2PL and the transaction's snapshot pin
-// stays until commit or rollback).
+// locks and snapshot pin. Inside a transaction it does nothing: locks are
+// strict 2PL and the transaction's snapshot pin stays until commit or
+// rollback.
 func (s *Session) endStatement(err error) error {
 	if s.inTx {
-		s.engine.locks.releaseShared(s)
 		return err
 	}
 	n := len(s.undo)

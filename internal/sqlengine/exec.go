@@ -107,7 +107,7 @@ func (s *Session) execCreateTable(ct *sqlparser.CreateTable) (*Result, error) {
 	var schema *Schema
 	var rows [][]sqlval.Value
 	if ct.AsSelect != nil {
-		// Evaluate the SELECT first (takes shared locks), then create.
+		// Evaluate the SELECT first (a snapshot read, no table lock), then create.
 		sel, err := s.execSelect(ct.AsSelect)
 		if err != nil {
 			return nil, err
@@ -151,7 +151,7 @@ func (s *Session) execCreateTable(ct *sqlparser.CreateTable) (*Result, error) {
 		// reservation placed by the dispatcher must be dropped.
 		s.engine.locks.cancelReservations(s, name)
 	} else {
-		if err := s.lockTable(name, true, s.lockDeadline()); err != nil {
+		if err := s.lockTable(name, s.lockDeadline()); err != nil {
 			return nil, err
 		}
 	}
@@ -190,7 +190,7 @@ func (s *Session) execDropTable(dt *sqlparser.DropTable) (*Result, error) {
 	if _, isTemp := s.tempGet(name); isTemp {
 		s.engine.locks.cancelReservations(s, name)
 	} else {
-		if err := s.lockTable(name, true, s.lockDeadline()); err != nil {
+		if err := s.lockTable(name, s.lockDeadline()); err != nil {
 			return nil, err
 		}
 	}
@@ -216,7 +216,7 @@ func (s *Session) execDropTable(dt *sqlparser.DropTable) (*Result, error) {
 
 func (s *Session) execCreateIndex(ci *sqlparser.CreateIndex) (*Result, error) {
 	name := strings.ToLower(ci.Table)
-	if err := s.lockTable(name, true, s.lockDeadline()); err != nil {
+	if err := s.lockTable(name, s.lockDeadline()); err != nil {
 		return nil, err
 	}
 	e := s.engine
@@ -244,7 +244,7 @@ func (s *Session) execCreateIndex(ci *sqlparser.CreateIndex) (*Result, error) {
 
 func (s *Session) execDropIndex(di *sqlparser.DropIndex) (*Result, error) {
 	name := strings.ToLower(di.Table)
-	if err := s.lockTable(name, true, s.lockDeadline()); err != nil {
+	if err := s.lockTable(name, s.lockDeadline()); err != nil {
 		return nil, err
 	}
 	e := s.engine
@@ -324,7 +324,7 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 		srcRows = sel.Rows
 	}
 
-	if err := s.lockTable(name, true, s.lockDeadline()); err != nil {
+	if err := s.lockTable(name, s.lockDeadline()); err != nil {
 		return nil, err
 	}
 	// DML holds the engine lock shared (excluding DDL and undo replay) plus
@@ -452,7 +452,7 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 
 func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 	name := strings.ToLower(up.Table)
-	if err := s.lockTable(name, true, s.lockDeadline()); err != nil {
+	if err := s.lockTable(name, s.lockDeadline()); err != nil {
 		return nil, err
 	}
 	e := s.engine
@@ -523,7 +523,7 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 
 func (s *Session) execDelete(del *sqlparser.Delete) (*Result, error) {
 	name := strings.ToLower(del.Table)
-	if err := s.lockTable(name, true, s.lockDeadline()); err != nil {
+	if err := s.lockTable(name, s.lockDeadline()); err != nil {
 		return nil, err
 	}
 	e := s.engine

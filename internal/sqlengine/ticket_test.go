@@ -1,6 +1,10 @@
 package sqlengine
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,5 +145,139 @@ func TestExecutionTimeAcquisitionJoinsTicketQueue(t *testing.T) {
 	}
 	if got, _ := res.Rows[0][0].AsInt(); got != 10 {
 		t.Fatalf("final v = %d, want 10 ((0+1)*10: ticket order)", got)
+	}
+}
+
+// TestLockManagerQuiescesUnderRandomSchedules drives sessions through
+// random interleavings of every lock-manager path — plain and notified
+// reservations, execution-time tickets, lock timeouts, Kill from another
+// goroutine, commit, rollback and Reset — and checks that the engine
+// quiesces clean: no held lock, no queued ticket, and every grant callback
+// fired exactly once (on grant, or when its ticket left the queue
+// ungranted). Run with -race.
+func TestLockManagerQuiescesUnderRandomSchedules(t *testing.T) {
+	const (
+		nSessions = 6
+		nTables   = 3
+		nSteps    = 300
+	)
+	e := New("quiesce", WithLockTimeout(2*time.Millisecond))
+	setup := e.NewSession()
+	for i := 0; i < nTables; i++ {
+		for _, q := range []string{
+			fmt.Sprintf("CREATE TABLE t%d (id INTEGER PRIMARY KEY, v INTEGER)", i),
+			fmt.Sprintf("INSERT INTO t%d (id, v) VALUES (1, 0)", i),
+		} {
+			if _, err := setup.ExecSQL(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	setup.Close()
+
+	var (
+		mu        sync.Mutex
+		callbacks []*atomic.Int32 // one per notified reservation
+
+		timeouts, kills atomic.Int32 // paths the schedule actually hit
+	)
+	notified := func() func() {
+		n := new(atomic.Int32)
+		mu.Lock()
+		callbacks = append(callbacks, n)
+		mu.Unlock()
+		return func() { n.Add(1) }
+	}
+
+	var slots [nSessions]atomic.Pointer[Session]
+	stopKiller := make(chan struct{})
+	killerDone := make(chan struct{})
+	go func() {
+		defer close(killerDone)
+		rng := rand.New(rand.NewSource(99))
+		for {
+			select {
+			case <-stopKiller:
+				return
+			case <-time.After(time.Duration(rng.Intn(3000)) * time.Microsecond):
+			}
+			if s := slots[rng.Intn(nSessions)].Load(); s != nil {
+				s.Kill()
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < nSessions; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			s := e.NewSession()
+			slots[w].Store(s)
+			for i := 0; i < nSteps; i++ {
+				if s.Killed() {
+					kills.Add(1)
+					// The teardown the backend runs after Kill: roll back
+					// and release on the owning goroutine, then replace.
+					s.Reset()
+					s.Close()
+					s = e.NewSession()
+					slots[w].Store(s)
+				}
+				tbl := fmt.Sprintf("t%d", rng.Intn(nTables))
+				var err error
+				switch rng.Intn(8) {
+				case 0:
+					s.ReserveWriteLockNotify(tbl, notified())
+				case 1:
+					s.ReserveWriteLock(tbl)
+				case 2, 3:
+					// Consumes this session's oldest reservation on tbl, or
+					// issues an execution-time ticket when it has none.
+					_, err = s.ExecSQL(fmt.Sprintf("UPDATE %s SET v = v + 1 WHERE id = 1", tbl))
+				case 4:
+					_, err = s.ExecSQL("BEGIN")
+				case 5:
+					_, err = s.ExecSQL("COMMIT")
+				case 6:
+					_, err = s.ExecSQL("ROLLBACK")
+				default:
+					s.Reset()
+				}
+				if errors.Is(err, ErrLockTimeout) {
+					timeouts.Add(1)
+				}
+				if err != nil && !errors.Is(err, ErrLockTimeout) && !errors.Is(err, ErrKilled) &&
+					!errors.Is(err, ErrNoTransaction) && !errors.Is(err, ErrTxInProgress) {
+					t.Errorf("session %d step %d: %v", w, i, err)
+					return
+				}
+			}
+			s.Close()
+		}(w)
+	}
+	wg.Wait()
+	close(stopKiller)
+	<-killerDone
+
+	if n := e.HeldLocks(); n != 0 {
+		t.Errorf("HeldLocks = %d at quiesce, want 0", n)
+	}
+	if n := e.PendingTickets(); n != 0 {
+		t.Errorf("PendingTickets = %d at quiesce, want 0", n)
+	}
+	if len(callbacks) == 0 || timeouts.Load() == 0 || kills.Load() == 0 {
+		t.Fatalf("schedule too tame: %d notified reservations, %d lock timeouts, %d kills",
+			len(callbacks), timeouts.Load(), kills.Load())
+	}
+	bad := 0
+	for _, n := range callbacks {
+		if n.Load() != 1 {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d grant callbacks did not fire exactly once", bad, len(callbacks))
 	}
 }
