@@ -90,6 +90,7 @@ type SchemaProvider interface {
 	TableNames() ([]string, error)
 	TableSchema(name string) (*sqlengine.Schema, error)
 	SnapshotTable(name string) (*sqlengine.Schema, [][]sqlval.Value, error)
+	Indexes(name string) ([]*sqlparser.CreateIndex, error)
 }
 
 // EngineDriver is the native driver for the in-process sqlengine backend.
@@ -116,6 +117,11 @@ func (d *EngineDriver) TableSchema(name string) (*sqlengine.Schema, error) {
 // SnapshotTable returns a table's schema and rows for dumps.
 func (d *EngineDriver) SnapshotTable(name string) (*sqlengine.Schema, [][]sqlval.Value, error) {
 	return d.Engine.SnapshotTable(name)
+}
+
+// Indexes returns a table's secondary indexes for dumps.
+func (d *EngineDriver) Indexes(name string) ([]*sqlparser.CreateIndex, error) {
+	return d.Engine.Indexes(name)
 }
 
 type engineConn struct {

@@ -29,6 +29,11 @@ var (
 	// the whole bounded wait: no transaction-free moment to place a marker or
 	// flip routing, or a replay window whose transactions never demarcated.
 	ErrCheckpointBusy = errors.New("controller: checkpoint timed out waiting for write transactions to finish")
+	// ErrIncompleteDump is returned by RestoreBackend for a dump that lacks a
+	// table the backend hosts and holds: restoring it would keep the
+	// backend's own copy of that table and replay the log from the dump's
+	// marker over it, applying every write since the marker a second time.
+	ErrIncompleteDump = errors.New("controller: dump lacks a table the backend holds")
 )
 
 // quiesceWait bounds both waits of the procedure: quiesced's wait for a
@@ -156,7 +161,7 @@ func (v *VirtualDatabase) snapshot(name string, wanted recovery.HostFilter, excl
 
 // catchUp replays onto b the log entries after seq that touch only the given
 // tables (nil: every table), then calls publish inside the cluster write
-// quiesce of a pass that found nothing left to apply — so no write lands
+// quiesce of a pass whose cut reached the log's end — so no write lands
 // between the last replayed entry and the moment publish puts the copy into
 // routing. The bulk pass runs outside the quiesce on the configured number
 // of parallel appliers (disjoint conflict classes replay concurrently,
@@ -174,11 +179,9 @@ func (v *VirtualDatabase) snapshot(name string, wanted recovery.HostFilter, excl
 // transaction's writes forever. Under the write quiesce, an unresolved
 // transaction that is inactive in the scheduler can never demarcate again
 // (it was abandoned), so waiting until every unresolved transaction is
-// inactive closes the window: abandoned transactions are marked dead in the
-// pass bookkeeping (they replay as rolled back) and one more pass applies
-// whatever was held back behind them — a pass with entries deferred behind
-// an unresolved transaction (Pass.Deferred) never publishes directly, because
-// per-conflict-class replay order must match the live order. The
+// inactive closes the window: the quiesced passes, each from the cut the
+// previous one reached, replay abandoned transactions as rolled back, and
+// the first that comes back with nothing unresolved publishes. The
 // transactions a backend itself abandoned at disable time (killed by the
 // teardown, or rejected with ErrDisabled) are a subset of the unresolved
 // ones, so the same wait covers the crash-consistent disable's obligation.
@@ -187,51 +190,27 @@ func (v *VirtualDatabase) snapshot(name string, wanted recovery.HostFilter, excl
 // reaches the copy live.
 func (v *VirtualDatabase) catchUp(b *backend.Backend, seq uint64, tables recovery.HostFilter, publish func() error) error {
 	// Bulk replay outside the write lock: may take a while on big logs.
-	pass, _, _, err := recovery.ReplayPassHosted(v.log, seq, nil, b, 0, tables)
+	cut, _, _, err := recovery.ReplayPassHosted(v.log, seq, b, 0, tables, nil)
 	if err != nil {
 		return err
 	}
+	abandoned := func(tx uint64) bool { return !v.sched.TxActive(tx) }
 	deadline := time.Now().Add(quiesceWait)
 	for {
 		ticket := v.sched.LockAllWrites()
 		var unresolved []uint64
-		pass, unresolved, _, err = recovery.ReplayPassHosted(v.log, seq, pass, b, 0, tables)
-		if err != nil {
-			ticket.Unlock()
-			return err
-		}
-		active := false
-		for _, tx := range unresolved {
-			if v.sched.TxActive(tx) {
-				active = true
-				break
-			}
-		}
-		if !active {
-			if len(unresolved) == 0 && pass.Deferred == 0 {
-				err := publish()
-				ticket.Unlock()
-				return err
-			}
-			// Unresolved but inactive under the quiesce: abandoned. Mark
-			// them dead so the next pass replays them as rolled back and
-			// releases the entries held back behind them.
-			if len(unresolved) > 0 {
-				if pass.TxDead == nil {
-					pass.TxDead = make(map[uint64]bool, len(unresolved))
-				}
-				for _, tx := range unresolved {
-					pass.TxDead[tx] = true
-				}
-			}
+		cut, unresolved, _, err = recovery.ReplayPassHosted(v.log, cut, b, 0, tables, abandoned)
+		if err == nil && len(unresolved) == 0 {
+			err = publish()
 		}
 		ticket.Unlock()
+		if err != nil || len(unresolved) == 0 {
+			return err
+		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("controller: catch-up of %s: %w", b.Name(), ErrCheckpointBusy)
 		}
-		if active {
-			time.Sleep(2 * time.Millisecond)
-		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -372,6 +351,8 @@ func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*re
 // backend is re-enabled (§3: "tools to automatically re-integrate failed
 // backends into a virtual database"). With a nil dump the virtual database
 // finds one itself, as the re-integration supervisor does (see reintegrate).
+// A dump lacking a hosted table the backend holds is refused with
+// ErrIncompleteDump before anything is disabled.
 func (v *VirtualDatabase) RestoreBackend(backendName string, dump *recovery.Dump) error {
 	if v.log == nil {
 		return ErrNoRecoveryLog
@@ -383,11 +364,40 @@ func (v *VirtualDatabase) RestoreBackend(backendName string, dump *recovery.Dump
 	if dump == nil {
 		return v.reintegrate(b)
 	}
+	if err := dumpHoldsOwn(dump, b, v.hostFilter(b)); err != nil {
+		return err
+	}
+	return v.restore(b, dump)
+}
+
+// restore reseeds b from a dump whose checkpoint marker is in the log.
+func (v *VirtualDatabase) restore(b *backend.Backend, dump *recovery.Dump) error {
 	seq, err := v.checkpointSeq(dump.Name)
 	if err != nil {
 		return err
 	}
 	return v.reseed(b, dump, seq, v.hostFilter(b), v.enable(b))
+}
+
+// dumpHoldsOwn is the rule an operator's dump and the cached one must pass
+// before the log is replayed from their marker: they contain each hosted
+// table the backend holds, or the backend's own copy of the table would take
+// the log's writes since the marker twice (ErrIncompleteDump).
+func dumpHoldsOwn(d *recovery.Dump, b *backend.Backend, hosted recovery.HostFilter) error {
+	own, err := b.TableNames()
+	if err != nil {
+		return fmt.Errorf("controller: restore %s: %w", b.Name(), err)
+	}
+	have := make(map[string]bool, len(d.Tables))
+	for i := range d.Tables {
+		have[d.Tables[i].Name] = true
+	}
+	for _, t := range own {
+		if !have[t] && (hosted == nil || hosted(t)) {
+			return fmt.Errorf("controller: restore %s from dump %q without table %s: %w", b.Name(), d.Name, t, ErrIncompleteDump)
+		}
+	}
+	return nil
 }
 
 // IntegrateBackend adds a brand-new backend and brings it up to date from a

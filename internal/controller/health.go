@@ -378,11 +378,10 @@ func (m *healthMonitor) backoff(attempt int) time.Duration {
 //
 // The cached dump is usable if it contains every hosted table that live
 // donors would supply now (under RAIDb-2 partial replication a dump taken
-// from one donor rarely does) and every one the backend itself holds: a
-// table left out of the restore keeps the backend's own copy, and replaying
-// from an old marker over it would apply entries a second time. A fresh
-// marker has no such entries — a table no enabled backend hosts accepts no
-// writes.
+// from one donor rarely does) and passes the rule RestoreBackend holds an
+// operator's dump to (dumpHoldsOwn). A fresh snapshot is exempt: its marker
+// has no entries for a table it leaves out — a table no enabled backend
+// hosts accepts no writes.
 //
 // The attempt fails fast while the backend's fault is still active (the
 // restore's first DirectExec statement fails), so the supervisor's backoff
@@ -393,8 +392,7 @@ func (v *VirtualDatabase) reintegrate(b *backend.Backend) error {
 	if dump != nil {
 		// With no donor left the cached dump is the only source.
 		claims, _ := v.claimDonors(hosted, b)
-		own, err := b.TableNames()
-		if err != nil || !dumpCovers(dump, hosted, claims, own) {
+		if !dumpCovers(dump, claims) || dumpHoldsOwn(dump, b, hosted) != nil {
 			dump = nil
 		}
 	}
@@ -409,12 +407,11 @@ func (v *VirtualDatabase) reintegrate(b *backend.Backend) error {
 		}
 		v.lastDump.Store(dump)
 	}
-	return v.RestoreBackend(b.Name(), dump)
+	return v.restore(b, dump)
 }
 
-// dumpCovers reports whether the dump contains every claimed table and every
-// hosted one of own.
-func dumpCovers(d *recovery.Dump, hosted recovery.HostFilter, claims []donorClaim, own []string) bool {
+// dumpCovers reports whether the dump contains every claimed table.
+func dumpCovers(d *recovery.Dump, claims []donorClaim) bool {
 	have := make(map[string]bool, len(d.Tables))
 	for i := range d.Tables {
 		have[d.Tables[i].Name] = true
@@ -424,11 +421,6 @@ func dumpCovers(d *recovery.Dump, hosted recovery.HostFilter, claims []donorClai
 			if !have[t] {
 				return false
 			}
-		}
-	}
-	for _, t := range own {
-		if !have[t] && (hosted == nil || hosted(t)) {
-			return false
 		}
 	}
 	return true

@@ -472,8 +472,8 @@ func TestRecoveryStreamHostedSubset(t *testing.T) {
 	fb := backend.New(backend.Config{Name: "replay0", Driver: &backend.EngineDriver{Engine: fresh}})
 	t.Cleanup(fb.Close)
 	fb.Enable()
-	_, _, _, err = recovery.ReplayPassHosted(log, 0, nil, fb, 1,
-		func(table string) bool { return pl.Hosted(table, "db0") })
+	_, _, _, err = recovery.ReplayPassHosted(log, 0, fb, 1,
+		func(table string) bool { return pl.Hosted(table, "db0") }, nil)
 	if err != nil {
 		t.Fatalf("hosted replay dispatched an unhosted entry: %v", err)
 	}

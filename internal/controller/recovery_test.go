@@ -88,14 +88,13 @@ func TestRestoreBackendStaysDisabledOnReplayFailure(t *testing.T) {
 		t.Fatalf("backend state after failed restore = %v, want disabled", b1.State())
 	}
 	// The cluster keeps serving from the healthy backend, and a later
-	// restore after the operator fixes the problem succeeds.
+	// restore after the operator fixes the problem — adds the table the entry
+	// writes to the dump — replays past the entry and succeeds.
 	exec(t, s, "INSERT INTO item (i_id, i_title, i_cost) VALUES (6, 'f', 60)")
-	sess := engines[1].NewSession()
-	if _, err := sess.ExecSQL("CREATE TABLE vanished (a INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
-	if err := v.RestoreBackend("db1", dump); err != nil {
+	fixed := *dump
+	fixed.Tables = append(append([]recovery.TableDump(nil), dump.Tables...), recovery.TableDump{
+		Name: "vanished", DDL: []string{"CREATE TABLE vanished (a INTEGER)"}, Columns: []string{"a"}})
+	if err := v.RestoreBackend("db1", &fixed); err != nil {
 		t.Fatalf("restore after repair: %v", err)
 	}
 	if !b1.Enabled() {
@@ -103,6 +102,9 @@ func TestRestoreBackendStaysDisabledOnReplayFailure(t *testing.T) {
 	}
 	if got := countOn(t, engines[1], "SELECT COUNT(*) FROM item"); got != 6 {
 		t.Errorf("restored rows = %d, want 6", got)
+	}
+	if got := countOn(t, engines[1], "SELECT COUNT(*) FROM vanished"); got != 1 {
+		t.Errorf("replayed rows of vanished = %d, want 1", got)
 	}
 }
 

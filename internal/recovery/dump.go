@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
 	"cjdbc/internal/backend"
+	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
 )
 
@@ -21,20 +23,14 @@ type Dump struct {
 	Tables []TableDump `json:"tables"`
 }
 
-// TableDump is one table's schema and rows.
+// TableDump is one table: the DDL recreating it and its rows.
 type TableDump struct {
-	Name    string        `json:"name"`
-	Columns []ColumnDump  `json:"columns"`
+	Name string `json:"name"`
+	// DDL is the table's CREATE TABLE — column types, keys and defaults —
+	// followed by one CREATE INDEX per secondary index.
+	DDL     []string      `json:"ddl"`
+	Columns []string      `json:"columns"`
 	Rows    [][]ValueDump `json:"rows"`
-}
-
-// ColumnDump describes one column portably.
-type ColumnDump struct {
-	Name          string `json:"name"`
-	Type          string `json:"type"`
-	NotNull       bool   `json:"not_null,omitempty"`
-	PrimaryKey    bool   `json:"primary_key,omitempty"`
-	AutoIncrement bool   `json:"auto_increment,omitempty"`
 }
 
 // ValueDump is one portable value: a kind tag and a string payload.
@@ -62,41 +58,30 @@ func dumpValue(v sqlval.Value) ValueDump {
 	}
 }
 
-// Literal renders the dumped value as a SQL literal for restore statements.
-func (v ValueDump) Literal() string {
+// value is the inverse of dumpValue; a payload that does not parse is NULL.
+func (v ValueDump) value() sqlval.Value {
 	switch v.K {
 	case "n":
-		return "NULL"
-	case "i", "f":
-		return v.V
-	case "b":
-		return v.V
-	case "t":
-		t, err := time.Parse(time.RFC3339Nano, v.V)
-		if err != nil {
-			return "NULL"
+	case "i":
+		if i, err := strconv.ParseInt(v.V, 10, 64); err == nil {
+			return sqlval.Int(i)
 		}
-		return "'" + t.UTC().Format("2006-01-02 15:04:05") + "'"
+	case "f":
+		if f, err := strconv.ParseFloat(v.V, 64); err == nil {
+			return sqlval.Float(f)
+		}
+	case "b":
+		return sqlval.Bool(v.V == "TRUE")
+	case "t":
+		if t, err := time.Parse(time.RFC3339Nano, v.V); err == nil {
+			return sqlval.Time(t)
+		}
+	case "x":
+		return sqlval.Bytes([]byte(v.V))
 	default:
-		return "'" + strings.ReplaceAll(v.V, "'", "''") + "'"
+		return sqlval.String_(v.V)
 	}
-}
-
-func typeNameOf(k sqlval.Kind) string {
-	switch k {
-	case sqlval.KindInt:
-		return "INTEGER"
-	case sqlval.KindFloat:
-		return "FLOAT"
-	case sqlval.KindBool:
-		return "BOOLEAN"
-	case sqlval.KindTime:
-		return "TIMESTAMP"
-	case sqlval.KindBytes:
-		return "BLOB"
-	default:
-		return "VARCHAR"
-	}
+	return sqlval.Null
 }
 
 // TakeDump snapshots every table reachable through the backend's schema
@@ -129,15 +114,17 @@ func TakeDumpHosted(name string, src backend.SchemaProvider, hosted HostFilter) 
 		if err != nil {
 			return nil, fmt.Errorf("recovery: dump table %s: %w", t, err)
 		}
-		td := TableDump{Name: schema.Name}
+		indexes, err := src.Indexes(t)
+		if err != nil {
+			return nil, fmt.Errorf("recovery: dump indexes of %s: %w", t, err)
+		}
+		create := &sqlparser.CreateTable{Table: schema.Name}
 		for _, c := range schema.Columns {
-			td.Columns = append(td.Columns, ColumnDump{
-				Name:          c.Name,
-				Type:          typeNameOf(c.Type),
-				NotNull:       c.NotNull,
-				PrimaryKey:    c.PrimaryKey,
-				AutoIncrement: c.AutoIncrement,
-			})
+			create.Columns = append(create.Columns, sqlparser.ColumnDef(c))
+		}
+		td := TableDump{Name: schema.Name, DDL: []string{sqlparser.Render(create)}, Columns: schema.ColumnNames()}
+		for _, ix := range indexes {
+			td.DDL = append(td.DDL, sqlparser.Render(ix))
 		}
 		for _, r := range rows {
 			vr := make([]ValueDump, len(r))
@@ -151,43 +138,13 @@ func TakeDumpHosted(name string, src backend.SchemaProvider, hosted HostFilter) 
 	return d, nil
 }
 
-// CreateTableSQL renders the DDL recreating one dumped table.
-func (td *TableDump) CreateTableSQL() string {
-	var b strings.Builder
-	b.WriteString("CREATE TABLE ")
-	b.WriteString(td.Name)
-	b.WriteString(" (")
-	for i, c := range td.Columns {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(c.Name)
-		b.WriteByte(' ')
-		b.WriteString(c.Type)
-		if c.PrimaryKey {
-			b.WriteString(" PRIMARY KEY")
-		} else if c.NotNull {
-			b.WriteString(" NOT NULL")
-		}
-		if c.AutoIncrement {
-			b.WriteString(" AUTO_INCREMENT")
-		}
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
 // InsertSQL renders batched INSERT statements restoring the table's rows,
 // batchSize rows per statement.
 func (td *TableDump) InsertSQL(batchSize int) []string {
 	if batchSize <= 0 {
 		batchSize = 100
 	}
-	cols := make([]string, len(td.Columns))
-	for i, c := range td.Columns {
-		cols[i] = c.Name
-	}
-	head := "INSERT INTO " + td.Name + " (" + strings.Join(cols, ", ") + ") VALUES "
+	head := "INSERT INTO " + td.Name + " (" + strings.Join(td.Columns, ", ") + ") VALUES "
 	var out []string
 	for start := 0; start < len(td.Rows); start += batchSize {
 		end := start + batchSize
@@ -205,22 +162,11 @@ func (td *TableDump) InsertSQL(batchSize int) []string {
 				if j > 0 {
 					b.WriteString(", ")
 				}
-				b.WriteString(v.Literal())
+				b.WriteString(v.value().SQLLiteral())
 			}
 			b.WriteString(")")
 		}
 		out = append(out, b.String())
-	}
-	return out
-}
-
-// TableNames lists the tables the dump contains, in dump order. Controllers
-// use it to check donor coverage before seeding a partially-replicated
-// backend from another backend's checkpoint.
-func (d *Dump) TableNames() []string {
-	out := make([]string, len(d.Tables))
-	for i := range d.Tables {
-		out[i] = d.Tables[i].Name
 	}
 	return out
 }
@@ -243,8 +189,10 @@ func RestoreHosted(d *Dump, b *backend.Backend, hosted HostFilter) error {
 		if _, err := b.DirectExec(nil, "DROP TABLE IF EXISTS "+td.Name); err != nil {
 			return fmt.Errorf("recovery: restore drop %s: %w", td.Name, err)
 		}
-		if _, err := b.DirectExec(nil, td.CreateTableSQL()); err != nil {
-			return fmt.Errorf("recovery: restore create %s: %w", td.Name, err)
+		for _, ddl := range td.DDL {
+			if _, err := b.DirectExec(nil, ddl); err != nil {
+				return fmt.Errorf("recovery: restore create %s: %w", td.Name, err)
+			}
 		}
 		for _, ins := range td.InsertSQL(200) {
 			if _, err := b.DirectExec(nil, ins); err != nil {

@@ -639,10 +639,7 @@ func TestReplayErrorsSurfaceSQL(t *testing.T) {
 }
 
 func TestInsertSQLBatching(t *testing.T) {
-	td := TableDump{
-		Name:    "t",
-		Columns: []ColumnDump{{Name: "a", Type: "INTEGER"}},
-	}
+	td := TableDump{Name: "t", Columns: []string{"a"}}
 	for i := 0; i < 250; i++ {
 		td.Rows = append(td.Rows, []ValueDump{{K: "i", V: fmt.Sprint(i)}})
 	}

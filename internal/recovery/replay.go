@@ -35,64 +35,6 @@ func entryHosted(e *Entry, hosted HostFilter) bool {
 	return true
 }
 
-// Pass carries replay bookkeeping across the multiple passes of one
-// re-integration: a long bulk pass outside the cluster write quiesce
-// followed by short catch-up passes inside it. A transaction is applied
-// all-or-nothing in the pass that first observes its commit, so a
-// transaction spanning passes — its writes visible to the bulk pass, its
-// commit logged only later — is still applied completely: the later pass
-// re-reads the window from the original checkpoint and picks the whole
-// transaction up. nil means nothing has been replayed yet.
-type Pass struct {
-	// Last is the frontier: auto-commit entries at or below it have been
-	// applied (or held back in AutoDone's complement — see AutoDone). A
-	// held-back entry caps Last just below itself, so the next pass
-	// revisits it.
-	Last uint64
-	// TxDone records the committed transactions whose writes have been
-	// applied by earlier passes.
-	TxDone map[uint64]bool
-	// AutoDone records auto-commit entries applied above Last: when a
-	// held-back entry caps Last, later disjoint auto-commit entries that
-	// did apply are tracked individually so the next pass neither skips
-	// nor re-applies them.
-	AutoDone map[uint64]bool
-	// TxDead marks transactions the caller has proven can never demarcate
-	// (unresolved in the log but inactive cluster-wide under the write
-	// quiesce): they replay as rolled back and stop holding back their
-	// conflict classes.
-	TxDead map[uint64]bool
-	// Deferred counts the replayable units (whole transactions or
-	// auto-commit entries) the pass held back because an earlier
-	// conflicting entry could not be applied yet. The caller must run
-	// another pass before enabling the backend while it is non-zero.
-	Deferred int
-}
-
-// ReplayPassHosted applies to b the committed writes recorded after seq that
-// prev has not already applied: transactions in prev.TxDone and auto-commit
-// entries covered by prev.Last/prev.AutoDone are skipped. It returns the
-// accumulated bookkeeping for the next pass and the transactions that
-// remain unresolved — write entries in the window with no commit or
-// rollback logged yet. A caller re-integrating a backend must not enable it
-// while an unresolved transaction is still active cluster-wide, nor while
-// next.Deferred is non-zero: entries held back behind an unresolved
-// transaction apply only in a later pass. On error the backend must stay
-// disabled (see ReplayParallel).
-//
-// A non-nil hosted filter restricts the pass to the backend's hosted tables
-// (RAIDb-2 partial replication): entries whose footprint the filter rejects
-// are invisible — not applied, not counted unresolved, and without a stake
-// in the pass's ordering decisions — exactly as they were never dispatched
-// to the backend live.
-func ReplayPassHosted(l Log, seq uint64, prev *Pass, b *backend.Backend, workers int, hosted HostFilter) (next *Pass, unresolved []uint64, applied int, err error) {
-	if prev == nil {
-		prev = &Pass{}
-	}
-	applied, next, unresolved, err = replayPass(l, seq, prev, b, workers, hosted)
-	return next, unresolved, applied, err
-}
-
 // ReplayParallel applies the committed writes recorded after seq to a
 // backend on up to workers concurrent appliers. The paper replays the write
 // log sequentially when a backend re-integrates (§3.2) and flags the
@@ -106,7 +48,8 @@ func ReplayPassHosted(l Log, seq uint64, prev *Pass, b *backend.Backend, workers
 // those entries in. Entries of the same transaction are chained through a
 // synthetic per-transaction key; globally sequenced entries (DDL, unknown
 // footprints) and entries without a footprint (V = 0) are barriers that
-// serialize against everything.
+// serialize against everything. It is one pass over the whole log in which
+// every transaction without a logged demarcation counts as abandoned.
 //
 // workers <= 0 defaults to GOMAXPROCS; workers == 1 is the paper's
 // sequential replay — one applier — and the reference the parallel path is
@@ -116,107 +59,41 @@ func ReplayPassHosted(l Log, seq uint64, prev *Pass, b *backend.Backend, workers
 // order; entries of classes disjoint from the failure may or may not have
 // applied, which is why the caller must keep the backend disabled on error.
 func ReplayParallel(l Log, seq uint64, b *backend.Backend, workers int) (applied int, err error) {
-	applied, _, _, err = replayPass(l, seq, &Pass{}, b, workers, nil)
+	_, _, applied, err = ReplayPassHosted(l, seq, b, workers, nil, func(uint64) bool { return true })
 	return applied, err
 }
 
-// decideDeferrals computes a pass's holdback set. A write of a transaction
-// that is still unresolved (no demarcation in the log, not marked dead)
-// cannot be applied this pass, yet later entries of the same conflict class
-// may already be replayable — applying those now would invert the per-class
-// Seq order once the transaction commits and a later pass applies its
-// writes. So every replayable unit whose keys reach a held-back entry is
-// deferred too: auto-commit entries individually, transactions as whole
-// groups (a transaction applies all-or-nothing, so one conflicting write
-// defers its writes on every table — the per-tx key chains them even when
-// their tables are disjoint). Deferred units poison their own keys in turn.
-// Decisions iterate to a fixpoint because a group deferral discovered at
-// its later entry retroactively holds back the group's earlier entries and
-// anything conflicting after them; the deferral set only grows, so the loop
-// terminates.
-func decideDeferrals(entries []Entry, hostedAt []bool, outcome map[uint64]EntryClass, prev *Pass) (deferTx, deferAuto map[uint64]bool) {
-	deferTx = make(map[uint64]bool)
-	deferAuto = make(map[uint64]bool)
-	for {
-		changed := false
-		held := make(map[string]bool)
-		heldBarrier := false
-		poison := func(keys []string, barrier bool) {
-			if barrier {
-				heldBarrier = true
-			}
-			for _, k := range keys {
-				held[k] = true
-			}
-		}
-		conflicts := func(keys []string, barrier bool) bool {
-			if heldBarrier {
-				return true
-			}
-			if barrier {
-				return len(held) > 0
-			}
-			for _, k := range keys {
-				if held[k] {
-					return true
-				}
-			}
-			return false
-		}
-		for i := range entries {
-			e := &entries[i]
-			if e.Class != ClassWrite || !hostedAt[i] {
-				continue
-			}
-			keys, barrier := replayKeys(e)
-			if e.TxID != 0 {
-				oc, ended := outcome[e.TxID]
-				switch {
-				case !ended && prev.TxDead[e.TxID]:
-					continue // abandoned: replays as rolled back, holds nothing
-				case !ended:
-					poison(keys, barrier) // unresolved: not applicable this pass
-					continue
-				case oc == ClassRollback, prev.TxDone[e.TxID]:
-					continue // never applies / already applied: no ordering stake
-				}
-				if deferTx[e.TxID] {
-					poison(keys, barrier)
-					continue
-				}
-				if conflicts(keys, barrier) {
-					deferTx[e.TxID] = true
-					changed = true
-					poison(keys, barrier)
-				}
-				continue
-			}
-			if e.Seq <= prev.Last || prev.AutoDone[e.Seq] {
-				continue
-			}
-			if deferAuto[e.Seq] {
-				poison(keys, barrier)
-				continue
-			}
-			if conflicts(keys, barrier) {
-				deferAuto[e.Seq] = true
-				changed = true
-				poison(keys, barrier)
-			}
-		}
-		if !changed {
-			return deferTx, deferAuto
-		}
-	}
-}
-
-func replayPass(l Log, seq uint64, prev *Pass, b *backend.Backend, workers int, hosted HostFilter) (applied int, next *Pass, unresolved []uint64, err error) {
+// ReplayPassHosted applies to b the committed writes in the log window
+// (from, cut] and returns cut, the last Seq up to which no transaction with a
+// hosted write is still open: the first hosted write of a transaction whose
+// demarcation is not logged yet ends the pass. Everything at or below cut is
+// settled — committed writes applied, rolled-back ones skipped — so the next
+// pass starts from cut, and a copy's progress through the log is that one
+// Seq. A transaction whose writes fall below cut and whose commit lands
+// after it was applied whole by this pass: the commit is in the window it
+// read, and a commit always follows its writes.
+//
+// abandoned names the transactions the caller has proven can never
+// demarcate; they replay as rolled back and do not end the pass. nil means
+// none is. unresolved lists the transactions that are neither demarcated nor
+// abandoned, in the order of their first hosted write; it is empty exactly
+// when cut is the last Seq of the window. A caller re-integrating a backend
+// must not enable it while unresolved is non-empty. Each pass applies a
+// prefix of the log, so Seq order within every conflict class holds across
+// passes as well as within one. On error the backend must stay disabled (see
+// ReplayParallel).
+//
+// A non-nil hosted filter restricts the pass to the backend's hosted tables
+// (RAIDb-2 partial replication): entries whose footprint the filter rejects
+// are invisible — not applied, not counted unresolved, and never ending the
+// pass — exactly as they were never dispatched to the backend live.
+func ReplayPassHosted(l Log, from uint64, b *backend.Backend, workers int, hosted HostFilter, abandoned func(tx uint64) bool) (cut uint64, unresolved []uint64, applied int, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	entries, err := l.Since(seq)
+	entries, err := l.Since(from)
 	if err != nil {
-		return 0, nil, nil, err
+		return from, nil, 0, err
 	}
 	// A transaction's writes replay only when the log records its COMMIT
 	// (§3.2: aborted or unfinished transactions are skipped).
@@ -228,82 +105,33 @@ func replayPass(l Log, seq uint64, prev *Pass, b *backend.Backend, workers int, 
 			}
 		}
 	}
-	// Hosted view: under partial replication the backend's replay stream is
-	// the subsequence of entries whose footprint it hosts.
-	hostedAt := make([]bool, len(entries))
-	for i := range entries {
-		hostedAt[i] = entryHosted(&entries[i], hosted)
-	}
-
-	// Bookkeeping for the next pass: the frontier and the transactions this
-	// pass settles, plus whatever earlier passes settled. Hosted writes
-	// without a demarcation yet stay unresolved (unless the caller marked
-	// them dead); their transactions replay whole in a later pass, or never.
-	last := prev.Last
-	seenUnresolved := make(map[uint64]bool)
+	// entries[:n] is the settled prefix: it ends before the first hosted
+	// write of an open transaction.
+	n := len(entries)
+	open := make(map[uint64]bool)
 	for i := range entries {
 		e := &entries[i]
-		if e.Seq > last {
-			last = e.Seq
+		if e.Class != ClassWrite || e.TxID == 0 || !entryHosted(e, hosted) {
+			continue
 		}
-		if e.Class == ClassWrite && e.TxID != 0 && hostedAt[i] {
-			if _, ended := outcome[e.TxID]; !ended && !prev.TxDead[e.TxID] && !seenUnresolved[e.TxID] {
-				seenUnresolved[e.TxID] = true
+		if _, ended := outcome[e.TxID]; ended {
+			continue
+		}
+		isOpen, seen := open[e.TxID]
+		if !seen {
+			isOpen = abandoned == nil || !abandoned(e.TxID)
+			open[e.TxID] = isOpen
+			if isOpen {
 				unresolved = append(unresolved, e.TxID)
 			}
 		}
-	}
-
-	deferTx, deferAuto := decideDeferrals(entries, hostedAt, outcome, prev)
-	// A held-back auto-commit entry caps the frontier just below itself so
-	// the next pass revisits it; autos applied above the cap go to AutoDone.
-	for s := range deferAuto {
-		if s <= last {
-			last = s - 1
+		if isOpen && n == len(entries) {
+			n = i
 		}
 	}
-
-	replayable := func(i int, e *Entry) bool {
-		if e.Class != ClassWrite || !hostedAt[i] {
-			return false
-		}
-		if e.TxID == 0 {
-			return e.Seq > prev.Last && !prev.AutoDone[e.Seq] && !deferAuto[e.Seq]
-		}
-		return outcome[e.TxID] == ClassCommit && !prev.TxDone[e.TxID] && !deferTx[e.TxID]
-	}
-
-	var autoApplied []uint64
-	buildNext := func() *Pass {
-		done := make(map[uint64]bool, len(prev.TxDone)+len(outcome))
-		for tx := range prev.TxDone {
-			done[tx] = true
-		}
-		for tx, oc := range outcome {
-			if oc == ClassCommit && !deferTx[tx] {
-				done[tx] = true
-			}
-		}
-		autoDone := make(map[uint64]bool)
-		for s := range prev.AutoDone {
-			if s > last {
-				autoDone[s] = true
-			}
-		}
-		for _, s := range autoApplied {
-			if s > last {
-				autoDone[s] = true
-			}
-		}
-		var dead map[uint64]bool
-		if len(prev.TxDead) > 0 {
-			dead = make(map[uint64]bool, len(prev.TxDead))
-			for tx := range prev.TxDead {
-				dead[tx] = true
-			}
-		}
-		return &Pass{Last: last, TxDone: done, AutoDone: autoDone, TxDead: dead,
-			Deferred: len(deferTx) + len(deferAuto)}
+	cut = from
+	if n > 0 {
+		cut = entries[n-1].Seq
 	}
 
 	var (
@@ -330,16 +158,16 @@ func replayPass(l Log, seq uint64, prev *Pass, b *backend.Backend, workers int, 
 	// entry becomes ready first (ready-task handoff — no goroutine per
 	// entry), and an applier only waits on strictly earlier entries, so the
 	// dependency graph is acyclic and replay cannot deadlock.
-	for i := range entries {
+	for i := range entries[:n] {
 		e := &entries[i]
-		if !replayable(i, e) {
+		if e.Class != ClassWrite || !entryHosted(e, hosted) {
 			continue
+		}
+		if e.TxID != 0 && outcome[e.TxID] != ClassCommit {
+			continue // rolled back or abandoned
 		}
 		if failed.Load() {
 			break
-		}
-		if e.TxID == 0 {
-			autoApplied = append(autoApplied, e.Seq)
 		}
 		keys, barrier := replayKeys(e)
 		pool.Submit(keys, barrier, func() {
@@ -358,9 +186,9 @@ func replayPass(l Log, seq uint64, prev *Pass, b *backend.Backend, workers int, 
 	err = failErr
 	errMu.Unlock()
 	if err != nil {
-		return int(done.Load()), nil, unresolved, err
+		return from, unresolved, int(done.Load()), err
 	}
-	return int(done.Load()), buildNext(), unresolved, nil
+	return cut, unresolved, int(done.Load()), nil
 }
 
 // replayKeys converts an entry's conflict footprint into tracker keys:

@@ -321,31 +321,28 @@ func BenchmarkParallelReplay(b *testing.B) {
 	}
 }
 
-// TestReplayPassSpanningTransaction is the pass-bookkeeping proof: a
-// transaction whose writes fall inside the bulk pass's window but whose
-// commit is only logged afterwards must be applied whole by the later pass
-// — and nothing the earlier pass applied may be applied twice. The
-// auto-commit insert on the same table sits after the unresolved write in
-// its conflict class, so the bulk pass holds it back (Deferred) and the
-// catch-up pass applies both in Seq order.
+// TestReplayPassSpanningTransaction: a transaction whose writes are logged
+// before a pass but whose commit only lands after it ends that pass at its
+// first write, and the next pass — starting from the cut — applies it whole.
+// Nothing the earlier pass applied is applied twice, and a pass over an
+// unchanged log applies nothing and keeps the cut.
 func TestReplayPassSpanningTransaction(t *testing.T) {
 	l := NewMemoryLog()
 	b := mkBackend(t, "span", "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
 
+	l.Append(Entry{Class: ClassWrite, SQL: "INSERT INTO t (id, v) VALUES (0, 0)",
+		Tables: []string{"t"}, V: FootprintVersion})
 	l.Append(Entry{Class: ClassWrite, TxID: 9, SQL: "INSERT INTO t (id, v) VALUES (1, 1)",
 		Tables: []string{"t"}, V: FootprintVersion})
 	l.Append(Entry{Class: ClassWrite, SQL: "INSERT INTO t (id, v) VALUES (2, 2)",
 		Tables: []string{"t"}, V: FootprintVersion})
 
-	pass, unresolved, applied, err := ReplayPassHosted(l, 0, nil, b, 1, nil)
+	cut, unresolved, applied, err := ReplayPassHosted(l, 0, b, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 0 {
-		t.Fatalf("bulk pass applied %d, want 0 (auto-commit conflicts with unresolved tx 9)", applied)
-	}
-	if pass.Deferred != 1 {
-		t.Fatalf("bulk pass Deferred = %d, want 1", pass.Deferred)
+	if cut != 1 || applied != 1 {
+		t.Fatalf("bulk pass cut=%d applied=%d, want 1 1 (stop at tx 9's write)", cut, applied)
 	}
 	if len(unresolved) != 1 || unresolved[0] != 9 {
 		t.Fatalf("unresolved = %v, want [9]", unresolved)
@@ -355,32 +352,24 @@ func TestReplayPassSpanningTransaction(t *testing.T) {
 	l.Append(Entry{Class: ClassWrite, SQL: "INSERT INTO t (id, v) VALUES (3, 3)",
 		Tables: []string{"t"}, V: FootprintVersion})
 
-	pass, unresolved, applied, err = ReplayPassHosted(l, 0, pass, b, 1, nil)
+	cut, unresolved, applied, err = ReplayPassHosted(l, cut, b, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tx 9's write, the held-back id=2 insert, and the new auto-commit.
-	if applied != 3 {
-		t.Fatalf("catch-up pass applied %d, want 3", applied)
-	}
-	if len(unresolved) != 0 {
-		t.Fatalf("unresolved after commit = %v, want none", unresolved)
-	}
-	if pass.Deferred != 0 {
-		t.Fatalf("catch-up pass Deferred = %d, want 0", pass.Deferred)
+	// Tx 9's write, the id=2 insert behind it, and the new auto-commit.
+	if cut != 5 || applied != 3 || len(unresolved) != 0 {
+		t.Fatalf("catch-up pass cut=%d applied=%d unresolved=%v, want 5 3 []", cut, applied, unresolved)
 	}
 
-	// A third pass over an unchanged log is a no-op.
-	if _, _, applied, err = ReplayPassHosted(l, 0, pass, b, 1, nil); err != nil || applied != 0 {
-		t.Fatalf("idle pass applied %d err %v, want 0 nil", applied, err)
+	if again, _, applied, err := ReplayPassHosted(l, cut, b, 1, nil, nil); err != nil || applied != 0 || again != cut {
+		t.Fatalf("idle pass cut=%d applied=%d err=%v, want %d 0 nil", again, applied, err, cut)
 	}
-
 	res, err := b.DirectExec(nil, "SELECT COUNT(*) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].I; got != 3 {
-		t.Fatalf("rows = %d, want 3", got)
+	if got := res.Rows[0][0].I; got != 4 {
+		t.Fatalf("rows = %d, want 4", got)
 	}
 }
 
@@ -393,14 +382,14 @@ func TestReplayPassRolledBackStaysOut(t *testing.T) {
 
 	l.Append(Entry{Class: ClassWrite, TxID: 4, SQL: "INSERT INTO t (id, v) VALUES (1, 1)",
 		Tables: []string{"t"}, V: FootprintVersion})
-	pass, unresolved, _, err := ReplayPassHosted(l, 0, nil, b, 1, nil)
-	if err != nil || len(unresolved) != 1 {
-		t.Fatalf("unresolved = %v err %v, want [4] nil", unresolved, err)
+	cut, unresolved, _, err := ReplayPassHosted(l, 0, b, 1, nil, nil)
+	if err != nil || cut != 0 || len(unresolved) != 1 {
+		t.Fatalf("cut=%d unresolved=%v err=%v, want 0 [4] nil", cut, unresolved, err)
 	}
 	l.Append(Entry{Class: ClassRollback, TxID: 4, Tables: []string{"t"}, V: FootprintVersion})
-	_, unresolved, applied, err := ReplayPassHosted(l, 0, pass, b, 1, nil)
-	if err != nil || applied != 0 || len(unresolved) != 0 {
-		t.Fatalf("after rollback: applied=%d unresolved=%v err=%v, want 0 [] nil", applied, unresolved, err)
+	cut, unresolved, applied, err := ReplayPassHosted(l, cut, b, 1, nil, nil)
+	if err != nil || cut != 2 || applied != 0 || len(unresolved) != 0 {
+		t.Fatalf("after rollback: cut=%d applied=%d unresolved=%v err=%v, want 2 0 [] nil", cut, applied, unresolved, err)
 	}
 	res, err := b.DirectExec(nil, "SELECT COUNT(*) FROM t")
 	if err != nil || res.Rows[0][0].I != 0 {
@@ -412,7 +401,7 @@ func TestReplayPassRolledBackStaysOut(t *testing.T) {
 // while writers keep appending auto-commit entries of disjoint conflict
 // classes (what re-integration, hosted recovery and AddTableHost do before
 // their final quiesced pass), for several backends at once. Each pass moves
-// its frontier to the highest Seq it saw, so a Since result with a hole
+// its cut to the highest Seq it saw, so a Since result with a hole
 // would skip the missing entry for good; here every backend must end up
 // with every entry applied exactly once. The schedule is left to the
 // runtime, so the scenario repeats: one round caught the striped log's hole
@@ -457,7 +446,7 @@ func racingCatchUpRound(t *testing.T, round int) {
 		catchingUp.Add(1)
 		go func() {
 			defer catchingUp.Done()
-			var pass *Pass
+			var cut uint64
 			total := 0
 			for quiesced := false; !quiesced; {
 				select {
@@ -465,12 +454,12 @@ func racingCatchUpRound(t *testing.T, round int) {
 					quiesced = true // this pass is the final one: nothing races it
 				default:
 				}
-				next, _, applied, err := ReplayPassHosted(l, 0, pass, b, 1, nil)
+				next, _, applied, err := ReplayPassHosted(l, cut, b, 1, nil, nil)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				pass, total = next, total+applied
+				cut, total = next, total+applied
 			}
 			if total != writers*perWriter {
 				t.Errorf("%s: passes applied %d entries, want %d", b.Name(), total, writers*perWriter)

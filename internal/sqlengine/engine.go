@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
 )
 
@@ -226,8 +227,9 @@ func (e *Engine) SnapshotTable(name string) (*Schema, [][]sqlval.Value, error) {
 	return &cp, rows, nil
 }
 
-// Indexes returns the explicitly created index names of a table, sorted.
-func (e *Engine) Indexes(name string) ([]string, error) {
+// Indexes returns the explicitly created indexes of a table, sorted by name,
+// as the statements that create them.
+func (e *Engine) Indexes(name string) ([]*sqlparser.CreateIndex, error) {
 	sh := e.rshard()
 	e.mu.RLock(sh)
 	defer e.mu.RUnlock(sh)
@@ -235,13 +237,18 @@ func (e *Engine) Indexes(name string) ([]string, error) {
 	if !ok {
 		return nil, &TableNotFoundError{Table: name}
 	}
-	var out []string
-	for n := range t.indexes {
-		if n != "__pk" {
-			out = append(out, n)
+	var out []*sqlparser.CreateIndex
+	for n, ix := range t.indexes {
+		if n == "__pk" {
+			continue
 		}
+		ci := &sqlparser.CreateIndex{Name: n, Table: t.schema.Name, Unique: ix.unique}
+		for _, c := range ix.columns {
+			ci.Columns = append(ci.Columns, t.schema.Columns[c].Name)
+		}
+		out = append(out, ci)
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 

@@ -399,7 +399,7 @@ func TestIndexUseAndCorrectness(t *testing.T) {
 		t.Fatalf("after delete: %v", r.Rows[0][0])
 	}
 	ix, err := e.Indexes("big")
-	if err != nil || len(ix) != 1 || ix[0] != "idx_grp" {
+	if err != nil || len(ix) != 1 || ix[0].Name != "idx_grp" {
 		t.Errorf("Indexes = %v, %v", ix, err)
 	}
 	mustExec(t, s, "DROP INDEX idx_grp ON big")

@@ -183,7 +183,9 @@ func (v Value) SQLLiteral() string {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case KindTime:
-		return "'" + v.T.UTC().Format("2006-01-02 15:04:05") + "'"
+		// Backends execute bound values at full precision, so the rendered
+		// literal — what the recovery log stores — must keep the fraction.
+		return "'" + v.T.UTC().Format("2006-01-02 15:04:05.999999999") + "'"
 	case KindBytes:
 		return "'" + strings.ReplaceAll(string(v.B), "'", "''") + "'"
 	default:

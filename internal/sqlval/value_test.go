@@ -256,6 +256,12 @@ func TestSQLLiteralForms(t *testing.T) {
 	if got := Time(tm).SQLLiteral(); got != "'2004-06-27 10:00:00'" {
 		t.Errorf("time literal = %q", got)
 	}
+	// The recovery log stores rendered SQL: a fraction of a second must
+	// survive it.
+	tm = time.Date(2024, 1, 2, 3, 4, 5, 123456789, time.UTC)
+	if got := Time(tm).SQLLiteral(); got != "'2024-01-02 03:04:05.123456789'" {
+		t.Errorf("sub-second time literal = %q", got)
+	}
 }
 
 func TestAsBool(t *testing.T) {

@@ -33,6 +33,7 @@ import (
 	"cjdbc/internal/controller"
 	"cjdbc/internal/recovery"
 	"cjdbc/internal/sqlengine"
+	"cjdbc/internal/sqlparser"
 )
 
 // Event is one scripted fault action, fired when the cluster-wide count of
@@ -200,8 +201,15 @@ func Run(cfg Config) (*Report, error) {
 			if len(cfg.Placement) > 0 {
 				hosted = append(hosted, fmt.Sprintf("c%d", ti))
 			}
-			if _, err := s.ExecSQL(fmt.Sprintf("CREATE TABLE c%d (id INTEGER PRIMARY KEY, v INTEGER)", ti)); err != nil {
-				return nil, fmt.Errorf("chaos: seed: %w", err)
+			// The secondary index is part of what a re-integrated replica
+			// must get back; the identity oracle compares index sets.
+			for _, ddl := range []string{
+				fmt.Sprintf("CREATE TABLE c%d (id INTEGER PRIMARY KEY, v INTEGER)", ti),
+				fmt.Sprintf("CREATE INDEX c%d_v ON c%d (v)", ti, ti),
+			} {
+				if _, err := s.ExecSQL(ddl); err != nil {
+					return nil, fmt.Errorf("chaos: seed: %w", err)
+				}
 			}
 			for r := 0; r < cfg.SeedRows; r++ {
 				if _, err := s.ExecSQL(fmt.Sprintf("INSERT INTO c%d (id, v) VALUES (%d, 0)", ti, r)); err != nil {
@@ -471,12 +479,21 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// sortedDump renders a table's contents in canonical order for
-// byte-identical comparison across engines.
+// sortedDump renders a table's secondary indexes and its contents in
+// canonical order for byte-identical comparison across engines.
 func sortedDump(e *sqlengine.Engine, table string) (string, error) {
 	_, rows, err := e.SnapshotTable(table)
 	if err != nil {
 		return "", fmt.Errorf("chaos: snapshot %s on %s: %w", table, e.Name(), err)
+	}
+	indexes, err := e.Indexes(table)
+	if err != nil {
+		return "", fmt.Errorf("chaos: indexes of %s on %s: %w", table, e.Name(), err)
+	}
+	var ddl strings.Builder
+	for _, ix := range indexes {
+		ddl.WriteString(sqlparser.Render(ix))
+		ddl.WriteByte('\n')
 	}
 	lines := make([]string, 0, len(rows))
 	for _, r := range rows {
@@ -488,5 +505,5 @@ func sortedDump(e *sqlengine.Engine, table string) (string, error) {
 		lines = append(lines, b.String())
 	}
 	sort.Strings(lines)
-	return strings.Join(lines, "\n"), nil
+	return ddl.String() + strings.Join(lines, "\n"), nil
 }
