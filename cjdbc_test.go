@@ -116,6 +116,50 @@ func TestScanDestinations(t *testing.T) {
 	}
 }
 
+// A BLOB is copied on the way in and on the way out: neither the caller's
+// argument nor a returned []byte shares memory with the stored row, so the
+// rows stay what the recovery log rendered when the write was logged.
+func TestBlobArgumentIsNotAliased(t *testing.T) {
+	_, vdb := newTestCluster(t, 2, VirtualDatabaseConfig{RecoveryLogPath: "memory"})
+	sess, _ := vdb.OpenSession("u", "")
+	defer sess.Close()
+	read := func() string {
+		t.Helper()
+		rows, err := sess.Query("SELECT b FROM t WHERE id = 1")
+		if err != nil || !rows.Next() {
+			t.Fatalf("select: %v", err)
+		}
+		var got []byte
+		if err := rows.Scan(&got); err != nil {
+			t.Fatal(err)
+		}
+		return string(got)
+	}
+	if _, err := sess.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, b BLOB)"); err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("aaaa")
+	if _, err := sess.Exec("INSERT INTO t (id, b) VALUES (?, ?)", 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "ZZZZ")
+	if got := read(); got != "aaaa" {
+		t.Fatalf("after writing to the argument the row reads %q", got)
+	}
+
+	rows, err := sess.Query("SELECT b FROM t WHERE id = 1")
+	if err != nil || !rows.Next() {
+		t.Fatalf("select: %v", err)
+	}
+	rows.Value(0).([]byte)[0] = 'Q'
+	var scanned []byte
+	rows.Scan(&scanned)
+	scanned[1] = 'Q'
+	if got := read(); got != "aaaa" {
+		t.Fatalf("after writing to a returned []byte the row reads %q", got)
+	}
+}
+
 func TestNetworkDriverAndFailover(t *testing.T) {
 	// Two controllers sharing the same two engine backends (the budget-HA
 	// pattern of §5.1).

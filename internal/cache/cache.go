@@ -21,10 +21,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"cjdbc/internal/backend"
 	"cjdbc/internal/shardutil"
 	"cjdbc/internal/sqlparser"
+	"cjdbc/internal/sqlval"
 )
 
 // Granularity selects how precisely updates invalidate cached entries.
@@ -88,9 +90,9 @@ func ApproxBytes(res *backend.Result) int {
 		n += 16 + len(c)
 	}
 	for _, row := range res.Rows {
-		n += 24 + 40*len(row) // slice header + Value struct per cell
+		n += 24 + int(unsafe.Sizeof(sqlval.Value{}))*len(row) // slice header + cells
 		for i := range row {
-			n += len(row[i].S) + len(row[i].B)
+			n += len(row[i].S)
 		}
 	}
 	return n

@@ -28,7 +28,7 @@ func TestRestoreBackendKeepsTimestampPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rows, err := engines[0].SnapshotTable("ts")
-	if err != nil || len(rows) != 2 || !rows[1][1].T.Equal(stamp) {
+	if err != nil || len(rows) != 2 || !rows[1][1].Time().Equal(stamp) {
 		t.Fatalf("live replica holds %v (err %v), want the bound time %v in row 2", rows, err, stamp)
 	}
 

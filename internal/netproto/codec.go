@@ -147,8 +147,8 @@ func appendValue(b []byte, v *sqlval.Value) ([]byte, error) {
 	case sqlval.KindInt:
 		b = binary.AppendVarint(b, v.I)
 	case sqlval.KindFloat:
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.F))
-	case sqlval.KindString:
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float64()))
+	case sqlval.KindString, sqlval.KindBytes:
 		b = appendString(b, v.S)
 	case sqlval.KindBool:
 		if v.I != 0 {
@@ -157,12 +157,11 @@ func appendValue(b []byte, v *sqlval.Value) ([]byte, error) {
 			b = append(b, 0)
 		}
 	case sqlval.KindTime:
-		_, offset := v.T.Zone()
-		b = binary.AppendVarint(b, v.T.Unix())
-		b = binary.AppendUvarint(b, uint64(v.T.Nanosecond()))
+		t := v.Time()
+		_, offset := t.Zone()
+		b = binary.AppendVarint(b, t.Unix())
+		b = binary.AppendUvarint(b, uint64(t.Nanosecond()))
 		b = binary.AppendVarint(b, int64(offset))
-	case sqlval.KindBytes:
-		b = append(binary.AppendUvarint(b, uint64(len(v.B))), v.B...)
 	default:
 		return b, fmt.Errorf("netproto: cannot encode a value of kind %d", v.K)
 	}
@@ -301,8 +300,8 @@ func (d *decoder) string() string {
 	return s
 }
 
-// value decodes into *v, which must be the zero Value: only the kind and its
-// one payload field are stored, not a whole Value copied over a slab slot.
+// value decodes into *v, which must be the zero Value. A string or BLOB
+// payload is a substring of the body, as a column name is.
 func (d *decoder) value(v *sqlval.Value) {
 	k := sqlval.Kind(d.byte())
 	switch k {
@@ -310,8 +309,8 @@ func (d *decoder) value(v *sqlval.Value) {
 	case sqlval.KindInt:
 		v.I = d.varint()
 	case sqlval.KindFloat:
-		v.F = math.Float64frombits(d.uint64())
-	case sqlval.KindString:
+		*v = sqlval.Float(math.Float64frombits(d.uint64()))
+	case sqlval.KindString, sqlval.KindBytes:
 		v.S = d.string()
 	case sqlval.KindBool:
 		if v.I = int64(d.byte()); v.I > 1 {
@@ -323,12 +322,11 @@ func (d *decoder) value(v *sqlval.Value) {
 			d.fail("time with nanosecond %d, zone offset %d", nsec, offset)
 			return
 		}
-		v.T = time.Unix(sec, int64(nsec)).UTC()
+		t := time.Unix(sec, int64(nsec)).UTC()
 		if offset != 0 {
-			v.T = v.T.In(time.FixedZone("", int(offset)))
+			t = t.In(time.FixedZone("", int(offset)))
 		}
-	case sqlval.KindBytes:
-		v.B = []byte(d.string())
+		*v = sqlval.Time(t)
 	default:
 		d.fail("unknown value kind %d", k)
 		return

@@ -26,13 +26,13 @@ func sameValue(a, b sqlval.Value) bool {
 	}
 	switch a.K {
 	case sqlval.KindFloat:
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
+		return math.Float64bits(a.Float64()) == math.Float64bits(b.Float64())
 	case sqlval.KindTime:
-		_, ao := a.T.Zone()
-		_, bo := b.T.Zone()
-		return a.T.Equal(b.T) && ao == bo && a.T.IsZero() == b.T.IsZero()
+		_, ao := a.Time().Zone()
+		_, bo := b.Time().Zone()
+		return a.Time().Equal(b.Time()) && ao == bo && a.Time().IsZero() == b.Time().IsZero()
 	case sqlval.KindBytes:
-		return bytes.Equal(a.B, b.B)
+		return bytes.Equal(a.Bytes(), b.Bytes())
 	}
 	return a.I == b.I && a.S == b.S
 }

@@ -78,8 +78,8 @@ func TestAllValueKindsSurviveTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := res.Rows[0]
-	if row[0].I != 1 || row[1].F != 2.5 || row[2].S != "x'y" || !row[3].AsBool() ||
-		row[4].T.Year() != 2004 || string(row[5].B) != "bin" {
+	if row[0].I != 1 || row[1].Float64() != 2.5 || row[2].S != "x'y" || !row[3].AsBool() ||
+		row[4].Time().Year() != 2004 || string(row[5].Bytes()) != "bin" {
 		t.Fatalf("row: %v", row)
 	}
 }

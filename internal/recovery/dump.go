@@ -50,9 +50,9 @@ func dumpValue(v sqlval.Value) ValueDump {
 	case sqlval.KindBool:
 		return ValueDump{K: "b", V: v.AsString()}
 	case sqlval.KindTime:
-		return ValueDump{K: "t", V: v.T.UTC().Format(time.RFC3339Nano)}
+		return ValueDump{K: "t", V: v.Time().UTC().Format(time.RFC3339Nano)}
 	case sqlval.KindBytes:
-		return ValueDump{K: "x", V: string(v.B)}
+		return ValueDump{K: "x", V: v.S}
 	default:
 		return ValueDump{K: "s", V: v.S}
 	}

@@ -78,7 +78,7 @@ func TestRestoreKeepsTimestampPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := dst.DirectExec(nil, "SELECT at FROM ts")
-	if err != nil || len(res.Rows) != 1 || !res.Rows[0][0].T.Equal(stamp) {
+	if err != nil || len(res.Rows) != 1 || !res.Rows[0][0].Time().Equal(stamp) {
 		t.Fatalf("restored timestamp = %v (err %v), want %v", res, err, stamp)
 	}
 }

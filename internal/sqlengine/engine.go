@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -221,7 +222,7 @@ func (e *Engine) SnapshotTable(name string) (*Schema, [][]sqlval.Value, error) {
 	rv := readView{ep: e.clock.published.Load()}
 	var rows [][]sqlval.Value
 	t.scanSnap(rv, func(row []sqlval.Value) bool {
-		rows = append(rows, sqlval.CloneRow(row))
+		rows = append(rows, slices.Clone(row))
 		return true
 	})
 	return &cp, rows, nil

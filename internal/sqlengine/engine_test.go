@@ -551,7 +551,7 @@ func TestTypeCoercionOnInsert(t *testing.T) {
 	if row[0].K != sqlval.KindInt || row[0].I != 42 {
 		t.Errorf("i = %v", row[0])
 	}
-	if row[1].K != sqlval.KindFloat || row[1].F != 2.5 {
+	if row[1].K != sqlval.KindFloat || row[1].Float64() != 2.5 {
 		t.Errorf("f = %v", row[1])
 	}
 	if row[2].K != sqlval.KindString || row[2].S != "99" {
@@ -560,11 +560,46 @@ func TestTypeCoercionOnInsert(t *testing.T) {
 	if row[3].K != sqlval.KindBool || !row[3].AsBool() {
 		t.Errorf("b = %v", row[3])
 	}
-	if row[4].K != sqlval.KindTime || row[4].T.Year() != 2004 {
+	if row[4].K != sqlval.KindTime || row[4].Time().Year() != 2004 {
 		t.Errorf("ts = %v", row[4])
 	}
 	if _, err := s.ExecSQL("INSERT INTO c (i) VALUES ('not a number')"); err == nil {
 		t.Error("bad coercion accepted")
+	}
+}
+
+// The two timestamps are 2^64 ns apart, so their UnixNano values are equal.
+func TestTimestampKeysOutsideUnixNanoRange(t *testing.T) {
+	_, s := testDB(t)
+	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, ts TIMESTAMP)")
+	mustExec(t, s, "INSERT INTO t (id, ts) VALUES (1, '0001-01-01 00:00:00'), (2, '0585-07-21 23:34:33.709551616')")
+	if r := mustExec(t, s, "SELECT ts, COUNT(*) FROM t GROUP BY ts"); len(r.Rows) != 2 {
+		t.Errorf("GROUP BY ts: %v", r.Rows)
+	}
+	if _, err := s.ExecSQL("CREATE UNIQUE INDEX ux ON t (ts)"); err != nil {
+		t.Fatalf("unique index over two distinct timestamps: %v", err)
+	}
+	r := mustExec(t, s, "SELECT id FROM t WHERE ts = '0585-07-21 23:34:33.709551616'")
+	if len(r.Rows) != 1 || r.Rows[0][0].I != 2 {
+		t.Fatalf("indexed lookup: %v", r.Rows)
+	}
+}
+
+// A timestamp read as text keeps its fraction of a second, in comparisons
+// with string literals and when coerced into a VARCHAR column.
+func TestTimestampAsTextKeepsFraction(t *testing.T) {
+	_, s := testDB(t)
+	mustExec(t, s, "CREATE TABLE t (ts TIMESTAMP, s VARCHAR)")
+	mustExec(t, s, "INSERT INTO t (ts) VALUES ('2004-06-27 10:00:00.5')")
+	if r := mustExec(t, s, "SELECT ts FROM t WHERE ts = '2004-06-27 10:00:00'"); len(r.Rows) != 0 {
+		t.Errorf("whole-second literal matched: %v", r.Rows)
+	}
+	if r := mustExec(t, s, "SELECT ts FROM t WHERE ts = '2004-06-27 10:00:00.5'"); len(r.Rows) != 1 {
+		t.Errorf("exact literal matched %d rows", len(r.Rows))
+	}
+	mustExec(t, s, "UPDATE t SET s = ts")
+	if r := mustExec(t, s, "SELECT s FROM t"); r.Rows[0][0].S != "2004-06-27 10:00:00.5" {
+		t.Errorf("VARCHAR copy = %v", r.Rows[0][0])
 	}
 }
 

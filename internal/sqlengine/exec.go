@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"slices"
 	"strings"
 	"time"
 
@@ -498,7 +499,7 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 		// the new image is built on a fresh slice and pushed as a new version.
 		// No old-image clone is needed for undo — the previous version stays
 		// on the chain and undo simply pops ours.
-		newRow := sqlval.CloneRow(row)
+		newRow := slices.Clone(row)
 		for i, a := range up.Set {
 			v, err := ev.eval(a.Value)
 			if err != nil {

@@ -821,6 +821,13 @@ func (p *parser) parseMul() (*Expr, error) {
 
 func (p *parser) parseUnary() (*Expr, error) {
 	if p.accept(tokOp, "-") {
+		// -9223372036854775808 is an int64 only with its sign.
+		if t := p.cur(); t.kind == tokNumber && !strings.ContainsAny(t.text, ".eE") {
+			if i, err := strconv.ParseInt("-"+t.text, 10, 64); err == nil {
+				p.pos++
+				return &Expr{Kind: ExprLiteral, Lit: sqlval.Int(i)}, nil
+			}
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -831,7 +838,7 @@ func (p *parser) parseUnary() (*Expr, error) {
 			case sqlval.KindInt:
 				return &Expr{Kind: ExprLiteral, Lit: sqlval.Int(-e.Lit.I)}, nil
 			case sqlval.KindFloat:
-				return &Expr{Kind: ExprLiteral, Lit: sqlval.Float(-e.Lit.F)}, nil
+				return &Expr{Kind: ExprLiteral, Lit: sqlval.Float(-e.Lit.Float64())}, nil
 			}
 		}
 		return &Expr{Kind: ExprUnary, Op: "-", Left: e}, nil

@@ -236,7 +236,7 @@ func TestMacroDetectionAndRewrite(t *testing.T) {
 		t.Fatal("macros survived rewrite")
 	}
 	ins := st.(*Insert)
-	if ins.Rows[0][0].Lit.K != sqlval.KindTime || !ins.Rows[0][0].Lit.T.Equal(now) {
+	if ins.Rows[0][0].Lit.K != sqlval.KindTime || !ins.Rows[0][0].Lit.Time().Equal(now) {
 		t.Error("NOW() not rewritten to fixed time")
 	}
 	if ins.Rows[0][1].Lit.K != sqlval.KindFloat {

@@ -4,6 +4,7 @@
 package sqlval
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -47,15 +48,20 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a single SQL value. Exactly one of the payload fields is
-// meaningful, selected by K.
+// Value is a single SQL value in 32 bytes: word 0 holds the kind, a time's
+// zone offset and its nanoseconds, I the one scalar payload, S the text.
+// Build it with the constructors and read floats, times and bytes through
+// Float64, Time and Bytes. A Value is immutable: BLOB payloads live in S as
+// a string, so no caller's []byte is ever shared with a stored row.
 type Value struct {
-	K Kind
+	K    Kind
+	zone [3]byte // a time's zone offset in seconds east of UTC, 24-bit two's complement
+	ns   int32   // a time's nanoseconds within the second
+	// I is the integer or bool payload, a float's math.Float64bits, or a
+	// time's unix seconds.
 	I int64
-	F float64
+	// S is the VARCHAR payload, or a BLOB's bytes.
 	S string
-	T time.Time
-	B []byte
 }
 
 // Null is the SQL NULL value.
@@ -65,7 +71,7 @@ var Null = Value{}
 func Int(i int64) Value { return Value{K: KindInt, I: i} }
 
 // Float returns a floating point value.
-func Float(f float64) Value { return Value{K: KindFloat, F: f} }
+func Float(f float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(f))} }
 
 // String_ returns a string value. The underscore avoids colliding with the
 // fmt.Stringer method.
@@ -80,11 +86,44 @@ func Bool(b bool) Value {
 	return v
 }
 
-// Time returns a timestamp value.
-func Time(t time.Time) Value { return Value{K: KindTime, T: t} }
+// maxZone bounds the zone offsets a time keeps: a day, as on the wire. A
+// time in a zone further out keeps its instant and reads back in UTC.
+const maxZone = 86399
 
-// Bytes returns a BLOB value.
-func Bytes(b []byte) Value { return Value{K: KindBytes, B: b} }
+// Time returns a timestamp value: the instant and its zone offset. The
+// zone's name is not kept.
+func Time(t time.Time) Value {
+	v := Value{K: KindTime, I: t.Unix(), ns: int32(t.Nanosecond())}
+	if _, off := t.Zone(); off >= -maxZone && off <= maxZone {
+		v.zone = [3]byte{byte(off), byte(off >> 8), byte(off >> 16)}
+	}
+	return v
+}
+
+// Bytes returns a BLOB value holding a copy of b.
+func Bytes(b []byte) Value { return Value{K: KindBytes, S: string(b)} }
+
+// Float64 returns a FLOAT value's payload.
+func (v Value) Float64() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// zoneOffset returns a TIMESTAMP value's zone offset in seconds.
+func (v Value) zoneOffset() int {
+	return int(int32(uint32(v.zone[0])|uint32(v.zone[1])<<8|uint32(v.zone[2])<<16) << 8 >> 8)
+}
+
+// Time returns a TIMESTAMP value's instant in its zone. Offset 0 is
+// time.UTC, and time.FixedZone caches whole hours from -12 to +14, so only
+// another offset allocates its zone.
+func (v Value) Time() time.Time {
+	t := time.Unix(v.I, int64(v.ns))
+	if off := v.zoneOffset(); off != 0 {
+		return t.In(time.FixedZone("", off))
+	}
+	return t.UTC()
+}
+
+// Bytes returns a copy of a BLOB value's payload.
+func (v Value) Bytes() []byte { return []byte(v.S) }
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
@@ -95,7 +134,7 @@ func (v Value) AsBool() bool {
 	case KindBool, KindInt:
 		return v.I != 0
 	case KindFloat:
-		return v.F != 0
+		return v.Float64() != 0
 	case KindString:
 		return v.S != ""
 	default:
@@ -110,7 +149,7 @@ func (v Value) AsInt() (int64, error) {
 	case KindInt, KindBool:
 		return v.I, nil
 	case KindFloat:
-		return int64(v.F), nil
+		return int64(v.Float64()), nil
 	case KindString:
 		i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
 		if err != nil {
@@ -130,7 +169,7 @@ func (v Value) AsFloat() (float64, error) {
 	case KindInt, KindBool:
 		return float64(v.I), nil
 	case KindFloat:
-		return v.F, nil
+		return v.Float64(), nil
 	case KindString:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
 		if err != nil {
@@ -143,6 +182,11 @@ func (v Value) AsFloat() (float64, error) {
 	return 0, errf("cannot convert %s to float", v.K)
 }
 
+// timeLayout renders a TIMESTAMP in UTC, with the fraction of a second only
+// when there is one. AsString and SQLLiteral share it, so a time compares
+// equal to the string literal that names it.
+const timeLayout = "2006-01-02 15:04:05.999999999"
+
 // AsString renders v as a string using SQL text conventions.
 func (v Value) AsString() string {
 	switch v.K {
@@ -151,8 +195,8 @@ func (v Value) AsString() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case KindString:
+		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
+	case KindString, KindBytes:
 		return v.S
 	case KindBool:
 		if v.I != 0 {
@@ -160,9 +204,7 @@ func (v Value) AsString() string {
 		}
 		return "FALSE"
 	case KindTime:
-		return v.T.UTC().Format("2006-01-02 15:04:05")
-	case KindBytes:
-		return string(v.B)
+		return time.Unix(v.I, int64(v.ns)).UTC().Format(timeLayout)
 	}
 	return ""
 }
@@ -176,18 +218,19 @@ func (v Value) String() string {
 	return v.AsString()
 }
 
-// SQLLiteral renders v as a literal that the parser accepts, used when
-// rewriting macros and when replaying recovery logs.
+// literalEscaper doubles quotes and escapes backslashes, which the parser
+// reads as MySQL escapes.
+var literalEscaper = strings.NewReplacer("'", "''", `\`, `\\`)
+
+// SQLLiteral renders v as a literal that the parser reads back as v, used
+// when rewriting macros and when replaying recovery logs. A NaN or infinite
+// float has no literal.
 func (v Value) SQLLiteral() string {
 	switch v.K {
-	case KindString:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+	case KindString, KindBytes:
+		return "'" + literalEscaper.Replace(v.S) + "'"
 	case KindTime:
-		// Backends execute bound values at full precision, so the rendered
-		// literal — what the recovery log stores — must keep the fraction.
-		return "'" + v.T.UTC().Format("2006-01-02 15:04:05.999999999") + "'"
-	case KindBytes:
-		return "'" + strings.ReplaceAll(string(v.B), "'", "''") + "'"
+		return "'" + v.AsString() + "'"
 	default:
 		return v.AsString()
 	}
@@ -201,7 +244,8 @@ func numericKind(k Kind) bool {
 // Compare orders a and b, returning -1, 0 or +1. NULL sorts before
 // everything and equals only NULL (three-valued logic is handled by the
 // expression evaluator, not here). Values of different numeric kinds compare
-// numerically; otherwise values compare as strings.
+// numerically, a NaN below every number and equal to a NaN (cmp.Compare);
+// times compare by instant; otherwise values compare as strings.
 func Compare(a, b Value) int {
 	if a.K == KindNull || b.K == KindNull {
 		switch {
@@ -215,32 +259,17 @@ func Compare(a, b Value) int {
 	}
 	if numericKind(a.K) && numericKind(b.K) {
 		if a.K == KindInt && b.K == KindInt {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			}
-			return 0
+			return cmp.Compare(a.I, b.I)
 		}
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		return cmp.Compare(af, bf)
 	}
 	if a.K == KindTime && b.K == KindTime {
-		switch {
-		case a.T.Before(b.T):
-			return -1
-		case a.T.After(b.T):
-			return 1
+		if c := cmp.Compare(a.I, b.I); c != 0 {
+			return c
 		}
-		return 0
+		return cmp.Compare(a.ns, b.ns)
 	}
 	// Mixed or textual comparison.
 	return strings.Compare(a.AsString(), b.AsString())
@@ -258,15 +287,16 @@ func (v Value) Key() string {
 	case KindInt, KindBool:
 		return "\x00i" + strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
+		if f := v.Float64(); f == math.Trunc(f) && math.Abs(f) < 1e15 {
 			// Integral floats hash like the equal integer.
-			return "\x00i" + strconv.FormatInt(int64(v.F), 10)
+			return "\x00i" + strconv.FormatInt(int64(f), 10)
 		}
-		return "\x00f" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return "\x00f" + strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case KindTime:
-		return "\x00t" + strconv.FormatInt(v.T.UnixNano(), 10)
+		var buf [32]byte
+		return string(v.AppendKey(buf[:0]))
 	case KindBytes:
-		return "\x00b" + string(v.B)
+		return "\x00b" + v.S
 	default:
 		return "\x00s" + v.S
 	}
@@ -283,14 +313,17 @@ func (v Value) AppendKey(b []byte) []byte {
 	case KindInt, KindBool:
 		return strconv.AppendInt(append(b, 0, 'i'), v.I, 10)
 	case KindFloat:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.AppendInt(append(b, 0, 'i'), int64(v.F), 10)
+		if f := v.Float64(); f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.AppendInt(append(b, 0, 'i'), int64(f), 10)
 		}
-		return strconv.AppendFloat(append(b, 0, 'f'), v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, 0, 'f'), v.Float64(), 'g', -1, 64)
 	case KindTime:
-		return strconv.AppendInt(append(b, 0, 't'), v.T.UnixNano(), 10)
+		// Seconds and nanoseconds, not UnixNano, which overflows outside
+		// the years 1678-2262.
+		b = strconv.AppendInt(append(b, 0, 't'), v.I, 10)
+		return strconv.AppendInt(append(b, '.'), int64(v.ns), 10)
 	case KindBytes:
-		return append(append(b, 0, 'b'), v.B...)
+		return append(append(b, 0, 'b'), v.S...)
 	default:
 		return append(append(b, 0, 's'), v.S...)
 	}
@@ -375,23 +408,4 @@ func arith(a, b Value, op byte) (Value, error) {
 		return Float(af * bf), nil
 	}
 	return Null, errf("unknown operator %q", op)
-}
-
-// Clone returns a deep copy of v (BLOB payloads are copied).
-func (v Value) Clone() Value {
-	if v.K == KindBytes && v.B != nil {
-		b := make([]byte, len(v.B))
-		copy(b, v.B)
-		v.B = b
-	}
-	return v
-}
-
-// CloneRow deep-copies a row of values.
-func CloneRow(r []Value) []Value {
-	out := make([]Value, len(r))
-	for i, v := range r {
-		out[i] = v.Clone()
-	}
-	return out
 }

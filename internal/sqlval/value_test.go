@@ -2,10 +2,10 @@ package sqlval
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestZeroValueIsNull(t *testing.T) {
@@ -45,7 +45,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 		t.Error("Bool round trip failed")
 	}
 	now := time.Now()
-	if got := Time(now).T; !got.Equal(now) {
+	if got := Time(now).Time(); !got.Equal(now) {
 		t.Error("Time round trip failed")
 	}
 	if got := Bytes([]byte("ab")).AsString(); got != "ab" {
@@ -158,7 +158,7 @@ func TestQuickCompareInts(t *testing.T) {
 }
 
 // Property: SQLLiteral of a string always survives a quote round trip shape
-// (balanced quotes, original retrievable by stripping).
+// (balanced quotes and backslashes, original retrievable by stripping).
 func TestQuickStringLiteralEscaping(t *testing.T) {
 	f := func(s string) bool {
 		lit := String_(s).SQLLiteral()
@@ -169,9 +169,9 @@ func TestQuickStringLiteralEscaping(t *testing.T) {
 		body := lit[1 : len(lit)-1]
 		var out []byte
 		for i := 0; i < len(body); i++ {
-			if body[i] == '\'' {
-				if i+1 >= len(body) || body[i+1] != '\'' {
-					return false // unbalanced quote
+			if body[i] == '\'' || body[i] == '\\' {
+				if i+1 >= len(body) || body[i+1] != body[i] {
+					return false // unbalanced quote or backslash
 				}
 				i++
 			}
@@ -218,24 +218,22 @@ func TestArithmetic(t *testing.T) {
 	check(v, err, Null)
 }
 
-func TestCloneIsolatesBytes(t *testing.T) {
-	orig := Bytes([]byte{1, 2, 3})
-	cl := orig.Clone()
-	cl.B[0] = 9
-	if orig.B[0] != 1 {
-		t.Error("Clone must deep-copy byte payloads")
+func TestBytesCopiesItsArgument(t *testing.T) {
+	b := []byte{1, 2, 3}
+	v := Bytes(b)
+	b[0] = 9
+	if got := v.Bytes(); got[0] != 1 {
+		t.Fatalf("Bytes(b) changed with b: %v", got)
+	}
+	v.Bytes()[1] = 9
+	if got := v.Bytes(); got[1] != 2 {
+		t.Fatalf("writing to v.Bytes() changed v: %v", got)
 	}
 }
 
-func TestCloneRow(t *testing.T) {
-	row := []Value{Int(1), Bytes([]byte{5})}
-	cp := CloneRow(row)
-	if !reflect.DeepEqual(row, cp) {
-		t.Fatal("CloneRow must preserve values")
-	}
-	cp[1].B[0] = 6
-	if row[1].B[0] != 5 {
-		t.Error("CloneRow must deep-copy")
+func TestValueIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
 	}
 }
 
@@ -245,6 +243,9 @@ func TestSQLLiteralForms(t *testing.T) {
 	}
 	if got := String_("a'b").SQLLiteral(); got != "'a''b'" {
 		t.Errorf("string literal = %q", got)
+	}
+	if got := Bytes([]byte(`a\b`)).SQLLiteral(); got != `'a\\b'` {
+		t.Errorf("blob literal = %q", got)
 	}
 	if got := Null.SQLLiteral(); got != "NULL" {
 		t.Errorf("null literal = %q", got)
@@ -261,6 +262,9 @@ func TestSQLLiteralForms(t *testing.T) {
 	tm = time.Date(2024, 1, 2, 3, 4, 5, 123456789, time.UTC)
 	if got := Time(tm).SQLLiteral(); got != "'2024-01-02 03:04:05.123456789'" {
 		t.Errorf("sub-second time literal = %q", got)
+	}
+	if got := Time(tm).AsString(); got != "2024-01-02 03:04:05.123456789" {
+		t.Errorf("sub-second time as string = %q", got)
 	}
 }
 

@@ -35,7 +35,8 @@ func (r *Rows) Next() bool {
 func (r *Rows) Reset() { r.pos = 0 }
 
 // Scan copies the current row into dest pointers (*int64, *float64,
-// *string, *bool, *time.Time, *[]byte, or *any).
+// *string, *bool, *time.Time, *[]byte, or *any). A *[]byte receives a copy
+// of a BLOB, so writing to it cannot change the result.
 func (r *Rows) Scan(dest ...any) error {
 	if r.pos == 0 || r.pos > len(r.rows) {
 		return errors.New("cjdbc: Scan called without Next")
@@ -70,9 +71,15 @@ func (r *Rows) Scan(dest ...any) error {
 		case *bool:
 			*p = v.AsBool()
 		case *time.Time:
-			*p = v.T
+			*p = time.Time{}
+			if v.K == sqlval.KindTime {
+				*p = v.Time()
+			}
 		case *[]byte:
-			*p = append([]byte(nil), v.B...)
+			*p = nil
+			if v.K == sqlval.KindBytes {
+				*p = v.Bytes()
+			}
 		case *any:
 			*p = valueToAny(v)
 		default:
@@ -82,7 +89,8 @@ func (r *Rows) Scan(dest ...any) error {
 	return nil
 }
 
-// Value returns the current row's i-th column as a generic value.
+// Value returns the current row's i-th column as a generic value; a BLOB
+// comes back as a copy.
 func (r *Rows) Value(i int) any {
 	if r.pos == 0 || r.pos > len(r.rows) {
 		return nil
@@ -97,13 +105,13 @@ func valueToAny(v sqlval.Value) any {
 	case sqlval.KindInt:
 		return v.I
 	case sqlval.KindFloat:
-		return v.F
+		return v.Float64()
 	case sqlval.KindBool:
 		return v.I != 0
 	case sqlval.KindTime:
-		return v.T
+		return v.Time()
 	case sqlval.KindBytes:
-		return v.B
+		return v.Bytes()
 	default:
 		return v.S
 	}
