@@ -82,6 +82,38 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestAggregateOverEmptyTableThroughCluster: a client's aggregate over an
+// empty table answers one row with the bare column NULL instead of taking
+// the controller process down.
+func TestAggregateOverEmptyTableThroughCluster(t *testing.T) {
+	_, vdb := newTestCluster(t, 2, VirtualDatabaseConfig{})
+	sess, err := vdb.OpenSession("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Exec("CREATE TABLE e (x INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT x, COUNT(*) FROM e",
+		"SELECT x, COUNT(*) FROM e HAVING x IS NULL",
+	} {
+		rows, err := sess.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var x any
+		var n int64
+		if rows.Len() != 1 || !rows.Next() {
+			t.Fatalf("%s: %d rows, want 1", q, rows.Len())
+		}
+		if err := rows.Scan(&x, &n); err != nil || x != nil || n != 0 {
+			t.Fatalf("%s = (%v, %d), err %v; want (NULL, 0)", q, x, n, err)
+		}
+	}
+}
+
 func TestScanDestinations(t *testing.T) {
 	_, vdb := newTestCluster(t, 1, VirtualDatabaseConfig{})
 	sess, _ := vdb.OpenSession("u", "")

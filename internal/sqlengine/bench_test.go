@@ -252,6 +252,72 @@ func BenchmarkRangeSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupBySum is TPC-W's bestSellers aggregate: 3 000 order lines
+// summed into 1 000 item groups, then the top 50. Allocations scale with
+// the groups, not with the rows scanned.
+func BenchmarkGroupBySum(b *testing.B) {
+	e := New("bench-group")
+	s := e.NewSession()
+	if _, err := s.ExecSQL("CREATE TABLE order_line (ol_id INTEGER PRIMARY KEY, ol_i_id INTEGER, ol_qty INTEGER)"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := s.ExecSQL(fmt.Sprintf("INSERT INTO order_line (ol_id, ol_i_id, ol_qty) VALUES (%d, %d, %d)", i, (i*7)%1000, i%5+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := mustParse(b, "SELECT ol_i_id, SUM(ol_qty) AS total FROM order_line GROUP BY ol_i_id ORDER BY total DESC LIMIT 50")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 50 {
+			b.Fatalf("rows = %d", len(res.Rows))
+		}
+	}
+}
+
+// BenchmarkJoinLikeLimit is TPC-W's author search: a LIKE on the joined
+// table's column, LIMIT 50 with no ORDER BY. The join filters each pair
+// before it copies it and stops after the fiftieth match.
+func BenchmarkJoinLikeLimit(b *testing.B) {
+	e := New("bench-join-like")
+	s := e.NewSession()
+	for _, q := range []string{
+		"CREATE TABLE author (a_id INTEGER PRIMARY KEY, a_lname VARCHAR)",
+		"CREATE TABLE item (i_id INTEGER PRIMARY KEY, i_title VARCHAR, i_a_id INTEGER)",
+	} {
+		if _, err := s.ExecSQL(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 1; i <= 250; i++ {
+		if _, err := s.ExecSQL(fmt.Sprintf("INSERT INTO author (a_id, a_lname) VALUES (%d, 'LN%d')", i, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := s.ExecSQL(fmt.Sprintf("INSERT INTO item (i_id, i_title, i_a_id) VALUES (%d, 'Book %d', %d)", i, i, i%250+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := mustParse(b, "SELECT i_id, i_title FROM item JOIN author ON i_a_id = a_id WHERE a_lname LIKE 'ln1%' LIMIT 50")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 50 {
+			b.Fatalf("rows = %d", len(res.Rows))
+		}
+	}
+}
+
 // BenchmarkOrderByLimitTopK is the PR-8 acceptance benchmark: ORDER BY on
 // an indexed column with LIMIT 10 over 10k rows. The indexed variant walks
 // the ordered index in key order and stops after ten live rows — touching

@@ -77,10 +77,10 @@ type Engine struct {
 	gcBusy    atomic.Bool
 	gcNext    int // next round-robin table; touched only while gcBusy is held
 
-	// noIndexPlan forces full scans in the access planner and disables
-	// ordered-index ORDER BY elision. Tests toggle it (atomically, under
-	// concurrent load) to prove index-planned execution equivalent to
-	// scanning.
+	// noIndexPlan forces full scans in the access planner and in join
+	// stages, and disables ordered-index ORDER BY elision. Tests toggle it
+	// (atomically, under concurrent load) to prove index-planned execution
+	// equivalent to scanning.
 	noIndexPlan atomic.Bool
 
 	sessionSeq atomic.Uint32 // round-robins sessions over lock/stat shards

@@ -769,29 +769,37 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestLikeMatch(t *testing.T) {
-	cases := []struct {
-		pattern, s string
-		want       bool
-	}{
-		{"%", "", true},
-		{"%", "abc", true},
-		{"a%", "abc", true},
-		{"%c", "abc", true},
-		{"%b%", "abc", true},
-		{"a_c", "abc", true},
-		{"a_c", "abbc", false},
-		{"abc", "abc", true},
-		{"ABC", "abc", true},
-		{"a%z", "abc", false},
-		{"", "", true},
-		{"", "a", false},
-		{"%%b", "ab", true},
-	}
-	for _, c := range cases {
-		if got := likeMatch(c.pattern, c.s); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pattern, c.s, got, c.want)
+// TestGroupAggregateOverEmptyTable: an aggregate query without GROUP BY
+// forms one group even over no rows, and a bare column in its select list
+// or HAVING reads NULL there (MySQL's answer) instead of indexing a
+// zero-width row.
+func TestGroupAggregateOverEmptyTable(t *testing.T) {
+	e := New("t")
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE e (x INTEGER, y VARCHAR)")
+	mustExec(t, s, "CREATE TABLE f (x INTEGER)")
+	for _, q := range []string{
+		"SELECT x, COUNT(*) FROM e",
+		"SELECT x, COUNT(*) FROM e HAVING x IS NULL",
+		"SELECT e.x, COUNT(*) FROM e JOIN f ON e.x = f.x",
+	} {
+		res := mustExec(t, s, q)
+		if len(res.Rows) != 1 || len(res.Rows[0]) != 2 || !res.Rows[0][0].IsNull() || res.Rows[0][1].I != 0 {
+			t.Errorf("%s = %v, want one row [NULL 0]", q, res.Rows)
 		}
+	}
+	res := mustExec(t, s, "SELECT *, COUNT(*), SUM(x), MIN(y), AVG(x) FROM e")
+	if len(res.Rows) != 1 || len(res.Rows[0]) != len(res.Columns) {
+		t.Fatalf("SELECT * over an empty group: columns %v, rows %v", res.Columns, res.Rows)
+	}
+	if got := rowKey(res.Rows[0]); got != rowKey([]sqlval.Value{sqlval.Null, sqlval.Null, sqlval.Int(0), sqlval.Null, sqlval.Null, sqlval.Null}) {
+		t.Errorf("SELECT * over an empty group = %v", res.Rows[0])
+	}
+	if res := mustExec(t, s, "SELECT x, COUNT(*) FROM e HAVING x IS NOT NULL"); len(res.Rows) != 0 {
+		t.Errorf("HAVING x IS NOT NULL kept %v", res.Rows)
+	}
+	if res := mustExec(t, s, "SELECT x, COUNT(*) FROM e GROUP BY x"); len(res.Rows) != 0 {
+		t.Errorf("GROUP BY over no rows = %v, want no groups", res.Rows)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
@@ -12,23 +14,43 @@ import (
 
 // env is the evaluation environment of one (joined) row.
 type env struct {
-	cols map[string]int                   // "col", "alias.col", "table.col" -> position
-	row  []sqlval.Value                   // the combined row
-	aggs map[*sqlparser.Expr]sqlval.Value // computed aggregates, grouped queries only
-	rng  *rand.Rand
+	cols map[string]int // "col", "alias.col", "table.col" -> position
+	row  []sqlval.Value // the combined row
+	aggs *aggRow        // one group's aggregate values, grouped queries only
+}
+
+// aggRow is one group's finished aggregates: vals[i] is the value of the
+// grouped query's aggregate call exprs[i].
+type aggRow struct {
+	exprs []*sqlparser.Expr
+	vals  []sqlval.Value
 }
 
 // lookupColumn resolves a column reference in the environment.
 func (ev *env) lookupColumn(e *sqlparser.Expr) (sqlval.Value, error) {
-	key := e.Column
-	if e.Table != "" {
-		key = e.Table + "." + e.Column
-	}
-	idx, ok := ev.cols[key]
+	idx, ok := colPos(ev.cols, e)
 	if !ok {
+		key := e.Column
+		if e.Table != "" {
+			key = e.Table + "." + e.Column
+		}
 		return sqlval.Null, errf("unknown column %q", key)
 	}
 	return ev.row[idx], nil
+}
+
+// colPos looks a column reference up in a column map. A qualified name's
+// "table.col" key is built in a stack buffer, so resolving it per row
+// allocates nothing.
+func colPos(cols map[string]int, e *sqlparser.Expr) (int, bool) {
+	if e.Table == "" {
+		idx, ok := cols[e.Column]
+		return idx, ok
+	}
+	var buf [64]byte
+	key := append(append(append(buf[:0], e.Table...), '.'), e.Column...)
+	idx, ok := cols[string(key)]
+	return idx, ok
 }
 
 // eval evaluates an expression tree against the environment. Comparisons
@@ -50,8 +72,10 @@ func (ev *env) eval(e *sqlparser.Expr) (sqlval.Value, error) {
 		return ev.evalBinary(e)
 	case sqlparser.ExprFunc:
 		if ev.aggs != nil {
-			if v, ok := ev.aggs[e]; ok {
-				return v, nil
+			for i, ae := range ev.aggs.exprs {
+				if ae == e {
+					return ev.aggs.vals[i], nil
+				}
 			}
 		}
 		return ev.evalFunc(e)
@@ -276,9 +300,6 @@ func (ev *env) evalFunc(e *sqlparser.Expr) (sqlval.Value, error) {
 	case "NOW", "CURRENT_TIMESTAMP":
 		return sqlval.Time(time.Now()), nil
 	case "RAND":
-		if ev.rng != nil {
-			return sqlval.Float(ev.rng.Float64()), nil
-		}
 		return sqlval.Float(rand.Float64()), nil
 	case "LENGTH":
 		if err := need(1); err != nil {
@@ -406,40 +427,52 @@ func (ev *env) evalFunc(e *sqlparser.Expr) (sqlval.Value, error) {
 	return sqlval.Null, errf("unknown function %s", e.Func)
 }
 
-// likeMatch implements SQL LIKE: '%' matches any run, '_' one character.
-// Matching is case-insensitive, as MySQL's default collation is.
+// likeMatch implements SQL LIKE: '%' matches any run of characters, '_'
+// exactly one character (a rune, not a byte). Matching is case-insensitive,
+// as MySQL's default collation is: runes compare after unicode.ToLower, one
+// at a time, so nothing is copied. It is the iterative wildcard match: on a
+// mismatch it backtracks only to the most recent '%', which then swallows
+// one more character, so the cost is at most len(pattern)·len(s) steps
+// however many '%' the pattern holds.
 func likeMatch(pattern, s string) bool {
-	return likeRec(strings.ToLower(pattern), strings.ToLower(s))
+	p, i := 0, 0 // byte offsets into pattern and s
+	star, mark := -1, 0
+	for i < len(s) {
+		if p < len(pattern) {
+			pr, pw := foldRune(pattern, p)
+			if pr == '%' {
+				star, mark = p+pw, i
+				p += pw
+				continue
+			}
+			if sr, sw := foldRune(s, i); pr == '_' || pr == sr {
+				p, i = p+pw, i+sw
+				continue
+			}
+		}
+		if star < 0 {
+			return false
+		}
+		// Let the last '%' swallow one more character and retry from there.
+		_, sw := foldRune(s, mark)
+		mark += sw
+		p, i = star, mark
+	}
+	for p < len(pattern) && pattern[p] == '%' {
+		p++
+	}
+	return p == len(pattern)
 }
 
-func likeRec(p, s string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(p, s[i:]) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			p, s = p[1:], s[1:]
-		default:
-			if len(s) == 0 || p[0] != s[0] {
-				return false
-			}
-			p, s = p[1:], s[1:]
+// foldRune decodes the rune at s[i:] lower-cased, with its width in bytes.
+// An invalid byte decodes as utf8.RuneError of width 1.
+func foldRune(s string, i int) (rune, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
 		}
+		return rune(c), 1
 	}
-	return len(s) == 0
+	r, w := utf8.DecodeRuneInString(s[i:])
+	return unicode.ToLower(r), w
 }

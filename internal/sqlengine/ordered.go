@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"cjdbc/internal/sqlval"
@@ -196,24 +195,24 @@ func (ox *ordIndex) seekLE(b *rangeBound) *skipNode {
 	return n
 }
 
-// sortedRefs copies the node's refs under idxMu and sorts them ascending by
-// rowid. Rowids are assigned in insertion order, so equal-key rows emit in
-// the same tie order a stable sort over the scan order produces — the
-// property the planned==full-scan byte-identity proof rests on.
+// sortedRefs returns the node's refs ascending by rowid. Rowids are assigned
+// in insertion order, so equal-key rows emit in the same tie order a stable
+// sort over the scan order produces — the property the planned==full-scan
+// byte-identity proof rests on. The node's own slice is read capped at its
+// length (insert-only, like a hash bucket: see table.lookup) and copied
+// only when out of order.
 func (n *skipNode) sortedRefs(t *table) []chainRef {
 	t.idxMu.RLock()
-	refs := append([]chainRef(nil), n.refs...)
+	refs := n.refs[:len(n.refs):len(n.refs)]
 	t.idxMu.RUnlock()
-	if len(refs) > 1 { // a unique-key node holds one ref: no closure, no sort
-		sort.Slice(refs, func(i, j int) bool { return refs[i].id < refs[j].id })
-	}
-	return refs
+	return rowidOrder(refs)
 }
 
 // scan walks nodes in key order (descending when desc) within [lo, hi],
-// calling f once per node with a fresh id-sorted copy of its refs; f returns
-// false to stop early (LIMIT budgets). Latch-free: bounds are checked
-// against immutable node keys and links are atomic loads.
+// calling f once per node with its refs sorted by rowid (f must not reorder
+// them: see sortedRefs); f returns false to stop early (LIMIT budgets).
+// Latch-free: bounds are checked against immutable node keys and links are
+// atomic loads.
 func (ox *ordIndex) scan(t *table, lo, hi *rangeBound, desc bool, f func(key sqlval.Value, refs []chainRef) bool) {
 	if desc {
 		for n := ox.seekLE(hi); n != nil; n = n.prev.Load() {

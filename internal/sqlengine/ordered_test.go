@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -369,6 +370,67 @@ func TestUpdateDeleteCandidateSets(t *testing.T) {
 		if rowKey(finalP.Rows[i]) != rowKey(finalF.Rows[i]) {
 			t.Fatalf("final row %d: %v vs %v", i, finalP.Rows[i], finalF.Rows[i])
 		}
+	}
+}
+
+// TestPlannedAccessLeavesIndexRefsInPlace: readers and planned writers get
+// an index bucket's or skiplist node's own ref slice, not a copy, so nothing
+// on the read or write path may reorder it. Row 2 and row 0 move to key 3
+// after rows 6 and 7 were inserted there, which leaves both ref lists out
+// of rowid order; a point-probed UPDATE, SELECT and DELETE and an ordered
+// scan must leave them byte-for-byte as they were, and still meet the rows
+// in rowid order.
+func TestPlannedAccessLeavesIndexRefsInPlace(t *testing.T) {
+	e := New("refs")
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE p (id INTEGER PRIMARY KEY, cat INTEGER, val INTEGER)")
+	mustExec(t, s, "CREATE INDEX p_cat ON p (cat)")
+	for i := 0; i < 8; i++ {
+		cat := i % 2
+		if i >= 6 {
+			cat = 3
+		}
+		mustExec(t, s, fmt.Sprintf("INSERT INTO p (id, cat, val) VALUES (%d, %d, 0)", i, cat))
+	}
+	mustExec(t, s, "UPDATE p SET cat = 3 WHERE id = 2")
+	mustExec(t, s, "UPDATE p SET cat = 3 WHERE id = 0")
+
+	ix := e.tables["p"].indexes["p_cat"]
+	key := sqlval.Int(3)
+	refsNow := func() (bucket, node []chainRef) {
+		bucket = slices.Clone(ix.m[string(key.AppendKey(nil))].refs)
+		node = slices.Clone(ix.ord.seekGE(&rangeBound{v: key, incl: true}).refs)
+		return bucket, node
+	}
+	ids := func(refs []chainRef) []int64 {
+		out := make([]int64, len(refs))
+		for i, r := range refs {
+			out[i] = r.id
+		}
+		return out
+	}
+	bucket, node := refsNow()
+	if want := []int64{6, 7, 2, 0}; !slices.Equal(ids(bucket), want) || !slices.Equal(ids(node), want) {
+		t.Fatalf("setup: bucket ids %v, node ids %v, want both %v", ids(bucket), ids(node), want)
+	}
+
+	var got []int64
+	for _, r := range mustExec(t, s, "SELECT id FROM p WHERE cat = 3").Rows {
+		got = append(got, r[0].I)
+	}
+	if !slices.Equal(got, []int64{0, 2, 6, 7}) {
+		t.Errorf("point probe returned ids %v, want [0 2 6 7] in rowid order", got)
+	}
+	mustExec(t, s, "SELECT id FROM p WHERE cat >= 3 ORDER BY cat LIMIT 3")
+	if res := mustExec(t, s, "UPDATE p SET val = val + 1 WHERE cat = 3"); res.RowsAffected != 4 {
+		t.Errorf("UPDATE affected %d rows, want 4", res.RowsAffected)
+	}
+	if res := mustExec(t, s, "DELETE FROM p WHERE cat = 3 AND val = 1"); res.RowsAffected != 4 {
+		t.Errorf("DELETE affected %d rows, want 4", res.RowsAffected)
+	}
+	b2, n2 := refsNow()
+	if !slices.Equal(bucket, b2) || !slices.Equal(node, n2) {
+		t.Fatalf("index refs changed: bucket %v -> %v, node %v -> %v", ids(bucket), ids(b2), ids(node), ids(n2))
 	}
 }
 

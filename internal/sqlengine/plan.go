@@ -1,7 +1,7 @@
 package sqlengine
 
 import (
-	"sort"
+	"slices"
 
 	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
@@ -41,11 +41,7 @@ type colResolver func(e *sqlparser.Expr) (int, bool)
 // pushed-down conjunct binds to the same column the WHERE filter sees.
 func envResolver(cols map[string]int, offset, width int) colResolver {
 	return func(e *sqlparser.Expr) (int, bool) {
-		key := e.Column
-		if e.Table != "" {
-			key = e.Table + "." + e.Column
-		}
-		pos, ok := cols[key]
+		pos, ok := colPos(cols, e)
 		if !ok || pos < offset || pos >= offset+width {
 			return 0, false
 		}
@@ -202,9 +198,12 @@ func extractRanges(t *table, resolve colResolver, where *sqlparser.Expr) map[int
 // planAccess chooses an index-backed access path for t under the given WHERE
 // clause, or a full scan when no top-level conjunct is indexable: hash-point
 // probes for = and IN, ordered-range collection for </<=/>/>=/BETWEEN, most
-// selective (fewest candidates) wins. The returned candidate list is a fresh
-// slice sorted by rowid, so iterating it is deterministic (rowids are
-// assigned in insertion order) and safe while writers keep appending refs.
+// selective (fewest candidates) wins. The returned candidate list is sorted
+// by rowid, so iterating it is deterministic (rowids are assigned in
+// insertion order). A point probe's list is the index bucket's own
+// insert-only slice (table.lookup), returned as is when already in order;
+// otherwise the planner sorts and dedups a copy, never the bucket. Either
+// way iterating it is safe while writers keep appending refs.
 // Candidates may be stale — index entries are insert-only — which is fine:
 // every caller resolves each chain through its read view and re-evaluates
 // the full WHERE clause. access, when non-nil, is the plan cache's
@@ -284,17 +283,13 @@ func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr,
 	if !found {
 		return accessPlan{}
 	}
-	sort.Slice(best, func(i, j int) bool { return best[i].id < best[j].id })
 	// Distinct IN-list values cannot share rowids, but values that hash to
 	// the same key (1 and 1.0) duplicate their lists, and stale refs can
 	// repeat a rowid across buckets or skiplist nodes; drop adjacent dups.
-	out := best[:0]
-	for i, ref := range best {
-		if i == 0 || ref.id != best[i-1].id {
-			out = append(out, ref)
-		}
-	}
-	return accessPlan{refs: out, indexed: true}
+	// rowidOrder copies any list that is not strictly ascending, so the
+	// dedup only ever writes to a copy, never to an index bucket.
+	best = slices.CompactFunc(rowidOrder(best), func(a, b chainRef) bool { return a.id == b.id })
+	return accessPlan{refs: best, indexed: true}
 }
 
 // orderPlan describes how a single-table SELECT satisfies its ORDER BY.
@@ -402,10 +397,12 @@ func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, 
 // candidateRefs returns the row chains a WHERE clause can possibly match:
 // the planner's candidate list when an index applies (hash point, IN union
 // or ordered range), the full scan order otherwise. UPDATE and DELETE
-// iterate it while mutating the table, which is safe because the planner
-// copies index slices and the order slab loaded here is immutable up to its
-// published length. Caller holds the table latch exclusively and resolves
-// liveness per chain (writer view).
+// iterate it while mutating the table. That is safe although a planned list
+// may be an index bucket's own slice: it is capped at its length and no
+// entry below the cap is ever rewritten (the planner copies before it
+// sorts), so the refs updateRow appends land beyond it; the order slab
+// copied here is immutable up to its published length. Caller holds the
+// table latch exclusively and resolves liveness per chain (writer view).
 func candidateRefs(e *Engine, t *table, cols map[string]int, where *sqlparser.Expr, access *sqlparser.AccessInfo) []chainRef {
 	if plan := planAccess(e, t, envResolver(cols, 0, len(t.schema.Columns)), where, access); plan.indexed {
 		return plan.refs

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -103,37 +104,22 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	}
 	grouped := len(sel.GroupBy) > 0 || len(aggExprs) > 0
 
+	// Both row producers apply WHERE while they scan.
 	var rows [][]sqlval.Value
-	var whereDone, orderDone bool
+	var orderDone bool
 	var err error
 	if len(srcs) == 1 {
-		rows, whereDone, orderDone, err = s.singleTableRows(sel, srcs[0], cols, grouped, rv)
+		rows, orderDone, err = s.singleTableRows(sel, srcs[0], cols, grouped, rv)
 	} else {
-		rows, err = s.joinRows(sel, srcs, cols, totalCols, rv)
+		rows, err = s.joinRows(sel, srcs, cols, totalCols, grouped, rv)
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	// WHERE filter (the single-table path applies it during the scan).
-	if sel.Where != nil && !whereDone {
-		filtered := rows[:0]
-		for _, r := range rows {
-			ev := &env{cols: cols, row: r}
-			m, err := ev.eval(sel.Where)
-			if err != nil {
-				return nil, err
-			}
-			if m.AsBool() {
-				filtered = append(filtered, r)
-			}
-		}
-		rows = filtered
-	}
-
 	var out []outRow
 	if grouped {
-		out, err = s.groupedRows(sel, rows, cols, aggExprs)
+		out, err = s.groupedRows(sel, rows, cols, totalCols, aggExprs)
 	} else {
 		out, err = s.projectRows(sel, rows, cols)
 	}
@@ -205,10 +191,9 @@ func (s *Session) selectNoFrom(sel *sqlparser.Select) (*Result, error) {
 // soon as enough rows matched whenever no later stage reorders, merges or
 // dedups rows — including ORDER BY satisfied by an ordered-index scan, the
 // top-k path: rows then stream out of the index in final order and the scan
-// halts after LIMIT+OFFSET live-at-epoch matches. The returned flags report
-// that WHERE has been applied and that the row order already satisfies
-// ORDER BY.
-func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[string]int, grouped bool, rv readView) ([][]sqlval.Value, bool, bool, error) {
+// halts after LIMIT+OFFSET live-at-epoch matches. The returned flag reports
+// that the row order already satisfies ORDER BY.
+func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[string]int, grouped bool, rv readView) ([][]sqlval.Value, bool, error) {
 	t := src.t
 	e := s.engine
 	resolve := envResolver(cols, src.offset, len(t.schema.Columns))
@@ -223,33 +208,20 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 		op = orderPlan{done: true}
 	}
 
-	// LIMIT pushdown budget: offset+limit matching rows suffice when no
-	// later stage reorders, merges or dedups rows.
 	budget := int64(-1)
-	if sel.Limit != nil && op.done && !grouped && !sel.Distinct {
-		ev := &env{}
-		if lv, err := ev.eval(sel.Limit); err == nil {
-			if limit, err := lv.AsInt(); err == nil && limit >= 0 {
-				budget = limit
-				if sel.Offset != nil {
-					if ov, err := ev.eval(sel.Offset); err == nil {
-						if off, err := ov.AsInt(); err == nil && off > 0 {
-							budget += off
-						}
-					}
-				}
-			}
-		}
+	if op.done && !grouped && !sel.Distinct {
+		budget = scanBudget(sel)
 	}
 	if budget == 0 {
-		return nil, true, op.done, nil
+		return nil, op.done, nil
 	}
 
 	var rows [][]sqlval.Value
 	var evalErr error
+	ev := &env{cols: cols}
 	add := func(row []sqlval.Value) bool {
 		if sel.Where != nil {
-			ev := &env{cols: cols, row: row}
+			ev.row = row
 			m, err := ev.eval(sel.Where)
 			if err != nil {
 				evalErr = err
@@ -299,7 +271,7 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 			}
 			return evalErr == nil
 		})
-		return rows, true, true, evalErr
+		return rows, true, evalErr
 	}
 
 	if plan.indexed {
@@ -313,96 +285,147 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 	} else {
 		t.scanSnap(rv, add)
 	}
-	return rows, true, op.done, evalErr
+	return rows, op.done, evalErr
+}
+
+// scanBudget is the LIMIT pushdown budget: offset+limit WHERE survivors
+// suffice when no later stage reorders, merges or dedups rows (callers
+// check that). It is -1 when there is no usable LIMIT.
+func scanBudget(sel *sqlparser.Select) int64 {
+	if sel.Limit == nil {
+		return -1
+	}
+	ev := &env{}
+	lv, err := ev.eval(sel.Limit)
+	if err != nil {
+		return -1
+	}
+	budget, err := lv.AsInt()
+	if err != nil || budget < 0 {
+		return -1
+	}
+	if sel.Offset != nil {
+		if ov, err := ev.eval(sel.Offset); err == nil {
+			if off, err := ov.AsInt(); err == nil && off > 0 {
+				budget += off
+			}
+		}
+	}
+	return budget
 }
 
 // joinRows materializes the FROM clause with nested-loop joins, using a hash
-// index for equi-joins when one is available.
-func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[string]int, totalCols int, rv readView) ([][]sqlval.Value, error) {
-	// Seed with the base table's rows, padded to the full width so that
-	// the environment map works at every stage. WHERE conjuncts on the
-	// base table narrow the seed through the access planner; the full
-	// WHERE clause still filters after the join, so this only prunes rows
-	// that could never survive it (valid for LEFT JOIN too, since the base
-	// is the preserved side).
+// index for equi-joins when one is available. Rows grow left to right: the
+// base table's rows are used as stored, and each later stage assembles every
+// candidate pair in one full-width scratch row, evaluates ON there and clones
+// only the survivors, at the width joined so far. Positions of tables not
+// joined yet stay NULL in the scratch row, as in a padded row. The last stage
+// applies WHERE before cloning and, when no later stage reorders, merges or
+// dedups rows, stops after offset+limit survivors.
+func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[string]int, totalCols int, grouped bool, rv readView) ([][]sqlval.Value, error) {
+	// WHERE conjuncts on the base table narrow it through the access
+	// planner; the full WHERE clause still filters at the last stage, so
+	// this only prunes rows that could never survive it (valid for LEFT JOIN
+	// too, since the base is the preserved side).
 	base := srcs[0]
 	var rows [][]sqlval.Value
-	seed := func(r []sqlval.Value) bool {
-		combined := make([]sqlval.Value, totalCols)
-		copy(combined[base.offset:], r)
-		rows = append(rows, combined)
-		return true
-	}
 	if plan := planAccess(s.engine, base.t, envResolver(cols, base.offset, len(base.t.schema.Columns)), sel.Where, sel.Access); plan.indexed {
 		for _, ref := range plan.refs {
 			if r := rv.resolve(ref.ch); r != nil {
-				seed(r)
+				rows = append(rows, r)
 			}
 		}
 	} else {
-		base.t.scanSnap(rv, seed)
+		base.t.scanSnap(rv, func(r []sqlval.Value) bool {
+			rows = append(rows, r)
+			return true
+		})
 	}
 
-	for i := 1; i < len(srcs); i++ {
+	budget := int64(-1)
+	if len(sel.OrderBy) == 0 && !grouped && !sel.Distinct {
+		budget = scanBudget(sel)
+	}
+	if budget == 0 {
+		return nil, nil
+	}
+	scratch := make([]sqlval.Value, totalCols)
+	ev := &env{cols: cols, row: scratch}
+	for i := 1; i < len(srcs) && len(rows) > 0; i++ {
 		src := srcs[i]
 		tr := sel.From[i]
+		last := i == len(srcs)-1
+		width := src.offset + len(src.t.schema.Columns)
+		part := scratch[src.offset:width]
 		var next [][]sqlval.Value
+		var evalErr error
+		matched, full := false, false
+
+		// keep clones the scratch row if it survives WHERE (last stage only)
+		// and reports whether the stage should go on.
+		keep := func() bool {
+			if last && sel.Where != nil {
+				m, err := ev.eval(sel.Where)
+				if err != nil {
+					evalErr = err
+					return false
+				}
+				if !m.AsBool() {
+					return true
+				}
+			}
+			next = append(next, slices.Clone(scratch[:width]))
+			full = last && budget >= 0 && int64(len(next)) >= budget
+			return !full
+		}
+		try := func(r []sqlval.Value) bool {
+			copy(part, r)
+			if tr.On != nil {
+				m, err := ev.eval(tr.On)
+				if err != nil {
+					evalErr = err
+					return false
+				}
+				if !m.AsBool() {
+					return true
+				}
+			}
+			matched = true
+			return keep()
+		}
 
 		// Try an indexed equi-join: ON left.col = right.col with the new
 		// table's column indexed.
 		probe, buildCol, useIndex := equiJoinPlan(tr.On, src, cols)
-
+		useIndex = useIndex && !s.engine.noIndexPlan.Load()
 		for _, left := range rows {
-			matched := false
-			tryRow := func(r []sqlval.Value) error {
-				combined := make([]sqlval.Value, totalCols)
-				copy(combined, left)
-				copy(combined[src.offset:], r)
-				if tr.On != nil {
-					ev := &env{cols: cols, row: combined}
-					m, err := ev.eval(tr.On)
-					if err != nil {
-						return err
-					}
-					if !m.AsBool() {
-						return nil
-					}
-				}
-				matched = true
-				next = append(next, combined)
-				return nil
-			}
+			copy(scratch, left)
+			matched = false
 			// An index probe is only sound when the probe value's key class
 			// matches the build column's: cross-class values (string '5'
 			// against an INTEGER column) can compare equal through the
 			// textual fallback while hashing differently, so they scan.
-			if useIndex && keyCompatible(src.t.schema.Columns[buildCol].Type, left[probe]) {
-				refs, _ := src.t.lookup(buildCol, left[probe])
-				for _, ref := range refs {
-					if r := rv.resolve(ref.ch); r != nil {
-						if err := tryRow(r); err != nil {
-							return nil, err
-						}
+			// Probed refs run in rowid order, the order a scan meets them.
+			if useIndex && keyCompatible(src.t.schema.Columns[buildCol].Type, scratch[probe]) {
+				refs, _ := src.t.lookup(buildCol, scratch[probe])
+				for _, ref := range rowidOrder(refs) {
+					if r := rv.resolve(ref.ch); r != nil && !try(r) {
+						break
 					}
 				}
 			} else {
-				var scanErr error
-				src.t.scanSnap(rv, func(r []sqlval.Value) bool {
-					if err := tryRow(r); err != nil {
-						scanErr = err
-						return false
-					}
-					return true
-				})
-				if scanErr != nil {
-					return nil, scanErr
-				}
+				src.t.scanSnap(rv, try)
 			}
-			if !matched && tr.Join == sqlparser.JoinLeft {
+			if !matched && evalErr == nil && tr.Join == sqlparser.JoinLeft {
 				// LEFT JOIN: keep the left row with NULLs on the right.
-				combined := make([]sqlval.Value, totalCols)
-				copy(combined, left)
-				next = append(next, combined)
+				clear(part)
+				keep()
+			}
+			if evalErr != nil {
+				return nil, evalErr
+			}
+			if full {
+				break
 			}
 		}
 		rows = next
@@ -432,23 +455,15 @@ func equiJoinPlan(on *sqlparser.Expr, src srcTable, cols map[string]int) (probe,
 		}
 		return idx, true
 	}
-	envPos := func(e *sqlparser.Expr) (int, bool) {
-		key := e.Column
-		if e.Table != "" {
-			key = e.Table + "." + e.Column
-		}
-		p, found := cols[key]
-		return p, found
-	}
 	if bc, isNew := inNew(r); isNew {
-		if p, found := envPos(l); found && (p < src.offset || p >= src.offset+len(src.t.schema.Columns)) {
+		if p, found := colPos(cols, l); found && (p < src.offset || p >= src.offset+len(src.t.schema.Columns)) {
 			if src.t.hasIndexOn(bc) {
 				return p, bc, true
 			}
 		}
 	}
 	if bc, isNew := inNew(l); isNew {
-		if p, found := envPos(r); found && (p < src.offset || p >= src.offset+len(src.t.schema.Columns)) {
+		if p, found := colPos(cols, r); found && (p < src.offset || p >= src.offset+len(src.t.schema.Columns)) {
 			if src.t.hasIndexOn(bc) {
 				return p, bc, true
 			}
@@ -471,57 +486,76 @@ func (s *Session) projectRows(sel *sqlparser.Select, rows [][]sqlval.Value, cols
 	return out, nil
 }
 
-// groupedRows implements GROUP BY / aggregate evaluation.
-func (s *Session) groupedRows(sel *sqlparser.Select, rows [][]sqlval.Value, cols map[string]int, aggExprs []*sqlparser.Expr) ([]outRow, error) {
-	type group struct {
-		first []sqlval.Value
-		rows  [][]sqlval.Value
+// groupedRows implements GROUP BY / aggregate evaluation in one streaming
+// pass. A group keeps its first row and one accumulator per aggregate, in
+// one slab shared by all groups; a row finds its group through one map whose
+// key is built in a reused scratch buffer, so only a new group allocates its
+// key. HAVING and the select list then evaluate once per group, on
+// environments and aggregate values that also come from slabs.
+func (s *Session) groupedRows(sel *sqlparser.Select, rows [][]sqlval.Value, cols map[string]int, width int, aggExprs []*sqlparser.Expr) ([]outRow, error) {
+	for _, ae := range aggExprs {
+		if !countsRows(ae) && len(ae.Args) != 1 {
+			return nil, errf("%s expects one argument", ae.Func)
+		}
 	}
-	groups := make(map[string]*group)
-	var order []string
+	na := len(aggExprs)
+	var (
+		firsts  [][]sqlval.Value // group -> its first row
+		accs    []aggAcc         // group g's accumulators are accs[g*na:(g+1)*na]
+		key     []byte
+		scratch []byte // DISTINCT keys
+	)
+	groups := make(map[string]int)
+	ev := &env{cols: cols}
 	for _, r := range rows {
-		ev := &env{cols: cols, row: r}
-		var key strings.Builder
+		ev.row = r
+		key = key[:0]
 		for _, g := range sel.GroupBy {
 			v, err := ev.eval(g)
 			if err != nil {
 				return nil, err
 			}
-			key.WriteString(v.Key())
-			key.WriteByte(0x1f)
+			key = append(v.AppendKey(key), 0x1f)
 		}
-		k := key.String()
-		grp, ok := groups[k]
+		g, ok := groups[string(key)]
 		if !ok {
-			grp = &group{first: r}
-			groups[k] = grp
-			order = append(order, k)
+			g = len(firsts)
+			groups[string(key)] = g
+			firsts = append(firsts, r)
+			for j := 0; j < na; j++ {
+				accs = append(accs, aggAcc{})
+			}
 		}
-		grp.rows = append(grp.rows, r)
+		for j, ae := range aggExprs {
+			if err := accs[g*na+j].add(ae, ev, &scratch); err != nil {
+				return nil, err
+			}
+		}
 	}
 	// A query with aggregates but no GROUP BY forms one group, even when
-	// there are no input rows (COUNT(*) of an empty table is 0).
-	if len(sel.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{first: make([]sqlval.Value, 0)}
-		order = append(order, "")
+	// there are no input rows (COUNT(*) of an empty table is 0). Its row is
+	// all NULL, so a bare column in the select list or HAVING reads NULL.
+	if len(sel.GroupBy) == 0 && len(firsts) == 0 {
+		firsts = append(firsts, make([]sqlval.Value, width))
+		accs = make([]aggAcc, na)
 	}
 
-	out := make([]outRow, 0, len(groups))
-	for _, k := range order {
-		grp := groups[k]
-		aggs := make(map[*sqlparser.Expr]sqlval.Value, len(aggExprs))
-		for _, ae := range aggExprs {
-			v, err := computeAggregate(ae, grp.rows, cols)
+	vals := make([]sqlval.Value, len(firsts)*na)
+	aggRows := make([]aggRow, len(firsts))
+	envs := make([]env, len(firsts))
+	out := make([]outRow, 0, len(firsts))
+	for g, first := range firsts {
+		gv := vals[g*na : (g+1)*na : (g+1)*na]
+		for j, ae := range aggExprs {
+			v, err := accs[g*na+j].result(ae)
 			if err != nil {
 				return nil, err
 			}
-			aggs[ae] = v
+			gv[j] = v
 		}
-		first := grp.first
-		if len(first) == 0 && len(grp.rows) > 0 {
-			first = grp.rows[0]
-		}
-		ev := &env{cols: cols, row: first, aggs: aggs}
+		aggRows[g] = aggRow{exprs: aggExprs, vals: gv}
+		ev := &envs[g]
+		*ev = env{cols: cols, row: first, aggs: &aggRows[g]}
 		if sel.Having != nil {
 			m, err := ev.eval(sel.Having)
 			if err != nil {
@@ -531,103 +565,100 @@ func (s *Session) groupedRows(sel *sqlparser.Select, rows [][]sqlval.Value, cols
 				continue
 			}
 		}
-		vals, err := projectOne(sel, ev)
+		pv, err := projectOne(sel, ev)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, outRow{vals: vals, ev: ev})
+		out = append(out, outRow{vals: pv, ev: ev})
 	}
 	return out, nil
 }
 
-// computeAggregate evaluates one aggregate call over the rows of a group.
-func computeAggregate(ae *sqlparser.Expr, rows [][]sqlval.Value, cols map[string]int) (sqlval.Value, error) {
-	isStar := len(ae.Args) == 1 && ae.Args[0].Kind == sqlparser.ExprStar
-	if ae.Func == "COUNT" && (len(ae.Args) == 0 || isStar) {
-		return sqlval.Int(int64(len(rows))), nil
+// countsRows reports whether an aggregate counts rows rather than values:
+// COUNT(*) and COUNT().
+func countsRows(ae *sqlparser.Expr) bool {
+	return ae.Func == "COUNT" && (len(ae.Args) == 0 || len(ae.Args) == 1 && ae.Args[0].Kind == sqlparser.ExprStar)
+}
+
+// aggAcc is one aggregate's running state within one group. count is the
+// number of non-NULL (for DISTINCT: distinct) inputs, or of rows for
+// COUNT(*); SUM and AVG add into sum, and into the exact sumInt while every
+// input is an integer; MIN and MAX keep the extreme input in ext.
+type aggAcc struct {
+	count  int64
+	sum    float64
+	sumInt int64
+	mixed  bool // a non-integer was summed: SUM answers sum, not sumInt
+	ext    sqlval.Value
+	seen   map[string]struct{} // DISTINCT only: keys of the inputs counted
+}
+
+// add folds the current row of ev into the accumulator. scratch is a
+// reusable buffer for DISTINCT keys.
+func (a *aggAcc) add(ae *sqlparser.Expr, ev *env, scratch *[]byte) error {
+	if countsRows(ae) {
+		a.count++
+		return nil
 	}
-	if len(ae.Args) != 1 {
-		return sqlval.Null, errf("%s expects one argument", ae.Func)
+	v, err := ev.eval(ae.Args[0])
+	if err != nil || v.IsNull() {
+		return err
 	}
-	var (
-		count   int64
-		sum     float64
-		sumInt  int64
-		allInt  = true
-		minV    sqlval.Value
-		maxV    sqlval.Value
-		seen    map[string]bool
-		started bool
-	)
 	if ae.Distinct {
-		seen = make(map[string]bool)
-	}
-	for _, r := range rows {
-		ev := &env{cols: cols, row: r}
-		v, err := ev.eval(ae.Args[0])
-		if err != nil {
-			return sqlval.Null, err
+		*scratch = v.AppendKey((*scratch)[:0])
+		if _, dup := a.seen[string(*scratch)]; dup {
+			return nil
 		}
-		if v.IsNull() {
-			continue
+		if a.seen == nil {
+			a.seen = make(map[string]struct{})
 		}
-		if ae.Distinct {
-			k := v.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		count++
-		switch ae.Func {
-		case "SUM", "AVG":
-			f, err := v.AsFloat()
-			if err != nil {
-				return sqlval.Null, err
-			}
-			sum += f
-			if v.K == sqlval.KindInt {
-				sumInt += v.I
-			} else {
-				allInt = false
-			}
-		case "MIN":
-			if !started || sqlval.Compare(v, minV) < 0 {
-				minV = v
-			}
-		case "MAX":
-			if !started || sqlval.Compare(v, maxV) > 0 {
-				maxV = v
-			}
-		}
-		started = true
+		a.seen[string(*scratch)] = struct{}{}
 	}
 	switch ae.Func {
-	case "COUNT":
-		return sqlval.Int(count), nil
-	case "SUM":
-		if count == 0 {
-			return sqlval.Null, nil
+	case "SUM", "AVG":
+		f, err := v.AsFloat()
+		if err != nil {
+			return err
 		}
-		if allInt {
-			return sqlval.Int(sumInt), nil
+		a.sum += f
+		if v.K == sqlval.KindInt {
+			a.sumInt += v.I
+		} else {
+			a.mixed = true
 		}
-		return sqlval.Float(sum), nil
-	case "AVG":
-		if count == 0 {
-			return sqlval.Null, nil
-		}
-		return sqlval.Float(sum / float64(count)), nil
 	case "MIN":
-		if !started {
-			return sqlval.Null, nil
+		if a.count == 0 || sqlval.Compare(v, a.ext) < 0 {
+			a.ext = v
 		}
-		return minV, nil
 	case "MAX":
-		if !started {
+		if a.count == 0 || sqlval.Compare(v, a.ext) > 0 {
+			a.ext = v
+		}
+	}
+	a.count++
+	return nil
+}
+
+// result is the aggregate's value over everything added.
+func (a *aggAcc) result(ae *sqlparser.Expr) (sqlval.Value, error) {
+	switch ae.Func {
+	case "COUNT":
+		return sqlval.Int(a.count), nil
+	case "SUM":
+		if a.count == 0 {
 			return sqlval.Null, nil
 		}
-		return maxV, nil
+		if !a.mixed {
+			return sqlval.Int(a.sumInt), nil
+		}
+		return sqlval.Float(a.sum), nil
+	case "AVG":
+		if a.count == 0 {
+			return sqlval.Null, nil
+		}
+		return sqlval.Float(a.sum / float64(a.count)), nil
+	case "MIN", "MAX":
+		return a.ext, nil // NULL when nothing was added
 	}
 	return sqlval.Null, errf("unknown aggregate %s", ae.Func)
 }

@@ -7,6 +7,8 @@
 package sqlengine
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,7 +131,7 @@ func (ix *index) liveConflict(selfID int64, key []byte) bool {
 // Locking: store is the per-table storage latch, held exclusively by DML,
 // undo replay and GC — never by readers. SELECT resolves rows through the
 // MVCC snapshot machinery: the scan order is read through an atomic slab
-// pointer, index buckets are copied under idxMu (held only for the length
+// pointer, index buckets are read under idxMu (held only for the length
 // of a map probe), and each chain resolves to the newest version visible at
 // the session's pinned epoch. DDL holds the engine lock fully exclusive.
 // rows and keyBuf are touched only under store exclusive (or the full
@@ -336,12 +338,15 @@ func (t *table) scanSnap(rv readView, f func(row []sqlval.Value) bool) {
 	}
 }
 
-// lookup returns a copy of the chain refs matching a single-column equality
-// using the first usable index, and ok=false when no index covers the
-// column. It runs on the latch-free read path: the probe key is built in a
-// stack buffer and idxMu is held only for the probe and copy, so the
-// returned slice is safe to use while writers keep appending. Refs may be
-// stale; callers must resolve each chain and re-check their predicate.
+// lookup returns the chain refs matching a single-column equality using the
+// first usable index, and ok=false when no index covers the column. It runs
+// on the latch-free read path: the probe key is built in a stack buffer and
+// idxMu is held only for the probe. The slice returned is the bucket's own,
+// capped at its current length: buckets are insert-only, so no entry below
+// that length is ever rewritten and a writer's append lands past the cap.
+// Callers may hold and iterate it while writers keep appending, but must
+// copy it before they reorder it. Refs may be stale; callers must resolve
+// each chain and re-check their predicate.
 func (t *table) lookup(colIdx int, v sqlval.Value) (refs []chainRef, ok bool) {
 	for _, ix := range t.indexes {
 		if len(ix.columns) == 1 && ix.columns[0] == colIdx {
@@ -349,13 +354,29 @@ func (t *table) lookup(colIdx int, v sqlval.Value) (refs []chainRef, ok bool) {
 			b := v.AppendKey(buf[:0])
 			t.idxMu.RLock()
 			if bkt := t.lookupBucket(ix, b); bkt != nil {
-				refs = append([]chainRef(nil), bkt.refs...)
+				refs = bkt.refs[:len(bkt.refs):len(bkt.refs)]
 			}
 			t.idxMu.RUnlock()
 			return refs, true
 		}
 	}
 	return nil, false
+}
+
+// rowidOrder returns refs ascending by rowid. Rowids are assigned in
+// insertion order, so an index's ref list is usually in order already and
+// is returned as is; only a list whose ids are not strictly ascending (an
+// update moved an older row to the key, or a merged list repeats a rowid)
+// is copied and sorted. An index's own slice is never reordered.
+func rowidOrder(refs []chainRef) []chainRef {
+	for i := 1; i < len(refs); i++ {
+		if refs[i].id <= refs[i-1].id {
+			refs = slices.Clone(refs)
+			slices.SortFunc(refs, func(a, b chainRef) int { return cmp.Compare(a.id, b.id) })
+			return refs
+		}
+	}
+	return refs
 }
 
 // lookupBucket probes one index bucket. Caller holds idxMu (either mode).

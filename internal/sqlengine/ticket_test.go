@@ -207,6 +207,10 @@ func TestLockManagerQuiescesUnderRandomSchedules(t *testing.T) {
 		}
 	}()
 
+	// The killer races the workers on the wall clock, so a worker keeps
+	// stepping past nSteps (up to 20 times as far) until some lock wait has
+	// timed out and some session has been killed.
+	tame := func() bool { return timeouts.Load() == 0 || kills.Load() == 0 }
 	var wg sync.WaitGroup
 	for w := 0; w < nSessions; w++ {
 		wg.Add(1)
@@ -215,7 +219,7 @@ func TestLockManagerQuiescesUnderRandomSchedules(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			s := e.NewSession()
 			slots[w].Store(s)
-			for i := 0; i < nSteps; i++ {
+			for i := 0; i < nSteps || tame() && i < 20*nSteps; i++ {
 				if s.Killed() {
 					kills.Add(1)
 					// The teardown the backend runs after Kill: roll back

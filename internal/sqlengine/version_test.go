@@ -73,6 +73,17 @@ func TestSnapshotPlannedEqualsFullScan(t *testing.T) {
 		"SELECT cat, COUNT(*) FROM p GROUP BY cat ORDER BY cat",
 		"SELECT p.id, q.w FROM p, q WHERE p.id = q.pid ORDER BY p.id, q.w",
 		"SELECT COUNT(*) FROM p, q WHERE p.id = q.pid AND p.cat = 2",
+		// Joins without ORDER BY: both plans must meet matches in rowid
+		// order, including probes into p_cat, whose buckets updates leave
+		// out of rowid order.
+		"SELECT q.id, p.id, p.val FROM q JOIN p ON q.pid = p.id",
+		"SELECT p.id, q.id, q.w FROM p LEFT JOIN q ON q.pid = p.id WHERE p.cat = 3",
+		"SELECT q.id, p.id FROM q JOIN p ON p.cat = q.pid LIMIT 9",
+		"SELECT q.id, p.id FROM q LEFT JOIN p ON p.cat = q.pid WHERE p.val > 50 OR p.id IS NULL LIMIT 6 OFFSET 2",
+		"SELECT p.id, q.id FROM p JOIN q ON q.pid < p.id WHERE p.cat = 2 AND q.w > 90",
+		"SELECT a.id, q.id, b.id FROM p a JOIN q ON q.pid = a.id LEFT JOIN p b ON b.cat = a.cat LIMIT 20",
+		"SELECT p.cat, COUNT(*), SUM(q.w), MIN(q.id) FROM p JOIN q ON q.pid = p.id GROUP BY p.cat ORDER BY p.cat",
+		"SELECT p.id, q.w FROM p JOIN q ON q.pid = p.id ORDER BY q.w DESC LIMIT 5",
 	}
 	check := func() {
 		for _, q := range queries {
