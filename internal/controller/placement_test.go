@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -386,8 +387,13 @@ func TestPlacementPolicyHotAndCold(t *testing.T) {
 		}
 		exec(t, s, "SELECT COUNT(*) FROM hot")
 	}
-	if v.PlacementMoves() == 0 {
-		t.Fatal("policy move not counted")
+	// addHost counts the move when it returns, just after the flip the
+	// loop above observed.
+	for v.PlacementMoves() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("policy move not counted")
+		}
+		runtime.Gosched()
 	}
 
 	// Phase 2: cold. With reads stopped the table drops under the cold

@@ -252,6 +252,49 @@ func BenchmarkRangeSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeSelectOrderBy is the benchmark suite's wire_read range
+// read: fifty rows of a primary-key range, ordered by the key. The range
+// is collected through the ordered index and sorted in memory; with one
+// slab per result, allocations do not grow with the rows returned.
+func BenchmarkRangeSelectOrderBy(b *testing.B) {
+	_, s := benchEngine(b)
+	stmts := make([]sqlparser.Statement, 64)
+	for i := range stmts {
+		lo := (i * 157) % 9950
+		stmts[i] = mustParse(b, fmt.Sprintf("SELECT id, cat, name FROM items WHERE id >= %d AND id < %d ORDER BY id", lo, lo+50))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(stmts[i%len(stmts)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 50 {
+			b.Fatalf("rows = %d", len(res.Rows))
+		}
+	}
+}
+
+// BenchmarkDistinct deduplicates 1 000 projected rows into 100: the key of
+// each row is built in a reused buffer, so only a new distinct row
+// allocates.
+func BenchmarkDistinct(b *testing.B) {
+	_, s := benchEngine(b)
+	st := mustParse(b, "SELECT DISTINCT cat FROM items WHERE id >= 2000 AND id < 3000")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 100 {
+			b.Fatalf("rows = %d", len(res.Rows))
+		}
+	}
+}
+
 // BenchmarkGroupBySum is TPC-W's bestSellers aggregate: 3 000 order lines
 // summed into 1 000 item groups, then the top 50. Allocations scale with
 // the groups, not with the rows scanned.

@@ -195,17 +195,38 @@ func (ox *ordIndex) seekLE(b *rangeBound) *skipNode {
 	return n
 }
 
-// sortedRefs returns the node's refs ascending by rowid. Rowids are assigned
-// in insertion order, so equal-key rows emit in the same tie order a stable
-// sort over the scan order produces — the property the planned==full-scan
-// byte-identity proof rests on. The node's own slice is read capped at its
-// length (insert-only, like a hash bucket: see table.lookup) and copied
-// only when out of order.
-func (n *skipNode) sortedRefs(t *table) []chainRef {
+// liveRefs returns the node's own ref slice capped at its current length
+// (insert-only, like a hash bucket: see table.lookup).
+func (n *skipNode) liveRefs(t *table) []chainRef {
 	t.idxMu.RLock()
 	refs := n.refs[:len(n.refs):len(n.refs)]
 	t.idxMu.RUnlock()
-	return rowidOrder(refs)
+	return refs
+}
+
+// sortedRefs returns the node's refs ascending by rowid. Rowids are assigned
+// in insertion order, so equal-key rows emit in the same tie order a stable
+// sort over the scan order produces — the property the planned==full-scan
+// byte-identity proof rests on. The node's own slice is copied only when
+// out of order.
+func (n *skipNode) sortedRefs(t *table) []chainRef {
+	return rowidOrder(n.liveRefs(t))
+}
+
+// ascend calls f on every node within [lo, hi] in key order until f
+// returns false.
+func (ox *ordIndex) ascend(lo, hi *rangeBound, f func(n *skipNode) bool) {
+	for n := ox.seekGE(lo); n != nil; n = n.next[0].Load() {
+		if hi != nil {
+			c := sqlval.Compare(n.key, hi.v)
+			if c > 0 || (c == 0 && !hi.incl) {
+				return
+			}
+		}
+		if !f(n) {
+			return
+		}
+	}
 }
 
 // scan walks nodes in key order (descending when desc) within [lo, hi],
@@ -228,36 +249,31 @@ func (ox *ordIndex) scan(t *table, lo, hi *rangeBound, desc bool, f func(key sql
 		}
 		return
 	}
-	for n := ox.seekGE(lo); n != nil; n = n.next[0].Load() {
-		if hi != nil {
-			c := sqlval.Compare(n.key, hi.v)
-			if c > 0 || (c == 0 && !hi.incl) {
-				return
-			}
-		}
-		if !f(n.key, n.sortedRefs(t)) {
-			return
-		}
-	}
+	ox.ascend(lo, hi, func(n *skipNode) bool { return f(n.key, n.sortedRefs(t)) })
 }
 
 // collectRange gathers the refs of every node in [lo, hi] for the access
 // planner's candidate-narrowing mode, aborting with ok=false once more than
-// limit refs accumulate (the planner already holds a better path, so there
-// is no point materializing a wider one). limit < 0 means unbounded.
-func (ox *ordIndex) collectRange(t *table, lo, hi *rangeBound, limit int) (out []chainRef, ok bool) {
-	ok = true
-	ox.scan(t, lo, hi, false, func(_ sqlval.Value, refs []chainRef) bool {
-		out = append(out, refs...)
-		if limit >= 0 && len(out) > limit {
-			ok = false
-			return false
-		}
-		return true
+// limit refs are in range (the planner already holds a better path, so there
+// is no point materializing a wider one). limit < 0 means unbounded. It
+// counts before it copies, so the list is allocated once at its size and an
+// aborted range allocates nothing; a ref a writer adds between the two walks
+// only grows the list. Node lists are concatenated as they are: the planner
+// puts the whole list in rowid order.
+func (ox *ordIndex) collectRange(t *table, lo, hi *rangeBound, limit int) ([]chainRef, bool) {
+	n := 0
+	ox.ascend(lo, hi, func(nd *skipNode) bool {
+		n += len(nd.liveRefs(t))
+		return limit < 0 || n <= limit
 	})
-	if !ok {
+	if limit >= 0 && n > limit {
 		return nil, false
 	}
+	out := make([]chainRef, 0, n)
+	ox.ascend(lo, hi, func(nd *skipNode) bool {
+		out = append(out, nd.liveRefs(t)...)
+		return true
+	})
 	return out, true
 }
 

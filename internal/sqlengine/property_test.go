@@ -224,6 +224,9 @@ func TestPropertyIndexPlanMatchesFullScan(t *testing.T) {
 	render := func(res *Result) []string {
 		out := make([]string, len(res.Rows))
 		for i, r := range res.Rows {
+			if len(r) != len(res.Columns) {
+				t.Fatalf("row %d has %d values for %d columns %v", i, len(r), len(res.Columns), res.Columns)
+			}
 			out[i] = rowKey(r)
 		}
 		sort.Strings(out)

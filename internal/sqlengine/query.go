@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"cjdbc/internal/sqlparser"
@@ -18,12 +17,17 @@ type srcTable struct {
 	offset int    // column offset in the combined row
 }
 
-// outRow pairs a projected row with the environment it was produced from,
-// so ORDER BY can reference non-projected columns.
+// outRow is one projected row with what it was projected from — the
+// combined source row (a group's first row) and, for a grouped query, the
+// group's aggregates — so ORDER BY can evaluate non-projected keys.
 type outRow struct {
 	vals []sqlval.Value
-	ev   *env
+	row  []sqlval.Value
+	aggs *aggRow
 }
+
+// span is the range [lo, hi) of the combined row a star item copies.
+type span struct{ lo, hi int }
 
 func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	if len(sel.From) == 0 {
@@ -117,36 +121,40 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 		return nil, err
 	}
 
+	outCols, stars, err := outputColumns(sel, srcs)
+	if err != nil {
+		return nil, err
+	}
 	var out []outRow
 	if grouped {
-		out, err = s.groupedRows(sel, rows, cols, totalCols, aggExprs)
+		out, err = groupedRows(sel, stars, len(outCols), rows, cols, totalCols, aggExprs)
 	} else {
-		out, err = s.projectRows(sel, rows, cols)
+		out, err = projectRows(sel, stars, len(outCols), rows, cols)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	outCols, err := outputColumns(sel, srcs)
-	if err != nil {
-		return nil, err
-	}
+	projected := len(out)
 
 	if sel.Distinct {
-		seen := make(map[string]bool, len(out))
+		// The key is built in a reused buffer: only a new distinct row
+		// allocates one.
+		seen := make(map[string]struct{}, len(out))
+		var key []byte
 		dedup := out[:0]
 		for _, r := range out {
-			k := rowKey(r.vals)
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, r)
+			key = appendRowKey(key[:0], r.vals)
+			if _, dup := seen[string(key)]; dup {
+				continue
 			}
+			seen[string(key)] = struct{}{}
+			dedup = append(dedup, r)
 		}
 		out = dedup
 	}
 
 	if len(sel.OrderBy) > 0 && !orderDone {
-		if err := orderRows(sel, out, outCols); err != nil {
+		if err := orderRows(sel, out, outCols, cols); err != nil {
 			return nil, err
 		}
 	}
@@ -156,9 +164,21 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 		return nil, err
 	}
 
+	// Every row is a capped view of the slab projection wrote. When DISTINCT
+	// or LIMIT kept fewer than half the projected rows, the survivors move
+	// to a slab of their own, so a short result (which the result cache
+	// weighs by its own rows) does not pin the rows it dropped.
 	res := &Result{Columns: outCols, Rows: make([][]sqlval.Value, len(out))}
-	for i, r := range out {
-		res.Rows[i] = r.vals
+	if k := len(outCols); 2*len(out) < projected {
+		slab := make([]sqlval.Value, len(out)*k)
+		for i, r := range out {
+			res.Rows[i] = slabRow(slab, i, k)
+			copy(res.Rows[i], r.vals)
+		}
+	} else {
+		for i, r := range out {
+			res.Rows[i] = r.vals
+		}
 	}
 	return res, nil
 }
@@ -275,6 +295,11 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 	}
 
 	if plan.indexed {
+		n := int64(len(plan.refs))
+		if budget >= 0 {
+			n = min(n, budget)
+		}
+		rows = make([][]sqlval.Value, 0, n)
 		for _, ref := range plan.refs {
 			if row := rv.resolve(ref.ch); row != nil {
 				if !add(row) {
@@ -330,6 +355,7 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 	base := srcs[0]
 	var rows [][]sqlval.Value
 	if plan := planAccess(s.engine, base.t, envResolver(cols, base.offset, len(base.t.schema.Columns)), sel.Where, sel.Access); plan.indexed {
+		rows = make([][]sqlval.Value, 0, len(plan.refs))
 		for _, ref := range plan.refs {
 			if r := rv.resolve(ref.ch); r != nil {
 				rows = append(rows, r)
@@ -472,78 +498,103 @@ func equiJoinPlan(on *sqlparser.Expr, src srcTable, cols map[string]int) (probe,
 	return 0, 0, false
 }
 
-// projectRows evaluates the select list for each row of a non-grouped query.
-func (s *Session) projectRows(sel *sqlparser.Select, rows [][]sqlval.Value, cols map[string]int) ([]outRow, error) {
-	out := make([]outRow, 0, len(rows))
-	for _, r := range rows {
-		ev := &env{cols: cols, row: r}
-		vals, err := projectOne(sel, ev)
-		if err != nil {
+// slabRow is row i of a slab of k-value rows, capped at its own length so
+// that appending to it cannot write into row i+1.
+func slabRow(slab []sqlval.Value, i, k int) []sqlval.Value {
+	return slab[i*k : (i+1)*k : (i+1)*k]
+}
+
+// projectRows evaluates the select list for each row of a non-grouped
+// query, in one reused environment, into one slab of len(rows)·k values.
+func projectRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Value, cols map[string]int) ([]outRow, error) {
+	slab := make([]sqlval.Value, len(rows)*k)
+	out := make([]outRow, len(rows))
+	ev := env{cols: cols}
+	for i, r := range rows {
+		ev.row = r
+		vals := slabRow(slab, i, k)
+		if err := projectOne(sel, stars, &ev, vals); err != nil {
 			return nil, err
 		}
-		out = append(out, outRow{vals: vals, ev: ev})
+		out[i] = outRow{vals: vals, row: r}
 	}
 	return out, nil
 }
 
-// groupedRows implements GROUP BY / aggregate evaluation in one streaming
-// pass. A group keeps its first row and one accumulator per aggregate, in
-// one slab shared by all groups; a row finds its group through one map whose
-// key is built in a reused scratch buffer, so only a new group allocates its
-// key. HAVING and the select list then evaluate once per group, on
-// environments and aggregate values that also come from slabs.
-func (s *Session) groupedRows(sel *sqlparser.Select, rows [][]sqlval.Value, cols map[string]int, width int, aggExprs []*sqlparser.Expr) ([]outRow, error) {
+// groupedRows implements GROUP BY / aggregate evaluation. A first pass
+// numbers each row's group in first-seen order through one map whose key
+// is built in a reused scratch buffer, so only a new group allocates its
+// key. A second pass folds every row into its group's accumulators — one
+// per aggregate, all groups' in one slab sized once the groups are known —
+// and moves each group's first row to the front of rows (group g's first
+// row is never before row g, so the move overwrites only rows already
+// read). HAVING then evaluates once per group, and the groups it keeps
+// project into one slab, all in one reused environment.
+func groupedRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Value, cols map[string]int, width int, aggExprs []*sqlparser.Expr) ([]outRow, error) {
 	for _, ae := range aggExprs {
 		if !countsRows(ae) && len(ae.Args) != 1 {
 			return nil, errf("%s expects one argument", ae.Func)
 		}
 	}
 	na := len(aggExprs)
-	var (
-		firsts  [][]sqlval.Value // group -> its first row
-		accs    []aggAcc         // group g's accumulators are accs[g*na:(g+1)*na]
-		key     []byte
-		scratch []byte // DISTINCT keys
-	)
-	groups := make(map[string]int)
-	ev := &env{cols: cols}
-	for _, r := range rows {
-		ev.row = r
-		key = key[:0]
-		for _, g := range sel.GroupBy {
-			v, err := ev.eval(g)
-			if err != nil {
-				return nil, err
+	ev := env{cols: cols}
+
+	// Without GROUP BY every row is in group 0, and that one group exists
+	// even over no rows (COUNT(*) of an empty table is 0).
+	ngroups := 1
+	var gids []int32 // row i is in group gids[i]
+	if len(sel.GroupBy) > 0 {
+		gids = make([]int32, len(rows))
+		groups := make(map[string]int32)
+		var key []byte
+		for i, r := range rows {
+			ev.row = r
+			key = key[:0]
+			for _, g := range sel.GroupBy {
+				v, err := ev.eval(g)
+				if err != nil {
+					return nil, err
+				}
+				key = appendKeyPart(key, v)
 			}
-			key = append(v.AppendKey(key), 0x1f)
-		}
-		g, ok := groups[string(key)]
-		if !ok {
-			g = len(firsts)
-			groups[string(key)] = g
-			firsts = append(firsts, r)
-			for j := 0; j < na; j++ {
-				accs = append(accs, aggAcc{})
+			g, ok := groups[string(key)]
+			if !ok {
+				g = int32(len(groups))
+				groups[string(key)] = g
 			}
+			gids[i] = g
 		}
-		for j, ae := range aggExprs {
-			if err := accs[g*na+j].add(ae, ev, &scratch); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// A query with aggregates but no GROUP BY forms one group, even when
-	// there are no input rows (COUNT(*) of an empty table is 0). Its row is
-	// all NULL, so a bare column in the select list or HAVING reads NULL.
-	if len(sel.GroupBy) == 0 && len(firsts) == 0 {
-		firsts = append(firsts, make([]sqlval.Value, width))
-		accs = make([]aggAcc, na)
+		ngroups = len(groups)
 	}
 
-	vals := make([]sqlval.Value, len(firsts)*na)
-	aggRows := make([]aggRow, len(firsts))
-	envs := make([]env, len(firsts))
-	out := make([]outRow, 0, len(firsts))
+	accs := make([]aggAcc, ngroups*na) // group g's accumulators are accs[g*na:(g+1)*na]
+	firsts := rows[:0]                 // group g's first row is firsts[g]
+	var scratch []byte                 // DISTINCT keys
+	for i, r := range rows {
+		g := 0
+		if gids != nil {
+			g = int(gids[i])
+		}
+		if g == len(firsts) {
+			firsts = append(firsts, r)
+		}
+		ev.row = r
+		for j, ae := range aggExprs {
+			if err := accs[g*na+j].add(ae, &ev, &scratch); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// The implicit group over no rows has an all-NULL row, so a bare column
+	// in the select list or HAVING reads NULL.
+	if len(sel.GroupBy) == 0 && len(rows) == 0 {
+		firsts = append(firsts, make([]sqlval.Value, width))
+	}
+
+	// The groups HAVING keeps move to the front, with their aggregates.
+	vals := make([]sqlval.Value, ngroups*na)
+	aggRows := make([]aggRow, ngroups)
+	kept := 0
 	for g, first := range firsts {
 		gv := vals[g*na : (g+1)*na : (g+1)*na]
 		for j, ae := range aggExprs {
@@ -553,10 +604,9 @@ func (s *Session) groupedRows(sel *sqlparser.Select, rows [][]sqlval.Value, cols
 			}
 			gv[j] = v
 		}
-		aggRows[g] = aggRow{exprs: aggExprs, vals: gv}
-		ev := &envs[g]
-		*ev = env{cols: cols, row: first, aggs: &aggRows[g]}
+		aggRows[kept] = aggRow{exprs: aggExprs, vals: gv}
 		if sel.Having != nil {
+			ev.row, ev.aggs = first, &aggRows[kept]
 			m, err := ev.eval(sel.Having)
 			if err != nil {
 				return nil, err
@@ -565,11 +615,19 @@ func (s *Session) groupedRows(sel *sqlparser.Select, rows [][]sqlval.Value, cols
 				continue
 			}
 		}
-		pv, err := projectOne(sel, ev)
-		if err != nil {
+		firsts[kept] = first
+		kept++
+	}
+
+	slab := make([]sqlval.Value, kept*k)
+	out := make([]outRow, kept)
+	for g := range out {
+		ev.row, ev.aggs = firsts[g], &aggRows[g]
+		pv := slabRow(slab, g, k)
+		if err := projectOne(sel, stars, &ev, pv); err != nil {
 			return nil, err
 		}
-		out = append(out, outRow{vals: pv, ev: ev})
+		out[g] = outRow{vals: pv, row: firsts[g], aggs: &aggRows[g]}
 	}
 	return out, nil
 }
@@ -663,80 +721,89 @@ func (a *aggAcc) result(ae *sqlparser.Expr) (sqlval.Value, error) {
 	return sqlval.Null, errf("unknown aggregate %s", ae.Func)
 }
 
-// projectOne evaluates the select list in one environment.
-func projectOne(sel *sqlparser.Select, ev *env) ([]sqlval.Value, error) {
-	var vals []sqlval.Value
-	for _, it := range sel.Items {
+// projectOne evaluates the select list in ev into dst, which is exactly
+// the list's output width. A star copies its span of the combined row.
+func projectOne(sel *sqlparser.Select, stars []span, ev *env, dst []sqlval.Value) error {
+	n := 0
+	for i, it := range sel.Items {
 		if it.Star {
-			// Stars copy the underlying combined row directly; for
-			// qualified stars (t.*) the output columns are computed by
-			// outputColumns, and values are selected by position there.
-			// Here we append every environment column in order.
-			vals = append(vals, starValues(it, ev)...)
+			n += copy(dst[n:], ev.row[stars[i].lo:stars[i].hi])
 			continue
 		}
 		v, err := ev.eval(it.Expr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if vals == nil { // a leading star sized itself; otherwise one item, one value
-			vals = make([]sqlval.Value, 0, len(sel.Items))
-		}
-		vals = append(vals, v)
+		dst[n] = v
+		n++
 	}
-	return vals, nil
+	return nil
 }
 
-// starValues returns the row values a star item expands to. The environment
-// row is the concatenation of all source tables, so a bare * is the whole
-// row. Qualified stars use the column map prefix positions.
-func starValues(it sqlparser.SelectItem, ev *env) []sqlval.Value {
-	if it.Table == "" {
-		return ev.row
-	}
-	prefix := strings.ToLower(it.Table) + "."
-	// Collect positions with that prefix, ordered.
-	var idxs []int
-	for k, pos := range ev.cols {
-		if strings.HasPrefix(k, prefix) {
-			idxs = append(idxs, pos)
-		}
-	}
-	sort.Ints(idxs)
-	out := make([]sqlval.Value, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, ev.row[i])
-	}
-	return out
-}
-
-// outputColumns computes the result column names.
-func outputColumns(sel *sqlparser.Select, srcs []srcTable) ([]string, error) {
-	var out []string
+// outputColumns resolves the select list against the FROM entries once per
+// statement: the result's column names and, for each star item, the span
+// of the combined row it copies (nil when the list has no star). Projection
+// copies by the same spans, so every row has one value per column.
+func outputColumns(sel *sqlparser.Select, srcs []srcTable) ([]string, []span, error) {
+	var stars []span
+	k := 0
 	for i, it := range sel.Items {
-		switch {
-		case it.Star && it.Table == "":
-			for _, src := range srcs {
-				out = append(out, src.t.schema.ColumnNames()...)
-			}
-		case it.Star:
-			want := strings.ToLower(it.Table)
-			found := false
-			for _, src := range srcs {
-				if src.alias == want || src.name == want {
-					out = append(out, src.t.schema.ColumnNames()...)
-					found = true
-					break
+		if !it.Star {
+			k++
+			continue
+		}
+		if stars == nil {
+			stars = make([]span, len(sel.Items))
+		}
+		sp, err := starSpan(it, srcs)
+		if err != nil {
+			return nil, nil, err
+		}
+		stars[i] = sp
+		k += sp.hi - sp.lo
+	}
+	out := make([]string, 0, k)
+	for i, it := range sel.Items {
+		if !it.Star {
+			out = append(out, itemName(it, i))
+			continue
+		}
+		for _, src := range srcs {
+			for j, c := range src.t.schema.Columns {
+				if p := src.offset + j; p >= stars[i].lo && p < stars[i].hi {
+					out = append(out, c.Name)
 				}
 			}
-			if !found {
-				return nil, errf("unknown table %q in %s.*", it.Table, it.Table)
-			}
-		default:
-			out = append(out, itemName(it, i))
 		}
 	}
-	return out, nil
+	return out, stars, nil
+}
+
+// starSpan resolves one star item. A bare * is the whole combined row. A
+// qualified t.* is the one FROM entry whose exposed name — its alias, or
+// its table name when it has none — is t: a contiguous range of the
+// combined row.
+func starSpan(it sqlparser.SelectItem, srcs []srcTable) (span, error) {
+	if it.Table == "" {
+		last := srcs[len(srcs)-1]
+		return span{0, last.offset + len(last.t.schema.Columns)}, nil
+	}
+	want := strings.ToLower(it.Table)
+	var sp span
+	found := false
+	for _, src := range srcs {
+		if src.alias != want {
+			continue
+		}
+		if found {
+			return span{}, errf("table name %q is ambiguous in %s.*", it.Table, it.Table)
+		}
+		sp, found = span{src.offset, src.offset + len(src.t.schema.Columns)}, true
+	}
+	if !found {
+		return span{}, errf("unknown table %q in %s.*", it.Table, it.Table)
+	}
+	return sp, nil
 }
 
 func itemName(it sqlparser.SelectItem, i int) string {
@@ -749,50 +816,48 @@ func itemName(it sqlparser.SelectItem, i int) string {
 	return fmt.Sprintf("column%d", i+1)
 }
 
+// orderKey is one ORDER BY key: output column pos, or when pos < 0 expr
+// evaluated on the row's source.
+type orderKey struct {
+	pos  int
+	expr *sqlparser.Expr
+}
+
 // orderRows sorts out in place according to ORDER BY. Keys resolve first to
-// output aliases, then to positional integers, then evaluate in the source
-// environment. Key extraction is hoisted out of the comparator
-// (decorate-sort-undecorate): each row's keys are resolved exactly once —
-// O(n·k) evaluations — instead of re-resolving aliases and re-evaluating
-// expressions on every comparison of the O(n log n) sort.
-func orderRows(sel *sqlparser.Select, out []outRow, outCols []string) error {
-	type keyFn func(r outRow) (sqlval.Value, error)
-	keys := make([]keyFn, len(sel.OrderBy))
+// output aliases, then to positional integers, then evaluate on the row's
+// source row and aggregates, in one reused environment. Key extraction is
+// hoisted out of the comparator (decorate-sort-undecorate): each row's keys
+// are resolved exactly once — O(n·k) evaluations — into one slab, a stable
+// sort orders an index over it, and the rows then follow the index in
+// place. The sort allocates the keys, the slab and the index.
+func orderRows(sel *sqlparser.Select, out []outRow, outCols []string, cols map[string]int) error {
+	keys := make([]orderKey, len(sel.OrderBy))
 	for i, oi := range sel.OrderBy {
 		ex := oi.Expr
+		keys[i] = orderKey{pos: -1, expr: ex}
 		switch {
 		case ex.Kind == sqlparser.ExprLiteral && ex.Lit.K == sqlval.KindInt:
 			pos := int(ex.Lit.I) - 1
 			if pos < 0 || pos >= len(outCols) {
 				return errf("ORDER BY position %d out of range", ex.Lit.I)
 			}
-			keys[i] = func(r outRow) (sqlval.Value, error) { return r.vals[pos], nil }
+			keys[i].pos = pos
 		case ex.Kind == sqlparser.ExprColumn && ex.Table == "":
 			// Prefer an output column of the same name (alias reference).
-			pos := -1
-			for j, c := range outCols {
-				if c == ex.Column {
-					pos = j
-					break
-				}
-			}
-			if pos >= 0 {
-				p := pos
-				keys[i] = func(r outRow) (sqlval.Value, error) { return r.vals[p], nil }
-			} else {
-				e := ex
-				keys[i] = func(r outRow) (sqlval.Value, error) { return r.ev.eval(e) }
-			}
-		default:
-			e := ex
-			keys[i] = func(r outRow) (sqlval.Value, error) { return r.ev.eval(e) }
+			keys[i].pos = slices.Index(outCols, ex.Column)
 		}
 	}
 	nk := len(keys)
 	dec := make([]sqlval.Value, len(out)*nk)
+	ev := env{cols: cols}
 	for r := range out {
-		for i, fn := range keys {
-			v, err := fn(out[r])
+		for i, k := range keys {
+			if k.pos >= 0 {
+				dec[r*nk+i] = out[r].vals[k.pos]
+				continue
+			}
+			ev.row, ev.aggs = out[r].row, out[r].aggs
+			v, err := ev.eval(k.expr)
 			if err != nil {
 				return err
 			}
@@ -803,25 +868,32 @@ func orderRows(sel *sqlparser.Select, out []outRow, outCols []string) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := dec[idx[a]*nk:], dec[idx[b]*nk:]
-		for i := 0; i < nk; i++ {
-			c := sqlval.Compare(ka[i], kb[i])
-			if c == 0 {
-				continue
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ka, kb := dec[a*nk:(a+1)*nk], dec[b*nk:(b+1)*nk]
+		for i := range ka {
+			if c := sqlval.Compare(ka[i], kb[i]); c != 0 {
+				if sel.OrderBy[i].Desc {
+					return -c
+				}
+				return c
 			}
-			if sel.OrderBy[i].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
-	sorted := make([]outRow, len(out))
-	for i, j := range idx {
-		sorted[i] = out[j]
+	// Row j takes the row at idx[j]: follow each cycle of the permutation
+	// once, marking settled positions in idx.
+	for i := range idx {
+		if idx[i] == i {
+			continue
+		}
+		first, j := out[i], i
+		for idx[j] != i {
+			next := idx[j]
+			out[j], idx[j] = out[next], j
+			j = next
+		}
+		out[j], idx[j] = first, j
 	}
-	copy(out, sorted)
 	return nil
 }
 
@@ -861,14 +933,4 @@ func applyLimit(sel *sqlparser.Select, out []outRow) ([]outRow, error) {
 		out = out[:limit]
 	}
 	return out, nil
-}
-
-// rowKey builds a hash key over a projected row for DISTINCT.
-func rowKey(vals []sqlval.Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		b.WriteString(v.Key())
-		b.WriteByte(0x1f)
-	}
-	return b.String()
 }

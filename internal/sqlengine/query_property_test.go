@@ -20,10 +20,16 @@ func renderTyped(row []sqlval.Value) string {
 	return b.String()
 }
 
-// sameRows fails the test unless got and want hold the same rows in the
-// same order.
-func sameRows(t *testing.T, sql string, got, want [][]sqlval.Value) {
+// sameRows fails the test unless res holds want's rows in the same order,
+// each with one value per result column.
+func sameRows(t *testing.T, sql string, res *Result, want [][]sqlval.Value) {
 	t.Helper()
+	got := res.Rows
+	for i, r := range got {
+		if len(r) != len(res.Columns) {
+			t.Fatalf("%s: row %d has %d values for %d columns %v", sql, i, len(r), len(res.Columns), res.Columns)
+		}
+	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, reference %d\n got  %v\n want %v", sql, len(got), len(want), got, want)
 	}
@@ -278,7 +284,84 @@ func TestPropertyGroupByMatchesReference(t *testing.T) {
 				want = append(want, append(append([]sqlval.Value(nil), g.key...), aggs...))
 			}
 		}
-		sameRows(t, sql, mustExec(t, s, sql).Rows, want)
+		sameRows(t, sql, mustExec(t, s, sql), want)
+	}
+}
+
+// TestPropertyDistinctAndGroupByOverControlBytes checks DISTINCT and
+// GROUP BY over two string columns that contain the bytes value keys are
+// made of (\x00, the kind letters) and \x1f. Most rows split one string
+// x1 SEP x2 SEP x3, SEP = "\x1f\x00s", at either SEP, so joining per-value
+// keys with \x1f would make different tuples meet. The reference keeps
+// tuples in first-seen order and compares them value by value.
+func TestPropertyDistinctAndGroupByOverControlBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const sep = "\x1f\x00s"
+	short := []string{"", "p", "q"}
+	pieces := []string{"", "p", "\x1f", "\x00s", "\x00", "s", sep + "q"}
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+	pair := func() (sqlval.Value, sqlval.Value) {
+		if rng.Intn(4) == 0 {
+			return randVal(rng, 4, sqlval.String_(pick(pieces)+pick(pieces))), randVal(rng, 4, sqlval.String_(pick(pieces)))
+		}
+		x1, x2, x3 := pick(short), pick(short), pick(short)
+		if rng.Intn(2) == 0 {
+			return sqlval.String_(x1), sqlval.String_(x2 + sep + x3)
+		}
+		return sqlval.String_(x1 + sep + x2), sqlval.String_(x3)
+	}
+	for round := 0; round < 20; round++ {
+		e := New("ctlbytes")
+		s := e.NewSession()
+		mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, a VARCHAR, b VARCHAR)")
+		var model [][]sqlval.Value
+		for id := 0; id < 60; id++ {
+			a, b := pair()
+			r := []sqlval.Value{sqlval.Int(int64(id)), a, b}
+			model = append(model, r)
+			mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, a, b) VALUES (%d, %s, %s)", id, r[1].SQLLiteral(), r[2].SQLLiteral()))
+		}
+		for _, cols := range [][]int{{1, 2}, {2, 1}, {1, 2, 1}} {
+			names := make([]string, len(cols))
+			for i, c := range cols {
+				names[i] = "ab"[c-1 : c]
+			}
+			list := strings.Join(names, ", ")
+			// Tuples in first-seen order, with their row counts.
+			var tuples [][]sqlval.Value
+			var counts []int64
+			for _, r := range model {
+				tup := make([]sqlval.Value, len(cols))
+				for i, c := range cols {
+					tup[i] = r[c]
+				}
+				found := -1
+				for j, u := range tuples {
+					same := true
+					for i := range u {
+						same = same && sqlval.Compare(u[i], tup[i]) == 0
+					}
+					if same {
+						found = j
+						break
+					}
+				}
+				if found < 0 {
+					tuples = append(tuples, tup)
+					counts = append(counts, 0)
+					found = len(tuples) - 1
+				}
+				counts[found]++
+			}
+			sql := "SELECT DISTINCT " + list + " FROM t"
+			sameRows(t, sql, mustExec(t, s, sql), tuples)
+			grouped := make([][]sqlval.Value, len(tuples))
+			for j, u := range tuples {
+				grouped[j] = append(append([]sqlval.Value(nil), u...), sqlval.Int(counts[j]))
+			}
+			sql = "SELECT " + list + ", COUNT(*) FROM t GROUP BY " + list
+			sameRows(t, sql, mustExec(t, s, sql), grouped)
+		}
 	}
 }
 
@@ -437,6 +520,6 @@ func TestPropertyJoinMatchesNestedLoop(t *testing.T) {
 				projected[i] = append(projected[i], r[p])
 			}
 		}
-		sameRows(t, sql, mustExec(t, s, sql).Rows, projected)
+		sameRows(t, sql, mustExec(t, s, sql), projected)
 	}
 }

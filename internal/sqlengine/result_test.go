@@ -1,0 +1,280 @@
+package sqlengine
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"cjdbc/internal/sqlparser"
+	"cjdbc/internal/sqlval"
+)
+
+// rowKey renders a row as its composite key: two rows render alike iff
+// their values are equal part by part under Value.AppendKey.
+func rowKey(vals []sqlval.Value) string {
+	return string(appendRowKey(nil, vals))
+}
+
+// A qualified star names one FROM entry by its exposed name — the alias
+// when it has one, the table name otherwise — and yields exactly that
+// entry's columns and values, whatever other entry shares the name.
+func TestQualifiedStarScopesToExposedName(t *testing.T) {
+	e := New("star")
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE h (a INTEGER, b INTEGER)")
+	mustExec(t, s, "CREATE TABLE t (c INTEGER, d INTEGER)")
+	mustExec(t, s, "INSERT INTO h (a, b) VALUES (1, 2)")
+	mustExec(t, s, "INSERT INTO t (c, d) VALUES (1, 4)")
+	for _, tc := range []struct {
+		sql  string
+		cols string
+		row  string
+	}{
+		{"SELECT t.* FROM h t JOIN t x ON t.a = x.c", "a b", "1 2"},
+		{"SELECT t.* FROM t x JOIN h t ON t.a = x.c", "a b", "1 2"},
+		{"SELECT x.*, t.b FROM t x JOIN h t ON t.a = x.c", "c d b", "1 4 2"},
+		{"SELECT t.*, h.* FROM h JOIN t ON h.a = t.c", "c d a b", "1 4 1 2"},
+		{"SELECT *, h.* FROM h JOIN t ON h.a = t.c", "a b c d a b", "1 2 1 4 1 2"},
+		{"SELECT x.* FROM t x", "c d", "1 4"},
+	} {
+		res := mustExec(t, s, tc.sql)
+		if got := strings.Join(res.Columns, " "); got != tc.cols {
+			t.Errorf("%s: columns [%s], want [%s]", tc.sql, got, tc.cols)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("%s: %d rows, want 1", tc.sql, len(res.Rows))
+		}
+		var vals []string
+		for _, v := range res.Rows[0] {
+			vals = append(vals, v.AsString())
+		}
+		if got := strings.Join(vals, " "); got != tc.row {
+			t.Errorf("%s: row [%s], want [%s]", tc.sql, got, tc.row)
+		}
+	}
+	// An aliased table is no longer exposed under its name, and a name two
+	// entries expose is ambiguous.
+	for _, sql := range []string{
+		"SELECT h.* FROM h x",
+		"SELECT t.* FROM t JOIN t ON t.c = t.c",
+		"SELECT z.* FROM h",
+	} {
+		if _, err := s.ExecSQL(sql); err == nil {
+			t.Errorf("%s: no error", sql)
+		}
+	}
+}
+
+// Composite keys — multi-column indexes, GROUP BY and DISTINCT — must not
+// let two different tuples meet: a string part may contain any byte,
+// including a separator and the bytes that open another part's key.
+func TestCompositeKeysAreInjective(t *testing.T) {
+	e := New("composite")
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE u (id INTEGER PRIMARY KEY, a VARCHAR, b VARCHAR)")
+	mustExec(t, s, "CREATE UNIQUE INDEX u_ab ON u (a, b)")
+	x := []sqlval.Value{sqlval.String_("p"), sqlval.String_("q\x1f\x00sr")}
+	y := []sqlval.Value{sqlval.String_("p\x1f\x00sq"), sqlval.String_("r")}
+	for i, tup := range [][]sqlval.Value{x, y} {
+		sql := fmt.Sprintf("INSERT INTO u (id, a, b) VALUES (%d, %s, %s)", i, tup[0].SQLLiteral(), tup[1].SQLLiteral())
+		if _, err := s.ExecSQL(sql); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+	}
+	if res := mustExec(t, s, "SELECT a, b, COUNT(*) FROM u GROUP BY a, b"); len(res.Rows) != 2 {
+		t.Errorf("GROUP BY a, b: %d groups, want 2: %q", len(res.Rows), res.Rows)
+	}
+	if res := mustExec(t, s, "SELECT DISTINCT a, b FROM u"); len(res.Rows) != 2 {
+		t.Errorf("DISTINCT a, b: %d rows, want 2: %q", len(res.Rows), res.Rows)
+	}
+	// The unique index still refuses a true duplicate.
+	if _, err := s.ExecSQL(fmt.Sprintf("INSERT INTO u (id, a, b) VALUES (2, %s, %s)", x[0].SQLLiteral(), x[1].SQLLiteral())); err == nil {
+		t.Error("duplicate (a, b) accepted")
+	}
+}
+
+// FuzzCompositeKey: two tuples have equal composite keys iff they have
+// the same arity and equal Value.AppendKey bytes part by part.
+func FuzzCompositeKey(f *testing.F) {
+	f.Add("p", "q\x1f\x00sr", "p\x1f\x00sq", "r", uint8(0), uint8(3))
+	f.Add(strings.Repeat("x", 200), "y", strings.Repeat("x", 200), "y", uint8(0), uint8(3))
+	f.Add("\x01", "", "", "\x01", uint8(0x11), uint8(1))
+	f.Fuzz(func(t *testing.T, a, b, c, d string, kinds, arity uint8) {
+		val := func(s string, kind uint8) sqlval.Value {
+			switch kind & 3 {
+			case 0:
+				return sqlval.String_(s)
+			case 1:
+				return sqlval.Bytes([]byte(s))
+			case 2:
+				return sqlval.Int(int64(len(s)))
+			}
+			return sqlval.Null
+		}
+		x := []sqlval.Value{val(a, kinds), val(b, kinds>>2)}[:1+arity&1]
+		y := []sqlval.Value{val(c, kinds>>4), val(d, kinds>>6)}[:1+arity>>1&1]
+		same := len(x) == len(y)
+		for i := 0; same && i < len(x); i++ {
+			same = string(x[i].AppendKey(nil)) == string(y[i].AppendKey(nil))
+		}
+		if equal := rowKey(x) == rowKey(y); equal != same {
+			t.Fatalf("%q and %q: keys equal %v, parts equal %v", x, y, equal, same)
+		}
+	})
+}
+
+// resultDB is a 2 000-row table: id is the primary key (ordered), g is
+// unique (one group per row), g10 has ten values.
+func resultDB(t *testing.T) *Session {
+	t.Helper()
+	e := New("result")
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE r (id INTEGER PRIMARY KEY, g INTEGER, g10 INTEGER, name VARCHAR)")
+	for i := 0; i < 2000; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO r (id, g, g10, name) VALUES (%d, %d, %d, 'n%d')", i, i, i%10, (i*7919)%2000))
+	}
+	return s
+}
+
+func parseOrFail(t *testing.T, sql string) sqlparser.Statement {
+	t.Helper()
+	st, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// allocsOf is the allocations of one execution of sql, averaged.
+func allocsOf(t *testing.T, s *Session, sql string, rows int) float64 {
+	t.Helper()
+	st := parseOrFail(t, sql)
+	return testing.AllocsPerRun(50, func() {
+		res, err := s.Exec(st)
+		if err != nil || len(res.Rows) != rows {
+			t.Fatalf("%s: %d rows, want %d (%v)", sql, len(res.Rows), rows, err)
+		}
+	})
+}
+
+// A SELECT allocates a constant number of objects whatever its row count:
+// one slab of values per result, no environment or value slice per row,
+// exact-size candidate lists, a sort of three slices. Grouping adds only
+// its group table — a key per new group and the map that holds them.
+func TestResultAllocationsIndependentOfRows(t *testing.T) {
+	s := resultDB(t)
+	for _, q := range []string{
+		"SELECT id, name FROM r WHERE id >= 0 AND id < %d",
+		"SELECT * FROM r WHERE id >= 0 AND id < %d",
+		"SELECT id, name FROM r WHERE id >= 0 AND id < %d ORDER BY name",
+		"SELECT id, name FROM r WHERE id >= 0 AND id < %d ORDER BY g10 DESC, id",
+		"SELECT g10, COUNT(*), SUM(id) FROM r WHERE id >= 0 AND id < %d GROUP BY g10",
+	} {
+		small, large := fmt.Sprintf(q, 10), fmt.Sprintf(q, 1000)
+		want := 10
+		if !strings.Contains(q, "GROUP BY") {
+			want = 1000
+		}
+		a, b := allocsOf(t, s, small, 10), allocsOf(t, s, large, want)
+		t.Logf("%s: %.0f allocations at 10 rows, %.0f at 1000", q, a, b)
+		if b-a > 2 {
+			t.Errorf("%s: %.0f allocations at 10 rows, %.0f at 1000", q, a, b)
+		}
+	}
+
+	// One group per row. The group table's own cost is measured on an
+	// equivalent map: a string per new key, plus the map's growth.
+	groupTable := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			m := make(map[string]int32)
+			var key []byte
+			for i := 0; i < n; i++ {
+				key = appendKeyPart(key[:0], sqlval.Int(int64(i)))
+				if _, ok := m[string(key)]; !ok {
+					m[string(key)] = int32(len(m))
+				}
+			}
+		})
+	}
+	q := "SELECT g, COUNT(*), SUM(id) FROM r WHERE id >= 0 AND id < %d GROUP BY g"
+	a, b := allocsOf(t, s, fmt.Sprintf(q, 10), 10), allocsOf(t, s, fmt.Sprintf(q, 1000), 1000)
+	keys := groupTable(1000) - groupTable(10)
+	t.Logf("%s: %.0f allocations at 10 groups, %.0f at 1000; the group table accounts for %.0f", q, a, b, keys)
+	if b-a-keys > 2 {
+		t.Errorf("%s: %.0f allocations at 10 groups, %.0f at 1000, of which the group table %.0f", q, a, b, keys)
+	}
+}
+
+// Result rows are capped views of one slab: appending to one row cannot
+// write into the next, and scribbling over a result changes neither the
+// stored rows nor the next identical SELECT.
+func TestResultRowsDoNotAlias(t *testing.T) {
+	s := resultDB(t)
+	render := func(rows [][]sqlval.Value) string {
+		var b strings.Builder
+		for _, r := range rows {
+			b.WriteString(rowKey(r))
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	for _, sql := range []string{
+		"SELECT * FROM r WHERE id >= 5 AND id < 9",
+		"SELECT id, name, g10 + 1 FROM r WHERE id >= 5 AND id < 9",
+		"SELECT id, name FROM r WHERE id >= 5 AND id < 9 ORDER BY name DESC",
+		"SELECT g10, COUNT(*), MIN(name) FROM r WHERE id < 50 GROUP BY g10",
+		"SELECT DISTINCT g10 FROM r WHERE id < 50",
+	} {
+		res := mustExec(t, s, sql)
+		want := render(res.Rows)
+		second := render(res.Rows[1:2])
+		_ = append(res.Rows[0], sqlval.String_("appended"))
+		if got := render(res.Rows[1:2]); got != second {
+			t.Errorf("%s: appending to row 0 changed row 1 to %q", sql, got)
+		}
+		for _, row := range res.Rows {
+			for i := range row {
+				row[i] = sqlval.String_("scribbled")
+			}
+		}
+		if got := render(mustExec(t, s, sql).Rows); got != want {
+			t.Errorf("%s: after writing into a result, the same SELECT returns\n%q, want\n%q", sql, got, want)
+		}
+	}
+}
+
+// A LIMIT that keeps few of many projected rows copies them out, so the
+// result does not hold the whole sorted slab. Rows are capped, so their
+// capacity cannot show what they pin; the live heap the result keeps can.
+// Pinning would keep 10 000 rows × 2 values × 32 bytes = 640 KB.
+func TestLimitedResultDoesNotPinSlab(t *testing.T) {
+	e := New("pin")
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE big (id INTEGER PRIMARY KEY, g INTEGER, name VARCHAR)")
+	for i := 0; i < 10000; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO big (id, g, name) VALUES (%d, %d, 'n%d')", i, i%1000, (i*7919)%10000))
+	}
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, sql := range []string{
+		"SELECT id, name FROM big ORDER BY name LIMIT 10",
+		"SELECT id, name FROM big ORDER BY name LIMIT 10 OFFSET 5000",
+		"SELECT id, COUNT(*) FROM big GROUP BY id ORDER BY id DESC LIMIT 10",
+	} {
+		before := live()
+		res := mustExec(t, s, sql)
+		held := live() - before
+		if len(res.Rows) != 10 {
+			t.Fatalf("%s: %d rows, want 10", sql, len(res.Rows))
+		}
+		if held > 64<<10 {
+			t.Errorf("%s: a 10-row result keeps %d bytes of heap alive", sql, held)
+		}
+		runtime.KeepAlive(res)
+	}
+}

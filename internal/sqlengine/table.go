@@ -8,6 +8,7 @@ package sqlengine
 
 import (
 	"cmp"
+	"encoding/binary"
 	"slices"
 	"strings"
 	"sync"
@@ -87,13 +88,46 @@ func (ix *index) ordInsert(t *table, row []sqlval.Value, id int64, ch *rowChain)
 type idBucket struct{ refs []chainRef }
 
 // appendKey appends the index key of row to b and returns the extended
-// buffer. The layout matches what lookup builds from a probe value.
+// buffer. The layout matches what lookup builds from a probe value: a
+// single-column key is the value's AppendKey bytes, a multi-column key is
+// composite (appendKeyPart).
 func (ix *index) appendKey(b []byte, row []sqlval.Value) []byte {
 	if len(ix.columns) == 1 {
 		return row[ix.columns[0]].AppendKey(b)
 	}
 	for _, c := range ix.columns {
-		b = append(row[c].AppendKey(b), 0x1f)
+		b = appendKeyPart(b, row[c])
+	}
+	return b
+}
+
+// appendKeyPart appends v to b as one part of a composite key: the
+// uvarint length of v's AppendKey bytes, then those bytes. Multi-column
+// indexes, GROUP BY and DISTINCT build their keys from it. Because every
+// part says how long it is, two tuples have equal composite keys iff
+// their parts have equal AppendKey bytes one by one — which a separator
+// byte could not promise, since a string's key may contain any byte.
+func appendKeyPart(b []byte, v sqlval.Value) []byte {
+	n := len(b)
+	b = v.AppendKey(append(b, 0))
+	m := len(b) - n - 1
+	if m < 0x80 {
+		b[n] = byte(m)
+		return b
+	}
+	// A long part: widen the one-byte prefix to the full uvarint.
+	var pre [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(pre[:], uint64(m))
+	b = append(b, pre[:w-1]...)
+	copy(b[n+w:], b[n+1:n+1+m])
+	copy(b[n:], pre[:w])
+	return b
+}
+
+// appendRowKey appends the composite key of vals to b.
+func appendRowKey(b []byte, vals []sqlval.Value) []byte {
+	for _, v := range vals {
+		b = appendKeyPart(b, v)
 	}
 	return b
 }
