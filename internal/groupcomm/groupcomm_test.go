@@ -153,7 +153,13 @@ func TestCrashInstallsNewView(t *testing.T) {
 	g := NewGroup("vdb")
 	a, _ := g.Join("a")
 	b, _ := g.Join("b")
-	drainViews(a)
+	// Views reach a's channel asynchronously, so a non-blocking drain can
+	// miss the one that adds b; wait for it, and the next view is the crash's.
+	for v := range a.Views() {
+		if v.Contains("b") {
+			break
+		}
+	}
 	b.Kill()
 	select {
 	case v := <-a.Views():

@@ -549,8 +549,8 @@ func (lm *lockManager) releaseAll(s *Session) {
 type undoOp struct {
 	kind    uint8 // 'i' undo-insert, 'd' undo-delete, 'u' undo-update, 'c' undo-create, 'r' undo-drop, 'x' undo-create-index, 'a' autoInc restore
 	table   string
-	rowid   int64
-	tbl     *table // for undo of DROP TABLE / CREATE TABLE
+	ch      *rowChain // the row DML undo pops
+	tbl     *table    // for undo of DROP TABLE / CREATE TABLE
 	index   string
 	autoInc int64
 }
@@ -782,7 +782,7 @@ func (s *Session) applyUndo() {
 		case 'i', 'd', 'u': // pop the session's uncommitted version
 			if t := s.resolveLocked(op.table); t != nil {
 				t.store.Lock()
-				t.popVersion(op.rowid, s.stamp)
+				t.popVersion(op.ch, s.stamp)
 				t.store.Unlock()
 			}
 		case 'c': // undo create table: drop it

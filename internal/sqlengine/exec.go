@@ -358,16 +358,13 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 	}
 
 	ev := &env{}
-	buildRow := func(vals []sqlval.Value) ([]sqlval.Value, error) {
-		if len(vals) != len(colIdx) {
-			return nil, errf("INSERT into %s: %d values for %d columns", name, len(vals), len(colIdx))
-		}
-		row := make([]sqlval.Value, len(schema.Columns))
-		set := make([]bool, len(schema.Columns))
-		for i, v := range vals {
-			row[colIdx[i]] = v
-			set[colIdx[i]] = true
-		}
+	// set marks the columns the current row names explicitly; one slice
+	// serves the whole statement.
+	set := make([]bool, len(schema.Columns))
+	// complete fills in what the statement left out of a row whose named
+	// columns are in place — auto-increment values and defaults — and
+	// coerces every column to its declared kind.
+	complete := func(row []sqlval.Value) error {
 		for i := range schema.Columns {
 			col := &schema.Columns[i]
 			if !set[i] || row[i].IsNull() {
@@ -379,69 +376,68 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 				case !set[i] && col.Default != nil:
 					dv, err := ev.eval(col.Default)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					row[i] = dv
 				}
 			}
 			cv, err := coerce(row[i], col)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			row[i] = cv
 			if col.AutoIncrement && row[i].K == sqlval.KindInt && row[i].I > t.autoInc {
 				t.autoInc = row[i].I
 			}
 		}
-		return row, nil
+		return nil
 	}
 
 	autoIncBefore := t.autoInc
 	var inserted int64
 	var lastID int64
-	insertOne := func(row []sqlval.Value) error {
-		id, v, err := t.insertRow(row, s.stamp)
-		if err != nil {
-			return err
+	n := len(ins.Rows)
+	if ins.Query != nil {
+		n = len(srcRows)
+	}
+	for r := 0; r < n; r++ {
+		var width int
+		if ins.Query != nil {
+			width = len(srcRows[r])
+		} else {
+			width = len(ins.Rows[r])
 		}
-		s.undo = append(s.undo, undoOp{kind: 'i', table: name, rowid: id})
+		if width != len(colIdx) {
+			return nil, errf("INSERT into %s: %d values for %d columns", name, width, len(colIdx))
+		}
+		row := make([]sqlval.Value, len(schema.Columns))
+		clear(set)
+		for i, c := range colIdx {
+			if ins.Query != nil {
+				row[c] = srcRows[r][i]
+			} else {
+				v, err := ev.eval(ins.Rows[r][i])
+				if err != nil {
+					return nil, err
+				}
+				row[c] = v
+			}
+			set[c] = true
+		}
+		if err := complete(row); err != nil {
+			return nil, err
+		}
+		ch, v, err := t.insertRow(row, s.stamp)
+		if err != nil {
+			return nil, err
+		}
+		s.undo = append(s.undo, undoOp{kind: 'i', table: name, ch: ch})
 		s.dirty = append(s.dirty, v)
 		inserted++
 		// LastInsertID reports the auto-increment value when one was assigned.
 		for i := range schema.Columns {
 			if schema.Columns[i].AutoIncrement {
 				lastID, _ = row[i].AsInt()
-			}
-		}
-		return nil
-	}
-
-	if ins.Query != nil {
-		for _, r := range srcRows {
-			row, err := buildRow(r)
-			if err != nil {
-				return nil, err
-			}
-			if err := insertOne(row); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, exprRow := range ins.Rows {
-			vals := make([]sqlval.Value, len(exprRow))
-			for i, ex := range exprRow {
-				v, err := ev.eval(ex)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			row, err := buildRow(vals)
-			if err != nil {
-				return nil, err
-			}
-			if err := insertOne(row); err != nil {
-				return nil, err
 			}
 		}
 	}
@@ -479,9 +475,9 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 
 	refs := candidateRefs(e, t, cols, up.Where, up.Access)
 	var affected int64
-	for _, ref := range refs {
+	for _, ch := range refs {
 		// Writer view: the chain head is committed or this session's own.
-		row := ref.ch.latestRow()
+		row := ch.latestRow()
 		if row == nil {
 			continue
 		}
@@ -511,11 +507,11 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 			}
 			newRow[setIdx[i]] = cv
 		}
-		v, err := t.updateRow(ref.id, newRow, s.stamp)
+		v, err := t.updateRow(ch, newRow, s.stamp)
 		if err != nil {
 			return nil, err
 		}
-		s.undo = append(s.undo, undoOp{kind: 'u', table: name, rowid: ref.id})
+		s.undo = append(s.undo, undoOp{kind: 'u', table: name, ch: ch})
 		s.dirty = append(s.dirty, v)
 		affected++
 	}
@@ -539,8 +535,8 @@ func (s *Session) execDelete(del *sqlparser.Delete) (*Result, error) {
 	cols := t.cols
 	refs := candidateRefs(e, t, cols, del.Where, del.Access)
 	var affected int64
-	for _, ref := range refs {
-		row := ref.ch.latestRow()
+	for _, ch := range refs {
+		row := ch.latestRow()
 		if row == nil {
 			continue
 		}
@@ -556,11 +552,8 @@ func (s *Session) execDelete(del *sqlparser.Delete) (*Result, error) {
 		}
 		// A delete is a tombstone version; the old image stays on the chain
 		// for older snapshots and for undo.
-		v := t.deleteRow(ref.id, s.stamp)
-		if v == nil {
-			continue
-		}
-		s.undo = append(s.undo, undoOp{kind: 'd', table: name, rowid: ref.id})
+		v := t.deleteRow(ch, s.stamp)
+		s.undo = append(s.undo, undoOp{kind: 'd', table: name, ch: ch})
 		s.dirty = append(s.dirty, v)
 		affected++
 	}

@@ -8,8 +8,9 @@ import (
 
 // This file is the ordered half of the engine's secondary indexes: a
 // skiplist keyed by sqlval collation order (sqlval.Compare, NULL-first) that
-// coexists with MVCC under the same discipline as the hash buckets. Entries
-// are insert-only (key, id, chain) refs: updates and deletes never unlink a
+// coexists with MVCC under the same discipline as the hash buckets. Each node
+// is one key and owns that key's insert-only chain-ref list, which the
+// index's hash map shares (index.addRef): updates and deletes never unlink a
 // ref, so a reader pinned at an older epoch still finds old versions through
 // the key they had then, and every access path re-filters candidates through
 // its full predicate at the pinned epoch. The tower links are atomics
@@ -31,11 +32,12 @@ import (
 const maxSkipLevel = 16
 
 // skipNode is one distinct key of an ordered index. key and the tower size
-// are immutable after publication; refs is guarded by table.idxMu exactly
-// like a hash bucket's ref slice; next/prev are traversed latch-free.
+// are immutable after publication; the embedded bucket is the key's ref
+// list, the same one the index's hash map holds for the key; next/prev are
+// traversed latch-free.
 type skipNode struct {
-	key  sqlval.Value
-	refs []chainRef                 // guarded by table.idxMu
+	key sqlval.Value
+	idBucket
 	prev atomic.Pointer[skipNode]   // level-0 backward link; nil at the first node
 	next []atomic.Pointer[skipNode] // tower; len(next) == the node's level
 }
@@ -92,33 +94,24 @@ func (ox *ordIndex) findPreds(v sqlval.Value, preds *[maxSkipLevel]*skipNode) *s
 	return n.next[0].Load()
 }
 
-// insert records (id, ch) under key v, creating the node if the key is new.
-// Caller holds the table latch exclusively. Publication order is the
+// insert records ch under key v, creating the node if the key is new, and
+// returns the node's bucket. Caller holds the table latch exclusively.
+// Publication order is the
 // correctness argument for latch-free readers: the new node's entire tower,
 // prev link and ref list are in place before the first predecessor pointer
 // stores it, and the commit epoch that makes the row visible publishes only
 // after insert returns — so any reader whose pinned epoch can see the row
 // observes the node fully linked, and a reader racing ahead of the links
 // merely misses rows its epoch filters out anyway.
-func (ox *ordIndex) insert(t *table, v sqlval.Value, id int64, ch *rowChain) {
+func (ox *ordIndex) insert(t *table, v sqlval.Value, ch *rowChain) *idBucket {
 	var preds [maxSkipLevel]*skipNode
 	succ := ox.findPreds(v, &preds)
 	if succ != nil && sqlval.Compare(succ.key, v) == 0 {
-		// Re-updating a row back to a key it already had must not duplicate
-		// the ref (same rule as index.addRef). refs reads need no idxMu on
-		// the writer side: only the latch holder mutates them.
-		for _, ref := range succ.refs {
-			if ref.id == id {
-				return
-			}
-		}
-		t.idxMu.Lock()
-		succ.refs = append(succ.refs, chainRef{id: id, ch: ch})
-		t.idxMu.Unlock()
-		return
+		succ.add(t, ch)
+		return &succ.idBucket
 	}
 	lvl := ox.randLevel()
-	node := &skipNode{key: v, refs: []chainRef{{id: id, ch: ch}}, next: make([]atomic.Pointer[skipNode], lvl)}
+	node := &skipNode{key: v, idBucket: idBucket{refs: []*rowChain{ch}}, next: make([]atomic.Pointer[skipNode], lvl)}
 	for i := 0; i < lvl; i++ {
 		node.next[i].Store(preds[i].next[i].Load())
 	}
@@ -135,6 +128,7 @@ func (ox *ordIndex) insert(t *table, v sqlval.Value, id int64, ch *rowChain) {
 	} else {
 		ox.tail.Store(node)
 	}
+	return &node.idBucket
 }
 
 // rangeBound is one end of a key range; a nil *rangeBound is unbounded.
@@ -195,22 +189,13 @@ func (ox *ordIndex) seekLE(b *rangeBound) *skipNode {
 	return n
 }
 
-// liveRefs returns the node's own ref slice capped at its current length
-// (insert-only, like a hash bucket: see table.lookup).
-func (n *skipNode) liveRefs(t *table) []chainRef {
-	t.idxMu.RLock()
-	refs := n.refs[:len(n.refs):len(n.refs)]
-	t.idxMu.RUnlock()
-	return refs
-}
-
 // sortedRefs returns the node's refs ascending by rowid. Rowids are assigned
 // in insertion order, so equal-key rows emit in the same tie order a stable
 // sort over the scan order produces — the property the planned==full-scan
 // byte-identity proof rests on. The node's own slice is copied only when
 // out of order.
-func (n *skipNode) sortedRefs(t *table) []chainRef {
-	return rowidOrder(n.liveRefs(t))
+func (n *skipNode) sortedRefs(t *table) []*rowChain {
+	return rowidOrder(n.live(t))
 }
 
 // ascend calls f on every node within [lo, hi] in key order until f
@@ -234,7 +219,7 @@ func (ox *ordIndex) ascend(lo, hi *rangeBound, f func(n *skipNode) bool) {
 // them: see sortedRefs); f returns false to stop early (LIMIT budgets).
 // Latch-free: bounds are checked against immutable node keys and links are
 // atomic loads.
-func (ox *ordIndex) scan(t *table, lo, hi *rangeBound, desc bool, f func(key sqlval.Value, refs []chainRef) bool) {
+func (ox *ordIndex) scan(t *table, lo, hi *rangeBound, desc bool, f func(key sqlval.Value, refs []*rowChain) bool) {
 	if desc {
 		for n := ox.seekLE(hi); n != nil; n = n.prev.Load() {
 			if lo != nil {
@@ -260,38 +245,40 @@ func (ox *ordIndex) scan(t *table, lo, hi *rangeBound, desc bool, f func(key sql
 // aborted range allocates nothing; a ref a writer adds between the two walks
 // only grows the list. Node lists are concatenated as they are: the planner
 // puts the whole list in rowid order.
-func (ox *ordIndex) collectRange(t *table, lo, hi *rangeBound, limit int) ([]chainRef, bool) {
+func (ox *ordIndex) collectRange(t *table, lo, hi *rangeBound, limit int) ([]*rowChain, bool) {
 	n := 0
 	ox.ascend(lo, hi, func(nd *skipNode) bool {
-		n += len(nd.liveRefs(t))
+		n += len(nd.live(t))
 		return limit < 0 || n <= limit
 	})
 	if limit >= 0 && n > limit {
 		return nil, false
 	}
-	out := make([]chainRef, 0, n)
+	out := make([]*rowChain, 0, n)
 	ox.ascend(lo, hi, func(nd *skipNode) bool {
-		out = append(out, nd.liveRefs(t)...)
+		out = append(out, nd.live(t)...)
 		return true
 	})
 	return out, true
 }
 
-// gcLocked prunes refs to reclaimed chains (their rowids left t.rows) and
-// unlinks nodes whose ref lists emptied. Caller holds the table latch
-// exclusively, so no insert races; in-flight latch-free readers are safe
-// because an unlinked node keeps its own next/prev links — a reader standing
-// on it traverses onward, and any row it could still resolve was already
-// below every pinned snapshot's epoch (that is what made the chain
+// gcLocked prunes refs to reclaimed chains (their rowids left t.rows),
+// unlinks nodes whose ref lists emptied and deletes their keys from m, the
+// index's hash map, which shares the nodes' lists. Caller holds the table
+// latch exclusively, so no insert races; in-flight latch-free readers are
+// safe because an unlinked node keeps its own next/prev links — a reader
+// standing on it traverses onward, and any row it could still resolve was
+// already below every pinned snapshot's epoch (that is what made the chain
 // reclaimable).
-func (ox *ordIndex) gcLocked(t *table) {
+func (ox *ordIndex) gcLocked(t *table, m map[string]*idBucket) {
 	var dead map[*skipNode]bool
+	var kb [48]byte
 	for n := ox.head.next[0].Load(); n != nil; n = n.next[0].Load() {
 		kept := n.refs[:0:0]
 		dirty := false
-		for _, ref := range n.refs {
-			if _, ok := t.rows[ref.id]; ok {
-				kept = append(kept, ref)
+		for _, ch := range n.refs {
+			if _, ok := t.rows[ch.id]; ok {
+				kept = append(kept, ch)
 			} else {
 				dirty = true
 			}
@@ -301,6 +288,9 @@ func (ox *ordIndex) gcLocked(t *table) {
 		}
 		t.idxMu.Lock()
 		n.refs = kept
+		if len(kept) == 0 {
+			delete(m, string(n.key.AppendKey(kb[:0])))
+		}
 		t.idxMu.Unlock()
 		if len(kept) == 0 {
 			if dead == nil {

@@ -21,7 +21,7 @@ func skipTestTable() *table {
 
 func skipKeys(ox *ordIndex, t *table, lo, hi *rangeBound, desc bool) []sqlval.Value {
 	var keys []sqlval.Value
-	ox.scan(t, lo, hi, desc, func(k sqlval.Value, _ []chainRef) bool {
+	ox.scan(t, lo, hi, desc, func(k sqlval.Value, _ []*rowChain) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -39,14 +39,14 @@ func TestSkiplistOrderAndBounds(t *testing.T) {
 	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 	id := int64(0)
 	for _, v := range vals {
-		ch := &rowChain{}
+		ch := &rowChain{id: id}
 		tbl.rows[id] = ch
-		ox.insert(tbl, sqlval.Int(v), id, ch)
+		ox.insert(tbl, sqlval.Int(v), ch)
 		id++
 	}
-	chNull := &rowChain{}
+	chNull := &rowChain{id: id}
 	tbl.rows[id] = chNull
-	ox.insert(tbl, sqlval.Null, id, chNull)
+	ox.insert(tbl, sqlval.Null, chNull)
 
 	asc := skipKeys(ox, tbl, nil, nil, false)
 	if len(asc) != 11 || !asc[0].IsNull() {
@@ -113,16 +113,16 @@ func TestSkiplistDuplicateAndRepeatedInsert(t *testing.T) {
 	ox := newOrdIndex()
 	tbl := skipTestTable()
 	ch := func(id int64) *rowChain {
-		c := &rowChain{}
+		c := &rowChain{id: id}
 		tbl.rows[id] = c
 		return c
 	}
-	ox.insert(tbl, sqlval.Int(1), 30, ch(30))
-	ox.insert(tbl, sqlval.Int(1), 10, ch(10))
-	ox.insert(tbl, sqlval.Int(1), 20, ch(20))
-	ox.insert(tbl, sqlval.Int(1), 10, tbl.rows[10]) // update back to same key: no dup
-	var refs []chainRef
-	ox.scan(tbl, nil, nil, false, func(_ sqlval.Value, rs []chainRef) bool {
+	ox.insert(tbl, sqlval.Int(1), ch(30))
+	ox.insert(tbl, sqlval.Int(1), ch(10))
+	ox.insert(tbl, sqlval.Int(1), ch(20))
+	ox.insert(tbl, sqlval.Int(1), tbl.rows[10]) // update back to same key: no dup
+	var refs []*rowChain
+	ox.scan(tbl, nil, nil, false, func(_ sqlval.Value, rs []*rowChain) bool {
 		refs = rs
 		return true
 	})
@@ -133,14 +133,17 @@ func TestSkiplistDuplicateAndRepeatedInsert(t *testing.T) {
 
 // TestSkiplistGCUnlinksEmptyNodes deletes every row of some keys and runs
 // the index sweep: refs to reclaimed chains disappear, emptied nodes
-// unlink, and the prev chain and tail are rewired over the survivors.
+// unlink, their keys leave the hash map that shares their ref lists, and
+// the prev chain and tail are rewired over the survivors.
 func TestSkiplistGCUnlinksEmptyNodes(t *testing.T) {
-	ox := newOrdIndex()
+	ix := &index{columns: []int{0}, m: map[string]*idBucket{}, ord: newOrdIndex()}
+	ox := ix.ord
 	tbl := skipTestTable()
 	for i := int64(0); i < 20; i++ {
-		c := &rowChain{}
+		c := &rowChain{id: i}
 		tbl.rows[i] = c
-		ox.insert(tbl, sqlval.Int(i%5), i, c) // keys 0..4, 4 rows each
+		row := []sqlval.Value{sqlval.Int(i % 5)} // keys 0..4, 4 rows each
+		ix.addRef(tbl, row[0].AppendKey(nil), row, c)
 	}
 	// Reclaim every row of keys 1 and 3, and one row of key 2.
 	for i := int64(0); i < 20; i++ {
@@ -148,7 +151,15 @@ func TestSkiplistGCUnlinksEmptyNodes(t *testing.T) {
 			delete(tbl.rows, i)
 		}
 	}
-	ox.gcLocked(tbl)
+	ox.gcLocked(tbl, ix.m)
+	for k := int64(0); k < 5; k++ {
+		bkt, ok := ix.m[string(sqlval.Int(k).AppendKey(nil))]
+		if want := k%2 == 0; ok != want {
+			t.Errorf("key %d in the hash map after GC: %v, want %v", k, ok, want)
+		} else if ok && bkt != &ox.seekGE(&rangeBound{v: sqlval.Int(k), incl: true}).idBucket {
+			t.Errorf("key %d: the hash map's bucket is not the node's", k)
+		}
+	}
 
 	asc := skipKeys(ox, tbl, nil, nil, false)
 	if len(asc) != 3 || asc[0].I != 0 || asc[1].I != 2 || asc[2].I != 4 {
@@ -162,7 +173,7 @@ func TestSkiplistGCUnlinksEmptyNodes(t *testing.T) {
 		t.Fatalf("tail after GC = %v", tail)
 	}
 	total := 0
-	ox.scan(tbl, nil, nil, false, func(_ sqlval.Value, rs []chainRef) bool {
+	ox.scan(tbl, nil, nil, false, func(_ sqlval.Value, rs []*rowChain) bool {
 		total += len(rs)
 		return true
 	})
@@ -397,12 +408,12 @@ func TestPlannedAccessLeavesIndexRefsInPlace(t *testing.T) {
 
 	ix := e.tables["p"].indexes["p_cat"]
 	key := sqlval.Int(3)
-	refsNow := func() (bucket, node []chainRef) {
+	refsNow := func() (bucket, node []*rowChain) {
 		bucket = slices.Clone(ix.m[string(key.AppendKey(nil))].refs)
 		node = slices.Clone(ix.ord.seekGE(&rangeBound{v: key, incl: true}).refs)
 		return bucket, node
 	}
-	ids := func(refs []chainRef) []int64 {
+	ids := func(refs []*rowChain) []int64 {
 		out := make([]int64, len(refs))
 		for i, r := range refs {
 			out[i] = r.id

@@ -27,8 +27,8 @@ import (
 
 // accessPlan describes how to enumerate one table's rows.
 type accessPlan struct {
-	refs    []chainRef // candidate chains, ascending by rowid; meaningful when indexed
-	indexed bool       // false means full scan
+	refs    []*rowChain // candidate chains, ascending by rowid; meaningful when indexed
+	indexed bool        // false means full scan
 }
 
 // colResolver maps a column expression to its position in a table's schema,
@@ -216,9 +216,9 @@ func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr,
 	if access != nil && !access.Indexable {
 		return accessPlan{}
 	}
-	var best []chainRef
+	var best []*rowChain
 	found := false
-	consider := func(refs []chainRef) {
+	consider := func(refs []*rowChain) {
 		if found && len(refs) >= len(best) {
 			return
 		}
@@ -252,7 +252,7 @@ func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr,
 					return
 				}
 			}
-			var union []chainRef
+			var union []*rowChain
 			for _, item := range ex.List {
 				refs, indexed := t.lookup(ci, item.Lit)
 				if !indexed {
@@ -288,7 +288,7 @@ func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr,
 	// repeat a rowid across buckets or skiplist nodes; drop adjacent dups.
 	// rowidOrder copies any list that is not strictly ascending, so the
 	// dedup only ever writes to a copy, never to an index bucket.
-	best = slices.CompactFunc(rowidOrder(best), func(a, b chainRef) bool { return a.id == b.id })
+	best = slices.Compact(rowidOrder(best))
 	return accessPlan{refs: best, indexed: true}
 }
 
@@ -400,19 +400,16 @@ func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, 
 // iterate it while mutating the table. That is safe although a planned list
 // may be an index bucket's own slice: it is capped at its length and no
 // entry below the cap is ever rewritten (the planner copies before it
-// sorts), so the refs updateRow appends land beyond it; the order slab
-// copied here is immutable up to its published length. Caller holds the
-// table latch exclusively and resolves liveness per chain (writer view).
-func candidateRefs(e *Engine, t *table, cols map[string]int, where *sqlparser.Expr, access *sqlparser.AccessInfo) []chainRef {
+// sorts), so the refs updateRow appends land beyond it. A full scan
+// returns the order slab's own published prefix, capped the same way: the
+// prefix is immutable, and neither UPDATE nor DELETE appends to the slab.
+// Caller holds the table latch exclusively and resolves liveness per chain
+// (writer view).
+func candidateRefs(e *Engine, t *table, cols map[string]int, where *sqlparser.Expr, access *sqlparser.AccessInfo) []*rowChain {
 	if plan := planAccess(e, t, envResolver(cols, 0, len(t.schema.Columns)), where, access); plan.indexed {
 		return plan.refs
 	}
 	slab := t.order.Load()
 	n := int(slab.n.Load())
-	out := make([]chainRef, 0, n)
-	for i := 0; i < n; i++ {
-		en := slab.entries[i]
-		out = append(out, chainRef{id: en.id, ch: en.ch})
-	}
-	return out
+	return slab.entries[:n:n]
 }

@@ -279,9 +279,9 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 		// version carries, so rows whose key changed across versions appear
 		// exactly once, in the right position.
 		keyPos := src.offset + op.col
-		op.ix.scan(t, op.lo, op.hi, op.desc, func(key sqlval.Value, refs []chainRef) bool {
-			for _, ref := range refs {
-				row := rv.resolve(ref.ch)
+		op.ix.scan(t, op.lo, op.hi, op.desc, func(key sqlval.Value, refs []*rowChain) bool {
+			for _, ch := range refs {
+				row := rv.resolve(ch)
 				if row == nil || sqlval.Compare(row[keyPos], key) != 0 {
 					continue
 				}
@@ -300,8 +300,8 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 			n = min(n, budget)
 		}
 		rows = make([][]sqlval.Value, 0, n)
-		for _, ref := range plan.refs {
-			if row := rv.resolve(ref.ch); row != nil {
+		for _, ch := range plan.refs {
+			if row := rv.resolve(ch); row != nil {
 				if !add(row) {
 					break
 				}
@@ -356,8 +356,8 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 	var rows [][]sqlval.Value
 	if plan := planAccess(s.engine, base.t, envResolver(cols, base.offset, len(base.t.schema.Columns)), sel.Where, sel.Access); plan.indexed {
 		rows = make([][]sqlval.Value, 0, len(plan.refs))
-		for _, ref := range plan.refs {
-			if r := rv.resolve(ref.ch); r != nil {
+		for _, ch := range plan.refs {
+			if r := rv.resolve(ch); r != nil {
 				rows = append(rows, r)
 			}
 		}
@@ -434,8 +434,8 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 			// Probed refs run in rowid order, the order a scan meets them.
 			if useIndex && keyCompatible(src.t.schema.Columns[buildCol].Type, scratch[probe]) {
 				refs, _ := src.t.lookup(buildCol, scratch[probe])
-				for _, ref := range rowidOrder(refs) {
-					if r := rv.resolve(ref.ch); r != nil && !try(r) {
+				for _, ch := range rowidOrder(refs) {
+					if r := rv.resolve(ch); r != nil && !try(r) {
 						break
 					}
 				}

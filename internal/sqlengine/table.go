@@ -69,23 +69,41 @@ type index struct {
 	columns []int // column positions
 	unique  bool
 	m       map[string]*idBucket // value key -> chain refs
-	// ord is the ordered view of a single-column index: a skiplist over the
-	// same insert-only refs, keyed by sqlval collation order, serving range
-	// predicates and ORDER BY ... LIMIT scans. Multi-column indexes stay
-	// hash-only. See ordered.go.
+	// ord is the ordered view of a single-column index: a skiplist keyed by
+	// sqlval collation order, serving range predicates and ORDER BY ...
+	// LIMIT scans. Its nodes own the ref lists: m maps each key to its
+	// node's bucket, so a key's refs are stored once. Multi-column indexes
+	// stay hash-only and own their buckets. See ordered.go.
 	ord *ordIndex
 }
 
-// ordInsert mirrors an addRef into the ordered view, keyed by the row's
-// value in the indexed column. Caller holds the table latch exclusively.
-func (ix *index) ordInsert(t *table, row []sqlval.Value, id int64, ch *rowChain) {
-	if ix.ord != nil {
-		ix.ord.insert(t, row[ix.columns[0]], id, ch)
+// idBucket is one key's chain-ref list, guarded by table.idxMu.
+type idBucket struct{ refs []*rowChain }
+
+// add appends ch unless the list already holds it (re-updating a row back
+// to a key it had must not duplicate the ref, or scans through the bucket
+// would return the row twice). Caller holds the table latch exclusively, so
+// it reads refs without idxMu; idxMu is taken around the append because
+// readers copy ref slices with no latch.
+func (b *idBucket) add(t *table, ch *rowChain) {
+	if slices.Contains(b.refs, ch) {
+		return
 	}
+	t.idxMu.Lock()
+	b.refs = append(b.refs, ch)
+	t.idxMu.Unlock()
 }
 
-// idBucket is one hash bucket's chain-ref list.
-type idBucket struct{ refs []chainRef }
+// live returns the bucket's own ref slice capped at its current length.
+// Buckets are insert-only, so no entry below that length is ever rewritten
+// and a writer's append lands past the cap: callers may hold and iterate it
+// while writers keep appending, but must copy it before they reorder it.
+func (b *idBucket) live(t *table) []*rowChain {
+	t.idxMu.RLock()
+	refs := b.refs[:len(b.refs):len(b.refs)]
+	t.idxMu.RUnlock()
+	return refs
+}
 
 // appendKey appends the index key of row to b and returns the extended
 // buffer. The layout matches what lookup builds from a probe value: a
@@ -132,22 +150,22 @@ func appendRowKey(b []byte, vals []sqlval.Value) []byte {
 	return b
 }
 
-// liveConflict reports whether some row other than selfID is currently
-// live (writer view) under the given key. Because buckets keep stale refs,
+// liveConflict reports whether some row other than self is currently live
+// (writer view) under the given key. Because buckets keep stale refs,
 // presence alone proves nothing: each candidate's current row is resolved
 // and its key rebuilt for comparison. Caller holds the table latch
 // exclusively.
-func (ix *index) liveConflict(selfID int64, key []byte) bool {
+func (ix *index) liveConflict(self *rowChain, key []byte) bool {
 	bkt := ix.m[string(key)]
 	if bkt == nil {
 		return false
 	}
 	var sb [48]byte
-	for _, ref := range bkt.refs {
-		if ref.id == selfID {
+	for _, ch := range bkt.refs {
+		if ch == self {
 			continue
 		}
-		row := ref.ch.latestRow()
+		row := ch.latestRow()
 		if row == nil {
 			continue
 		}
@@ -224,11 +242,11 @@ func newTable(schema *Schema) *table {
 	return t
 }
 
-// appendOrder publishes a new rowid at the tail of the scan order. Within
+// appendOrder publishes a new chain at the tail of the scan order. Within
 // slab capacity the entry is written in place and published by the atomic
 // length store; growth allocates a doubled slab and republishes the
 // pointer. Caller holds the table latch exclusively.
-func (t *table) appendOrder(id int64, ch *rowChain) {
+func (t *table) appendOrder(ch *rowChain) {
 	slab := t.order.Load()
 	n := int(slab.n.Load())
 	if n == len(slab.entries) {
@@ -236,87 +254,81 @@ func (t *table) appendOrder(id int64, ch *rowChain) {
 		if newCap < 16 {
 			newCap = 16
 		}
-		ns := &orderSlab{entries: make([]orderEntry, newCap)}
+		ns := &orderSlab{entries: make([]*rowChain, newCap)}
 		copy(ns.entries, slab.entries[:n])
-		ns.entries[n] = orderEntry{id: id, ch: ch}
+		ns.entries[n] = ch
 		ns.n.Store(int64(n + 1))
 		t.order.Store(ns)
 		return
 	}
-	slab.entries[n] = orderEntry{id: id, ch: ch}
+	slab.entries[n] = ch
 	slab.n.Store(int64(n + 1))
 }
 
-// addRef appends a chain ref under key unless the bucket already holds the
-// rowid (re-updating back to a previous key must not duplicate the ref, or
-// scans through the bucket would return the row twice). Caller holds the
-// table latch exclusively; idxMu is taken around the mutation because
-// readers probe buckets with no latch.
-func (ix *index) addRef(t *table, key []byte, id int64, ch *rowChain) {
-	bkt := ix.m[string(key)]
-	if bkt != nil {
-		for _, ref := range bkt.refs {
-			if ref.id == id {
-				return
-			}
-		}
-		t.idxMu.Lock()
-		bkt.refs = append(bkt.refs, chainRef{id: id, ch: ch})
-		t.idxMu.Unlock()
+// addRef records ch under key, the index key of row. A known key appends to
+// its bucket; a new key gets a bucket — for a single-column index, the
+// bucket of the skiplist node ordIndex.insert links for it — and the map
+// publishes it. Caller holds the table latch exclusively; idxMu is taken
+// around the mutations because readers probe buckets with no latch.
+func (ix *index) addRef(t *table, key []byte, row []sqlval.Value, ch *rowChain) {
+	if bkt := ix.m[string(key)]; bkt != nil {
+		bkt.add(t, ch)
 		return
 	}
+	var bkt *idBucket
+	if ix.ord == nil {
+		bkt = &idBucket{refs: []*rowChain{ch}}
+	} else {
+		// Sharing one list between the map and the skiplist relies on the
+		// map's key equality and the skiplist's Compare == 0 being one
+		// relation: within one kind class sqlval.Key equality holds iff
+		// Compare is 0, and stored values are coerced to their column's
+		// kind, so this key has no node yet and the node made for it is
+		// the one every later row with an equal key must reach.
+		bkt = ix.ord.insert(t, row[ix.columns[0]], ch)
+	}
 	t.idxMu.Lock()
-	ix.m[string(key)] = &idBucket{refs: []chainRef{{id: id, ch: ch}}}
+	ix.m[string(key)] = bkt
 	t.idxMu.Unlock()
 }
 
 // insertRow adds a row as a new version chain stamped with the writer's
-// stamp, maintains all indexes, and returns the rowid and the version (for
-// the session's commit-stamping dirty list).
-func (t *table) insertRow(row []sqlval.Value, stamp uint64) (int64, *rowVersion, error) {
+// stamp, maintains all indexes, and returns the chain and the version (for
+// the session's undo log and commit-stamping dirty list).
+func (t *table) insertRow(row []sqlval.Value, stamp uint64) (*rowChain, *rowVersion, error) {
 	// Check all unique indexes before mutating any.
 	for _, ix := range t.indexes {
 		if !ix.unique {
 			continue
 		}
 		t.keyBuf = ix.appendKey(t.keyBuf[:0], row)
-		if ix.liveConflict(-1, t.keyBuf) {
-			return 0, nil, errf("unique constraint violation on %s.%s", t.schema.Name, ix.name)
+		if ix.liveConflict(nil, t.keyBuf) {
+			return nil, nil, errf("unique constraint violation on %s.%s", t.schema.Name, ix.name)
 		}
 	}
-	id := t.nextID
+	ch := &rowChain{id: t.nextID}
 	t.nextID++
-	ch := &rowChain{}
 	v := ch.push(stamp, row)
-	t.rows[id] = ch
+	t.rows[ch.id] = ch
 	for _, ix := range t.indexes {
 		t.keyBuf = ix.appendKey(t.keyBuf[:0], row)
-		ix.addRef(t, t.keyBuf, id, ch)
-		ix.ordInsert(t, row, id, ch)
+		ix.addRef(t, t.keyBuf, row, ch)
 	}
-	t.appendOrder(id, ch)
-	return id, v, nil
+	t.appendOrder(ch)
+	return ch, v, nil
 }
 
-// deleteRow pushes a tombstone version onto the row's chain. Index refs
+// deleteRow pushes a tombstone version onto a live row's chain. Index refs
 // stay: older snapshots still resolve the previous versions through them.
-func (t *table) deleteRow(id int64, stamp uint64) *rowVersion {
-	ch := t.rows[id]
-	if ch == nil {
-		return nil
-	}
+func (t *table) deleteRow(ch *rowChain, stamp uint64) *rowVersion {
 	v := ch.push(stamp, nil)
 	t.garbage++
 	return v
 }
 
-// updateRow pushes a new version of the row, maintaining indexes and
-// checking unique constraints against other live rows.
-func (t *table) updateRow(id int64, newRow []sqlval.Value, stamp uint64) (*rowVersion, error) {
-	ch := t.rows[id]
-	if ch == nil {
-		return nil, errf("row %d vanished during update of %s", id, t.schema.Name)
-	}
+// updateRow pushes a new version onto a live row's chain, maintaining
+// indexes and checking unique constraints against other live rows.
+func (t *table) updateRow(ch *rowChain, newRow []sqlval.Value, stamp uint64) (*rowVersion, error) {
 	old := ch.latestRow()
 	for _, ix := range t.indexes {
 		if !ix.unique {
@@ -328,7 +340,7 @@ func (t *table) updateRow(id int64, newRow []sqlval.Value, stamp uint64) (*rowVe
 		if string(nb) == string(ob[len(nb):]) {
 			continue
 		}
-		if ix.liveConflict(id, nb) {
+		if ix.liveConflict(ch, nb) {
 			return nil, errf("unique constraint violation on %s.%s", t.schema.Name, ix.name)
 		}
 	}
@@ -343,16 +355,15 @@ func (t *table) updateRow(id int64, newRow []sqlval.Value, stamp uint64) (*rowVe
 		if string(nb) == string(ob[len(nb):]) {
 			continue
 		}
-		ix.addRef(t, nb, id, ch)
-		ix.ordInsert(t, newRow, id, ch)
+		ix.addRef(t, nb, newRow, ch)
 	}
 	return v, nil
 }
 
 // popVersion undoes the newest version of a row if it carries the given
 // writer stamp (rollback / failed-statement undo).
-func (t *table) popVersion(id int64, stamp uint64) {
-	if ch := t.rows[id]; ch != nil && ch.pop(stamp) {
+func (t *table) popVersion(ch *rowChain, stamp uint64) {
+	if ch.pop(stamp) {
 		t.garbage++
 	}
 }
@@ -363,8 +374,8 @@ func (t *table) popVersion(id int64, stamp uint64) {
 func (t *table) scanSnap(rv readView, f func(row []sqlval.Value) bool) {
 	slab := t.order.Load()
 	n := int(slab.n.Load())
-	for i := 0; i < n; i++ {
-		if row := rv.resolve(slab.entries[i].ch); row != nil {
+	for _, ch := range slab.entries[:n] {
+		if row := rv.resolve(ch); row != nil {
 			if !f(row) {
 				return
 			}
@@ -376,12 +387,9 @@ func (t *table) scanSnap(rv readView, f func(row []sqlval.Value) bool) {
 // first usable index, and ok=false when no index covers the column. It runs
 // on the latch-free read path: the probe key is built in a stack buffer and
 // idxMu is held only for the probe. The slice returned is the bucket's own,
-// capped at its current length: buckets are insert-only, so no entry below
-// that length is ever rewritten and a writer's append lands past the cap.
-// Callers may hold and iterate it while writers keep appending, but must
-// copy it before they reorder it. Refs may be stale; callers must resolve
-// each chain and re-check their predicate.
-func (t *table) lookup(colIdx int, v sqlval.Value) (refs []chainRef, ok bool) {
+// capped at its current length (see idBucket.live). Refs may be stale;
+// callers must resolve each chain and re-check their predicate.
+func (t *table) lookup(colIdx int, v sqlval.Value) (refs []*rowChain, ok bool) {
 	for _, ix := range t.indexes {
 		if len(ix.columns) == 1 && ix.columns[0] == colIdx {
 			var buf [48]byte
@@ -402,11 +410,11 @@ func (t *table) lookup(colIdx int, v sqlval.Value) (refs []chainRef, ok bool) {
 // is returned as is; only a list whose ids are not strictly ascending (an
 // update moved an older row to the key, or a merged list repeats a rowid)
 // is copied and sorted. An index's own slice is never reordered.
-func rowidOrder(refs []chainRef) []chainRef {
+func rowidOrder(refs []*rowChain) []*rowChain {
 	for i := 1; i < len(refs); i++ {
 		if refs[i].id <= refs[i-1].id {
 			refs = slices.Clone(refs)
-			slices.SortFunc(refs, func(a, b chainRef) int { return cmp.Compare(a.id, b.id) })
+			slices.SortFunc(refs, func(a, b *rowChain) int { return cmp.Compare(a.id, b.id) })
 			return refs
 		}
 	}
@@ -432,8 +440,11 @@ func (t *table) hasIndexOn(colIdx int) bool {
 // addIndex builds a new index over existing rows. It indexes the key of
 // every version of every chain — not just the latest — because a reader
 // pinned before the index existed may plan through it and must still find
-// its older versions. Uniqueness is checked against live (latest) rows
-// only. Caller holds the engine lock exclusively, so no reader runs.
+// its older versions. Chains are visited in the scan order, which is rowid
+// order, so every ref list comes out sorted and replicas holding the same
+// chains draw the same skiplist towers. Uniqueness is checked against live
+// (latest) rows only. Caller holds the engine lock exclusively, so no
+// reader runs.
 func (t *table) addIndex(name string, cols []int, unique bool) error {
 	if _, dup := t.indexes[name]; dup {
 		return errf("index %s already exists on %s", name, t.schema.Name)
@@ -442,9 +453,11 @@ func (t *table) addIndex(name string, cols []int, unique bool) error {
 	if len(cols) == 1 {
 		ix.ord = newOrdIndex()
 	}
+	slab := t.order.Load()
+	chains := slab.entries[:slab.n.Load()]
 	if unique {
-		seen := make(map[string]int64, len(t.rows))
-		for id, ch := range t.rows {
+		seen := make(map[string]struct{}, len(chains))
+		for _, ch := range chains {
 			row := ch.latestRow()
 			if row == nil {
 				continue
@@ -453,17 +466,16 @@ func (t *table) addIndex(name string, cols []int, unique bool) error {
 			if _, dup := seen[string(t.keyBuf)]; dup {
 				return errf("unique constraint violation on %s.%s", t.schema.Name, ix.name)
 			}
-			seen[string(t.keyBuf)] = id
+			seen[string(t.keyBuf)] = struct{}{}
 		}
 	}
-	for id, ch := range t.rows {
+	for _, ch := range chains {
 		for v := ch.head.Load(); v != nil; v = v.prev.Load() {
 			if v.row == nil {
 				continue
 			}
 			t.keyBuf = ix.appendKey(t.keyBuf[:0], v.row)
-			ix.addRef(t, t.keyBuf, id, ch)
-			ix.ordInsert(t, v.row, id, ch)
+			ix.addRef(t, t.keyBuf, v.row, ch)
 		}
 	}
 	t.indexes[name] = ix

@@ -33,10 +33,15 @@ type rowVersion struct {
 }
 
 // rowChain is the version chain of one rowid, newest first. The chain
-// pointer itself is stable for the life of the rowid: order entries and
-// index buckets reference chains, so readers resolve visibility without
-// touching the rows map.
+// pointer itself is stable for the life of the rowid and carries the rowid:
+// the scan order and index ref lists hold bare chain pointers, so readers
+// resolve visibility and order refs by rowid without touching the rows map.
+// Index entries are insert-only — updates and deletes leave stale refs
+// behind so readers pinned at older epochs can still find old versions
+// through them; lookups always re-evaluate the full predicate, which makes
+// stale refs harmless.
 type rowChain struct {
+	id   int64 // immutable
 	head atomic.Pointer[rowVersion]
 }
 
@@ -93,12 +98,6 @@ func (ch *rowChain) versionCount() int {
 	return n
 }
 
-// orderEntry pairs a rowid with its chain in the table's scan order.
-type orderEntry struct {
-	id int64
-	ch *rowChain
-}
-
 // orderSlab is one atomically published snapshot of a table's scan order.
 // entries has fixed capacity; entries[:n] are valid. The single writer (the
 // table latch holder) appends in place and publishes by storing n, so the
@@ -107,16 +106,7 @@ type orderEntry struct {
 // their own consistent snapshot.
 type orderSlab struct {
 	n       atomic.Int64
-	entries []orderEntry
-}
-
-// chainRef is one index-bucket entry: a rowid and its chain. Index entries
-// are insert-only — updates and deletes leave stale refs behind so readers
-// pinned at older epochs can still find old versions through them; lookups
-// always re-evaluate the full predicate, which makes stale refs harmless.
-type chainRef struct {
-	id int64
-	ch *rowChain
+	entries []*rowChain
 }
 
 // epochClock is the engine's global commit-epoch clock. published is the
@@ -423,7 +413,7 @@ func (t *table) gcStepLocked(w uint64, batch int) {
 		end = n
 	}
 	for i := t.gcCursor; i < end; i++ {
-		truncateChain(slab.entries[i].ch, w)
+		truncateChain(slab.entries[i], w)
 	}
 	if end >= n {
 		// Lap complete: the full sweep retires dead chains and re-zeroes the
@@ -458,11 +448,10 @@ func (t *table) gcLocked(w uint64) {
 	// slab they loaded) and prune index refs to removed chains.
 	slab := t.order.Load()
 	n := int(slab.n.Load())
-	live := make([]orderEntry, 0, len(t.rows))
-	for i := 0; i < n; i++ {
-		en := slab.entries[i]
-		if _, ok := t.rows[en.id]; ok {
-			live = append(live, en)
+	live := make([]*rowChain, 0, len(t.rows))
+	for _, ch := range slab.entries[:n] {
+		if _, ok := t.rows[ch.id]; ok {
+			live = append(live, ch)
 		}
 	}
 	ns := &orderSlab{entries: live[:cap(live)]}
@@ -470,17 +459,23 @@ func (t *table) gcLocked(w uint64) {
 	t.order.Store(ns)
 
 	for _, ix := range t.indexes {
+		if ix.ord != nil {
+			// A single-column index's hash buckets are its skiplist nodes'
+			// ref lists: one walk prunes both.
+			ix.ord.gcLocked(t, ix.m)
+			continue
+		}
 		type bucketEdit struct {
 			key  string
-			refs []chainRef // nil = delete the bucket
+			refs []*rowChain // nil = delete the bucket
 		}
 		var edits []bucketEdit
 		for key, bkt := range ix.m {
 			dirty := false
 			kept := bkt.refs[:0:0]
-			for _, ref := range bkt.refs {
-				if _, ok := t.rows[ref.id]; ok {
-					kept = append(kept, ref)
+			for _, ch := range bkt.refs {
+				if _, ok := t.rows[ch.id]; ok {
+					kept = append(kept, ch)
 				} else {
 					dirty = true
 				}
@@ -501,10 +496,5 @@ func (t *table) gcLocked(w uint64) {
 			}
 		}
 		t.idxMu.Unlock()
-	}
-	for _, ix := range t.indexes {
-		if ix.ord != nil {
-			ix.ord.gcLocked(t)
-		}
 	}
 }
