@@ -1,13 +1,14 @@
-// Benchmarks regenerating the paper's evaluation (§6) plus ablations of the
-// design choices and micro-benchmarks of the substrates.
+// Benchmarks regenerating the paper's evaluation (§6), ablations of the
+// design choices, an engine join, and the multi-writer scaling of the write
+// pipeline. Per-layer and end-to-end performance is measured by
+// `bash bench/run.sh` (see BENCHMARK.json and bench/README.md), not here.
 //
 //	go test -bench 'Figure10' -benchtime 1x .   # one figure
 //	go test -bench . -benchmem .                # everything
 //
 // Macro benchmarks report rq/min (the paper's unit), ms/interaction and the
 // backend CPU-load proxy as custom metrics; ns/op is meaningless for them.
-// The full sweeps behind EXPERIMENTS.md run via cmd/tpcw-bench and
-// cmd/rubis-bench.
+// cmd/tpcw-bench and cmd/rubis-bench print the full sweeps.
 package cjdbc_test
 
 import (
@@ -17,12 +18,8 @@ import (
 	"time"
 
 	"cjdbc"
-	"cjdbc/internal/backend"
-	"cjdbc/internal/cache"
-	"cjdbc/internal/recovery"
 	"cjdbc/internal/sqlengine"
 	"cjdbc/internal/sqlparser"
-	"cjdbc/internal/sqlval"
 	"cjdbc/internal/workload/experiments"
 	"cjdbc/internal/workload/rubis"
 	"cjdbc/internal/workload/tpcw"
@@ -194,56 +191,7 @@ func runRUBiSWithCache(granularity string) (r struct {
 	return r, nil
 }
 
-// --- micro-benchmarks of the substrates ---
-
-// BenchmarkParseSelect measures the SQL front end on a TPC-W query.
-func BenchmarkParseSelect(b *testing.B) {
-	q := "SELECT i_id, i_title, a_fname, a_lname FROM item JOIN author ON i_a_id = a_id WHERE i_subject = 'HISTORY' ORDER BY i_pub_date DESC, i_title LIMIT 50"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sqlparser.Parse(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEnginePointRead measures an indexed single-row select.
-func BenchmarkEnginePointRead(b *testing.B) {
-	e := sqlengine.New("bench")
-	s := e.NewSession()
-	if _, err := s.ExecSQL("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if _, err := s.ExecSQL(fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'v%d')", i, i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st, _ := sqlparser.Parse("SELECT v FROM t WHERE id = 500")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Exec(st); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineInsert measures single-row insert throughput.
-func BenchmarkEngineInsert(b *testing.B) {
-	e := sqlengine.New("bench")
-	s := e.NewSession()
-	if _, err := s.ExecSQL("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ExecSQL(fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'x')", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- engine join and write-pipeline scaling ---
 
 // BenchmarkEngineJoin measures an indexed two-table join.
 func BenchmarkEngineJoin(b *testing.B) {
@@ -262,116 +210,6 @@ func BenchmarkEngineJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Exec(st); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkResultCache measures cache hit latency.
-func BenchmarkResultCache(b *testing.B) {
-	c := cache.New(cache.Config{Granularity: cache.GranTable})
-	q := "SELECT a FROM t WHERE id = 1"
-	st, _ := sqlparser.Parse(q)
-	c.Put(q, st, &backend.Result{Columns: []string{"a"}, Rows: [][]sqlval.Value{{sqlval.Int(1)}}})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c.Get(q) == nil {
-			b.Fatal("miss")
-		}
-	}
-}
-
-// BenchmarkRecoveryLogAppend measures write-ahead logging cost.
-func BenchmarkRecoveryLogAppend(b *testing.B) {
-	l := recovery.NewMemoryLog()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(recovery.Entry{User: "u", TxID: 1, Class: recovery.ClassWrite,
-			SQL: "INSERT INTO t (a) VALUES (1)"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRepeatedStatement measures the controller hot path on a repeated
-// statement served from the result cache — the per-request constant factor
-// the parsing cache (§2.4.2) targets: with both caches warm, the request
-// cost is pure controller overhead. The "-params" variant additionally
-// binds values into a clone of the cached template and re-renders the SQL
-// for the result-cache key.
-func BenchmarkRepeatedStatement(b *testing.B) {
-	q := "SELECT i_id, i_title FROM item WHERE i_subject = 'HISTORY' ORDER BY i_title LIMIT 10"
-	pq := "SELECT i_title FROM item WHERE i_id = ?"
-	setup := func(b *testing.B) cjdbc.Session {
-		ctrl := cjdbc.NewController("bench", 1)
-		b.Cleanup(ctrl.Close)
-		vdb, err := ctrl.CreateVirtualDatabase(cjdbc.VirtualDatabaseConfig{
-			Name:  "b",
-			Cache: &cjdbc.CacheConfig{Granularity: "table"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			vdb.AddInMemoryBackend(fmt.Sprintf("db%d", i))
-		}
-		sess, _ := vdb.OpenSession("u", "")
-		b.Cleanup(func() { sess.Close() })
-		sess.Exec("CREATE TABLE item (i_id INTEGER PRIMARY KEY, i_title VARCHAR, i_subject VARCHAR)")
-		for i := 0; i < 50; i++ {
-			sess.Exec(fmt.Sprintf("INSERT INTO item (i_id, i_title, i_subject) VALUES (%d, 't%d', 'HISTORY')", i, i))
-		}
-		// Warm both caches for every statement the loop issues.
-		sess.Query(q)
-		for i := 0; i < 50; i++ {
-			sess.Query(pq, i)
-		}
-		return sess
-	}
-	b.Run("plancache", func(b *testing.B) {
-		sess := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sess.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("plancache-params", func(b *testing.B) {
-		sess := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sess.Query(pq, i%50); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkClusterRead measures the full controller read path (no cost
-// model): parse, route, balance, execute, serialize.
-func BenchmarkClusterRead(b *testing.B) {
-	ctrl := cjdbc.NewController("bench", 1)
-	defer ctrl.Close()
-	vdb, err := ctrl.CreateVirtualDatabase(cjdbc.VirtualDatabaseConfig{Name: "b"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		vdb.AddInMemoryBackend(fmt.Sprintf("db%d", i))
-	}
-	sess, _ := vdb.OpenSession("u", "")
-	defer sess.Close()
-	sess.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)")
-	sess.Exec("INSERT INTO t (id, v) VALUES (1, 'x')")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Query("SELECT v FROM t WHERE id = 1"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -451,17 +289,6 @@ func BenchmarkSameTableWrites(b *testing.B) {
 	benchParallelWrites(b, vdb, 1, rows)
 }
 
-// BenchmarkAutoCommitWorkerPool measures the auto-commit write path with
-// the per-backend worker pool (the default): enqueue-time ticket
-// reservation on a pre-bound connection, ready-task handoff, resident
-// workers. BENCH_PR5.json records the goroutine-per-write execution model
-// it replaced.
-func BenchmarkAutoCommitWorkerPool(b *testing.B) {
-	const tables, rows = 4, 64
-	vdb := benchWriteVDB(b, tables, rows)
-	benchParallelWrites(b, vdb, tables, rows)
-}
-
 // BenchmarkMixedAutoCommitTxContention drives auto-commit writers and
 // short transactions over the same tables: the contended case where
 // enqueue-time tickets, not each replica's lock queue, decide the order of
@@ -508,27 +335,4 @@ func BenchmarkMixedAutoCommitTxContention(b *testing.B) {
 			i++
 		}
 	})
-}
-
-// BenchmarkClusterWrite measures the full write-all path on 3 backends.
-func BenchmarkClusterWrite(b *testing.B) {
-	ctrl := cjdbc.NewController("bench", 1)
-	defer ctrl.Close()
-	vdb, err := ctrl.CreateVirtualDatabase(cjdbc.VirtualDatabaseConfig{Name: "b"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		vdb.AddInMemoryBackend(fmt.Sprintf("db%d", i))
-	}
-	sess, _ := vdb.OpenSession("u", "")
-	defer sess.Close()
-	sess.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Exec(fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'x')", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

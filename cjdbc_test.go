@@ -270,40 +270,95 @@ func TestNetworkDriverAndFailover(t *testing.T) {
 	}
 }
 
+// The driver tracks an open transaction from the statements it sends, so
+// every spelling the parser accepts must open or close it: a failover
+// inside a transaction is an error, never a silent auto-commit retry, and a
+// failover after COMMIT is transparent.
 func TestFailoverAbortsOpenTransaction(t *testing.T) {
-	ctrlA := NewController("A2", 1)
-	ctrlB := NewController("B2", 2)
-	defer ctrlA.Close()
-	defer ctrlB.Close()
-	for _, c := range []*Controller{ctrlA, ctrlB} {
-		v, err := c.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "ha"})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		stmts  []string // sent on controller A before it dies
+		wantTx bool     // whether the failover must report a lost transaction
+	}{
+		{"BEGIN", []string{"BEGIN"}, true},
+		{"BEGIN;", []string{"BEGIN;"}, true},
+		{"begin;", []string{"begin;"}, true},
+		{"comment-led", []string{"/* app */ BEGIN"}, true},
+		{"START TRANSACTION;", []string{"START TRANSACTION;"}, true},
+		{"COMMIT;", []string{"BEGIN", "COMMIT;"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrlA := NewController("A2", 1)
+			ctrlB := NewController("B2", 2)
+			defer ctrlA.Close()
+			defer ctrlB.Close()
+			for _, c := range []*Controller{ctrlA, ctrlB} {
+				v, err := c.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "ha"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := v.AddInMemoryBackend(c.Name() + "-db"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			addrA, _ := ctrlA.ListenAndServe("127.0.0.1:0")
+			addrB, _ := ctrlB.ListenAndServe("127.0.0.1:0")
+			sess, err := Connect(fmt.Sprintf("cjdbc://%s,%s/ha", addrA, addrB))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if _, err := sess.Exec("CREATE TABLE t (id INTEGER)"); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range append(tc.stmts, "INSERT INTO t (id) VALUES (1)") {
+				if _, err := sess.Exec(q); err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+			}
+			ctrlA.Close()
+			_, err = sess.Exec("SELECT 1")
+			if tc.wantTx && !errors.Is(err, ErrTxLostOnFailover) {
+				t.Fatalf("expected ErrTxLostOnFailover, got %v", err)
+			}
+			if !tc.wantTx && err != nil {
+				t.Fatalf("auto-commit statement after COMMIT did not fail over: %v", err)
+			}
+			// Session is usable again in auto-commit mode on controller B.
+			if _, err := sess.Exec("SELECT 1"); err != nil {
+				t.Fatalf("session dead after tx failover: %v", err)
+			}
+		})
+	}
+}
+
+func TestLeadingKeyword(t *testing.T) {
+	for _, tc := range []struct{ sql, want string }{
+		{"BEGIN", "BEGIN"},
+		{"BEGIN;", "BEGIN"},
+		{"begin;", "begin"},
+		{"  \t\r\nCOMMIT;", "COMMIT"},
+		{"/* app */ BEGIN", "BEGIN"},
+		{"/* a */ /* b */\n-- note\nrollback", "rollback"},
+		{"-- only a comment", ""},
+		{"/* unclosed", ""},
+		{"START TRANSACTION;", "START"},
+		{"SELECT 1", "SELECT"},
+		{"BEGINNING", "BEGINNING"},
+		{"(SELECT 1)", ""},
+		{"", ""},
+	} {
+		if got := leadingKeyword(tc.sql); got != tc.want {
+			t.Errorf("leadingKeyword(%q) = %q, want %q", tc.sql, got, tc.want)
 		}
-		if err := v.AddInMemoryBackend(c.Name() + "-db"); err != nil {
-			t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !strings.EqualFold(leadingKeyword("/* app */ begin;"), "BEGIN") {
+			t.Fatal("comment-led begin not recognised")
 		}
-	}
-	addrA, _ := ctrlA.ListenAndServe("127.0.0.1:0")
-	addrB, _ := ctrlB.ListenAndServe("127.0.0.1:0")
-	sess, err := Connect(fmt.Sprintf("cjdbc://%s,%s/ha", addrA, addrB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	sess.Exec("CREATE TABLE t (id INTEGER)")
-	if err := sess.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	sess.Exec("INSERT INTO t (id) VALUES (1)")
-	ctrlA.Close()
-	_, err = sess.Exec("INSERT INTO t (id) VALUES (2)")
-	if !errors.Is(err, ErrTxLostOnFailover) {
-		t.Fatalf("expected ErrTxLostOnFailover, got %v", err)
-	}
-	// Session is usable again in auto-commit mode on controller B.
-	if _, err := sess.Exec("SELECT 1"); err != nil {
-		t.Fatalf("session dead after tx failover: %v", err)
+	})
+	if allocs != 0 {
+		t.Errorf("leadingKeyword + EqualFold: %v allocs per call, want 0", allocs)
 	}
 }
 

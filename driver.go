@@ -136,10 +136,10 @@ func (r *remoteSession) Exec(sql string, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch strings.ToUpper(firstWord(sql)) {
-	case "BEGIN", "START":
+	switch kw := leadingKeyword(sql); {
+	case strings.EqualFold(kw, "BEGIN"), strings.EqualFold(kw, "START"):
 		r.inTx = true
-	case "COMMIT", "ROLLBACK", "ABORT":
+	case strings.EqualFold(kw, "COMMIT"), strings.EqualFold(kw, "ROLLBACK"), strings.EqualFold(kw, "ABORT"):
 		r.inTx = false
 	}
 	return rows, nil
@@ -158,12 +158,35 @@ func (r *remoteSession) Close() error {
 	return r.client.Close()
 }
 
-func firstWord(s string) string {
-	s = strings.TrimSpace(s)
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' || s[i] == '\t' || s[i] == '\n' {
-			return s[:i]
+// leadingKeyword returns the first word of sql as the parser reads it: it
+// skips whitespace, "-- …" line comments and "/* … */" block comments, then
+// takes the run of ASCII letters, so "/* app */ begin;" yields "begin". It
+// does not allocate.
+func leadingKeyword(sql string) string {
+	i := 0
+	for i < len(sql) {
+		switch c := sql[i]; {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			i++
+		case strings.HasPrefix(sql[i:], "--"):
+			if end := strings.IndexByte(sql[i:], '\n'); end >= 0 {
+				i += end
+			} else {
+				i = len(sql)
+			}
+		case strings.HasPrefix(sql[i:], "/*"):
+			if end := strings.Index(sql[i+2:], "*/"); end >= 0 {
+				i += 2 + end + 2
+			} else {
+				i = len(sql)
+			}
+		default:
+			j := i
+			for j < len(sql) && ('a' <= sql[j] && sql[j] <= 'z' || 'A' <= sql[j] && sql[j] <= 'Z') {
+				j++
+			}
+			return sql[i:j]
 		}
 	}
-	return s
+	return ""
 }
