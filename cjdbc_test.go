@@ -114,6 +114,47 @@ func TestAggregateOverEmptyTableThroughCluster(t *testing.T) {
 	}
 }
 
+// TestCurrentDateThroughCluster: CURRENT_DATE() means the same day at
+// midnight UTC on both paths. A write reaches the backends with the macro
+// already replaced by the controller's value, while a read evaluates it
+// in the engine; if the two disagree, a row written "today" is not found
+// by a query for today.
+func TestCurrentDateThroughCluster(t *testing.T) {
+	_, vdb := newTestCluster(t, 2, VirtualDatabaseConfig{})
+	sess, err := vdb.OpenSession("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	today := func() time.Time { return time.Now().UTC().Truncate(24 * time.Hour) }
+	before := today()
+	for _, q := range []string{
+		"CREATE TABLE d (id INTEGER PRIMARY KEY, day TIMESTAMP)",
+		"INSERT INTO d (id, day) VALUES (1, CURRENT_DATE())",
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	rows, err := sess.Query("SELECT day, CURRENT_DATE() FROM d WHERE day = CURRENT_DATE()")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !today().Equal(before) {
+		t.Skip("the UTC date changed during the test")
+	}
+	var stored, evaluated time.Time
+	if rows.Len() != 1 || !rows.Next() {
+		t.Fatalf("%d rows for today, want 1", rows.Len())
+	}
+	if err := rows.Scan(&stored, &evaluated); err != nil {
+		t.Fatal(err)
+	}
+	if !stored.Equal(before) || !evaluated.Equal(before) {
+		t.Fatalf("stored %v, evaluated %v; want both %v", stored, evaluated, before)
+	}
+}
+
 func TestScanDestinations(t *testing.T) {
 	_, vdb := newTestCluster(t, 1, VirtualDatabaseConfig{})
 	sess, _ := vdb.OpenSession("u", "")

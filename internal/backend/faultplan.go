@@ -95,6 +95,22 @@ func (p *FaultPlan) Heal() {
 	p.mu.Unlock()
 }
 
+// CrashPending reports whether a Crash rule can still fire: the plan is
+// not crashed and some Crash rule has firings left.
+func (p *FaultPlan) CrashPending() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return false
+	}
+	for _, r := range p.rules {
+		if r.Crash && (r.Times == 0 || r.fired < r.Times) {
+			return true
+		}
+	}
+	return false
+}
+
 // Down reports whether the plan is in the crashed state.
 func (p *FaultPlan) Down() bool {
 	p.mu.Lock()

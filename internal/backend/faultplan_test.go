@@ -51,12 +51,22 @@ func TestFaultPlanRules(t *testing.T) {
 		t.Fatalf("slow rule: d=%v err=%v", d, err)
 	}
 	// Crash: the firing flips the plan down for every kind until Heal.
-	p = NewFaultPlan(CrashOnCommit(1, errBoom))
+	// CrashPending holds from installation until the crash fires.
+	p = NewFaultPlan(CrashOnCommit(2, errBoom))
+	if !p.CrashPending() {
+		t.Fatal("crash not pending on a fresh plan")
+	}
+	if _, err := p.check(Op{Kind: OpCommit}); err != nil {
+		t.Fatalf("first commit of CrashOnCommit(2): %v", err)
+	}
+	if !p.CrashPending() {
+		t.Fatal("crash not pending before its commit")
+	}
 	if _, err := p.check(Op{Kind: OpCommit}); !errors.Is(err, errBoom) {
 		t.Fatalf("crash firing: %v", err)
 	}
-	if !p.Down() {
-		t.Fatal("plan should be down after crash rule fired")
+	if !p.Down() || p.CrashPending() {
+		t.Fatalf("after the crash: Down %v, CrashPending %v; want true, false", p.Down(), p.CrashPending())
 	}
 	for _, k := range []OpKind{OpRead, OpWrite, OpProbe, OpDirect} {
 		if _, err := p.check(Op{Kind: k}); !errors.Is(err, errBoom) {
@@ -64,8 +74,16 @@ func TestFaultPlanRules(t *testing.T) {
 		}
 	}
 	p.Heal()
-	if p.Down() {
-		t.Fatal("plan still down after Heal")
+	if p.Down() || p.CrashPending() {
+		t.Fatalf("after Heal: Down %v, CrashPending %v; want false, false", p.Down(), p.CrashPending())
+	}
+	if NewFaultPlan(Slow(OpWrite, time.Millisecond)).CrashPending() {
+		t.Fatal("a plan without a crash rule reports a pending crash")
+	}
+	unfired := NewFaultPlan(CrashOnCommit(1, errBoom))
+	unfired.Heal()
+	if unfired.CrashPending() {
+		t.Fatal("Heal left an unfired crash pending")
 	}
 	if _, err := p.check(Op{Kind: OpCommit}); err != nil {
 		t.Fatalf("commit after heal: %v", err)

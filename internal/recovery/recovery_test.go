@@ -638,6 +638,65 @@ func TestReplayErrorsSurfaceSQL(t *testing.T) {
 	}
 }
 
+// TestFileLogReplaysRareWriteForms: a FileLog outlives the binary that
+// wrote it, and replay stops at the first entry that fails, so every write
+// form the parser has accepted must still replay from a reopened file, or
+// re-integration aborts. The statements are the write forms no workload
+// sends (docs/ARCHITECTURE.md, "The SQL the engine supports, and who needs
+// it"), the first a grammar cleanup would remove; such a cleanup has to
+// keep them replayable or turn this test into the typed error it chose.
+func TestFileLogReplaysRareWriteForms(t *testing.T) {
+	stmts := []string{
+		"CREATE TABLE p (a INTEGER, b INTEGER, c VARCHAR NULL UNIQUE, d INTEGER REFERENCES q (x), PRIMARY KEY (a, b))",
+		"CREATE UNIQUE INDEX pc ON p (c)",
+		"CREATE INDEX pd ON p (d)",
+		"CREATE INDEX pd2 ON p (d)",
+		"CREATE INDEX pbd ON p (b, d)",
+		"DROP INDEX pd2 ON p",
+		"INSERT INTO p (a, b, c, d) VALUES (1, 1, 'x', NULL), (1, 2, 'yy', 3), (2, 1, 'zzz', 4)",
+		"CREATE TABLE s (a INTEGER, n INTEGER, d INTEGER)",
+		"INSERT INTO s (a, n, d) SELECT DISTINCT a, LENGTH(c), COALESCE(d, 0) FROM p WHERE b = 1",
+		"UPDATE p SET c = UPPER(c) WHERE ABS(b) = 2",
+		"DELETE FROM p WHERE MOD(a, 2) = 0",
+	}
+	path := filepath.Join(t.TempDir(), "recovery.log")
+	l := mustOpen(t, func() (Log, error) { return OpenFileLog(path) })
+	for _, q := range stmts {
+		if _, err := l.Append(Entry{Class: ClassWrite, SQL: q}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l = mustOpen(t, func() (Log, error) { return OpenFileLog(path) })
+	defer l.Close()
+
+	src := mkBackend(t, "rare-src", stmts...)
+	dst := mkBackend(t, "rare-dst")
+	if applied, err := ReplayParallel(l, 0, dst, 1); err != nil || applied != len(stmts) {
+		t.Fatalf("replay applied %d of %d: %v", applied, len(stmts), err)
+	}
+	for _, q := range []string{
+		"SELECT a, b, c, d FROM p ORDER BY a, b",
+		"SELECT a, n, d FROM s ORDER BY a",
+	} {
+		want, err := src.Read(0, nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dst.Read(0, nil, q)
+		if err != nil || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s after replay = %v, %v; want %v", q, got, err, want.Rows)
+		}
+	}
+	for _, b := range []*backend.Backend{src, dst} {
+		if _, err := b.DirectExec(nil, "INSERT INTO p (a, b, c) VALUES (9, 9, 'x')"); err == nil {
+			t.Fatalf("%s accepted a duplicate of a UNIQUE index key", b.Name())
+		}
+	}
+}
+
 func TestInsertSQLBatching(t *testing.T) {
 	td := TableDump{Name: "t", Columns: []string{"a"}}
 	for i := 0; i < 250; i++ {

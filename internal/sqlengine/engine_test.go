@@ -541,6 +541,23 @@ func TestScalarFunctions(t *testing.T) {
 	}
 }
 
+// TestCurrentDate: the engine evaluates CURRENT_DATE() — the controller's
+// macro on writes — as today at midnight UTC, the value the macro's
+// rewrite stores, so a read can compare against what a write wrote.
+func TestCurrentDate(t *testing.T) {
+	s := New("t").NewSession()
+	defer s.Close()
+	today := func() time.Time { return time.Now().UTC().Truncate(24 * time.Hour) }
+	before := today()
+	r := mustExec(t, s, "SELECT CURRENT_DATE()")
+	if !today().Equal(before) {
+		t.Skip("the UTC date changed during the test")
+	}
+	if got := r.Rows[0][0]; got.K != sqlval.KindTime || !got.Time().Equal(before) {
+		t.Fatalf("CURRENT_DATE() = %v, want %v", got, before)
+	}
+}
+
 func TestTypeCoercionOnInsert(t *testing.T) {
 	e := New("t")
 	s := e.NewSession()

@@ -299,6 +299,9 @@ func (ev *env) evalFunc(e *sqlparser.Expr) (sqlval.Value, error) {
 	switch e.Func {
 	case "NOW", "CURRENT_TIMESTAMP":
 		return sqlval.Time(time.Now()), nil
+	case "CURRENT_DATE":
+		// Midnight UTC, as sqlparser.RewriteMacros writes it.
+		return sqlval.Time(time.Now().Truncate(24 * time.Hour)), nil
 	case "RAND":
 		return sqlval.Float(rand.Float64()), nil
 	case "LENGTH":

@@ -124,17 +124,20 @@ func HasMacros(st Statement) bool {
 }
 
 // RewriteMacros replaces every NOW()/CURRENT_TIMESTAMP with the fixed time
-// now and every RAND() with a float drawn from rng, mutating st in place.
-// The scheduler calls this once per write so that all replicas apply
-// identical values.
+// now, every CURRENT_DATE with now's day at midnight UTC (what the engine
+// evaluates it to) and every RAND() with a float drawn from rng, mutating
+// st in place. The scheduler calls this once per write so that all
+// replicas apply identical values.
 func RewriteMacros(st Statement, now time.Time, rng *rand.Rand) {
 	WalkExprs(st, func(e *Expr) {
 		if e.Kind != ExprFunc || !macroFuncs[e.Func] {
 			return
 		}
 		switch e.Func {
-		case "NOW", "CURRENT_TIMESTAMP", "CURRENT_DATE":
+		case "NOW", "CURRENT_TIMESTAMP":
 			*e = Expr{Kind: ExprLiteral, Lit: sqlval.Time(now)}
+		case "CURRENT_DATE":
+			*e = Expr{Kind: ExprLiteral, Lit: sqlval.Time(now.Truncate(24 * time.Hour))}
 		case "RAND":
 			*e = Expr{Kind: ExprLiteral, Lit: sqlval.Float(rng.Float64())}
 		}

@@ -252,6 +252,19 @@ func TestMacroDetectionAndRewrite(t *testing.T) {
 	}
 }
 
+// TestCurrentDateRewritesToMidnight: CURRENT_DATE() is a date, so its
+// rewrite is the day of now at midnight UTC, not now with its time of day.
+func TestCurrentDateRewritesToMidnight(t *testing.T) {
+	st := mustParse(t, "INSERT INTO orders (o_date) VALUES (CURRENT_DATE())")
+	now := time.Date(2004, 6, 27, 12, 30, 5, 7, time.UTC)
+	RewriteMacros(st, now, rand.New(rand.NewSource(1)))
+	got := st.(*Insert).Rows[0][0]
+	want := time.Date(2004, 6, 27, 0, 0, 0, 0, time.UTC)
+	if got.Kind != ExprLiteral || got.Lit.K != sqlval.KindTime || !got.Lit.Time().Equal(want) {
+		t.Fatalf("CURRENT_DATE() rewritten to %s, want %v", Render(st), want)
+	}
+}
+
 func TestBindParams(t *testing.T) {
 	st := mustParse(t, "UPDATE t SET a = ?, b = ? WHERE c = ?")
 	err := BindParams(st, []sqlval.Value{sqlval.Int(1), sqlval.String_("x"), sqlval.Int(3)})

@@ -46,7 +46,8 @@ type Event struct {
 	Plan *backend.FaultPlan
 	// Heal heals the backend's installed plan instead: the crashed state
 	// clears and every rule expires, so the backend starts answering again
-	// and the re-integration supervisor's next attempt succeeds.
+	// and the re-integration supervisor's next attempt succeeds. A plan
+	// whose crash has not fired yet is healed once it has.
 	Heal bool
 	// AddHost / RemoveHost fire a dynamic placement move of table c<Table>
 	// targeting the backend, asynchronously (a bootstrap runs under live
@@ -266,6 +267,16 @@ func Run(cfg Config) (*Report, error) {
 			b := backends[ev.Backend]
 			if ev.Heal {
 				if p := b.FaultPlan(); p != nil {
+					// A backend applies writes behind the client's ack, so
+					// its scripted crash can come after AtOp; heal the
+					// crash, not the plan before it fires.
+					for p.CrashPending() {
+						select {
+						case <-stopInjector:
+							return
+						case <-time.After(time.Millisecond):
+						}
+					}
 					p.Heal()
 				}
 			}
