@@ -2,9 +2,11 @@ package sqlengine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"cjdbc/internal/sqlparser"
+	"cjdbc/internal/sqlval"
 )
 
 // benchEngine builds a 10k-row table with a primary-key index on id and a
@@ -149,6 +151,39 @@ func BenchmarkInsertIndexed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkUpdateChurn runs auto-commit point UPDATEs with uniform keys on
+// an 80 000-row table from one session that is never closed, so only the
+// statement-end trigger reclaims. versions/row is what that trigger leaves
+// behind when the loop ends: 1.0 is exact reclamation.
+func BenchmarkUpdateChurn(b *testing.B) {
+	const rows = 80000
+	e := New("bench-churn")
+	s := e.NewSession()
+	if _, err := s.ExecSQL("CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER, pad VARCHAR)"); err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < rows; lo += 500 {
+		if _, err := s.ExecSQL(pointInsert(lo, 500)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One parsed statement whose key literal is rewritten per iteration.
+	st := mustParse(b, "UPDATE kv SET v = v + 1 WHERE id = 0")
+	key := &st.(*sqlparser.Update).Where.Right.Lit
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		*key = sqlval.Int(int64(rng.Intn(rows)))
+		if _, err := s.Exec(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	vs := e.VersionStatsSnapshot()
+	b.ReportMetric(float64(vs.Versions)/float64(vs.Chains), "versions/row")
 }
 
 // BenchmarkPointSelectUnderWriteLoad is the MVCC acceptance benchmark: a

@@ -67,15 +67,14 @@ type Engine struct {
 
 	// clock is the global commit-epoch clock; writerSeq hands each session
 	// a unique uncommitted-version stamp; pins registers sessions for the
-	// GC watermark; gcDebt accrues superseded versions until an incremental
-	// sweep step (gcBusy serializes steps, gcNext round-robins tables).
+	// GC watermark; gcDebt accrues superseded versions until a step drains
+	// the purge lists (gcBusy serializes steps).
 	clock     epochClock
 	writerSeq atomic.Uint64
 	pins      []pinShard
 	gcDebt    atomic.Int64
 	gcEvery   int64
 	gcBusy    atomic.Bool
-	gcNext    int // next round-robin table; touched only while gcBusy is held
 
 	// noIndexPlan forces full scans in the access planner and in join
 	// stages, and disables ordered-index ORDER BY elision. Tests toggle it
@@ -106,10 +105,11 @@ func WithLockTimeout(d time.Duration) Option {
 }
 
 // WithGCThreshold sets how many superseded row versions may accrue before a
-// statement end runs one bounded garbage-collection step (gcStep). Session
-// close runs the exact whole-catalog sweep (GC) whenever any debt is
-// outstanding, whatever the threshold. Tests lower it to exercise
-// reclamation, or raise it to isolate the close trigger.
+// statement end drains the tables' purge lists (gcStep); the default, 256,
+// leaves at most ≈ 35 KB of versions per engine. Session close runs the
+// exact whole-catalog sweep (GC) whenever any debt is outstanding, whatever
+// the threshold. Tests lower it to exercise reclamation, or raise it to
+// isolate the close trigger.
 func WithGCThreshold(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -125,7 +125,7 @@ func New(name string, opts ...Option) *Engine {
 		mu:          newBRWMutex(),
 		tables:      make(map[string]*table),
 		lockTimeout: 2 * time.Second,
-		gcEvery:     16384,
+		gcEvery:     256,
 	}
 	e.stats = make([]statShard, len(e.mu.shards))
 	e.pins = make([]pinShard, len(e.mu.shards))

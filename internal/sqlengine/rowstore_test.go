@@ -207,10 +207,12 @@ func TestAddIndexOnPopulatedTableKeepsRowidOrder(t *testing.T) {
 
 // TestAddIndexIsDeterministic: two engines applying one statement stream,
 // CREATE INDEX on a loaded table last, build skiplists with the same tower
-// heights in key order — as replicas must.
+// heights in key order — as replicas must. The threshold keeps the 50
+// superseded versions unreclaimed, so the index is built over stale refs
+// too.
 func TestAddIndexIsDeterministic(t *testing.T) {
 	heights := func() []int {
-		e := New("det")
+		e := New("det", WithGCThreshold(1<<20))
 		s := e.NewSession()
 		mustExec(t, s, "CREATE TABLE p (id INTEGER PRIMARY KEY, k INTEGER)")
 		for i := 0; i < 500; i++ {

@@ -202,10 +202,11 @@ type table struct {
 	idxMu   sync.RWMutex
 	indexes map[string]*index
 	keyBuf  []byte // reusable index-key scratch for the write path
-	garbage int    // versions superseded/popped since the last GC, under store
-	// gcCursor is the incremental GC's resume position in the order slab:
-	// chains below it were truncated this lap. Guarded by store exclusive.
-	gcCursor int
+	// purge lists the versions updates and deletes pushed, oldest first
+	// (see purgeLocked); dead counts chains retired from rows since the
+	// last compaction. Both guarded by store exclusive.
+	purge []purgeEntry
+	dead  int
 	// cols is the prebuilt environment column map ("col" and "table.col"
 	// keys). The engine has no ALTER TABLE, so it is immutable after
 	// creation and shared by every unaliased single-table statement
@@ -322,7 +323,7 @@ func (t *table) insertRow(row []sqlval.Value, stamp uint64) (*rowChain, *rowVers
 // stay: older snapshots still resolve the previous versions through them.
 func (t *table) deleteRow(ch *rowChain, stamp uint64) *rowVersion {
 	v := ch.push(stamp, nil)
-	t.garbage++
+	t.purge = append(t.purge, purgeEntry{ch, v})
 	return v
 }
 
@@ -345,7 +346,7 @@ func (t *table) updateRow(ch *rowChain, newRow []sqlval.Value, stamp uint64) (*r
 		}
 	}
 	v := ch.push(stamp, newRow)
-	t.garbage++
+	t.purge = append(t.purge, purgeEntry{ch, v})
 	// Publish the new key in every index whose key changed; the old ref
 	// stays behind for older snapshots.
 	for _, ix := range t.indexes {
@@ -361,10 +362,21 @@ func (t *table) updateRow(ch *rowChain, newRow []sqlval.Value, stamp uint64) (*r
 }
 
 // popVersion undoes the newest version of a row if it carries the given
-// writer stamp (rollback / failed-statement undo).
+// writer stamp (rollback / failed-statement undo). Undo runs newest first
+// while the table lock is still held, so a popped update or delete is the
+// purge list's tail entry; a popped insert leaves an empty chain, retired
+// at once.
 func (t *table) popVersion(ch *rowChain, stamp uint64) {
-	if ch.pop(stamp) {
-		t.garbage++
+	v := ch.pop(stamp)
+	if v == nil {
+		return
+	}
+	if n := len(t.purge) - 1; n >= 0 && t.purge[n].v == v {
+		t.purge[n] = purgeEntry{}
+		t.purge = t.purge[:n]
+	}
+	if ch.head.Load() == nil {
+		t.retire(ch)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -78,15 +77,16 @@ func (ch *rowChain) push(stamp uint64, row []sqlval.Value) *rowVersion {
 	return v
 }
 
-// pop removes the chain head if it carries the given writer stamp (undo of
-// an uncommitted insert/update/delete; LIFO matches undo-log order).
-func (ch *rowChain) pop(stamp uint64) bool {
+// pop removes and returns the chain head if it carries the given writer
+// stamp (undo of an uncommitted insert/update/delete; LIFO matches undo-log
+// order), and returns nil otherwise.
+func (ch *rowChain) pop(stamp uint64) *rowVersion {
 	v := ch.head.Load()
 	if v == nil || v.from.Load() != stamp {
-		return false
+		return nil
 	}
 	ch.head.Store(v.prev.Load())
-	return true
+	return v
 }
 
 // versionCount walks the chain and counts versions (GC accounting, tests).
@@ -253,9 +253,9 @@ func (e *Engine) deregisterSession(s *Session) {
 }
 
 // noteGarbage accrues superseded-version debt; once it crosses the engine's
-// GC threshold the debt is handed to the incremental sweeper — one bounded
-// per-table step, inline — so a writer's statement end never pays for a
-// whole-catalog sweep.
+// GC threshold the debt is handed to gcStep, inline, which drains the
+// tables' purge lists — so a writer's statement end pays for the garbage
+// recorded since the last step, never for a sweep over chains.
 func (e *Engine) noteGarbage(n int) {
 	if n <= 0 {
 		return
@@ -266,18 +266,11 @@ func (e *Engine) noteGarbage(n int) {
 	}
 }
 
-// gcChainBatch bounds how many chains one incremental GC step touches.
-// Tables at or below the batch get the full sweep (truncation, chain
-// removal, slab compaction, index pruning) in one step — which keeps the
-// small-table reclamation tests exact — while larger tables amortize
-// truncation across steps and pay the compaction pass only once per lap.
-const gcChainBatch = 4096
-
-// gcStep runs one bounded increment of the garbage collector: it picks the
-// next table in round-robin order that has reclaimable debt and sweeps at
-// most gcChainBatch of its chains, resuming at the table's cursor. Steps are
-// serialized by gcBusy; a trigger that finds a step in flight simply drops
-// its turn (the running step is already draining the same debt).
+// gcStep drains every table's purge list below one watermark. Its work is
+// the reclaimable garbage plus O(1) per table: a list held back by a pinned
+// reader stops at its first entry. Steps are serialized by gcBusy; a
+// trigger that finds a step in flight simply drops its turn (the running
+// step is already draining the same lists).
 func (e *Engine) gcStep() {
 	if !e.gcBusy.CompareAndSwap(false, true) {
 		return
@@ -286,41 +279,20 @@ func (e *Engine) gcStep() {
 	w := e.watermark()
 	sh := e.rshard()
 	e.mu.RLock(sh)
-	names := make([]string, 0, len(e.tables))
-	for name := range e.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	tables := make([]*table, len(names))
-	for i, name := range names {
-		tables[i] = e.tables[name]
-	}
-	e.mu.RUnlock(sh)
-	// One full rotation at most: sweep the first table with pending garbage
-	// or an unfinished incremental lap, starting after the last table swept.
-	for range tables {
-		t := tables[e.gcNext%len(tables)]
-		e.gcNext++
+	defer e.mu.RUnlock(sh)
+	for _, t := range e.tables {
 		t.store.Lock()
-		if t.garbage == 0 && t.gcCursor == 0 {
-			t.store.Unlock()
-			continue
-		}
-		t.gcStepLocked(w, gcChainBatch)
+		t.purgeLocked(w)
 		t.store.Unlock()
-		return
 	}
 }
 
-// GC reclaims row versions no pinned snapshot can reach across the whole
-// catalog: for every chain it drops versions strictly older than the newest
-// committed version at or below the watermark, removes chains whose
-// surviving state is a committed tombstone (or an undone insert), and prunes
-// index refs — hash buckets, ordered-view nodes — and order entries pointing
-// at removed chains. It takes each table's latch briefly — never the
-// engine-exclusive lock — so it runs concurrently with reads and with writes
-// to other tables. Session close and tests use it for exact reclamation; the
-// write path goes through gcStep instead.
+// GC reclaims, across the whole catalog, every row version no pinned
+// snapshot can reach: per table it drains the purge list, truncates every
+// chain below the watermark, retires dead chains and compacts. It takes
+// each table's latch in turn — never the engine-exclusive lock — so it runs
+// beside reads and beside writes to other tables. Session close and tests
+// use it for exact reclamation; the write path goes through gcStep.
 func (e *Engine) GC() {
 	e.gcDebt.Store(0)
 	w := e.watermark()
@@ -333,8 +305,15 @@ func (e *Engine) GC() {
 	e.mu.RUnlock(sh)
 	for _, t := range tables {
 		t.store.Lock()
-		t.gcCursor = 0
-		t.gcLocked(w)
+		t.purgeLocked(w)
+		for _, ch := range t.rows {
+			if truncateChain(ch, w) {
+				t.retire(ch)
+			}
+		}
+		if t.dead > 0 {
+			t.compactLocked()
+		}
 		t.store.Unlock()
 	}
 }
@@ -369,81 +348,81 @@ func (e *Engine) VersionStatsSnapshot() VersionStats {
 
 // truncateChain drops the versions of one chain that no snapshot pinned at
 // or after watermark w can reach: everything strictly older than the newest
-// version committed at or below w. It reports whether the chain has
-// collapsed to nothing a future snapshot could see — a committed tombstone
-// (collapsed=true with a surviving head) or an undone insert (empty=true) —
-// so callers can retire the rowid.
-func truncateChain(ch *rowChain, w uint64) (empty, collapsed bool) {
+// version committed at or below w. It reports whether nothing a future
+// snapshot could see survives — an undone insert's empty chain, or a
+// committed tombstone at the head — so callers can retire the rowid.
+func truncateChain(ch *rowChain, w uint64) (dead bool) {
 	head := ch.head.Load()
-	if head == nil {
-		return true, false
-	}
-	var keep *rowVersion
 	for v := head; v != nil; v = v.prev.Load() {
-		f := v.from.Load()
-		if f&uncommittedBit == 0 && f <= w {
-			keep = v
+		if f := v.from.Load(); f&uncommittedBit == 0 && f <= w {
+			v.prev.Store(nil)
+			return v == head && v.row == nil
+		}
+	}
+	return head == nil
+}
+
+// purgeEntry records one superseding version: v was pushed onto ch by an
+// update or delete. Once v is committed at or below the watermark, every
+// version older than it on ch is unreachable, and a tombstone v means the
+// whole chain is.
+type purgeEntry struct {
+	ch *rowChain
+	v  *rowVersion
+}
+
+// purgeLocked reclaims the purge list from the front while the entry's
+// version is committed at or below w: it cuts the version off from what it
+// superseded, and retires the chain when the version is a tombstone. Push
+// order is commit order within a table (exclusive locks are held to
+// commit), so the first entry that is not reclaimable ends the drain; were
+// that order to break, entries would only wait longer. Retired chains leave
+// rows at once, and the scan order and indexes drop them in one compaction
+// once they are a quarter of the slab: a delete costs amortized O(1).
+// Caller holds the latch exclusively.
+func (t *table) purgeLocked(w uint64) {
+	i := 0
+	for ; i < len(t.purge); i++ {
+		p := t.purge[i]
+		if f := p.v.from.Load(); f&uncommittedBit != 0 || f > w {
 			break
 		}
-	}
-	if keep == nil {
-		return false, false
-	}
-	keep.prev.Store(nil)
-	return false, keep == head && keep.row == nil
-}
-
-// gcStepLocked runs one bounded GC increment on this table. Small tables
-// (at or below batch chains) get the exact full sweep. Larger tables pay
-// truncation — the per-chain O(versions) part, which is the bulk of GC work
-// under update churn — over successive batches tracked by gcCursor, and run
-// the full sweep (which also removes dead chains, compacts the order slab
-// and prunes indexes) only on the step that finishes a lap. Caller holds the
-// table latch exclusively.
-func (t *table) gcStepLocked(w uint64, batch int) {
-	slab := t.order.Load()
-	n := int(slab.n.Load())
-	if n <= batch {
-		t.gcCursor = 0
-		t.gcLocked(w)
-		return
-	}
-	end := t.gcCursor + batch
-	if end >= n {
-		end = n
-	}
-	for i := t.gcCursor; i < end; i++ {
-		truncateChain(slab.entries[i], w)
-	}
-	if end >= n {
-		// Lap complete: the full sweep retires dead chains and re-zeroes the
-		// garbage counter; chains truncated above are cheap to revisit.
-		t.gcCursor = 0
-		t.gcLocked(w)
-		return
-	}
-	t.gcCursor = end
-}
-
-// gcLocked reclaims unreachable versions of one table. Caller holds the
-// table latch exclusively; index buckets are swapped wholesale under idxMu
-// so latch-free readers always see a complete bucket.
-func (t *table) gcLocked(w uint64) {
-	t.garbage = 0
-	removed := false
-	for id, ch := range t.rows {
-		empty, collapsed := truncateChain(ch, w)
-		if empty || collapsed {
-			// An undone insert that never committed anything, or a chain
-			// collapsed to a committed tombstone every live snapshot agrees
-			// on: the rowid is gone.
-			delete(t.rows, id)
-			removed = true
+		p.v.prev.Store(nil)
+		if p.v.row == nil {
+			t.retire(p.ch)
 		}
 	}
-	if !removed {
-		return
+	// Keep the array, and keep the drained slots from pinning versions:
+	// move what is left to the front when that costs no more than the
+	// drain did, otherwise step past the drained prefix.
+	if rest := len(t.purge) - i; rest <= i {
+		copy(t.purge, t.purge[i:])
+		clear(t.purge[rest:])
+		t.purge = t.purge[:rest]
+	} else {
+		clear(t.purge[:i])
+		t.purge = t.purge[i:]
 	}
+	if t.dead > 0 && 4*t.dead >= int(t.order.Load().n.Load()) {
+		t.compactLocked()
+	}
+}
+
+// retire removes a chain no future snapshot can see from rows: a
+// committed tombstone below the watermark, or an undone insert. Its slab
+// entry and index refs stay, resolving to nothing, until compactLocked.
+func (t *table) retire(ch *rowChain) {
+	if _, ok := t.rows[ch.id]; ok {
+		delete(t.rows, ch.id)
+		t.dead++
+	}
+}
+
+// compactLocked drops retired chains from the scan order and the indexes.
+// Caller holds the table latch exclusively; index buckets are swapped
+// wholesale under idxMu so latch-free readers always see a complete bucket.
+func (t *table) compactLocked() {
+	t.dead = 0
 	// Compact the scan order into a fresh slab (readers keep iterating the
 	// slab they loaded) and prune index refs to removed chains.
 	slab := t.order.Load()

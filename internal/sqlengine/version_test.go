@@ -2,7 +2,9 @@ package sqlengine
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -216,6 +218,251 @@ func TestGCSweepOnSessionClose(t *testing.T) {
 	s.Close()
 	if vs := e.VersionStatsSnapshot(); vs.Versions != 1 {
 		t.Fatalf("versions = %d after close, want 1", vs.Versions)
+	}
+}
+
+// TestAutoCommitVersionDebtBounded: a session that is never closed — the
+// benchmark's pre-bound auto-commit writers — reclaims through the
+// statement-end trigger alone. Under uniform single-row updates of a table
+// far larger than any one step, superseded versions must stay within the
+// default threshold (256) plus the statement in flight, at every sample.
+func TestAutoCommitVersionDebtBounded(t *testing.T) {
+	const rows = 20000
+	const maxLag = 256 + 1
+	e := New("debt")
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER, pad VARCHAR)")
+	for lo := 0; lo < rows; lo += 500 {
+		mustExec(t, s, pointInsert(lo, 500))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 1; i <= rows; i++ {
+		mustExec(t, s, fmt.Sprintf("UPDATE kv SET v = v + 1 WHERE id = %d", rng.Intn(rows)))
+		if i%1000 != 0 {
+			continue
+		}
+		vs := e.VersionStatsSnapshot()
+		if lag := vs.Versions - vs.Chains; lag > maxLag {
+			t.Fatalf("after %d updates %d superseded versions linger, want <= %d", i, lag, maxLag)
+		}
+	}
+}
+
+// onChain reports whether v is still linked on ch.
+func onChain(ch *rowChain, v *rowVersion) bool {
+	for x := ch.head.Load(); x != nil; x = x.prev.Load() {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPurgeListExactUnderUndo: undo pops versions off chains, and the purge
+// list must follow — it never names a popped version, an undone insert's
+// chain leaves rows at once, and one step after each case leaves exactly
+// one version per chain. Committed updates sit in front of each case so
+// the undo has to find its own entries at the tail.
+func TestPurgeListExactUnderUndo(t *testing.T) {
+	const rows = 10
+	e := New("undo", WithGCThreshold(1<<20)) // steps run only when called
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE g (id INTEGER PRIMARY KEY, v INTEGER)")
+	for i := 0; i < rows; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO g (id, v) VALUES (%d, 0)", i))
+	}
+	tbl := e.tables["g"]
+	check := func(name string, entries int) {
+		t.Helper()
+		if len(tbl.purge) != entries {
+			t.Errorf("%s: %d purge entries, want %d", name, len(tbl.purge), entries)
+		}
+		for _, p := range tbl.purge {
+			if !onChain(p.ch, p.v) {
+				t.Errorf("%s: a purge entry names a popped version of row %d", name, p.ch.id)
+			}
+		}
+		e.gcStep()
+		if vs := e.VersionStatsSnapshot(); vs.Chains != rows || vs.Versions != rows {
+			t.Errorf("%s: one step left %+v, want %d chains of one version", name, vs, rows)
+		}
+		if len(tbl.purge) != 0 {
+			t.Errorf("%s: %d purge entries after the step", name, len(tbl.purge))
+		}
+	}
+	committed := func() {
+		mustExec(t, s, "UPDATE g SET v = v + 1 WHERE id = 7")
+		mustExec(t, s, "UPDATE g SET v = v + 1 WHERE id = 8")
+	}
+
+	committed()
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "UPDATE g SET v = v + 10 WHERE id < 5")
+	mustExec(t, s, "UPDATE g SET v = v + 10 WHERE id = 2") // a second version on one chain
+	mustExec(t, s, "ROLLBACK")
+	check("rolled-back update", 2)
+
+	committed()
+	// The first row moves to id 100; the second then collides with it.
+	if _, err := s.ExecSQL("UPDATE g SET id = 100 WHERE id < 2"); err == nil || !strings.Contains(err.Error(), "unique") {
+		t.Fatalf("moving two rows to one primary key: %v, want a unique violation", err)
+	}
+	check("failed statement", 2)
+
+	committed()
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO g (id, v) VALUES (50, 0)")
+	inserted := tbl.nextID - 1
+	mustExec(t, s, "UPDATE g SET v = 1 WHERE id = 50")
+	mustExec(t, s, "ROLLBACK")
+	if _, ok := tbl.rows[inserted]; ok {
+		t.Error("undone insert: its chain is still in rows")
+	}
+	check("undone insert", 2)
+	if res := mustExec(t, s, "SELECT COUNT(*), SUM(v) FROM g"); res.Rows[0][0].I != rows || res.Rows[0][1].I != 6 {
+		t.Errorf("after the undo cases: COUNT, SUM = %v, want %d, 6", res.Rows[0], rows)
+	}
+}
+
+// TestPurgeDeleteCompactionIsAmortized: deleting half of a table one row
+// per statement, with a step after every statement, retires each chain at
+// once but compacts the scan order and the indexes only when dead chains
+// reach a fixed fraction of the slab — O(log n) compactions, not one per
+// step. Deletes append nothing to the slab, so each new slab pointer is one
+// compaction.
+func TestPurgeDeleteCompactionIsAmortized(t *testing.T) {
+	const rows = 20000
+	e := New("compact", WithGCThreshold(1))
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER, pad VARCHAR)")
+	for lo := 0; lo < rows; lo += 500 {
+		mustExec(t, s, pointInsert(lo, 500))
+	}
+	tbl := e.tables["kv"]
+	slab, compactions := tbl.order.Load(), 0
+	for id := 0; id < rows; id += 2 {
+		mustExec(t, s, fmt.Sprintf("DELETE FROM kv WHERE id = %d", id))
+		if cur := tbl.order.Load(); cur != slab {
+			slab = cur
+			compactions++
+		}
+	}
+	if limit := bits.Len(rows); compactions == 0 || compactions > limit {
+		t.Errorf("%d compactions over %d deletes, want 1..%d", compactions, rows/2, limit)
+	}
+	if vs := e.VersionStatsSnapshot(); vs.Chains != rows/2 || vs.Versions != rows/2 {
+		t.Errorf("after the deletes: %+v, want %d chains of one version", vs, rows/2)
+	}
+	if res := mustExec(t, s, "SELECT COUNT(*) FROM kv WHERE id < 100"); res.Rows[0][0].I != 50 {
+		t.Errorf("rows left below id 100: %v, want 50", res.Rows[0][0])
+	}
+}
+
+// TestPurgeUnderConcurrentWriters: writers on their own tables commit and
+// roll back while every statement end runs a step that drains all purge
+// lists — the ones other writers are appending to and popping from — and a
+// reader's transactions hold the watermark back part of the time. Each
+// writer keeps a model of its table; at the end every table matches its
+// model and one exact sweep leaves one version per chain. Under -race this
+// also checks that the lists are touched only under their table's latch.
+func TestPurgeUnderConcurrentWriters(t *testing.T) {
+	const writers, rows, iters = 4, 50, 300
+	e := New("purgerace", WithGCThreshold(1))
+	s := e.NewSession()
+	models := make([]map[int]int, writers)
+	for w := range models {
+		mustExec(t, s, fmt.Sprintf("CREATE TABLE w%d (id INTEGER PRIMARY KEY, v INTEGER)", w))
+		models[w] = make(map[int]int)
+		for i := 0; i < rows; i++ {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO w%d (id, v) VALUES (%d, 0)", w, i))
+			models[w][i] = 0
+		}
+	}
+
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		rs := e.NewSession()
+		defer rs.Close()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, sql := range []string{"BEGIN", fmt.Sprintf("SELECT SUM(v) FROM w%d", i%writers), "COMMIT"} {
+				if _, err := rs.ExecSQL(sql); err != nil {
+					t.Errorf("reader: %q: %v", sql, err)
+					return
+				}
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := range models {
+		wg.Add(1)
+		go func(w int, model map[int]int) {
+			defer wg.Done()
+			ws := e.NewSession()
+			defer ws.Close()
+			rng := rand.New(rand.NewSource(int64(w)))
+			next := rows
+			for i := 0; i < iters; i++ {
+				id := rng.Intn(next)
+				var stmts []string
+				switch rng.Intn(4) {
+				case 0:
+					stmts = []string{fmt.Sprintf("INSERT INTO w%d (id, v) VALUES (%d, 0)", w, next)}
+					model[next] = 0
+					next++
+				case 1:
+					stmts = []string{fmt.Sprintf("UPDATE w%d SET v = v + 1 WHERE id = %d", w, id)}
+					if _, ok := model[id]; ok {
+						model[id]++
+					}
+				case 2:
+					stmts = []string{fmt.Sprintf("DELETE FROM w%d WHERE id = %d", w, id)}
+					delete(model, id)
+				case 3:
+					stmts = []string{
+						"BEGIN",
+						fmt.Sprintf("UPDATE w%d SET v = v + 100 WHERE id < 10", w),
+						fmt.Sprintf("DELETE FROM w%d WHERE id = %d", w, id),
+						fmt.Sprintf("INSERT INTO w%d (id, v) VALUES (%d, 0)", w, -1-i),
+						"ROLLBACK",
+					}
+				}
+				for _, sql := range stmts {
+					if _, err := ws.ExecSQL(sql); err != nil {
+						t.Errorf("writer %d: %q: %v", w, sql, err)
+						return
+					}
+				}
+			}
+		}(w, models[w])
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+
+	live := 0
+	for w, model := range models {
+		live += len(model)
+		res := mustExec(t, s, fmt.Sprintf("SELECT id, v FROM w%d", w))
+		if len(res.Rows) != len(model) {
+			t.Errorf("w%d: %d rows, want %d", w, len(res.Rows), len(model))
+		}
+		for _, r := range res.Rows {
+			if v, ok := model[int(r[0].I)]; !ok || int64(v) != r[1].I {
+				t.Errorf("w%d: row %v, model has %d (present %v)", w, r, v, ok)
+			}
+		}
+	}
+	e.GC()
+	if vs := e.VersionStatsSnapshot(); vs.Chains != live || vs.Versions != live {
+		t.Errorf("after the exact sweep: %+v, want %d chains of one version", vs, live)
 	}
 }
 
