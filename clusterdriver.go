@@ -3,6 +3,7 @@ package cjdbc
 import (
 	"cjdbc/internal/backend"
 	"cjdbc/internal/sqlparser"
+	"cjdbc/internal/sqlval"
 )
 
 // clusterDriver is the C-JDBC driver re-injected as a backend native driver
@@ -29,11 +30,18 @@ type clusterConn struct {
 	sess *remoteSession
 }
 
+// Exec hands a bound statement to the nested controller as it arrived — its
+// text with placeholders plus the parameter vector — so the nested
+// controller's plan and result caches see one text per statement and no
+// value is rendered into SQL on the way.
 func (c *clusterConn) Exec(st sqlparser.Statement, sql string) (*backend.Result, error) {
-	if sql == "" && st != nil {
+	var params []sqlval.Value
+	if b, ok := st.(*sqlparser.Bound); ok {
+		sql, params = b.SQL, b.Params
+	} else if sql == "" && st != nil {
 		sql = sqlparser.Render(st)
 	}
-	rows, err := c.sess.exec(sql, nil)
+	rows, err := c.sess.exec(sql, params)
 	if err != nil {
 		return nil, err
 	}

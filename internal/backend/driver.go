@@ -28,7 +28,9 @@ type Result struct {
 // paper. Connections are not safe for concurrent use.
 type Conn interface {
 	// Exec runs one statement. st may be nil, in which case the
-	// implementation parses sql itself.
+	// implementation parses sql itself. A *sqlparser.Bound carries the
+	// statement's parameter vector; sql is then the bound text the recovery
+	// log keeps (writes) or the statement's own text (reads).
 	Exec(st sqlparser.Statement, sql string) (*Result, error)
 	// Begin/Commit/Rollback demarcate a transaction on this connection.
 	Begin() error
@@ -211,6 +213,7 @@ func (m *CostModel) Classify(st sqlparser.Statement) float64 {
 	if m == nil {
 		return 0
 	}
+	st, _ = sqlparser.Unwrap(st)
 	switch s := st.(type) {
 	case *sqlparser.Select:
 		if len(s.GroupBy) > 0 || hasAggregateItems(s) {

@@ -17,6 +17,7 @@ package cache
 
 import (
 	"container/list"
+	"encoding/binary"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,20 +165,63 @@ func New(cfg Config) *ResultCache {
 	return c
 }
 
-// Key normalizes a SQL string into a cache key.
-func Key(sql string) string { return strings.TrimSpace(sql) }
+// keyBufLen sizes the stack buffer a lookup builds its key in; only a key
+// longer than this allocates.
+const keyBufLen = 256
 
-func (c *ResultCache) shardFor(key string) *rcShard {
+// AppendKey appends to dst the cache key of the statement text sql executed
+// with the parameter vector params, and returns the extended buffer. The
+// key is the text's length, the text, then each value as its kind byte and
+// payload: the integer, bool or float bits as 8 bytes; a time's unix
+// seconds, nanoseconds and zone offset; a string's or blob's length and
+// bytes; nothing for NULL. Every part is self-delimiting, so the key is
+// injective — two keys are equal only for the same text and the same
+// values of the same kinds — and a statement run with literals (params
+// nil) keys on its text alone.
+func AppendKey(dst []byte, sql string, params []sqlval.Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(sql)))
+	dst = append(dst, sql...)
+	for i := range params {
+		v := &params[i]
+		dst = append(dst, byte(v.K))
+		switch v.K {
+		case sqlval.KindNull:
+		case sqlval.KindString, sqlval.KindBytes:
+			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
+			dst = append(dst, v.S...)
+		case sqlval.KindTime:
+			t := v.Time()
+			_, off := t.Zone()
+			dst = binary.BigEndian.AppendUint64(dst, uint64(t.Unix()))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(t.Nanosecond()))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(int32(off)))
+		default:
+			dst = binary.BigEndian.AppendUint64(dst, uint64(v.I))
+		}
+	}
+	return dst
+}
+
+func (c *ResultCache) shardFor(key []byte) *rcShard {
 	return &c.shards[shardutil.Hash(key)&c.mask]
 }
 
-// Get returns the cached result for a read, or nil on miss. Under a
-// staleness limit, entries older than the limit are dropped here.
+// Get returns the cached result for a read written with literals, or nil on
+// miss: GetParams of the trimmed text and no parameters.
 func (c *ResultCache) Get(sql string) *backend.Result {
-	k := Key(sql)
+	return c.GetParams(strings.TrimSpace(sql), nil)
+}
+
+// GetParams returns the cached result of the read sql (normalized text)
+// executed with params, or nil on miss. The key is built on the stack, so a
+// lookup allocates nothing. Under a staleness limit, entries older than the
+// limit are dropped here.
+func (c *ResultCache) GetParams(sql string, params []sqlval.Value) *backend.Result {
+	var buf [keyBufLen]byte
+	k := AppendKey(buf[:0], sql, params)
 	s := c.shardFor(k)
 	s.mu.Lock()
-	e, ok := s.entries[k]
+	e, ok := s.entries[string(k)]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
@@ -212,11 +256,18 @@ func (c *ResultCache) Put(sql string, st sqlparser.Statement, res *backend.Resul
 // read's columns cannot be enumerated (SELECT *), so any write to a read
 // table invalidates the entry.
 func (c *ResultCache) PutFootprint(sql string, tables, cols []string, colsOK bool, res *backend.Result) {
+	c.PutParams(strings.TrimSpace(sql), nil, tables, cols, colsOK, res)
+}
+
+// PutParams is PutFootprint for the read sql (normalized text) executed
+// with params, stored under the key GetParams looks up.
+func (c *ResultCache) PutParams(sql string, params []sqlval.Value, tables, cols []string, colsOK bool, res *backend.Result) {
 	if res == nil {
 		return
 	}
-	k := Key(sql)
-	s := c.shardFor(k)
+	var buf [keyBufLen]byte
+	kb := AppendKey(buf[:0], sql, params)
+	s := c.shardFor(kb)
 	w := ApproxBytes(res)
 	if w < MinEntryBytes {
 		w = MinEntryBytes
@@ -228,9 +279,10 @@ func (c *ResultCache) PutFootprint(sql string, tables, cols []string, colsOK boo
 		s.mu.Unlock()
 		return
 	}
-	if old, dup := s.entries[k]; dup {
+	if old, dup := s.entries[string(kb)]; dup {
 		s.removeLocked(old)
 	}
+	k := string(kb)
 	e := &entry{
 		key:     k,
 		res:     res,

@@ -3,7 +3,8 @@ package controller
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -368,6 +369,10 @@ type Session struct {
 	user   string
 	txID   uint64
 	closed bool
+	// bound is the statement a parameterised read hands its backend: the
+	// read returns before the session's next statement, so one value per
+	// session serves every read and none is allocated.
+	bound sqlparser.Bound
 }
 
 // NewSession authenticates and opens a session.
@@ -405,7 +410,11 @@ func (s *Session) Close() {
 // chosen by the load balancer, updates to all backends hosting the affected
 // tables. Repeat statements skip parsing and analysis entirely via the
 // parsing cache (§2.4.2): the cached plan carries the parsed tree plus its
-// precomputed class, table list, read columns and placeholder count.
+// precomputed class, table list, read columns and placeholder count. The
+// plan's shared tree goes down as it is, with params beside it in a
+// sqlparser.Bound; only a write renders the pair, for the recovery log.
+// params must fill the statement's placeholders exactly: a missing or an
+// extra value is refused with a *sqlparser.BindError.
 func (s *Session) Exec(sql string, params []sqlval.Value) (*backend.Result, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
@@ -415,19 +424,8 @@ func (s *Session) Exec(sql string, params []sqlval.Value) (*backend.Result, erro
 	if err != nil {
 		return nil, err
 	}
-	// st is the cached shared tree until a mutating step (parameter
-	// binding, macro rewriting) clones it; owned tracks that transition.
-	st := plan.Stmt
-	owned := false
-	if len(params) > 0 || plan.NumParams > 0 {
-		st = st.Clone()
-		owned = true
-		if err := sqlparser.BindParams(st, params); err != nil {
-			return nil, err
-		}
-		sql = sqlparser.Render(st)
-	} else {
-		sql = plan.SQL
+	if err := sqlparser.CheckParams(plan.NumParams, len(params)); err != nil {
+		return nil, err
 	}
 	v.chargeCtrl(v.cost.PerRequest)
 
@@ -435,13 +433,19 @@ func (s *Session) Exec(sql string, params []sqlval.Value) (*backend.Result, erro
 	case sqlparser.ClassBegin:
 		return s.execBegin()
 	case sqlparser.ClassCommit:
-		return s.execEndTx(sqlparser.ClassCommit, st)
+		return s.execEndTx(sqlparser.ClassCommit, plan.Stmt)
 	case sqlparser.ClassRollback:
-		return s.execEndTx(sqlparser.ClassRollback, st)
+		return s.execEndTx(sqlparser.ClassRollback, plan.Stmt)
 	case sqlparser.ClassRead:
-		return v.execRead(s.txID, plan, st, sql)
+		if len(params) == 0 {
+			return v.execRead(s.txID, plan, plan.Stmt, nil)
+		}
+		s.bound = sqlparser.Bound{Stmt: plan.Stmt, SQL: plan.SQL, Params: params}
+		res, err := v.execRead(s.txID, plan, &s.bound, params)
+		s.bound = sqlparser.Bound{}
+		return res, err
 	default:
-		return s.execWrite(plan, st, sql, owned)
+		return s.execWrite(plan, params)
 	}
 }
 
@@ -528,19 +532,28 @@ func (v *VirtualDatabase) dispatchEndTx(txID uint64, class sqlparser.StatementCl
 
 // execWrite is the update path: macro rewriting, recovery logging, ordered
 // dispatch to all backends hosting the affected tables, cache invalidation,
-// then the early-response wait. owned reports whether st is already a
-// private clone of the cached plan (after parameter binding); macro
-// rewriting mutates the tree, so a shared tree is cloned first.
-func (s *Session) execWrite(plan *plancache.Plan, st sqlparser.Statement, sql string, owned bool) (*backend.Result, error) {
+// then the early-response wait. The log records the statement's literal
+// text, rendered from the shared tree and params; the backends execute the
+// tree with params. Under early response the write outlives this call, so
+// it owns a copy of params. Macro rewriting mutates the tree, so a statement
+// with macros is cloned, bound and rewritten instead.
+func (s *Session) execWrite(plan *plancache.Plan, params []sqlval.Value) (*backend.Result, error) {
 	v := s.vdb
 	v.writes.Add(1)
 
-	if plan.HasMacros {
-		if !owned {
-			st = st.Clone()
+	st, sql := plan.Stmt, plan.SQL
+	switch {
+	case plan.HasMacros:
+		st = st.Clone()
+		if err := sqlparser.BindParams(st, params); err != nil {
+			return nil, err
 		}
 		v.sched.RewriteMacros(st)
 		sql = sqlparser.Render(st)
+	case len(params) > 0:
+		own := slices.Clone(params)
+		sql = sqlparser.RenderParams(plan.Stmt, own)
+		st = &sqlparser.Bound{Stmt: plan.Stmt, SQL: plan.SQL, Params: own}
 	}
 
 	if d := v.distributorSnapshot(); d != nil {
@@ -660,7 +673,7 @@ func (v *VirtualDatabase) writeTargets(tables []string) ([]*backend.Backend, err
 		return nil, ErrNoWriteTarget
 	}
 	// Deterministic dispatch order keeps logs and traces comparable.
-	sort.Slice(targets, func(i, j int) bool { return targets[i].Name() < targets[j].Name() })
+	slices.SortFunc(targets, func(a, b *backend.Backend) int { return strings.Compare(a.Name(), b.Name()) })
 	return targets, nil
 }
 
@@ -678,7 +691,8 @@ func (v *VirtualDatabase) dispatchWrite(txID uint64, st sqlparser.Statement, sql
 	}
 
 	// Dynamic schema maintenance (§2.4.3: updated on each create or drop).
-	switch t := st.(type) {
+	ddl, _ := sqlparser.Unwrap(st)
+	switch t := ddl.(type) {
 	case *sqlparser.CreateTable:
 		names := make([]string, len(targets))
 		for i, b := range targets {
@@ -700,11 +714,12 @@ func (v *VirtualDatabase) dispatchWrite(txID uint64, st sqlparser.Statement, sql
 
 // execRead is the read path: result cache, then load-balanced read-one.
 // The plan supplies the precomputed table and column footprint, so a cache
-// admission does not re-analyze the statement.
-func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlparser.Statement, sql string) (*backend.Result, error) {
+// admission does not re-analyze the statement, and the cache keys on the
+// plan's text and params (st is plan.Stmt, or it bound to params).
+func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlparser.Statement, params []sqlval.Value) (*backend.Result, error) {
 	v.reads.Add(1)
 	if v.cache != nil && txID == 0 {
-		if res := v.cache.Get(sql); res != nil {
+		if res := v.cache.GetParams(plan.SQL, params); res != nil {
 			v.cacheHits.Add(1)
 			v.chargeCtrl(v.cost.PerCacheHit)
 			return res, nil
@@ -741,11 +756,11 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 			}
 			return nil, err
 		}
-		res, err := b.Read(txID, st, sql)
+		res, err := b.Read(txID, st, plan.SQL)
 		if err == nil {
 			v.loads.NoteRead(tables, b.Name())
 			if v.cache != nil && txID == 0 {
-				v.cache.PutFootprint(sql, plan.Tables, plan.ReadCols, plan.ReadColsOK, res)
+				v.cache.PutParams(plan.SQL, params, plan.Tables, plan.ReadCols, plan.ReadColsOK, res)
 			}
 			return res, nil
 		}

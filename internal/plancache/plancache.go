@@ -4,9 +4,9 @@
 // routing metadata. Combined with the result cache this keeps the
 // controller's per-request overhead to a hash lookup on repeat statements.
 //
-// Cached plans are immutable by contract: callers that need to mutate the
-// tree (parameter binding, macro rewriting) clone it first via
-// Statement.Clone. The cache itself is a sharded LRU — per-shard mutex and
+// Cached plans are immutable by contract: a parameterised execution reads
+// its values beside the tree (sqlparser.Bound), and the one caller that
+// mutates a tree, macro rewriting, clones it first via Statement.Clone. The cache itself is a sharded LRU — per-shard mutex and
 // recency list — so concurrent sessions do not serialize on one lock.
 package plancache
 

@@ -22,8 +22,9 @@ func Count(maxEntries int) int {
 	return n
 }
 
-// Hash is FNV-1a over the key, used for shard selection.
-func Hash(s string) uint32 {
+// Hash is FNV-1a over the key, used for shard selection. A key held in a
+// byte buffer hashes without being converted to a string.
+func Hash[K ~string | ~[]byte](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])

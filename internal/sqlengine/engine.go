@@ -566,6 +566,10 @@ type Session struct {
 	inTx bool
 	undo []undoOp
 
+	// params is the parameter vector of the statement executing now (a
+	// sqlparser.Bound's), read by its placeholders; nil between statements.
+	params []sqlval.Value
+
 	// stamp marks this session's uncommitted row versions
 	// (uncommittedBit|writerID); commit re-stamps them with a commit epoch.
 	stamp uint64

@@ -14,9 +14,10 @@ import (
 
 // env is the evaluation environment of one (joined) row.
 type env struct {
-	cols map[string]int // "col", "alias.col", "table.col" -> position
-	row  []sqlval.Value // the combined row
-	aggs *aggRow        // one group's aggregate values, grouped queries only
+	cols   map[string]int // "col", "alias.col", "table.col" -> position
+	row    []sqlval.Value // the combined row
+	aggs   *aggRow        // one group's aggregate values, grouped queries only
+	params []sqlval.Value // the statement's parameter vector
 }
 
 // aggRow is one group's finished aggregates: vals[i] is the value of the
@@ -58,12 +59,13 @@ func colPos(cols map[string]int, e *sqlparser.Expr) (int, bool) {
 // semantics.
 func (ev *env) eval(e *sqlparser.Expr) (sqlval.Value, error) {
 	switch e.Kind {
-	case sqlparser.ExprLiteral:
-		return e.Lit, nil
+	case sqlparser.ExprLiteral, sqlparser.ExprParam:
+		if v, ok := e.LitValue(ev.params); ok {
+			return v, nil
+		}
+		return sqlval.Null, errf("unbound parameter ?%d", e.ParamIdx+1)
 	case sqlparser.ExprColumn:
 		return ev.lookupColumn(e)
-	case sqlparser.ExprParam:
-		return sqlval.Null, errf("unbound parameter ?%d", e.ParamIdx+1)
 	case sqlparser.ExprStar:
 		return sqlval.Null, errf("'*' outside COUNT(*)")
 	case sqlparser.ExprUnary:

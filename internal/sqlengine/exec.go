@@ -29,8 +29,15 @@ func (s *Session) ExecSQL(sql string) (*Result, error) {
 }
 
 // Exec executes a parsed statement. Statements outside an explicit
-// transaction auto-commit; on error their partial effects are undone.
+// transaction auto-commit; on error their partial effects are undone. A
+// *sqlparser.Bound executes its shared tree with each placeholder read from
+// its vector at evaluation, so the tree is never copied or written.
+//
+// The statement bodies are called directly, not through closures: every
+// frame on this path is paid again by each transaction's fresh backend
+// worker goroutine, whose stack grows by copying.
 func (s *Session) Exec(st sqlparser.Statement) (*Result, error) {
+	st, params := sqlparser.Unwrap(st)
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -50,7 +57,7 @@ func (s *Session) Exec(st sqlparser.Statement) (*Result, error) {
 		sh.writes.Add(1)
 	}
 
-	switch t := st.(type) {
+	switch st.(type) {
 	case *sqlparser.Begin:
 		if err := s.Begin(); err != nil {
 			return nil, err
@@ -72,33 +79,54 @@ func (s *Session) Exec(st sqlparser.Statement) (*Result, error) {
 			res.Rows = append(res.Rows, []sqlval.Value{sqlval.String_(n)})
 		}
 		return res, nil
-	case *sqlparser.CreateTable:
-		return s.execWithCleanup(func() (*Result, error) { return s.execCreateTable(t) })
-	case *sqlparser.DropTable:
-		return s.execWithCleanup(func() (*Result, error) { return s.execDropTable(t) })
-	case *sqlparser.CreateIndex:
-		return s.execWithCleanup(func() (*Result, error) { return s.execCreateIndex(t) })
-	case *sqlparser.DropIndex:
-		return s.execWithCleanup(func() (*Result, error) { return s.execDropIndex(t) })
-	case *sqlparser.Insert:
-		return s.execWithCleanup(func() (*Result, error) { return s.execInsert(t) })
-	case *sqlparser.Update:
-		return s.execWithCleanup(func() (*Result, error) { return s.execUpdate(t) })
-	case *sqlparser.Delete:
-		return s.execWithCleanup(func() (*Result, error) { return s.execDelete(t) })
-	case *sqlparser.Select:
-		return s.execWithCleanup(func() (*Result, error) { return s.execSelect(t) })
 	}
-	return nil, errf("unsupported statement %T", st)
-}
 
-// execWithCleanup runs one statement body and applies auto-commit cleanup.
-func (s *Session) execWithCleanup(body func() (*Result, error)) (*Result, error) {
-	res, err := body()
-	if err2 := s.endStatement(err); err2 != nil {
-		return nil, err2
+	var res *Result
+	var err error
+	s.params = params
+	switch t := st.(type) {
+	case *sqlparser.CreateTable:
+		res, err = s.execCreateTable(t)
+	case *sqlparser.DropTable:
+		res, err = s.execDropTable(t)
+	case *sqlparser.CreateIndex:
+		res, err = s.execCreateIndex(t)
+	case *sqlparser.DropIndex:
+		res, err = s.execDropIndex(t)
+	case *sqlparser.Insert:
+		res, err = s.execInsert(t)
+	case *sqlparser.Update:
+		res, err = s.execUpdate(t)
+	case *sqlparser.Delete:
+		res, err = s.execDelete(t)
+	case *sqlparser.Select:
+		res, err = s.execSelect(t)
+	default:
+		s.params = nil
+		return nil, errf("unsupported statement %T", st)
+	}
+	s.params = nil
+	if err := s.endStatement(err); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// bindExpr returns a copy of e with each placeholder params covers replaced
+// by its value, or e itself when the statement has no vector: a column
+// default outlives the statement whose vector bound it, and the tree is
+// shared.
+func bindExpr(e *sqlparser.Expr, params []sqlval.Value) *sqlparser.Expr {
+	if e == nil || len(params) == 0 {
+		return e
+	}
+	e = e.Clone()
+	e.Walk(func(n *sqlparser.Expr) {
+		if v, ok := n.LitValue(params); ok && n.Kind == sqlparser.ExprParam {
+			*n = sqlparser.Expr{Kind: sqlparser.ExprLiteral, Lit: v}
+		}
+	})
+	return e
 }
 
 func (s *Session) execCreateTable(ct *sqlparser.CreateTable) (*Result, error) {
@@ -134,7 +162,7 @@ func (s *Session) execCreateTable(ct *sqlparser.CreateTable) (*Result, error) {
 				NotNull:       cd.NotNull,
 				PrimaryKey:    cd.PrimaryKey,
 				AutoIncrement: cd.AutoIncrement,
-				Default:       cd.Default,
+				Default:       bindExpr(cd.Default, s.params),
 			})
 		}
 		for _, pk := range ct.PrimaryKey {
@@ -357,7 +385,7 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 		}
 	}
 
-	ev := &env{}
+	ev := &env{params: s.params}
 	// set marks the columns the current row names explicitly; one slice
 	// serves the whole statement.
 	set := make([]bool, len(schema.Columns))
@@ -473,7 +501,7 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 		setIdx = append(setIdx, idx)
 	}
 
-	refs := candidateRefs(e, t, cols, up.Where, up.Access)
+	refs := candidateRefs(e, t, cols, up.Where, up.Access, s.params)
 	var affected int64
 	for _, ch := range refs {
 		// Writer view: the chain head is committed or this session's own.
@@ -481,7 +509,7 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 		if row == nil {
 			continue
 		}
-		ev := &env{cols: cols, row: row}
+		ev := &env{cols: cols, row: row, params: s.params}
 		if up.Where != nil {
 			m, err := ev.eval(up.Where)
 			if err != nil {
@@ -533,7 +561,7 @@ func (s *Session) execDelete(del *sqlparser.Delete) (*Result, error) {
 	t.store.Lock()
 	defer t.store.Unlock()
 	cols := t.cols
-	refs := candidateRefs(e, t, cols, del.Where, del.Access)
+	refs := candidateRefs(e, t, cols, del.Where, del.Access, s.params)
 	var affected int64
 	for _, ch := range refs {
 		row := ch.latestRow()
@@ -541,7 +569,7 @@ func (s *Session) execDelete(del *sqlparser.Delete) (*Result, error) {
 			continue
 		}
 		if del.Where != nil {
-			ev := &env{cols: cols, row: row}
+			ev := &env{cols: cols, row: row, params: s.params}
 			m, err := ev.eval(del.Where)
 			if err != nil {
 				return nil, err

@@ -112,13 +112,14 @@ func walkConjuncts(where *sqlparser.Expr, f func(ex *sqlparser.Expr)) {
 	f(where)
 }
 
-// colLit decomposes a binary comparison into (column, literal), flipping the
-// operator when the literal is on the left (5 < v means v > 5).
-func colLit(ex *sqlparser.Expr) (col, lit *sqlparser.Expr, op string, ok bool) {
+// colLit decomposes a binary comparison into (column, operand value),
+// flipping the operator when the operand is on the left (5 < v means v > 5).
+// The operand is a literal or a parameter params binds.
+func colLit(ex *sqlparser.Expr, params []sqlval.Value) (col *sqlparser.Expr, lit sqlval.Value, op string, ok bool) {
 	op = ex.Op
-	col, lit = ex.Left, ex.Right
+	col, operand := ex.Left, ex.Right
 	if col.Kind != sqlparser.ExprColumn {
-		col, lit = lit, col
+		col, operand = operand, col
 		switch op {
 		case "<":
 			op = ">"
@@ -130,17 +131,21 @@ func colLit(ex *sqlparser.Expr) (col, lit *sqlparser.Expr, op string, ok bool) {
 			op = "<="
 		}
 	}
-	if col.Kind != sqlparser.ExprColumn || lit.Kind != sqlparser.ExprLiteral {
-		return nil, nil, "", false
+	if col.Kind != sqlparser.ExprColumn {
+		return nil, sqlval.Null, "", false
+	}
+	if lit, ok = operand.LitValue(params); !ok {
+		return nil, sqlval.Null, "", false
 	}
 	return col, lit, op, true
 }
 
 // extractRanges collects the per-column range bounds the top-level AND
-// conjuncts imply: </<=/>/>= comparisons against literals and BETWEEN. Each
-// bound literal passes the keyCompatible guard. Shared by candidate
-// narrowing (planAccess) and bounded ordered scans (planOrder).
-func extractRanges(t *table, resolve colResolver, where *sqlparser.Expr) map[int]*colRange {
+// conjuncts imply: </<=/>/>= comparisons against literals (or parameters
+// params binds) and BETWEEN. Each bound passes the keyCompatible guard.
+// Shared by candidate narrowing (planAccess) and bounded ordered scans
+// (planOrder).
+func extractRanges(t *table, resolve colResolver, where *sqlparser.Expr, params []sqlval.Value) map[int]*colRange {
 	var ranges map[int]*colRange
 	rangeOf := func(ci int) *colRange {
 		if ranges == nil {
@@ -156,28 +161,31 @@ func extractRanges(t *table, resolve colResolver, where *sqlparser.Expr) map[int
 	walkConjuncts(where, func(ex *sqlparser.Expr) {
 		switch {
 		case ex.Kind == sqlparser.ExprBinary && (ex.Op == "<" || ex.Op == "<=" || ex.Op == ">" || ex.Op == ">="):
-			col, lit, op, ok := colLit(ex)
+			col, lit, op, ok := colLit(ex, params)
 			if !ok {
 				return
 			}
 			ci, ok := resolve(col)
-			if !ok || !keyCompatible(t.schema.Columns[ci].Type, lit.Lit) {
+			if !ok || !keyCompatible(t.schema.Columns[ci].Type, lit) {
 				return
 			}
 			switch op {
 			case "<":
-				rangeOf(ci).tightenHi(rangeBound{v: lit.Lit, incl: false})
+				rangeOf(ci).tightenHi(rangeBound{v: lit, incl: false})
 			case "<=":
-				rangeOf(ci).tightenHi(rangeBound{v: lit.Lit, incl: true})
+				rangeOf(ci).tightenHi(rangeBound{v: lit, incl: true})
 			case ">":
-				rangeOf(ci).tightenLo(rangeBound{v: lit.Lit, incl: false})
+				rangeOf(ci).tightenLo(rangeBound{v: lit, incl: false})
 			case ">=":
-				rangeOf(ci).tightenLo(rangeBound{v: lit.Lit, incl: true})
+				rangeOf(ci).tightenLo(rangeBound{v: lit, incl: true})
 			}
 		case ex.Kind == sqlparser.ExprBetween && !ex.Not:
-			if ex.Left == nil || ex.Left.Kind != sqlparser.ExprColumn ||
-				ex.Low == nil || ex.Low.Kind != sqlparser.ExprLiteral ||
-				ex.High == nil || ex.High.Kind != sqlparser.ExprLiteral {
+			if ex.Left == nil || ex.Left.Kind != sqlparser.ExprColumn || ex.Low == nil || ex.High == nil {
+				return
+			}
+			lo, okLo := ex.Low.LitValue(params)
+			hi, okHi := ex.High.LitValue(params)
+			if !okLo || !okHi {
 				return
 			}
 			ci, ok := resolve(ex.Left)
@@ -185,11 +193,11 @@ func extractRanges(t *table, resolve colResolver, where *sqlparser.Expr) map[int
 				return
 			}
 			ct := t.schema.Columns[ci].Type
-			if !keyCompatible(ct, ex.Low.Lit) || !keyCompatible(ct, ex.High.Lit) {
+			if !keyCompatible(ct, lo) || !keyCompatible(ct, hi) {
 				return
 			}
-			rangeOf(ci).tightenLo(rangeBound{v: ex.Low.Lit, incl: true})
-			rangeOf(ci).tightenHi(rangeBound{v: ex.High.Lit, incl: true})
+			rangeOf(ci).tightenLo(rangeBound{v: lo, incl: true})
+			rangeOf(ci).tightenHi(rangeBound{v: hi, incl: true})
 		}
 	})
 	return ranges
@@ -208,8 +216,9 @@ func extractRanges(t *table, resolve colResolver, where *sqlparser.Expr) map[int
 // every caller resolves each chain through its read view and re-evaluates
 // the full WHERE clause. access, when non-nil, is the plan cache's
 // precomputed shape summary; a statement it marks non-indexable skips the
-// conjunct walk entirely.
-func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr, access *sqlparser.AccessInfo) accessPlan {
+// conjunct walk entirely. params is the statement's parameter vector, which
+// a placeholder operand probes with exactly as a literal would.
+func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr, access *sqlparser.AccessInfo, params []sqlval.Value) accessPlan {
 	if where == nil || e.noIndexPlan.Load() {
 		return accessPlan{}
 	}
@@ -227,15 +236,15 @@ func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr,
 	walkConjuncts(where, func(ex *sqlparser.Expr) {
 		switch {
 		case ex.Kind == sqlparser.ExprBinary && ex.Op == "=":
-			col, lit, _, ok := colLit(ex)
+			col, lit, _, ok := colLit(ex, params)
 			if !ok {
 				return
 			}
 			ci, ok := resolve(col)
-			if !ok || !keyCompatible(t.schema.Columns[ci].Type, lit.Lit) {
+			if !ok || !keyCompatible(t.schema.Columns[ci].Type, lit) {
 				return
 			}
-			if refs, indexed := t.lookup(ci, lit.Lit); indexed {
+			if refs, indexed := t.lookup(ci, lit); indexed {
 				consider(refs)
 			}
 		case ex.Kind == sqlparser.ExprIn && !ex.Not:
@@ -248,13 +257,14 @@ func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr,
 			}
 			ct := t.schema.Columns[ci].Type
 			for _, item := range ex.List {
-				if item.Kind != sqlparser.ExprLiteral || !keyCompatible(ct, item.Lit) {
+				if v, ok := item.LitValue(params); !ok || !keyCompatible(ct, v) {
 					return
 				}
 			}
 			var union []*rowChain
 			for _, item := range ex.List {
-				refs, indexed := t.lookup(ci, item.Lit)
+				v, _ := item.LitValue(params)
+				refs, indexed := t.lookup(ci, v)
 				if !indexed {
 					return
 				}
@@ -267,7 +277,7 @@ func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr,
 	// an ordered index, collect the refs inside the range — aborting as soon
 	// as the collection exceeds the best point probe, so a wide range never
 	// costs more than the path it loses to.
-	for ci, r := range extractRanges(t, resolve, where) {
+	for ci, r := range extractRanges(t, resolve, where, params) {
 		ox := t.orderedOn(ci)
 		if ox == nil {
 			continue
@@ -317,7 +327,7 @@ type orderPlan struct {
 // remains the sort becomes a direction-aware index scan. access, when
 // non-nil, lets statements the plan cache marked non-elidable skip the
 // analysis.
-func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, access *sqlparser.AccessInfo) orderPlan {
+func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, access *sqlparser.AccessInfo, params []sqlval.Value) orderPlan {
 	if len(sel.OrderBy) == 0 {
 		return orderPlan{done: true}
 	}
@@ -339,7 +349,7 @@ func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, 
 		if ex.Kind != sqlparser.ExprBinary || ex.Op != "=" {
 			return
 		}
-		col, _, _, ok := colLit(ex)
+		col, _, _, ok := colLit(ex, params)
 		if !ok {
 			return
 		}
@@ -353,8 +363,8 @@ func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, 
 	keyCol, keyDesc, nKeys := -1, false, 0
 	for _, oi := range sel.OrderBy {
 		ex := oi.Expr
-		if ex.Kind == sqlparser.ExprLiteral && ex.Lit.K == sqlval.KindInt {
-			pos := int(ex.Lit.I) - 1
+		if v, ok := ex.LitValue(params); ok && v.K == sqlval.KindInt {
+			pos := int(v.I) - 1
 			if pos < 0 || pos >= len(sel.Items) || sel.Items[pos].Star {
 				return orderPlan{}
 			}
@@ -388,7 +398,7 @@ func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, 
 		return orderPlan{}
 	}
 	op := orderPlan{done: true, scan: true, ix: ox, col: keyCol, desc: keyDesc}
-	if r := extractRanges(t, resolve, sel.Where)[keyCol]; r != nil {
+	if r := extractRanges(t, resolve, sel.Where, params)[keyCol]; r != nil {
 		op.lo, op.hi = r.lo, r.hi
 	}
 	return op
@@ -405,8 +415,8 @@ func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, 
 // prefix is immutable, and neither UPDATE nor DELETE appends to the slab.
 // Caller holds the table latch exclusively and resolves liveness per chain
 // (writer view).
-func candidateRefs(e *Engine, t *table, cols map[string]int, where *sqlparser.Expr, access *sqlparser.AccessInfo) []*rowChain {
-	if plan := planAccess(e, t, envResolver(cols, 0, len(t.schema.Columns)), where, access); plan.indexed {
+func candidateRefs(e *Engine, t *table, cols map[string]int, where *sqlparser.Expr, access *sqlparser.AccessInfo, params []sqlval.Value) []*rowChain {
+	if plan := planAccess(e, t, envResolver(cols, 0, len(t.schema.Columns)), where, access, params); plan.indexed {
 		return plan.refs
 	}
 	slab := t.order.Load()

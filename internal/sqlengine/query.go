@@ -127,9 +127,9 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	}
 	var out []outRow
 	if grouped {
-		out, err = groupedRows(sel, stars, len(outCols), rows, cols, totalCols, aggExprs)
+		out, err = groupedRows(sel, stars, len(outCols), rows, cols, totalCols, aggExprs, s.params)
 	} else {
-		out, err = projectRows(sel, stars, len(outCols), rows, cols)
+		out, err = projectRows(sel, stars, len(outCols), rows, cols, s.params)
 	}
 	if err != nil {
 		return nil, err
@@ -154,12 +154,12 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	}
 
 	if len(sel.OrderBy) > 0 && !orderDone {
-		if err := orderRows(sel, out, outCols, cols); err != nil {
+		if err := orderRows(sel, out, outCols, cols, s.params); err != nil {
 			return nil, err
 		}
 	}
 
-	out, err = applyLimit(sel, out)
+	out, err = applyLimit(sel, out, s.params)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 
 // selectNoFrom evaluates a FROM-less select (SELECT 1, SELECT NOW()).
 func (s *Session) selectNoFrom(sel *sqlparser.Select) (*Result, error) {
-	ev := &env{}
+	ev := &env{params: s.params}
 	res := &Result{}
 	row := make([]sqlval.Value, 0, len(sel.Items))
 	for i, it := range sel.Items {
@@ -223,14 +223,14 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 	// without them.
 	var op orderPlan
 	if !grouped && !sel.Distinct {
-		op = planOrder(e, t, resolve, sel, sel.Access)
+		op = planOrder(e, t, resolve, sel, sel.Access, s.params)
 	} else if len(sel.OrderBy) == 0 {
 		op = orderPlan{done: true}
 	}
 
 	budget := int64(-1)
 	if op.done && !grouped && !sel.Distinct {
-		budget = scanBudget(sel)
+		budget = scanBudget(sel, s.params)
 	}
 	if budget == 0 {
 		return nil, op.done, nil
@@ -238,7 +238,7 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 
 	var rows [][]sqlval.Value
 	var evalErr error
-	ev := &env{cols: cols}
+	ev := &env{cols: cols, params: s.params}
 	add := func(row []sqlval.Value) bool {
 		if sel.Where != nil {
 			ev.row = row
@@ -264,7 +264,7 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 	// fallback.
 	var plan accessPlan
 	if !op.scan || sel.Limit == nil {
-		plan = planAccess(e, t, resolve, sel.Where, sel.Access)
+		plan = planAccess(e, t, resolve, sel.Where, sel.Access, s.params)
 	}
 	if op.scan && plan.indexed {
 		op.scan = false
@@ -316,11 +316,11 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 // scanBudget is the LIMIT pushdown budget: offset+limit WHERE survivors
 // suffice when no later stage reorders, merges or dedups rows (callers
 // check that). It is -1 when there is no usable LIMIT.
-func scanBudget(sel *sqlparser.Select) int64 {
+func scanBudget(sel *sqlparser.Select, params []sqlval.Value) int64 {
 	if sel.Limit == nil {
 		return -1
 	}
-	ev := &env{}
+	ev := &env{params: params}
 	lv, err := ev.eval(sel.Limit)
 	if err != nil {
 		return -1
@@ -354,7 +354,7 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 	// too, since the base is the preserved side).
 	base := srcs[0]
 	var rows [][]sqlval.Value
-	if plan := planAccess(s.engine, base.t, envResolver(cols, base.offset, len(base.t.schema.Columns)), sel.Where, sel.Access); plan.indexed {
+	if plan := planAccess(s.engine, base.t, envResolver(cols, base.offset, len(base.t.schema.Columns)), sel.Where, sel.Access, s.params); plan.indexed {
 		rows = make([][]sqlval.Value, 0, len(plan.refs))
 		for _, ch := range plan.refs {
 			if r := rv.resolve(ch); r != nil {
@@ -370,13 +370,13 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 
 	budget := int64(-1)
 	if len(sel.OrderBy) == 0 && !grouped && !sel.Distinct {
-		budget = scanBudget(sel)
+		budget = scanBudget(sel, s.params)
 	}
 	if budget == 0 {
 		return nil, nil
 	}
 	scratch := make([]sqlval.Value, totalCols)
-	ev := &env{cols: cols, row: scratch}
+	ev := &env{cols: cols, row: scratch, params: s.params}
 	for i := 1; i < len(srcs) && len(rows) > 0; i++ {
 		src := srcs[i]
 		tr := sel.From[i]
@@ -506,10 +506,10 @@ func slabRow(slab []sqlval.Value, i, k int) []sqlval.Value {
 
 // projectRows evaluates the select list for each row of a non-grouped
 // query, in one reused environment, into one slab of len(rows)·k values.
-func projectRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Value, cols map[string]int) ([]outRow, error) {
+func projectRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Value, cols map[string]int, params []sqlval.Value) ([]outRow, error) {
 	slab := make([]sqlval.Value, len(rows)*k)
 	out := make([]outRow, len(rows))
-	ev := env{cols: cols}
+	ev := env{cols: cols, params: params}
 	for i, r := range rows {
 		ev.row = r
 		vals := slabRow(slab, i, k)
@@ -530,14 +530,14 @@ func projectRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Val
 // row is never before row g, so the move overwrites only rows already
 // read). HAVING then evaluates once per group, and the groups it keeps
 // project into one slab, all in one reused environment.
-func groupedRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Value, cols map[string]int, width int, aggExprs []*sqlparser.Expr) ([]outRow, error) {
+func groupedRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Value, cols map[string]int, width int, aggExprs []*sqlparser.Expr, params []sqlval.Value) ([]outRow, error) {
 	for _, ae := range aggExprs {
 		if !countsRows(ae) && len(ae.Args) != 1 {
 			return nil, errf("%s expects one argument", ae.Func)
 		}
 	}
 	na := len(aggExprs)
-	ev := env{cols: cols}
+	ev := env{cols: cols, params: params}
 
 	// Without GROUP BY every row is in group 0, and that one group exists
 	// even over no rows (COUNT(*) of an empty table is 0).
@@ -830,16 +830,17 @@ type orderKey struct {
 // are resolved exactly once — O(n·k) evaluations — into one slab, a stable
 // sort orders an index over it, and the rows then follow the index in
 // place. The sort allocates the keys, the slab and the index.
-func orderRows(sel *sqlparser.Select, out []outRow, outCols []string, cols map[string]int) error {
+func orderRows(sel *sqlparser.Select, out []outRow, outCols []string, cols map[string]int, params []sqlval.Value) error {
 	keys := make([]orderKey, len(sel.OrderBy))
 	for i, oi := range sel.OrderBy {
 		ex := oi.Expr
 		keys[i] = orderKey{pos: -1, expr: ex}
+		lit, isLit := ex.LitValue(params)
 		switch {
-		case ex.Kind == sqlparser.ExprLiteral && ex.Lit.K == sqlval.KindInt:
-			pos := int(ex.Lit.I) - 1
+		case isLit && lit.K == sqlval.KindInt:
+			pos := int(lit.I) - 1
 			if pos < 0 || pos >= len(outCols) {
-				return errf("ORDER BY position %d out of range", ex.Lit.I)
+				return errf("ORDER BY position %d out of range", lit.I)
 			}
 			keys[i].pos = pos
 		case ex.Kind == sqlparser.ExprColumn && ex.Table == "":
@@ -849,7 +850,7 @@ func orderRows(sel *sqlparser.Select, out []outRow, outCols []string, cols map[s
 	}
 	nk := len(keys)
 	dec := make([]sqlval.Value, len(out)*nk)
-	ev := env{cols: cols}
+	ev := env{cols: cols, params: params}
 	for r := range out {
 		for i, k := range keys {
 			if k.pos >= 0 {
@@ -898,11 +899,11 @@ func orderRows(sel *sqlparser.Select, out []outRow, outCols []string, cols map[s
 }
 
 // applyLimit applies LIMIT/OFFSET.
-func applyLimit(sel *sqlparser.Select, out []outRow) ([]outRow, error) {
+func applyLimit(sel *sqlparser.Select, out []outRow, params []sqlval.Value) ([]outRow, error) {
 	if sel.Limit == nil {
 		return out, nil
 	}
-	ev := &env{}
+	ev := &env{params: params}
 	lv, err := ev.eval(sel.Limit)
 	if err != nil {
 		return nil, err

@@ -41,6 +41,7 @@ func (c StatementClass) String() string {
 
 // Classify returns the statement class of st.
 func Classify(st Statement) StatementClass {
+	st, _ = Unwrap(st)
 	switch st.(type) {
 	case *Select, *ShowTables:
 		return ClassRead
@@ -68,6 +69,7 @@ func WalkExprs(st Statement, f func(*Expr)) {
 			e.Walk(f)
 		}
 	}
+	st, _ = Unwrap(st)
 	switch s := st.(type) {
 	case *CreateTable:
 		for _, c := range s.Columns {
@@ -148,6 +150,7 @@ func RewriteMacros(st Statement, now time.Time, rng *rand.Rand) {
 // exclusive lock on (its target), and ok=false for non-write statements.
 // The clustering middleware reserves this lock at dispatch time.
 func WriteTarget(st Statement) (string, bool) {
+	st, _ = Unwrap(st)
 	switch s := st.(type) {
 	case *Insert:
 		return strings.ToLower(s.Table), true
@@ -172,6 +175,7 @@ func WriteTarget(st Statement) (string, bool) {
 // (DELETE, DDL, INSERT without a column list). Used by column-granularity
 // cache invalidation.
 func WrittenColumns(st Statement) []string {
+	st, _ = Unwrap(st)
 	switch s := st.(type) {
 	case *Insert:
 		if len(s.Columns) == 0 {
@@ -197,6 +201,7 @@ func WrittenColumns(st Statement) []string {
 // ok=false when the statement reads columns that cannot be enumerated
 // (SELECT *). Used by column-granularity cache invalidation.
 func ReadColumns(st Statement) (cols []string, ok bool) {
+	st, _ = Unwrap(st)
 	sel, isSel := st.(*Select)
 	if !isSel {
 		return nil, false
@@ -229,24 +234,48 @@ func NumParams(st Statement) int {
 }
 
 // BindParams replaces every ? placeholder with the corresponding literal,
-// mutating st in place. The request manager binds before logging so that
-// recovery replay needs no parameter storage.
+// mutating st in place, and refuses a vector that leaves a placeholder
+// unbound or holds more values than st has placeholders. The request
+// manager binds this way only for statements with macros; every other
+// statement travels as a Bound and is rendered with RenderParams.
 func BindParams(st Statement, params []sqlval.Value) error {
 	var bindErr error
+	n := 0
 	WalkExprs(st, func(e *Expr) {
 		if e.Kind != ExprParam {
 			return
 		}
+		n = max(n, e.ParamIdx+1)
 		if e.ParamIdx >= len(params) {
-			bindErr = &BindError{Index: e.ParamIdx, Have: len(params)}
+			if bindErr == nil {
+				bindErr = &BindError{Index: e.ParamIdx, Have: len(params)}
+			}
 			return
 		}
 		*e = Expr{Kind: ExprLiteral, Lit: params[e.ParamIdx]}
 	})
+	if bindErr == nil {
+		bindErr = CheckParams(n, len(params))
+	}
 	return bindErr
 }
 
-// BindError reports a placeholder without a bound value.
+// CheckParams returns the *BindError for a statement with want placeholders
+// given have values, or nil when the counts agree.
+func CheckParams(want, have int) error {
+	switch {
+	case have < want:
+		return &BindError{Index: have, Have: have}
+	case have > want:
+		return &BindError{Index: want, Have: have}
+	}
+	return nil
+}
+
+// BindError reports a parameter vector that does not fit its statement's
+// placeholders. Index is the 0-based position where they part: an unbound
+// placeholder when Index >= Have, the first value without a placeholder
+// otherwise.
 type BindError struct {
 	Index int
 	Have  int
@@ -254,6 +283,9 @@ type BindError struct {
 
 // Error implements the error interface.
 func (e *BindError) Error() string {
+	if e.Index < e.Have {
+		return "sql: statement takes " + itoa(e.Index) + " parameters (" + itoa(e.Have) + " provided)"
+	}
 	return "sql: statement parameter " + itoa(e.Index+1) + " not bound (" + itoa(e.Have) + " provided)"
 }
 
@@ -284,15 +316,14 @@ func itoa(i int) string {
 // index-probeable form, and whether its ORDER BY has the shape an ordered
 // index scan could satisfy. It is computed once per cached plan
 // (plancache.Build) and shared by every clone of the statement — it records
-// shapes, never literal values, so parameter binding does not invalidate
-// it. The engine's access planner uses it as a fast bail-out: a cache hit
+// shapes, never literal values, so it holds for every parameter vector. The engine's access planner uses it as a fast bail-out: a cache hit
 // whose statement cannot use any index skips the conjunct walk entirely,
 // and one whose ORDER BY cannot be elided skips order planning.
 type AccessInfo struct {
 	// Indexable reports that some top-level conjunct is col = lit,
 	// col IN (lits), col BETWEEN lit AND lit, or a </<=/>/>= comparison of
-	// a column against a literal (parameters count as literals: they bind
-	// to one before execution).
+	// a column against a literal (parameters count as literals: the engine
+	// reads each as the value its vector binds).
 	Indexable bool
 	// OrderElidable reports that every ORDER BY key resolves to a bare
 	// column of the statement (directly, or through an integer position
@@ -303,7 +334,7 @@ type AccessInfo struct {
 }
 
 // accessLit reports whether e can act as an index-probe operand: a literal
-// now, or a parameter that becomes one at binding time.
+// now, or a parameter that reads as one at evaluation (Expr.LitValue).
 func accessLit(e *Expr) bool {
 	return e != nil && (e.Kind == ExprLiteral || e.Kind == ExprParam)
 }

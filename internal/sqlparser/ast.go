@@ -14,8 +14,8 @@ type Statement interface {
 	// replication and cache invalidation.
 	Tables() []string
 	// Clone returns a deep copy of the statement. The parsing cache shares
-	// one parsed tree across executions; mutating operations (parameter
-	// binding, macro rewriting) work on a clone.
+	// one parsed tree across executions; a mutating operation (macro
+	// rewriting, with BindParams before it) works on a clone.
 	Clone() Statement
 }
 
@@ -80,8 +80,8 @@ type Update struct {
 	Where *Expr
 	// Access is the statement's precomputed access-shape summary (see
 	// AnalyzeAccess). Shallow statement clones share the pointer: the
-	// summary holds shapes, never literal values, so parameter binding does
-	// not invalidate it. nil means "not analyzed" — planners fall back to
+	// summary holds shapes, never literal values, so it holds for every
+	// parameter vector. nil means "not analyzed" — planners fall back to
 	// walking the AST.
 	Access *AccessInfo
 }

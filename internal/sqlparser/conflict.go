@@ -36,6 +36,7 @@ func ConflictClass(st Statement) (tables []string, global bool) {
 
 // IsDDL reports whether st changes the schema rather than table contents.
 func IsDDL(st Statement) bool {
+	st, _ = Unwrap(st)
 	switch st.(type) {
 	case *CreateTable, *DropTable, *CreateIndex, *DropIndex:
 		return true

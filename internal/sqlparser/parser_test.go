@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -282,6 +283,40 @@ func TestBindParams(t *testing.T) {
 	st = mustParse(t, "SELECT a FROM t WHERE b = ?")
 	if err := BindParams(st, nil); err == nil {
 		t.Error("missing param must fail")
+	}
+	// An extra value has no placeholder to go to: refused, not dropped.
+	st = mustParse(t, "SELECT a FROM t WHERE b = ?")
+	var be *BindError
+	if err := BindParams(st, []sqlval.Value{sqlval.Int(1), sqlval.Int(2)}); !errors.As(err, &be) || be.Index != 1 || be.Have != 2 {
+		t.Errorf("extra param: %v", err)
+	}
+}
+
+// TestRenderParamsIsTheBoundRendering: rendering a tree with a vector, or a
+// Bound, gives the text of a bound clone, and leaves the tree's
+// placeholders in place.
+func TestRenderParamsIsTheBoundRendering(t *testing.T) {
+	params := []sqlval.Value{sqlval.String_(`it's \`), sqlval.Null, sqlval.Int(-9), sqlval.Float(0.5)}
+	for _, sql := range []string{
+		"UPDATE t SET a = ?, b = ? WHERE c IN (?, 1) AND d BETWEEN ? AND 2",
+		"SELECT a, ? FROM t WHERE b = ? ORDER BY ? LIMIT ? OFFSET 1",
+		"INSERT INTO t (a, b, c, d) VALUES (?, ?, ?, ?)",
+	} {
+		st := mustParse(t, sql)
+		clone := st.Clone()
+		if err := BindParams(clone, params); err != nil {
+			t.Fatal(err)
+		}
+		want := Render(clone)
+		if got := RenderParams(st, params); got != want {
+			t.Errorf("RenderParams = %q, want %q", got, want)
+		}
+		if got := Render(&Bound{Stmt: st, SQL: sql, Params: params}); got != want {
+			t.Errorf("Render(Bound) = %q, want %q", got, want)
+		}
+		if got := Render(st); got != RenderParams(st, nil) || !strings.Contains(got, "?") {
+			t.Errorf("Render(tree) = %q: placeholders lost", got)
+		}
 	}
 }
 

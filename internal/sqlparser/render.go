@@ -6,17 +6,34 @@ import (
 	"cjdbc/internal/sqlval"
 )
 
-// Render turns a parsed statement back into SQL text. The output is
-// accepted by Parse (round-trip property), which the recovery log, the wire
-// protocol and macro rewriting rely on.
-func Render(st Statement) string {
-	var b strings.Builder
-	renderStmt(&b, st)
-	return b.String()
+// Render turns a parsed statement back into SQL text: RenderParams with no
+// vector (a Bound renders with its own). The output is accepted by Parse
+// (round-trip property), which the recovery log, the wire protocol and
+// macro rewriting rely on.
+func Render(st Statement) string { return RenderParams(st, nil) }
+
+// RenderParams renders st with each placeholder params covers written as
+// that value's literal, and every other placeholder as ?. The text is
+// byte-identical to rendering a clone of st after BindParams(clone, params),
+// without the clone: the write path renders the recovery log's text this
+// way from the shared tree of a cached plan.
+func RenderParams(st Statement, params []sqlval.Value) string {
+	r := renderer{params: params}
+	r.stmt(st)
+	return r.String()
 }
 
-func renderStmt(b *strings.Builder, st Statement) {
+// renderer writes one statement's text, reading placeholders from params.
+type renderer struct {
+	strings.Builder
+	params []sqlval.Value
+}
+
+func (b *renderer) stmt(st Statement) {
 	switch s := st.(type) {
+	case *Bound:
+		b.params = s.Params
+		b.stmt(s.Stmt)
 	case *CreateTable:
 		b.WriteString("CREATE ")
 		if s.Temporary {
@@ -29,7 +46,7 @@ func renderStmt(b *strings.Builder, st Statement) {
 		b.WriteString(s.Table)
 		if s.AsSelect != nil {
 			b.WriteString(" AS ")
-			renderStmt(b, s.AsSelect)
+			b.stmt(s.AsSelect)
 			return
 		}
 		b.WriteString(" (")
@@ -50,7 +67,7 @@ func renderStmt(b *strings.Builder, st Statement) {
 			}
 			if c.Default != nil {
 				b.WriteString(" DEFAULT ")
-				renderExpr(b, c.Default)
+				b.expr(c.Default)
 			}
 		}
 		if len(s.PrimaryKey) > 0 {
@@ -92,7 +109,7 @@ func renderStmt(b *strings.Builder, st Statement) {
 		}
 		if s.Query != nil {
 			b.WriteByte(' ')
-			renderStmt(b, s.Query)
+			b.stmt(s.Query)
 			return
 		}
 		b.WriteString(" VALUES ")
@@ -105,7 +122,7 @@ func renderStmt(b *strings.Builder, st Statement) {
 				if j > 0 {
 					b.WriteString(", ")
 				}
-				renderExpr(b, e)
+				b.expr(e)
 			}
 			b.WriteString(")")
 		}
@@ -119,21 +136,21 @@ func renderStmt(b *strings.Builder, st Statement) {
 			}
 			b.WriteString(a.Column)
 			b.WriteString(" = ")
-			renderExpr(b, a.Value)
+			b.expr(a.Value)
 		}
 		if s.Where != nil {
 			b.WriteString(" WHERE ")
-			renderExpr(b, s.Where)
+			b.expr(s.Where)
 		}
 	case *Delete:
 		b.WriteString("DELETE FROM ")
 		b.WriteString(s.Table)
 		if s.Where != nil {
 			b.WriteString(" WHERE ")
-			renderExpr(b, s.Where)
+			b.expr(s.Where)
 		}
 	case *Select:
-		renderSelect(b, s)
+		b.selectStmt(s)
 	case *Begin:
 		b.WriteString("BEGIN")
 	case *Commit:
@@ -163,7 +180,7 @@ func typeName(k sqlval.Kind) string {
 	return "VARCHAR"
 }
 
-func renderSelect(b *strings.Builder, s *Select) {
+func (b *renderer) selectStmt(s *Select) {
 	b.WriteString("SELECT ")
 	if s.Distinct {
 		b.WriteString("DISTINCT ")
@@ -180,7 +197,7 @@ func renderSelect(b *strings.Builder, s *Select) {
 			b.WriteString("*")
 			continue
 		}
-		renderExpr(b, it.Expr)
+		b.expr(it.Expr)
 		if it.Alias != "" {
 			b.WriteString(" AS ")
 			b.WriteString(it.Alias)
@@ -206,12 +223,12 @@ func renderSelect(b *strings.Builder, s *Select) {
 		}
 		if tr.On != nil {
 			b.WriteString(" ON ")
-			renderExpr(b, tr.On)
+			b.expr(tr.On)
 		}
 	}
 	if s.Where != nil {
 		b.WriteString(" WHERE ")
-		renderExpr(b, s.Where)
+		b.expr(s.Where)
 	}
 	if len(s.GroupBy) > 0 {
 		b.WriteString(" GROUP BY ")
@@ -219,12 +236,12 @@ func renderSelect(b *strings.Builder, s *Select) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			renderExpr(b, g)
+			b.expr(g)
 		}
 	}
 	if s.Having != nil {
 		b.WriteString(" HAVING ")
-		renderExpr(b, s.Having)
+		b.expr(s.Having)
 	}
 	if len(s.OrderBy) > 0 {
 		b.WriteString(" ORDER BY ")
@@ -232,7 +249,7 @@ func renderSelect(b *strings.Builder, s *Select) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			renderExpr(b, o.Expr)
+			b.expr(o.Expr)
 			if o.Desc {
 				b.WriteString(" DESC")
 			}
@@ -240,21 +257,23 @@ func renderSelect(b *strings.Builder, s *Select) {
 	}
 	if s.Limit != nil {
 		b.WriteString(" LIMIT ")
-		renderExpr(b, s.Limit)
+		b.expr(s.Limit)
 		if s.Offset != nil {
 			b.WriteString(" OFFSET ")
-			renderExpr(b, s.Offset)
+			b.expr(s.Offset)
 		}
 	}
 }
 
-func renderExpr(b *strings.Builder, e *Expr) {
+func (b *renderer) expr(e *Expr) {
 	if e == nil {
 		return
 	}
+	if v, ok := e.LitValue(b.params); ok {
+		b.WriteString(v.SQLLiteral())
+		return
+	}
 	switch e.Kind {
-	case ExprLiteral:
-		b.WriteString(e.Lit.SQLLiteral())
 	case ExprColumn:
 		if e.Table != "" {
 			b.WriteString(e.Table)
@@ -268,24 +287,24 @@ func renderExpr(b *strings.Builder, e *Expr) {
 	case ExprUnary:
 		if e.Op == "NOT" {
 			b.WriteString("NOT (")
-			renderExpr(b, e.Left)
+			b.expr(e.Left)
 			b.WriteString(")")
 		} else {
 			b.WriteString(e.Op)
 			b.WriteString("(")
-			renderExpr(b, e.Left)
+			b.expr(e.Left)
 			b.WriteString(")")
 		}
 	case ExprBinary:
 		b.WriteString("(")
-		renderExpr(b, e.Left)
+		b.expr(e.Left)
 		b.WriteString(" ")
 		if e.Not && e.Op == "LIKE" {
 			b.WriteString("NOT ")
 		}
 		b.WriteString(e.Op)
 		b.WriteString(" ")
-		renderExpr(b, e.Right)
+		b.expr(e.Right)
 		b.WriteString(")")
 	case ExprFunc:
 		b.WriteString(e.Func)
@@ -297,12 +316,12 @@ func renderExpr(b *strings.Builder, e *Expr) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			renderExpr(b, a)
+			b.expr(a)
 		}
 		b.WriteString(")")
 	case ExprIn:
 		b.WriteString("(")
-		renderExpr(b, e.Left)
+		b.expr(e.Left)
 		if e.Not {
 			b.WriteString(" NOT IN (")
 		} else {
@@ -312,23 +331,23 @@ func renderExpr(b *strings.Builder, e *Expr) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			renderExpr(b, a)
+			b.expr(a)
 		}
 		b.WriteString("))")
 	case ExprBetween:
 		b.WriteString("(")
-		renderExpr(b, e.Left)
+		b.expr(e.Left)
 		if e.Not {
 			b.WriteString(" NOT")
 		}
 		b.WriteString(" BETWEEN ")
-		renderExpr(b, e.Low)
+		b.expr(e.Low)
 		b.WriteString(" AND ")
-		renderExpr(b, e.High)
+		b.expr(e.High)
 		b.WriteString(")")
 	case ExprIsNull:
 		b.WriteString("(")
-		renderExpr(b, e.Left)
+		b.expr(e.Left)
 		if e.Not {
 			b.WriteString(" IS NOT NULL)")
 		} else {

@@ -128,15 +128,19 @@ func (v Value) Bytes() []byte { return []byte(v.S) }
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
 
-// AsBool interprets v as a truth value. NULL is false.
+// AsBool interprets v as a truth value. NULL is false. A time or a BLOB is
+// as true as the string literal it renders as, so a value and its logged
+// text coerce alike: a time always, a BLOB unless it is empty.
 func (v Value) AsBool() bool {
 	switch v.K {
 	case KindBool, KindInt:
 		return v.I != 0
 	case KindFloat:
 		return v.Float64() != 0
-	case KindString:
+	case KindString, KindBytes:
 		return v.S != ""
+	case KindTime:
+		return true
 	default:
 		return false
 	}

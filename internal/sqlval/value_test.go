@@ -277,6 +277,9 @@ func TestAsBool(t *testing.T) {
 		{Float(0), false}, {Float(0.1), true},
 		{String_(""), false}, {String_("x"), true},
 		{Bool(true), true}, {Bool(false), false},
+		// A time or a BLOB is true as the string literal it renders as (the
+		// text a recovery log replays) is: a time always, a BLOB unless empty.
+		{Time(time.Unix(0, 0)), true}, {Bytes(nil), false}, {Bytes([]byte{0}), true},
 	}
 	for _, c := range cases {
 		if got := c.v.AsBool(); got != c.want {

@@ -1,0 +1,135 @@
+package cjdbc
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"cjdbc/internal/sqlparser"
+)
+
+// nestedPair starts a leaf controller with two in-memory backends serving
+// cjdbc:// and a top controller whose only backend is the leaf (§4.2), and
+// returns an in-process session on each plus a wire session on the leaf.
+func nestedPair(t *testing.T) (top, leaf, wire Session, leafVDB *VirtualDatabase) {
+	t.Helper()
+	leafCtrl := NewController("leaf", 21)
+	t.Cleanup(leafCtrl.Close)
+	leafVDB, err := leafCtrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "leafdb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"l0", "l1"} {
+		if err := leafVDB.AddInMemoryBackend(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr, err := leafCtrl.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsn := fmt.Sprintf("cjdbc://%s/leafdb", addr)
+	topCtrl := NewController("top", 22)
+	t.Cleanup(topCtrl.Close)
+	topVDB, err := topCtrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "topdb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topVDB.AddClusterBackend("leaf-as-backend", dsn); err != nil {
+		t.Fatal(err)
+	}
+	open := func(f func() (Session, error)) Session {
+		s, err := f()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		return s
+	}
+	top = open(func() (Session, error) { return topVDB.OpenSession("u", "") })
+	leaf = open(func() (Session, error) { return leafVDB.OpenSession("u", "") })
+	wire = open(func() (Session, error) { return Connect(dsn) })
+	return top, leaf, wire, leafVDB
+}
+
+// TestParamCountMismatchIsRefused: a statement given more values than it
+// has placeholders is refused with the same *sqlparser.BindError as one
+// given fewer — in process, over the wire and through a nested controller —
+// and a refused write changes nothing.
+func TestParamCountMismatchIsRefused(t *testing.T) {
+	top, leaf, wire, _ := nestedPair(t)
+	if _, err := top.Exec("CREATE TABLE kv (id INTEGER PRIMARY KEY, v VARCHAR)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := top.Exec("INSERT INTO kv (id, v) VALUES (?, ?)", 1, "one"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sql  string
+		args []any
+	}{
+		{"SELECT v FROM kv WHERE id = ?", []any{1, 2}},
+		{"SELECT v FROM kv WHERE id = 1", []any{1}},
+		{"INSERT INTO kv (id, v) VALUES (?, ?)", []any{2, "two", "extra"}},
+		{"UPDATE kv SET v = ? WHERE id = ?", []any{"uno", 1, 1}},
+		{"DELETE FROM kv WHERE id = ?", []any{}},
+		{"BEGIN", []any{1}},
+	} {
+		_, want := leaf.Exec(tc.sql, tc.args...)
+		var be *sqlparser.BindError
+		if !errors.As(want, &be) {
+			t.Fatalf("%s %v in process: %v, want a *sqlparser.BindError", tc.sql, tc.args, want)
+		}
+		for path, s := range map[string]Session{"wire": wire, "nested": top} {
+			if _, err := s.Exec(tc.sql, tc.args...); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s %v over the %s path: %v, want %v", tc.sql, tc.args, path, err, want)
+			}
+		}
+	}
+	rows, err := leaf.Query("SELECT id, v FROM kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id int64
+	var v string
+	if !rows.Next() || rows.Scan(&id, &v) != nil || id != 1 || v != "one" || rows.Next() {
+		t.Fatalf("a refused write changed kv: %d rows, first (%d, %q)", rows.Len(), id, v)
+	}
+}
+
+// TestNestedControllerGetsTextAndVector: a parameterised statement reaches
+// a nested controller as its text with placeholders plus the vector, so a
+// quoted string crosses two controller levels unrendered and intact.
+func TestNestedControllerGetsTextAndVector(t *testing.T) {
+	top, leaf, _, leafVDB := nestedPair(t)
+	if _, err := top.Exec("CREATE TABLE names (id INTEGER PRIMARY KEY, name VARCHAR)"); err != nil {
+		t.Fatal(err)
+	}
+	const quoted = `O'Brien said "hi"; \' -- not a comment`
+	const insert = "INSERT INTO names (id, name) VALUES (?, ?)"
+	const read = "SELECT id FROM names WHERE name = ?"
+	if _, err := top.Exec(insert, 7, quoted); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second execution passes the plan cache's doorkeeper
+		rows, err := top.Query(read, quoted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var id int64
+		if !rows.Next() || rows.Scan(&id) != nil || id != 7 {
+			t.Fatalf("read through two levels: %d rows", rows.Len())
+		}
+	}
+	if leafVDB.Internal().PlanCache().Get(read) == nil {
+		t.Errorf("the leaf never planned %q: the top rendered the read instead of passing its vector", read)
+	}
+	rows, err := leaf.Query("SELECT name FROM names WHERE id = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	if !rows.Next() || rows.Scan(&name) != nil || name != quoted {
+		t.Fatalf("leaf stores %q, want %q", name, quoted)
+	}
+}
