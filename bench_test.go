@@ -1,197 +1,20 @@
-// Benchmarks regenerating the paper's evaluation (§6), ablations of the
-// design choices, an engine join, and the multi-writer scaling of the write
+// Benchmarks of an engine join and the multi-writer scaling of the write
 // pipeline. Per-layer and end-to-end performance is measured by
-// `bash bench/run.sh` (see BENCHMARK.json and bench/README.md), not here.
+// `bash bench/run.sh` (see BENCHMARK.json and bench/README.md), not here;
+// the paper's figures are accounted by internal/workload/experiments:
 //
-//	go test -bench 'Figure10' -benchtime 1x .   # one figure
-//	go test -bench . -benchmem .                # everything
-//
-// Macro benchmarks report rq/min (the paper's unit), ms/interaction and the
-// backend CPU-load proxy as custom metrics; ns/op is meaningless for them.
-// cmd/tpcw-bench and cmd/rubis-bench print the full sweeps.
+//	go test -v -run 'Figure|Table1' ./internal/workload/experiments
 package cjdbc_test
 
 import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cjdbc"
 	"cjdbc/internal/sqlengine"
 	"cjdbc/internal/sqlparser"
-	"cjdbc/internal/workload/experiments"
-	"cjdbc/internal/workload/rubis"
-	"cjdbc/internal/workload/tpcw"
 )
-
-// benchTPCWConfig shrinks the sweep for bench time while keeping the same
-// cost calibration as the full harness.
-func benchTPCWConfig(mix tpcw.Mix) experiments.TPCWConfig {
-	cfg := experiments.DefaultTPCWConfig(mix)
-	cfg.Scale = tpcw.Scale{Items: 80, Customers: 80, Authors: 16}
-	cfg.Warmup = 150 * time.Millisecond
-	cfg.Duration = 500 * time.Millisecond
-	return cfg
-}
-
-func reportPoint(b *testing.B, p experiments.TPCWPoint) {
-	b.Helper()
-	b.ReportMetric(p.ThroughputRPM, "rq/min")
-	b.ReportMetric(p.AvgResponseMs, "ms/interaction")
-	b.ReportMetric(p.BackendLoad*100, "DB%")
-	if p.Errors > 0 {
-		b.Logf("%s/%d: %d errors (first: %v)", p.Replication, p.Nodes, p.Errors, p.FirstError)
-	}
-}
-
-// benchFigure runs the representative points of one TPC-W figure.
-func benchFigure(b *testing.B, mix tpcw.Mix) {
-	b.Run("single-1", func(b *testing.B) {
-		cfg := benchTPCWConfig(mix)
-		for i := 0; i < b.N; i++ {
-			pts, err := experiments.RunTPCWFigure(experiments.TPCWConfig{
-				Mix: cfg.Mix, MaxNodes: 0, Scale: cfg.Scale, CostScale: cfg.CostScale,
-				ClientsPerNode: cfg.ClientsPerNode, BaseClients: cfg.BaseClients,
-				Warmup: cfg.Warmup, Duration: cfg.Duration, Seed: cfg.Seed,
-				EarlyResponse: cfg.EarlyResponse,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reportPoint(b, pts[0])
-		}
-	})
-	for _, pt := range []struct {
-		repl  string
-		nodes int
-	}{
-		{"full", 1}, {"full", 2}, {"full", 4}, {"full", 6},
-		{"partial", 2}, {"partial", 4}, {"partial", 6},
-	} {
-		b.Run(fmt.Sprintf("%s-%d", pt.repl, pt.nodes), func(b *testing.B) {
-			cfg := benchTPCWConfig(mix)
-			for i := 0; i < b.N; i++ {
-				p, err := experiments.RunTPCWPoint(cfg, pt.repl, pt.nodes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportPoint(b, p)
-			}
-		})
-	}
-}
-
-// BenchmarkFigure10 regenerates Figure 10: TPC-W browsing mix throughput vs
-// backends (full vs partial replication).
-func BenchmarkFigure10(b *testing.B) { benchFigure(b, tpcw.Browsing) }
-
-// BenchmarkFigure11 regenerates Figure 11: TPC-W shopping mix.
-func BenchmarkFigure11(b *testing.B) { benchFigure(b, tpcw.Shopping) }
-
-// BenchmarkFigure12 regenerates Figure 12: TPC-W ordering mix.
-func BenchmarkFigure12(b *testing.B) { benchFigure(b, tpcw.Ordering) }
-
-// BenchmarkTable1 regenerates Table 1: the RUBiS bidding mix on one backend
-// with the result cache off, coherent, and relaxed.
-func BenchmarkTable1(b *testing.B) {
-	cfg := experiments.DefaultTable1Config()
-	cfg.Scale = rubis.Scale{Users: 80, Items: 160, Categories: 10, Regions: 5}
-	cfg.Warmup = 150 * time.Millisecond
-	cfg.Duration = 500 * time.Millisecond
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.Logf("%-16s %10.0f rq/min %8.2f ms  DB %3.0f%%  ctrl %3.0f%%",
-				r.Config, r.ThroughputRPM, r.AvgResponseMs, r.BackendLoad*100, r.CtrlLoad*100)
-		}
-		// Headline metric: relaxed-cache throughput gain over no cache.
-		if rows[0].ThroughputRPM > 0 {
-			b.ReportMetric(rows[2].ThroughputRPM/rows[0].ThroughputRPM, "relaxed/no-cache")
-			b.ReportMetric(rows[0].BackendLoad*100, "DB%-nocache")
-			b.ReportMetric(rows[2].BackendLoad*100, "DB%-relaxed")
-		}
-	}
-}
-
-// BenchmarkAblationEarlyResponse compares early response "first" (the
-// paper's TPC-W configuration) against fully synchronous "all" (§2.4.4).
-func BenchmarkAblationEarlyResponse(b *testing.B) {
-	for _, policy := range []string{"first", "all"} {
-		b.Run(policy, func(b *testing.B) {
-			cfg := benchTPCWConfig(tpcw.Ordering)
-			cfg.EarlyResponse = policy
-			for i := 0; i < b.N; i++ {
-				p, err := experiments.RunTPCWPoint(cfg, "full", 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportPoint(b, p)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationParallelTx compares parallel transactions (§2.4.4)
-// against a fully serialized scheduler.
-func BenchmarkAblationParallelTx(b *testing.B) {
-	for _, parallel := range []bool{true, false} {
-		name := "parallel"
-		if !parallel {
-			name = "serialized"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchTPCWConfig(tpcw.Shopping)
-			cfg.DisableParallelTx = !parallel
-			for i := 0; i < b.N; i++ {
-				p, err := experiments.RunTPCWPoint(cfg, "full", 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportPoint(b, p)
-			}
-		})
-	}
-}
-
-// BenchmarkCacheGranularity compares the invalidation granularities of
-// §2.4.2 on the RUBiS mix.
-func BenchmarkCacheGranularity(b *testing.B) {
-	for _, gran := range []string{"database", "table", "column"} {
-		b.Run(gran, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := runRUBiSWithCache(gran)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.ThroughputRPM, "rq/min")
-				b.ReportMetric(res.AvgResponseMs, "ms/interaction")
-			}
-		})
-	}
-}
-
-func runRUBiSWithCache(granularity string) (r struct {
-	ThroughputRPM float64
-	AvgResponseMs float64
-}, err error) {
-	cfg := experiments.DefaultTable1Config()
-	cfg.Scale = rubis.Scale{Users: 80, Items: 160, Categories: 10, Regions: 5}
-	cfg.Warmup = 150 * time.Millisecond
-	cfg.Duration = 400 * time.Millisecond
-	res, err := experiments.RunTable1Mode(cfg, "coherent cache", granularity)
-	if err != nil {
-		return r, err
-	}
-	r.ThroughputRPM = res.ThroughputRPM
-	r.AvgResponseMs = res.AvgResponseMs
-	return r, nil
-}
-
-// --- engine join and write-pipeline scaling ---
 
 // BenchmarkEngineJoin measures an indexed two-table join.
 func BenchmarkEngineJoin(b *testing.B) {

@@ -100,16 +100,6 @@ type VirtualDatabaseConfig struct {
 	// AddTableHost/RemoveTableHost moves always work under partial
 	// replication.
 	Placement *PlacementConfig
-
-	// DisableParallelTransactions turns off the parallel-transactions
-	// optimization, serializing every operation (for ablation).
-	DisableParallelTransactions bool
-
-	// CtrlCostPerRequest etc. attribute virtual CPU time to the
-	// controller for monitoring (used by the RUBiS harness).
-	CtrlCostPerRequest      time.Duration
-	CtrlCostPerCacheHit     time.Duration
-	CtrlCostPerInvalidation time.Duration
 }
 
 // HealthConfig tunes the per-backend health monitor and the automatic
@@ -260,15 +250,10 @@ func (c *Controller) CreateVirtualDatabase(cfg VirtualDatabaseConfig) (*VirtualD
 		Cache:         rc,
 		RecoveryLog:   log,
 		EarlyResponse: early,
-		ParallelTx:    !cfg.DisableParallelTransactions,
+		ParallelTx:    true,
 		Auth:          auth,
 		Health:        health,
 		Placement:     placement,
-		CtrlCost: controller.CtrlCost{
-			PerRequest:      cfg.CtrlCostPerRequest,
-			PerCacheHit:     cfg.CtrlCostPerCacheHit,
-			PerInvalidation: cfg.CtrlCostPerInvalidation,
-		},
 	})
 	if err != nil {
 		return nil, err
@@ -317,19 +302,6 @@ func WithWeight(w int) BackendOption {
 // WithMaxConns bounds the backend's connection pool.
 func WithMaxConns(n int) BackendOption {
 	return func(c *backend.Config) { c.MaxConns = n }
-}
-
-// WithServiceCost charges simulated service time per statement on this
-// backend, standing in for the paper's physical database machines. scale is
-// the wall-clock duration of one cost unit.
-func WithServiceCost(scale time.Duration) BackendOption {
-	return func(c *backend.Config) { c.Cost = backend.DefaultCostModel(scale) }
-}
-
-// WithCostParallelism sets how many statements the simulated backend
-// machine serves concurrently (only meaningful with WithServiceCost).
-func WithCostParallelism(n int) BackendOption {
-	return func(c *backend.Config) { c.CostParallelism = n }
 }
 
 // WithTables declares the subset of the virtual database's tables this

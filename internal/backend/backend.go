@@ -3,6 +3,7 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -58,11 +59,7 @@ type Config struct {
 	Driver   Driver
 	Weight   int        // weighted-round-robin weight; 0 means 1
 	MaxConns int        // connection pool size; 0 means 16
-	Cost     *CostModel // nil disables service-time simulation
-	// CostParallelism is the number of statements the simulated machine
-	// serves concurrently (its CPU/disk parallelism); 0 means 4. Only
-	// meaningful with a cost model.
-	CostParallelism int
+	Cost     *CostModel // nil disables demand accounting and service-time simulation
 	// Tables declares the subset of the virtual database's tables this
 	// backend hosts (RAIDb-2 partial replication, §2.4.3). Empty means the
 	// backend hosts everything (RAIDb-1 full replication). The controller
@@ -113,13 +110,6 @@ type Backend struct {
 	sem  chan struct{}
 	idle chan Conn
 
-	// costSem models the machine's service parallelism: every costed
-	// statement (read or write, pooled or transactional) occupies one slot
-	// for its simulated service time, so writes broadcast to a replica
-	// consume capacity that its reads can no longer use — the effect
-	// behind Figure 10's sub-linear full-replication scaling.
-	costSem chan struct{}
-
 	mu  sync.Mutex
 	txs map[uint64]*txConn
 	// deadTxs records (under mu) the transactions this backend abandoned
@@ -160,13 +150,6 @@ type Backend struct {
 	preGen atomic.Uint64
 	preMu  sync.Mutex
 
-	// chargeMu serializes the cost-model charge of auto-commit writes: the
-	// simulated machine applies broadcast updates on one write thread (the
-	// calibration behind Figure 10's shapes, and how the era's replication
-	// appliers behaved), even though real engine execution of disjoint
-	// writes proceeds concurrently. Without a cost model it is untouched.
-	chargeMu sync.Mutex
-
 	closed chan struct{}
 
 	// onFailure is invoked (on its own goroutine) when a write fails, so
@@ -177,10 +160,10 @@ type Backend struct {
 	// fault is the installed fault plan (nil = healthy); see faultplan.go.
 	fault atomic.Pointer[FaultPlan]
 
-	pending   atomic.Int64
-	busyNanos atomic.Int64
-	ops       atomic.Int64
-	failures  atomic.Int64
+	pending  atomic.Int64
+	demand   atomic.Int64 // cost-model units charged, in millionths
+	ops      atomic.Int64
+	failures atomic.Int64
 }
 
 // txConn is the per-transaction connection with its own worker lane and
@@ -239,9 +222,6 @@ func New(cfg Config) *Backend {
 	if cfg.Weight <= 0 {
 		cfg.Weight = 1
 	}
-	if cfg.CostParallelism <= 0 {
-		cfg.CostParallelism = 4
-	}
 	var declared []string
 	if len(cfg.Tables) > 0 {
 		seen := make(map[string]bool, len(cfg.Tables))
@@ -263,7 +243,6 @@ func New(cfg Config) *Backend {
 		maxConns: cfg.MaxConns,
 		sem:      make(chan struct{}, cfg.MaxConns),
 		idle:     make(chan Conn, cfg.MaxConns),
-		costSem:  make(chan struct{}, cfg.CostParallelism),
 		txs:      make(map[uint64]*txConn),
 		deadTxs:  make(map[uint64]struct{}),
 		// At least 2: a write parked on a remote driver's locks must not starve the rest.
@@ -478,8 +457,14 @@ func (b *Backend) Enabled() bool { return b.State() == StateEnabled }
 // the least-pending-requests-first balancer reads.
 func (b *Backend) Pending() int { return int(b.pending.Load()) }
 
-// BusyNanos returns the cumulative simulated busy time, the CPU-load proxy.
-func (b *Backend) BusyNanos() int64 { return b.busyNanos.Load() }
+// Demand returns the cost-model units charged to this backend so far: the
+// service demand its statements placed on the simulated machine. It stays 0
+// without a cost model.
+func (b *Backend) Demand() float64 { return float64(b.demand.Load()) / demandScale }
+
+// demandScale is the fixed-point scale of the demand counter; integer
+// accumulation keeps the total independent of the order charges land in.
+const demandScale = 1e6
 
 // Ops returns the number of operations executed.
 func (b *Backend) Ops() int64 { return b.ops.Load() }
@@ -638,18 +623,20 @@ func (b *Backend) checkin(c Conn) {
 	<-b.sem
 }
 
-// charge applies the cost model and records busy time. The service
-// semaphore bounds how many statements the simulated machine serves at
-// once; without a cost model it is skipped entirely.
+// charge adds st's cost to the demand counter and, when the model has a
+// TimeScale, sleeps it; without a cost model it is skipped entirely.
 func (b *Backend) charge(st sqlparser.Statement) {
-	if b.cost == nil || b.cost.TimeScale == 0 {
+	if b.cost == nil {
 		return
 	}
-	b.costSem <- struct{}{}
-	d := b.cost.charge(st)
-	<-b.costSem
-	if d > 0 {
-		b.busyNanos.Add(int64(d))
+	b.spend(b.cost.Classify(st))
+}
+
+// spend records units of demand and sleeps their simulated service time.
+func (b *Backend) spend(units float64) {
+	b.demand.Add(int64(math.Round(units * demandScale)))
+	if d := time.Duration(units * float64(b.cost.TimeScale)); d > 0 {
+		time.Sleep(d)
 	}
 }
 
@@ -715,7 +702,7 @@ func (b *Backend) txConnFor(txID uint64) (*txConn, error) {
 	// Transaction connections are dedicated, not pooled: drawing them from
 	// the bounded pool would let a burst of transactions exhaust it and
 	// stall the scheduler's dispatch (which runs under the cluster write
-	// lock). The cost semaphore, not the pool, models machine capacity.
+	// lock).
 	c, err := b.driver.Open()
 	if err == nil {
 		err = c.Begin()
@@ -782,7 +769,10 @@ func (b *Backend) execTxTask(txID uint64, tc *txConn, t *writeTask) (*Result, er
 			kind = OpRollback
 		}
 		tc.mu.Lock()
-		b.charge(t.st)
+		// Charged by class: a forced abort carries no statement.
+		if b.cost != nil {
+			b.spend(b.cost.TxOverhead)
+		}
 		// A fault on the demarcation (the crash-mid-transaction case) skips
 		// it; the close below still rolls the engine-side transaction back
 		// and releases its locks and tickets.
@@ -1144,11 +1134,7 @@ func (b *Backend) execAuto(t *writeTask) (*Result, error) {
 		defer b.checkin(pc)
 		c = pc
 	}
-	if b.cost != nil && b.cost.TimeScale != 0 {
-		b.chargeMu.Lock()
-		b.charge(t.st)
-		b.chargeMu.Unlock()
-	}
+	b.charge(t.st)
 	return c.Exec(t.st, t.sql)
 }
 

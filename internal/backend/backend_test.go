@@ -3,6 +3,7 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -238,8 +239,37 @@ func TestPendingGauge(t *testing.T) {
 	if b.Pending() != 0 {
 		t.Errorf("pending after completion = %d", b.Pending())
 	}
-	if b.BusyNanos() == 0 {
-		t.Error("busy time not accumulated")
+	if b.Demand() != 4*4 {
+		t.Errorf("demand = %v, want four scan reads of 4 units", b.Demand())
+	}
+}
+
+// TestForcedAbortChargedAsDemarcation: AbortTx enqueues its ROLLBACK with no
+// parsed statement, and a demarcation costs TxOverhead whatever statement
+// (if any) carries it — not the ScanRead a nil statement classifies as.
+func TestForcedAbortChargedAsDemarcation(t *testing.T) {
+	e := sqlengine.New("db")
+	s := e.NewSession()
+	if _, err := s.ExecSQL("CREATE TABLE t (id INTEGER PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	m := DefaultCostModel(0)
+	b := New(Config{Name: "db", Driver: &EngineDriver{Engine: e}, Cost: m})
+	b.Enable()
+	defer b.Close()
+
+	const tx = 7
+	ins := "INSERT INTO t (id) VALUES (1)"
+	if out := <-b.EnqueueWrite(tx, sqlparser.ClassWrite, mustStmt(t, ins), ins); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if got := b.Demand(); got != m.Write {
+		t.Fatalf("demand after the write = %v, want %v", got, m.Write)
+	}
+	b.AbortTx(tx)
+	if got := b.Demand() - m.Write; math.Abs(got-m.TxOverhead) > 1e-9 {
+		t.Errorf("forced abort charged %v units, want TxOverhead %v", got, m.TxOverhead)
 	}
 }
 

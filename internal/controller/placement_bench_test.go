@@ -12,9 +12,8 @@ import (
 )
 
 // BenchmarkHotTableAddHost measures the tentpole's payoff: a hot table
-// hosted by one costed backend (simulated service time, bounded
-// parallelism — the experiments package's 1-vCPU device for measuring
-// cluster effects) saturates that machine; after AddTableHost copies it to
+// hosted by one costed backend (simulated service time, and a two-connection
+// pool bounding how many reads it serves at once) saturates that machine; after AddTableHost copies it to
 // a second backend and flips routing, the read-one balancer spreads the
 // same offered load over both hosts. hosts=1 is the before, hosts=2 the
 // after — the ratio of their throughputs is the benefit of the move.
@@ -39,11 +38,11 @@ func BenchmarkHotTableAddHost(b *testing.B) {
 				}
 				e := seedPartialEngine(b, name, hosted, seedRows)
 				bk := backend.New(backend.Config{
-					Name:            name,
-					Driver:          &backend.EngineDriver{Engine: e},
-					Tables:          hosted,
-					Cost:            backend.DefaultCostModel(costScale),
-					CostParallelism: 2,
+					Name:     name,
+					Driver:   &backend.EngineDriver{Engine: e},
+					Tables:   hosted,
+					Cost:     backend.DefaultCostModel(costScale),
+					MaxConns: 2,
 				})
 				defer bk.Close()
 				if err := v.AddBackend(bk); err != nil {

@@ -352,8 +352,8 @@ func (v *VirtualDatabase) StatsSnapshot() Stats {
 	}
 }
 
-// CtrlBusyNanos returns the accumulated controller CPU proxy.
-func (v *VirtualDatabase) CtrlBusyNanos() int64 { return v.ctrlBusy.Load() }
+// CtrlBusy returns the controller CPU time accounted by CtrlCost.
+func (v *VirtualDatabase) CtrlBusy() time.Duration { return time.Duration(v.ctrlBusy.Load()) }
 
 func (v *VirtualDatabase) chargeCtrl(d time.Duration) {
 	if d > 0 {

@@ -1,443 +1,336 @@
-// Package experiments regenerates the paper's evaluation (§6): Figures 10,
-// 11 and 12 (TPC-W maximum throughput versus number of backends for full
-// and partial replication, plus the single-database baseline) and Table 1
-// (RUBiS bidding mix with the query result cache off, coherent, and
-// relaxed). Absolute numbers depend on the simulated service-cost scale;
-// the shapes — speedups, crossovers, the best-seller effect, the cache's
-// CPU offload — are the reproduction targets.
+// Package experiments reproduces the paper's evaluation (§6) by demand
+// accounting: Figures 10, 11 and 12 (TPC-W throughput against the number
+// of backends, full and partial replication) and Table 1 (the RUBiS
+// bidding mix with the query result cache off, coherent and relaxed).
+//
+// Every statement a backend executes adds its cost-model units to that
+// backend's demand counter (backend.Backend.Demand); nothing sleeps. One
+// seeded, sequential run of the real controller, the real workload clients
+// and the real replication policy measures D_k, the demand one interaction
+// places on backend k, and operational analysis bounds a closed system's
+// throughput at X_max = 1 / max_k D_k (Denning & Buzen, 1978). The figures
+// are X_max(n) / X_max(1); Table 1 is backend and controller demand per
+// interaction. The run is deterministic, so the numbers are identical on
+// every machine and every run.
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"cjdbc"
 	"cjdbc/internal/backend"
+	"cjdbc/internal/balancer"
+	"cjdbc/internal/cache"
+	"cjdbc/internal/controller"
 	"cjdbc/internal/sqlengine"
-	"cjdbc/internal/sqlparser"
-	"cjdbc/internal/sqlval"
-	"cjdbc/internal/workload/harness"
 	"cjdbc/internal/workload/rubis"
 	"cjdbc/internal/workload/tpcw"
 )
 
-// TPCWConfig parameterizes one figure sweep.
-type TPCWConfig struct {
-	Mix            tpcw.Mix
-	MaxNodes       int           // sweep 1..MaxNodes backends
-	Scale          tpcw.Scale    // database size
-	CostScale      time.Duration // wall time of one service-cost unit
-	ClientsPerNode int           // emulated browsers per backend
-	BaseClients    int           // additional flat client count
-	Warmup         time.Duration
-	Duration       time.Duration
-	Seed           int64
-	// ParallelTx / EarlyResponse match the paper's TPC-W configuration
-	// (§6.2: parallel transactions + early response to updates/commits);
-	// the ablation benches flip them.
-	DisableParallelTx bool
-	EarlyResponse     string
+// The shape of every accounting run: a fixed database, a fixed client
+// population driven round-robin from one goroutine, and one seed.
+const (
+	seed = 42
+
+	tpcwClients      = 12
+	tpcwInteractions = 40 // per client
+
+	rubisClients      = 30
+	rubisInteractions = 100 // per client
+
+	// relaxedStaleness is the relaxed cache's staleness limit (the paper's
+	// one minute); an accounting run ends long before it expires anything.
+	relaxedStaleness = time.Minute
+)
+
+var (
+	tpcwScale  = tpcw.Scale{Items: 60, Customers: 60, Authors: 12}
+	rubisScale = rubis.Scale{Users: 50, Items: 100, Categories: 8, Regions: 4}
+)
+
+// Nodes are the backend counts each figure reports.
+var Nodes = []int{1, 2, 4, 6}
+
+// unit is the nominal duration of one cost-model unit. It only converts
+// the controller's own costs, which the controller accounts as durations,
+// into the backends' units.
+const unit = time.Millisecond
+
+// ctrlCost is the controller's CPU per request, per cache hit and per
+// invalidated cache entry: serving a hit and invalidating entries is
+// controller work, the "C-JDBC CPU" row of Table 1.
+var ctrlCost = controller.CtrlCost{
+	PerRequest:      25 * time.Microsecond,
+	PerCacheHit:     50 * time.Microsecond,
+	PerInvalidation: 125 * time.Microsecond,
 }
 
-// DefaultTPCWConfig returns the configuration used by the figure benches.
-// CostScale is chosen so the simulated service time dominates the real CPU
-// time of the in-process engines by more than an order of magnitude; this
-// is what lets a single-core CI machine measure the scaling of a simulated
-// six-machine cluster (see DESIGN.md, substitutions).
-func DefaultTPCWConfig(mix tpcw.Mix) TPCWConfig {
-	return TPCWConfig{
-		Mix:            mix,
-		MaxNodes:       6,
-		Scale:          tpcw.DefaultScale(),
-		CostScale:      1200 * time.Microsecond,
-		ClientsPerNode: 12,
-		BaseClients:    10,
-		Warmup:         250 * time.Millisecond,
-		Duration:       time.Second,
-		Seed:           42,
-		EarlyResponse:  "first",
+// leastDemand routes each read to the candidate with the least accumulated
+// demand, first in order on ties. It is the deterministic image of
+// least-pending-requests-first at saturation: there the backend with the
+// fewest pending requests is the one with the least work queued.
+type leastDemand struct{}
+
+func (leastDemand) Name() string { return "least-demand" }
+
+func (leastDemand) Choose(cands []*backend.Backend) (*backend.Backend, error) {
+	if len(cands) == 0 {
+		return nil, balancer.ErrNoBackend
 	}
-}
-
-// TPCWPoint is one measured configuration of a figure.
-type TPCWPoint struct {
-	Replication string // "single", "full", "partial"
-	Nodes       int
-	harness.Result
-}
-
-// RunTPCWFigure produces every point of one of Figures 10-12: the
-// single-database baseline, then full and partial replication from 1 to
-// MaxNodes backends.
-func RunTPCWFigure(cfg TPCWConfig) ([]TPCWPoint, error) {
-	var points []TPCWPoint
-	single, err := runTPCWSingle(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: single baseline: %w", err)
-	}
-	points = append(points, single)
-	for _, repl := range []string{"full", "partial"} {
-		for n := 1; n <= cfg.MaxNodes; n++ {
-			p, err := RunTPCWPoint(cfg, repl, n)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s %d nodes: %w", repl, n, err)
-			}
-			points = append(points, p)
+	best := cands[0]
+	for _, b := range cands[1:] {
+		if b.Demand() < best.Demand() {
+			best = b
 		}
 	}
-	return points, nil
+	return best, nil
 }
 
-// RunTPCWPoint measures one (replication, nodes) configuration.
-func RunTPCWPoint(cfg TPCWConfig, repl string, nodes int) (TPCWPoint, error) {
-	ctrl := cjdbc.NewController("bench-ctrl", 1)
-	defer ctrl.Close()
+// Point is what one run placed on the cluster, the loading phase excluded.
+type Point struct {
+	Interactions int       // completed interactions
+	Failed       int       // interactions that returned an error
+	Requests     int       // SQL requests of the completed interactions
+	Demand       []float64 // cost units per backend
+	Ops          []int64   // operations per backend
+	Ctrl         float64   // controller demand, in cost units
+}
 
-	vcfg := cjdbc.VirtualDatabaseConfig{
-		Name:                        "tpcw",
-		LoadBalancer:                "lprf",
-		EarlyResponse:               cfg.EarlyResponse,
-		DisableParallelTransactions: cfg.DisableParallelTx,
+// Bottleneck is max_k D_k: the demand one interaction places on the
+// busiest backend, whose reciprocal bounds throughput.
+func (p Point) Bottleneck() float64 {
+	var m float64
+	for _, d := range p.Demand {
+		m = max(m, d)
 	}
+	return m / float64(p.Interactions)
+}
+
+// BackendDemand is the demand one interaction places on all backends.
+func (p Point) BackendDemand() float64 {
+	var s float64
+	for _, d := range p.Demand {
+		s += d
+	}
+	return s / float64(p.Interactions)
+}
+
+// CtrlDemand is the controller demand of one interaction.
+func (p Point) CtrlDemand() float64 { return p.Ctrl / float64(p.Interactions) }
+
+// Speedup is X_max(p) / X_max(base).
+func Speedup(base, p Point) float64 { return base.Bottleneck() / p.Bottleneck() }
+
+// interactor is one emulated browser.
+type interactor interface {
+	Interaction() (int, error)
+}
+
+// newVDB adds to ctrl a virtual database of n costed in-memory backends
+// named db0..db(n-1), routed by leastDemand with synchronous write
+// responses.
+func newVDB(ctrl *cjdbc.Controller, cfg controller.VDBConfig, n int) (*cjdbc.VirtualDatabase, error) {
+	cfg.Balancer = leastDemand{}
+	cfg.EarlyResponse = controller.ResponseAll
+	cfg.ParallelTx = true
+	cfg.CtrlCost = ctrlCost
+	inner, err := ctrl.Internal().AddVirtualDatabase(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("db%d", i)
+		if err := inner.AddBackend(backend.New(backend.Config{
+			Name:   name,
+			Driver: &backend.EngineDriver{Engine: sqlengine.New(name)},
+			Cost:   backend.DefaultCostModel(0),
+		})); err != nil {
+			return nil, err
+		}
+	}
+	return ctrl.VirtualDatabase(cfg.Name)
+}
+
+// run loads the database, then drives clients × perClient interactions
+// round-robin and returns what they placed on the cluster.
+func run(vdb *cjdbc.VirtualDatabase, load func(cjdbc.Session) error, clients, perClient int,
+	newClient func(id int, sess cjdbc.Session, rng *rand.Rand) interactor) (Point, error) {
+	loader, err := vdb.OpenSession("load", "")
+	if err != nil {
+		return Point{}, err
+	}
+	err = load(loader)
+	loader.Close()
+	if err != nil {
+		return Point{}, err
+	}
+
+	sessions := make([]cjdbc.Session, clients)
+	browsers := make([]interactor, clients)
+	defer func() {
+		for _, s := range sessions {
+			if s != nil {
+				s.Close()
+			}
+		}
+	}()
+	for i := range browsers {
+		if sessions[i], err = vdb.OpenSession("client", ""); err != nil {
+			return Point{}, err
+		}
+		browsers[i] = newClient(i, sessions[i], rand.New(rand.NewSource(seed+int64(i)*7919)))
+	}
+
+	inner := vdb.Internal()
+	bs := inner.Backends()
+	d0, o0, c0 := make([]float64, len(bs)), make([]int64, len(bs)), inner.CtrlBusy()
+	for i, b := range bs {
+		d0[i], o0[i] = b.Demand(), b.Ops()
+	}
+	var p Point
+	for r := 0; r < perClient; r++ {
+		for _, c := range browsers {
+			n, err := c.Interaction()
+			if err != nil {
+				p.Failed++
+				continue
+			}
+			p.Interactions++
+			p.Requests += n
+		}
+	}
+	p.Demand, p.Ops = make([]float64, len(bs)), make([]int64, len(bs))
+	for i, b := range bs {
+		p.Demand[i], p.Ops[i] = b.Demand()-d0[i], b.Ops()-o0[i]
+	}
+	p.Ctrl = float64(inner.CtrlBusy()-c0) / float64(unit)
+	return p, nil
+}
+
+// RunTPCW accounts one point of Figures 10-12: the mix on nodes backends
+// under "full" or "partial" replication. Partial replication is the
+// paper's Figure 10 configuration: the order-path tables (and with them
+// the best-seller temporary tables) live on two backends only, everything
+// else everywhere; on one backend it is full replication.
+func RunTPCW(mix tpcw.Mix, repl string, nodes int) (Point, error) {
+	cfg := controller.VDBConfig{Name: "tpcw"}
 	if repl == "partial" && nodes >= 2 {
-		// The Figure 10 configuration: the order-path tables (and with
-		// them the best-seller temporary tables) live on two backends
-		// only; everything else is replicated everywhere.
-		pr := make(map[string][]string)
 		all := make([]string, nodes)
 		for i := range all {
 			all[i] = fmt.Sprintf("db%d", i)
 		}
+		placement := make(map[string][]string)
 		for _, t := range tpcw.Tables {
-			pr[t] = all
+			placement[t] = all
 		}
 		for _, t := range tpcw.OrderTables {
-			pr[t] = all[:2]
+			placement[t] = all[:2]
 		}
-		vcfg.PartialReplication = pr
+		cfg.Replication = balancer.NewPartialReplication(placement)
 	}
-	vdb, err := ctrl.CreateVirtualDatabase(vcfg)
+	ctrl := cjdbc.NewController("experiments", 1)
+	defer ctrl.Close()
+	vdb, err := newVDB(ctrl, cfg, nodes)
 	if err != nil {
-		return TPCWPoint{}, err
+		return Point{}, err
 	}
-	for i := 0; i < nodes; i++ {
-		if err := vdb.AddInMemoryBackend(fmt.Sprintf("db%d", i),
-			cjdbc.WithServiceCost(cfg.CostScale),
-			cjdbc.WithCostParallelism(harness.CostParallelism)); err != nil {
-			return TPCWPoint{}, err
+	alloc := tpcw.NewIDAllocator(int64(tpcwScale.Items+tpcwScale.Customers+tpcwScale.Orders()*4) + 1000)
+	return run(vdb, func(s cjdbc.Session) error { return tpcw.Load(s, tpcwScale, seed) },
+		tpcwClients, tpcwInteractions,
+		func(id int, sess cjdbc.Session, rng *rand.Rand) interactor {
+			return tpcw.NewClient(id, sess, tpcwScale, mix, rng, alloc)
+		})
+}
+
+// FigureRow is one backend count of a figure.
+type FigureRow struct {
+	Nodes         int
+	Full, Partial Point
+}
+
+// RunFigure accounts every point of one of Figures 10-12.
+func RunFigure(mix tpcw.Mix) ([]FigureRow, error) {
+	rows := make([]FigureRow, 0, len(Nodes))
+	for _, n := range Nodes {
+		row := FigureRow{Nodes: n}
+		var err error
+		if row.Full, err = RunTPCW(mix, "full", n); err != nil {
+			return nil, fmt.Errorf("experiments: full %d nodes: %w", n, err)
 		}
-	}
-	loader, err := vdb.OpenSession("load", "")
-	if err != nil {
-		return TPCWPoint{}, err
-	}
-	if err := tpcw.Load(loader, cfg.Scale, cfg.Seed); err != nil {
-		loader.Close()
-		return TPCWPoint{}, err
-	}
-	loader.Close()
-
-	alloc := tpcw.NewIDAllocator(int64(cfg.Scale.Items+cfg.Scale.Customers+cfg.Scale.Orders()*4) + 1000)
-	factory := func(id int, rng *rand.Rand) (harness.Interactor, func(), error) {
-		sess, err := vdb.OpenSession("bench", "")
-		if err != nil {
-			return nil, nil, err
+		row.Partial = row.Full
+		if n >= 2 {
+			if row.Partial, err = RunTPCW(mix, "partial", n); err != nil {
+				return nil, fmt.Errorf("experiments: partial %d nodes: %w", n, err)
+			}
 		}
-		c := tpcw.NewClient(id, sess, cfg.Scale, cfg.Mix, rng, alloc)
-		return c, func() { sess.Close() }, nil
-	}
-	res, err := harness.Run(harness.Config{
-		Clients:  cfg.BaseClients + cfg.ClientsPerNode*nodes,
-		Warmup:   cfg.Warmup,
-		Duration: cfg.Duration,
-		Seed:     cfg.Seed,
-	}, vdb.Internal(), vdb.Internal().Backends(), factory)
-	if err != nil {
-		return TPCWPoint{}, err
-	}
-	return TPCWPoint{Replication: repl, Nodes: nodes, Result: res}, nil
-}
-
-// runTPCWSingle measures the paper's "single database without C-JDBC"
-// baseline: clients talk to one backend directly, no controller involved.
-func runTPCWSingle(cfg TPCWConfig) (TPCWPoint, error) {
-	eng, b, err := newCostedBackend("single", cfg.CostScale)
-	if err != nil {
-		return TPCWPoint{}, err
-	}
-	defer b.Close()
-	_ = eng
-
-	loadSess := newDirectSession(b)
-	if err := tpcw.Load(loadSess, cfg.Scale, cfg.Seed); err != nil {
-		return TPCWPoint{}, err
-	}
-	loadSess.Close()
-
-	alloc := tpcw.NewIDAllocator(int64(cfg.Scale.Items+cfg.Scale.Customers+cfg.Scale.Orders()*4) + 1000)
-	factory := func(id int, rng *rand.Rand) (harness.Interactor, func(), error) {
-		sess := newDirectSession(b)
-		c := tpcw.NewClient(id, sess, cfg.Scale, cfg.Mix, rng, alloc)
-		return c, func() { sess.Close() }, nil
-	}
-	res, err := harness.Run(harness.Config{
-		Clients:  cfg.BaseClients + cfg.ClientsPerNode,
-		Warmup:   cfg.Warmup,
-		Duration: cfg.Duration,
-		Seed:     cfg.Seed,
-	}, nil, []*backend.Backend{b}, factory)
-	if err != nil {
-		return TPCWPoint{}, err
-	}
-	return TPCWPoint{Replication: "single", Nodes: 1, Result: res}, nil
-}
-
-func newCostedBackend(name string, scale time.Duration) (*backend.EngineDriver, *backend.Backend, error) {
-	drv := &backend.EngineDriver{Engine: sqlengine.New(name)}
-	b := backend.New(backend.Config{
-		Name:            name,
-		Driver:          drv,
-		Cost:            backend.DefaultCostModel(scale),
-		CostParallelism: harness.CostParallelism,
-	})
-	b.Enable()
-	return drv, b, nil
-}
-
-// Table1Config parameterizes the RUBiS cache experiment.
-type Table1Config struct {
-	Clients   int
-	Scale     rubis.Scale
-	CostScale time.Duration
-	Warmup    time.Duration
-	Duration  time.Duration
-	Seed      int64
-	Staleness time.Duration // relaxed-cache staleness limit (paper: 1 min)
-	// ThinkTime emulates browser pauses, fixing the offered load across
-	// the three cache configurations as the paper's 450 clients did.
-	ThinkTime time.Duration
-}
-
-// DefaultTable1Config returns the configuration used by the Table 1 bench.
-// The paper emulates 450 clients; the default here is scaled with the
-// database so the single backend saturates the same way.
-func DefaultTable1Config() Table1Config {
-	return Table1Config{
-		Clients:   60,
-		Scale:     rubis.DefaultScale(),
-		CostScale: 1200 * time.Microsecond,
-		// The cache must be warm before measuring, as it was in the
-		// paper's steady-state runs.
-		Warmup:    1200 * time.Millisecond,
-		Duration:  time.Second,
-		Seed:      7,
-		Staleness: time.Minute,
-		ThinkTime: 100 * time.Millisecond,
-	}
-}
-
-// Table1Row is one column of Table 1.
-type Table1Row struct {
-	Config string // "no cache", "coherent cache", "relaxed cache"
-	harness.Result
-}
-
-// RunTable1 measures the RUBiS bidding mix on a single backend with the
-// query result cache disabled, coherent, and relaxed (§6.6).
-func RunTable1(cfg Table1Config) ([]Table1Row, error) {
-	rows := make([]Table1Row, 0, 3)
-	for _, mode := range []string{"no cache", "coherent cache", "relaxed cache"} {
-		res, err := RunTable1Mode(cfg, mode, "table")
-		if err != nil {
-			return nil, fmt.Errorf("experiments: table1 %s: %w", mode, err)
-		}
-		rows = append(rows, Table1Row{Config: mode, Result: res})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// RunTable1Mode measures one cache configuration of Table 1; granularity
-// selects the invalidation granularity ("database", "table" or "column")
-// for the cache ablation bench.
-func RunTable1Mode(cfg Table1Config, mode, granularity string) (harness.Result, error) {
-	ctrl := cjdbc.NewController("rubis-ctrl", 1)
-	defer ctrl.Close()
-	vcfg := cjdbc.VirtualDatabaseConfig{
-		Name:          "rubis",
-		LoadBalancer:  "lprf",
-		EarlyResponse: "first",
-		// Controller CPU accounting: serving a hit and invalidating
-		// entries is controller work; these drive the "C-JDBC CPU load"
-		// row. They are accounted, not slept.
-		CtrlCostPerRequest:      30 * time.Microsecond,
-		CtrlCostPerCacheHit:     60 * time.Microsecond,
-		CtrlCostPerInvalidation: 150 * time.Microsecond,
-	}
-	switch mode {
-	case "coherent cache":
-		vcfg.Cache = &cjdbc.CacheConfig{Granularity: granularity, MaxEntries: 16384}
-	case "relaxed cache":
-		vcfg.Cache = &cjdbc.CacheConfig{Granularity: granularity, MaxEntries: 16384, Staleness: cfg.Staleness}
-	}
-	vdb, err := ctrl.CreateVirtualDatabase(vcfg)
-	if err != nil {
-		return harness.Result{}, err
-	}
-	if err := vdb.AddInMemoryBackend("mysql-1",
-		cjdbc.WithServiceCost(cfg.CostScale),
-		cjdbc.WithCostParallelism(harness.CostParallelism)); err != nil {
-		return harness.Result{}, err
-	}
-	loader, err := vdb.OpenSession("load", "")
-	if err != nil {
-		return harness.Result{}, err
-	}
-	if err := rubis.Load(loader, cfg.Scale, cfg.Seed); err != nil {
-		loader.Close()
-		return harness.Result{}, err
-	}
-	loader.Close()
-
-	alloc := rubis.NewIDAllocator(int64(cfg.Scale.Users+cfg.Scale.Items*4) + 1000)
-	factory := func(id int, rng *rand.Rand) (harness.Interactor, func(), error) {
-		sess, err := vdb.OpenSession("bench", "")
-		if err != nil {
-			return nil, nil, err
-		}
-		return rubis.NewClient(sess, cfg.Scale, rng, alloc), func() { sess.Close() }, nil
-	}
-	return harness.Run(harness.Config{
-		Clients:   cfg.Clients,
-		Warmup:    cfg.Warmup,
-		Duration:  cfg.Duration,
-		Seed:      cfg.Seed,
-		ThinkTime: cfg.ThinkTime,
-	}, vdb.Internal(), vdb.Internal().Backends(), factory)
-}
-
-// directTxSeq allocates transaction ids for baseline sessions; it is
-// shared so concurrent clients never collide on one backend transaction.
-var directTxSeq atomic.Uint64
-
-// directSession adapts a bare backend to the cjdbc.Session interface for
-// the single-database baseline (no controller in the path).
-type directSession struct {
-	b      *backend.Backend
-	txID   uint64
-	closed bool
-}
-
-func newDirectSession(b *backend.Backend) *directSession {
-	return &directSession{b: b}
-}
-
-var _ cjdbc.Session = (*directSession)(nil)
-
-// Exec parses and routes one statement straight to the backend.
-func (d *directSession) Exec(sql string, args ...any) (*cjdbc.Rows, error) {
-	st, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if len(args) > 0 {
-		vals := make([]sqlval.Value, len(args))
-		for i, a := range args {
-			vals[i], err = anyToValue(a)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := sqlparser.BindParams(st, vals); err != nil {
-			return nil, err
-		}
-		sql = sqlparser.Render(st)
-	}
-	switch sqlparser.Classify(st) {
-	case sqlparser.ClassBegin:
-		d.txID = directTxSeq.Add(1)
-		return cjdbc.NewRows(nil), nil
-	case sqlparser.ClassCommit, sqlparser.ClassRollback:
-		tx := d.txID
-		d.txID = 0
-		out := <-d.b.EnqueueWrite(tx, sqlparser.Classify(st), st, sql)
-		return cjdbc.NewRows(out.Res), out.Err
-	case sqlparser.ClassRead:
-		res, err := d.b.Read(d.txID, st, sql)
-		return cjdbc.NewRows(res), err
-	default:
-		out := <-d.b.EnqueueWrite(d.txID, sqlparser.ClassWrite, st, sql)
-		return cjdbc.NewRows(out.Res), out.Err
-	}
-}
-
-// Query is Exec.
-func (d *directSession) Query(sql string, args ...any) (*cjdbc.Rows, error) {
-	return d.Exec(sql, args...)
-}
-
-// Begin starts a transaction.
-func (d *directSession) Begin() error { _, err := d.Exec("BEGIN"); return err }
-
-// Commit commits.
-func (d *directSession) Commit() error { _, err := d.Exec("COMMIT"); return err }
-
-// Rollback aborts.
-func (d *directSession) Rollback() error { _, err := d.Exec("ROLLBACK"); return err }
-
-// Close aborts any open transaction.
-func (d *directSession) Close() error {
-	if d.txID != 0 {
-		d.b.AbortTx(d.txID)
-		d.txID = 0
-	}
-	d.closed = true
-	return nil
-}
-
-func anyToValue(a any) (sqlval.Value, error) {
-	switch x := a.(type) {
-	case nil:
-		return sqlval.Null, nil
-	case int:
-		return sqlval.Int(int64(x)), nil
-	case int64:
-		return sqlval.Int(x), nil
-	case float64:
-		return sqlval.Float(x), nil
-	case string:
-		return sqlval.String_(x), nil
-	case bool:
-		return sqlval.Bool(x), nil
-	case time.Time:
-		return sqlval.Time(x), nil
-	case []byte:
-		return sqlval.Bytes(x), nil
-	default:
-		return sqlval.Null, fmt.Errorf("experiments: unsupported arg type %T", a)
-	}
-}
-
-// FormatTPCWPoints renders figure points as the rows the paper plots.
-func FormatTPCWPoints(mix tpcw.Mix, pts []TPCWPoint) string {
-	out := fmt.Sprintf("TPC-W %s mix (%.0f%% read-only) — max throughput in SQL requests/minute\n",
-		mix, tpcw.Mix(mix).ReadOnlyFraction()*100)
-	out += fmt.Sprintf("%-10s %-6s %14s %12s %10s %8s\n", "repl", "nodes", "rq/min", "resp(ms)", "DB load", "errors")
-	for _, p := range pts {
-		out += fmt.Sprintf("%-10s %-6d %14.0f %12.2f %9.0f%% %8d\n",
-			p.Replication, p.Nodes, p.ThroughputRPM, p.AvgResponseMs, p.BackendLoad*100, p.Errors)
-	}
-	return out
-}
-
-// FormatTable1 renders the RUBiS cache comparison as Table 1.
-func FormatTable1(rows []Table1Row) string {
-	out := "RUBiS bidding mix — query result caching on a single backend (Table 1)\n"
-	out += fmt.Sprintf("%-16s %14s %12s %10s %12s\n", "config", "rq/min", "resp(ms)", "DB CPU", "C-JDBC CPU")
+// FormatFigure renders a figure as speed-ups over one backend, with the
+// bottleneck demand they come from.
+func FormatFigure(mix tpcw.Mix, rows []FigureRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "TPC-W %s mix (%.0f%% read-only): speed-up X_max(n)/X_max(1), X_max = 1/max_k D_k\n",
+		mix, mix.ReadOnlyFraction()*100)
+	fmt.Fprintf(&b, "%-6s %8s %8s %14s %14s\n", "nodes", "full", "partial", "D_max full", "D_max partial")
+	base := rows[0].Full
 	for _, r := range rows {
-		out += fmt.Sprintf("%-16s %14.0f %12.2f %9.0f%% %11.0f%%\n",
-			r.Config, r.ThroughputRPM, r.AvgResponseMs, r.BackendLoad*100, r.CtrlLoad*100)
+		fmt.Fprintf(&b, "%-6d %7.2fx %7.2fx %14.3f %14.3f\n", r.Nodes,
+			Speedup(base, r.Full), Speedup(base, r.Partial), r.Full.Bottleneck(), r.Partial.Bottleneck())
 	}
-	return out
+	return b.String()
+}
+
+// Table 1's cache configurations.
+const (
+	NoCache  = "no cache"
+	Coherent = "coherent cache"
+	Relaxed  = "relaxed cache"
+)
+
+// RunTable1 accounts the RUBiS bidding mix on one backend with the result
+// cache in mode (NoCache, Coherent or Relaxed) at the given invalidation
+// granularity (ignored without a cache).
+func RunTable1(mode string, granularity cache.Granularity) (Point, error) {
+	cfg := controller.VDBConfig{Name: "rubis"}
+	switch mode {
+	case Coherent:
+		cfg.Cache = cache.New(cache.Config{Granularity: granularity, MaxEntries: 16384})
+	case Relaxed:
+		cfg.Cache = cache.New(cache.Config{Granularity: granularity, MaxEntries: 16384, Staleness: relaxedStaleness})
+	}
+	ctrl := cjdbc.NewController("experiments", 1)
+	defer ctrl.Close()
+	vdb, err := newVDB(ctrl, cfg, 1)
+	if err != nil {
+		return Point{}, err
+	}
+	alloc := rubis.NewIDAllocator(int64(rubisScale.Users+rubisScale.Items*4) + 1000)
+	return run(vdb, func(s cjdbc.Session) error { return rubis.Load(s, rubisScale, seed) },
+		rubisClients, rubisInteractions,
+		func(_ int, sess cjdbc.Session, rng *rand.Rand) interactor {
+			return rubis.NewClient(sess, rubisScale, rng, alloc)
+		})
+}
+
+// Table1Row is one column of Table 1, or one granularity of its cache row.
+type Table1Row struct {
+	Config string
+	Point
+}
+
+// FormatTable1 renders demand per interaction for each configuration.
+func FormatTable1(title string, rows []Table1Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "RUBiS bidding mix on one backend: %s\n", title)
+	fmt.Fprintf(&b, "%-16s %18s %18s\n", "config", "DB demand/iact", "C-JDBC demand/iact")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-16s %18.3f %18.3f\n", r.Config, r.BackendDemand(), r.CtrlDemand())
+	}
+	return b.String()
 }

@@ -1,161 +1,132 @@
 package experiments
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
-	"time"
 
-	"cjdbc/internal/workload/rubis"
+	"cjdbc/internal/cache"
 	"cjdbc/internal/workload/tpcw"
 )
 
-// quickCfg shrinks the sweep so the shape checks run in CI time.
-func quickCfg(mix tpcw.Mix) TPCWConfig {
-	cfg := DefaultTPCWConfig(mix)
-	cfg.Scale = tpcw.Scale{Items: 60, Customers: 60, Authors: 12}
-	cfg.Warmup = 100 * time.Millisecond
-	cfg.Duration = 500 * time.Millisecond
-	return cfg
-}
-
-// retryShape runs a timing-sensitive workload-shape measurement up to
-// attempts times: the simulated cost model's shapes hold reliably on an
-// idle machine, but when the whole test suite shares one CPU a measurement
-// can be distorted by unrelated packages' load, so a failed attempt is
-// re-measured instead of failing the suite. The asserted property must
-// still hold on a full fresh measurement to pass.
-func retryShape(t *testing.T, attempts int, run func() error) {
+// figure accounts one figure, logs it, and fails on any failed interaction.
+func figure(t *testing.T, mix tpcw.Mix) (full, partial map[int]float64) {
 	t.Helper()
-	var err error
-	for i := 0; i < attempts; i++ {
-		if err = run(); err == nil {
-			return
-		}
-		t.Logf("attempt %d/%d: %v (re-measuring)", i+1, attempts, err)
-	}
-	t.Fatal(err)
-}
-
-func TestTPCWThroughputScalesWithBackends(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep in -short mode")
-	}
-	retryShape(t, 3, func() error {
-		cfg := quickCfg(tpcw.Shopping)
-		p1, err := RunTPCWPoint(cfg, "full", 1)
-		if err != nil {
-			return err
-		}
-		p4, err := RunTPCWPoint(cfg, "full", 4)
-		if err != nil {
-			return err
-		}
-		t.Logf("1 node: %.0f rq/min, 4 nodes: %.0f rq/min", p1.ThroughputRPM, p4.ThroughputRPM)
-		if p4.ThroughputRPM < p1.ThroughputRPM*2 {
-			return fmt.Errorf("shopping mix did not scale: 1 node %.0f, 4 nodes %.0f rq/min",
-				p1.ThroughputRPM, p4.ThroughputRPM)
-		}
-		if p1.Errors > p1.Interactions/10 || p4.Errors > p4.Interactions/10 {
-			return fmt.Errorf("too many errors: %d/%d and %d/%d",
-				p1.Errors, p1.Interactions, p4.Errors, p4.Interactions)
-		}
-		return nil
-	})
-}
-
-func TestTPCWPartialBeatsFullOnBrowsing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep in -short mode")
-	}
-	// Figure 10's claim: with the best-seller temporary table confined to
-	// two backends, partial replication outperforms full replication.
-	retryShape(t, 3, func() error {
-		cfg := quickCfg(tpcw.Browsing)
-		full, err := RunTPCWPoint(cfg, "full", 4)
-		if err != nil {
-			return err
-		}
-		partial, err := RunTPCWPoint(cfg, "partial", 4)
-		if err != nil {
-			return err
-		}
-		t.Logf("full: %.0f rq/min, partial: %.0f rq/min", full.ThroughputRPM, partial.ThroughputRPM)
-		if partial.ThroughputRPM <= full.ThroughputRPM {
-			return fmt.Errorf("partial (%.0f) should beat full (%.0f) on the browsing mix",
-				partial.ThroughputRPM, full.ThroughputRPM)
-		}
-		return nil
-	})
-}
-
-func TestTPCWSingleBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep in -short mode")
-	}
-	cfg := quickCfg(tpcw.Shopping)
-	p, err := runTPCWSingle(cfg)
+	rows, err := RunFigure(mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Replication != "single" || p.ThroughputRPM <= 0 {
-		t.Fatalf("baseline: %+v", p)
+	t.Log("\n" + FormatFigure(mix, rows))
+	full, partial = make(map[int]float64), make(map[int]float64)
+	for _, r := range rows {
+		for _, p := range []Point{r.Full, r.Partial} {
+			if p.Failed != 0 {
+				t.Fatalf("%d nodes: %d of %d interactions failed", r.Nodes, p.Failed, p.Failed+p.Interactions)
+			}
+		}
+		full[r.Nodes] = Speedup(rows[0].Full, r.Full)
+		partial[r.Nodes] = Speedup(rows[0].Full, r.Partial)
 	}
-	if p.Errors > p.Interactions/10 {
-		t.Errorf("baseline errors: %d/%d", p.Errors, p.Interactions)
+	return full, partial
+}
+
+// TestFigure10Browsing: with the best-seller temporary tables confined to
+// two backends, partial replication outperforms full replication, whose
+// broadcast temporary tables bend its curve sub-linear.
+func TestFigure10Browsing(t *testing.T) {
+	full, partial := figure(t, tpcw.Browsing)
+	for _, n := range []int{4, 6} {
+		if partial[n] <= full[n] {
+			t.Errorf("%d nodes: partial %.2fx should beat full %.2fx on the browsing mix", n, partial[n], full[n])
+		}
+	}
+	if full[6] > 5 {
+		t.Errorf("full replication at 6 nodes is %.2fx; the broadcast best-seller tables should keep it sub-linear (≤ 5x)", full[6])
 	}
 }
 
-func TestTable1CacheShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep in -short mode")
+// TestFigure11Shopping: the shopping mix scales with backends.
+func TestFigure11Shopping(t *testing.T) {
+	full, _ := figure(t, tpcw.Shopping)
+	if full[4] < 2 {
+		t.Errorf("full replication at 4 nodes is %.2fx one node, want ≥ 2x", full[4])
 	}
-	retryShape(t, 3, func() error {
-		cfg := DefaultTable1Config()
-		cfg.Scale = rubis.Scale{Users: 50, Items: 100, Categories: 8, Regions: 4}
-		cfg.Clients = 30
-		cfg.Warmup = 80 * time.Millisecond
-		cfg.Duration = 400 * time.Millisecond
-		rows, err := RunTable1(cfg)
+}
+
+// TestFigure12Ordering: even the write-heavy ordering mix gains from every
+// added backend.
+func TestFigure12Ordering(t *testing.T) {
+	full, partial := figure(t, tpcw.Ordering)
+	for i := 1; i < len(Nodes); i++ {
+		lo, hi := Nodes[i-1], Nodes[i]
+		if full[hi] <= full[lo] || partial[hi] <= partial[lo] {
+			t.Errorf("%d → %d nodes: full %.2fx → %.2fx, partial %.2fx → %.2fx; want growth",
+				lo, hi, full[lo], full[hi], partial[lo], partial[hi])
+		}
+	}
+}
+
+// TestTable1Cache: caching moves work off the database and onto the
+// controller; the relaxed cache, which writes do not invalidate, moves the
+// most. The coherent cache is also accounted at each invalidation
+// granularity (§2.4.2), none of which may cost the database more than no
+// cache.
+func TestTable1Cache(t *testing.T) {
+	run := func(config, mode string, g cache.Granularity) Table1Row {
+		t.Helper()
+		p, err := RunTable1(mode, g)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if len(rows) != 3 {
-			return fmt.Errorf("rows = %d", len(rows))
+		if p.Failed != 0 {
+			t.Fatalf("%s: %d of %d interactions failed", config, p.Failed, p.Failed+p.Interactions)
 		}
-		no, coh, rel := rows[0], rows[1], rows[2]
-		t.Logf("no cache: %.0f rq/min %.2f ms DB %.0f%%", no.ThroughputRPM, no.AvgResponseMs, no.BackendLoad*100)
-		t.Logf("coherent: %.0f rq/min %.2f ms DB %.0f%% ctrl %.0f%%", coh.ThroughputRPM, coh.AvgResponseMs, coh.BackendLoad*100, coh.CtrlLoad*100)
-		t.Logf("relaxed:  %.0f rq/min %.2f ms DB %.0f%% ctrl %.0f%%", rel.ThroughputRPM, rel.AvgResponseMs, rel.BackendLoad*100, rel.CtrlLoad*100)
+		return Table1Row{Config: config, Point: p}
+	}
+	no := run(NoCache, NoCache, cache.GranTable)
+	coh := run(Coherent, Coherent, cache.GranTable)
+	rel := run(Relaxed, Relaxed, cache.GranTable)
+	t.Log("\n" + FormatTable1("query result caching (Table 1)", []Table1Row{no, coh, rel}))
+	if coh.BackendDemand() >= no.BackendDemand() {
+		t.Errorf("coherent cache DB demand %.3f ≥ no cache %.3f", coh.BackendDemand(), no.BackendDemand())
+	}
+	if rel.BackendDemand() >= coh.BackendDemand() {
+		t.Errorf("relaxed cache DB demand %.3f ≥ coherent %.3f", rel.BackendDemand(), coh.BackendDemand())
+	}
+	for _, c := range []Table1Row{coh, rel} {
+		if c.CtrlDemand() <= no.CtrlDemand() {
+			t.Errorf("%s controller demand %.3f ≤ no cache %.3f", c.Config, c.CtrlDemand(), no.CtrlDemand())
+		}
+	}
 
-		// Table 1 shape: with a fixed offered load (think time), caching must
-		// not lose throughput, must cut response time, and must offload the
-		// database — hardest with the relaxed cache.
-		if coh.ThroughputRPM < no.ThroughputRPM*0.9 {
-			return fmt.Errorf("coherent cache lowered throughput: %.0f < %.0f", coh.ThroughputRPM, no.ThroughputRPM)
+	gran := []Table1Row{no,
+		run(cache.GranDatabase.String(), Coherent, cache.GranDatabase),
+		{Config: cache.GranTable.String(), Point: coh.Point},
+		run(cache.GranColumn.String(), Coherent, cache.GranColumn)}
+	t.Log("\n" + FormatTable1("coherent cache by invalidation granularity", gran))
+	for _, r := range gran[1:] {
+		if r.BackendDemand() > no.BackendDemand() {
+			t.Errorf("%s granularity DB demand %.3f > no cache %.3f", r.Config, r.BackendDemand(), no.BackendDemand())
 		}
-		if coh.AvgResponseMs > no.AvgResponseMs {
-			return fmt.Errorf("coherent cache slower than no cache: %.2f > %.2f ms", coh.AvgResponseMs, no.AvgResponseMs)
-		}
-		if rel.AvgResponseMs > coh.AvgResponseMs {
-			return fmt.Errorf("relaxed cache slower than coherent: %.2f > %.2f ms", rel.AvgResponseMs, coh.AvgResponseMs)
-		}
-		if rel.BackendLoad >= no.BackendLoad {
-			return fmt.Errorf("relaxed cache did not offload the DB: %.2f >= %.2f", rel.BackendLoad, no.BackendLoad)
-		}
-		if coh.BackendLoad >= no.BackendLoad {
-			return fmt.Errorf("coherent cache did not offload the DB: %.2f >= %.2f", coh.BackendLoad, no.BackendLoad)
-		}
-		return nil
-	})
+	}
 }
 
-func TestFormatters(t *testing.T) {
-	pts := []TPCWPoint{{Replication: "full", Nodes: 2}}
-	if s := FormatTPCWPoints(tpcw.Browsing, pts); len(s) == 0 {
-		t.Error("empty figure format")
+// TestDemandIsDeterministic: the accounting run must not depend on timing.
+// Any routing decision read from the clock or a racing gauge (least
+// pending requests, early response "first") would show here as a
+// different split of demand or operations between two identical runs.
+func TestDemandIsDeterministic(t *testing.T) {
+	a, err := RunTPCW(tpcw.Browsing, "partial", 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rows := []Table1Row{{Config: "no cache"}}
-	if s := FormatTable1(rows); len(s) == 0 {
-		t.Error("empty table format")
+	b, err := RunTPCW(tpcw.Browsing, "partial", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Failed != 0 {
+		t.Fatalf("%d interactions failed", a.Failed)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("two identical runs differ:\n%+v\n%+v", a, b)
 	}
 }

@@ -157,7 +157,7 @@ func toValues(args []any) ([]sqlval.Value, error) {
 }
 
 // NewRows wraps a raw backend result into the public Rows type. It exists
-// for the in-module benchmark harness; application code receives Rows from
+// for the benchmark module's bare-engine baseline; application code receives Rows from
 // Session methods and never needs it.
 func NewRows(res *backend.Result) *Rows { return wrapResult(res) }
 
