@@ -112,14 +112,6 @@ type Backend struct {
 
 	mu  sync.Mutex
 	txs map[uint64]*txConn
-	// deadTxs records (under mu) the transactions this backend abandoned
-	// while disabled: transactions killed by the disable teardown plus
-	// transactions whose writes were rejected with ErrDisabled. Their
-	// cluster-side fate is still open, so re-integration must not re-enable
-	// the backend until each of them has demarcated (its entries are then
-	// fully in the recovery log and the catch-up replay covers it) — see
-	// the controller's catchUp. Enable clears the set.
-	deadTxs map[uint64]struct{}
 
 	// Auto-commit worker pool: pool assigns each task its lane dependencies
 	// (the newest earlier task per table of its footprint; DDL / unknown
@@ -244,7 +236,6 @@ func New(cfg Config) *Backend {
 		sem:      make(chan struct{}, cfg.MaxConns),
 		idle:     make(chan Conn, cfg.MaxConns),
 		txs:      make(map[uint64]*txConn),
-		deadTxs:  make(map[uint64]struct{}),
 		// At least 2: a write parked on a remote driver's locks must not starve the rest.
 		pool:     conflictsched.NewPool(max(2, runtime.GOMAXPROCS(0))),
 		autoSem:  make(chan struct{}, 4096),
@@ -277,15 +268,8 @@ func (b *Backend) Driver() Driver { return b.driver }
 // State returns the current lifecycle state.
 func (b *Backend) State() State { return State(b.state.Load()) }
 
-// Enable moves the backend to the enabled state and forgets its dead
-// transactions: the caller (the controller's catch-up) has verified they
-// are all resolved in the recovery log.
-func (b *Backend) Enable() {
-	b.mu.Lock()
-	b.deadTxs = make(map[uint64]struct{})
-	b.mu.Unlock()
-	b.state.Store(int32(StateEnabled))
-}
+// Enable moves the backend to the enabled state.
+func (b *Backend) Enable() { b.state.Store(int32(StateEnabled)) }
 
 // Disable moves the backend to the disabled state and tears its in-flight
 // work down crash-consistently (§2.4.1: no 2PC — a backend failing a write
@@ -362,7 +346,6 @@ drained:
 		}
 		tc.ending = true
 		tc.dead = true
-		b.deadTxs[id] = struct{}{}
 		b.pending.Add(1)
 		list = append(list, dying{id, tc})
 	}
@@ -396,7 +379,6 @@ func (b *Backend) reapTxIfDisabled(txID uint64) {
 	}
 	tc.ending = true
 	tc.dead = true
-	b.deadTxs[txID] = struct{}{}
 	b.pending.Add(1)
 	b.mu.Unlock()
 	if k, ok := tc.conn.(ConnKiller); ok {
@@ -404,18 +386,6 @@ func (b *Backend) reapTxIfDisabled(txID uint64) {
 	}
 	done := make(chan WriteOutcome, 1)
 	tc.queue <- &writeTask{txID: txID, class: sqlparser.ClassRollback, sql: "ROLLBACK", done: done}
-}
-
-// DeadTxs returns the transactions abandoned while disabled (killed by the
-// teardown or rejected with ErrDisabled); see the controller's catchUp.
-func (b *Backend) DeadTxs() []uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]uint64, 0, len(b.deadTxs))
-	for id := range b.deadTxs {
-		out = append(out, id)
-	}
-	return out
 }
 
 // DrainWrites blocks until every write enqueued so far has delivered its
@@ -846,14 +816,6 @@ func (b *Backend) EnqueueWriteClassTo(txID uint64, class sqlparser.StatementClas
 		done <- WriteOutcome{Backend: b, Res: res, Err: err}
 	}
 	if !b.Enabled() {
-		if txID != 0 {
-			// The transaction's cluster-side fate is still open while this
-			// backend misses its writes; record it so re-integration waits
-			// for its demarcation to reach the recovery log.
-			b.mu.Lock()
-			b.deadTxs[txID] = struct{}{}
-			b.mu.Unlock()
-		}
 		reply(nil, ErrDisabled)
 		return
 	}

@@ -524,3 +524,48 @@ func TestPreboundResetReleasesTicket(t *testing.T) {
 		t.Fatal("transactional write blocked behind a stale pooled ticket")
 	}
 }
+
+// TestLaneOrdersInsertSelectBehindParkedWrite: the engine ticket of an
+// auto-commit write covers only its write target, so the read side of
+// INSERT ... SELECT is ordered by the lane dependency alone. W1 updates b
+// and parks on b's ticket behind transaction 7; W2 writes a (free) and
+// reads b, so without the lane it would run at once and copy b before W1.
+func TestLaneOrdersInsertSelectBehindParkedWrite(t *testing.T) {
+	e := sqlengine.New("db1")
+	s := e.NewSession()
+	for _, q := range []string{
+		"CREATE TABLE a (id INTEGER PRIMARY KEY, v INTEGER)",
+		"CREATE TABLE b (id INTEGER PRIMARY KEY, v INTEGER)",
+		"INSERT INTO b (id, v) VALUES (1, 0)",
+	} {
+		if _, err := s.ExecSQL(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	b := New(Config{Name: "db1", Driver: &EngineDriver{Engine: e}})
+	b.Enable()
+	t.Cleanup(b.Close)
+
+	const tx = uint64(7)
+	if out := <-b.EnqueueWrite(tx, sqlparser.ClassWrite, nil, "UPDATE b SET v = 1 WHERE id = 1"); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	w1 := b.EnqueueWrite(0, sqlparser.ClassWrite, nil, "UPDATE b SET v = v + 10 WHERE id = 1")
+	w2 := b.EnqueueWrite(0, sqlparser.ClassWrite, nil, "INSERT INTO a (id, v) SELECT id, v FROM b")
+	if out := <-b.EnqueueWrite(tx, sqlparser.ClassCommit, nil, "COMMIT"); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	for _, w := range []<-chan WriteOutcome{w1, w2} {
+		if out := <-w; out.Err != nil {
+			t.Fatal(out.Err)
+		}
+	}
+	res, err := b.Read(0, nil, "SELECT v FROM a WHERE id = 1")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("read back: %v %v", res, err)
+	}
+	if got, _ := res.Rows[0][0].AsInt(); got != 11 {
+		t.Fatalf("a.v = %d, want 11: INSERT ... SELECT overtook the parked update of b it reads", got)
+	}
+}

@@ -118,9 +118,8 @@ func TestPingProbeFault(t *testing.T) {
 // TestDisableKillsInFlightTransaction is the crash-consistent teardown
 // proof: a transaction holds an engine lock, an auto-commit write is
 // blocked behind it, and Disable must (a) deliver a terminal outcome to the
-// blocked write, (b) roll the transaction back so no engine lock or ticket
-// is stranded, and (c) record the killed transaction in DeadTxs until the
-// backend is enabled again.
+// blocked write, and (b) roll the transaction back so no engine lock or
+// ticket is stranded.
 func TestDisableKillsInFlightTransaction(t *testing.T) {
 	b, e := newTestBackend(t)
 	const tx = uint64(7)
@@ -145,15 +144,6 @@ func TestDisableKillsInFlightTransaction(t *testing.T) {
 	}
 	b.DrainWrites()
 
-	found := false
-	for _, id := range b.DeadTxs() {
-		if id == tx {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("DeadTxs() = %v, want to contain %d", b.DeadTxs(), tx)
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for e.HeldLocks() != 0 || e.PendingTickets() != 0 {
 		if time.Now().After(deadline) {
@@ -161,10 +151,6 @@ func TestDisableKillsInFlightTransaction(t *testing.T) {
 				e.HeldLocks(), e.PendingTickets())
 		}
 		time.Sleep(time.Millisecond)
-	}
-	b.Enable()
-	if n := len(b.DeadTxs()); n != 0 {
-		t.Fatalf("DeadTxs not cleared by Enable: %d left", n)
 	}
 }
 

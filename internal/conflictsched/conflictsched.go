@@ -1,9 +1,8 @@
 // Package conflictsched implements the conflict-class dependency rule
-// shared by every pipeline that turns a totally ordered stream of write
-// operations into parallel execution: the backend's auto-commit write
-// pool, the parallel recovery-log replayer, and the distributed
-// controller's delivery applier. A task entering the pool waits only on
-// the completion of the newest earlier task per key of its conflict
+// shared by the two pipelines that turn a totally ordered stream of write
+// operations into parallel execution: the backend's auto-commit write pool
+// and the parallel recovery-log replayer. A task entering the pool waits
+// only on the completion of the newest earlier task per key of its conflict
 // footprint (keys are table names, plus synthetic keys such as transaction
 // identifiers); a barrier task — DDL, an unknown footprint — waits for
 // everything ahead of it and everything behind it waits for the barrier.

@@ -227,9 +227,7 @@ func (s *Scheduler) NoteTxWrite(txID uint64, tables []string, global bool) {
 // (sorted) without clearing it. A transaction that never wrote has an
 // empty, non-global footprint: its demarcation conflicts with nothing. The
 // commit/abort path locks the footprint's classes and then clears it with
-// ForgetTx; the distributed request manager attaches it to commit/abort
-// broadcasts so every controller's applier can chain the demarcation
-// through the conflict tracker instead of treating it as a barrier.
+// ForgetTx.
 func (s *Scheduler) PeekTxFootprint(txID uint64) (tables []string, global bool) {
 	s.classMu.Lock()
 	f := s.txFeet[txID]

@@ -805,39 +805,36 @@ func (v *VirtualDatabase) distributorSnapshot() Distributor {
 	return v.distributor
 }
 
-// PlanWrite resolves an ordered write delivery to its parsed statement and
-// conflict footprint, the class DispatchPlanned will sequence it under. The
+// ApplyDelivery applies one totally ordered write delivery through the
+// conflict-class sequencer the local path uses (orderedWrite). The
+// distributed applier calls it once per delivery, in delivery order, so
+// every controller sequences the same operations in the same order. The
 // parsing cache is consulted but not populated: ordered writes arrive with
 // parameters already rendered as literals, so their texts rarely repeat and
-// would only churn the LRU. Demarcations carry no statement footprint —
-// their class is the transaction's accumulated footprint, resolved inside
-// the sequencer at lock time.
-func (v *VirtualDatabase) PlanWrite(class sqlparser.StatementClass, sql string) (st sqlparser.Statement, tables []string, global bool, err error) {
+// would only churn the LRU. It returns at the enqueue, never waiting on
+// backend execution, so a transactional write waiting on database locks
+// cannot stall the delivery of the commit that would release them.
+func (v *VirtualDatabase) ApplyDelivery(txID uint64, class sqlparser.StatementClass, sql, user string) (backend.Outcomes, error) {
+	var st sqlparser.Statement
+	var tables []string
+	var global bool
 	switch class {
 	case sqlparser.ClassCommit:
-		return &sqlparser.Commit{}, nil, false, nil
+		st = &sqlparser.Commit{}
 	case sqlparser.ClassRollback:
-		return &sqlparser.Rollback{}, nil, false, nil
+		st = &sqlparser.Rollback{}
+	default:
+		key := plancache.Normalize(sql)
+		if p := v.plans.Get(key); p != nil {
+			st, tables, global = p.Stmt, p.ConflictTables, p.ConflictGlobal
+		} else {
+			var err error
+			if st, err = sqlparser.Parse(key); err != nil {
+				return backend.Outcomes{}, err
+			}
+			tables, global = sqlparser.ConflictClass(st)
+		}
 	}
-	key := plancache.Normalize(sql)
-	if p := v.plans.Get(key); p != nil {
-		return p.Stmt, p.ConflictTables, p.ConflictGlobal, nil
-	}
-	st, err = sqlparser.Parse(key)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	tables, global = sqlparser.ConflictClass(st)
-	return st, tables, global, nil
-}
-
-// DispatchPlanned hands one ordered delivery, pre-resolved by PlanWrite, to
-// the same conflict-class sequencer the local path uses (orderedWrite), so
-// conflicting deliveries keep their total-order position while disjoint
-// classes execute in parallel on the backends' conflict lanes. It never
-// blocks on backend execution, so a transactional write waiting on database
-// locks cannot stall the delivery of the commit that would release them.
-func (v *VirtualDatabase) DispatchPlanned(txID uint64, class sqlparser.StatementClass, st sqlparser.Statement, sql, user string, tables []string, global bool) (backend.Outcomes, error) {
 	return v.orderedWrite(txID, class, st, sql, user, tables, global)
 }
 

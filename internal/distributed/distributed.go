@@ -10,12 +10,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"cjdbc/internal/backend"
-	"cjdbc/internal/conflictsched"
 	"cjdbc/internal/controller"
 	"cjdbc/internal/groupcomm"
 	"cjdbc/internal/sqlparser"
@@ -24,40 +22,14 @@ import (
 // ErrLeft is returned when submitting to a distributed vdb that left its group.
 var ErrLeft = errors.New("distributed: controller has left the group")
 
-// writeMsg is the payload of one ordered write broadcast. Demarcations
-// (COMMIT/ROLLBACK) carry the transaction's accumulated write footprint
-// (Tables/Global, with Footprint marking it present), so the appliers can
-// chain them through the conflict tracker like ordinary writes instead of
-// treating every demarcation as a conservative barrier — disjoint
-// transactions' demarcations pipeline. The footprint travels for the
-// tracker only; each controller's sequencer still locks its own accumulated
-// footprint (identical everywhere, since every controller sequenced the
-// same writes).
+// writeMsg is the payload of one ordered write broadcast.
 type writeMsg struct {
-	ReqID     uint64   `json:"req"`
-	Origin    string   `json:"origin"`
-	TxID      uint64   `json:"tx"`
-	Class     uint8    `json:"class"`
-	SQL       string   `json:"sql"`
-	User      string   `json:"user"`
-	Tables    []string `json:"tables,omitempty"`
-	Global    bool     `json:"global,omitempty"`
-	Footprint bool     `json:"fp,omitempty"`
-}
-
-// configMsg announces a controller's backend configuration so that peers
-// can recover its backends after a failure (§4.1: "at initialization time,
-// the controllers exchange their respective backend configurations").
-type configMsg struct {
-	Origin   string   `json:"origin"`
-	Backends []string `json:"backends"`
-}
-
-// PeerEvent reports a membership change observed by this controller.
-type PeerEvent struct {
-	Peer     string
-	Joined   bool
-	Backends []string // last known backend config of the peer
+	ReqID  uint64 `json:"req"`
+	Origin string `json:"origin"`
+	TxID   uint64 `json:"tx"`
+	Class  uint8  `json:"class"`
+	SQL    string `json:"sql"`
+	User   string `json:"user"`
 }
 
 // VDB is one controller's participation in a distributed virtual database.
@@ -68,19 +40,16 @@ type VDB struct {
 
 	mu      sync.Mutex
 	waiters map[uint64]chan submitResult
-	peers   map[string][]string // peer -> backend names
-	known   map[string]bool     // current view membership
 	left    bool
 
 	reqSeq atomic.Uint64
-	events chan PeerEvent
 	done   chan struct{}
 }
 
 // submitResult hands the local dispatch outcome back to the submitting
 // client goroutine: the shared outcome channel of the enqueued cluster
 // write, or the dispatch error. The client applies the early-response
-// policy itself, so no applier-side goroutine ever blocks on execution.
+// policy itself, so the applier never blocks on execution.
 type submitResult struct {
 	outs backend.Outcomes
 	err  error
@@ -100,42 +69,15 @@ func Join(v *controller.VirtualDatabase, g *groupcomm.Group, controllerName stri
 		member:  m,
 		name:    controllerName,
 		waiters: make(map[uint64]chan submitResult),
-		peers:   make(map[string][]string),
-		known:   make(map[string]bool),
-		events:  make(chan PeerEvent, 64),
 		done:    make(chan struct{}),
 	}
 	go d.run()
 	v.SetDistributor(d)
-
-	// Announce our backend configuration for failure recovery.
-	names := make([]string, 0)
-	for _, b := range v.Backends() {
-		names = append(names, b.Name())
-	}
-	payload, err := json.Marshal(configMsg{Origin: controllerName, Backends: names})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.Broadcast("config", payload); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 
 // Name returns the controller name inside the group.
 func (d *VDB) Name() string { return d.name }
-
-// Events delivers peer join/failure notifications, carrying the failed
-// peer's last known backend configuration so the survivor can recover them.
-func (d *VDB) Events() <-chan PeerEvent { return d.events }
-
-// PeerBackends returns the last announced backend names of a peer.
-func (d *VDB) PeerBackends(peer string) []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.peers[peer]...)
-}
 
 // Leave detaches from the group; the vdb reverts to purely local operation.
 func (d *VDB) Leave() {
@@ -164,17 +106,7 @@ func (d *VDB) SubmitWrite(txID uint64, class sqlparser.StatementClass, sql strin
 	d.waiters[reqID] = ch
 	d.mu.Unlock()
 
-	wm := writeMsg{ReqID: reqID, Origin: d.name, TxID: txID, Class: uint8(class), SQL: sql}
-	if class == sqlparser.ClassCommit || class == sqlparser.ClassRollback {
-		// Attach the transaction's accumulated footprint. All of the tx's
-		// writes have been sequenced locally before the client can demarcate
-		// (SubmitWrite returns only after dispatch), so the snapshot is
-		// complete — and identical on every controller, which sequenced the
-		// same writes.
-		wm.Tables, wm.Global = d.vdb.Scheduler().PeekTxFootprint(txID)
-		wm.Footprint = true
-	}
-	payload, err := json.Marshal(wm)
+	payload, err := json.Marshal(writeMsg{ReqID: reqID, Origin: d.name, TxID: txID, Class: uint8(class), SQL: sql})
 	if err != nil {
 		return nil, err
 	}
@@ -191,41 +123,17 @@ func (d *VDB) SubmitWrite(txID uint64, class sqlparser.StatementClass, sql strin
 	return d.vdb.WaitPolicy(r.outs)
 }
 
-// run is the applier: deliveries arrive strictly in total order, and each
-// is submitted to a dispatch worker pool chained through the conflict-class
-// dependency rule — a delivery's ticket acquisition waits only for the
-// newest earlier conflicting delivery to finish its own acquisition and
-// enqueue, so disjoint classes sequence concurrently while every
-// conflicting pair keeps its total-order position on all controllers
-// (delivery order is the same everywhere, and so are the footprints, so
-// every controller chains the same pairs). Ready deliveries are handed to a
-// fixed set of dispatch workers instead of one goroutine per delivery; a
+// run is the applier: deliveries arrive strictly in total order and each
+// is applied, inline, before the next is read — the state-machine approach,
+// so every controller sequences the same writes in the same order. A
 // dispatch ends at the enqueue (the backends' write pipeline executes
 // asynchronously, and the submitting client applies the early-response
 // policy itself), so a write stalled on database locks cannot prevent the
-// commit that releases them from being delivered. A dispatch blocked inside
-// LockClass (its class held by a local writer or quiesced by
-// LockAllWrites) occupies one worker; disjoint deliveries keep flowing on
-// the others.
-//
-// applierBacklog bounds queued-plus-dispatching deliveries, mirroring the
-// backpressure of the backends' bounded lane semaphore: past it the applier
-// stops consuming deliveries until some drain. Group members have unbounded
-// mailboxes, so a paused applier never blocks the group.
-const applierBacklog = 4096
-
-// applierWorkers sizes the dispatch pool. Dispatch is enqueue-only and
-// cheap, but can block on a held class lock; a few spare workers keep
-// disjoint classes sequencing past a stalled one even on one-CPU hosts.
-var applierWorkers = max(4, runtime.GOMAXPROCS(0))
-
+// commit that releases them from being delivered. Membership views carry
+// nothing the applier acts on, but they are drained: the group's pump
+// blocks once the views channel fills.
 func (d *VDB) run() {
 	defer close(d.done)
-	app := &applier{
-		pool:  conflictsched.NewPool(applierWorkers),
-		slots: make(chan struct{}, applierBacklog),
-	}
-	defer app.pool.Stop()
 	msgs := d.member.Deliver()
 	views := d.member.Views()
 	for {
@@ -234,115 +142,33 @@ func (d *VDB) run() {
 			if !ok {
 				return
 			}
-			d.handleMessage(msg, app)
-		case view, ok := <-views:
+			d.apply(msg)
+		case _, ok := <-views:
 			if !ok {
 				return
 			}
-			d.handleView(view)
 		}
 	}
 }
 
-// applier is the delivery-dispatch state owned by run.
-type applier struct {
-	pool  *conflictsched.Pool
-	slots chan struct{}
-}
-
-func (d *VDB) handleMessage(msg groupcomm.Message, app *applier) {
-	switch msg.Kind {
-	case "config":
-		var cm configMsg
-		if json.Unmarshal(msg.Payload, &cm) == nil && cm.Origin != d.name {
-			d.mu.Lock()
-			d.peers[cm.Origin] = cm.Backends
-			d.mu.Unlock()
-		}
-	case "write":
-		var wm writeMsg
-		if err := json.Unmarshal(msg.Payload, &wm); err != nil {
-			return
-		}
-		class := sqlparser.StatementClass(wm.Class)
-		// Resolve the delivery's conflict footprint once, in delivery
-		// order; DispatchPlanned sequences under exactly this footprint, so
-		// the tracker's chains and the sequencer's class locks agree.
-		st, tables, global, planErr := d.vdb.PlanWrite(class, wm.SQL)
-		app.slots <- struct{}{}
-		keys, barrier := deliveryKeys(wm, class, tables, global, planErr)
-		app.pool.Submit(keys, barrier, func() {
-			defer func() { <-app.slots }()
-			var outs backend.Outcomes
-			err := planErr
-			if err == nil {
-				outs, err = d.vdb.DispatchPlanned(wm.TxID, class, st, wm.SQL, wm.User, tables, global)
-			}
-			// Dispatch ends here — the class ticket is released and
-			// conflicting deliveries behind this one may sequence without
-			// waiting for execution. Remote-origin outcomes need no waiter:
-			// the channel is buffered for every backend, and local failures
-			// disable local backends via their own callbacks.
-			if wm.Origin != d.name {
-				return
-			}
-			d.mu.Lock()
-			ch := d.waiters[wm.ReqID]
-			delete(d.waiters, wm.ReqID)
-			d.mu.Unlock()
-			if ch != nil {
-				ch <- submitResult{outs: outs, err: err}
-			}
-		})
+// apply dispatches one delivery and, if this controller sent it, hands the
+// result to the waiting client. Remote-origin outcomes need no waiter: the
+// channel is buffered for every backend, and local failures disable local
+// backends via their own callbacks.
+func (d *VDB) apply(msg groupcomm.Message) {
+	var wm writeMsg
+	if msg.Kind != "write" || json.Unmarshal(msg.Payload, &wm) != nil {
+		return
 	}
-}
-
-// deliveryKeys maps one delivery to conflict-tracker keys: a write's table
-// footprint plus the per-transaction key (a transaction's operations must
-// sequence in delivery order even when their tables are disjoint).
-// Demarcations chain through the footprint their broadcast carries — the
-// transaction's accumulated write footprint, identical on every controller
-// — so disjoint transactions' demarcations pipeline; a demarcation whose
-// footprint is global (the tx ran DDL) or missing (an old peer) is a
-// barrier. Global writes (DDL, unknown footprints) and deliveries whose SQL
-// fails to parse are barriers too.
-func deliveryKeys(wm writeMsg, class sqlparser.StatementClass, tables []string, global bool, planErr error) (keys []string, barrier bool) {
-	if class == sqlparser.ClassCommit || class == sqlparser.ClassRollback {
-		if !wm.Footprint || wm.Global {
-			return nil, true
-		}
-		return conflictsched.KeysWithTx(wm.Tables, wm.TxID), false
+	outs, err := d.vdb.ApplyDelivery(wm.TxID, sqlparser.StatementClass(wm.Class), wm.SQL, wm.User)
+	if wm.Origin != d.name {
+		return
 	}
-	if global || planErr != nil {
-		return nil, true
-	}
-	return conflictsched.KeysWithTx(tables, wm.TxID), false
-}
-
-func (d *VDB) handleView(view groupcomm.View) {
 	d.mu.Lock()
-	prev := d.known
-	cur := make(map[string]bool, len(view.Members))
-	for _, m := range view.Members {
-		cur[m] = true
-	}
-	d.known = cur
-	var evs []PeerEvent
-	for m := range cur {
-		if m != d.name && !prev[m] {
-			evs = append(evs, PeerEvent{Peer: m, Joined: true})
-		}
-	}
-	for m := range prev {
-		if m != d.name && !cur[m] {
-			evs = append(evs, PeerEvent{Peer: m, Joined: false, Backends: append([]string(nil), d.peers[m]...)})
-		}
-	}
+	ch := d.waiters[wm.ReqID]
+	delete(d.waiters, wm.ReqID)
 	d.mu.Unlock()
-	for _, ev := range evs {
-		select {
-		case d.events <- ev:
-		default: // never block the applier on a slow consumer
-		}
+	if ch != nil {
+		ch <- submitResult{outs: outs, err: err}
 	}
 }

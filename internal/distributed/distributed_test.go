@@ -2,6 +2,9 @@ package distributed
 
 import (
 	"fmt"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -201,36 +204,6 @@ func TestReadsStayLocal(t *testing.T) {
 	}
 }
 
-func TestControllerFailureEventCarriesBackendConfig(t *testing.T) {
-	g := groupcomm.NewGroup("app")
-	nodes := mkCluster(t, g, 2)
-	defer nodes[0].dist.Leave()
-
-	// Wait until ctrl0 learned ctrl1's config.
-	waitFor(t, func() bool { return len(nodes[0].dist.PeerBackends("ctrl1")) == 1 }, "config exchange")
-
-	nodes[1].dist.Leave() // simulate failure
-
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case ev := <-nodes[0].dist.Events():
-			if ev.Joined {
-				continue
-			}
-			if ev.Peer != "ctrl1" {
-				t.Fatalf("unexpected peer: %+v", ev)
-			}
-			if len(ev.Backends) != 1 || ev.Backends[0] != "db1" {
-				t.Fatalf("backend config not carried: %+v", ev)
-			}
-			return
-		case <-deadline:
-			t.Fatal("no failure event")
-		}
-	}
-}
-
 func TestSurvivorKeepsServingAfterPeerFailure(t *testing.T) {
 	g := groupcomm.NewGroup("app")
 	nodes := mkCluster(t, g, 2)
@@ -248,10 +221,11 @@ func TestSurvivorKeepsServingAfterPeerFailure(t *testing.T) {
 	}
 }
 
-// TestDisjointDeliveriesBypassStalledClass: the applier no longer hands
-// deliveries to the sequencer one at a time — a delivery blocked on a held
-// class lock must not prevent a later delivery of a disjoint class from
-// sequencing and executing (the ROADMAP's "sequential delivery window").
+// TestDisjointDeliveriesBypassStalledClass: a controller whose applier is
+// stalled on a held class lock does not stall its peers — a later write
+// submitted on the other controller is applied and answered there — and
+// once the class is released the stalled controller catches up in delivery
+// order.
 func TestDisjointDeliveriesBypassStalledClass(t *testing.T) {
 	g := groupcomm.NewGroup("app")
 	nodes := mkCluster(t, g, 2)
@@ -289,7 +263,8 @@ func TestDisjointDeliveriesBypassStalledClass(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 
-	// A later delivery on a disjoint class sails past the stalled one.
+	// A later write submitted on controller 1 is applied and answered
+	// there: only controller 0's applier is stalled.
 	s2, _ := nodes[1].vdb.NewSession("u", "")
 	defer s2.Close()
 	coldDone := make(chan error, 1)
@@ -305,11 +280,11 @@ func TestDisjointDeliveriesBypassStalledClass(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		ticket.Unlock()
-		t.Fatal("disjoint delivery stuck behind a stalled class: applier still serializes deliveries")
+		t.Fatal("write on the unstalled controller stuck behind its peer's held class lock")
 	}
 
-	// Releasing the class lets the hot write finish, and both rows land on
-	// both controllers.
+	// Releasing the class lets controller 0 catch up in delivery order: the
+	// hot write finishes, and both rows land on both controllers.
 	ticket.Unlock()
 	if err := <-hotDone; err != nil {
 		t.Fatalf("hot write after release: %v", err)
@@ -336,13 +311,39 @@ func TestSubmitAfterLeaveFails(t *testing.T) {
 	nodes[0].dist.Leave() // idempotent
 }
 
-// TestDisjointTxDemarcationsPipeline: commit broadcasts carry the
-// transaction's write footprint, so a commit stalled behind a held conflict
-// class no longer acts as a barrier for demarcations of disjoint
-// transactions — they pipeline through the applier. Before this PR every
-// demarcation was a conservative barrier and txB's commit would have been
-// stuck behind txA's.
-func TestDisjointTxDemarcationsPipeline(t *testing.T) {
+// tableDump renders a table's contents in a canonical order, for
+// byte-for-byte comparison across engines.
+func tableDump(t *testing.T, e *sqlengine.Engine, table string) string {
+	t.Helper()
+	_, rows, err := e.SnapshotTable(table)
+	if err != nil {
+		t.Fatalf("snapshot %s on %s: %v", table, e.Name(), err)
+	}
+	lines := make([]string, 0, len(rows))
+	for _, r := range rows {
+		var b strings.Builder
+		for _, v := range r {
+			b.WriteString(v.Key())
+			b.WriteByte('|')
+		}
+		lines = append(lines, b.String())
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestConflictingWritesFromBothControllersConverge: both controllers run
+// concurrent auto-commit and transactional updates of the same rows, and
+// the updates do not commute (n*3 against n+1), so the engines end
+// byte-identical only if every controller applies the conflicting
+// deliveries in the one delivery order.
+func TestConflictingWritesFromBothControllersConverge(t *testing.T) {
+	const (
+		rows       = 4
+		sessions   = 4  // per controller
+		opsPerSess = 60 // 240 updates per controller
+		txEvery    = 4  // every fourth operation is a two-update transaction
+	)
 	g := groupcomm.NewGroup("app")
 	nodes := mkCluster(t, g, 2)
 	defer func() {
@@ -351,76 +352,70 @@ func TestDisjointTxDemarcationsPipeline(t *testing.T) {
 		}
 	}()
 
-	s, _ := nodes[0].vdb.NewSession("u", "")
-	defer s.Close()
-	for _, q := range []string{
-		"CREATE TABLE hot (id INTEGER PRIMARY KEY)",
-		"CREATE TABLE cold (id INTEGER PRIMARY KEY)",
-	} {
-		if _, err := s.Exec(q, nil); err != nil {
+	setup, _ := nodes[0].vdb.NewSession("u", "")
+	defer setup.Close()
+	if _, err := setup.Exec("CREATE TABLE c (id INTEGER PRIMARY KEY, n INTEGER)", nil); err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= rows; id++ {
+		if _, err := setup.Exec(fmt.Sprintf("INSERT INTO c (id, n) VALUES (%d, %d)", id, id), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// txA writes hot and fully sequences its write, then its commit is
-	// stalled: the hot class is held on controller 0, so the commit's
-	// dispatch blocks inside LockClass({hot}) there.
-	sA, _ := nodes[0].vdb.NewSession("u", "")
-	defer sA.Close()
-	if _, err := sA.Exec("BEGIN", nil); err != nil {
-		t.Fatal(err)
+	// Controller 0 triples, controller 1 increments; a transaction applies
+	// its controller's update to two rows.
+	updates := []string{
+		"UPDATE c SET n = (n * 3) %% 1000003 WHERE id = %d",
+		"UPDATE c SET n = n + 1 WHERE id = %d",
 	}
-	if _, err := sA.Exec("INSERT INTO hot (id) VALUES (1)", nil); err != nil {
-		t.Fatal(err)
-	}
-	ticket := nodes[0].vdb.Scheduler().LockClass([]string{"hot"}, false)
-	commitADone := make(chan error, 1)
-	go func() {
-		_, err := sA.Exec("COMMIT", nil)
-		commitADone <- err
-	}()
-	select {
-	case err := <-commitADone:
-		ticket.Unlock()
-		t.Fatalf("txA commit completed under a held class lock (err=%v)", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	// txB, also submitted on controller 0, touches only cold: its write and
-	// its commit must sail past txA's stalled commit.
-	sB, _ := nodes[0].vdb.NewSession("u", "")
-	defer sB.Close()
-	commitBDone := make(chan error, 1)
-	go func() {
-		var err error
-		for _, q := range []string{"BEGIN", "INSERT INTO cold (id) VALUES (1)", "COMMIT"} {
-			if _, err = sB.Exec(q, nil); err != nil {
-				break
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*sessions)
+	for ni, n := range nodes {
+		for si := 0; si < sessions; si++ {
+			s, err := n.vdb.NewSession("u", "")
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer s.Close()
+			wg.Add(1)
+			go func(ni, seed int) {
+				defer wg.Done()
+				for op := 0; op < opsPerSess; op++ {
+					id := (seed+op)%rows + 1
+					stmts := []string{fmt.Sprintf(updates[ni], id)}
+					if op%txEvery == 0 {
+						// Rows in ascending order, so transactions never deadlock.
+						lo, hi := min(id, id%rows+1), max(id, id%rows+1)
+						stmts = []string{"BEGIN", fmt.Sprintf(updates[ni], lo), fmt.Sprintf(updates[ni], hi), "COMMIT"}
+					}
+					for _, q := range stmts {
+						if _, err := s.Exec(q, nil); err != nil {
+							errs <- fmt.Errorf("controller %d: %s: %w", ni, q, err)
+							return
+						}
+					}
+				}
+			}(ni, si)
 		}
-		commitBDone <- err
-	}()
-	select {
-	case err := <-commitBDone:
-		if err != nil {
-			ticket.Unlock()
-			t.Fatalf("txB failed: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		ticket.Unlock()
-		t.Fatal("disjoint transaction's commit stuck behind a stalled demarcation: commits still act as barriers")
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 
-	// Releasing the class completes txA everywhere.
-	ticket.Unlock()
-	if err := <-commitADone; err != nil {
-		t.Fatalf("txA commit after release: %v", err)
-	}
+	// A fence write on each controller returns once its local backend has
+	// executed it, and it executes behind every earlier update of c.
 	for i, n := range nodes {
-		n := n
-		waitFor(t, func() bool {
-			return count(t, n.engine, "SELECT COUNT(*) FROM hot") == 1 &&
-				count(t, n.engine, "SELECT COUNT(*) FROM cold") == 1
-		}, fmt.Sprintf("convergence on controller %d", i))
+		s, _ := n.vdb.NewSession("u", "")
+		if _, err := s.Exec("UPDATE c SET n = n + 0", nil); err != nil {
+			t.Fatalf("fence on controller %d: %v", i, err)
+		}
+		s.Close()
+	}
+	want := tableDump(t, nodes[0].engine, "c")
+	if got := tableDump(t, nodes[1].engine, "c"); got != want {
+		t.Fatalf("controllers diverged: conflicting deliveries applied out of delivery order\nctrl0:\n%s\nctrl1:\n%s", want, got)
 	}
 }

@@ -355,6 +355,25 @@ func (l *tableLock) pumpLocked(tbl string, fire *[]func()) {
 		}
 		l.grantLocked(head, tbl, fire)
 		l.queue = l.queue[1:]
+		l.grantHolderLocked(head.s, tbl, fire)
+	}
+}
+
+// grantHolderLocked grants the new holder's reservations queued further
+// back. They were issued before the session held the lock, so issueLocked
+// could not let them jump; left in place they would wait behind requests
+// that wait on the holder, until the lock timeout. A replica where the
+// session held the lock at issue grants them at once, so granting them here
+// keeps every replica's grant order the same.
+func (l *tableLock) grantHolderLocked(s *Session, tbl string, fire *[]func()) {
+	for _, req := range s.reserved[tbl] {
+		select {
+		case <-req.ready:
+			continue
+		default:
+		}
+		l.queue = slices.DeleteFunc(l.queue, func(q *lockRequest) bool { return q == req })
+		l.grantLocked(req, tbl, fire)
 	}
 }
 

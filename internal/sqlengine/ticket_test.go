@@ -148,6 +148,70 @@ func TestExecutionTimeAcquisitionJoinsTicketQueue(t *testing.T) {
 	}
 }
 
+// TestHolderTicketQueuedBehindWaiterIsGranted: a transaction's second
+// ticket, reserved while its first was still queued, sits behind another
+// session's ticket. Once the transaction holds the lock that later ticket
+// is granted too — the other session waits on the transaction, so the
+// transaction cannot wait behind it. A replica that received the
+// transaction's writes interleaved with another writer's reaches exactly
+// this queue, while the replica that answered the client granted the second
+// ticket at issue.
+func TestHolderTicketQueuedBehindWaiterIsGranted(t *testing.T) {
+	e := ticketTestEngine(t)
+	holder := e.NewSession()
+	defer holder.Close()
+	if _, err := holder.ExecSQL("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.ExecSQL("UPDATE t SET v = 1 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Queue: tx's first ticket, other's ticket, tx's second ticket.
+	tx := e.NewSession()
+	defer tx.Close()
+	if _, err := tx.ExecSQL("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	tx.ReserveWriteLock("t")
+	other := e.NewSession()
+	defer other.Close()
+	other.ReserveWriteLock("t")
+	tx.ReserveWriteLock("t")
+	if _, err := holder.ExecSQL("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for _, q := range []string{"UPDATE t SET v = v + 1 WHERE id = 1", "UPDATE t SET v = v * 10 WHERE id = 1", "COMMIT"} {
+			if _, err = tx.ExecSQL(q); err != nil {
+				break
+			}
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the lock holder's second ticket waits behind a session blocked on the holder")
+	}
+	if _, err := other.ExecSQL("UPDATE t SET v = v + 3 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := other.ExecSQL("SELECT v FROM t WHERE id = 1")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("read back: %v %v", res, err)
+	}
+	if got, _ := res.Rows[0][0].AsInt(); got != 23 {
+		t.Fatalf("final v = %d, want 23 ((1+1)*10+3: ticket order)", got)
+	}
+}
+
 // TestLockManagerQuiescesUnderRandomSchedules drives sessions through
 // random interleavings of every lock-manager path — plain and notified
 // reservations, execution-time tickets, lock timeouts, Kill from another
