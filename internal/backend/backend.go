@@ -169,7 +169,13 @@ type txConn struct {
 	dead   bool // the disable teardown (not the client) ended it
 }
 
+// writeTask is one write on one backend. An auto-commit task is its own
+// pool task (the embedded conflictsched.Task, run through Run) and its own
+// engine ticket notifier (TicketGranted), so a write allocates one object
+// per backend for all three roles.
 type writeTask struct {
+	conflictsched.Task
+	b     *Backend
 	txID  uint64 // 0 = auto-commit
 	class sqlparser.StatementClass
 	st    sqlparser.Statement
@@ -920,11 +926,7 @@ func (b *Backend) EnqueueWriteClassTo(txID uint64, class sqlparser.StatementClas
 	default:
 	}
 	b.pending.Add(1)
-	run := func() {
-		b.runAuto(t)
-		// Slot release is the task's final action; Close's drain keys on it.
-		<-b.autoSem
-	}
+	t.b = b
 
 	// Pre-bind a dedicated connection and queue the write's engine lock
 	// ticket now, in cluster submission order; the task becomes runnable
@@ -933,15 +935,27 @@ func (b *Backend) EnqueueWriteClassTo(txID uint64, class sqlparser.StatementClas
 	// The ticket is reserved BEFORE the task is submitted: until the gate
 	// opens, only this goroutine touches the pre-bound session, so even a
 	// concurrent Close (which force-opens gates) cannot run the task — and
-	// close its session — while the reservation is still being placed.
+	// close its session — while the reservation is still being placed. A
+	// grant that arrives first is remembered by the pool (Release before
+	// SubmitGated).
 	if reserver, tbl := b.prebind(t); reserver != nil {
-		g := &ticketGate{}
-		reserver.ReserveWriteLockNotify(tbl, g.notify)
-		g.bind(b.pool.SubmitGated(tables, global, run))
+		reserver.ReserveWriteLockNotify(tbl, t)
+		b.pool.SubmitGated(&t.Task, t, tables, global, ticketEscape)
 		return
 	}
-	b.pool.Submit(tables, global, run)
+	b.pool.Submit(&t.Task, t, tables, global)
 }
+
+// Run executes an auto-commit task on a pool worker.
+func (t *writeTask) Run() {
+	t.b.runAuto(t)
+	// Slot release is the task's final action; Close's drain keys on it.
+	<-t.b.autoSem
+}
+
+// TicketGranted opens the task's pool gate once the engine grants (or
+// drops) its lock ticket.
+func (t *writeTask) TicketGranted() { t.b.pool.Release(&t.Task) }
 
 // ticketEscape bounds how long a write may stay parked on an ungranted
 // ticket. The paper's backends resolve deadlock and starvation by lock
@@ -952,49 +966,6 @@ func (b *Backend) EnqueueWriteClassTo(txID uint64, class sqlparser.StatementClas
 // liveness bound (a stuck transaction can stall same-table writes only for
 // ticketEscape + the engine lock timeout, never wedge the backend).
 const ticketEscape = time.Second
-
-// ticketGate splices an engine ticket's grant notification onto a pool
-// task's readiness gate that does not exist yet when the ticket is
-// reserved (the reservation must precede the task submission; see
-// EnqueueWriteClassTo). notify may fire at any point — synchronously
-// inside ReserveWriteLockNotify, or from a lock release on another
-// goroutine — before or after bind supplies the gate's release function.
-type ticketGate struct {
-	mu      sync.Mutex
-	release func()
-	fired   bool
-	timer   *time.Timer
-}
-
-// notify is the ticket's grant/drop callback.
-func (g *ticketGate) notify() {
-	g.mu.Lock()
-	g.fired = true
-	r := g.release
-	if g.timer != nil {
-		g.timer.Stop()
-	}
-	g.mu.Unlock()
-	if r != nil {
-		r()
-	}
-}
-
-// bind wires the pool's release function and arms the escape timer when
-// the grant has not already arrived. release is idempotent, so a racing
-// grant, the timer, and a Close-time ForceGates may all fire it.
-func (g *ticketGate) bind(release func()) {
-	g.mu.Lock()
-	g.release = release
-	fired := g.fired
-	if !fired {
-		g.timer = time.AfterFunc(ticketEscape, release)
-	}
-	g.mu.Unlock()
-	if fired {
-		release()
-	}
-}
 
 // prebind opens the dedicated connection an auto-commit write holds from
 // enqueue to apply, returning its ticket interface and target table. It

@@ -59,9 +59,15 @@ type LockReserver interface {
 // a transaction's lock never occupies a pool worker while it waits.
 type TicketReserver interface {
 	// ReserveWriteLockNotify queues an exclusive lock ticket for table and
-	// invokes granted exactly once when the ticket is granted (possibly
+	// tells n exactly once when the ticket is granted (possibly
 	// synchronously) or dropped unconsumed.
-	ReserveWriteLockNotify(table string, granted func())
+	ReserveWriteLockNotify(table string, n TicketNotifier)
+}
+
+// TicketNotifier is told that a lock ticket was granted or dropped. A write
+// task is its own notifier, so reserving a ticket allocates no callback.
+type TicketNotifier interface {
+	TicketGranted()
 }
 
 // ConnResetter is implemented by connections that can be returned to a
@@ -153,8 +159,8 @@ func (c *engineConn) Exec(st sqlparser.Statement, sql string) (*Result, error) {
 func (c *engineConn) ReserveWriteLock(table string) { c.s.ReserveWriteLock(table) }
 
 // ReserveWriteLockNotify queues a write lock ticket and reports its grant.
-func (c *engineConn) ReserveWriteLockNotify(table string, granted func()) {
-	c.s.ReserveWriteLockNotify(table, granted)
+func (c *engineConn) ReserveWriteLockNotify(table string, n TicketNotifier) {
+	c.s.ReserveWriteLockNotify(table, n)
 }
 
 // Reset returns the session to its just-opened state for free-list reuse.

@@ -161,10 +161,12 @@ type Replication interface {
 	// (full replication does not, §2.4.3).
 	RequiresParsing() bool
 	// ReadCandidates returns the enabled backends hosting all the tables
-	// a read references.
+	// a read references. The result may be all itself: callers must not
+	// modify it.
 	ReadCandidates(tables []string, all []*backend.Backend) []*backend.Backend
 	// WriteTargets returns the enabled backends that must apply a write
-	// affecting the given tables.
+	// affecting the given tables, in the order of all. The result may be all
+	// itself: callers must not modify it.
 	WriteTargets(tables []string, all []*backend.Backend) []*backend.Backend
 	// NoteCreate records a newly created table and its hosts, keeping the
 	// dynamically gathered schema accurate (§2.4.3).
@@ -485,8 +487,19 @@ func (p *PartialReplication) Tables() []string {
 	return out
 }
 
+// enabledOf returns the enabled backends of all: all itself when every one
+// is enabled, so the common case copies nothing.
 func enabledOf(all []*backend.Backend) []*backend.Backend {
-	out := make([]*backend.Backend, 0, len(all))
+	n := 0
+	for _, b := range all {
+		if b.Enabled() {
+			n++
+		}
+	}
+	if n == len(all) {
+		return all
+	}
+	out := make([]*backend.Backend, 0, n)
 	for _, b := range all {
 		if b.Enabled() {
 			out = append(out, b)

@@ -13,8 +13,8 @@ func TestDisjointKeysDoNotChain(t *testing.T) {
 	p := NewPool(2)
 	hold := make(chan struct{})
 	var bRan atomic.Bool
-	p.Submit([]string{"a"}, false, func() { <-hold })
-	p.Submit([]string{"b"}, false, func() { bRan.Store(true) })
+	submit(p, []string{"a"}, false, func() { <-hold })
+	submit(p, []string{"b"}, false, func() { bRan.Store(true) })
 	deadline := time.Now().Add(time.Second)
 	for !bRan.Load() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -33,11 +33,11 @@ func TestMultiKeyTaskJoinsAllChains(t *testing.T) {
 	holdA := make(chan struct{})
 	holdB := make(chan struct{})
 	var abRan, afterARan atomic.Bool
-	p.Submit([]string{"a"}, false, func() { <-holdA })
-	p.Submit([]string{"b"}, false, func() { <-holdB })
-	p.Submit([]string{"a", "b"}, false, func() { abRan.Store(true) })
+	submit(p, []string{"a"}, false, func() { <-holdA })
+	submit(p, []string{"b"}, false, func() { <-holdB })
+	submit(p, []string{"a", "b"}, false, func() { abRan.Store(true) })
 	// A later task on key a must chain through the multi-key task.
-	p.Submit([]string{"a"}, false, func() {
+	submit(p, []string{"a"}, false, func() {
 		if !abRan.Load() {
 			t.Error("task on {a} overtook the multi-key head of its chain")
 		}
@@ -73,7 +73,7 @@ func TestConcurrentSubmitIsSafe(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				p.Submit([]string{keys[(g+i)%len(keys)]}, i%17 == 0, func() { ran.Add(1) })
+				submit(p, []string{keys[(g+i)%len(keys)]}, i%17 == 0, func() { ran.Add(1) })
 			}
 		}(g)
 	}

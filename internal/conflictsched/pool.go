@@ -3,6 +3,7 @@ package conflictsched
 import (
 	"runtime"
 	"sync"
+	"time"
 )
 
 // Pool executes a totally ordered stream of submitted tasks on a fixed set
@@ -17,40 +18,55 @@ import (
 // work).
 //
 // Submission order is the serialization order the pool preserves per key:
-// callers must Submit in that order.
+// callers must Submit in that order. The pool allocates nothing per task:
+// the caller supplies each task's Task, embedded in the value that runs it.
 type Pool struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
-	lastByKey   map[string]*ptask
-	lastBarrier *ptask
-	readyHead   *ptask
-	readyTail   *ptask
-	inflight    int  // submitted but not finished
-	stopped     bool // workers exit once the ready queue is empty
-	gatesForced bool // ForceGates was called: new gates open immediately
-	gated       map[*ptask]struct{}
+	lastByKey   map[string]*Task // the newest unfinished task per key
+	lastBarrier *Task            // the newest unfinished barrier
+	readyHead   *Task
+	readyTail   *Task
+	gated       *Task // head of the list of tasks parked on their gate
+	inflight    int   // submitted but not finished
+	stopped     bool  // workers exit once the ready queue is empty
+	gatesForced bool  // ForceGates was called: new gates open immediately
 	workers     sync.WaitGroup
 }
 
-// ptask is one submitted task with its dependency bookkeeping. All fields
-// are guarded by the pool mutex.
-type ptask struct {
-	run        func()
-	pending    int      // unfinished dependencies
-	gate       bool     // readiness also requires the gate to open
-	dependents []*ptask // tasks waiting on this one (one entry per key edge)
-	done       bool
-	queued     bool
-	next       *ptask // ready-queue link
+// Runner is the work of one pooled task.
+type Runner interface {
+	Run()
+}
+
+// Func adapts a function to Runner.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
+// Task is one submitted task's scheduling state. A caller embeds it in the
+// value that carries the task's work and submits a pointer to it; a Task is
+// submitted once and never reused. Once the task finishes the pool keeps no
+// reference to it. All fields are guarded by the pool mutex.
+type Task struct {
+	runner       Runner
+	keys         []string
+	pending      int  // unfinished dependencies
+	gate         bool // parked: readiness also requires the gate to open
+	released     bool // Release was called, possibly before the submit
+	depBuf       [1]*Task
+	dependents   []*Task     // tasks waiting on this one (one entry per key edge)
+	queued       bool        // pushed onto the ready queue; stays set once run
+	next         *Task       // ready-queue link
+	gprev, gnext *Task       // gated-list links
+	escape       *time.Timer // opens a gate that stays shut too long
 }
 
 // NewPool creates a pool of workers resident workers; workers <= 0 means
 // GOMAXPROCS.
 func NewPool(workers int) *Pool {
-	p := &Pool{
-		lastByKey: make(map[string]*ptask),
-		gated:     make(map[*ptask]struct{}),
-	}
+	p := &Pool{lastByKey: make(map[string]*Task)}
 	p.cond = sync.NewCond(&p.mu)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -64,49 +80,66 @@ func NewPool(workers int) *Pool {
 
 // Submit registers the next task of the sequence with its conflict
 // footprint (keys, or barrier) and schedules it once every conflicting
-// predecessor has finished. run is executed exactly once, on a worker.
-func (p *Pool) Submit(keys []string, barrier bool, run func()) {
-	p.submit(keys, barrier, false, run)
+// predecessor has finished. r.Run is executed exactly once, on a worker.
+// keys is kept until the task finishes and must not change meanwhile.
+func (p *Pool) Submit(t *Task, r Runner, keys []string, barrier bool) {
+	p.mu.Lock()
+	p.submitLocked(t, r, keys, barrier)
+	p.maybeReadyLocked(t)
+	p.mu.Unlock()
 }
 
 // SubmitGated is Submit with an additional readiness gate: the task also
-// waits for the returned release function to be called (for example by an
-// engine lock ticket's grant notification). release is idempotent and safe
-// to call from any goroutine, including synchronously during SubmitGated's
-// caller.
-func (p *Pool) SubmitGated(keys []string, barrier bool, run func()) (release func()) {
-	t := p.submit(keys, barrier, true, run)
-	return func() {
-		p.mu.Lock()
-		p.openGateLocked(t)
-		p.mu.Unlock()
+// waits for Release(t), for example from an engine lock ticket's grant
+// notification. Release may come first, even before SubmitGated is called.
+// A gate still shut after escape (> 0) opens anyway, bounding how long an
+// external signal that never comes can park the task.
+func (p *Pool) SubmitGated(t *Task, r Runner, keys []string, barrier bool, escape time.Duration) {
+	p.mu.Lock()
+	p.submitLocked(t, r, keys, barrier)
+	if !t.released && !p.gatesForced {
+		t.gate = true
+		t.gnext = p.gated
+		if p.gated != nil {
+			p.gated.gprev = t
+		}
+		p.gated = t
+		if escape > 0 {
+			t.escape = time.AfterFunc(escape, func() { p.Release(t) })
+		}
 	}
+	p.maybeReadyLocked(t)
+	p.mu.Unlock()
 }
 
-func (p *Pool) submit(keys []string, barrier, gate bool, run func()) *ptask {
-	t := &ptask{run: run, gate: gate}
+// Release opens t's readiness gate. It is idempotent and safe to call from
+// any goroutine, before or after t is submitted.
+func (p *Pool) Release(t *Task) {
 	p.mu.Lock()
-	if p.gatesForced {
-		t.gate = false
-	}
-	if t.gate {
-		p.gated[t] = struct{}{}
-	}
+	t.released = true
+	p.openGateLocked(t)
+	p.mu.Unlock()
+}
+
+func (p *Pool) submitLocked(t *Task, r Runner, keys []string, barrier bool) {
+	t.runner, t.keys = r, keys
+	t.dependents = t.depBuf[:0]
 	p.inflight++
-	addDep := func(d *ptask) {
-		if d != nil && !d.done {
+	addDep := func(d *Task) {
+		if d != nil {
 			d.dependents = append(d.dependents, t)
 			t.pending++
 		}
 	}
 	// A barrier clears the key map, so lastByKey only ever holds
-	// non-barrier tasks newer than lastBarrier.
+	// non-barrier tasks newer than lastBarrier; finish removes a task from
+	// both, so neither holds a finished one.
 	addDep(p.lastBarrier)
 	if barrier {
 		for _, d := range p.lastByKey {
 			addDep(d)
 		}
-		p.lastByKey = make(map[string]*ptask)
+		clear(p.lastByKey)
 		p.lastBarrier = t
 	} else {
 		for _, k := range keys {
@@ -114,24 +147,33 @@ func (p *Pool) submit(keys []string, barrier, gate bool, run func()) *ptask {
 			p.lastByKey[k] = t
 		}
 	}
-	p.maybeReadyLocked(t)
-	p.mu.Unlock()
-	return t
 }
 
 // openGateLocked opens a task's readiness gate (idempotent).
-func (p *Pool) openGateLocked(t *ptask) {
+func (p *Pool) openGateLocked(t *Task) {
 	if !t.gate {
 		return
 	}
 	t.gate = false
-	delete(p.gated, t)
+	if t.gprev != nil {
+		t.gprev.gnext = t.gnext
+	} else {
+		p.gated = t.gnext
+	}
+	if t.gnext != nil {
+		t.gnext.gprev = t.gprev
+	}
+	t.gprev, t.gnext = nil, nil
+	if t.escape != nil {
+		t.escape.Stop()
+		t.escape = nil
+	}
 	p.maybeReadyLocked(t)
 }
 
 // maybeReadyLocked pushes the task onto the ready queue when runnable.
-func (p *Pool) maybeReadyLocked(t *ptask) {
-	if t.pending != 0 || t.gate || t.queued || t.done {
+func (p *Pool) maybeReadyLocked(t *Task) {
+	if t.pending != 0 || t.gate || t.queued {
 		return
 	}
 	t.queued = true
@@ -144,16 +186,26 @@ func (p *Pool) maybeReadyLocked(t *ptask) {
 	p.cond.Broadcast()
 }
 
-// finish marks a task complete and wakes its runnable dependents.
-func (p *Pool) finish(t *ptask) {
+// finish marks a task complete, wakes its runnable dependents and drops
+// every reference the pool holds to it.
+func (p *Pool) finish(t *Task) {
 	p.mu.Lock()
-	t.done = true
 	p.inflight--
 	for _, d := range t.dependents {
 		d.pending--
 		p.maybeReadyLocked(d)
 	}
+	clear(t.dependents)
 	t.dependents = nil
+	if p.lastBarrier == t {
+		p.lastBarrier = nil
+	}
+	for _, k := range t.keys {
+		if p.lastByKey[k] == t {
+			delete(p.lastByKey, k)
+		}
+	}
+	t.runner, t.keys = nil, nil
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -175,8 +227,9 @@ func (p *Pool) worker() {
 			p.readyTail = nil
 		}
 		t.next = nil
+		r := t.runner
 		p.mu.Unlock()
-		t.run()
+		r.Run()
 		p.finish(t)
 		p.mu.Lock()
 	}
@@ -190,8 +243,8 @@ func (p *Pool) worker() {
 func (p *Pool) ForceGates() {
 	p.mu.Lock()
 	p.gatesForced = true
-	for t := range p.gated {
-		p.openGateLocked(t)
+	for p.gated != nil {
+		p.openGateLocked(p.gated)
 	}
 	p.mu.Unlock()
 }
@@ -205,8 +258,8 @@ func (p *Pool) ForceGates() {
 // usable for re-integration and re-enable.
 func (p *Pool) OpenGates() {
 	p.mu.Lock()
-	for t := range p.gated {
-		p.openGateLocked(t)
+	for p.gated != nil {
+		p.openGateLocked(p.gated)
 	}
 	p.mu.Unlock()
 }

@@ -52,8 +52,8 @@ func (c *gateConn) ReserveWriteLock(table string) {
 	c.inner.(backend.LockReserver).ReserveWriteLock(table)
 }
 
-func (c *gateConn) ReserveWriteLockNotify(table string, granted func()) {
-	c.inner.(backend.TicketReserver).ReserveWriteLockNotify(table, granted)
+func (c *gateConn) ReserveWriteLockNotify(table string, n backend.TicketNotifier) {
+	c.inner.(backend.TicketReserver).ReserveWriteLockNotify(table, n)
 }
 
 // TestAutoCommitTransactionalPairAppliesInSequencerOrder is the

@@ -3,7 +3,9 @@ package controller
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,20 +26,29 @@ var kvSchema = []string{
 // reaches the engines as the cached plan plus its vector — no copy of the
 // tree, no binding walk, and, for a read, no rendered text. A point read
 // costs what routing it and running it on one engine cost (27 objects
-// while every request cloned, bound and rendered), a result-cache hit
-// costs nothing, and a point write on two replicas keeps only the text its
-// log entry needs.
+// while every request cloned, bound and rendered; 12 while it copied the
+// backend list twice), a result-cache hit
+// costs nothing, and a write on two replicas allocates only what outlives
+// the call: the owned vector, its log text, the Bound and the outcome
+// channel, and per replica the task, the lock ticket, the new row version
+// and the results (54 objects while each layer rebuilt its bookkeeping per
+// write; 72 for an insert, 32 inside a transaction). An insert also builds
+// its row and index entries.
 func TestParamAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		cache  bool
-		sql    string
-		params []sqlval.Value
-		budget float64
+		name     string
+		cache    bool
+		tx       bool // run inside BEGIN … COMMIT
+		freshKey bool // params[0] is a key that advances per run
+		sql      string
+		params   []sqlval.Value
+		budget   float64
 	}{
-		{"point read", false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 12},
-		{"cache hit", true, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 0},
-		{"point write", false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 56},
+		{"point read", false, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 10},
+		{"cache hit", true, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 0},
+		{"point write", false, false, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 17},
+		{"insert", false, false, true, "INSERT INTO kv (id, v, pad) VALUES (?, ?, ?)", []sqlval.Value{sqlval.Int(1000), sqlval.Int(1), sqlval.String_("p")}, 31},
+		{"write in a transaction", false, true, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 17},
 	} {
 		cfg := VDBConfig{ParallelTx: true, RecoveryLog: recovery.NewMemoryLog()}
 		if tc.cache {
@@ -45,15 +56,212 @@ func TestParamAllocationBudget(t *testing.T) {
 		}
 		v, _ := mkVDB(t, 2, cfg, kvSchema...)
 		s := openSession(t, v)
+		if tc.tx {
+			exec(t, s, "BEGIN")
+		}
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := s.Exec(tc.sql, tc.params); err != nil {
 				t.Fatal(err)
 			}
+			if tc.freshKey {
+				tc.params[0].I++
+			}
 		})
+		if tc.tx {
+			exec(t, s, "COMMIT")
+		}
 		t.Logf("%s: %.1f allocations", tc.name, allocs)
 		if allocs > tc.budget {
 			t.Errorf("%s: %.1f allocations, budget %.0f", tc.name, allocs, tc.budget)
 		}
+	}
+}
+
+// vectorDriver wraps the engine driver and hands the parameter vector of
+// every bound statement a connection executes to track.
+type vectorDriver struct {
+	inner backend.Driver
+	track func([]sqlval.Value)
+}
+
+func (d *vectorDriver) Open() (backend.Conn, error) {
+	c, err := d.inner.Open()
+	if err != nil {
+		return nil, err
+	}
+	return &vectorConn{Conn: c, track: d.track}, nil
+}
+
+type vectorConn struct {
+	backend.Conn
+	track func([]sqlval.Value)
+}
+
+func (c *vectorConn) Exec(st sqlparser.Statement, sql string) (*backend.Result, error) {
+	if b, ok := st.(*sqlparser.Bound); ok {
+		c.track(b.Params)
+	}
+	return c.Conn.Exec(st, sql)
+}
+
+func (c *vectorConn) ReserveWriteLock(table string) {
+	c.Conn.(backend.LockReserver).ReserveWriteLock(table)
+}
+
+func (c *vectorConn) ReserveWriteLockNotify(table string, n backend.TicketNotifier) {
+	c.Conn.(backend.TicketReserver).ReserveWriteLockNotify(table, n)
+}
+
+func (c *vectorConn) Reset() error { return c.Conn.(backend.ConnResetter).Reset() }
+
+// TestFinishedWriteKeepsNothingAlive: once every write has finished on
+// every replica, no layer still references one — not the pool's key map,
+// a kept lock queue, a session's reused reservation, undo or dirty list,
+// nor the pooled render buffer. A session outside the cluster holds db1's
+// table lock, so there two sessions' tickets queue and are granted by a
+// pump, a transaction's second ticket is granted to it as the holder past
+// another session's, and one transaction's ticket is abandoned by its lock
+// timeout. Each write's owned vector carries a finalizer; after a
+// collection every one must have run.
+func TestFinishedWriteKeepsNothingAlive(t *testing.T) {
+	const lockWait = time.Second
+	v := NewVirtualDatabase(VDBConfig{Name: "keep", ParallelTx: true, EarlyResponse: ResponseFirst, RecoveryLog: recovery.NewMemoryLog()})
+	var tracked, freed atomic.Int32
+	track := func(p []sqlval.Value) {
+		tracked.Add(1)
+		runtime.SetFinalizer(&p[0], func(*sqlval.Value) { freed.Add(1) })
+	}
+	var engines []*sqlengine.Engine
+	var backends []*backend.Backend
+	for i := 0; i < 2; i++ {
+		e := sqlengine.New(fmt.Sprintf("db%d", i), sqlengine.WithLockTimeout(lockWait))
+		s := e.NewSession()
+		for _, q := range kvSchema {
+			if _, err := s.ExecSQL(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+		engines = append(engines, e)
+		var drv backend.Driver = &backend.EngineDriver{Engine: e}
+		if i == 0 { // db0 runs every write once: it tracks each vector
+			drv = &vectorDriver{inner: drv, track: track}
+		}
+		b := backend.New(backend.Config{Name: fmt.Sprintf("db%d", i), Driver: drv})
+		t.Cleanup(b.Close)
+		if err := v.AddBackend(b); err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, b)
+	}
+	write := func(s *Session, d int64) error {
+		_, err := s.Exec("UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(d), sqlval.Int(1)})
+		return err
+	}
+	// hold takes db1's kv lock from outside the cluster; ROLLBACK releases it.
+	hold := func() *sqlengine.Session {
+		x := engines[1].NewSession()
+		for _, q := range []string{"BEGIN", "UPDATE kv SET v = 0 WHERE id = 2"} {
+			if _, err := x.ExecSQL(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return x
+	}
+	settled := func() bool {
+		for i, e := range engines {
+			if backends[i].Pending() != 0 || e.PendingTickets() != 0 || e.HeldLocks() != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// Pump: two sessions' auto-commit tickets queue behind the holder.
+	x := hold()
+	a, b := openSession(t, v), openSession(t, v)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, s := range []*Session{a, b} {
+		wg.Add(1)
+		go func(s *Session) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if err := write(s, 1); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// Holder re-grant: the transaction's first ticket, a's, the
+	// transaction's second. a's write waits for the transaction on db0 too,
+	// so it runs beside; once its ticket is queued there, the class lock has
+	// placed it on db1 before the transaction's second write is sequenced.
+	tx := openSession(t, v)
+	exec(t, tx, "BEGIN")
+	if err := write(tx, 10); err != nil {
+		t.Fatal(err)
+	}
+	aDone := make(chan error, 1)
+	go func() { aDone <- write(a, 10) }()
+	waitFor("a's ticket", func() bool { return engines[0].PendingTickets() == 1 })
+	if err := write(tx, 10); err != nil {
+		t.Fatal(err)
+	}
+	exec(t, tx, "COMMIT")
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.ExecSQL("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the queued writes", settled)
+
+	// Abandoned: a transaction's ticket times out behind the holder on db1
+	// (db0 applied the write, so the transaction rolls back).
+	x = hold()
+	exec(t, tx, "BEGIN")
+	if err := write(tx, 100); err != nil {
+		t.Fatal(err)
+	}
+	exec(t, tx, "ROLLBACK")
+	waitFor("the lock timeout", func() bool { return backends[1].Pending() == 0 })
+	if _, err := x.ExecSQL("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	x.Close()
+	waitFor("the engines to quiesce", settled)
+
+	for _, e := range engines {
+		if got := countOn(t, e, "SELECT v FROM kv WHERE id = 1"); got != 1+20+30 {
+			t.Fatalf("%s: v = %d, want 51", e.Name(), got)
+		}
+	}
+	if n := tracked.Load(); n != 24 {
+		t.Fatalf("tracked %d vectors, want 24", n)
+	}
+	// One collection: what survives it is referenced (a sync.Pool keeps its
+	// contents through the first one), and finalizers run after it.
+	runtime.GC()
+	for deadline := time.Now().Add(2 * time.Second); freed.Load() < tracked.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if f := freed.Load(); f != tracked.Load() {
+		t.Fatalf("%d of %d finished writes' vectors are still reachable", tracked.Load()-f, tracked.Load())
 	}
 }
 

@@ -62,6 +62,7 @@ type Scheduler struct {
 	// footprints.
 	classMu sync.Mutex
 	classes map[string]*classLock
+	idle    []*classLock // deleted class locks, reused by the next new class
 	txFeet  map[uint64]*txFootprint
 
 	// readers tracks in-flight reads: every read holds it shared for its
@@ -86,7 +87,8 @@ type Scheduler struct {
 }
 
 // classLock is one table's write-sequencing lock, reference-counted so the
-// table map does not grow without bound.
+// table map does not grow without bound (temporary-table names churn); a
+// deleted one is kept in idle for the next class.
 type classLock struct {
 	mu   sync.Mutex
 	refs int
@@ -138,62 +140,71 @@ func (s *Scheduler) RewriteMacros(st sqlparser.Statement) {
 // WriteTicket is one held conflict-class critical section. Logging and
 // enqueueing to every backend happen while it is held, which is what makes
 // conflicting writes reach all backends in the same relative order; it is
-// released before waiting on backend execution.
+// released before waiting on backend execution. It is a value: entering a
+// class allocates nothing.
 type WriteTicket struct {
 	s      *Scheduler
 	global bool
 	names  []string
-	locks  []*classLock
 }
 
 // LockClass enters the critical section of one conflict class. tables must
 // be sorted and deduplicated (sqlparser.ConflictClass and the plan cache
-// both provide that); the sorted acquisition order makes class lockers
-// deadlock-free. global (or a scheduler with parallelism disabled) takes
-// the whole gate exclusively, serializing against every class.
-func (s *Scheduler) LockClass(tables []string, global bool) *WriteTicket {
+// both provide that) and must not change until Unlock; the sorted
+// acquisition order makes class lockers deadlock-free. global (or a
+// scheduler with parallelism disabled) takes the whole gate exclusively,
+// serializing against every class.
+func (s *Scheduler) LockClass(tables []string, global bool) WriteTicket {
 	if global || s.serializeAll {
 		s.gate.Lock()
-		return &WriteTicket{s: s, global: true}
+		return WriteTicket{s: s, global: true}
 	}
 	s.gate.RLock()
-	t := &WriteTicket{s: s, names: tables, locks: make([]*classLock, 0, len(tables))}
+	var buf [4]*classLock
+	locks := buf[:0]
 	s.classMu.Lock()
 	for _, name := range tables {
 		cl := s.classes[name]
 		if cl == nil {
-			cl = &classLock{}
+			if n := len(s.idle); n > 0 {
+				cl = s.idle[n-1]
+				s.idle[n-1] = nil
+				s.idle = s.idle[:n-1]
+			} else {
+				cl = &classLock{}
+			}
 			s.classes[name] = cl
 		}
 		cl.refs++
-		t.locks = append(t.locks, cl)
+		locks = append(locks, cl)
 	}
 	s.classMu.Unlock()
-	for _, cl := range t.locks {
+	for _, cl := range locks {
 		cl.mu.Lock()
 	}
-	return t
+	return WriteTicket{s: s, names: tables}
 }
 
 // LockAllWrites quiesces every write class (checkpointing, backend
 // re-integration). Identical to a global LockClass.
-func (s *Scheduler) LockAllWrites() *WriteTicket { return s.LockClass(nil, true) }
+func (s *Scheduler) LockAllWrites() WriteTicket { return s.LockClass(nil, true) }
 
-// Unlock leaves the conflict class's critical section.
-func (t *WriteTicket) Unlock() {
+// Unlock leaves the conflict class's critical section. The class locks are
+// found again by name: a held reference keeps each one in the map.
+func (t WriteTicket) Unlock() {
 	s := t.s
 	if t.global {
 		s.gate.Unlock()
 		return
 	}
-	for i := len(t.locks) - 1; i >= 0; i-- {
-		t.locks[i].mu.Unlock()
-	}
 	s.classMu.Lock()
-	for i, cl := range t.locks {
+	for i := len(t.names) - 1; i >= 0; i-- {
+		cl := s.classes[t.names[i]]
+		cl.mu.Unlock()
 		cl.refs--
 		if cl.refs == 0 {
 			delete(s.classes, t.names[i])
+			s.idle = append(s.idle, cl)
 		}
 	}
 	s.classMu.Unlock()

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -149,5 +150,55 @@ func TestTxIDsUniqueAcrossControllers(t *testing.T) {
 func TestPolicyStrings(t *testing.T) {
 	if ResponseAll.String() != "all" || ResponseFirst.String() != "first" || ResponseMajority.String() != "majority" {
 		t.Error("policy names")
+	}
+}
+
+// TestClassLocksStayBoundedUnderNameChurn: a conflict class's lock lives in
+// the scheduler only while a write holds or waits for it, so creating,
+// writing and dropping 5 000 distinct tables through a two-replica virtual
+// database — temporary ones inside a transaction, as TPC-W's best-seller
+// tables, and ordinary ones in auto-commit — leaves the class table at its
+// starting size, keeps only a few idle class locks for reuse, and leaves
+// both engines holding no lock and no ticket.
+func TestClassLocksStayBoundedUnderNameChurn(t *testing.T) {
+	v, engines := mkVDB(t, 2, VDBConfig{ParallelTx: true}, "CREATE TABLE item (id INTEGER PRIMARY KEY, v INTEGER)")
+	s := openSession(t, v)
+	sc := v.sched
+	sc.classMu.Lock()
+	start := len(sc.classes)
+	sc.classMu.Unlock()
+	for i := 0; i < 5000; i++ {
+		name := fmt.Sprintf("besttmp_%d", i)
+		stmts := []string{
+			"CREATE TABLE " + name + " (id INTEGER PRIMARY KEY, v INTEGER)",
+			"INSERT INTO " + name + " (id, v) VALUES (1, 1)",
+			"DROP TABLE " + name,
+		}
+		if i%2 == 0 {
+			stmts = []string{
+				"BEGIN",
+				"CREATE TEMPORARY TABLE " + name + " AS SELECT id, v FROM item",
+				"INSERT INTO " + name + " (id, v) VALUES (1, 1)",
+				"DROP TABLE " + name,
+				"COMMIT",
+			}
+		}
+		for _, q := range stmts {
+			exec(t, s, q)
+		}
+	}
+	sc.classMu.Lock()
+	classes, idle := len(sc.classes), len(sc.idle)
+	sc.classMu.Unlock()
+	if classes != start {
+		t.Errorf("class table holds %d entries after the churn, %d before", classes, start)
+	}
+	if idle > 1 {
+		t.Errorf("%d idle class locks kept for reuse; one session's single-table writes need 1", idle)
+	}
+	for _, e := range engines {
+		if e.HeldLocks() != 0 || e.PendingTickets() != 0 {
+			t.Errorf("%s: %d locks held, %d tickets queued after the churn", e.Name(), e.HeldLocks(), e.PendingTickets())
+		}
 	}
 }

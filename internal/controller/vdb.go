@@ -107,8 +107,11 @@ type VirtualDatabase struct {
 	// healthy one.
 	lastDump atomic.Pointer[recovery.Dump]
 
+	// mu guards distributor and serializes AddBackend. backends is
+	// published whole by AddBackend and never changed afterwards, so the
+	// request paths read it without a copy.
 	mu       sync.RWMutex
-	backends []*backend.Backend
+	backends atomic.Pointer[[]*backend.Backend]
 
 	// distributor, when set, carries writes to the other controllers
 	// hosting this virtual database (horizontal scalability, §4.1).
@@ -239,7 +242,8 @@ func (v *VirtualDatabase) AddBackend(b *backend.Backend) error {
 		v.repl.NoteCreate(t, append(v.repl.Hosts(t), b.Name()))
 	}
 	v.mu.Lock()
-	v.backends = append(v.backends, b)
+	next := append(slices.Clone(v.backendList()), b)
+	v.backends.Store(&next)
 	v.mu.Unlock()
 	b.Enable()
 	return nil
@@ -285,16 +289,20 @@ func (v *VirtualDatabase) hostFilter(b *backend.Backend) recovery.HostFilter {
 
 // Backends returns a snapshot of the backend list.
 func (v *VirtualDatabase) Backends() []*backend.Backend {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return append([]*backend.Backend(nil), v.backends...)
+	return slices.Clone(v.backendList())
+}
+
+// backendList returns the published backend list, which nobody modifies.
+func (v *VirtualDatabase) backendList() []*backend.Backend {
+	if p := v.backends.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Backend looks a backend up by name.
 func (v *VirtualDatabase) Backend(name string) (*backend.Backend, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for _, b := range v.backends {
+	for _, b := range v.backendList() {
 		if b.Name() == name {
 			return b, nil
 		}
@@ -507,7 +515,7 @@ func (s *Session) execEndTx(class sqlparser.StatementClass, st sqlparser.Stateme
 		return d.SubmitWrite(txID, class, sql)
 	}
 
-	outs, err := v.orderedWrite(txID, class, st, "", s.user, nil, false)
+	outs, err := v.orderedWrite(txID, class, nil, st, "", s.user)
 	if err != nil {
 		return nil, err
 	}
@@ -560,7 +568,7 @@ func (s *Session) execWrite(plan *plancache.Plan, params []sqlval.Value) (*backe
 		return d.SubmitWrite(s.txID, sqlparser.ClassWrite, sql)
 	}
 
-	outs, err := v.orderedWrite(s.txID, sqlparser.ClassWrite, st, sql, s.user, plan.ConflictTables, plan.ConflictGlobal)
+	outs, err := v.orderedWrite(s.txID, sqlparser.ClassWrite, plan, st, sql, s.user)
 	if err != nil {
 		return nil, err
 	}
@@ -579,10 +587,12 @@ func (s *Session) execWrite(plan *plancache.Plan, params []sqlval.Value) (*backe
 // operations is logged and enqueued to all backends in one consistent
 // relative order; disjoint classes run this section concurrently.
 //
-// For ClassWrite, tables/global is the statement's precomputed conflict
-// class (from the plan cache); demarcations ignore it and lock their
-// transaction's accumulated footprint instead.
-func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementClass, st sqlparser.Statement, sql, user string, tables []string, global bool) (backend.Outcomes, error) {
+// A write's conflict class and table footprint come from its plan (st is
+// plan.Stmt, bound or macro-rewritten); a demarcation has no plan and locks
+// its transaction's accumulated footprint instead.
+func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementClass, plan *plancache.Plan, st sqlparser.Statement, sql, user string) (backend.Outcomes, error) {
+	var tables []string
+	var global bool
 	lc := recovery.ClassWrite
 	demarcation := false
 	switch class {
@@ -601,6 +611,8 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 		// (Only this session's goroutine appends to the footprint, so the
 		// peeked copy cannot go stale between here and the lock.)
 		tables, global = v.sched.PeekTxFootprint(txID)
+	} else {
+		tables, global = plan.ConflictTables, plan.ConflictGlobal
 	}
 
 	ticket := v.sched.LockClass(tables, global)
@@ -631,7 +643,7 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 		// transaction's footprint, not in the recovery log, where it would be
 		// replayed into every later re-integration although its client was
 		// told it failed.
-		footprint = st.Tables()
+		footprint = plan.Tables
 		var err error
 		if targets, err = v.writeTargets(footprint); err != nil {
 			return backend.Outcomes{}, err
@@ -652,7 +664,7 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 		}
 	}
 	if class == sqlparser.ClassWrite {
-		return v.dispatchWrite(txID, st, sql, tables, global, footprint, targets), nil
+		return v.dispatchWrite(txID, plan, st, sql, targets), nil
 	}
 	return v.dispatchEndTx(txID, class, st, targets), nil
 }
@@ -663,7 +675,7 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 // whole gate) falls before or after the write, never between its target
 // choice and its enqueue.
 func (v *VirtualDatabase) writeTargets(tables []string) ([]*backend.Backend, error) {
-	targets := v.repl.WriteTargets(tables, v.Backends())
+	targets := v.repl.WriteTargets(tables, v.backendList())
 	if len(targets) == 0 {
 		if _, ok := v.repl.(balancer.Placement); ok {
 			// Placement, not health, is the cause: name the footprint so the
@@ -672,8 +684,13 @@ func (v *VirtualDatabase) writeTargets(tables []string) ([]*backend.Backend, err
 		}
 		return nil, ErrNoWriteTarget
 	}
-	// Deterministic dispatch order keeps logs and traces comparable.
-	slices.SortFunc(targets, func(a, b *backend.Backend) int { return strings.Compare(a.Name(), b.Name()) })
+	// Deterministic dispatch order keeps logs and traces comparable. targets
+	// may be the published list itself, so an unsorted one is sorted as a copy.
+	byName := func(a, b *backend.Backend) int { return strings.Compare(a.Name(), b.Name()) }
+	if !slices.IsSortedFunc(targets, byName) {
+		targets = slices.Clone(targets)
+		slices.SortFunc(targets, byName)
+	}
 	return targets, nil
 }
 
@@ -683,11 +700,11 @@ func (v *VirtualDatabase) writeTargets(tables []string) ([]*backend.Backend, err
 // (orderedWrite): conflicting writes invalidate the cache and enqueue in one
 // consistent order, and DDL holds the class gate exclusively so schema
 // maintenance never races a write.
-func (v *VirtualDatabase) dispatchWrite(txID uint64, st sqlparser.Statement, sql string, cTables []string, cGlobal bool, tables []string, targets []*backend.Backend) backend.Outcomes {
+func (v *VirtualDatabase) dispatchWrite(txID uint64, plan *plancache.Plan, st sqlparser.Statement, sql string, targets []*backend.Backend) backend.Outcomes {
 	outs := backend.NewOutcomes(len(targets))
 	for _, b := range targets {
-		b.EnqueueWriteClassTo(txID, sqlparser.ClassWrite, st, sql, cTables, cGlobal, outs.C)
-		v.loads.NoteWrite(tables, b.Name())
+		b.EnqueueWriteClassTo(txID, sqlparser.ClassWrite, st, sql, plan.ConflictTables, plan.ConflictGlobal, outs.C)
+		v.loads.NoteWrite(plan.Tables, b.Name())
 	}
 
 	// Dynamic schema maintenance (§2.4.3: updated on each create or drop).
@@ -742,7 +759,7 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 	// Retry on backend failure: the read fails over to another candidate
 	// (the failed backend is disabled by its callback or explicitly here).
 	for attempt := 0; attempt < 8; attempt++ {
-		cands := v.repl.ReadCandidates(tables, v.Backends())
+		cands := v.repl.ReadCandidates(tables, v.backendList())
 		b, err := v.bal.Choose(cands)
 		if err != nil {
 			if lastErr != nil {
@@ -815,27 +832,22 @@ func (v *VirtualDatabase) distributorSnapshot() Distributor {
 // backend execution, so a transactional write waiting on database locks
 // cannot stall the delivery of the commit that would release them.
 func (v *VirtualDatabase) ApplyDelivery(txID uint64, class sqlparser.StatementClass, sql, user string) (backend.Outcomes, error) {
-	var st sqlparser.Statement
-	var tables []string
-	var global bool
 	switch class {
 	case sqlparser.ClassCommit:
-		st = &sqlparser.Commit{}
+		return v.orderedWrite(txID, class, nil, &sqlparser.Commit{}, sql, user)
 	case sqlparser.ClassRollback:
-		st = &sqlparser.Rollback{}
-	default:
-		key := plancache.Normalize(sql)
-		if p := v.plans.Get(key); p != nil {
-			st, tables, global = p.Stmt, p.ConflictTables, p.ConflictGlobal
-		} else {
-			var err error
-			if st, err = sqlparser.Parse(key); err != nil {
-				return backend.Outcomes{}, err
-			}
-			tables, global = sqlparser.ConflictClass(st)
-		}
+		return v.orderedWrite(txID, class, nil, &sqlparser.Rollback{}, sql, user)
 	}
-	return v.orderedWrite(txID, class, st, sql, user, tables, global)
+	key := plancache.Normalize(sql)
+	plan := v.plans.Get(key)
+	if plan == nil {
+		st, err := sqlparser.Parse(key)
+		if err != nil {
+			return backend.Outcomes{}, err
+		}
+		plan = plancache.Build(key, st)
+	}
+	return v.orderedWrite(txID, class, plan, plan.Stmt, sql, user)
 }
 
 // WaitPolicy applies the virtual database's early-response policy to a

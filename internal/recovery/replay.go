@@ -170,7 +170,7 @@ func ReplayPassHosted(l Log, from uint64, b *backend.Backend, workers int, hoste
 			break
 		}
 		keys, barrier := replayKeys(e)
-		pool.Submit(keys, barrier, func() {
+		pool.Submit(new(conflictsched.Task), conflictsched.Func(func() {
 			if failed.Load() {
 				return
 			}
@@ -179,7 +179,7 @@ func ReplayPassHosted(l Log, from uint64, b *backend.Backend, workers int, hoste
 				return
 			}
 			done.Add(1)
-		})
+		}), keys, barrier)
 	}
 	pool.Stop()
 	errMu.Lock()

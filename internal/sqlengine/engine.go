@@ -294,23 +294,35 @@ func (e *Engine) HeldLocks() int {
 // queue. Tickets are granted strictly in issue order, which makes the
 // conflict-resolution order on every replica follow the cluster's write
 // submission order — the single ordering authority §2.4.1's total write
-// order needs. A ticket may carry a grant callback, so a scheduler can park
+// order needs. A ticket may carry a grant notifier, so a scheduler can park
 // the work bound to the ticket until the engine grants it instead of
 // blocking a thread on the wait.
 type lockManager struct {
 	mu    sync.Mutex
 	locks map[string]*tableLock
+	// free holds idle tableLocks for reuse: an idle lock leaves locks (table
+	// names churn, so the map must not keep them) but its queue's backing
+	// array is kept, so a statement does not allocate a lock per table.
+	free []*tableLock
+}
+
+// TicketNotifier is told about a lock ticket exactly once, outside the lock
+// manager's mutex: when the ticket is granted, or when it leaves the queue
+// ungranted (dropped unconsumed, or its lock wait timed out or was killed),
+// so a parked owner is never stranded waiting for a grant that cannot come.
+type TicketNotifier interface {
+	TicketGranted()
 }
 
 // lockRequest is one queued lock ticket.
 type lockRequest struct {
-	s     *Session
-	ready chan struct{} // closed when granted
-	// granted, when set, is invoked (outside the lock-manager mutex) exactly
-	// once: when the ticket is granted, or when it leaves the queue ungranted
-	// (dropped unconsumed, or its lock wait timed out or was killed) so a
-	// parked owner is never stranded waiting for a grant that cannot come.
-	granted func()
+	s       *Session
+	tbl     string
+	granted atomic.Bool
+	// ready is made, under the lock-manager mutex, only when a waiter blocks
+	// on the ticket; grantLocked closes it.
+	ready  chan struct{}
+	notify TicketNotifier
 }
 
 type tableLock struct {
@@ -325,38 +337,64 @@ func newLockManager() *lockManager {
 func (lm *lockManager) get(tbl string) *tableLock {
 	l, ok := lm.locks[tbl]
 	if !ok {
-		l = &tableLock{}
+		if n := len(lm.free); n > 0 {
+			l = lm.free[n-1]
+			lm.free[n-1] = nil
+			lm.free = lm.free[:n-1]
+		} else {
+			l = &tableLock{}
+		}
 		lm.locks[tbl] = l
 	}
 	return l
 }
 
-// grantLocked hands the table lock to req's session and signals the ticket;
-// a grant callback is collected into fire.
-func (l *tableLock) grantLocked(req *lockRequest, tbl string, fire *[]func()) {
-	l.writer = req.s
-	req.s.held[tbl] = true
-	req.s.lockState.Store(true)
-	close(req.ready)
-	if req.granted != nil {
-		*fire = append(*fire, req.granted)
+// recycleIfIdle moves a lock nobody holds or waits for from locks to free.
+func (lm *lockManager) recycleIfIdle(tbl string, l *tableLock) {
+	if l.writer == nil && len(l.queue) == 0 {
+		delete(lm.locks, tbl)
+		lm.free = append(lm.free, l)
 	}
 }
 
+// grantLocked hands the table lock to req's session and signals a blocked
+// waiter; the caller collects req's notifier.
+func (l *tableLock) grantLocked(req *lockRequest) {
+	l.writer = req.s
+	req.s.held[req.tbl] = true
+	req.s.lockState.Store(true)
+	req.granted.Store(true)
+	if req.ready != nil {
+		close(req.ready)
+	}
+}
+
+// collect appends req's notifier, if any, to fire. Notifiers run after the
+// lock-manager mutex is released (fireAll); fire is returned rather than
+// passed by pointer so a caller's stack buffer stays on the stack.
+func (req *lockRequest) collect(fire []TicketNotifier) []TicketNotifier {
+	if req.notify != nil {
+		fire = append(fire, req.notify)
+	}
+	return fire
+}
+
 // pumpLocked grants queued requests in FIFO order while the head is
-// compatible (the lock is free or already its session's). Grant callbacks are
-// collected into fire, to be invoked by the caller after releasing the
-// lock-manager mutex.
-func (l *tableLock) pumpLocked(tbl string, fire *[]func()) {
+// compatible (the lock is free or already its session's), collecting their
+// notifiers.
+func (l *tableLock) pumpLocked(tbl string, fire []TicketNotifier) []TicketNotifier {
 	for len(l.queue) > 0 {
 		head := l.queue[0]
 		if l.writer != nil && l.writer != head.s {
-			return
+			break
 		}
-		l.grantLocked(head, tbl, fire)
-		l.queue = l.queue[1:]
-		l.grantHolderLocked(head.s, tbl, fire)
+		// slices.Delete clears the vacated tail slot: a kept lock's array
+		// must not pin a granted request (and the write bound to it).
+		l.queue = slices.Delete(l.queue, 0, 1)
+		l.grantLocked(head)
+		fire = l.grantHolderLocked(head.s, tbl, head.collect(fire))
 	}
+	return fire
 }
 
 // grantHolderLocked grants the new holder's reservations queued further
@@ -365,38 +403,46 @@ func (l *tableLock) pumpLocked(tbl string, fire *[]func()) {
 // that wait on the holder, until the lock timeout. A replica where the
 // session held the lock at issue grants them at once, so granting them here
 // keeps every replica's grant order the same.
-func (l *tableLock) grantHolderLocked(s *Session, tbl string, fire *[]func()) {
-	for _, req := range s.reserved[tbl] {
-		select {
-		case <-req.ready:
+func (l *tableLock) grantHolderLocked(s *Session, tbl string, fire []TicketNotifier) []TicketNotifier {
+	for _, req := range s.reserved {
+		if req.tbl != tbl || req.granted.Load() {
 			continue
-		default:
 		}
-		l.queue = slices.DeleteFunc(l.queue, func(q *lockRequest) bool { return q == req })
-		l.grantLocked(req, tbl, fire)
+		l.dequeueLocked(req)
+		l.grantLocked(req)
+		fire = req.collect(fire)
+	}
+	return fire
+}
+
+// dequeueLocked removes req from the queue, clearing the vacated slot.
+func (l *tableLock) dequeueLocked(req *lockRequest) {
+	if i := slices.Index(l.queue, req); i >= 0 {
+		l.queue = slices.Delete(l.queue, i, i+1)
 	}
 }
 
 // issueLocked issues a ticket for s at the tail of the table's queue,
 // granting it at once when the table is free and nobody is queued ahead, or
 // when s already holds the lock (re-entrant requests may jump the queue: the
-// holder cannot wait behind requests blocked on it).
-func (lm *lockManager) issueLocked(s *Session, tbl string, granted func(), fire *[]func()) *lockRequest {
+// holder cannot wait behind requests blocked on it). A synchronous grant is
+// not notified here; the caller sees it in req.granted.
+func (lm *lockManager) issueLocked(s *Session, tbl string, notify TicketNotifier) *lockRequest {
 	l := lm.get(tbl)
-	req := &lockRequest{s: s, ready: make(chan struct{}), granted: granted}
+	req := &lockRequest{s: s, tbl: tbl, notify: notify}
 	if l.writer == s || (l.writer == nil && len(l.queue) == 0) {
-		l.grantLocked(req, tbl, fire)
+		l.grantLocked(req)
 	} else {
 		l.queue = append(l.queue, req)
 	}
 	return req
 }
 
-// fireAll invokes collected grant callbacks; callers run it after unlocking
-// the lock-manager mutex.
-func fireAll(fire []func()) {
-	for _, f := range fire {
-		f()
+// fireAll invokes collected notifiers; callers run it after unlocking the
+// lock-manager mutex.
+func fireAll(fire []TicketNotifier) {
+	for _, n := range fire {
+		n.TicketGranted()
 	}
 }
 
@@ -407,113 +453,115 @@ func fireAll(fire []func()) {
 // identically and grants them in the same order; without this, two
 // conflicting writes can take the same lock in opposite orders on two
 // replicas and diverge or deadlock the cluster (§2.4.1's "updates are sent
-// to all backends in the same order"). granted, when non-nil, is notified
-// once the ticket is granted (possibly synchronously, before reserve
-// returns) or dropped.
-func (lm *lockManager) reserve(s *Session, tbl string, granted func()) {
-	var fire []func()
+// to all backends in the same order"). notify, when non-nil, is told once
+// the ticket is granted (possibly synchronously, before reserve returns) or
+// dropped.
+func (lm *lockManager) reserve(s *Session, tbl string, notify TicketNotifier) {
 	lm.mu.Lock()
-	req := lm.issueLocked(s, tbl, granted, &fire)
-	s.reserved[tbl] = append(s.reserved[tbl], req)
+	req := lm.issueLocked(s, tbl, notify)
+	s.reserved = append(s.reserved, req)
 	s.lockState.Store(true)
+	now := req.granted.Load()
 	lm.mu.Unlock()
-	fireAll(fire)
+	if now && notify != nil {
+		notify.TicketGranted()
+	}
 }
 
 // takeReservation pops the oldest unconsumed reservation of s on tbl.
 func (lm *lockManager) takeReservation(s *Session, tbl string) *lockRequest {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	list := s.reserved[tbl]
-	if len(list) == 0 {
-		return nil
+	for i, req := range s.reserved {
+		if req.tbl == tbl {
+			s.reserved = slices.Delete(s.reserved, i, i+1)
+			return req
+		}
 	}
-	req := list[0]
-	if len(list) == 1 {
-		delete(s.reserved, tbl)
-	} else {
-		s.reserved[tbl] = list[1:]
-	}
-	return req
+	return nil
 }
 
 // cancelReservations drops every unconsumed reservation of s on tbl (used
 // for temporary tables, which are session-private and never lock).
 func (lm *lockManager) cancelReservations(s *Session, tbl string) {
-	var fire []func()
+	var buf [4]TicketNotifier
+	fire := buf[:0]
 	lm.mu.Lock()
-	lm.dropReservationsLocked(s, tbl, &fire)
+	fire = lm.dropReservationsLocked(s, tbl, fire)
 	lm.mu.Unlock()
 	fireAll(fire)
 }
 
-func (lm *lockManager) dropReservationsLocked(s *Session, tbl string, fire *[]func()) {
-	list := s.reserved[tbl]
-	if len(list) == 0 {
-		return
-	}
-	delete(s.reserved, tbl)
-	l := lm.locks[tbl]
-	if l == nil {
-		return
-	}
-	for _, req := range list {
-		select {
-		case <-req.ready:
-			// Already granted: the lock itself is released via releaseAll.
-			continue
-		default:
-		}
-		l.abandonLocked(req, fire)
-	}
-	l.pumpLocked(tbl, fire)
-}
-
-// abandonLocked removes an ungranted ticket from the queue and collects its
-// grant callback into fire, so a parked owner is not stranded waiting for a
-// grant that can no longer come.
-func (l *tableLock) abandonLocked(req *lockRequest, fire *[]func()) {
-	for i, q := range l.queue {
-		if q == req {
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			break
+// dropReservationsLocked drops the unconsumed reservations of s on tbl, or
+// on every table when tbl is "". Queued ones are abandoned first, then their
+// tables pumped, so none of the dropped tickets is granted on the way out.
+func (lm *lockManager) dropReservationsLocked(s *Session, tbl string, fire []TicketNotifier) []TicketNotifier {
+	n := 0
+	for i, req := range s.reserved {
+		if tbl != "" && req.tbl != tbl {
+			s.reserved[n], s.reserved[i] = req, s.reserved[n]
+			n++
 		}
 	}
-	if req.granted != nil {
-		*fire = append(*fire, req.granted)
+	dropped := s.reserved[n:]
+	s.reserved = s.reserved[:n]
+	for _, req := range dropped {
+		if l := lm.locks[req.tbl]; l != nil && !req.granted.Load() {
+			// An already granted one is released via releaseAll.
+			l.dequeueLocked(req)
+			fire = req.collect(fire)
+		}
 	}
+	for _, req := range dropped {
+		if l := lm.locks[req.tbl]; l != nil {
+			fire = l.pumpLocked(req.tbl, fire)
+			lm.recycleIfIdle(req.tbl, l)
+		}
+	}
+	clear(dropped)
+	return fire
 }
 
 // waitReservation blocks on a ticket until granted, the deadline, or the
 // session being killed (a killed session must not sit in a lock wait: the
 // disable path needs its worker back to run the teardown rollback).
-func (lm *lockManager) waitReservation(req *lockRequest, tbl string, deadline time.Time) error {
-	select {
-	case <-req.ready:
+func (lm *lockManager) waitReservation(req *lockRequest, deadline time.Time) error {
+	if req.granted.Load() {
 		return nil
-	default:
 	}
+	lm.mu.Lock()
+	if req.granted.Load() {
+		lm.mu.Unlock()
+		return nil
+	}
+	if req.ready == nil {
+		req.ready = make(chan struct{})
+	}
+	ready := req.ready
+	lm.mu.Unlock()
 	failErr := ErrLockTimeout
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	select {
-	case <-req.ready:
+	case <-ready:
 		return nil
 	case <-timer.C:
 	case <-req.s.killCh:
 		failErr = ErrKilled
 	}
-	var fire []func()
+	var buf [4]TicketNotifier
+	fire := buf[:0]
 	lm.mu.Lock()
-	select {
-	case <-req.ready:
+	if req.granted.Load() {
 		lm.mu.Unlock()
 		return nil
-	default:
 	}
-	if l := lm.locks[tbl]; l != nil {
-		l.abandonLocked(req, &fire)
-		l.pumpLocked(tbl, &fire)
+	if l := lm.locks[req.tbl]; l != nil {
+		// Abandoned: its notifier still runs, so a parked owner is not
+		// stranded waiting for a grant that can no longer come.
+		l.dequeueLocked(req)
+		fire = l.pumpLocked(req.tbl, req.collect(fire))
+		lm.recycleIfIdle(req.tbl, l)
 	}
 	lm.mu.Unlock()
 	fireAll(fire)
@@ -528,7 +576,7 @@ func (lm *lockManager) waitReservation(req *lockRequest, tbl string, deadline ti
 func (lm *lockManager) issueNow(s *Session, tbl string) *lockRequest {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	return lm.issueLocked(s, tbl, nil, nil) // no callback, so nothing to fire
+	return lm.issueLocked(s, tbl, nil)
 }
 
 // releaseAll drops every lock the session holds, purges its unconsumed
@@ -537,11 +585,10 @@ func (lm *lockManager) releaseAll(s *Session) {
 	if !s.lockState.Load() {
 		return
 	}
-	var fire []func()
+	var buf [4]TicketNotifier
+	fire := buf[:0]
 	lm.mu.Lock()
-	for tbl := range s.reserved {
-		lm.dropReservationsLocked(s, tbl, &fire)
-	}
+	fire = lm.dropReservationsLocked(s, "", fire)
 	for tbl := range s.held {
 		l := lm.locks[tbl]
 		if l == nil {
@@ -550,12 +597,10 @@ func (lm *lockManager) releaseAll(s *Session) {
 		if l.writer == s {
 			l.writer = nil
 		}
-		l.pumpLocked(tbl, &fire)
-		if l.writer == nil && len(l.queue) == 0 {
-			delete(lm.locks, tbl)
-		}
+		fire = l.pumpLocked(tbl, fire)
+		lm.recycleIfIdle(tbl, l)
 	}
-	s.held = make(map[string]bool)
+	clear(s.held)
 	s.lockState.Store(false)
 	lm.mu.Unlock()
 	fireAll(fire)
@@ -572,6 +617,20 @@ type undoOp struct {
 	tbl     *table    // for undo of DROP TABLE / CREATE TABLE
 	index   string
 	autoInc int64
+}
+
+// keepScratch bounds the capacity of the undo and dirty lists a session
+// keeps between statements; a bulk statement's longer list is dropped.
+const keepScratch = 64
+
+// truncated empties a per-statement list for reuse, clearing every entry so
+// a finished statement keeps nothing it referenced alive.
+func truncated[T any](list []T) []T {
+	if cap(list) > keepScratch {
+		return nil
+	}
+	clear(list)
+	return list[:0]
 }
 
 // Session is one client connection to the engine. Sessions are not safe for
@@ -604,7 +663,7 @@ type Session struct {
 	// reservations are placed by the dispatcher goroutine while statements
 	// execute on a worker goroutine.
 	held     map[string]bool
-	reserved map[string][]*lockRequest
+	reserved []*lockRequest // oldest first
 	// lockState is true while the session may hold locks or queued
 	// reservations (set under the lock manager's mutex). The statement-end
 	// release paths skip the global lock-manager mutex when it is false —
@@ -631,12 +690,11 @@ type Session struct {
 // NewSession opens a session on the engine.
 func (e *Engine) NewSession() *Session {
 	s := &Session{
-		engine:   e,
-		shard:    e.sessionSeq.Add(1),
-		stamp:    uncommittedBit | e.writerSeq.Add(1),
-		held:     make(map[string]bool),
-		reserved: make(map[string][]*lockRequest),
-		killCh:   make(chan struct{}),
+		engine: e,
+		shard:  e.sessionSeq.Add(1),
+		stamp:  uncommittedBit | e.writerSeq.Add(1),
+		held:   make(map[string]bool),
+		killCh: make(chan struct{}),
 	}
 	s.tempClear()
 	e.registerSession(s)
@@ -701,21 +759,21 @@ func (s *Session) ReserveWriteLock(table string) {
 }
 
 // ReserveWriteLockNotify is ReserveWriteLock with a grant notification:
-// granted (when non-nil) is invoked exactly once, as soon as the ticket is
+// notify (when non-nil) is told exactly once, as soon as the ticket is
 // granted — possibly synchronously, before this call returns — or when the
 // ticket leaves the queue ungranted (dropped unconsumed, or its lock wait
 // timed out or was killed). A scheduler uses it to park
 // the write bound to this ticket until the engine reaches it in the FIFO,
 // instead of blocking a worker on the wait.
-func (s *Session) ReserveWriteLockNotify(table string, granted func()) {
+func (s *Session) ReserveWriteLockNotify(table string, notify TicketNotifier) {
 	table = strings.ToLower(table)
 	if _, isTemp := s.tempGet(table); isTemp {
-		if granted != nil {
-			granted()
+		if notify != nil {
+			notify.TicketGranted()
 		}
 		return
 	}
-	s.engine.locks.reserve(s, table, granted)
+	s.engine.locks.reserve(s, table, notify)
 }
 
 // InTransaction reports whether an explicit transaction is open.
@@ -754,7 +812,7 @@ func (s *Session) Commit() error {
 	s.inTx = false
 	n := len(s.undo)
 	s.commitVersions()
-	s.undo = nil
+	s.undo = truncated(s.undo)
 	s.unpin()
 	s.engine.locks.releaseAll(s)
 	s.engine.noteGarbage(n)
@@ -830,8 +888,8 @@ func (s *Session) applyUndo() {
 			}
 		}
 	}
-	s.undo = nil
-	s.dirty = nil
+	s.undo = truncated(s.undo)
+	s.dirty = truncated(s.dirty)
 }
 
 // resolveLocked finds a table by name, checking the session's temporary
@@ -878,8 +936,8 @@ func (s *Session) Reset() {
 	s.unpin()
 	s.engine.locks.releaseAll(s)
 	s.tempClear()
-	s.undo = nil
-	s.dirty = nil
+	s.undo = truncated(s.undo)
+	s.dirty = truncated(s.dirty)
 }
 
 // Close rolls back any open transaction and drops temporary tables. Closing
@@ -925,7 +983,7 @@ func (s *Session) lockTable(name string, deadline time.Time) error {
 	if req == nil {
 		req = s.engine.locks.issueNow(s, name)
 	}
-	return s.engine.locks.waitReservation(req, name, deadline)
+	return s.engine.locks.waitReservation(req, deadline)
 }
 
 // endStatement commits or undoes an auto-commit statement and releases its
@@ -941,7 +999,7 @@ func (s *Session) endStatement(err error) error {
 		s.applyUndo()
 	} else {
 		s.commitVersions()
-		s.undo = nil
+		s.undo = truncated(s.undo)
 	}
 	s.unpin()
 	s.engine.locks.releaseAll(s)

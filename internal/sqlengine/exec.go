@@ -370,7 +370,8 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 	schema := t.schema
 
 	// Map statement columns to schema positions.
-	var colIdx []int
+	var colBuf [16]int
+	colIdx := colBuf[:0]
 	if len(ins.Columns) > 0 {
 		for _, c := range ins.Columns {
 			idx := schema.ColumnIndex(c)
@@ -492,7 +493,8 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 	schema := t.schema
 	cols := t.cols
 
-	var setIdx []int
+	var setBuf [8]int
+	setIdx := setBuf[:0]
 	for _, a := range up.Set {
 		idx := schema.ColumnIndex(a.Column)
 		if idx < 0 {

@@ -10,6 +10,11 @@ import (
 	"time"
 )
 
+// notifyFunc adapts a function to TicketNotifier.
+type notifyFunc func()
+
+func (f notifyFunc) TicketGranted() { f() }
+
 func ticketTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New("tickets", WithLockTimeout(5*time.Second))
@@ -41,7 +46,7 @@ func TestTicketGrantNotifies(t *testing.T) {
 	var granted atomic.Bool
 	w := e.NewSession()
 	defer w.Close()
-	w.ReserveWriteLockNotify("t", func() { granted.Store(true) })
+	w.ReserveWriteLockNotify("t", notifyFunc(func() { granted.Store(true) }))
 	time.Sleep(20 * time.Millisecond)
 	if granted.Load() {
 		t.Fatal("ticket granted while the transaction held the lock")
@@ -69,7 +74,7 @@ func TestTicketGrantNotifiesImmediatelyWhenFree(t *testing.T) {
 	var granted atomic.Bool
 	s := e.NewSession()
 	defer s.Close()
-	s.ReserveWriteLockNotify("t", func() { granted.Store(true) })
+	s.ReserveWriteLockNotify("t", notifyFunc(func() { granted.Store(true) }))
 	if !granted.Load() {
 		t.Fatal("uncontended ticket not granted synchronously")
 	}
@@ -90,7 +95,7 @@ func TestDroppedTicketNotifies(t *testing.T) {
 	}
 	var notified atomic.Bool
 	w := e.NewSession()
-	w.ReserveWriteLockNotify("t", func() { notified.Store(true) })
+	w.ReserveWriteLockNotify("t", notifyFunc(func() { notified.Store(true) }))
 	if notified.Load() {
 		t.Fatal("queued ticket reported granted")
 	}
@@ -245,7 +250,7 @@ func TestLockManagerQuiescesUnderRandomSchedules(t *testing.T) {
 
 		timeouts, kills atomic.Int32 // paths the schedule actually hit
 	)
-	notified := func() func() {
+	notified := func() notifyFunc {
 		n := new(atomic.Int32)
 		mu.Lock()
 		callbacks = append(callbacks, n)
@@ -347,5 +352,44 @@ func TestLockManagerQuiescesUnderRandomSchedules(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Errorf("%d of %d grant callbacks did not fire exactly once", bad, len(callbacks))
+	}
+}
+
+// TestLockTableStaysBoundedUnderNameChurn: a table's lock lives in the lock
+// table only while a session holds or waits for it, so creating, writing
+// through an enqueue-time ticket (as the backend does) and dropping 5 000
+// distinct tables — temporary and ordinary, like TPC-W's per-client
+// best-seller tables — leaves the lock table at its starting size and
+// keeps only a few idle locks for reuse.
+func TestLockTableStaysBoundedUnderNameChurn(t *testing.T) {
+	e := New("churn")
+	s := e.NewSession() // long-lived, as the backend's recycled sessions are
+	defer s.Close()
+	e.locks.mu.Lock()
+	start := len(e.locks.locks)
+	e.locks.mu.Unlock()
+	for i := 0; i < 5000; i++ {
+		temp := ""
+		if i%2 == 0 {
+			temp = "TEMPORARY "
+		}
+		name := fmt.Sprintf("besttmp_%d", i)
+		if _, err := s.ExecSQL("CREATE " + temp + "TABLE " + name + " (id INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
+			t.Fatal(err)
+		}
+		s.ReserveWriteLockNotify(name, notifyFunc(func() {}))
+		for _, q := range []string{"INSERT INTO " + name + " (id, v) VALUES (1, 1)", "DROP TABLE " + name} {
+			if _, err := s.ExecSQL(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e.locks.mu.Lock()
+	defer e.locks.mu.Unlock()
+	if n := len(e.locks.locks); n != start {
+		t.Errorf("lock table holds %d entries after the churn, %d before", n, start)
+	}
+	if n := len(e.locks.free); n > 2 {
+		t.Errorf("%d idle locks kept for reuse; one session needs at most 2", n)
 	}
 }

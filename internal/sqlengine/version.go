@@ -212,7 +212,7 @@ func (s *Session) commitVersions() {
 		v.from.Store(f)
 	}
 	c.complete(f)
-	s.dirty = nil
+	s.dirty = truncated(s.dirty)
 }
 
 // watermark returns the newest epoch no live snapshot can be pinned before:

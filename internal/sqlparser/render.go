@@ -1,7 +1,9 @@
 package sqlparser
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 
 	"cjdbc/internal/sqlval"
 )
@@ -16,18 +18,33 @@ func Render(st Statement) string { return RenderParams(st, nil) }
 // that value's literal, and every other placeholder as ?. The text is
 // byte-identical to rendering a clone of st after BindParams(clone, params),
 // without the clone: the write path renders the recovery log's text this
-// way from the shared tree of a cached plan.
+// way from the shared tree of a cached plan. The text is rendered into a
+// pooled buffer and returned as an exact-size copy: the recovery log keeps
+// every string it is given, so spare capacity would stay live with it.
 func RenderParams(st Statement, params []sqlval.Value) string {
-	r := renderer{params: params}
+	r := renderers.Get().(*renderer)
+	r.params = params
 	r.stmt(st)
-	return r.String()
+	text := r.String()
+	r.params = nil
+	if r.Cap() <= maxPooledRender {
+		r.Reset()
+		renderers.Put(r)
+	}
+	return text
 }
 
 // renderer writes one statement's text, reading placeholders from params.
 type renderer struct {
-	strings.Builder
+	bytes.Buffer
 	params []sqlval.Value
 }
+
+// renderers recycles render buffers; one that grew past maxPooledRender
+// (a bulk INSERT) is left to the collector.
+var renderers = sync.Pool{New: func() any { return new(renderer) }}
+
+const maxPooledRender = 64 << 10
 
 func (b *renderer) stmt(st Statement) {
 	switch s := st.(type) {
@@ -270,7 +287,7 @@ func (b *renderer) expr(e *Expr) {
 		return
 	}
 	if v, ok := e.LitValue(b.params); ok {
-		b.WriteString(v.SQLLiteral())
+		b.Write(v.AppendSQLLiteral(b.AvailableBuffer()))
 		return
 	}
 	switch e.Kind {

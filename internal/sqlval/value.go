@@ -240,6 +240,15 @@ func (v Value) SQLLiteral() string {
 	}
 }
 
+// AppendSQLLiteral appends SQLLiteral's text to dst, an integer without an
+// intermediate string.
+func (v Value) AppendSQLLiteral(dst []byte) []byte {
+	if v.K == KindInt {
+		return strconv.AppendInt(dst, v.I, 10)
+	}
+	return append(dst, v.SQLLiteral()...)
+}
+
 // numericKind reports whether the kind participates in arithmetic.
 func numericKind(k Kind) bool {
 	return k == KindInt || k == KindFloat || k == KindBool
