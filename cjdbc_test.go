@@ -233,6 +233,30 @@ func TestBlobArgumentIsNotAliased(t *testing.T) {
 	}
 }
 
+// A result's column names are the caller's: writing to them changes no
+// later result of the same statement.
+func TestColumnsAreNotAliased(t *testing.T) {
+	_, vdb := newTestCluster(t, 2, VirtualDatabaseConfig{RecoveryLogPath: "memory"})
+	sess, _ := vdb.OpenSession("u", "")
+	defer sess.Close()
+	if _, err := sess.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec("INSERT INTO t (id, v) VALUES (1, 'a'), (2, 'b')"); err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= 4; id++ {
+		rows, err := sess.Query("SELECT id, v FROM t WHERE id = ?", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(rows.Columns, ","); got != "id,v" {
+			t.Fatalf("run %d: columns %q after an earlier result's were written to", id, got)
+		}
+		rows.Columns[0] = "scribbled"
+	}
+}
+
 func TestNetworkDriverAndFailover(t *testing.T) {
 	// Two controllers sharing the same two engine backends (the budget-HA
 	// pattern of §5.1).

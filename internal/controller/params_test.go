@@ -27,7 +27,8 @@ var kvSchema = []string{
 // tree, no binding walk, and, for a read, no rendered text. A point read
 // costs what routing it and running it on one engine cost (27 objects
 // while every request cloned, bound and rendered; 12 while it copied the
-// backend list twice), a result-cache hit
+// backend list twice; 10 while the engine rebuilt the result header and
+// resolved names per execution), a result-cache hit
 // costs nothing, and a write on two replicas allocates only what outlives
 // the call: the owned vector, its log text, the Bound and the outcome
 // channel, and per replica the task, the lock ticket, the new row version
@@ -44,7 +45,7 @@ func TestParamAllocationBudget(t *testing.T) {
 		params   []sqlval.Value
 		budget   float64
 	}{
-		{"point read", false, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 10},
+		{"point read", false, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 8},
 		{"cache hit", true, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 0},
 		{"point write", false, false, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 17},
 		{"insert", false, false, true, "INSERT INTO kv (id, v, pad) VALUES (?, ?, ?)", []sqlval.Value{sqlval.Int(1000), sqlval.Int(1), sqlval.String_("p")}, 31},

@@ -51,11 +51,6 @@ type Plan struct {
 	// sequencing.
 	ConflictTables []string
 	ConflictGlobal bool
-	// Access is the statement's access-shape summary (indexable conjuncts,
-	// ORDER BY elidability). Build also attaches it to the statement tree,
-	// where clones inherit it, so engine cache hits skip re-planning the
-	// shape per execution. nil for statement kinds without a WHERE clause.
-	Access *sqlparser.AccessInfo
 }
 
 // Normalize turns SQL text into the cache key. It matches the result cache's
@@ -67,18 +62,6 @@ func Normalize(sql string) string { return strings.TrimSpace(sql) }
 func Build(sql string, st sqlparser.Statement) *Plan {
 	cols, colsOK := sqlparser.ReadColumns(st)
 	cTables, cGlobal := sqlparser.ConflictClass(st)
-	var access *sqlparser.AccessInfo
-	switch s := st.(type) {
-	case *sqlparser.Select:
-		access = sqlparser.AnalyzeAccess(s.Where, s.OrderBy, s.Items)
-		s.Access = access
-	case *sqlparser.Update:
-		access = sqlparser.AnalyzeAccess(s.Where, nil, nil)
-		s.Access = access
-	case *sqlparser.Delete:
-		access = sqlparser.AnalyzeAccess(s.Where, nil, nil)
-		s.Access = access
-	}
 	return &Plan{
 		SQL:            sql,
 		Stmt:           st,
@@ -90,7 +73,6 @@ func Build(sql string, st sqlparser.Statement) *Plan {
 		HasMacros:      sqlparser.HasMacros(st),
 		ConflictTables: cTables,
 		ConflictGlobal: cGlobal,
-		Access:         access,
 	}
 }
 

@@ -61,6 +61,11 @@ type Engine struct {
 	mu     brwMutex // guards catalog and all table storage
 	tables map[string]*table
 	closed atomic.Bool
+	// catalogEpoch numbers the catalog's versions: every DDL and every DDL
+	// undo bumps it under the exclusive lock, and a statement's binding
+	// (bind.go) is valid only at the epoch it was made at. Readers load it
+	// under the shared lock.
+	catalogEpoch uint64
 
 	locks       *lockManager
 	lockTimeout time.Duration
@@ -853,6 +858,7 @@ func (s *Session) applyUndo() {
 	if ddl {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		e.catalogEpoch++
 	} else {
 		e.mu.RLock(s.shard)
 		defer e.mu.RUnlock(s.shard)

@@ -12,60 +12,35 @@ import (
 	"cjdbc/internal/sqlval"
 )
 
-// env is the evaluation environment of one (joined) row.
+// env is the evaluation environment of one (joined) row. Expressions are
+// bound (bexpr): a column reads its slot of row, an aggregate call its slot
+// of aggs.
 type env struct {
-	cols   map[string]int // "col", "alias.col", "table.col" -> position
 	row    []sqlval.Value // the combined row
-	aggs   *aggRow        // one group's aggregate values, grouped queries only
+	aggs   []sqlval.Value // one group's aggregate values, grouped queries only
 	params []sqlval.Value // the statement's parameter vector
 }
 
-// aggRow is one group's finished aggregates: vals[i] is the value of the
-// grouped query's aggregate call exprs[i].
-type aggRow struct {
-	exprs []*sqlparser.Expr
-	vals  []sqlval.Value
-}
-
-// lookupColumn resolves a column reference in the environment.
-func (ev *env) lookupColumn(e *sqlparser.Expr) (sqlval.Value, error) {
-	idx, ok := colPos(ev.cols, e)
-	if !ok {
-		key := e.Column
-		if e.Table != "" {
-			key = e.Table + "." + e.Column
-		}
-		return sqlval.Null, errf("unknown column %q", key)
-	}
-	return ev.row[idx], nil
-}
-
-// colPos looks a column reference up in a column map. A qualified name's
-// "table.col" key is built in a stack buffer, so resolving it per row
-// allocates nothing.
-func colPos(cols map[string]int, e *sqlparser.Expr) (int, bool) {
-	if e.Table == "" {
-		idx, ok := cols[e.Column]
-		return idx, ok
-	}
-	var buf [64]byte
-	key := append(append(append(buf[:0], e.Table...), '.'), e.Column...)
-	idx, ok := cols[string(key)]
-	return idx, ok
-}
-
-// eval evaluates an expression tree against the environment. Comparisons
-// involving NULL yield NULL (three-valued logic); AND/OR follow Kleene
-// semantics.
-func (ev *env) eval(e *sqlparser.Expr) (sqlval.Value, error) {
-	switch e.Kind {
+// eval evaluates a bound expression tree against the environment.
+// Comparisons involving NULL yield NULL (three-valued logic); AND/OR follow
+// Kleene semantics.
+func (ev *env) eval(e *bexpr) (sqlval.Value, error) {
+	x := e.x
+	switch x.Kind {
 	case sqlparser.ExprLiteral, sqlparser.ExprParam:
-		if v, ok := e.LitValue(ev.params); ok {
+		if v, ok := x.LitValue(ev.params); ok {
 			return v, nil
 		}
-		return sqlval.Null, errf("unbound parameter ?%d", e.ParamIdx+1)
+		return sqlval.Null, errf("unbound parameter ?%d", x.ParamIdx+1)
 	case sqlparser.ExprColumn:
-		return ev.lookupColumn(e)
+		if e.slot < 0 {
+			key := x.Column
+			if x.Table != "" {
+				key = x.Table + "." + x.Column
+			}
+			return sqlval.Null, errf("unknown column %q", key)
+		}
+		return ev.row[e.slot], nil
 	case sqlparser.ExprStar:
 		return sqlval.Null, errf("'*' outside COUNT(*)")
 	case sqlparser.ExprUnary:
@@ -73,12 +48,8 @@ func (ev *env) eval(e *sqlparser.Expr) (sqlval.Value, error) {
 	case sqlparser.ExprBinary:
 		return ev.evalBinary(e)
 	case sqlparser.ExprFunc:
-		if ev.aggs != nil {
-			for i, ae := range ev.aggs.exprs {
-				if ae == e {
-					return ev.aggs.vals[i], nil
-				}
-			}
+		if e.slot >= 0 && ev.aggs != nil {
+			return ev.aggs[e.slot], nil
 		}
 		return ev.evalFunc(e)
 	case sqlparser.ExprIn:
@@ -86,25 +57,25 @@ func (ev *env) eval(e *sqlparser.Expr) (sqlval.Value, error) {
 	case sqlparser.ExprBetween:
 		return ev.evalBetween(e)
 	case sqlparser.ExprIsNull:
-		v, err := ev.eval(e.Left)
+		v, err := ev.eval(e.l)
 		if err != nil {
 			return sqlval.Null, err
 		}
 		res := v.IsNull()
-		if e.Not {
+		if x.Not {
 			res = !res
 		}
 		return sqlval.Bool(res), nil
 	}
-	return sqlval.Null, errf("cannot evaluate expression kind %d", e.Kind)
+	return sqlval.Null, errf("cannot evaluate expression kind %d", x.Kind)
 }
 
-func (ev *env) evalUnary(e *sqlparser.Expr) (sqlval.Value, error) {
-	v, err := ev.eval(e.Left)
+func (ev *env) evalUnary(e *bexpr) (sqlval.Value, error) {
+	v, err := ev.eval(e.l)
 	if err != nil {
 		return sqlval.Null, err
 	}
-	switch e.Op {
+	switch e.x.Op {
 	case "-":
 		if v.IsNull() {
 			return sqlval.Null, nil
@@ -123,21 +94,22 @@ func (ev *env) evalUnary(e *sqlparser.Expr) (sqlval.Value, error) {
 		}
 		return sqlval.Bool(!v.AsBool()), nil
 	}
-	return sqlval.Null, errf("unknown unary operator %q", e.Op)
+	return sqlval.Null, errf("unknown unary operator %q", e.x.Op)
 }
 
-func (ev *env) evalBinary(e *sqlparser.Expr) (sqlval.Value, error) {
+func (ev *env) evalBinary(e *bexpr) (sqlval.Value, error) {
 	// AND/OR evaluate lazily with Kleene semantics.
-	switch e.Op {
+	op := e.x.Op
+	switch op {
 	case "AND":
-		l, err := ev.eval(e.Left)
+		l, err := ev.eval(e.l)
 		if err != nil {
 			return sqlval.Null, err
 		}
 		if !l.IsNull() && !l.AsBool() {
 			return sqlval.Bool(false), nil
 		}
-		r, err := ev.eval(e.Right)
+		r, err := ev.eval(e.r)
 		if err != nil {
 			return sqlval.Null, err
 		}
@@ -149,14 +121,14 @@ func (ev *env) evalBinary(e *sqlparser.Expr) (sqlval.Value, error) {
 		}
 		return sqlval.Bool(true), nil
 	case "OR":
-		l, err := ev.eval(e.Left)
+		l, err := ev.eval(e.l)
 		if err != nil {
 			return sqlval.Null, err
 		}
 		if !l.IsNull() && l.AsBool() {
 			return sqlval.Bool(true), nil
 		}
-		r, err := ev.eval(e.Right)
+		r, err := ev.eval(e.r)
 		if err != nil {
 			return sqlval.Null, err
 		}
@@ -168,17 +140,17 @@ func (ev *env) evalBinary(e *sqlparser.Expr) (sqlval.Value, error) {
 		}
 		return sqlval.Bool(false), nil
 	}
-	l, err := ev.eval(e.Left)
+	l, err := ev.eval(e.l)
 	if err != nil {
 		return sqlval.Null, err
 	}
-	r, err := ev.eval(e.Right)
+	r, err := ev.eval(e.r)
 	if err != nil {
 		return sqlval.Null, err
 	}
-	switch e.Op {
+	switch op {
 	case "+", "-", "*", "/", "%":
-		switch e.Op {
+		switch op {
 		case "+":
 			return sqlval.Add(l, r)
 		case "-":
@@ -201,7 +173,7 @@ func (ev *env) evalBinary(e *sqlparser.Expr) (sqlval.Value, error) {
 		}
 		c := sqlval.Compare(l, r)
 		var res bool
-		switch e.Op {
+		switch op {
 		case "=":
 			res = c == 0
 		case "<>":
@@ -221,16 +193,16 @@ func (ev *env) evalBinary(e *sqlparser.Expr) (sqlval.Value, error) {
 			return sqlval.Null, nil
 		}
 		m := likeMatch(r.AsString(), l.AsString())
-		if e.Not {
+		if e.x.Not {
 			m = !m
 		}
 		return sqlval.Bool(m), nil
 	}
-	return sqlval.Null, errf("unknown operator %q", e.Op)
+	return sqlval.Null, errf("unknown operator %q", op)
 }
 
-func (ev *env) evalIn(e *sqlparser.Expr) (sqlval.Value, error) {
-	v, err := ev.eval(e.Left)
+func (ev *env) evalIn(e *bexpr) (sqlval.Value, error) {
+	v, err := ev.eval(e.l)
 	if err != nil {
 		return sqlval.Null, err
 	}
@@ -238,7 +210,7 @@ func (ev *env) evalIn(e *sqlparser.Expr) (sqlval.Value, error) {
 		return sqlval.Null, nil
 	}
 	sawNull := false
-	for _, item := range e.List {
+	for _, item := range e.args {
 		iv, err := ev.eval(item)
 		if err != nil {
 			return sqlval.Null, err
@@ -248,25 +220,25 @@ func (ev *env) evalIn(e *sqlparser.Expr) (sqlval.Value, error) {
 			continue
 		}
 		if sqlval.Equal(v, iv) {
-			return sqlval.Bool(!e.Not), nil
+			return sqlval.Bool(!e.x.Not), nil
 		}
 	}
 	if sawNull {
 		return sqlval.Null, nil
 	}
-	return sqlval.Bool(e.Not), nil
+	return sqlval.Bool(e.x.Not), nil
 }
 
-func (ev *env) evalBetween(e *sqlparser.Expr) (sqlval.Value, error) {
-	v, err := ev.eval(e.Left)
+func (ev *env) evalBetween(e *bexpr) (sqlval.Value, error) {
+	v, err := ev.eval(e.l)
 	if err != nil {
 		return sqlval.Null, err
 	}
-	lo, err := ev.eval(e.Low)
+	lo, err := ev.eval(e.args[0])
 	if err != nil {
 		return sqlval.Null, err
 	}
-	hi, err := ev.eval(e.High)
+	hi, err := ev.eval(e.args[1])
 	if err != nil {
 		return sqlval.Null, err
 	}
@@ -274,31 +246,39 @@ func (ev *env) evalBetween(e *sqlparser.Expr) (sqlval.Value, error) {
 		return sqlval.Null, nil
 	}
 	in := sqlval.Compare(v, lo) >= 0 && sqlval.Compare(v, hi) <= 0
-	if e.Not {
+	if e.x.Not {
 		in = !in
 	}
 	return sqlval.Bool(in), nil
 }
 
-func (ev *env) evalFunc(e *sqlparser.Expr) (sqlval.Value, error) {
-	if sqlparser.IsAggregate(e.Func) {
-		return sqlval.Null, errf("aggregate %s outside grouped query", e.Func)
+func (ev *env) evalFunc(e *bexpr) (sqlval.Value, error) {
+	fn := e.x.Func
+	if sqlparser.IsAggregate(fn) {
+		return sqlval.Null, errf("aggregate %s outside grouped query", fn)
 	}
-	args := make([]sqlval.Value, len(e.Args))
-	for i, a := range e.Args {
+	// Every built-in but the variadic CONCAT and COALESCE takes at most
+	// three arguments: they evaluate into an array on the stack, so a
+	// function applied once per row allocates no argument slice.
+	var buf [4]sqlval.Value
+	args := buf[:0]
+	if len(e.args) > len(buf) {
+		args = make([]sqlval.Value, 0, len(e.args))
+	}
+	for _, a := range e.args {
 		v, err := ev.eval(a)
 		if err != nil {
 			return sqlval.Null, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	need := func(n int) error {
 		if len(args) != n {
-			return errf("%s expects %d argument(s), got %d", e.Func, n, len(args))
+			return errf("%s expects %d argument(s), got %d", fn, n, len(args))
 		}
 		return nil
 	}
-	switch e.Func {
+	switch fn {
 	case "NOW", "CURRENT_TIMESTAMP":
 		return sqlval.Time(time.Now()), nil
 	case "CURRENT_DATE":
@@ -359,7 +339,7 @@ func (ev *env) evalFunc(e *sqlparser.Expr) (sqlval.Value, error) {
 		if err != nil {
 			return sqlval.Null, err
 		}
-		switch e.Func {
+		switch fn {
 		case "FLOOR":
 			return sqlval.Int(int64(math.Floor(f))), nil
 		case "ROUND":
@@ -429,7 +409,7 @@ func (ev *env) evalFunc(e *sqlparser.Expr) (sqlval.Value, error) {
 		}
 		return sqlval.Mod(args[0], args[1])
 	}
-	return sqlval.Null, errf("unknown function %s", e.Func)
+	return sqlval.Null, errf("unknown function %s", fn)
 }
 
 // likeMatch implements SQL LIKE: '%' matches any run of characters, '_'

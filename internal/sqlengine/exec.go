@@ -207,6 +207,7 @@ func (s *Session) execCreateTable(ct *sqlparser.CreateTable) (*Result, error) {
 		s.tempSet(name, tbl)
 	} else {
 		e.tables[name] = tbl
+		e.catalogEpoch++
 	}
 	s.undo = append(s.undo, undoOp{kind: 'c', table: name, tbl: tbl})
 	e.mu.Unlock()
@@ -239,6 +240,7 @@ func (s *Session) execDropTable(dt *sqlparser.DropTable) (*Result, error) {
 		return nil, &TableNotFoundError{Table: name}
 	}
 	delete(e.tables, name)
+	e.catalogEpoch++
 	s.undo = append(s.undo, undoOp{kind: 'r', table: name, tbl: t})
 	return &Result{}, nil
 }
@@ -267,6 +269,7 @@ func (s *Session) execCreateIndex(ci *sqlparser.CreateIndex) (*Result, error) {
 	if err := t.addIndex(ixName, cols, ci.Unique); err != nil {
 		return nil, err
 	}
+	e.catalogEpoch++
 	s.undo = append(s.undo, undoOp{kind: 'x', table: name, index: ixName})
 	return &Result{}, nil
 }
@@ -290,6 +293,7 @@ func (s *Session) execDropIndex(di *sqlparser.DropIndex) (*Result, error) {
 	t.idxMu.Lock()
 	delete(t.indexes, ixName)
 	t.idxMu.Unlock()
+	e.catalogEpoch++
 	// Dropping an index is not undone (index rebuild on rollback is not
 	// supported); like MySQL, DDL here is effectively auto-committing.
 	return &Result{}, nil
@@ -361,30 +365,15 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 	// run concurrently on one backend.
 	e.mu.RLock(s.shard)
 	defer e.mu.RUnlock(s.shard)
-	t := s.resolveLocked(name)
-	if t == nil {
-		return nil, &TableNotFoundError{Table: name}
+	b, err := s.bindInsert(ins, name)
+	if err != nil {
+		return nil, err
 	}
+	t := b.srcs[0].t
 	t.store.Lock()
 	defer t.store.Unlock()
 	schema := t.schema
-
-	// Map statement columns to schema positions.
-	var colBuf [16]int
-	colIdx := colBuf[:0]
-	if len(ins.Columns) > 0 {
-		for _, c := range ins.Columns {
-			idx := schema.ColumnIndex(c)
-			if idx < 0 {
-				return nil, errf("unknown column %q in INSERT into %s", c, name)
-			}
-			colIdx = append(colIdx, idx)
-		}
-	} else {
-		for i := range schema.Columns {
-			colIdx = append(colIdx, i)
-		}
-	}
+	colIdx := b.cols // statement columns' schema positions
 
 	ev := &env{params: s.params}
 	// set marks the columns the current row names explicitly; one slice
@@ -402,8 +391,8 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 					t.autoInc++
 					row[i] = sqlval.Int(t.autoInc)
 					continue
-				case !set[i] && col.Default != nil:
-					dv, err := ev.eval(col.Default)
+				case !set[i] && t.defaults[i] != nil:
+					dv, err := ev.eval(t.defaults[i])
 					if err != nil {
 						return err
 					}
@@ -445,9 +434,12 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 			if ins.Query != nil {
 				row[c] = srcRows[r][i]
 			} else {
-				v, err := ev.eval(ins.Rows[r][i])
-				if err != nil {
-					return nil, err
+				v := ins.Rows[r][i].Lit
+				if x := b.bound(r, i); x != nil {
+					var err error
+					if v, err = ev.eval(x); err != nil {
+						return nil, err
+					}
 				}
 				row[c] = v
 			}
@@ -484,26 +476,18 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 	e := s.engine
 	e.mu.RLock(s.shard)
 	defer e.mu.RUnlock(s.shard)
-	t := s.resolveLocked(name)
-	if t == nil {
-		return nil, &TableNotFoundError{Table: name}
+	b, err := s.bindWrite(up.Bind, name, up.Where, up.Set)
+	if err != nil {
+		return nil, err
 	}
+	t := b.srcs[0].t
 	t.store.Lock()
 	defer t.store.Unlock()
 	schema := t.schema
-	cols := t.cols
+	setIdx := b.cols
 
-	var setBuf [8]int
-	setIdx := setBuf[:0]
-	for _, a := range up.Set {
-		idx := schema.ColumnIndex(a.Column)
-		if idx < 0 {
-			return nil, errf("unknown column %q in UPDATE %s", a.Column, name)
-		}
-		setIdx = append(setIdx, idx)
-	}
-
-	refs := candidateRefs(e, t, cols, up.Where, up.Access, s.params)
+	refs := candidateRefs(e, t, b.conj, s.params)
+	ev := &env{params: s.params}
 	var affected int64
 	for _, ch := range refs {
 		// Writer view: the chain head is committed or this session's own.
@@ -511,9 +495,9 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 		if row == nil {
 			continue
 		}
-		ev := &env{cols: cols, row: row, params: s.params}
-		if up.Where != nil {
-			m, err := ev.eval(up.Where)
+		ev.row = row
+		if b.where != nil {
+			m, err := ev.eval(b.where)
 			if err != nil {
 				return nil, err
 			}
@@ -526,8 +510,8 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 		// No old-image clone is needed for undo — the previous version stays
 		// on the chain and undo simply pops ours.
 		newRow := slices.Clone(row)
-		for i, a := range up.Set {
-			v, err := ev.eval(a.Value)
+		for i, set := range b.set {
+			v, err := ev.eval(set)
 			if err != nil {
 				return nil, err
 			}
@@ -556,23 +540,24 @@ func (s *Session) execDelete(del *sqlparser.Delete) (*Result, error) {
 	e := s.engine
 	e.mu.RLock(s.shard)
 	defer e.mu.RUnlock(s.shard)
-	t := s.resolveLocked(name)
-	if t == nil {
-		return nil, &TableNotFoundError{Table: name}
+	b, err := s.bindWrite(del.Bind, name, del.Where, nil)
+	if err != nil {
+		return nil, err
 	}
+	t := b.srcs[0].t
 	t.store.Lock()
 	defer t.store.Unlock()
-	cols := t.cols
-	refs := candidateRefs(e, t, cols, del.Where, del.Access, s.params)
+	refs := candidateRefs(e, t, b.conj, s.params)
+	ev := &env{params: s.params}
 	var affected int64
 	for _, ch := range refs {
 		row := ch.latestRow()
 		if row == nil {
 			continue
 		}
-		if del.Where != nil {
-			ev := &env{cols: cols, row: row, params: s.params}
-			m, err := ev.eval(del.Where)
+		if b.where != nil {
+			ev.row = row
+			m, err := ev.eval(b.where)
 			if err != nil {
 				return nil, err
 			}

@@ -1,0 +1,83 @@
+package sqlengine
+
+import (
+	"bytes"
+	"hash/maphash"
+)
+
+// keySeed seeds every key set's hash. One seed per process is enough: the
+// hash only spreads keys over the map, and ids never depend on it.
+var keySeed = maphash.MakeSeed()
+
+// keySet numbers distinct byte keys 0, 1, 2, ... in first-seen order. It is
+// the group table of GROUP BY and the seen-set of SELECT DISTINCT and of an
+// aggregate's DISTINCT. A key's bytes are copied into one append-only
+// arena, first maps a key's hash to the first id with that hash, and ids
+// sharing a hash are chained through keys[id].next. Adding a key therefore
+// allocates nothing of its own: the map, the chain slice and the arena grow
+// by doubling, O(log n) allocations for n keys, where a map[string] pays
+// one string per key. The zero value is an empty set.
+type keySet struct {
+	first map[uint64]int32
+	keys  []keyEntry
+	arena []byte
+	// hash replaces maphash when set. Tests use it to make keys collide.
+	hash func(key []byte) uint64
+}
+
+// keyEntry is one key: its bytes end at arena[end] (and start where the
+// previous key's end), and next is the following id with the same hash, or
+// -1.
+type keyEntry struct {
+	end  int
+	next int32
+}
+
+// add returns key's id, giving it the next id when the set does not hold
+// it yet; added reports that it was new. key is copied, so the caller may
+// reuse its buffer.
+func (s *keySet) add(key []byte) (id int32, added bool) {
+	var h uint64
+	if s.hash != nil {
+		h = s.hash(key)
+	} else {
+		h = maphash.Bytes(keySeed, key)
+	}
+	if s.first == nil {
+		s.first = make(map[uint64]int32)
+	}
+	id, ok := s.first[h]
+	if ok {
+		for {
+			if bytes.Equal(s.key(id), key) {
+				return id, false
+			}
+			next := s.keys[id].next
+			if next < 0 {
+				break
+			}
+			id = next
+		}
+	}
+	n := int32(len(s.keys))
+	if ok {
+		s.keys[id].next = n // id is the chain's tail
+	} else {
+		s.first[h] = n
+	}
+	s.arena = append(s.arena, key...)
+	s.keys = append(s.keys, keyEntry{end: len(s.arena), next: -1})
+	return n, true
+}
+
+// key returns the bytes of key id.
+func (s *keySet) key(id int32) []byte {
+	start := 0
+	if id > 0 {
+		start = s.keys[id-1].end
+	}
+	return s.arena[start:s.keys[id].end]
+}
+
+// len is the number of distinct keys added.
+func (s *keySet) len() int { return len(s.keys) }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"slices"
+	"strings"
 
 	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
@@ -12,11 +13,11 @@ import (
 // table), UPDATE and DELETE all plan through it, so index exploitation is
 // uniform across the read and write paths.
 //
-// The planner inspects the top-level AND conjuncts of a WHERE clause for
-// predicates an index can answer — `col = literal` and `col IN (literals)`
-// through the hash buckets, and `col </<=/>/>= literal` / `col BETWEEN a AND
-// b` / `=` through the ordered skiplist view — and picks the most selective
-// one. Planning is candidate narrowing only: the full WHERE clause is still
+// The binding (bind.go) records the top-level AND conjuncts of a WHERE
+// clause an index can answer, each with its column's index; per execution
+// the planner reads their operands — `col = literal` and `col IN (literals)`
+// probe the hash buckets, `col </<=/>/>= literal` / `col BETWEEN a AND b`
+// the ordered skiplist view — and picks the most selective one. Planning is candidate narrowing only: the full WHERE clause is still
 // evaluated against every candidate row, so a plan is correct as long as its
 // candidate set is a superset of the true match set.
 //
@@ -29,24 +30,6 @@ import (
 type accessPlan struct {
 	refs    []*rowChain // candidate chains, ascending by rowid; meaningful when indexed
 	indexed bool        // false means full scan
-}
-
-// colResolver maps a column expression to its position in a table's schema,
-// or ok=false when the expression refers to some other table of the query.
-type colResolver func(e *sqlparser.Expr) (int, bool)
-
-// envResolver resolves columns exactly as the evaluation environment will:
-// through the env column map, accepting only positions inside the table's
-// slot [offset, offset+width). Using the same map as eval guarantees a
-// pushed-down conjunct binds to the same column the WHERE filter sees.
-func envResolver(cols map[string]int, offset, width int) colResolver {
-	return func(e *sqlparser.Expr) (int, bool) {
-		pos, ok := colPos(cols, e)
-		if !ok || pos < offset || pos >= offset+width {
-			return 0, false
-		}
-		return pos - offset, true
-	}
 }
 
 // keyCompatible reports whether an index probe with lit can find every
@@ -70,8 +53,11 @@ func keyCompatible(ct sqlval.Kind, lit sqlval.Value) bool {
 }
 
 // colRange accumulates the intersection of a column's top-level range
-// conjuncts: lo/hi are the tightest bounds seen (nil = unbounded).
+// conjuncts: lo/hi are the tightest bounds seen (nil = unbounded), ix the
+// column's index.
 type colRange struct {
+	col    int
+	ix     *index
 	lo, hi *rangeBound
 }
 
@@ -112,117 +98,70 @@ func walkConjuncts(where *sqlparser.Expr, f func(ex *sqlparser.Expr)) {
 	f(where)
 }
 
-// colLit decomposes a binary comparison into (column, operand value),
-// flipping the operator when the operand is on the left (5 < v means v > 5).
-// The operand is a literal or a parameter params binds.
-func colLit(ex *sqlparser.Expr, params []sqlval.Value) (col *sqlparser.Expr, lit sqlval.Value, op string, ok bool) {
-	op = ex.Op
-	col, operand := ex.Left, ex.Right
-	if col.Kind != sqlparser.ExprColumn {
-		col, operand = operand, col
-		switch op {
-		case "<":
-			op = ">"
-		case "<=":
-			op = ">="
-		case ">":
-			op = "<"
-		case ">=":
-			op = "<="
-		}
-	}
-	if col.Kind != sqlparser.ExprColumn {
-		return nil, sqlval.Null, "", false
-	}
-	if lit, ok = operand.LitValue(params); !ok {
-		return nil, sqlval.Null, "", false
-	}
-	return col, lit, op, true
-}
-
-// extractRanges collects the per-column range bounds the top-level AND
-// conjuncts imply: </<=/>/>= comparisons against literals (or parameters
-// params binds) and BETWEEN. Each bound passes the keyCompatible guard.
-// Shared by candidate narrowing (planAccess) and bounded ordered scans
-// (planOrder).
-func extractRanges(t *table, resolve colResolver, where *sqlparser.Expr, params []sqlval.Value) map[int]*colRange {
-	var ranges map[int]*colRange
-	rangeOf := func(ci int) *colRange {
-		if ranges == nil {
-			ranges = make(map[int]*colRange)
-		}
-		r := ranges[ci]
-		if r == nil {
-			r = &colRange{}
-			ranges[ci] = r
-		}
-		return r
-	}
-	walkConjuncts(where, func(ex *sqlparser.Expr) {
-		switch {
-		case ex.Kind == sqlparser.ExprBinary && (ex.Op == "<" || ex.Op == "<=" || ex.Op == ">" || ex.Op == ">="):
-			col, lit, op, ok := colLit(ex, params)
-			if !ok {
-				return
+// extractRanges collects the per-column range bounds the conjuncts imply:
+// </<=/>/>= comparisons and BETWEEN whose operands params reads. Each bound
+// passes the keyCompatible guard. Shared by candidate narrowing
+// (planAccess) and bounded ordered scans (planOrder).
+func extractRanges(t *table, conj []conjunct, params []sqlval.Value) []colRange {
+	var ranges []colRange
+	rangeOf := func(c *conjunct) *colRange {
+		for i := range ranges {
+			if ranges[i].col == c.col {
+				return &ranges[i]
 			}
-			ci, ok := resolve(col)
-			if !ok || !keyCompatible(t.schema.Columns[ci].Type, lit) {
-				return
+		}
+		ranges = append(ranges, colRange{col: c.col, ix: c.ix})
+		return &ranges[len(ranges)-1]
+	}
+	for i := range conj {
+		c := &conj[i]
+		ct := t.schema.Columns[c.col].Type
+		switch c.op {
+		case "<", "<=", ">", ">=":
+			lit, ok := c.ops[0].LitValue(params)
+			if !ok || !keyCompatible(ct, lit) {
+				continue
 			}
-			switch op {
+			switch c.op {
 			case "<":
-				rangeOf(ci).tightenHi(rangeBound{v: lit, incl: false})
+				rangeOf(c).tightenHi(rangeBound{v: lit, incl: false})
 			case "<=":
-				rangeOf(ci).tightenHi(rangeBound{v: lit, incl: true})
+				rangeOf(c).tightenHi(rangeBound{v: lit, incl: true})
 			case ">":
-				rangeOf(ci).tightenLo(rangeBound{v: lit, incl: false})
+				rangeOf(c).tightenLo(rangeBound{v: lit, incl: false})
 			case ">=":
-				rangeOf(ci).tightenLo(rangeBound{v: lit, incl: true})
+				rangeOf(c).tightenLo(rangeBound{v: lit, incl: true})
 			}
-		case ex.Kind == sqlparser.ExprBetween && !ex.Not:
-			if ex.Left == nil || ex.Left.Kind != sqlparser.ExprColumn || ex.Low == nil || ex.High == nil {
-				return
+		case "BETWEEN":
+			lo, okLo := c.ops[0].LitValue(params)
+			hi, okHi := c.ops[1].LitValue(params)
+			if !okLo || !okHi || !keyCompatible(ct, lo) || !keyCompatible(ct, hi) {
+				continue
 			}
-			lo, okLo := ex.Low.LitValue(params)
-			hi, okHi := ex.High.LitValue(params)
-			if !okLo || !okHi {
-				return
-			}
-			ci, ok := resolve(ex.Left)
-			if !ok {
-				return
-			}
-			ct := t.schema.Columns[ci].Type
-			if !keyCompatible(ct, lo) || !keyCompatible(ct, hi) {
-				return
-			}
-			rangeOf(ci).tightenLo(rangeBound{v: lo, incl: true})
-			rangeOf(ci).tightenHi(rangeBound{v: hi, incl: true})
+			r := rangeOf(c)
+			r.tightenLo(rangeBound{v: lo, incl: true})
+			r.tightenHi(rangeBound{v: hi, incl: true})
 		}
-	})
+	}
 	return ranges
 }
 
-// planAccess chooses an index-backed access path for t under the given WHERE
-// clause, or a full scan when no top-level conjunct is indexable: hash-point
-// probes for = and IN, ordered-range collection for </<=/>/>=/BETWEEN, most
-// selective (fewest candidates) wins. The returned candidate list is sorted
-// by rowid, so iterating it is deterministic (rowids are assigned in
-// insertion order). A point probe's list is the index bucket's own
-// insert-only slice (table.lookup), returned as is when already in order;
-// otherwise the planner sorts and dedups a copy, never the bucket. Either
-// way iterating it is safe while writers keep appending refs.
-// Candidates may be stale — index entries are insert-only — which is fine:
-// every caller resolves each chain through its read view and re-evaluates
-// the full WHERE clause. access, when non-nil, is the plan cache's
-// precomputed shape summary; a statement it marks non-indexable skips the
-// conjunct walk entirely. params is the statement's parameter vector, which
-// a placeholder operand probes with exactly as a literal would.
-func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr, access *sqlparser.AccessInfo, params []sqlval.Value) accessPlan {
-	if where == nil || e.noIndexPlan.Load() {
-		return accessPlan{}
-	}
-	if access != nil && !access.Indexable {
+// planAccess chooses an index-backed access path for t from the bound
+// conjuncts of its WHERE clause, or a full scan when none is usable:
+// hash-point probes for = and IN, ordered-range collection for
+// </<=/>/>=/BETWEEN, most selective (fewest candidates) wins. The returned
+// candidate list is sorted by rowid, so iterating it is deterministic
+// (rowids are assigned in insertion order). A point probe's list is the
+// index bucket's own insert-only slice (index.lookup), returned as is when
+// already in order; otherwise the planner sorts and dedups a copy, never
+// the bucket. Either way iterating it is safe while writers keep appending
+// refs. Candidates may be stale — index entries are insert-only — which is
+// fine: every caller resolves each chain through its read view and
+// re-evaluates the full WHERE clause. params is the statement's parameter
+// vector, which a placeholder operand probes with exactly as a literal
+// would.
+func planAccess(e *Engine, t *table, conj []conjunct, params []sqlval.Value) accessPlan {
+	if len(conj) == 0 || e.noIndexPlan.Load() {
 		return accessPlan{}
 	}
 	var best []*rowChain
@@ -233,60 +172,49 @@ func planAccess(e *Engine, t *table, resolve colResolver, where *sqlparser.Expr,
 		}
 		best, found = refs, true
 	}
-	walkConjuncts(where, func(ex *sqlparser.Expr) {
-		switch {
-		case ex.Kind == sqlparser.ExprBinary && ex.Op == "=":
-			col, lit, _, ok := colLit(ex, params)
-			if !ok {
-				return
+	for i := range conj {
+		c := &conj[i]
+		if c.ix == nil {
+			continue
+		}
+		ct := t.schema.Columns[c.col].Type
+		switch c.op {
+		case "=":
+			if lit, ok := c.ops[0].LitValue(params); ok && keyCompatible(ct, lit) {
+				consider(c.ix.lookup(t, lit))
 			}
-			ci, ok := resolve(col)
-			if !ok || !keyCompatible(t.schema.Columns[ci].Type, lit) {
-				return
-			}
-			if refs, indexed := t.lookup(ci, lit); indexed {
-				consider(refs)
-			}
-		case ex.Kind == sqlparser.ExprIn && !ex.Not:
-			if ex.Left == nil || ex.Left.Kind != sqlparser.ExprColumn {
-				return
-			}
-			ci, ok := resolve(ex.Left)
-			if !ok {
-				return
-			}
-			ct := t.schema.Columns[ci].Type
-			for _, item := range ex.List {
+		case "IN":
+			usable := true
+			for _, item := range c.ops {
 				if v, ok := item.LitValue(params); !ok || !keyCompatible(ct, v) {
-					return
+					usable = false
+					break
 				}
+			}
+			if !usable {
+				continue
 			}
 			var union []*rowChain
-			for _, item := range ex.List {
+			for _, item := range c.ops {
 				v, _ := item.LitValue(params)
-				refs, indexed := t.lookup(ci, v)
-				if !indexed {
-					return
-				}
-				union = append(union, refs...)
+				union = append(union, c.ix.lookup(t, v)...)
 			}
 			consider(union)
 		}
-	})
+	}
 	// Ordered-range candidates: for every column with accumulated bounds and
 	// an ordered index, collect the refs inside the range — aborting as soon
 	// as the collection exceeds the best point probe, so a wide range never
 	// costs more than the path it loses to.
-	for ci, r := range extractRanges(t, resolve, where, params) {
-		ox := t.orderedOn(ci)
-		if ox == nil {
+	for _, r := range extractRanges(t, conj, params) {
+		if r.ix == nil {
 			continue
 		}
 		limit := -1
 		if found {
 			limit = len(best)
 		}
-		if refs, ok := ox.collectRange(t, r.lo, r.hi, limit); ok {
+		if refs, ok := r.ix.ord.collectRange(t, r.lo, r.hi, limit); ok {
 			consider(refs)
 		}
 	}
@@ -324,60 +252,43 @@ type orderPlan struct {
 // pinned by a top-level `col = literal` conjunct are dropped first (a
 // constant column is sorted in any order); if nothing remains the order is
 // trivially done, and if exactly one bare column with an ordered index
-// remains the sort becomes a direction-aware index scan. access, when
-// non-nil, lets statements the plan cache marked non-elidable skip the
-// analysis.
-func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, access *sqlparser.AccessInfo, params []sqlval.Value) orderPlan {
+// remains the sort becomes a direction-aware index scan.
+func planOrder(e *Engine, t *table, b *binding, sel *sqlparser.Select, params []sqlval.Value) orderPlan {
 	if len(sel.OrderBy) == 0 {
 		return orderPlan{done: true}
 	}
-	if e.noIndexPlan.Load() {
-		return orderPlan{}
-	}
-	if access != nil && !access.OrderElidable {
-		return orderPlan{}
-	}
-	if !sqlparser.AnalyzeAccess(nil, sel.OrderBy, sel.Items).OrderElidable {
+	if e.noIndexPlan.Load() || !orderShapeElidable(sel.OrderBy, sel.Items, params) {
 		return orderPlan{}
 	}
 	// Columns pinned to a constant by an = conjunct. No keyCompatible guard
 	// needed here: whatever the literal's class, at most one stored value of
 	// the column compares equal to it, so every surviving row carries the
 	// same key value.
-	var eqCols map[int]bool
-	walkConjuncts(sel.Where, func(ex *sqlparser.Expr) {
-		if ex.Kind != sqlparser.ExprBinary || ex.Op != "=" {
-			return
-		}
-		col, _, _, ok := colLit(ex, params)
-		if !ok {
-			return
-		}
-		if ci, ok := resolve(col); ok {
-			if eqCols == nil {
-				eqCols = make(map[int]bool)
+	pinned := func(ci int) bool {
+		for i := range b.conj {
+			if c := &b.conj[i]; c.op == "=" && c.col == ci {
+				if _, ok := c.ops[0].LitValue(params); ok {
+					return true
+				}
 			}
-			eqCols[ci] = true
 		}
-	})
+		return false
+	}
 	keyCol, keyDesc, nKeys := -1, false, 0
-	for _, oi := range sel.OrderBy {
-		ex := oi.Expr
-		if v, ok := ex.LitValue(params); ok && v.K == sqlval.KindInt {
+	for i, oi := range sel.OrderBy {
+		ex := b.order[i].expr
+		if v, ok := oi.Expr.LitValue(params); ok && v.K == sqlval.KindInt {
 			pos := int(v.I) - 1
 			if pos < 0 || pos >= len(sel.Items) || sel.Items[pos].Star {
 				return orderPlan{}
 			}
-			ex = sel.Items[pos].Expr
+			ex = b.items[pos]
 		}
-		if ex == nil || ex.Kind != sqlparser.ExprColumn {
+		if ex == nil || ex.x.Kind != sqlparser.ExprColumn || ex.slot < 0 {
 			return orderPlan{}
 		}
-		ci, ok := resolve(ex)
-		if !ok {
-			return orderPlan{}
-		}
-		if eqCols[ci] {
+		ci := ex.slot
+		if pinned(ci) {
 			continue // constant column: satisfied by any order
 		}
 		nKeys++
@@ -393,15 +304,67 @@ func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, 
 	if nKeys == 0 {
 		return orderPlan{done: true}
 	}
-	ox := t.orderedOn(keyCol)
-	if ox == nil {
+	ix := t.indexOn(keyCol)
+	if ix == nil {
 		return orderPlan{}
 	}
-	op := orderPlan{done: true, scan: true, ix: ox, col: keyCol, desc: keyDesc}
-	if r := extractRanges(t, resolve, sel.Where, params)[keyCol]; r != nil {
-		op.lo, op.hi = r.lo, r.hi
+	op := orderPlan{done: true, scan: true, ix: ix.ord, col: keyCol, desc: keyDesc}
+	for _, r := range extractRanges(t, b.conj, params) {
+		if r.col == keyCol {
+			op.lo, op.hi = r.lo, r.hi
+		}
 	}
 	return op
+}
+
+// orderShapeElidable checks the preconditions for satisfying an ORDER BY
+// by index scan: every key is a bare/qualified column or an integer
+// position (a literal, or a parameter params binds) resolving to one, and
+// no select-list alias captures a bare key's name for a different
+// expression (orderRows would sort by that output column, so eliding the
+// sort would diverge).
+func orderShapeElidable(orderBy []sqlparser.OrderItem, items []sqlparser.SelectItem, params []sqlval.Value) bool {
+	for _, oi := range orderBy {
+		ex := oi.Expr
+		if v, ok := ex.LitValue(params); ok && v.K == sqlval.KindInt {
+			pos := int(v.I) - 1
+			if pos < 0 || pos >= len(items) {
+				return false
+			}
+			// A star at or before the position expands to an unknown number
+			// of output columns, so the positional reference cannot be
+			// resolved against the select list here; orderRows resolves it
+			// against the post-expansion output instead.
+			for _, it := range items[:pos+1] {
+				if it.Star {
+					return false
+				}
+			}
+			ex = items[pos].Expr
+		}
+		if ex == nil || ex.Kind != sqlparser.ExprColumn {
+			return false
+		}
+		if ex.Table != "" {
+			continue
+		}
+		for _, it := range items {
+			if it.Star {
+				continue // star output names are the columns themselves
+			}
+			name := strings.ToLower(it.Alias)
+			if name == "" && it.Expr != nil && it.Expr.Kind == sqlparser.ExprColumn {
+				name = it.Expr.Column
+			}
+			if name != ex.Column {
+				continue
+			}
+			if it.Expr == nil || it.Expr.Kind != sqlparser.ExprColumn || it.Expr.Column != ex.Column {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // candidateRefs returns the row chains a WHERE clause can possibly match:
@@ -415,8 +378,8 @@ func planOrder(e *Engine, t *table, resolve colResolver, sel *sqlparser.Select, 
 // prefix is immutable, and neither UPDATE nor DELETE appends to the slab.
 // Caller holds the table latch exclusively and resolves liveness per chain
 // (writer view).
-func candidateRefs(e *Engine, t *table, cols map[string]int, where *sqlparser.Expr, access *sqlparser.AccessInfo, params []sqlval.Value) []*rowChain {
-	if plan := planAccess(e, t, envResolver(cols, 0, len(t.schema.Columns)), where, access, params); plan.indexed {
+func candidateRefs(e *Engine, t *table, conj []conjunct, params []sqlval.Value) []*rowChain {
+	if plan := planAccess(e, t, conj, params); plan.indexed {
 		return plan.refs
 	}
 	slab := t.order.Load()

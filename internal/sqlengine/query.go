@@ -9,31 +9,19 @@ import (
 	"cjdbc/internal/sqlval"
 )
 
-// srcTable is one resolved FROM entry.
-type srcTable struct {
-	t      *table
-	name   string // table name, lower-cased
-	alias  string // alias or name
-	offset int    // column offset in the combined row
-}
-
 // outRow is one projected row with what it was projected from — the
 // combined source row (a group's first row) and, for a grouped query, the
 // group's aggregates — so ORDER BY can evaluate non-projected keys.
 type outRow struct {
 	vals []sqlval.Value
 	row  []sqlval.Value
-	aggs *aggRow
+	aggs []sqlval.Value
 }
 
 // span is the range [lo, hi) of the combined row a star item copies.
 type span struct{ lo, hi int }
 
 func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
-	if len(sel.From) == 0 {
-		return s.selectNoFrom(sel)
-	}
-
 	// Reads take no lock-manager table locks and no storage latches: like
 	// the consistent nonblocking reads of the paper's InnoDB backends, a
 	// SELECT resolves every row against a snapshot epoch pinned at statement
@@ -45,91 +33,35 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	e := s.engine
 	e.mu.RLock(s.shard)
 	defer e.mu.RUnlock(s.shard)
+	b, err := s.bindSelect(sel)
+	if err != nil {
+		return nil, err
+	}
+	if len(sel.From) == 0 {
+		return s.selectNoFrom(sel, b)
+	}
 	rv := readView{stamp: s.stamp, ep: s.snapshotEpoch()}
-
-	// Resolve sources and build the combined column map. An unaliased
-	// single-table query — the point-query hot path — reuses the table's
-	// prebuilt map instead of reassembling it per execution.
-	srcs := make([]srcTable, len(sel.From))
-	offset := 0
-	for i, tr := range sel.From {
-		name := strings.ToLower(tr.Table)
-		t := s.resolveLocked(name)
-		if t == nil {
-			return nil, &TableNotFoundError{Table: tr.Table}
-		}
-		alias := strings.ToLower(tr.Alias)
-		if alias == "" {
-			alias = name
-		}
-		srcs[i] = srcTable{t: t, name: name, alias: alias, offset: offset}
-		offset += len(t.schema.Columns)
-	}
-	totalCols := offset
-
-	var cols map[string]int
-	if len(srcs) == 1 && srcs[0].alias == srcs[0].name {
-		cols = srcs[0].t.cols
-	} else {
-		cols = make(map[string]int)
-		for _, src := range srcs {
-			for j, c := range src.t.schema.Columns {
-				if _, dup := cols[c.Name]; !dup {
-					cols[c.Name] = src.offset + j
-				}
-				cols[src.alias+"."+c.Name] = src.offset + j
-				if _, dup := cols[src.name+"."+c.Name]; !dup {
-					cols[src.name+"."+c.Name] = src.offset + j
-				}
-			}
-		}
-	}
-
-	// Collect aggregate expressions referenced anywhere in the query. This
-	// happens before row materialization so the single-table path knows
-	// whether LIMIT may stop the scan early.
-	var aggExprs []*sqlparser.Expr
-	collect := func(ex *sqlparser.Expr) {
-		if ex == nil {
-			return
-		}
-		ex.Walk(func(n *sqlparser.Expr) {
-			if n.Kind == sqlparser.ExprFunc && sqlparser.IsAggregate(n.Func) {
-				aggExprs = append(aggExprs, n)
-			}
-		})
-	}
-	for _, it := range sel.Items {
-		collect(it.Expr)
-	}
-	collect(sel.Having)
-	for _, o := range sel.OrderBy {
-		collect(o.Expr)
-	}
-	grouped := len(sel.GroupBy) > 0 || len(aggExprs) > 0
 
 	// Both row producers apply WHERE while they scan.
 	var rows [][]sqlval.Value
 	var orderDone bool
-	var err error
-	if len(srcs) == 1 {
-		rows, orderDone, err = s.singleTableRows(sel, srcs[0], cols, grouped, rv)
+	if len(b.srcs) == 1 {
+		rows, orderDone, err = s.singleTableRows(sel, b, rv)
 	} else {
-		rows, err = s.joinRows(sel, srcs, cols, totalCols, grouped, rv)
+		rows, err = s.joinRows(sel, b, rv)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if b.headerErr != nil {
+		return nil, b.headerErr
 	}
 
-	outCols, stars, err := outputColumns(sel, srcs)
-	if err != nil {
-		return nil, err
-	}
 	var out []outRow
-	if grouped {
-		out, err = groupedRows(sel, stars, len(outCols), rows, cols, totalCols, aggExprs, s.params)
+	if b.grouped {
+		out, err = groupedRows(sel, b, rows, s.params)
 	} else {
-		out, err = projectRows(sel, stars, len(outCols), rows, cols, s.params)
+		out, err = projectRows(b, rows, s.params)
 	}
 	if err != nil {
 		return nil, err
@@ -137,29 +69,27 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	projected := len(out)
 
 	if sel.Distinct {
-		// The key is built in a reused buffer: only a new distinct row
-		// allocates one.
-		seen := make(map[string]struct{}, len(out))
+		// The key is built in a reused buffer and a new distinct row adds
+		// it to the key set's arena, so no row allocates.
+		var seen keySet
 		var key []byte
 		dedup := out[:0]
 		for _, r := range out {
 			key = appendRowKey(key[:0], r.vals)
-			if _, dup := seen[string(key)]; dup {
-				continue
+			if _, added := seen.add(key); added {
+				dedup = append(dedup, r)
 			}
-			seen[string(key)] = struct{}{}
-			dedup = append(dedup, r)
 		}
 		out = dedup
 	}
 
 	if len(sel.OrderBy) > 0 && !orderDone {
-		if err := orderRows(sel, out, outCols, cols, s.params); err != nil {
+		if err := orderRows(sel, b, out, s.params); err != nil {
 			return nil, err
 		}
 	}
 
-	out, err = applyLimit(sel, out, s.params)
+	out, err = applyLimit(b, out, s.params)
 	if err != nil {
 		return nil, err
 	}
@@ -167,9 +97,10 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	// Every row is a capped view of the slab projection wrote. When DISTINCT
 	// or LIMIT kept fewer than half the projected rows, the survivors move
 	// to a slab of their own, so a short result (which the result cache
-	// weighs by its own rows) does not pin the rows it dropped.
-	res := &Result{Columns: outCols, Rows: make([][]sqlval.Value, len(out))}
-	if k := len(outCols); 2*len(out) < projected {
+	// weighs by its own rows) does not pin the rows it dropped. The header
+	// is the binding's, shared read-only by every result.
+	res := &Result{Columns: b.header, Rows: make([][]sqlval.Value, len(out))}
+	if k := len(b.header); 2*len(out) < projected {
 		slab := make([]sqlval.Value, len(out)*k)
 		for i, r := range out {
 			res.Rows[i] = slabRow(slab, i, k)
@@ -184,23 +115,20 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 }
 
 // selectNoFrom evaluates a FROM-less select (SELECT 1, SELECT NOW()).
-func (s *Session) selectNoFrom(sel *sqlparser.Select) (*Result, error) {
+func (s *Session) selectNoFrom(sel *sqlparser.Select, b *binding) (*Result, error) {
 	ev := &env{params: s.params}
-	res := &Result{}
 	row := make([]sqlval.Value, 0, len(sel.Items))
 	for i, it := range sel.Items {
 		if it.Star {
 			return nil, errf("SELECT * requires FROM")
 		}
-		v, err := ev.eval(it.Expr)
+		v, err := ev.eval(b.items[i])
 		if err != nil {
 			return nil, err
 		}
 		row = append(row, v)
-		res.Columns = append(res.Columns, itemName(it, i))
 	}
-	res.Rows = [][]sqlval.Value{row}
-	return res, nil
+	return &Result{Columns: b.header, Rows: [][]sqlval.Value{row}}, nil
 }
 
 // singleTableRows materializes a one-table FROM clause. Unlike the join
@@ -213,24 +141,24 @@ func (s *Session) selectNoFrom(sel *sqlparser.Select) (*Result, error) {
 // top-k path: rows then stream out of the index in final order and the scan
 // halts after LIMIT+OFFSET live-at-epoch matches. The returned flag reports
 // that the row order already satisfies ORDER BY.
-func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[string]int, grouped bool, rv readView) ([][]sqlval.Value, bool, error) {
+func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView) ([][]sqlval.Value, bool, error) {
+	src := b.srcs[0]
 	t := src.t
 	e := s.engine
-	resolve := envResolver(cols, src.offset, len(t.schema.Columns))
 
 	// Order plan: can the ORDER BY be satisfied without sorting? Grouping
 	// and DISTINCT re-shuffle rows after the scan, so elision only applies
 	// without them.
 	var op orderPlan
-	if !grouped && !sel.Distinct {
-		op = planOrder(e, t, resolve, sel, sel.Access, s.params)
+	if !b.grouped && !sel.Distinct {
+		op = planOrder(e, t, b, sel, s.params)
 	} else if len(sel.OrderBy) == 0 {
 		op = orderPlan{done: true}
 	}
 
 	budget := int64(-1)
-	if op.done && !grouped && !sel.Distinct {
-		budget = scanBudget(sel, s.params)
+	if op.done && !b.grouped && !sel.Distinct {
+		budget = scanBudget(b, s.params)
 	}
 	if budget == 0 {
 		return nil, op.done, nil
@@ -238,11 +166,11 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 
 	var rows [][]sqlval.Value
 	var evalErr error
-	ev := &env{cols: cols, params: s.params}
+	ev := &env{params: s.params}
 	add := func(row []sqlval.Value) bool {
-		if sel.Where != nil {
+		if b.where != nil {
 			ev.row = row
-			m, err := ev.eval(sel.Where)
+			m, err := ev.eval(b.where)
 			if err != nil {
 				evalErr = err
 				return false
@@ -264,7 +192,7 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 	// fallback.
 	var plan accessPlan
 	if !op.scan || sel.Limit == nil {
-		plan = planAccess(e, t, resolve, sel.Where, sel.Access, s.params)
+		plan = planAccess(e, t, b.conj, s.params)
 	}
 	if op.scan && plan.indexed {
 		op.scan = false
@@ -316,12 +244,12 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, src srcTable, cols map[
 // scanBudget is the LIMIT pushdown budget: offset+limit WHERE survivors
 // suffice when no later stage reorders, merges or dedups rows (callers
 // check that). It is -1 when there is no usable LIMIT.
-func scanBudget(sel *sqlparser.Select, params []sqlval.Value) int64 {
-	if sel.Limit == nil {
+func scanBudget(b *binding, params []sqlval.Value) int64 {
+	if b.limit == nil {
 		return -1
 	}
 	ev := &env{params: params}
-	lv, err := ev.eval(sel.Limit)
+	lv, err := ev.eval(b.limit)
 	if err != nil {
 		return -1
 	}
@@ -329,8 +257,8 @@ func scanBudget(sel *sqlparser.Select, params []sqlval.Value) int64 {
 	if err != nil || budget < 0 {
 		return -1
 	}
-	if sel.Offset != nil {
-		if ov, err := ev.eval(sel.Offset); err == nil {
+	if b.offset != nil {
+		if ov, err := ev.eval(b.offset); err == nil {
 			if off, err := ov.AsInt(); err == nil && off > 0 {
 				budget += off
 			}
@@ -347,14 +275,14 @@ func scanBudget(sel *sqlparser.Select, params []sqlval.Value) int64 {
 // joined yet stay NULL in the scratch row, as in a padded row. The last stage
 // applies WHERE before cloning and, when no later stage reorders, merges or
 // dedups rows, stops after offset+limit survivors.
-func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[string]int, totalCols int, grouped bool, rv readView) ([][]sqlval.Value, error) {
+func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView) ([][]sqlval.Value, error) {
 	// WHERE conjuncts on the base table narrow it through the access
 	// planner; the full WHERE clause still filters at the last stage, so
 	// this only prunes rows that could never survive it (valid for LEFT JOIN
 	// too, since the base is the preserved side).
-	base := srcs[0]
+	base := b.srcs[0]
 	var rows [][]sqlval.Value
-	if plan := planAccess(s.engine, base.t, envResolver(cols, base.offset, len(base.t.schema.Columns)), sel.Where, sel.Access, s.params); plan.indexed {
+	if plan := planAccess(s.engine, base.t, b.conj, s.params); plan.indexed {
 		rows = make([][]sqlval.Value, 0, len(plan.refs))
 		for _, ch := range plan.refs {
 			if r := rv.resolve(ch); r != nil {
@@ -369,18 +297,19 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 	}
 
 	budget := int64(-1)
-	if len(sel.OrderBy) == 0 && !grouped && !sel.Distinct {
-		budget = scanBudget(sel, s.params)
+	if len(sel.OrderBy) == 0 && !b.grouped && !sel.Distinct {
+		budget = scanBudget(b, s.params)
 	}
 	if budget == 0 {
 		return nil, nil
 	}
-	scratch := make([]sqlval.Value, totalCols)
-	ev := &env{cols: cols, row: scratch, params: s.params}
-	for i := 1; i < len(srcs) && len(rows) > 0; i++ {
-		src := srcs[i]
-		tr := sel.From[i]
-		last := i == len(srcs)-1
+	scratch := make([]sqlval.Value, b.width)
+	ev := &env{row: scratch, params: s.params}
+	noIndex := s.engine.noIndexPlan.Load()
+	for i := 1; i < len(b.srcs) && len(rows) > 0; i++ {
+		src := b.srcs[i]
+		stage := &b.joins[i-1]
+		last := i == len(b.srcs)-1
 		width := src.offset + len(src.t.schema.Columns)
 		part := scratch[src.offset:width]
 		var next [][]sqlval.Value
@@ -390,8 +319,8 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 		// keep clones the scratch row if it survives WHERE (last stage only)
 		// and reports whether the stage should go on.
 		keep := func() bool {
-			if last && sel.Where != nil {
-				m, err := ev.eval(sel.Where)
+			if last && b.where != nil {
+				m, err := ev.eval(b.where)
 				if err != nil {
 					evalErr = err
 					return false
@@ -406,8 +335,8 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 		}
 		try := func(r []sqlval.Value) bool {
 			copy(part, r)
-			if tr.On != nil {
-				m, err := ev.eval(tr.On)
+			if stage.on != nil {
+				m, err := ev.eval(stage.on)
 				if err != nil {
 					evalErr = err
 					return false
@@ -420,10 +349,9 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 			return keep()
 		}
 
-		// Try an indexed equi-join: ON left.col = right.col with the new
-		// table's column indexed.
-		probe, buildCol, useIndex := equiJoinPlan(tr.On, src, cols)
-		useIndex = useIndex && !s.engine.noIndexPlan.Load()
+		// An indexed equi-join (ON left.col = right.col with the new
+		// table's column indexed) probes the index the binding chose.
+		useIndex := stage.ix != nil && !noIndex
 		for _, left := range rows {
 			copy(scratch, left)
 			matched = false
@@ -432,9 +360,8 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 			// against an INTEGER column) can compare equal through the
 			// textual fallback while hashing differently, so they scan.
 			// Probed refs run in rowid order, the order a scan meets them.
-			if useIndex && keyCompatible(src.t.schema.Columns[buildCol].Type, scratch[probe]) {
-				refs, _ := src.t.lookup(buildCol, scratch[probe])
-				for _, ch := range rowidOrder(refs) {
+			if useIndex && keyCompatible(src.t.schema.Columns[stage.build].Type, scratch[stage.probe]) {
+				for _, ch := range rowidOrder(stage.ix.lookup(src.t, scratch[stage.probe])) {
 					if r := rv.resolve(ch); r != nil && !try(r) {
 						break
 					}
@@ -442,7 +369,7 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 			} else {
 				src.t.scanSnap(rv, try)
 			}
-			if !matched && evalErr == nil && tr.Join == sqlparser.JoinLeft {
+			if !matched && evalErr == nil && sel.From[i].Join == sqlparser.JoinLeft {
 				// LEFT JOIN: keep the left row with NULLs on the right.
 				clear(part)
 				keep()
@@ -459,45 +386,6 @@ func (s *Session) joinRows(sel *sqlparser.Select, srcs []srcTable, cols map[stri
 	return rows, nil
 }
 
-// equiJoinPlan inspects an ON clause for left.col = right.col where the
-// right (new) table has an index, returning the probe position in the
-// combined row and the build column in the new table.
-func equiJoinPlan(on *sqlparser.Expr, src srcTable, cols map[string]int) (probe, buildCol int, ok bool) {
-	if on == nil || on.Kind != sqlparser.ExprBinary || on.Op != "=" {
-		return 0, 0, false
-	}
-	l, r := on.Left, on.Right
-	if l.Kind != sqlparser.ExprColumn || r.Kind != sqlparser.ExprColumn {
-		return 0, 0, false
-	}
-	// Determine which side belongs to the new table.
-	inNew := func(e *sqlparser.Expr) (int, bool) {
-		if e.Table != "" && e.Table != src.alias && e.Table != src.name {
-			return 0, false
-		}
-		idx := src.t.schema.ColumnIndex(e.Column)
-		if idx < 0 {
-			return 0, false
-		}
-		return idx, true
-	}
-	if bc, isNew := inNew(r); isNew {
-		if p, found := colPos(cols, l); found && (p < src.offset || p >= src.offset+len(src.t.schema.Columns)) {
-			if src.t.hasIndexOn(bc) {
-				return p, bc, true
-			}
-		}
-	}
-	if bc, isNew := inNew(l); isNew {
-		if p, found := colPos(cols, r); found && (p < src.offset || p >= src.offset+len(src.t.schema.Columns)) {
-			if src.t.hasIndexOn(bc) {
-				return p, bc, true
-			}
-		}
-	}
-	return 0, 0, false
-}
-
 // slabRow is row i of a slab of k-value rows, capped at its own length so
 // that appending to it cannot write into row i+1.
 func slabRow(slab []sqlval.Value, i, k int) []sqlval.Value {
@@ -506,14 +394,15 @@ func slabRow(slab []sqlval.Value, i, k int) []sqlval.Value {
 
 // projectRows evaluates the select list for each row of a non-grouped
 // query, in one reused environment, into one slab of len(rows)·k values.
-func projectRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Value, cols map[string]int, params []sqlval.Value) ([]outRow, error) {
+func projectRows(b *binding, rows [][]sqlval.Value, params []sqlval.Value) ([]outRow, error) {
+	k := len(b.header)
 	slab := make([]sqlval.Value, len(rows)*k)
 	out := make([]outRow, len(rows))
-	ev := env{cols: cols, params: params}
+	ev := env{params: params}
 	for i, r := range rows {
 		ev.row = r
 		vals := slabRow(slab, i, k)
-		if err := projectOne(sel, stars, &ev, vals); err != nil {
+		if err := projectOne(b, &ev, vals); err != nil {
 			return nil, err
 		}
 		out[i] = outRow{vals: vals, row: r}
@@ -522,49 +411,44 @@ func projectRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Val
 }
 
 // groupedRows implements GROUP BY / aggregate evaluation. A first pass
-// numbers each row's group in first-seen order through one map whose key
-// is built in a reused scratch buffer, so only a new group allocates its
-// key. A second pass folds every row into its group's accumulators — one
+// numbers each row's group in first-seen order through one key set whose
+// key is built in a reused scratch buffer, so no group allocates its key.
+// A second pass folds every row into its group's accumulators — one
 // per aggregate, all groups' in one slab sized once the groups are known —
 // and moves each group's first row to the front of rows (group g's first
 // row is never before row g, so the move overwrites only rows already
 // read). HAVING then evaluates once per group, and the groups it keeps
 // project into one slab, all in one reused environment.
-func groupedRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Value, cols map[string]int, width int, aggExprs []*sqlparser.Expr, params []sqlval.Value) ([]outRow, error) {
-	for _, ae := range aggExprs {
-		if !countsRows(ae) && len(ae.Args) != 1 {
-			return nil, errf("%s expects one argument", ae.Func)
+func groupedRows(sel *sqlparser.Select, b *binding, rows [][]sqlval.Value, params []sqlval.Value) ([]outRow, error) {
+	for _, ae := range b.aggs {
+		if !countsRows(ae.x) && len(ae.args) != 1 {
+			return nil, errf("%s expects one argument", ae.x.Func)
 		}
 	}
-	na := len(aggExprs)
-	ev := env{cols: cols, params: params}
+	na := len(b.aggs)
+	ev := env{params: params}
 
 	// Without GROUP BY every row is in group 0, and that one group exists
 	// even over no rows (COUNT(*) of an empty table is 0).
 	ngroups := 1
 	var gids []int32 // row i is in group gids[i]
-	if len(sel.GroupBy) > 0 {
+	if len(b.groupBy) > 0 {
 		gids = make([]int32, len(rows))
-		groups := make(map[string]int32)
+		var groups keySet
 		var key []byte
 		for i, r := range rows {
 			ev.row = r
 			key = key[:0]
-			for _, g := range sel.GroupBy {
+			for _, g := range b.groupBy {
 				v, err := ev.eval(g)
 				if err != nil {
 					return nil, err
 				}
 				key = appendKeyPart(key, v)
 			}
-			g, ok := groups[string(key)]
-			if !ok {
-				g = int32(len(groups))
-				groups[string(key)] = g
-			}
-			gids[i] = g
+			gids[i], _ = groups.add(key)
 		}
-		ngroups = len(groups)
+		ngroups = groups.len()
 	}
 
 	accs := make([]aggAcc, ngroups*na) // group g's accumulators are accs[g*na:(g+1)*na]
@@ -579,7 +463,7 @@ func groupedRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Val
 			firsts = append(firsts, r)
 		}
 		ev.row = r
-		for j, ae := range aggExprs {
+		for j, ae := range b.aggs {
 			if err := accs[g*na+j].add(ae, &ev, &scratch); err != nil {
 				return nil, err
 			}
@@ -587,27 +471,26 @@ func groupedRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Val
 	}
 	// The implicit group over no rows has an all-NULL row, so a bare column
 	// in the select list or HAVING reads NULL.
-	if len(sel.GroupBy) == 0 && len(rows) == 0 {
-		firsts = append(firsts, make([]sqlval.Value, width))
+	if len(b.groupBy) == 0 && len(rows) == 0 {
+		firsts = append(firsts, make([]sqlval.Value, b.width))
 	}
 
 	// The groups HAVING keeps move to the front, with their aggregates.
 	vals := make([]sqlval.Value, ngroups*na)
-	aggRows := make([]aggRow, ngroups)
+	aggs := make([][]sqlval.Value, ngroups)
 	kept := 0
 	for g, first := range firsts {
 		gv := vals[g*na : (g+1)*na : (g+1)*na]
-		for j, ae := range aggExprs {
-			v, err := accs[g*na+j].result(ae)
+		for j, ae := range b.aggs {
+			v, err := accs[g*na+j].result(ae.x)
 			if err != nil {
 				return nil, err
 			}
 			gv[j] = v
 		}
-		aggRows[kept] = aggRow{exprs: aggExprs, vals: gv}
-		if sel.Having != nil {
-			ev.row, ev.aggs = first, &aggRows[kept]
-			m, err := ev.eval(sel.Having)
+		if b.having != nil {
+			ev.row, ev.aggs = first, gv
+			m, err := ev.eval(b.having)
 			if err != nil {
 				return nil, err
 			}
@@ -615,19 +498,20 @@ func groupedRows(sel *sqlparser.Select, stars []span, k int, rows [][]sqlval.Val
 				continue
 			}
 		}
-		firsts[kept] = first
+		firsts[kept], aggs[kept] = first, gv
 		kept++
 	}
 
+	k := len(b.header)
 	slab := make([]sqlval.Value, kept*k)
 	out := make([]outRow, kept)
 	for g := range out {
-		ev.row, ev.aggs = firsts[g], &aggRows[g]
+		ev.row, ev.aggs = firsts[g], aggs[g]
 		pv := slabRow(slab, g, k)
-		if err := projectOne(sel, stars, &ev, pv); err != nil {
+		if err := projectOne(b, &ev, pv); err != nil {
 			return nil, err
 		}
-		out[g] = outRow{vals: pv, row: firsts[g], aggs: &aggRows[g]}
+		out[g] = outRow{vals: pv, row: firsts[g], aggs: aggs[g]}
 	}
 	return out, nil
 }
@@ -648,31 +532,30 @@ type aggAcc struct {
 	sumInt int64
 	mixed  bool // a non-integer was summed: SUM answers sum, not sumInt
 	ext    sqlval.Value
-	seen   map[string]struct{} // DISTINCT only: keys of the inputs counted
+	seen   *keySet // DISTINCT only: keys of the inputs counted
 }
 
 // add folds the current row of ev into the accumulator. scratch is a
 // reusable buffer for DISTINCT keys.
-func (a *aggAcc) add(ae *sqlparser.Expr, ev *env, scratch *[]byte) error {
-	if countsRows(ae) {
+func (a *aggAcc) add(ae *bexpr, ev *env, scratch *[]byte) error {
+	if countsRows(ae.x) {
 		a.count++
 		return nil
 	}
-	v, err := ev.eval(ae.Args[0])
+	v, err := ev.eval(ae.args[0])
 	if err != nil || v.IsNull() {
 		return err
 	}
-	if ae.Distinct {
+	if ae.x.Distinct {
+		if a.seen == nil {
+			a.seen = new(keySet)
+		}
 		*scratch = v.AppendKey((*scratch)[:0])
-		if _, dup := a.seen[string(*scratch)]; dup {
+		if _, added := a.seen.add(*scratch); !added {
 			return nil
 		}
-		if a.seen == nil {
-			a.seen = make(map[string]struct{})
-		}
-		a.seen[string(*scratch)] = struct{}{}
 	}
-	switch ae.Func {
+	switch ae.x.Func {
 	case "SUM", "AVG":
 		f, err := v.AsFloat()
 		if err != nil {
@@ -723,14 +606,14 @@ func (a *aggAcc) result(ae *sqlparser.Expr) (sqlval.Value, error) {
 
 // projectOne evaluates the select list in ev into dst, which is exactly
 // the list's output width. A star copies its span of the combined row.
-func projectOne(sel *sqlparser.Select, stars []span, ev *env, dst []sqlval.Value) error {
+func projectOne(b *binding, ev *env, dst []sqlval.Value) error {
 	n := 0
-	for i, it := range sel.Items {
-		if it.Star {
-			n += copy(dst[n:], ev.row[stars[i].lo:stars[i].hi])
+	for i, it := range b.items {
+		if it == nil {
+			n += copy(dst[n:], ev.row[b.stars[i].lo:b.stars[i].hi])
 			continue
 		}
-		v, err := ev.eval(it.Expr)
+		v, err := ev.eval(it)
 		if err != nil {
 			return err
 		}
@@ -738,45 +621,6 @@ func projectOne(sel *sqlparser.Select, stars []span, ev *env, dst []sqlval.Value
 		n++
 	}
 	return nil
-}
-
-// outputColumns resolves the select list against the FROM entries once per
-// statement: the result's column names and, for each star item, the span
-// of the combined row it copies (nil when the list has no star). Projection
-// copies by the same spans, so every row has one value per column.
-func outputColumns(sel *sqlparser.Select, srcs []srcTable) ([]string, []span, error) {
-	var stars []span
-	k := 0
-	for i, it := range sel.Items {
-		if !it.Star {
-			k++
-			continue
-		}
-		if stars == nil {
-			stars = make([]span, len(sel.Items))
-		}
-		sp, err := starSpan(it, srcs)
-		if err != nil {
-			return nil, nil, err
-		}
-		stars[i] = sp
-		k += sp.hi - sp.lo
-	}
-	out := make([]string, 0, k)
-	for i, it := range sel.Items {
-		if !it.Star {
-			out = append(out, itemName(it, i))
-			continue
-		}
-		for _, src := range srcs {
-			for j, c := range src.t.schema.Columns {
-				if p := src.offset + j; p >= stars[i].lo && p < stars[i].hi {
-					out = append(out, c.Name)
-				}
-			}
-		}
-	}
-	return out, stars, nil
 }
 
 // starSpan resolves one star item. A bare * is the whole combined row. A
@@ -817,10 +661,11 @@ func itemName(it sqlparser.SelectItem, i int) string {
 }
 
 // orderKey is one ORDER BY key: output column pos, or when pos < 0 expr
-// evaluated on the row's source.
+// evaluated on the row's source. The binding holds each key's expression
+// and, for a bare name, the output column it names (-1 for none).
 type orderKey struct {
 	pos  int
-	expr *sqlparser.Expr
+	expr *bexpr
 }
 
 // orderRows sorts out in place according to ORDER BY. Keys resolve first to
@@ -830,27 +675,24 @@ type orderKey struct {
 // are resolved exactly once — O(n·k) evaluations — into one slab, a stable
 // sort orders an index over it, and the rows then follow the index in
 // place. The sort allocates the keys, the slab and the index.
-func orderRows(sel *sqlparser.Select, out []outRow, outCols []string, cols map[string]int, params []sqlval.Value) error {
+func orderRows(sel *sqlparser.Select, b *binding, out []outRow, params []sqlval.Value) error {
 	keys := make([]orderKey, len(sel.OrderBy))
 	for i, oi := range sel.OrderBy {
-		ex := oi.Expr
-		keys[i] = orderKey{pos: -1, expr: ex}
-		lit, isLit := ex.LitValue(params)
-		switch {
-		case isLit && lit.K == sqlval.KindInt:
-			pos := int(lit.I) - 1
-			if pos < 0 || pos >= len(outCols) {
-				return errf("ORDER BY position %d out of range", lit.I)
+		keys[i] = b.order[i]
+		if lit, ok := oi.Expr.LitValue(params); ok {
+			keys[i].pos = -1
+			if lit.K == sqlval.KindInt {
+				pos := int(lit.I) - 1
+				if pos < 0 || pos >= len(b.header) {
+					return errf("ORDER BY position %d out of range", lit.I)
+				}
+				keys[i].pos = pos
 			}
-			keys[i].pos = pos
-		case ex.Kind == sqlparser.ExprColumn && ex.Table == "":
-			// Prefer an output column of the same name (alias reference).
-			keys[i].pos = slices.Index(outCols, ex.Column)
 		}
 	}
 	nk := len(keys)
 	dec := make([]sqlval.Value, len(out)*nk)
-	ev := env{cols: cols, params: params}
+	ev := env{params: params}
 	for r := range out {
 		for i, k := range keys {
 			if k.pos >= 0 {
@@ -899,12 +741,12 @@ func orderRows(sel *sqlparser.Select, out []outRow, outCols []string, cols map[s
 }
 
 // applyLimit applies LIMIT/OFFSET.
-func applyLimit(sel *sqlparser.Select, out []outRow, params []sqlval.Value) ([]outRow, error) {
-	if sel.Limit == nil {
+func applyLimit(b *binding, out []outRow, params []sqlval.Value) ([]outRow, error) {
+	if b.limit == nil {
 		return out, nil
 	}
 	ev := &env{params: params}
-	lv, err := ev.eval(sel.Limit)
+	lv, err := ev.eval(b.limit)
 	if err != nil {
 		return nil, err
 	}
@@ -913,8 +755,8 @@ func applyLimit(sel *sqlparser.Select, out []outRow, params []sqlval.Value) ([]o
 		return nil, err
 	}
 	var offset int64
-	if sel.Offset != nil {
-		ov, err := ev.eval(sel.Offset)
+	if b.offset != nil {
+		ov, err := ev.eval(b.offset)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -146,10 +147,14 @@ func parseOrFail(t *testing.T, sql string) sqlparser.Statement {
 	return st
 }
 
-// allocsOf is the allocations of one execution of sql, averaged.
-func allocsOf(t *testing.T, s *Session, sql string, rows int) float64 {
+// allocsOf is the allocations of one execution of sql with params bound,
+// averaged.
+func allocsOf(t *testing.T, s *Session, sql string, rows int, params ...sqlval.Value) float64 {
 	t.Helper()
 	st := parseOrFail(t, sql)
+	if params != nil {
+		st = &sqlparser.Bound{Stmt: st, SQL: sql, Params: params}
+	}
 	return testing.AllocsPerRun(50, func() {
 		res, err := s.Exec(st)
 		if err != nil || len(res.Rows) != rows {
@@ -159,50 +164,52 @@ func allocsOf(t *testing.T, s *Session, sql string, rows int) float64 {
 }
 
 // A SELECT allocates a constant number of objects whatever its row count:
-// one slab of values per result, no environment or value slice per row,
+// one slab of values per result, no environment, value slice or function
+// argument slice per row,
 // exact-size candidate lists, a sort of three slices. Grouping adds only
-// its group table — a key per new group and the map that holds them.
+// its group table, which grows by doubling whatever the number of groups.
 func TestResultAllocationsIndependentOfRows(t *testing.T) {
 	s := resultDB(t)
-	for _, q := range []string{
-		"SELECT id, name FROM r WHERE id >= 0 AND id < %d",
-		"SELECT * FROM r WHERE id >= 0 AND id < %d",
-		"SELECT id, name FROM r WHERE id >= 0 AND id < %d ORDER BY name",
-		"SELECT id, name FROM r WHERE id >= 0 AND id < %d ORDER BY g10 DESC, id",
-		"SELECT g10, COUNT(*), SUM(id) FROM r WHERE id >= 0 AND id < %d GROUP BY g10",
+	for _, tc := range []struct {
+		q string
+		// perRow is what the statement's own functions allocate per row:
+		// UPPER maps the lower-case names to a new string.
+		perRow float64
+	}{
+		{q: "SELECT id, name FROM r WHERE id >= 0 AND id < %d"},
+		{q: "SELECT * FROM r WHERE id >= 0 AND id < %d"},
+		{q: "SELECT id, name FROM r WHERE id >= 0 AND id < %d ORDER BY name"},
+		{q: "SELECT id, name FROM r WHERE id >= 0 AND id < %d ORDER BY g10 DESC, id"},
+		{q: "SELECT g10, COUNT(*), SUM(id) FROM r WHERE id >= 0 AND id < %d GROUP BY g10"},
+		{q: "SELECT id, LOWER(name) FROM r WHERE id >= 0 AND id < %d"},
+		{q: "SELECT id FROM r WHERE id >= 0 AND id < %d AND UPPER(name) LIKE ?", perRow: 1},
 	} {
+		q := tc.q
 		small, large := fmt.Sprintf(q, 10), fmt.Sprintf(q, 1000)
 		want := 10
 		if !strings.Contains(q, "GROUP BY") {
 			want = 1000
 		}
-		a, b := allocsOf(t, s, small, 10), allocsOf(t, s, large, want)
+		var params []sqlval.Value
+		if strings.Contains(q, "?") {
+			params = []sqlval.Value{sqlval.String_("N%")}
+		}
+		a, b := allocsOf(t, s, small, 10, params...), allocsOf(t, s, large, want, params...)
 		t.Logf("%s: %.0f allocations at 10 rows, %.0f at 1000", q, a, b)
-		if b-a > 2 {
+		if b-a > 2+tc.perRow*(1000-10) {
 			t.Errorf("%s: %.0f allocations at 10 rows, %.0f at 1000", q, a, b)
 		}
 	}
 
-	// One group per row. The group table's own cost is measured on an
-	// equivalent map: a string per new key, plus the map's growth.
-	groupTable := func(n int) float64 {
-		return testing.AllocsPerRun(50, func() {
-			m := make(map[string]int32)
-			var key []byte
-			for i := 0; i < n; i++ {
-				key = appendKeyPart(key[:0], sqlval.Int(int64(i)))
-				if _, ok := m[string(key)]; !ok {
-					m[string(key)] = int32(len(m))
-				}
-			}
-		})
-	}
+	// One group per row. The group table is a key set: its map, entry slice
+	// and key arena grow by doubling, so a hundred times the groups costs
+	// O(log groups) more allocations, not one per group.
 	q := "SELECT g, COUNT(*), SUM(id) FROM r WHERE id >= 0 AND id < %d GROUP BY g"
 	a, b := allocsOf(t, s, fmt.Sprintf(q, 10), 10), allocsOf(t, s, fmt.Sprintf(q, 1000), 1000)
-	keys := groupTable(1000) - groupTable(10)
-	t.Logf("%s: %.0f allocations at 10 groups, %.0f at 1000; the group table accounts for %.0f", q, a, b, keys)
-	if b-a-keys > 2 {
-		t.Errorf("%s: %.0f allocations at 10 groups, %.0f at 1000, of which the group table %.0f", q, a, b, keys)
+	bound := 4 * math.Log2(1000)
+	t.Logf("%s: %.0f allocations at 10 groups, %.0f at 1000 (bound %.0f more)", q, a, b, bound)
+	if b-a > bound {
+		t.Errorf("%s: %.0f allocations at 10 groups, %.0f at 1000, more than %.0f apart", q, a, b, bound)
 	}
 }
 

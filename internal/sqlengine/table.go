@@ -207,11 +207,10 @@ type table struct {
 	// last compaction. Both guarded by store exclusive.
 	purge []purgeEntry
 	dead  int
-	// cols is the prebuilt environment column map ("col" and "table.col"
-	// keys). The engine has no ALTER TABLE, so it is immutable after
-	// creation and shared by every unaliased single-table statement
-	// instead of being rebuilt per execution.
-	cols map[string]int
+	// defaults holds the columns' bound DEFAULT expressions (nil where a
+	// column has none). The engine has no ALTER TABLE, so they are bound
+	// once, when the table is created.
+	defaults []*bexpr
 }
 
 func newTable(schema *Schema) *table {
@@ -221,11 +220,7 @@ func newTable(schema *Schema) *table {
 		indexes: make(map[string]*index),
 	}
 	t.order.Store(&orderSlab{})
-	t.cols = make(map[string]int, len(schema.Columns)*2)
-	for i := range schema.Columns {
-		t.cols[schema.Columns[i].Name] = i
-		t.cols[schema.Name+"."+schema.Columns[i].Name] = i
-	}
+	t.defaults = defaults(schema)
 	// Implicit unique index on the primary key column(s).
 	var pkCols []int
 	for i, c := range schema.Columns {
@@ -395,26 +390,21 @@ func (t *table) scanSnap(rv readView, f func(row []sqlval.Value) bool) {
 	}
 }
 
-// lookup returns the chain refs matching a single-column equality using the
-// first usable index, and ok=false when no index covers the column. It runs
-// on the latch-free read path: the probe key is built in a stack buffer and
-// idxMu is held only for the probe. The slice returned is the bucket's own,
-// capped at its current length (see idBucket.live). Refs may be stale;
-// callers must resolve each chain and re-check their predicate.
-func (t *table) lookup(colIdx int, v sqlval.Value) (refs []*rowChain, ok bool) {
-	for _, ix := range t.indexes {
-		if len(ix.columns) == 1 && ix.columns[0] == colIdx {
-			var buf [48]byte
-			b := v.AppendKey(buf[:0])
-			t.idxMu.RLock()
-			if bkt := t.lookupBucket(ix, b); bkt != nil {
-				refs = bkt.refs[:len(bkt.refs):len(bkt.refs)]
-			}
-			t.idxMu.RUnlock()
-			return refs, true
-		}
+// lookup returns the chain refs under v's key. It runs on the latch-free
+// read path: the probe key is built in a stack buffer and idxMu is held
+// only for the probe. The slice returned is the bucket's own, capped at its
+// current length (see idBucket.live). Refs may be stale; callers must
+// resolve each chain and re-check their predicate. ix is a single-column
+// index of t.
+func (ix *index) lookup(t *table, v sqlval.Value) (refs []*rowChain) {
+	var buf [48]byte
+	b := v.AppendKey(buf[:0])
+	t.idxMu.RLock()
+	if bkt := ix.m[string(b)]; bkt != nil {
+		refs = bkt.refs[:len(bkt.refs):len(bkt.refs)]
 	}
-	return nil, false
+	t.idxMu.RUnlock()
+	return refs
 }
 
 // rowidOrder returns refs ascending by rowid. Rowids are assigned in
@@ -433,20 +423,18 @@ func rowidOrder(refs []*rowChain) []*rowChain {
 	return refs
 }
 
-// lookupBucket probes one index bucket. Caller holds idxMu (either mode).
-func (t *table) lookupBucket(ix *index, key []byte) *idBucket {
-	return ix.m[string(key)]
-}
-
-// hasIndexOn reports whether a single-column index covers colIdx (join
-// planning probes this without building a key).
-func (t *table) hasIndexOn(colIdx int) bool {
+// indexOn returns the single-column index on colIdx, or nil. When several
+// cover the column the first by name is chosen, so every replica and every
+// binding picks the same one. Binding calls it, under the catalog lock, so
+// no DDL changes the index map meanwhile.
+func (t *table) indexOn(colIdx int) *index {
+	var best *index
 	for _, ix := range t.indexes {
-		if len(ix.columns) == 1 && ix.columns[0] == colIdx {
-			return true
+		if len(ix.columns) == 1 && ix.columns[0] == colIdx && (best == nil || ix.name < best.name) {
+			best = ix
 		}
 	}
-	return false
+	return best
 }
 
 // addIndex builds a new index over existing rows. It indexes the key of
@@ -491,18 +479,5 @@ func (t *table) addIndex(name string, cols []int, unique bool) error {
 		}
 	}
 	t.indexes[name] = ix
-	return nil
-}
-
-// orderedOn returns the ordered view of a single-column index on colIdx, or
-// nil. Tower links are immutable pointers on the index struct, so probing
-// needs no lock (the indexes map itself only changes under the engine-
-// exclusive DDL lock, which excludes readers entirely).
-func (t *table) orderedOn(colIdx int) *ordIndex {
-	for _, ix := range t.indexes {
-		if len(ix.columns) == 1 && ix.columns[0] == colIdx && ix.ord != nil {
-			return ix.ord
-		}
-	}
 	return nil
 }

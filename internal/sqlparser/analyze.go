@@ -310,124 +310,3 @@ func itoa(i int) string {
 	}
 	return string(b[n:])
 }
-
-// AccessInfo summarizes the statically knowable access shape of a
-// statement: whether any top-level AND conjunct of its WHERE clause has an
-// index-probeable form, and whether its ORDER BY has the shape an ordered
-// index scan could satisfy. It is computed once per cached plan
-// (plancache.Build) and shared by every clone of the statement — it records
-// shapes, never literal values, so it holds for every parameter vector. The engine's access planner uses it as a fast bail-out: a cache hit
-// whose statement cannot use any index skips the conjunct walk entirely,
-// and one whose ORDER BY cannot be elided skips order planning.
-type AccessInfo struct {
-	// Indexable reports that some top-level conjunct is col = lit,
-	// col IN (lits), col BETWEEN lit AND lit, or a </<=/>/>= comparison of
-	// a column against a literal (parameters count as literals: the engine
-	// reads each as the value its vector binds).
-	Indexable bool
-	// OrderElidable reports that every ORDER BY key resolves to a bare
-	// column of the statement (directly, or through an integer position
-	// into the select list) and that no select-list alias shadows such a
-	// column with a different expression — the preconditions for replacing
-	// the sort with an ordered-index scan. False when there is no ORDER BY.
-	OrderElidable bool
-}
-
-// accessLit reports whether e can act as an index-probe operand: a literal
-// now, or a parameter that reads as one at evaluation (Expr.LitValue).
-func accessLit(e *Expr) bool {
-	return e != nil && (e.Kind == ExprLiteral || e.Kind == ExprParam)
-}
-
-// AnalyzeAccess computes the AccessInfo of a WHERE clause plus (for SELECT)
-// an ORDER BY over a select list. It is pure shape analysis over the AST —
-// no catalog access — so it runs once at plan-cache build time.
-func AnalyzeAccess(where *Expr, orderBy []OrderItem, items []SelectItem) *AccessInfo {
-	ai := &AccessInfo{}
-	var walk func(ex *Expr)
-	walk = func(ex *Expr) {
-		switch {
-		case ex.Kind == ExprBinary && ex.Op == "AND":
-			walk(ex.Left)
-			walk(ex.Right)
-		case ex.Kind == ExprBinary && (ex.Op == "=" || ex.Op == "<" || ex.Op == "<=" || ex.Op == ">" || ex.Op == ">="):
-			col, lit := ex.Left, ex.Right
-			if col.Kind != ExprColumn {
-				col, lit = lit, col
-			}
-			if col.Kind == ExprColumn && accessLit(lit) {
-				ai.Indexable = true
-			}
-		case ex.Kind == ExprIn && !ex.Not:
-			if ex.Left == nil || ex.Left.Kind != ExprColumn {
-				return
-			}
-			for _, item := range ex.List {
-				if !accessLit(item) {
-					return
-				}
-			}
-			ai.Indexable = true
-		case ex.Kind == ExprBetween && !ex.Not:
-			if ex.Left != nil && ex.Left.Kind == ExprColumn && accessLit(ex.Low) && accessLit(ex.High) {
-				ai.Indexable = true
-			}
-		}
-	}
-	if where != nil {
-		walk(where)
-	}
-	if len(orderBy) > 0 {
-		ai.OrderElidable = orderShapeElidable(orderBy, items)
-	}
-	return ai
-}
-
-// orderShapeElidable checks the AST-level preconditions for satisfying an
-// ORDER BY by index scan: every key is a bare/qualified column or an integer
-// position resolving to one, and no select-list alias captures a bare key's
-// name for a different expression (orderRows would sort by that output
-// column, so eliding the sort would diverge).
-func orderShapeElidable(orderBy []OrderItem, items []SelectItem) bool {
-	for _, oi := range orderBy {
-		ex := oi.Expr
-		if ex.Kind == ExprLiteral && ex.Lit.K == sqlval.KindInt {
-			pos := int(ex.Lit.I) - 1
-			if pos < 0 || pos >= len(items) {
-				return false
-			}
-			// A star at or before the position expands to an unknown number
-			// of output columns, so the positional reference cannot be
-			// resolved against the select list here; orderRows resolves it
-			// against the post-expansion output instead.
-			for _, it := range items[:pos+1] {
-				if it.Star {
-					return false
-				}
-			}
-			ex = items[pos].Expr
-		}
-		if ex == nil || ex.Kind != ExprColumn {
-			return false
-		}
-		if ex.Table != "" {
-			continue
-		}
-		for _, it := range items {
-			if it.Star {
-				continue // star output names are the columns themselves
-			}
-			name := strings.ToLower(it.Alias)
-			if name == "" && it.Expr != nil && it.Expr.Kind == ExprColumn {
-				name = it.Expr.Column
-			}
-			if name != ex.Column {
-				continue
-			}
-			if it.Expr == nil || it.Expr.Kind != ExprColumn || it.Expr.Column != ex.Column {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -65,6 +65,7 @@ type Insert struct {
 	Columns []string  // empty means table order
 	Rows    [][]*Expr // VALUES form
 	Query   *Select   // SELECT form, nil otherwise
+	Bind    *Bindings // see Update.Bind
 }
 
 // Assignment is one SET column = expr clause.
@@ -78,19 +79,17 @@ type Update struct {
 	Table string
 	Set   []Assignment
 	Where *Expr
-	// Access is the statement's precomputed access-shape summary (see
-	// AnalyzeAccess). Shallow statement clones share the pointer: the
-	// summary holds shapes, never literal values, so it holds for every
-	// parameter vector. nil means "not analyzed" — planners fall back to
-	// walking the AST.
-	Access *AccessInfo
+	// Bind holds what executors compiled from this tree (see Bindings).
+	// The parser gives every tree its own; a clone gets a fresh one, since
+	// it may be rewritten.
+	Bind *Bindings
 }
 
 // Delete is DELETE FROM table [WHERE ...].
 type Delete struct {
-	Table  string
-	Where  *Expr
-	Access *AccessInfo // see Update.Access
+	Table string
+	Where *Expr
+	Bind  *Bindings // see Update.Bind
 }
 
 // JoinKind distinguishes the supported join flavours.
@@ -136,7 +135,7 @@ type Select struct {
 	OrderBy  []OrderItem
 	Limit    *Expr // nil when absent
 	Offset   *Expr
-	Access   *AccessInfo // see Update.Access
+	Bind     *Bindings // see Update.Bind
 }
 
 // Begin starts a transaction.

@@ -82,6 +82,7 @@ func (s *Insert) Clone() Statement {
 	if s.Query != nil {
 		c.Query = s.Query.Clone().(*Select)
 	}
+	c.Bind = new(Bindings)
 	return &c
 }
 
@@ -95,6 +96,7 @@ func (s *Update) Clone() Statement {
 		}
 	}
 	c.Where = s.Where.Clone()
+	c.Bind = new(Bindings)
 	return &c
 }
 
@@ -102,6 +104,7 @@ func (s *Update) Clone() Statement {
 func (s *Delete) Clone() Statement {
 	c := *s
 	c.Where = s.Where.Clone()
+	c.Bind = new(Bindings)
 	return &c
 }
 
@@ -133,6 +136,7 @@ func (s *Select) Clone() Statement {
 	}
 	c.Limit = s.Limit.Clone()
 	c.Offset = s.Offset.Clone()
+	c.Bind = new(Bindings)
 	return &c
 }
 

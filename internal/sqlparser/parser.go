@@ -380,7 +380,7 @@ func (p *parser) parseInsert() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins := &Insert{Table: table}
+	ins := &Insert{Table: table, Bind: new(Bindings)}
 	if p.accept(tokOp, "(") {
 		for {
 			c, err := p.ident()
@@ -442,7 +442,7 @@ func (p *parser) parseUpdate() (Statement, error) {
 	if err := p.expectKw("SET"); err != nil {
 		return nil, err
 	}
-	up := &Update{Table: table}
+	up := &Update{Table: table, Bind: new(Bindings)}
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -479,7 +479,7 @@ func (p *parser) parseDelete() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	del := &Delete{Table: table}
+	del := &Delete{Table: table, Bind: new(Bindings)}
 	if p.acceptKw("WHERE") {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -494,7 +494,7 @@ func (p *parser) parseSelect() (*Select, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
-	sel := &Select{}
+	sel := &Select{Bind: new(Bindings)}
 	sel.Distinct = p.acceptKw("DISTINCT")
 	for {
 		item, err := p.parseSelectItem()

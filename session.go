@@ -3,6 +3,7 @@ package cjdbc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"cjdbc/internal/backend"
@@ -165,8 +166,10 @@ func wrapResult(res *backend.Result) *Rows {
 	if res == nil {
 		return &Rows{}
 	}
+	// The engine shares one header among the results of a statement; the
+	// caller gets its own copy.
 	return &Rows{
-		Columns:      res.Columns,
+		Columns:      slices.Clone(res.Columns),
 		RowsAffected: res.RowsAffected,
 		LastInsertID: res.LastInsertID,
 		rows:         res.Rows,
