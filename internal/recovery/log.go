@@ -2,10 +2,8 @@
 // portable database dumps used for checkpointing (§3.1, where the paper
 // uses the Octopus ETL tool). A log entry records the user, the transaction
 // identifier and the SQL statement for every begin, commit, abort and
-// update; checkpoints are named markers in the log. The log can live in
-// memory, in a flat file, or in a database reached through SQL (which is
-// how the fault-tolerant log of Figure 2 is built: the entries are sent to
-// a replicated virtual database).
+// update; checkpoints are named markers in the log. The log lives in
+// memory or in a flat file.
 package recovery
 
 import (
@@ -14,10 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -278,135 +273,30 @@ func (s *fileStore) put(e Entry) error {
 	return nil
 }
 
+// scan reads lines of any length: put writes whatever the wire delivered,
+// so no line cap may stand between the log and its own entries. A final
+// line without its newline is parsed like any other.
 func (s *fileStore) scan(after uint64) ([]Entry, error) {
 	var out []Entry
-	sc := bufio.NewScanner(io.NewSectionReader(s.f, 0, s.end))
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var e Entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("recovery: corrupt log line: %w", err)
+	r := bufio.NewReader(io.NewSectionReader(s.f, 0, s.end))
+	for {
+		line, rerr := r.ReadBytes('\n')
+		if len(line) > 0 {
+			var e Entry
+			if err := json.Unmarshal(line, &e); err != nil {
+				return nil, fmt.Errorf("recovery: corrupt log line: %w", err)
+			}
+			if e.Seq > after {
+				out = append(out, e)
+			}
 		}
-		if e.Seq > after {
-			out = append(out, e)
+		if rerr == io.EOF {
+			return out, nil
+		}
+		if rerr != nil {
+			return nil, fmt.Errorf("recovery: read log: %w", rerr)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("recovery: read log: %w", err)
-	}
-	return out, nil
 }
 
 func (s *fileStore) close() error { return s.f.Close() }
-
-// SQLExecutor executes one auto-commit SQL statement; the database-backed
-// log uses it to reach its storage, which may itself be a fault-tolerant
-// virtual database (Figure 2).
-type SQLExecutor interface {
-	ExecSQL(sql string) (rowsAffected int64, err error)
-	QuerySQL(sql string) (columns []string, rows [][]string, err error)
-}
-
-// SQLLog keeps the log in a database reached through SQL (the JDBC option
-// of §3.2): one row per entry, with the conflict footprint in a tables_csv
-// column (see encodeTables).
-type SQLLog struct{ sequencer }
-
-// NewSQLLog creates (if needed) the log table and returns a database-backed
-// log. tableName must be a valid SQL identifier.
-func NewSQLLog(db SQLExecutor, tableName string) (*SQLLog, error) {
-	_, err := db.ExecSQL(fmt.Sprintf(
-		`CREATE TABLE IF NOT EXISTS %s (seq INTEGER PRIMARY KEY, usr VARCHAR, tx INTEGER, class VARCHAR, sql_text VARCHAR, name VARCHAR, tables_csv VARCHAR)`,
-		tableName))
-	if err != nil {
-		return nil, fmt.Errorf("recovery: create log table: %w", err)
-	}
-	l := &SQLLog{}
-	if err := l.open(&sqlStore{db: db, table: tableName}); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-type sqlStore struct {
-	db    SQLExecutor
-	table string
-}
-
-// sqlLogColumns is the log table's schema, in CREATE TABLE order.
-var sqlLogColumns = []string{"seq", "usr", "tx", "class", "sql_text", "name", "tables_csv"}
-
-// encodeTables renders an entry's conflict footprint for tables_csv: "*"
-// for gate-exclusive entries, "-" for a footprint-aware entry that touched
-// nothing (distinguishing it from a V=0 entry, written as ""), else the
-// comma-joined table list.
-func encodeTables(e Entry) string {
-	switch {
-	case e.Global:
-		return "*"
-	case len(e.Tables) == 0 && e.V >= FootprintVersion:
-		return "-"
-	}
-	return strings.Join(e.Tables, ",")
-}
-
-func (s *sqlStore) put(e Entry) error {
-	_, err := s.db.ExecSQL(fmt.Sprintf(
-		"INSERT INTO %s (%s) VALUES (%d, '%s', %d, '%s', '%s', '%s', '%s')",
-		s.table, strings.Join(sqlLogColumns, ", "), e.Seq, escape(e.User), e.TxID, e.Class,
-		escape(e.SQL), escape(e.Name), escape(encodeTables(e))))
-	if err != nil {
-		// The database may hold the row although it reported an error (a
-		// lost acknowledgement). Left there it would fail every later INSERT
-		// of this seq and replay a write the client saw fail, so take it
-		// out. Best effort: while the row stays, so do the failures, and
-		// each one tries the delete again.
-		_, _ = s.db.ExecSQL(fmt.Sprintf("DELETE FROM %s WHERE seq = %d", s.table, e.Seq))
-	}
-	return err
-}
-
-// scan selects * and checks the column list on every call, so a table with
-// another schema is an error at open even when it is empty.
-func (s *sqlStore) scan(after uint64) ([]Entry, error) {
-	cols, rows, err := s.db.QuerySQL(fmt.Sprintf(
-		"SELECT * FROM %s WHERE seq > %d ORDER BY seq", s.table, after))
-	if err != nil {
-		return nil, err
-	}
-	if !slices.EqualFunc(cols, sqlLogColumns, strings.EqualFold) {
-		return nil, fmt.Errorf("recovery: log table %s has columns %v, want %v", s.table, cols, sqlLogColumns)
-	}
-	out := make([]Entry, 0, len(rows))
-	for _, r := range rows {
-		if len(r) != len(cols) {
-			return nil, fmt.Errorf("recovery: log row has %d columns, want %d", len(r), len(cols))
-		}
-		e := Entry{User: r[1], Class: EntryClass(r[3]), SQL: r[4], Name: r[5]}
-		if e.Seq, err = strconv.ParseUint(r[0], 10, 64); err != nil {
-			return nil, fmt.Errorf("recovery: log row seq: %w", err)
-		}
-		if e.TxID, err = strconv.ParseUint(r[2], 10, 64); err != nil {
-			return nil, fmt.Errorf("recovery: log row %d tx: %w", e.Seq, err)
-		}
-		if r[6] != "" && r[6] != "NULL" {
-			e.V = FootprintVersion
-			switch r[6] {
-			case "*":
-				e.Global = true
-			case "-":
-				// footprint-aware, touched nothing
-			default:
-				e.Tables = strings.Split(r[6], ",")
-			}
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-func (s *sqlStore) close() error { return nil }
-
-func escape(s string) string {
-	return strings.ReplaceAll(s, "'", "''")
-}

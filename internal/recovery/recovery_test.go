@@ -16,37 +16,7 @@ import (
 	"cjdbc/internal/sqlengine"
 )
 
-// engineExecutor adapts a raw engine to the SQLExecutor interface.
-type engineExecutor struct{ e *sqlengine.Engine }
-
-func (x engineExecutor) ExecSQL(sql string) (int64, error) {
-	s := x.e.NewSession()
-	defer s.Close()
-	res, err := s.ExecSQL(sql)
-	if err != nil {
-		return 0, err
-	}
-	return res.RowsAffected, nil
-}
-
-func (x engineExecutor) QuerySQL(sql string) ([]string, [][]string, error) {
-	s := x.e.NewSession()
-	defer s.Close()
-	res, err := s.ExecSQL(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := make([][]string, len(res.Rows))
-	for i, r := range res.Rows {
-		rows[i] = make([]string, len(r))
-		for j, v := range r {
-			rows[i][j] = v.AsString()
-		}
-	}
-	return res.Columns, rows, nil
-}
-
-// logStorages are the three stores behind the one sequencer. at binds an
+// logStorages are the two stores behind the one sequencer. at binds an
 // opener to one fresh storage location; calling the opener again reopens
 // the same storage (which only the persistent ones remember).
 var logStorages = []struct {
@@ -60,10 +30,6 @@ var logStorages = []struct {
 	{"file", true, func(t *testing.T) func() (Log, error) {
 		path := filepath.Join(t.TempDir(), "recovery.log")
 		return func() (Log, error) { return OpenFileLog(path) }
-	}},
-	{"sql", true, func(t *testing.T) func() (Log, error) {
-		db := engineExecutor{sqlengine.New("logdb")}
-		return func() (Log, error) { return NewSQLLog(db, "recovery_log") }
 	}},
 }
 
@@ -270,6 +236,41 @@ func TestLogContract(t *testing.T) {
 					t.Fatalf("append after reopen = %d, %v; want %d", s, err, cp+2)
 				}
 			})
+
+			// An entry larger than any fixed line buffer (the wire accepts
+			// statements up to 64 MiB) neither hides the entries after it
+			// nor keeps the log from reopening.
+			t.Run("LargeEntryRoundTrips", func(t *testing.T) {
+				open := st.at(t)
+				l := mustOpen(t, open)
+				big := "INSERT INTO t (s) VALUES ('" + strings.Repeat("x", 17<<20) + "')"
+				l.Append(Entry{Class: ClassWrite, SQL: big})
+				l.Append(Entry{Class: ClassWrite, SQL: "small"})
+				check := func(l Log) {
+					t.Helper()
+					got, err := l.Since(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != 2 || got[0].SQL != big || got[1].SQL != "small" {
+						t.Fatalf("Since(0) = %d entries", len(got))
+					}
+					requirePrefix(t, got)
+				}
+				check(l)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !st.persistent {
+					return
+				}
+				l2 := mustOpen(t, open)
+				defer l2.Close()
+				check(l2)
+				if s, err := l2.Append(Entry{Class: ClassWrite, SQL: "w3"}); err != nil || s != 3 {
+					t.Fatalf("append after reopen = %d, %v; want 3", s, err)
+				}
+			})
 		})
 	}
 }
@@ -416,90 +417,6 @@ func TestOpenFileLogCorruptLine(t *testing.T) {
 	if l, err := OpenFileLog(path); err == nil {
 		l.Close()
 		t.Fatal("corrupt log opened without error")
-	}
-}
-
-// junkExecutor answers every query with one row whose numbers are not.
-type junkExecutor struct{}
-
-func (junkExecutor) ExecSQL(string) (int64, error) { return 0, nil }
-func (junkExecutor) QuerySQL(string) ([]string, [][]string, error) {
-	return sqlLogColumns, [][]string{{"one", "u", "0", "write", "w", "", ""}}, nil
-}
-
-// TestSQLLogRejectsUnparsableRows: a row the log cannot parse is an error,
-// not an entry with Seq 0.
-func TestSQLLogRejectsUnparsableRows(t *testing.T) {
-	if _, err := NewSQLLog(junkExecutor{}, "rl"); err == nil {
-		t.Fatal("unparsable seq accepted")
-	}
-}
-
-// TestSQLLogRejectsForeignSchema: a table that is not the 7-column log
-// table fails at open, with or without rows in it, rather than losing
-// footprints silently or failing at the first Append.
-func TestSQLLogRejectsForeignSchema(t *testing.T) {
-	for _, rows := range []string{"empty", "with a row"} {
-		t.Run(rows, func(t *testing.T) {
-			db := engineExecutor{sqlengine.New("foreigndb")}
-			if _, err := db.ExecSQL(`CREATE TABLE rl (seq INTEGER PRIMARY KEY, usr VARCHAR, tx INTEGER, class VARCHAR, sql_text VARCHAR, name VARCHAR)`); err != nil {
-				t.Fatal(err)
-			}
-			if rows != "empty" {
-				if _, err := db.ExecSQL(`INSERT INTO rl (seq, usr, tx, class, sql_text, name) VALUES (1, 'u', 0, 'write', 'w', '')`); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := NewSQLLog(db, "rl"); err == nil {
-				t.Fatal("6-column table accepted as a log table")
-			}
-		})
-	}
-}
-
-// lostAckExecutor runs every statement; while armed it reports an INSERT
-// that went through as failed, the way a timed-out connection does.
-type lostAckExecutor struct {
-	engineExecutor
-	armed bool
-}
-
-var errLostAck = errors.New("connection reset")
-
-func (x *lostAckExecutor) ExecSQL(sql string) (int64, error) {
-	n, err := x.engineExecutor.ExecSQL(sql)
-	if err == nil && x.armed && strings.HasPrefix(sql, "INSERT") {
-		return 0, errLostAck
-	}
-	return n, err
-}
-
-// TestSQLLogLostAckConsumesNoSeq: an INSERT the database ran but reported as
-// failed must not stay in the table, where it would block its Seq for every
-// later Append and come back from Since and from a reopen.
-func TestSQLLogLostAckConsumesNoSeq(t *testing.T) {
-	db := &lostAckExecutor{engineExecutor: engineExecutor{sqlengine.New("logdb")}}
-	l, err := NewSQLLog(db, "rl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(Entry{Class: ClassWrite, SQL: "w1"})
-	db.armed = true
-	if _, err := l.Append(Entry{Class: ClassWrite, SQL: "lost"}); !errors.Is(err, errLostAck) {
-		t.Fatalf("Append with a lost ack = %v, want %v", err, errLostAck)
-	}
-	db.armed = false
-	if s, err := l.Append(Entry{Class: ClassWrite, SQL: "w2"}); err != nil || s != 2 {
-		t.Fatalf("Append after the lost ack = %d, %v; want 2", s, err)
-	}
-	for _, open := range []func() (Log, error){
-		func() (Log, error) { return l, nil },
-		func() (Log, error) { return NewSQLLog(db, "rl") },
-	} {
-		got, err := mustOpen(t, open).Since(0)
-		if err != nil || len(got) != 2 || got[0].SQL != "w1" || got[1].SQL != "w2" {
-			t.Fatalf("Since(0) = %+v, %v", got, err)
-		}
 	}
 }
 
