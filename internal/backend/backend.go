@@ -3,7 +3,6 @@ package backend
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -57,9 +56,8 @@ func (s State) String() string {
 type Config struct {
 	Name     string
 	Driver   Driver
-	Weight   int        // weighted-round-robin weight; 0 means 1
-	MaxConns int        // connection pool size; 0 means 16
-	Cost     *CostModel // nil disables demand accounting and service-time simulation
+	Weight   int // weighted-round-robin weight; 0 means 1
+	MaxConns int // connection pool size; 0 means 16
 	// Tables declares the subset of the virtual database's tables this
 	// backend hosts (RAIDb-2 partial replication, §2.4.3). Empty means the
 	// backend hosts everything (RAIDb-1 full replication). The controller
@@ -100,7 +98,6 @@ type Backend struct {
 	name     string
 	weight   int
 	driver   Driver
-	cost     *CostModel
 	maxConns int
 	declared []string // lower-cased declared hosted tables; nil = all
 
@@ -153,7 +150,6 @@ type Backend struct {
 	fault atomic.Pointer[FaultPlan]
 
 	pending  atomic.Int64
-	demand   atomic.Int64 // cost-model units charged, in millionths
 	ops      atomic.Int64
 	failures atomic.Int64
 }
@@ -237,7 +233,6 @@ func New(cfg Config) *Backend {
 		weight:   cfg.Weight,
 		declared: declared,
 		driver:   cfg.Driver,
-		cost:     cfg.Cost,
 		maxConns: cfg.MaxConns,
 		sem:      make(chan struct{}, cfg.MaxConns),
 		idle:     make(chan Conn, cfg.MaxConns),
@@ -433,15 +428,6 @@ func (b *Backend) Enabled() bool { return b.State() == StateEnabled }
 // the least-pending-requests-first balancer reads.
 func (b *Backend) Pending() int { return int(b.pending.Load()) }
 
-// Demand returns the cost-model units charged to this backend so far: the
-// service demand its statements placed on the simulated machine. It stays 0
-// without a cost model.
-func (b *Backend) Demand() float64 { return float64(b.demand.Load()) / demandScale }
-
-// demandScale is the fixed-point scale of the demand counter; integer
-// accumulation keeps the total independent of the order charges land in.
-const demandScale = 1e6
-
 // Ops returns the number of operations executed.
 func (b *Backend) Ops() int64 { return b.ops.Load() }
 
@@ -599,23 +585,6 @@ func (b *Backend) checkin(c Conn) {
 	<-b.sem
 }
 
-// charge adds st's cost to the demand counter and, when the model has a
-// TimeScale, sleeps it; without a cost model it is skipped entirely.
-func (b *Backend) charge(st sqlparser.Statement) {
-	if b.cost == nil {
-		return
-	}
-	b.spend(b.cost.Classify(st))
-}
-
-// spend records units of demand and sleeps their simulated service time.
-func (b *Backend) spend(units float64) {
-	b.demand.Add(int64(math.Round(units * demandScale)))
-	if d := time.Duration(units * float64(b.cost.TimeScale)); d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // Read executes a read on this backend. txID 0 means auto-commit. Within a
 // transaction the read waits for the transaction's earlier asynchronous
 // writes on this backend (§2.4.4: read-your-writes under early response).
@@ -623,13 +592,8 @@ func (b *Backend) Read(txID uint64, st sqlparser.Statement, sql string) (*Result
 	if !b.Enabled() {
 		return nil, ErrDisabled
 	}
-	if err := b.faultCheck(OpRead, st, txID); err != nil {
-		b.failures.Add(1)
-		return nil, err
-	}
 	b.pending.Add(1)
 	defer b.pending.Add(-1)
-	b.ops.Add(1)
 
 	if txID != 0 {
 		tc, err := b.txConnFor(txID)
@@ -640,12 +604,7 @@ func (b *Backend) Read(txID uint64, st sqlparser.Statement, sql string) (*Result
 		tc.wrote.Wait()
 		tc.mu.Lock()
 		defer tc.mu.Unlock()
-		b.charge(st)
-		res, err := tc.conn.Exec(st, sql)
-		if err != nil {
-			b.failures.Add(1)
-		}
-		return res, err
+		return b.execRead(tc.conn, txID, st, sql)
 	}
 
 	c, err := b.checkout()
@@ -653,7 +612,18 @@ func (b *Backend) Read(txID uint64, st sqlparser.Statement, sql string) (*Result
 		return nil, err
 	}
 	defer b.checkin(c)
-	b.charge(st)
+	return b.execRead(c, 0, st, sql)
+}
+
+// execRead runs a read on the connection it holds. The fault plan is
+// consulted here, not on entry: an injected latency is service time, so the
+// read sleeps pending and holding its connection, like a slow statement.
+func (b *Backend) execRead(c Conn, txID uint64, st sqlparser.Statement, sql string) (*Result, error) {
+	if err := b.faultCheck(OpRead, st, txID); err != nil {
+		b.failures.Add(1)
+		return nil, err
+	}
+	b.ops.Add(1)
 	res, err := c.Exec(st, sql)
 	if err != nil {
 		b.failures.Add(1)
@@ -745,10 +715,6 @@ func (b *Backend) execTxTask(txID uint64, tc *txConn, t *writeTask) (*Result, er
 			kind = OpRollback
 		}
 		tc.mu.Lock()
-		// Charged by class: a forced abort carries no statement.
-		if b.cost != nil {
-			b.spend(b.cost.TxOverhead)
-		}
 		// A fault on the demarcation (the crash-mid-transaction case) skips
 		// it; the close below still rolls the engine-side transaction back
 		// and releases its locks and tickets.
@@ -779,7 +745,6 @@ func (b *Backend) execTxTask(txID uint64, tc *txConn, t *writeTask) (*Result, er
 	b.ops.Add(1)
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	b.charge(t.st)
 	return tc.conn.Exec(t.st, t.sql)
 }
 
@@ -1054,10 +1019,6 @@ func (b *Backend) execAuto(t *writeTask) (*Result, error) {
 	if b.State() == StateDisabled {
 		return nil, ErrDisabled
 	}
-	if err := b.faultCheck(OpWrite, t.st, 0); err != nil {
-		return nil, err
-	}
-	b.ops.Add(1)
 	c := t.conn
 	if c == nil {
 		pc, err := b.checkout()
@@ -1067,7 +1028,10 @@ func (b *Backend) execAuto(t *writeTask) (*Result, error) {
 		defer b.checkin(pc)
 		c = pc
 	}
-	b.charge(t.st)
+	if err := b.faultCheck(OpWrite, t.st, 0); err != nil {
+		return nil, err
+	}
+	b.ops.Add(1)
 	return c.Exec(t.st, t.sql)
 }
 

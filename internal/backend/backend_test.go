@@ -3,7 +3,6 @@ package backend
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,13 +211,10 @@ func TestPendingGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	b := New(Config{
-		Name:   "slow",
-		Driver: &EngineDriver{Engine: e},
-		Cost:   &CostModel{TimeScale: 5 * time.Millisecond, PointRead: 1, ScanRead: 4, Write: 1},
-	})
+	b := New(Config{Name: "slow", Driver: &EngineDriver{Engine: e}})
 	b.Enable()
 	defer b.Close()
+	b.SetFaultPlan(NewFaultPlan(Slow(OpRead, 20*time.Millisecond)))
 
 	if b.Pending() != 0 {
 		t.Fatal("pending should start at 0")
@@ -238,38 +234,6 @@ func TestPendingGauge(t *testing.T) {
 	wg.Wait()
 	if b.Pending() != 0 {
 		t.Errorf("pending after completion = %d", b.Pending())
-	}
-	if b.Demand() != 4*4 {
-		t.Errorf("demand = %v, want four scan reads of 4 units", b.Demand())
-	}
-}
-
-// TestForcedAbortChargedAsDemarcation: AbortTx enqueues its ROLLBACK with no
-// parsed statement, and a demarcation costs TxOverhead whatever statement
-// (if any) carries it — not the ScanRead a nil statement classifies as.
-func TestForcedAbortChargedAsDemarcation(t *testing.T) {
-	e := sqlengine.New("db")
-	s := e.NewSession()
-	if _, err := s.ExecSQL("CREATE TABLE t (id INTEGER PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	m := DefaultCostModel(0)
-	b := New(Config{Name: "db", Driver: &EngineDriver{Engine: e}, Cost: m})
-	b.Enable()
-	defer b.Close()
-
-	const tx = 7
-	ins := "INSERT INTO t (id) VALUES (1)"
-	if out := <-b.EnqueueWrite(tx, sqlparser.ClassWrite, mustStmt(t, ins), ins); out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	if got := b.Demand(); got != m.Write {
-		t.Fatalf("demand after the write = %v, want %v", got, m.Write)
-	}
-	b.AbortTx(tx)
-	if got := b.Demand() - m.Write; math.Abs(got-m.TxOverhead) > 1e-9 {
-		t.Errorf("forced abort charged %v units, want TxOverhead %v", got, m.TxOverhead)
 	}
 }
 
@@ -293,10 +257,10 @@ func TestConcurrentReadsBoundedByPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	b := New(Config{Name: "db", Driver: &EngineDriver{Engine: e}, MaxConns: 2,
-		Cost: &CostModel{TimeScale: 2 * time.Millisecond, ScanRead: 1, PointRead: 1}})
+	b := New(Config{Name: "db", Driver: &EngineDriver{Engine: e}, MaxConns: 2})
 	b.Enable()
 	defer b.Close()
+	b.SetFaultPlan(NewFaultPlan(Slow(OpRead, 2*time.Millisecond)))
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -340,38 +304,6 @@ func TestTableNamesViaMetadataAndShowTables(t *testing.T) {
 type opaqueDriver struct{ d Driver }
 
 func (o opaqueDriver) Open() (Conn, error) { return o.d.Open() }
-
-func TestCostModelClassification(t *testing.T) {
-	m := DefaultCostModel(time.Microsecond)
-	cases := []struct {
-		sql  string
-		want float64
-	}{
-		{"SELECT v FROM t WHERE id = 1", m.PointRead},
-		{"SELECT * FROM t", m.ScanRead},
-		{"SELECT a FROM t JOIN u ON t.id = u.id WHERE t.id = 1", m.ScanRead},
-		{"SELECT COUNT(*) FROM t", m.HeavyRead},
-		{"SELECT a, SUM(b) FROM t GROUP BY a", m.HeavyRead},
-		{"INSERT INTO t (id) VALUES (1)", m.Write},
-		{"UPDATE t SET v = 1", m.Write},
-		{"DELETE FROM t", m.Write},
-		{"CREATE TEMPORARY TABLE x AS SELECT * FROM t", m.TempTable},
-		{"CREATE TABLE y (a INTEGER)", m.DDL},
-		{"DROP TABLE y", m.DDL},
-		{"BEGIN", m.TxOverhead},
-		{"COMMIT", m.TxOverhead},
-	}
-	for _, c := range cases {
-		st := mustStmt(t, c.sql)
-		if got := m.Classify(st); got != c.want {
-			t.Errorf("Classify(%q) = %v, want %v", c.sql, got, c.want)
-		}
-	}
-	var nilModel *CostModel
-	if nilModel.Classify(mustStmt(t, "SELECT 1")) != 0 {
-		t.Error("nil model must cost 0")
-	}
-}
 
 func TestCloseRejectsNewWork(t *testing.T) {
 	b, _ := newTestBackend(t)

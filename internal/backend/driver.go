@@ -3,13 +3,11 @@
 // machine, a conflict-ordered write worker pool that preserves the
 // cluster-wide order of conflicting writes — via enqueue-time lock tickets
 // on pre-bound connections — while letting disjoint-table writes flow
-// concurrently, and a service-cost model standing in for the paper's
-// physical database machines.
+// concurrently, and a scripted fault plan that makes a replica fail, crash
+// or run slow.
 package backend
 
 import (
-	"time"
-
 	"cjdbc/internal/sqlengine"
 	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
@@ -173,83 +171,3 @@ func (c *engineConn) Begin() error    { return c.s.Begin() }
 func (c *engineConn) Commit() error   { return c.s.Commit() }
 func (c *engineConn) Rollback() error { return c.s.Rollback() }
 func (c *engineConn) Close() error    { c.s.Close(); return nil }
-
-// CostModel prices each statement class in abstract cost units, standing in
-// for the disk and CPU costs of the paper's PII-450 database machines. A
-// backend with a cost model adds every statement's units to its demand
-// counter (Backend.Demand), from which internal/workload/experiments
-// computes the paper's figures. TimeScale additionally converts one unit to
-// wall-clock time the backend sleeps, for tests that need a slow replica;
-// 0 counts without sleeping.
-type CostModel struct {
-	TimeScale time.Duration // wall time per cost unit; 0 does not sleep
-
-	PointRead  float64 // indexed single-table read
-	ScanRead   float64 // non-indexed or multi-table read
-	HeavyRead  float64 // aggregation / GROUP BY read
-	Write      float64 // INSERT/UPDATE/DELETE
-	TempTable  float64 // CREATE TEMPORARY TABLE ... AS SELECT (best seller)
-	DDL        float64 // other DDL
-	TxOverhead float64 // begin/commit/rollback
-}
-
-// DefaultCostModel mirrors the relative costs of the TPC-W queries on the
-// paper's testbed: single-row writes are far cheaper than the search and
-// display queries that dominate database time, and the best-seller
-// temporary table is the most expensive broadcast operation (it embeds an
-// aggregation), which is what bends the browsing mix's full-replication
-// curve sub-linear in Figure 10. The weights aim at the paper's 5.3x
-// ordering-mix speed-up over six replicas; the demand accounting of
-// internal/workload/experiments gives 3.90x for full and 4.26x for partial
-// replication, so the weights undershoot the figure they aim at.
-func DefaultCostModel(scale time.Duration) *CostModel {
-	return &CostModel{
-		TimeScale:  scale,
-		PointRead:  1,
-		ScanRead:   6,
-		HeavyRead:  12,
-		Write:      0.25,
-		TempTable:  3,
-		DDL:        0.4,
-		TxOverhead: 0.2,
-	}
-}
-
-// Classify returns the cost units of one statement.
-func (m *CostModel) Classify(st sqlparser.Statement) float64 {
-	if m == nil {
-		return 0
-	}
-	st, _ = sqlparser.Unwrap(st)
-	switch s := st.(type) {
-	case *sqlparser.Select:
-		if len(s.GroupBy) > 0 || hasAggregateItems(s) {
-			return m.HeavyRead
-		}
-		if len(s.From) > 1 || s.Where == nil {
-			return m.ScanRead
-		}
-		return m.PointRead
-	case *sqlparser.Insert, *sqlparser.Update, *sqlparser.Delete:
-		return m.Write
-	case *sqlparser.CreateTable:
-		if s.Temporary || s.AsSelect != nil {
-			return m.TempTable
-		}
-		return m.DDL
-	case *sqlparser.DropTable, *sqlparser.CreateIndex, *sqlparser.DropIndex:
-		return m.DDL
-	case *sqlparser.Begin, *sqlparser.Commit, *sqlparser.Rollback:
-		return m.TxOverhead
-	}
-	return m.ScanRead
-}
-
-func hasAggregateItems(s *sqlparser.Select) bool {
-	for _, it := range s.Items {
-		if it.Expr != nil && it.Expr.HasAggregate() {
-			return true
-		}
-	}
-	return false
-}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"cjdbc/internal/sqlengine"
 	"cjdbc/internal/sqlparser"
 )
 
@@ -139,5 +140,57 @@ func TestPendingGaugeBalancedAcrossCrashCycles(t *testing.T) {
 	}
 	if negative.Load() {
 		t.Fatal("pending gauge went negative")
+	}
+}
+
+// TestSlowReadIsPendingAndHoldsItsConnection: an injected read latency is
+// service time on the backend. The read is pending while it sleeps, so
+// least-pending-requests-first balancing sees the slow replica, and it
+// sleeps holding its pooled connection, so MaxConns bounds slow reads as it
+// bounds any other.
+func TestSlowReadIsPendingAndHoldsItsConnection(t *testing.T) {
+	e := sqlengine.New("db")
+	s := e.NewSession()
+	if _, err := s.ExecSQL("CREATE TABLE t (id INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	b := New(Config{Name: "db", Driver: &EngineDriver{Engine: e}, MaxConns: 2})
+	b.Enable()
+	defer b.Close()
+	const reads, delay = 8, 20 * time.Millisecond
+	b.SetFaultPlan(NewFaultPlan(Slow(OpRead, delay)))
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < reads; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.Read(0, nil, "SELECT * FROM t"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	// No read can finish its delay before start+delay, so a read that is
+	// not pending by then is sleeping outside the gauge.
+	pending := false
+	for !pending && time.Since(start) < delay*3/4 {
+		pending = b.Pending() > 0
+		time.Sleep(100 * time.Microsecond)
+	}
+	if !pending {
+		t.Error("no read was pending while eight slow reads ran")
+	}
+	wg.Wait()
+	// Two connections serve eight reads of 20 ms in four rounds.
+	if elapsed := time.Since(start); elapsed < 3*delay {
+		t.Errorf("%d slow reads on 2 connections took %v, want ≥ %v", reads, elapsed, 3*delay)
+	}
+	if got := b.Pending(); got != 0 {
+		t.Errorf("pending after completion = %d", got)
+	}
+	if got := b.Ops(); got != reads {
+		t.Errorf("ops = %d, want %d", got, reads)
 	}
 }

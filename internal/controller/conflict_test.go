@@ -178,11 +178,10 @@ func TestWriteThenCommitKeepsOrderOnSlowBackend(t *testing.T) {
 		}
 		s.Close()
 		engines = append(engines, e)
-		cfg := backend.Config{Name: fmt.Sprintf("db%d", i), Driver: &backend.EngineDriver{Engine: e}}
+		b := backend.New(backend.Config{Name: fmt.Sprintf("db%d", i), Driver: &backend.EngineDriver{Engine: e}})
 		if i == 1 {
-			cfg.Cost = backend.DefaultCostModel(2 * time.Millisecond) // the slow replica
+			b.SetFaultPlan(backend.NewFaultPlan(backend.Slow(backend.OpAny, 2*time.Millisecond))) // the slow replica
 		}
-		b := backend.New(cfg)
 		t.Cleanup(b.Close)
 		if err := v.AddBackend(b); err != nil {
 			t.Fatal(err)

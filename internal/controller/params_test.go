@@ -319,7 +319,7 @@ func TestBoundWriteLogTextIsTheBoundRendering(t *testing.T) {
 func TestEarlyResponseWriteOwnsItsVector(t *testing.T) {
 	v := NewVirtualDatabase(VDBConfig{Name: "t", EarlyResponse: ResponseFirst, ParallelTx: true})
 	var engines []*sqlengine.Engine
-	for i, scale := range []time.Duration{0, 20 * time.Millisecond} {
+	for i, delay := range []time.Duration{0, 20 * time.Millisecond} {
 		e := sqlengine.New(fmt.Sprintf("db%d", i))
 		s := e.NewSession()
 		for _, q := range kvSchema {
@@ -329,11 +329,10 @@ func TestEarlyResponseWriteOwnsItsVector(t *testing.T) {
 		}
 		s.Close()
 		engines = append(engines, e)
-		var cm *backend.CostModel
-		if scale > 0 {
-			cm = &backend.CostModel{TimeScale: scale, Write: 1}
+		b := backend.New(backend.Config{Name: fmt.Sprintf("db%d", i), Driver: &backend.EngineDriver{Engine: e}})
+		if delay > 0 {
+			b.SetFaultPlan(backend.NewFaultPlan(backend.Slow(backend.OpWrite, delay)))
 		}
-		b := backend.New(backend.Config{Name: fmt.Sprintf("db%d", i), Driver: &backend.EngineDriver{Engine: e}, Cost: cm})
 		t.Cleanup(b.Close)
 		if err := v.AddBackend(b); err != nil {
 			t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 func BenchmarkHotTableAddHost(b *testing.B) {
 	for _, hosts := range []int{1, 2} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
-			const costScale = 200 * time.Microsecond
+			const readDelay = 200 * time.Microsecond
 			const seedRows = 256
 			v := NewVirtualDatabase(VDBConfig{
 				Name:        "bench",
@@ -41,9 +41,9 @@ func BenchmarkHotTableAddHost(b *testing.B) {
 					Name:     name,
 					Driver:   &backend.EngineDriver{Engine: e},
 					Tables:   hosted,
-					Cost:     backend.DefaultCostModel(costScale),
 					MaxConns: 2,
 				})
+				bk.SetFaultPlan(backend.NewFaultPlan(backend.Slow(backend.OpRead, readDelay)))
 				defer bk.Close()
 				if err := v.AddBackend(bk); err != nil {
 					b.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cjdbc/internal/backend"
 	"cjdbc/internal/balancer"
@@ -31,15 +30,6 @@ var (
 	ErrSessionClosed = errors.New("controller: session closed")
 )
 
-// CtrlCost attributes virtual CPU time to the controller itself, the proxy
-// for the "C-JDBC CPU load" row of Table 1. The durations are accounted,
-// not slept: the controller is never the deliberate bottleneck.
-type CtrlCost struct {
-	PerRequest      time.Duration
-	PerCacheHit     time.Duration
-	PerInvalidation time.Duration
-}
-
 // VDBConfig configures a virtual database.
 type VDBConfig struct {
 	Name          string
@@ -50,7 +40,6 @@ type VDBConfig struct {
 	RecoveryLog   recovery.Log         // nil disables logging
 	EarlyResponse ResponsePolicy       // applies to update/commit/abort
 	ParallelTx    bool                 // §2.4.4 parallel transactions
-	CtrlCost      CtrlCost             // controller CPU accounting
 	Auth          *AuthManager         // nil accepts everyone
 	// Health configures failure containment and automatic re-integration
 	// (§3: "tools to automatically re-integrate failed backends"). The zero
@@ -86,7 +75,6 @@ type VirtualDatabase struct {
 	plans *plancache.Cache
 	log   recovery.Log
 	sched *Scheduler
-	cost  CtrlCost
 
 	// health is the per-backend failure containment and re-integration
 	// state machine; always non-nil, its goroutines run only when
@@ -125,7 +113,6 @@ type VirtualDatabase struct {
 	cacheHits        atomic.Int64
 	cacheMisses      atomic.Int64
 	backendsDisabled atomic.Int64
-	ctrlBusy         atomic.Int64
 }
 
 // Distributor forwards ordered write operations to every controller of a
@@ -159,7 +146,6 @@ func NewVirtualDatabase(cfg VDBConfig) *VirtualDatabase {
 		plans: plancache.New(plancache.DefaultMaxEntries),
 		log:   cfg.RecoveryLog,
 		sched: NewScheduler(cfg.ControllerID, cfg.EarlyResponse, cfg.ParallelTx),
-		cost:  cfg.CtrlCost,
 	}
 	if _, ok := repl.(balancer.Placement); ok {
 		// Load accounting and the read barrier only serve dynamic
@@ -360,15 +346,6 @@ func (v *VirtualDatabase) StatsSnapshot() Stats {
 	}
 }
 
-// CtrlBusy returns the controller CPU time accounted by CtrlCost.
-func (v *VirtualDatabase) CtrlBusy() time.Duration { return time.Duration(v.ctrlBusy.Load()) }
-
-func (v *VirtualDatabase) chargeCtrl(d time.Duration) {
-	if d > 0 {
-		v.ctrlBusy.Add(int64(d))
-	}
-}
-
 // Session is one client connection to the virtual database, holding its
 // transaction state. Sessions are not safe for concurrent use, matching a
 // JDBC Connection.
@@ -435,7 +412,6 @@ func (s *Session) Exec(sql string, params []sqlval.Value) (*backend.Result, erro
 	if err := sqlparser.CheckParams(plan.NumParams, len(params)); err != nil {
 		return nil, err
 	}
-	v.chargeCtrl(v.cost.PerRequest)
 
 	switch plan.Class {
 	case sqlparser.ClassBegin:
@@ -721,10 +697,7 @@ func (v *VirtualDatabase) dispatchWrite(txID uint64, plan *plancache.Plan, st sq
 	}
 
 	if v.cache != nil {
-		inv := v.cache.InvalidateWrite(st)
-		if d := v.cost.PerInvalidation; d > 0 && inv > 0 {
-			v.chargeCtrl(time.Duration(inv) * d)
-		}
+		v.cache.InvalidateWrite(st)
 	}
 	return outs
 }
@@ -738,7 +711,6 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 	if v.cache != nil && txID == 0 {
 		if res := v.cache.GetParams(plan.SQL, params); res != nil {
 			v.cacheHits.Add(1)
-			v.chargeCtrl(v.cost.PerCacheHit)
 			return res, nil
 		}
 		v.cacheMisses.Add(1)

@@ -587,16 +587,15 @@ func TestEarlyResponseFirstReturnsBeforeSlowBackend(t *testing.T) {
 	// One fast and one slow backend; early response "first" must return at
 	// the fast backend's latency.
 	v := NewVirtualDatabase(VDBConfig{Name: "t", EarlyResponse: ResponseFirst, ParallelTx: true})
-	for i, scale := range []time.Duration{0, 20 * time.Millisecond} {
+	for i, delay := range []time.Duration{0, 20 * time.Millisecond} {
 		e := sqlengine.New(fmt.Sprintf("db%d", i))
 		s := e.NewSession()
 		s.ExecSQL("CREATE TABLE t (a INTEGER)")
 		s.Close()
-		var cm *backend.CostModel
-		if scale > 0 {
-			cm = &backend.CostModel{TimeScale: scale, Write: 1}
+		b := backend.New(backend.Config{Name: fmt.Sprintf("db%d", i), Driver: &backend.EngineDriver{Engine: e}})
+		if delay > 0 {
+			b.SetFaultPlan(backend.NewFaultPlan(backend.Slow(backend.OpWrite, delay)))
 		}
-		b := backend.New(backend.Config{Name: fmt.Sprintf("db%d", i), Driver: &backend.EngineDriver{Engine: e}, Cost: cm})
 		t.Cleanup(b.Close)
 		if err := v.AddBackend(b); err != nil {
 			t.Fatal(err)
