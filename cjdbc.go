@@ -73,8 +73,8 @@ type VirtualDatabaseConfig struct {
 	// PartialReplication map.
 	PartialByTables bool
 
-	// LoadBalancer is "lprf" (least pending requests first, the default),
-	// "rr" (round robin) or "wrr" (weighted round robin).
+	// LoadBalancer is "rr" (round robin, the default), "lprf" (least
+	// pending requests first) or "wrr" (weighted round robin).
 	LoadBalancer string
 
 	// Cache enables the query result cache when non-nil.

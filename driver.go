@@ -80,6 +80,7 @@ type remoteSession struct {
 	next   int // index of the next controller to try
 	inTx   bool
 	closed bool
+	args   argVector
 }
 
 // redial connects to the first reachable controller, round-robin from the
@@ -109,7 +110,7 @@ func (r *remoteSession) exec(sql string, params []sqlval.Value) (*Rows, error) {
 	for attempt := 0; ; attempt++ {
 		res, err := r.client.Exec(sql, params)
 		if err == nil {
-			return wrapResult(res), nil
+			return wrapOwned(res), nil
 		}
 		if !netproto.IsConnLost(err) || attempt >= len(r.dsn.Controllers) {
 			return nil, err
@@ -128,11 +129,12 @@ func (r *remoteSession) exec(sql string, params []sqlval.Value) (*Rows, error) {
 }
 
 func (r *remoteSession) Exec(sql string, args ...any) (*Rows, error) {
-	params, err := toValues(args)
+	params, err := r.args.fill(args)
 	if err != nil {
 		return nil, err
 	}
 	rows, err := r.exec(sql, params)
+	r.args.release()
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,9 @@ import (
 )
 
 // Result is a fully materialized statement result, the analogue of the
-// serialized JDBC ResultSet the C-JDBC driver ships to clients.
+// serialized JDBC ResultSet the C-JDBC driver ships to clients. Its fields
+// match sqlengine.Result's one for one, so the in-process driver converts
+// the engine's result instead of copying it.
 type Result struct {
 	Columns      []string
 	Rows         [][]sqlval.Value
@@ -145,12 +147,7 @@ func (c *engineConn) Exec(st sqlparser.Statement, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Columns:      res.Columns,
-		Rows:         res.Rows,
-		RowsAffected: res.RowsAffected,
-		LastInsertID: res.LastInsertID,
-	}, nil
+	return (*Result)(res), nil
 }
 
 // ReserveWriteLock queues a write lock ticket in submission order.

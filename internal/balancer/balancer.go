@@ -108,34 +108,54 @@ func (w *WeightedRoundRobin) Choose(cands []*backend.Backend) (*backend.Backend,
 // queries, the paper's Least Pending Requests First policy and the one used
 // for all TPC-W measurements.
 type LeastPending struct {
-	tie RoundRobin // breaks ties fairly
+	tie atomic.Uint64 // rotates among tied candidates
 }
 
 // Name returns "least-pending-requests-first".
 func (*LeastPending) Name() string { return "least-pending-requests-first" }
 
-// Choose picks the candidate with the lowest pending-request gauge.
+// tieSlots is how many candidates' gauges Choose keeps on its stack; a
+// longer candidate list takes one allocation.
+const tieSlots = 16
+
+// Choose picks the candidate with the lowest pending-request gauge. Each
+// gauge is read once, so the candidates it counts as tied are the ones it
+// chooses among; the rotation counter then picks the n-th of the k ties, so
+// ties take turns evenly.
 func (lp *LeastPending) Choose(cands []*backend.Backend) (*backend.Backend, error) {
 	if len(cands) == 0 {
 		return nil, ErrNoBackend
 	}
-	best := -1
-	var ties []*backend.Backend
+	var slots [tieSlots]int
+	pending := slots[:0]
+	if len(cands) > tieSlots {
+		pending = make([]int, 0, len(cands))
+	}
+	best, ties := -1, 0
 	for _, b := range cands {
 		p := b.Pending()
+		pending = append(pending, p)
 		switch {
 		case best < 0 || p < best:
-			best = p
-			ties = ties[:0]
-			ties = append(ties, b)
+			best, ties = p, 1
 		case p == best:
-			ties = append(ties, b)
+			ties++
 		}
 	}
-	if len(ties) == 1 {
-		return ties[0], nil
+	n := 0
+	if ties > 1 {
+		n = int((lp.tie.Add(1) - 1) % uint64(ties))
 	}
-	return lp.tie.Choose(ties)
+	for i, p := range pending {
+		if p != best {
+			continue
+		}
+		if n == 0 {
+			return cands[i], nil
+		}
+		n--
+	}
+	panic("balancer: a counted tie was not found")
 }
 
 // New constructs a balancer by policy name. Custom balancers can be used by

@@ -3,10 +3,13 @@ package balancer
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"cjdbc/internal/backend"
 	"cjdbc/internal/sqlengine"
+	"cjdbc/internal/sqlparser"
 )
 
 func mkBackends(t *testing.T, n int, weights ...int) []*backend.Backend {
@@ -200,4 +203,90 @@ func names(bs []*backend.Backend) []string {
 		out[i] = b.Name()
 	}
 	return out
+}
+
+// gateDriver's connections answer every statement once gate closes, so a
+// read on its backend stays pending until then.
+type gateDriver struct{ gate chan struct{} }
+
+func (d gateDriver) Open() (backend.Conn, error) { return gateConn(d), nil }
+
+type gateConn struct{ gate chan struct{} }
+
+func (c gateConn) Exec(sqlparser.Statement, string) (*backend.Result, error) {
+	<-c.gate
+	return &backend.Result{}, nil
+}
+func (gateConn) Begin() error    { return nil }
+func (gateConn) Commit() error   { return nil }
+func (gateConn) Rollback() error { return nil }
+func (gateConn) Close() error    { return nil }
+
+// TestLeastPendingTiesAllocateNothing: the candidate with the fewest
+// pending requests always wins; candidates tied at the fewest take turns
+// evenly, and no other candidate is chosen; choosing allocates nothing.
+func TestLeastPendingTiesAllocateNothing(t *testing.T) {
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(gate)
+	pending := []int{1, 0, 2, 0, 0} // db0 … db4
+	bs := make([]*backend.Backend, len(pending))
+	for i, p := range pending {
+		b := backend.New(backend.Config{Name: fmt.Sprintf("db%d", i), Driver: gateDriver{gate}})
+		b.Enable()
+		t.Cleanup(b.Close)
+		bs[i] = b
+		for j := 0; j < p; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := b.Read(0, nil, "SELECT 1"); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		for deadline := time.Now().Add(5 * time.Second); b.Pending() != p; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d pending, want %d", b.Name(), b.Pending(), p)
+			}
+		}
+	}
+
+	lp := &LeastPending{}
+	for _, tc := range []struct {
+		cands []int // indexes into bs
+		want  []int // the tied lowest
+	}{
+		{[]int{0, 2}, []int{0}},
+		{[]int{2, 0, 1}, []int{1}},
+		{[]int{0, 1, 3}, []int{1, 3}},
+		{[]int{3, 0, 2, 4}, []int{3, 4}},
+		{[]int{1, 2, 3, 4}, []int{1, 3, 4}},
+		{[]int{4, 3, 1}, []int{4, 3, 1}},
+	} {
+		cands := make([]*backend.Backend, len(tc.cands))
+		for i, c := range tc.cands {
+			cands[i] = bs[c]
+		}
+		const rounds = 20
+		counts := map[string]int{}
+		for i := 0; i < rounds*len(tc.want); i++ {
+			b, err := lp.Choose(cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[b.Name()]++
+		}
+		want := map[string]int{}
+		for _, w := range tc.want {
+			want[bs[w].Name()] = rounds
+		}
+		if fmt.Sprint(counts) != fmt.Sprint(want) {
+			t.Errorf("candidates %v: chose %v, want %v", tc.cands, counts, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = lp.Choose(cands) }); allocs != 0 {
+			t.Errorf("candidates %v: Choose allocates %.1f objects", tc.cands, allocs)
+		}
+	}
 }

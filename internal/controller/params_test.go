@@ -25,16 +25,19 @@ var kvSchema = []string{
 // TestParamAllocationBudget: a parameterised statement without macros
 // reaches the engines as the cached plan plus its vector — no copy of the
 // tree, no binding walk, and, for a read, no rendered text. A point read
-// costs what routing it and running it on one engine cost (27 objects
-// while every request cloned, bound and rendered; 12 while it copied the
-// backend list twice; 10 while the engine rebuilt the result header and
-// resolved names per execution), a result-cache hit
-// costs nothing, and a write on two replicas allocates only what outlives
-// the call: the owned vector, its log text, the Bound and the outcome
-// channel, and per replica the task, the lock ticket, the new row version
-// and the results (54 objects while each layer rebuilt its bookkeeping per
-// write; 72 for an insert, 32 inside a transaction). An insert also builds
-// its row and index entries.
+// allocates only the result it returns: the Result, its row list and its
+// value slab (27 objects while every request cloned, bound and rendered; 12
+// while it copied the backend list twice; 10 while the engine rebuilt the
+// result header and resolved names per execution; 8 while the balancer
+// listed its ties, the backend re-wrapped the engine's result and the
+// engine's working lists lived on the heap). A result-cache hit costs
+// nothing, and a write on two replicas allocates only what outlives the
+// call: the owned vector, its log text, the Bound and the outcome channel,
+// and per replica the task, the lock ticket, the new row version and the
+// result (54 objects while each layer rebuilt its bookkeeping per write; 72
+// for an insert, 32 inside a transaction; 17, 31 and 17 while each replica's
+// result was wrapped twice). An insert also builds its row and index
+// entries.
 func TestParamAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -45,11 +48,11 @@ func TestParamAllocationBudget(t *testing.T) {
 		params   []sqlval.Value
 		budget   float64
 	}{
-		{"point read", false, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 8},
+		{"point read", false, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 3},
 		{"cache hit", true, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 0},
-		{"point write", false, false, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 17},
-		{"insert", false, false, true, "INSERT INTO kv (id, v, pad) VALUES (?, ?, ?)", []sqlval.Value{sqlval.Int(1000), sqlval.Int(1), sqlval.String_("p")}, 31},
-		{"write in a transaction", false, true, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 17},
+		{"point write", false, false, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 15},
+		{"insert", false, false, true, "INSERT INTO kv (id, v, pad) VALUES (?, ?, ?)", []sqlval.Value{sqlval.Int(1000), sqlval.Int(1), sqlval.String_("p")}, 29},
+		{"write in a transaction", false, true, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 15},
 	} {
 		cfg := VDBConfig{ParallelTx: true, RecoveryLog: recovery.NewMemoryLog()}
 		if tc.cache {

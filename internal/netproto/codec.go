@@ -21,9 +21,10 @@ import (
 // byte and the body. docs/ARCHITECTURE.md ("Wire protocol") has the layout
 // of every body.
 const (
-	magic    uint32 = 'C'<<24 | 'J'<<16 | 'W'<<8 | 1 // "CJW", protocol version 1
-	maxFrame        = 64 << 20                       // largest length word sent or accepted
-	keepBuf         = 64 << 10                       // largest buffer a connection keeps between frames
+	magic      uint32 = 'C'<<24 | 'J'<<16 | 'W'<<8 | 1 // "CJW", protocol version 1
+	maxFrame          = 64 << 20                       // largest length word sent or accepted
+	keepBuf           = 64 << 10                       // largest buffer a connection keeps between frames
+	keptParams        = 64                             // longest parameter vector a server connection keeps between statements
 )
 
 // Frame types. Connect and ping are answered by an empty frame of the same
@@ -348,11 +349,13 @@ func decodeConnect(body string) (vdb, user, password string, err error) {
 	return vdb, user, password, d.finish()
 }
 
-func decodeExec(body string) (sql string, params []sqlval.Value, err error) {
+// decodeExec decodes an exec frame. The parameters are decoded into vec's
+// storage, grown when it is too short; no parameters decode to nil.
+func decodeExec(body string, vec []sqlval.Value) (sql string, params []sqlval.Value, err error) {
 	d := decoder{s: body}
 	sql = d.string()
 	if n := d.count(1); n > 0 {
-		params = make([]sqlval.Value, n)
+		params = slices.Grow(vec[:0], n)[:n]
 		for i := range params {
 			d.value(&params[i])
 		}

@@ -158,7 +158,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		}
 
 		body := readBack(t, encoded(t, func(w *wire) error { return w.putExec(sql, params) }), frameExec)
-		gotSQL, gotParams, err := decodeExec(body)
+		gotSQL, gotParams, err := decodeExec(body, nil)
 		if err != nil || gotSQL != sql || !sameValues(gotParams, params) {
 			t.Fatalf("request %d: %q %v, %v; sent %q %v", i, gotSQL, gotParams, err, sql, params)
 		}
@@ -212,9 +212,9 @@ func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 func TestOversizedCountsAreRefusedBeforeAllocation(t *testing.T) {
 	huge := uv(1 << 32)
 	bodies := map[string]func() error{
-		"params": func() error { _, _, err := decodeExec(string(cat(uv(0), huge))); return err },
+		"params": func() error { _, _, err := decodeExec(string(cat(uv(0), huge)), nil); return err },
 		"string length": func() error {
-			_, _, err := decodeExec(string(cat(huge, []byte("SELECT 1"))))
+			_, _, err := decodeExec(string(cat(huge, []byte("SELECT 1"))), nil)
 			return err
 		},
 		"columns": func() error { _, err := decodeResult(string(cat(uv(0), uv(0), huge))); return err },
@@ -227,16 +227,16 @@ func TestOversizedCountsAreRefusedBeforeAllocation(t *testing.T) {
 			return err
 		},
 		"bytes value": func() error {
-			_, _, err := decodeExec(string(cat(uv(0), uv(1), []byte{byte(sqlval.KindBytes)}, huge)))
+			_, _, err := decodeExec(string(cat(uv(0), uv(1), []byte{byte(sqlval.KindBytes)}, huge)), nil)
 			return err
 		},
-		"unknown kind": func() error { _, _, err := decodeExec(string(cat(uv(0), uv(1), []byte{7}))); return err },
+		"unknown kind": func() error { _, _, err := decodeExec(string(cat(uv(0), uv(1), []byte{7})), nil); return err },
 		"bad boolean": func() error {
-			_, _, err := decodeExec(string(cat(uv(0), uv(1), []byte{byte(sqlval.KindBool), 2})))
+			_, _, err := decodeExec(string(cat(uv(0), uv(1), []byte{byte(sqlval.KindBool), 2})), nil)
 			return err
 		},
-		"varint too long": func() error { _, _, err := decodeExec(string(bytes.Repeat([]byte{0xff}, 11))); return err },
-		"trailing bytes":  func() error { _, _, err := decodeExec(string(cat(uv(0), uv(0), []byte{0}))); return err },
+		"varint too long": func() error { _, _, err := decodeExec(string(bytes.Repeat([]byte{0xff}, 11)), nil); return err },
+		"trailing bytes":  func() error { _, _, err := decodeExec(string(cat(uv(0), uv(0), []byte{0})), nil); return err },
 		"error class":     func() error { _, err := decodeError(string(cat([]byte{9}, uv(0)))); return err },
 		"empty body":      func() error { _, err := decodeResult(""); return err },
 	}
@@ -470,8 +470,8 @@ func TestWireAllocationBudget(t *testing.T) {
 		rows   int
 		budget float64
 	}{
-		{"SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(7)}, 1, 8},
-		{"SELECT id, v, pad FROM kv WHERE id >= ? AND id < ?", []sqlval.Value{sqlval.Int(50), sqlval.Int(100)}, 50, 12},
+		{"SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(7)}, 1, 6},
+		{"SELECT id, v, pad FROM kv WHERE id >= ? AND id < ?", []sqlval.Value{sqlval.Int(50), sqlval.Int(100)}, 50, 6},
 	} {
 		run := func(exec func(string, []sqlval.Value) (*backend.Result, error)) float64 {
 			return testing.AllocsPerRun(200, func() {
@@ -516,7 +516,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 				}
 				w.send()
 				_, body, _ := w.read()
-				if _, _, err := decodeExec(string(body)); err != nil {
+				if _, _, err := decodeExec(string(body), nil); err != nil {
 					b.Fatal(err)
 				}
 				if err := w.putResult(res); err != nil {
@@ -544,7 +544,7 @@ func decodeAny(stream []byte) (elements int, err error) {
 		_, _, _, err = decodeConnect(string(body))
 	case frameExec:
 		var params []sqlval.Value
-		_, params, err = decodeExec(string(body))
+		_, params, err = decodeExec(string(body), nil)
 		elements = len(params)
 	case frameResult:
 		var res *backend.Result

@@ -111,6 +111,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	defer sess.Close()
+	// vec is the connection's parameter vector, refilled by every statement:
+	// the controller copies whatever outlives the call. It is cleared after
+	// each statement and kept only up to keptParams values.
+	var vec []sqlval.Value
 	for {
 		typ, body, err := w.read()
 		if err != nil {
@@ -120,11 +124,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		case framePing:
 			w.begin(framePing)
 		case frameExec:
-			sql, params, err := decodeExec(string(body))
+			sql, params, err := decodeExec(string(body), vec)
 			if err != nil {
 				return
 			}
 			res, err := sess.Exec(sql, params)
+			clear(params)
+			if params != nil && cap(params) <= keptParams {
+				vec = params
+			}
 			if err == nil {
 				err = w.putResult(res)
 			}

@@ -624,8 +624,9 @@ type undoOp struct {
 	autoInc int64
 }
 
-// keepScratch bounds the capacity of the undo and dirty lists a session
-// keeps between statements; a bulk statement's longer list is dropped.
+// keepScratch bounds the capacity of the lists a session keeps between
+// statements (undo, dirty and execSelect's working lists); a bulk
+// statement's longer list is dropped.
 const keepScratch = 64
 
 // truncated empties a per-statement list for reuse, clearing every entry so
@@ -635,6 +636,15 @@ func truncated[T any](list []T) []T {
 		return nil
 	}
 	clear(list)
+	return list[:0]
+}
+
+// grown is an empty list, as truncated leaves one, with room for n entries:
+// list's own storage when that has the room, a new list otherwise.
+func grown[T any](list []T, n int) []T {
+	if cap(list) < n {
+		return make([]T, 0, n)
+	}
 	return list[:0]
 }
 
@@ -652,6 +662,14 @@ type Session struct {
 	// params is the parameter vector of the statement executing now (a
 	// sqlparser.Bound's), read by its placeholders; nil between statements.
 	params []sqlval.Value
+
+	// selRows and selOut are execSelect's working lists — the WHERE
+	// survivors and the projected rows — which die once the result is
+	// built. A session runs one SELECT at a time, so one pair serves every
+	// statement; each is cleared after use and kept only while truncated
+	// keeps it. No result references them.
+	selRows [][]sqlval.Value
+	selOut  []outRow
 
 	// stamp marks this session's uncommitted row versions
 	// (uncommittedBit|writerID); commit re-stamps them with a commit epoch.

@@ -42,13 +42,20 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	}
 	rv := readView{stamp: s.stamp, ep: s.snapshotEpoch()}
 
+	// The working lists — the WHERE survivors and the projected rows — grow
+	// in the session's scratch and go back to it cleared, whichever way the
+	// statement ends. A producer that replaces a list (a join stage builds
+	// its own) or fails hands back another list or none, and the scratch it
+	// was given is then simply dropped.
+	rows, out := s.selRows[:0], s.selOut[:0]
+	defer func() { s.selRows, s.selOut = truncated(rows), truncated(out) }()
+
 	// Both row producers apply WHERE while they scan.
-	var rows [][]sqlval.Value
 	var orderDone bool
 	if len(b.srcs) == 1 {
-		rows, orderDone, err = s.singleTableRows(sel, b, rv)
+		rows, orderDone, err = s.singleTableRows(sel, b, rv, rows)
 	} else {
-		rows, err = s.joinRows(sel, b, rv)
+		rows, err = s.joinRows(sel, b, rv, rows)
 	}
 	if err != nil {
 		return nil, err
@@ -57,39 +64,39 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 		return nil, b.headerErr
 	}
 
-	var out []outRow
 	if b.grouped {
-		out, err = groupedRows(sel, b, rows, s.params)
+		out, err = groupedRows(sel, b, rows, s.params, out)
 	} else {
-		out, err = projectRows(b, rows, s.params)
+		out, err = projectRows(b, rows, s.params, out)
 	}
 	if err != nil {
 		return nil, err
 	}
-	projected := len(out)
 
+	// DISTINCT, ORDER BY and LIMIT narrow and reorder live, a view of out.
+	live := out
 	if sel.Distinct {
 		// The key is built in a reused buffer and a new distinct row adds
 		// it to the key set's arena, so no row allocates.
 		var seen keySet
 		var key []byte
-		dedup := out[:0]
-		for _, r := range out {
+		dedup := live[:0]
+		for _, r := range live {
 			key = appendRowKey(key[:0], r.vals)
 			if _, added := seen.add(key); added {
 				dedup = append(dedup, r)
 			}
 		}
-		out = dedup
+		live = dedup
 	}
 
 	if len(sel.OrderBy) > 0 && !orderDone {
-		if err := orderRows(sel, b, out, s.params); err != nil {
+		if err := orderRows(sel, b, live, s.params); err != nil {
 			return nil, err
 		}
 	}
 
-	out, err = applyLimit(b, out, s.params)
+	live, err = applyLimit(b, live, s.params)
 	if err != nil {
 		return nil, err
 	}
@@ -99,15 +106,15 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	// to a slab of their own, so a short result (which the result cache
 	// weighs by its own rows) does not pin the rows it dropped. The header
 	// is the binding's, shared read-only by every result.
-	res := &Result{Columns: b.header, Rows: make([][]sqlval.Value, len(out))}
-	if k := len(b.header); 2*len(out) < projected {
-		slab := make([]sqlval.Value, len(out)*k)
-		for i, r := range out {
+	res := &Result{Columns: b.header, Rows: make([][]sqlval.Value, len(live))}
+	if k := len(b.header); 2*len(live) < len(out) {
+		slab := make([]sqlval.Value, len(live)*k)
+		for i, r := range live {
 			res.Rows[i] = slabRow(slab, i, k)
 			copy(res.Rows[i], r.vals)
 		}
 	} else {
-		for i, r := range out {
+		for i, r := range live {
 			res.Rows[i] = r.vals
 		}
 	}
@@ -139,9 +146,10 @@ func (s *Session) selectNoFrom(sel *sqlparser.Select, b *binding) (*Result, erro
 // soon as enough rows matched whenever no later stage reorders, merges or
 // dedups rows — including ORDER BY satisfied by an ordered-index scan, the
 // top-k path: rows then stream out of the index in final order and the scan
-// halts after LIMIT+OFFSET live-at-epoch matches. The returned flag reports
-// that the row order already satisfies ORDER BY.
-func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView) ([][]sqlval.Value, bool, error) {
+// halts after LIMIT+OFFSET live-at-epoch matches. rows is an empty list
+// whose storage the matches reuse. The returned flag reports that the row
+// order already satisfies ORDER BY.
+func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView, rows [][]sqlval.Value) ([][]sqlval.Value, bool, error) {
 	src := b.srcs[0]
 	t := src.t
 	e := s.engine
@@ -161,10 +169,9 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 		budget = scanBudget(b, s.params)
 	}
 	if budget == 0 {
-		return nil, op.done, nil
+		return rows, op.done, nil
 	}
 
-	var rows [][]sqlval.Value
 	var evalErr error
 	ev := &env{params: s.params}
 	add := func(row []sqlval.Value) bool {
@@ -227,7 +234,7 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 		if budget >= 0 {
 			n = min(n, budget)
 		}
-		rows = make([][]sqlval.Value, 0, n)
+		rows = grown(rows, int(n))
 		for _, ch := range plan.refs {
 			if row := rv.resolve(ch); row != nil {
 				if !add(row) {
@@ -274,16 +281,17 @@ func scanBudget(b *binding, params []sqlval.Value) int64 {
 // only the survivors, at the width joined so far. Positions of tables not
 // joined yet stay NULL in the scratch row, as in a padded row. The last stage
 // applies WHERE before cloning and, when no later stage reorders, merges or
-// dedups rows, stops after offset+limit survivors.
-func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView) ([][]sqlval.Value, error) {
+// dedups rows, stops after offset+limit survivors. rows is an empty list
+// whose storage the base table's rows reuse; each later stage builds a list
+// of its own.
+func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 	// WHERE conjuncts on the base table narrow it through the access
 	// planner; the full WHERE clause still filters at the last stage, so
 	// this only prunes rows that could never survive it (valid for LEFT JOIN
 	// too, since the base is the preserved side).
 	base := b.srcs[0]
-	var rows [][]sqlval.Value
 	if plan := planAccess(s.engine, base.t, b.conj, s.params); plan.indexed {
-		rows = make([][]sqlval.Value, 0, len(plan.refs))
+		rows = grown(rows, len(plan.refs))
 		for _, ch := range plan.refs {
 			if r := rv.resolve(ch); r != nil {
 				rows = append(rows, r)
@@ -394,10 +402,11 @@ func slabRow(slab []sqlval.Value, i, k int) []sqlval.Value {
 
 // projectRows evaluates the select list for each row of a non-grouped
 // query, in one reused environment, into one slab of len(rows)·k values.
-func projectRows(b *binding, rows [][]sqlval.Value, params []sqlval.Value) ([]outRow, error) {
+// out is an empty list whose storage the projected rows reuse.
+func projectRows(b *binding, rows [][]sqlval.Value, params []sqlval.Value, out []outRow) ([]outRow, error) {
 	k := len(b.header)
 	slab := make([]sqlval.Value, len(rows)*k)
-	out := make([]outRow, len(rows))
+	out = grown(out, len(rows))[:len(rows)]
 	ev := env{params: params}
 	for i, r := range rows {
 		ev.row = r
@@ -418,8 +427,9 @@ func projectRows(b *binding, rows [][]sqlval.Value, params []sqlval.Value) ([]ou
 // and moves each group's first row to the front of rows (group g's first
 // row is never before row g, so the move overwrites only rows already
 // read). HAVING then evaluates once per group, and the groups it keeps
-// project into one slab, all in one reused environment.
-func groupedRows(sel *sqlparser.Select, b *binding, rows [][]sqlval.Value, params []sqlval.Value) ([]outRow, error) {
+// project into one slab, all in one reused environment; out is an empty
+// list whose storage they reuse.
+func groupedRows(sel *sqlparser.Select, b *binding, rows [][]sqlval.Value, params []sqlval.Value, out []outRow) ([]outRow, error) {
 	for _, ae := range b.aggs {
 		if !countsRows(ae.x) && len(ae.args) != 1 {
 			return nil, errf("%s expects one argument", ae.x.Func)
@@ -470,9 +480,10 @@ func groupedRows(sel *sqlparser.Select, b *binding, rows [][]sqlval.Value, param
 		}
 	}
 	// The implicit group over no rows has an all-NULL row, so a bare column
-	// in the select list or HAVING reads NULL.
+	// in the select list or HAVING reads NULL. It gets a list of its own:
+	// firsts may write only where rows already did.
 	if len(b.groupBy) == 0 && len(rows) == 0 {
-		firsts = append(firsts, make([]sqlval.Value, b.width))
+		firsts = [][]sqlval.Value{make([]sqlval.Value, b.width)}
 	}
 
 	// The groups HAVING keeps move to the front, with their aggregates.
@@ -504,7 +515,7 @@ func groupedRows(sel *sqlparser.Select, b *binding, rows [][]sqlval.Value, param
 
 	k := len(b.header)
 	slab := make([]sqlval.Value, kept*k)
-	out := make([]outRow, kept)
+	out = grown(out, kept)[:kept]
 	for g := range out {
 		ev.row, ev.aggs = firsts[g], aggs[g]
 		pv := slabRow(slab, g, k)

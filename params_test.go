@@ -3,8 +3,12 @@ package cjdbc
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"cjdbc/internal/backend"
+	"cjdbc/internal/sqlengine"
 	"cjdbc/internal/sqlparser"
 )
 
@@ -131,5 +135,116 @@ func TestNestedControllerGetsTextAndVector(t *testing.T) {
 	var name string
 	if !rows.Next() || rows.Scan(&name) != nil || name != quoted {
 		t.Fatalf("leaf stores %q, want %q", name, quoted)
+	}
+}
+
+// TestLocalPointReadAllocationBudget: an in-process point read through the
+// public API allocates the result the engine built (the Result, its row
+// list and its value slab), the Rows around it and the caller's copy of the
+// header — no argument vector and no second wrapper (9 objects while each
+// call converted its arguments into a new vector and the backend re-wrapped
+// the engine's result).
+func TestLocalPointReadAllocationBudget(t *testing.T) {
+	_, vdb := newTestCluster(t, 2, VirtualDatabaseConfig{RecoveryLogPath: "memory"})
+	sess, err := vdb.OpenSession("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, q := range []string{
+		"CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER, pad VARCHAR)",
+		"INSERT INTO kv (id, v, pad) VALUES (1, 1, 'p'), (2, 2, 'p'), (3, 3, 'p')",
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args := []any{int64(2)}
+	allocs := testing.AllocsPerRun(200, func() {
+		rows, err := sess.Query("SELECT id, v, pad FROM kv WHERE id = ?", args...)
+		if err != nil || rows.Len() != 1 {
+			t.Fatalf("point read: %v", err)
+		}
+	})
+	t.Logf("point read: %.1f allocations", allocs)
+	if allocs > 5 {
+		t.Errorf("point read: %.1f allocations, budget 5", allocs)
+	}
+}
+
+// TestEarlyResponseWriteSurvivesVectorReuse: a session converts every
+// call's arguments into one reused vector, cleared after the call. Under
+// early response an UPDATE returns before its slow replica applies it, and
+// the next call refills the vector at once; the slow replica must still
+// apply, and the recovery log record, the values the UPDATE was issued
+// with.
+func TestEarlyResponseWriteSurvivesVectorReuse(t *testing.T) {
+	ctrl := NewController("reuse", 1)
+	t.Cleanup(ctrl.Close)
+	vdb, err := ctrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "reuse", EarlyResponse: "first", RecoveryLogPath: "memory"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var engines []*sqlengine.Engine
+	for i := 0; i < 2; i++ {
+		e := sqlengine.New(fmt.Sprintf("db%d", i))
+		t.Cleanup(e.Close)
+		if err := vdb.AddEngineBackend(e.Name(), e); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e)
+	}
+	sess, err := vdb.OpenSession("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, q := range []string{
+		"CREATE TABLE kv (id INTEGER PRIMARY KEY, v VARCHAR)",
+		"INSERT INTO kv (id, v) VALUES (1, 'a'), (2, 'b')",
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slow, err := vdb.Internal().Backend("db1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow.SetFaultPlan(backend.NewFaultPlan(backend.Slow(backend.OpWrite, 20*time.Millisecond)))
+
+	const update = "UPDATE kv SET v = ? WHERE id = ?"
+	if _, err := sess.Exec(update, "issued", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec(update, "next", 2); err != nil {
+		t.Fatal(err)
+	}
+	const want = "1 issued, 2 next"
+	for _, e := range engines {
+		got := ""
+		for deadline := time.Now().Add(2 * time.Second); got != want && time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+			es := e.NewSession()
+			if res, err := es.ExecSQL("SELECT id, v FROM kv ORDER BY id"); err == nil && len(res.Rows) == 2 {
+				got = fmt.Sprintf("%d %s, %d %s", res.Rows[0][0].I, res.Rows[0][1].S, res.Rows[1][0].I, res.Rows[1][1].S)
+			}
+			es.Close()
+		}
+		if got != want {
+			t.Errorf("%s holds %s, want %s", e.Name(), got, want)
+		}
+	}
+	entries, err := vdb.Internal().RecoveryLog().Since(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	for _, en := range entries {
+		if strings.HasPrefix(en.SQL, "UPDATE") {
+			logged = append(logged, en.SQL)
+		}
+	}
+	if got := strings.Join(logged, "; "); got != "UPDATE kv SET v = 'issued' WHERE (id = 1); UPDATE kv SET v = 'next' WHERE (id = 2)" {
+		t.Errorf("logged %s", got)
 	}
 }

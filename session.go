@@ -118,12 +118,38 @@ func valueToAny(v sqlval.Value) any {
 	}
 }
 
-// toValues converts driver arguments to SQL values.
-func toValues(args []any) ([]sqlval.Value, error) {
+// argVector is a session's parameter vector, refilled by every call: the
+// layers below copy whatever outlives the call (a write the controller
+// answers early owns a copy), so one vector serves them all. It is cleared
+// after each call, and a vector longer than keptArgs is not kept.
+type argVector struct{ vals []sqlval.Value }
+
+const keptArgs = 64
+
+// fill converts driver arguments to SQL values in the vector.
+func (a *argVector) fill(args []any) ([]sqlval.Value, error) {
 	if len(args) == 0 {
 		return nil, nil
 	}
-	out := make([]sqlval.Value, len(args))
+	a.vals = slices.Grow(a.vals[:0], len(args))[:len(args)]
+	if err := toValues(a.vals, args); err != nil {
+		a.release()
+		return nil, err
+	}
+	return a.vals, nil
+}
+
+// release clears the vector, so a finished call's values are not kept
+// alive by it.
+func (a *argVector) release() {
+	if cap(a.vals) > keptArgs {
+		a.vals = nil
+	}
+	clear(a.vals)
+}
+
+// toValues converts driver arguments to SQL values, into out.
+func toValues(out []sqlval.Value, args []any) error {
 	for i, a := range args {
 		switch x := a.(type) {
 		case nil:
@@ -151,10 +177,10 @@ func toValues(args []any) ([]sqlval.Value, error) {
 		case sqlval.Value:
 			out[i] = x
 		default:
-			return nil, fmt.Errorf("cjdbc: unsupported argument type %T", a)
+			return fmt.Errorf("cjdbc: unsupported argument type %T", a)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // NewRows wraps a raw backend result into the public Rows type. It exists
@@ -162,14 +188,22 @@ func toValues(args []any) ([]sqlval.Value, error) {
 // Session methods and never needs it.
 func NewRows(res *backend.Result) *Rows { return wrapResult(res) }
 
+// wrapResult wraps an in-process result. The engine shares one header among
+// the results of a statement; the caller gets its own copy.
 func wrapResult(res *backend.Result) *Rows {
+	r := wrapOwned(res)
+	r.Columns = slices.Clone(r.Columns)
+	return r
+}
+
+// wrapOwned wraps a result whose header belongs to it alone, as a decoded
+// wire result's does.
+func wrapOwned(res *backend.Result) *Rows {
 	if res == nil {
 		return &Rows{}
 	}
-	// The engine shares one header among the results of a statement; the
-	// caller gets its own copy.
 	return &Rows{
-		Columns:      slices.Clone(res.Columns),
+		Columns:      res.Columns,
 		RowsAffected: res.RowsAffected,
 		LastInsertID: res.LastInsertID,
 		rows:         res.Rows,
@@ -207,14 +241,16 @@ type localSession struct {
 		Exec(sql string, params []sqlval.Value) (*backend.Result, error)
 		Close()
 	}
+	args argVector
 }
 
 func (l *localSession) Exec(sql string, args ...any) (*Rows, error) {
-	params, err := toValues(args)
+	params, err := l.args.fill(args)
 	if err != nil {
 		return nil, err
 	}
 	res, err := l.s.Exec(sql, params)
+	l.args.release()
 	if err != nil {
 		return nil, err
 	}
