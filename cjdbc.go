@@ -416,14 +416,16 @@ func (v *VirtualDatabase) Checkpoint(name string) error {
 }
 
 // BackupBackend takes an online backup of one backend (§3.1) and returns a
-// portable dump that can re-integrate failed or new backends.
+// portable dump that can re-integrate failed or new backends. The recovery
+// log keeps the dump's replay window until a newer backup replaces it.
 func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*recovery.Dump, error) {
 	return v.inner.BackupBackend(backendName, checkpointName)
 }
 
 // RestoreBackend re-integrates a backend from a dump plus log replay. With a
 // nil dump the virtual database finds one itself, as automatic
-// re-integration does.
+// re-integration does. A dump whose replay window the log no longer keeps
+// is refused with recovery.ErrLogTruncated before anything changes.
 func (v *VirtualDatabase) RestoreBackend(backendName string, dump *recovery.Dump) error {
 	return v.inner.RestoreBackend(backendName, dump)
 }

@@ -34,6 +34,10 @@ var (
 	// backend's own copy of that table and replay the log from the dump's
 	// marker over it, applying every write since the marker a second time.
 	ErrIncompleteDump = errors.New("controller: dump lacks a table the backend holds")
+	// ErrCheckpointReused is returned for a dump whose checkpoint name has
+	// since marked a later log position: replaying from the newer marker
+	// would skip the writes between the two.
+	ErrCheckpointReused = errors.New("controller: dump's checkpoint name now marks a later log position")
 )
 
 // quiesceWait bounds both waits of the procedure: quiesced's wait for a
@@ -128,35 +132,59 @@ func (v *VirtualDatabase) claimDonors(wanted recovery.HostFilter, exclude *backe
 	return claims, nil
 }
 
-// snapshot dumps the wanted tables at a checkpoint marker without taking any
-// backend off-line. It must run inside quiesced: the claimed donors'
-// enqueued writes are drained, the marker is logged (when there is a log;
-// seq is 0 otherwise), and the tables are dumped while writes stay blocked,
-// so the dump holds exactly the effects of the log entries at or below the
-// marker. Donors keep serving reads throughout.
-func (v *VirtualDatabase) snapshot(name string, wanted recovery.HostFilter, exclude *backend.Backend) (seq uint64, dump *recovery.Dump, err error) {
-	claims, err := v.claimDonors(wanted, exclude)
+// noRelease is the release of a window nothing pinned.
+func noRelease() {}
+
+// pinnedCheckpoint logs a marker and pins the replay window after it. It
+// runs inside quiesced, which is what makes the pin enough: no write
+// transaction spans the marker, so none has a write at or below it that a
+// replay from the marker would still need.
+func (v *VirtualDatabase) pinnedCheckpoint(name string) (uint64, func(), error) {
+	seq, err := v.log.Checkpoint(name)
 	if err != nil {
 		return 0, nil, err
+	}
+	release, err := v.log.Pin(seq)
+	if err != nil {
+		return 0, nil, err
+	}
+	return seq, release, nil
+}
+
+// snapshot dumps the wanted tables at a checkpoint marker without taking any
+// backend off-line. It must run inside quiesced: the claimed donors'
+// enqueued writes are drained, the marker is logged and pinned (when there
+// is a log; the dump's Seq is 0 otherwise), and the tables are dumped while
+// writes stay blocked, so the dump holds exactly the effects of the log
+// entries at or below the marker. Donors keep serving reads throughout. The
+// caller releases the pin once no replay needs the window; release is never
+// nil, also on error.
+func (v *VirtualDatabase) snapshot(name string, wanted recovery.HostFilter, exclude *backend.Backend) (dump *recovery.Dump, release func(), err error) {
+	claims, err := v.claimDonors(wanted, exclude)
+	if err != nil {
+		return nil, noRelease, err
 	}
 	for _, c := range claims {
 		c.donor.DrainWrites()
 	}
+	var seq uint64
+	release = noRelease
 	if v.log != nil {
-		if seq, err = v.log.Checkpoint(name); err != nil {
-			return 0, nil, err
+		if seq, release, err = v.pinnedCheckpoint(name); err != nil {
+			return nil, noRelease, err
 		}
 	}
-	dump = &recovery.Dump{Name: name, Taken: time.Now()}
+	dump = &recovery.Dump{Name: name, Seq: seq, Taken: time.Now()}
 	for _, c := range claims {
 		part, err := recovery.TakeDumpHosted(name, c.sp, func(t string) bool { return c.tables[t] })
 		if err != nil {
-			return 0, nil, err
+			release()
+			return nil, noRelease, err
 		}
 		dump.Tables = append(dump.Tables, part.Tables...)
 	}
 	sort.Slice(dump.Tables, func(i, j int) bool { return dump.Tables[i].Name < dump.Tables[j].Name })
-	return seq, dump, nil
+	return dump, release, nil
 }
 
 // catchUp replays onto b the log entries after seq that touch only the given
@@ -273,16 +301,27 @@ func dropUnhostedLeftovers(b *backend.Backend, hosted recovery.HostFilter) {
 	}
 }
 
-// checkpointSeq resolves a dump's checkpoint marker to its log position.
-func (v *VirtualDatabase) checkpointSeq(name string) (uint64, error) {
-	seq, ok, err := v.log.CheckpointSeq(name)
+// pinDump resolves a dump's checkpoint marker to its log position and pins
+// the replay window after it. A dump that records its position must still
+// own its name (ErrCheckpointReused otherwise); one from a binary that did
+// not record it resolves by name alone. A window the log has forgotten is
+// recovery.ErrLogTruncated.
+func (v *VirtualDatabase) pinDump(d *recovery.Dump) (uint64, func(), error) {
+	seq, ok, err := v.log.CheckpointSeq(d.Name)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if !ok {
-		return 0, fmt.Errorf("controller: checkpoint %q not found in recovery log", name)
+		return 0, nil, fmt.Errorf("controller: checkpoint %q not found in recovery log", d.Name)
 	}
-	return seq, nil
+	if d.Seq != 0 && d.Seq != seq {
+		return 0, nil, fmt.Errorf("controller: dump %q taken at log position %d, the name now marks %d: %w", d.Name, d.Seq, seq, ErrCheckpointReused)
+	}
+	release, err := v.log.Pin(seq)
+	if err != nil {
+		return 0, nil, fmt.Errorf("controller: replay window of dump %q: %w", d.Name, err)
+	}
+	return seq, release, nil
 }
 
 // BackupBackend takes an online backup of one backend (§3.1): a checkpoint
@@ -290,7 +329,8 @@ func (v *VirtualDatabase) checkpointSeq(name string) (uint64, error) {
 // content is dumped, the updates that arrived during the dump are replayed
 // from the recovery log, and the backend is re-enabled. The returned dump
 // can later integrate new or failed backends; it is also cached as the
-// virtual database's latest dump for automatic re-integration.
+// virtual database's latest dump for automatic re-integration, and the log
+// keeps its replay window until a newer dump replaces it.
 //
 // The marker is placed at a moment no write transaction spans, with the
 // backend's already-enqueued writes drained, so the dump contains exactly
@@ -312,6 +352,7 @@ func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*re
 		return nil, fmt.Errorf("controller: backend %s cannot be dumped (no schema provider)", backendName)
 	}
 	var seq uint64
+	var release func()
 	err = v.quiesced(func() (err error) {
 		if !b.Enabled() {
 			// A backend that is not serving may have missed writes: its
@@ -319,7 +360,7 @@ func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*re
 			return fmt.Errorf("controller: back up %s: %w", backendName, backend.ErrDisabled)
 		}
 		b.DrainWrites()
-		if seq, err = v.log.Checkpoint(checkpointName); err == nil {
+		if seq, release, err = v.pinnedCheckpoint(checkpointName); err == nil {
 			b.Disable()
 		}
 		return err
@@ -335,15 +376,32 @@ func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*re
 	// Catch up and re-enable even when the dump failed: writes the backend
 	// missed while it was disabled are only recovered by replay.
 	if err := v.catchUp(b, seq, hosted, v.enable(b)); err != nil {
+		release()
 		b.Disable()
 		return nil, err
 	}
 	v.health.markHealthy(backendName)
 	if dumpErr != nil {
+		release()
 		return nil, dumpErr
 	}
-	v.lastDump.Store(dump)
+	dump.Seq = seq
+	v.cacheDump(dump, release)
 	return dump, nil
+}
+
+// pinnedDump is a dump and the pin that keeps its replay window in the log.
+type pinnedDump struct {
+	dump    *recovery.Dump
+	release func()
+}
+
+// cacheDump makes d the cached dump, which owns release, the pin of d's
+// replay window; the dump it replaces releases its own.
+func (v *VirtualDatabase) cacheDump(d *recovery.Dump, release func()) {
+	if old := v.lastDump.Swap(&pinnedDump{dump: d, release: release}); old != nil {
+		old.release()
+	}
 }
 
 // RestoreBackend re-integrates a failed or stale backend from a dump: the
@@ -352,7 +410,9 @@ func (v *VirtualDatabase) BackupBackend(backendName, checkpointName string) (*re
 // backends into a virtual database"). With a nil dump the virtual database
 // finds one itself, as the re-integration supervisor does (see reintegrate).
 // A dump lacking a hosted table the backend holds is refused with
-// ErrIncompleteDump before anything is disabled.
+// ErrIncompleteDump, one whose checkpoint name was reused with
+// ErrCheckpointReused, and one whose replay window the log no longer holds
+// with recovery.ErrLogTruncated, each before anything is disabled.
 func (v *VirtualDatabase) RestoreBackend(backendName string, dump *recovery.Dump) error {
 	if v.log == nil {
 		return ErrNoRecoveryLog
@@ -370,12 +430,14 @@ func (v *VirtualDatabase) RestoreBackend(backendName string, dump *recovery.Dump
 	return v.restore(b, dump)
 }
 
-// restore reseeds b from a dump whose checkpoint marker is in the log.
+// restore reseeds b from a dump whose replay window is in the log, pinning
+// that window first.
 func (v *VirtualDatabase) restore(b *backend.Backend, dump *recovery.Dump) error {
-	seq, err := v.checkpointSeq(dump.Name)
+	seq, release, err := v.pinDump(dump)
 	if err != nil {
 		return err
 	}
+	defer release()
 	return v.reseed(b, dump, seq, v.hostFilter(b), v.enable(b))
 }
 
@@ -412,10 +474,11 @@ func (v *VirtualDatabase) IntegrateBackend(b *backend.Backend, dump *recovery.Du
 	if err := v.checkDeclared(b); err != nil {
 		return err
 	}
-	seq, err := v.checkpointSeq(dump.Name)
+	seq, release, err := v.pinDump(dump)
 	if err != nil {
 		return err
 	}
+	defer release()
 	hosted := v.hostFilter(b)
 	if decl := b.DeclaredTables(); len(decl) > 0 {
 		// The placement learns the declaration at publish; until then the

@@ -372,42 +372,51 @@ func (m *healthMonitor) backoff(attempt int) time.Duration {
 
 // reintegrate brings one disabled backend back to exact with a dump it finds
 // itself: the cached backup if it is usable, else a fresh snapshot of the
-// backend's hosted tables, which is cached in turn. Neither takes a serving
-// backend off-line: the snapshot stalls writes for the length of the dump
-// instead (BackupBackend, which makes the opposite trade, is for operators).
+// backend's hosted tables, which is cached in turn with its pin. Neither
+// takes a serving backend off-line: the snapshot stalls writes for the
+// length of the dump instead (BackupBackend, which makes the opposite trade,
+// is for operators).
 //
 // The cached dump is usable if it contains every hosted table that live
 // donors would supply now (under RAIDb-2 partial replication a dump taken
 // from one donor rarely does) and passes the rule RestoreBackend holds an
 // operator's dump to (dumpHoldsOwn). A fresh snapshot is exempt: its marker
 // has no entries for a table it leaves out — a table no enabled backend
-// hosts accepts no writes.
+// hosts accepts no writes. The cached dump's pin keeps its window; if a
+// newer dump replaced it meanwhile and the window is gone, or its name was
+// reused, the restore refuses it before disabling anything and a fresh
+// snapshot is taken instead.
 //
 // The attempt fails fast while the backend's fault is still active (the
 // restore's first DirectExec statement fails), so the supervisor's backoff
 // loop is also the health probe for down backends.
 func (v *VirtualDatabase) reintegrate(b *backend.Backend) error {
 	hosted := v.hostFilter(b)
-	dump := v.lastDump.Load()
-	if dump != nil {
+	if c := v.lastDump.Load(); c != nil {
 		// With no donor left the cached dump is the only source.
 		claims, _ := v.claimDonors(hosted, b)
-		if !dumpCovers(dump, claims) || dumpHoldsOwn(dump, b, hosted) != nil {
-			dump = nil
+		if dumpCovers(c.dump, claims) && dumpHoldsOwn(c.dump, b, hosted) == nil {
+			err := v.restore(b, c.dump)
+			if !errors.Is(err, recovery.ErrLogTruncated) && !errors.Is(err, ErrCheckpointReused) {
+				return err
+			}
 		}
 	}
-	if dump == nil {
-		name := fmt.Sprintf("auto-backup-%d", v.health.backups.Add(1))
-		err := v.quiesced(func() (err error) {
-			_, dump, err = v.snapshot(name, hosted, b)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		v.lastDump.Store(dump)
+	name := fmt.Sprintf("auto-backup-%d", v.health.backups.Add(1))
+	var dump *recovery.Dump
+	var release func()
+	err := v.quiesced(func() (err error) {
+		dump, release, err = v.snapshot(name, hosted, b)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	return v.restore(b, dump)
+	// Cached even when the restore fails: the supervisor's next attempt
+	// starts from it without stalling writes for another snapshot.
+	err = v.restore(b, dump)
+	v.cacheDump(dump, release)
+	return err
 }
 
 // dumpCovers reports whether the dump contains every claimed table.

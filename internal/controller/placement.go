@@ -147,10 +147,11 @@ func (m *placementManager) addHost(table, backendName string) error {
 	}
 	only := func(t string) bool { return t == table }
 	name := fmt.Sprintf("placement-add-%s-%s-%d", table, b.Name(), m.ckptSeq.Add(1))
-	var seq uint64
 	var dump *recovery.Dump
+	release := noRelease
+	defer func() { release() }()
 	seed := func() (err error) {
-		if seq, dump, err = v.snapshot(name, only, b); err == nil && len(dump.Tables) == 0 {
+		if dump, release, err = v.snapshot(name, only, b); err == nil && len(dump.Tables) == 0 {
 			err = fmt.Errorf("controller: no enabled donor hosts %s: %w", table, ErrNoReintegrationSource)
 		}
 		return err
@@ -187,7 +188,7 @@ func (m *placementManager) addHost(table, backendName string) error {
 		})
 	} else if err = v.quiesced(seed); err == nil {
 		if err = restore(); err == nil {
-			err = v.catchUp(b, seq, only, flip)
+			err = v.catchUp(b, dump.Seq, only, flip)
 		}
 	}
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"cjdbc/internal/backend"
 	"cjdbc/internal/recovery"
+	"cjdbc/internal/sqlengine"
 	"cjdbc/internal/sqlval"
 )
 
@@ -87,5 +89,58 @@ func TestRestoreBackendRefusesDumpMissingOwnTable(t *testing.T) {
 		if want, got := sortedTableDump(t, engines[0], tbl), sortedTableDump(t, engines[1], tbl); got != want {
 			t.Fatalf("table %s diverged:\n--- db0:\n%s\n--- db1:\n%s", tbl, want, got)
 		}
+	}
+}
+
+// TestRestoreRefusesDumpOfReusedCheckpointName: a checkpoint name marks one
+// log position at a time. A dump taken under a name a later backup reused
+// must not replay from the newer marker: that skips the writes between the
+// two and enables an inexact copy. RestoreBackend and IntegrateBackend refuse
+// it with ErrCheckpointReused before they change anything; the newer dump
+// still restores.
+func TestRestoreRefusesDumpOfReusedCheckpointName(t *testing.T) {
+	log := recovery.NewMemoryLog()
+	v, engines := mkVDB(t, 2, VDBConfig{RecoveryLog: log, ParallelTx: true},
+		"CREATE TABLE a (id INTEGER PRIMARY KEY, v INTEGER)",
+		"INSERT INTO a (id, v) VALUES (1, 0)",
+		"INSERT INTO a (id, v) VALUES (2, 0)",
+		"INSERT INTO a (id, v) VALUES (3, 0)")
+	s := openSession(t, v)
+	first, err := v.BackupBackend("db0", "nightly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, s, "INSERT INTO a (id, v) VALUES (4, 0)")
+	second, err := v.BackupBackend("db0", "nightly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, s, "INSERT INTO a (id, v) VALUES (5, 0)")
+
+	if err := v.RestoreBackend("db1", first); !errors.Is(err, ErrCheckpointReused) {
+		t.Fatalf("restore from the first dump of a reused name: got %v, want ErrCheckpointReused", err)
+	}
+	b1, _ := v.Backend("db1")
+	if !b1.Enabled() {
+		t.Fatalf("the refused restore left db1 %s", b1.State())
+	}
+	if got := countOn(t, engines[1], "SELECT COUNT(*) FROM a"); got != 5 {
+		t.Fatalf("db1 holds %d rows after the refused restore, want 5", got)
+	}
+	eNew := sqlengine.New("db-new")
+	bNew := backend.New(backend.Config{Name: "db-new", Driver: &backend.EngineDriver{Engine: eNew}})
+	t.Cleanup(bNew.Close)
+	if err := v.IntegrateBackend(bNew, first); !errors.Is(err, ErrCheckpointReused) {
+		t.Fatalf("integrate from the first dump of a reused name: got %v, want ErrCheckpointReused", err)
+	}
+	if n := len(v.Backends()); n != 2 {
+		t.Fatalf("the refused integration left %d backends, want 2", n)
+	}
+
+	if err := v.RestoreBackend("db1", second); err != nil {
+		t.Fatal(err)
+	}
+	if want, got := sortedTableDump(t, engines[0], "a"), sortedTableDump(t, engines[1], "a"); got != want {
+		t.Fatalf("restore from the second dump diverged:\n--- db0:\n%s\n--- db1:\n%s", want, got)
 	}
 }

@@ -93,7 +93,7 @@ type VirtualDatabase struct {
 	// lastDump caches the most recent successful backup so automatic
 	// re-integration can restore a failed backend without re-dumping a
 	// healthy one.
-	lastDump atomic.Pointer[recovery.Dump]
+	lastDump atomic.Pointer[pinnedDump]
 
 	// mu guards distributor and serializes AddBackend. backends is
 	// published whole by AddBackend and never changed afterwards, so the

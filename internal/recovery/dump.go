@@ -18,7 +18,10 @@ import (
 // Tables and indexes are re-created through SQL on restore, so dumps move
 // between heterogeneous backends.
 type Dump struct {
-	Name   string      `json:"name"`
+	Name string `json:"name"`
+	// Seq is the log position of the checkpoint marker the dump was taken
+	// at; 0 when it was not recorded, and the marker is found by Name.
+	Seq    uint64      `json:"seq,omitempty"`
 	Taken  time.Time   `json:"taken"`
 	Tables []TableDump `json:"tables"`
 }

@@ -9,12 +9,18 @@ package recovery
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 )
+
+// ErrLogTruncated is returned by Since and Pin for a position below the
+// log's floor: the entries after it are no longer kept, because no pin held
+// them.
+var ErrLogTruncated = errors.New("recovery: log no longer holds the entries after that position")
 
 // EntryClass classifies a log entry.
 type EntryClass string
@@ -108,8 +114,14 @@ type Log interface {
 	Checkpoint(name string) (uint64, error)
 	// CheckpointSeq returns the sequence number of a named checkpoint.
 	CheckpointSeq(name string) (uint64, bool, error)
-	// Since returns all entries with Seq greater than seq, in order.
+	// Since returns all entries with Seq greater than seq, in order, or
+	// ErrLogTruncated when some of them are no longer kept.
 	Since(seq uint64) ([]Entry, error)
+	// Pin keeps every entry with Seq greater than seq until release is
+	// called; release may be called more than once. Without a pin a log may
+	// forget entries. Pin fails with ErrLogTruncated when some entry after
+	// seq is already forgotten.
+	Pin(seq uint64) (release func(), err error)
 	// Close releases resources.
 	Close() error
 }
@@ -122,20 +134,31 @@ type store interface {
 	// the entry.
 	put(e Entry) error
 	// scan returns the entries with Seq greater than after, in Seq order.
+	// The sequencer never asks for one below the floor forget returned.
 	scan(after uint64) ([]Entry, error)
+	// forget may drop entries with Seq at or below upTo, and returns the
+	// floor: the store still holds every entry with Seq above it.
+	forget(upTo uint64) (floor uint64)
 	close() error
 }
 
 // sequencer is the one recovery-log implementation: it assigns sequence
-// numbers, tracks checkpoint marks and serializes every store access under
-// one mutex. Two invariants follow by construction. Since returns a
-// gap-free prefix of the log, because no put is in flight while scan runs.
-// Seq advances only on a durable put, so a failed append consumes no
-// sequence number and leaves no hole.
+// numbers, tracks checkpoint marks and pins, and serializes every store
+// access under one mutex. Two invariants follow by construction. Since
+// returns a gap-free prefix of the log above the floor, because no put is in
+// flight while scan runs, and a position below the floor is refused rather
+// than answered with a gap. Seq advances only on a durable put, so a failed
+// append consumes no sequence number and leaves no hole.
+//
+// The low-water mark is the lowest pin, or the last Seq when nothing is
+// pinned; after every put and every release the store may forget what lies
+// at or below it.
 type sequencer struct {
 	mu    sync.Mutex
 	seq   uint64
+	floor uint64
 	marks map[string]uint64
+	pins  []uint64 // ascending, one element per pin held
 	st    store
 }
 
@@ -173,7 +196,40 @@ func (l *sequencer) Append(e Entry) (uint64, error) {
 		return 0, err
 	}
 	l.record(e)
+	l.forget()
 	return e.Seq, nil
+}
+
+// forget hands the low-water mark to the store. Callers hold mu.
+func (l *sequencer) forget() {
+	mark := l.seq
+	if len(l.pins) > 0 {
+		mark = l.pins[0]
+	}
+	l.floor = l.st.forget(mark)
+}
+
+// Pin implements Log.
+func (l *sequencer) Pin(seq uint64) (func(), error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq < l.floor {
+		return nil, fmt.Errorf("recovery: pin after %d, log kept after %d: %w", seq, l.floor, ErrLogTruncated)
+	}
+	i, _ := slices.BinarySearch(l.pins, seq)
+	l.pins = slices.Insert(l.pins, i, seq)
+	released := false
+	return func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if released {
+			return
+		}
+		released = true
+		i, _ := slices.BinarySearch(l.pins, seq)
+		l.pins = slices.Delete(l.pins, i, i+1)
+		l.forget()
+	}, nil
 }
 
 // Checkpoint implements Log.
@@ -193,6 +249,9 @@ func (l *sequencer) CheckpointSeq(name string) (uint64, bool, error) {
 func (l *sequencer) Since(seq uint64) ([]Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if seq < l.floor {
+		return nil, fmt.Errorf("recovery: entries after %d, log kept after %d: %w", seq, l.floor, ErrLogTruncated)
+	}
 	return l.st.scan(seq)
 }
 
@@ -203,7 +262,8 @@ func (l *sequencer) Close() error {
 	return l.st.close()
 }
 
-// MemoryLog keeps the log in process memory.
+// MemoryLog keeps the log in process memory, and only the entries a pin
+// holds or the tail chunk still contains.
 type MemoryLog struct{ sequencer }
 
 // NewMemoryLog creates an empty in-memory log.
@@ -213,16 +273,65 @@ func NewMemoryLog() *MemoryLog {
 	return l
 }
 
-type memStore struct{ entries []Entry }
+// chunkEntries is the size of a memStore chunk: the unit the store forgets
+// in, and the most entries a put ever moves (only while the first chunk
+// grows).
+const chunkEntries = 4096
+
+// memStore keeps entries in chunks of chunkEntries. Every chunk but the last
+// is full, and the sequencer's puts carry consecutive Seq, so the entry
+// with Seq floor+1+i is at chunks[i/chunkEntries][i%chunkEntries]. The first
+// chunk a store fills grows by append, so a small log costs no more than its
+// entries; once one has filled, each later chunk is allocated whole and a put
+// never copies an earlier entry.
+type memStore struct {
+	chunks [][]Entry
+	floor  uint64
+}
 
 func (s *memStore) put(e Entry) error {
-	s.entries = append(s.entries, e)
+	n := len(s.chunks)
+	if n == 0 || len(s.chunks[n-1]) == chunkEntries {
+		var c []Entry
+		if n > 0 || s.floor > 0 {
+			c = make([]Entry, 0, chunkEntries)
+		}
+		s.chunks = append(s.chunks, c)
+		n++
+	}
+	s.chunks[n-1] = append(s.chunks[n-1], e)
 	return nil
 }
 
 func (s *memStore) scan(after uint64) ([]Entry, error) {
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Seq > after })
-	return append([]Entry(nil), s.entries[i:]...), nil
+	held := 0
+	for _, c := range s.chunks {
+		held += len(c)
+	}
+	if after-s.floor >= uint64(held) {
+		return nil, nil
+	}
+	skip := int(after - s.floor)
+	out := make([]Entry, 0, held-skip)
+	for _, c := range s.chunks[skip/chunkEntries:] {
+		out = append(out, c[skip%chunkEntries:]...)
+		skip = 0
+	}
+	return out, nil
+}
+
+// forget drops the leading full chunks whose entries are all at or below
+// upTo.
+func (s *memStore) forget(upTo uint64) uint64 {
+	i := 0
+	for i < len(s.chunks) && len(s.chunks[i]) == chunkEntries && s.chunks[i][chunkEntries-1].Seq <= upTo {
+		s.floor = s.chunks[i][chunkEntries-1].Seq
+		i++
+	}
+	if i > 0 {
+		s.chunks = slices.Delete(s.chunks, 0, i)
+	}
+	return s.floor
 }
 
 func (s *memStore) close() error { return nil }
@@ -298,5 +407,8 @@ func (s *fileStore) scan(after uint64) ([]Entry, error) {
 		}
 	}
 }
+
+// forget keeps every entry: the file is one flat segment.
+func (s *fileStore) forget(uint64) uint64 { return 0 }
 
 func (s *fileStore) close() error { return s.f.Close() }

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cjdbc/internal/backend"
 	"cjdbc/internal/sqlengine"
@@ -19,15 +21,17 @@ import (
 // logStorages are the two stores behind the one sequencer. at binds an
 // opener to one fresh storage location; calling the opener again reopens
 // the same storage (which only the persistent ones remember).
+// forgets marks the store that drops what no pin holds.
 var logStorages = []struct {
 	name       string
 	persistent bool
+	forgets    bool
 	at         func(t *testing.T) func() (Log, error)
 }{
-	{"memory", false, func(t *testing.T) func() (Log, error) {
+	{"memory", false, true, func(t *testing.T) func() (Log, error) {
 		return func() (Log, error) { return NewMemoryLog(), nil }
 	}},
-	{"file", true, func(t *testing.T) func() (Log, error) {
+	{"file", true, false, func(t *testing.T) func() (Log, error) {
 		path := filepath.Join(t.TempDir(), "recovery.log")
 		return func() (Log, error) { return OpenFileLog(path) }
 	}},
@@ -60,6 +64,30 @@ func requirePrefix(t *testing.T, got []Entry) {
 		t.Fatal(err)
 	}
 }
+
+// runErr reports the first place where got is not exactly the entries
+// after+1, after+2, ... — the window Since(after) must return.
+func runErr(got []Entry, after uint64) error {
+	for i, e := range got {
+		if e.Seq != after+uint64(i+1) {
+			return fmt.Errorf("Since(%d): entry %d has seq %d, want %d", after, i, e.Seq, after+uint64(i+1))
+		}
+	}
+	return nil
+}
+
+// appendN appends n writes.
+func appendN(t *testing.T, l Log, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(Entry{Class: ClassWrite, SQL: "w", Tables: []string{"t"}, V: FootprintVersion}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// heldChunks is how many chunks a memory log keeps.
+func heldChunks(l Log) int { return len(l.(*MemoryLog).st.(*memStore).chunks) }
 
 // TestLogContract is the one suite every store must pass.
 func TestLogContract(t *testing.T) {
@@ -237,6 +265,169 @@ func TestLogContract(t *testing.T) {
 				}
 			})
 
+			// With nothing pinned the memory store keeps at most the chunk
+			// the next put goes into and the one before it, and refuses
+			// what it forgot rather than answering with a gap; the file
+			// store forgets nothing.
+			t.Run("LogForgetsWhatNoPinHolds", func(t *testing.T) {
+				l := mustOpen(t, st.at(t))
+				defer l.Close()
+				const n = 3*chunkEntries + 5
+				appendN(t, l, n)
+				all, err := l.Since(0)
+				_, pinErr := l.Pin(0)
+				if !st.forgets {
+					if err != nil || pinErr != nil || len(all) != n {
+						t.Fatalf("Since(0) = %d entries, %v; Pin(0): %v", len(all), err, pinErr)
+					}
+					requirePrefix(t, all)
+					return
+				}
+				if held := heldChunks(l); held > 2 {
+					t.Fatalf("memory store holds %d chunks with nothing pinned", held)
+				}
+				if !errors.Is(err, ErrLogTruncated) || !errors.Is(pinErr, ErrLogTruncated) {
+					t.Fatalf("below the floor: Since(0) = %d entries, %v; Pin(0): %v; want ErrLogTruncated", len(all), err, pinErr)
+				}
+				const floor = 3 * chunkEntries
+				got, err := l.Since(floor)
+				if err != nil || len(got) != n-floor {
+					t.Fatalf("Since(%d) = %d entries, %v; want %d", floor, len(got), err, n-floor)
+				}
+				if err := runErr(got, floor); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := l.Since(floor - 1); !errors.Is(err, ErrLogTruncated) {
+					t.Fatalf("Since(%d) = %v, want ErrLogTruncated", floor-1, err)
+				}
+			})
+
+			// A pin keeps every entry after its position; release is
+			// idempotent and drops only its own pin.
+			t.Run("LogForgetsOnlyWhatPinsRelease", func(t *testing.T) {
+				l := mustOpen(t, st.at(t))
+				defer l.Close()
+				appendN(t, l, 10)
+				const at = 5
+				r1, err := l.Pin(at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r2, err := l.Pin(at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r1()
+				r1()
+				appendN(t, l, 3*chunkEntries)
+				got, err := l.Since(at)
+				if err != nil || len(got) != 3*chunkEntries+10-at {
+					t.Fatalf("Since(%d) under a pin = %d entries, %v", at, len(got), err)
+				}
+				if err := runErr(got, at); err != nil {
+					t.Fatal(err)
+				}
+				r2()
+				r2()
+				got, err = l.Since(at)
+				if !st.forgets {
+					if err != nil || len(got) != 3*chunkEntries+10-at {
+						t.Fatalf("file store: Since(%d) = %d entries, %v", at, len(got), err)
+					}
+					return
+				}
+				if !errors.Is(err, ErrLogTruncated) {
+					t.Fatalf("Since(%d) after every pin was released = %d entries, %v; want ErrLogTruncated", at, len(got), err)
+				}
+				if held := heldChunks(l); held > 1 {
+					t.Fatalf("memory store holds %d chunks after its last pin was released", held)
+				}
+			})
+
+			// While appends race the store forgetting, Since(after) returns
+			// either exactly the entries after+1, after+2, ... or, below
+			// the floor, ErrLogTruncated — never a window with a hole. A
+			// reader holding a pin at after always gets its window.
+			t.Run("LogForgetsWithoutGapsWhileAppendsRace", func(t *testing.T) {
+				l := mustOpen(t, st.at(t))
+				defer l.Close()
+				const writers = 4
+				perWriter := 3 * chunkEntries / writers
+				if !st.forgets {
+					// Nothing to forget, and the file store's Since decodes
+					// the whole file under the append lock: a long file
+					// would let the readers starve the writers.
+					perWriter = 64
+				}
+				var wg, rwg sync.WaitGroup
+				stop := make(chan struct{})
+				read := func(pinned bool) {
+					defer rwg.Done()
+					var after uint64
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						release := noRelease
+						if pinned {
+							r, err := l.Pin(after)
+							if errors.Is(err, ErrLogTruncated) {
+								after += chunkEntries / 8
+								continue
+							} else if err != nil {
+								t.Error(err)
+								return
+							}
+							release = r
+						}
+						got, err := l.Since(after)
+						release()
+						if errors.Is(err, ErrLogTruncated) && !pinned {
+							after += chunkEntries / 8
+							continue
+						}
+						if err != nil {
+							t.Errorf("Since(%d), pinned %v: %v", after, pinned, err)
+							return
+						}
+						if err := runErr(got, after); err != nil {
+							t.Error(err)
+							return
+						}
+						if len(got) > 0 {
+							after = got[len(got)/2].Seq
+						}
+					}
+				}
+				for _, pinned := range []bool{false, true} {
+					rwg.Add(1)
+					go read(pinned)
+				}
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						e := Entry{Class: ClassWrite, SQL: "w", Tables: []string{fmt.Sprintf("t%d", w)}, V: FootprintVersion}
+						for i := 0; i < perWriter; i++ {
+							if _, err := l.Append(e); err != nil {
+								t.Errorf("append: %v", err)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				close(stop)
+				rwg.Wait()
+				if st.forgets {
+					if held := heldChunks(l); held > 2 {
+						t.Fatalf("memory store holds %d chunks once the readers' pins are released", held)
+					}
+				}
+			})
+
 			// An entry larger than any fixed line buffer (the wire accepts
 			// statements up to 64 MiB) neither hides the entries after it
 			// nor keeps the log from reopening.
@@ -288,6 +479,46 @@ func (s *hookStore) put(e Entry) error {
 	}
 	return s.memStore.put(e)
 }
+
+// TestMemoryLogPutNeverCopies: with every entry pinned, a put moves no
+// earlier entry, so the store allocates each entry's bytes about once. A
+// store growing one slice by append allocates them several times over, and
+// copies the whole log under the sequencer mutex, which every writer waits
+// on, at each growth.
+func TestMemoryLogPutNeverCopies(t *testing.T) {
+	const n = 200_000
+	l := NewMemoryLog()
+	release, err := l.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	// The text and footprint are shared by every entry, so the entries
+	// themselves are all the log has to allocate.
+	e := Entry{User: "u", Class: ClassWrite, SQL: "UPDATE t SET a = a + 1 WHERE id = 1", Tables: []string{"t"}, V: FootprintVersion}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	budget := uint64(1.1 * n * float64(unsafe.Sizeof(Entry{})))
+	if got > budget {
+		t.Fatalf("%d appends allocated %d bytes, budget %d (1.1 × %d entries × %d B)", n, got, budget, n, unsafe.Sizeof(Entry{}))
+	}
+	all, err := l.Since(0)
+	if err != nil || len(all) != n {
+		t.Fatalf("Since(0) under Pin(0) = %d entries, %v; want %d", len(all), err, n)
+	}
+	requirePrefix(t, all)
+}
+
+// noRelease stands in for a pin a reader did not take.
+func noRelease() {}
 
 // TestSinceIsPrefixWhilePutStalls: while the put of Seq k is stalled, no
 // Since may return anything past k-1, however many appenders and readers
