@@ -3,6 +3,8 @@ package sqlengine
 import (
 	"bytes"
 	"hash/maphash"
+
+	"cjdbc/internal/sqlval"
 )
 
 // keySeed seeds every key set's hash. One seed per process is enough: the
@@ -81,3 +83,49 @@ func (s *keySet) key(id int32) []byte {
 
 // len is the number of distinct keys added.
 func (s *keySet) len() int { return len(s.keys) }
+
+// groupTable numbers single values 0, 1, 2, ... in first-seen order: the
+// group table of a GROUP BY over one key, and the seen-set of a DISTINCT
+// over one column and of an aggregate's DISTINCT. A value of the integer
+// class (sqlval.Value.IntKey: INTEGER, BOOLEAN, integral FLOAT) is looked up
+// by its int64 in ints, with no key bytes built and no hash call of its
+// own; every other value goes to set under its AppendKey bytes, whose ids
+// map to the shared ones through ids. A composite key (addKey) goes to set
+// alone. The zero value is an empty table.
+type groupTable struct {
+	ints map[int64]int32
+	set  keySet
+	ids  []int32 // set's id i is the table's ids[i]
+	n    int32   // ids handed out
+	buf  []byte  // key scratch
+}
+
+// addValue returns v's id, giving it the next id when the table does not
+// hold it yet; added reports that it was new.
+func (t *groupTable) addValue(v sqlval.Value) (id int32, added bool) {
+	if i, ok := v.IntKey(); ok {
+		if id, ok := t.ints[i]; ok {
+			return id, false
+		}
+		if t.ints == nil {
+			t.ints = make(map[int64]int32)
+		}
+		t.ints[i] = t.n
+		t.n++
+		return t.n - 1, true
+	}
+	t.buf = v.AppendKey(t.buf[:0])
+	return t.addKey(t.buf)
+}
+
+// addKey is addValue for a key already in bytes. A table takes either
+// values or composite keys, never both.
+func (t *groupTable) addKey(key []byte) (id int32, added bool) {
+	sid, added := t.set.add(key)
+	if !added {
+		return t.ids[sid], false
+	}
+	t.ids = append(t.ids, t.n)
+	t.n++
+	return t.n - 1, true
+}

@@ -2,7 +2,9 @@ package sqlengine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"cjdbc/internal/sqlval"
@@ -77,4 +79,63 @@ func FuzzKeySet(f *testing.F) {
 			return uint64(k[0] & 3)
 		}, keys)
 	})
+}
+
+// groupKeyValue decodes one fuzzed value: an INTEGER, a small INTEGER, a
+// FLOAT of any bits (NaN, infinities, -0), an integral FLOAT near the 1e15
+// edge of the integer class, a non-integral FLOAT, a BOOLEAN, NULL or a
+// string.
+func groupKeyValue(kind byte, x uint64) sqlval.Value {
+	switch kind % 8 {
+	case 0:
+		return sqlval.Int(int64(x))
+	case 1:
+		return sqlval.Int(int64(int8(x)))
+	case 2:
+		return sqlval.Float(math.Float64frombits(x))
+	case 3:
+		return sqlval.Float(float64(int64(x) >> 13))
+	case 4:
+		return sqlval.Float(float64(int8(x)) + 0.5)
+	case 5:
+		return sqlval.Bool(x&1 == 1)
+	case 6:
+		return sqlval.Null
+	}
+	return sqlval.String_(fmt.Sprint(int8(x)))
+}
+
+// checkGroupKeys decodes data nine bytes a value — a kind byte and eight
+// of payload — and numbers the values through a group table and through a
+// key set of their AppendKey bytes: the ids, first-seen, and the added
+// flags must agree, whether a value takes the integer table or the key set.
+func checkGroupKeys(t *testing.T, data []byte) {
+	t.Helper()
+	var g groupTable
+	var ks keySet
+	for ; len(data) >= 9; data = data[9:] {
+		v := groupKeyValue(data[0], binary.LittleEndian.Uint64(data[1:9]))
+		id, added := g.addValue(v)
+		if want, wantAdded := ks.add(v.AppendKey(nil)); id != want || added != wantAdded {
+			t.Fatalf("%v (%v): group table says %d, new %v; the key set says %d, new %v", v, v.K, id, added, want, wantAdded)
+		}
+	}
+}
+
+// FuzzGroupKeys is FuzzKeySet's twin: a group table numbers any fuzzed
+// value sequence exactly as a key set does. One seed holds every small
+// value of every kind, twice over, so that each kind meets the others.
+func FuzzGroupKeys(f *testing.F) {
+	var every []byte
+	for round := 0; round < 2; round++ {
+		for x := uint64(0); x < 40; x++ {
+			for kind := byte(0); kind < 8; kind++ {
+				every = binary.LittleEndian.AppendUint64(append(every, kind), x*0x0101)
+			}
+		}
+	}
+	f.Add(every)
+	f.Add([]byte("\x01\x01\x00\x00\x00\x00\x00\x00\x00\x05\x01\x00\x00\x00\x00\x00\x00\x00\x03\x00\x20\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("\x02\x00\x00\x00\x00\x00\x00\xf0\x7f\x02\x01\x00\x00\x00\x00\x00\xf8\x7f\x04\xff\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(checkGroupKeys)
 }

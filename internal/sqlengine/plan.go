@@ -321,7 +321,7 @@ func planOrder(e *Engine, t *table, b *binding, sel *sqlparser.Select, params []
 // by index scan: every key is a bare/qualified column or an integer
 // position (a literal, or a parameter params binds) resolving to one, and
 // no select-list alias captures a bare key's name for a different
-// expression (orderRows would sort by that output column, so eliding the
+// expression (orderKeys would sort by that output column, so eliding the
 // sort would diverge).
 func orderShapeElidable(orderBy []sqlparser.OrderItem, items []sqlparser.SelectItem, params []sqlval.Value) bool {
 	for _, oi := range orderBy {
@@ -333,7 +333,7 @@ func orderShapeElidable(orderBy []sqlparser.OrderItem, items []sqlparser.SelectI
 			}
 			// A star at or before the position expands to an unknown number
 			// of output columns, so the positional reference cannot be
-			// resolved against the select list here; orderRows resolves it
+			// resolved against the select list here; orderKeys resolves it
 			// against the post-expansion output instead.
 			for _, it := range items[:pos+1] {
 				if it.Star {

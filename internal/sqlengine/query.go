@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -42,20 +43,26 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	}
 	rv := readView{stamp: s.stamp, ep: s.snapshotEpoch()}
 
-	// The working lists — the WHERE survivors and the projected rows — grow
-	// in the session's scratch and go back to it cleared, whichever way the
-	// statement ends. A producer that replaces a list (a join stage builds
-	// its own) or fails hands back another list or none, and the scratch it
-	// was given is then simply dropped.
-	rows, out := s.selRows[:0], s.selOut[:0]
-	defer func() { s.selRows, s.selOut = truncated(rows), truncated(out) }()
+	// The working lists — the WHERE survivors of an ungrouped query and the
+	// rows to order — grow in the session's scratch and go back to it
+	// cleared, whichever way the statement ends. A list that fails or is
+	// replaced is simply dropped.
+	sink := rowSink{rows: s.selRows[:0], grouped: b.grouped}
+	out := s.selOut[:0]
+	defer func() { s.selRows, s.selOut = truncated(sink.rows), truncated(out) }()
+	if b.grouped {
+		if err := sink.g.init(b, s.params); err != nil {
+			return nil, err
+		}
+	}
 
-	// Both row producers apply WHERE while they scan.
+	// Both row producers apply WHERE while they scan and hand each survivor
+	// to the sink, which a grouped query folds into its group there.
 	var orderDone bool
 	if len(b.srcs) == 1 {
-		rows, orderDone, err = s.singleTableRows(sel, b, rv, rows)
+		orderDone, err = s.singleTableRows(sel, b, rv, &sink)
 	} else {
-		rows, err = s.joinRows(sel, b, rv, rows)
+		err = s.joinRows(sel, b, rv, &sink)
 	}
 	if err != nil {
 		return nil, err
@@ -64,10 +71,17 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 		return nil, b.headerErr
 	}
 
+	// An ungrouped row projects now; a group projects when it is known to
+	// be returned, unless DISTINCT or a full sort reads its projection
+	// first.
 	if b.grouped {
-		out, err = groupedRows(sel, b, rows, s.params, out)
+		out, err = sink.g.groups(out)
 	} else {
-		out, err = projectRows(b, rows, s.params, out)
+		out = grown(out, len(sink.rows))
+		for _, r := range sink.rows {
+			out = append(out, outRow{row: r})
+		}
+		err = project(b, out, s.params)
 	}
 	if err != nil {
 		return nil, err
@@ -76,46 +90,85 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	// DISTINCT, ORDER BY and LIMIT narrow and reorder live, a view of out.
 	live := out
 	if sel.Distinct {
-		// The key is built in a reused buffer and a new distinct row adds
-		// it to the key set's arena, so no row allocates.
-		var seen keySet
-		var key []byte
-		dedup := live[:0]
-		for _, r := range live {
-			key = appendRowKey(key[:0], r.vals)
-			if _, added := seen.add(key); added {
-				dedup = append(dedup, r)
-			}
+		if err := project(b, live, s.params); err != nil {
+			return nil, err
 		}
-		live = dedup
+		live = distinctRows(live, len(b.header))
 	}
 
+	// ORDER BY lists live's rows in order in idx. Under a LIMIT that keeps
+	// fewer than all of them only the first end are kept (top-K), with
+	// their keys in top. A LIMIT or OFFSET that does not evaluate is
+	// reported after ORDER BY's own errors.
+	offset, end, limitErr := limits(b, s.params)
+	var idx []int
+	var keys []orderKey
+	var top []sqlval.Value
 	if len(sel.OrderBy) > 0 && !orderDone {
-		if err := orderRows(sel, b, live, s.params); err != nil {
+		if keys, err = orderKeys(sel, b, s.params); err != nil {
+			return nil, err
+		}
+		if limitErr == nil && end >= 0 && end < int64(len(live)) {
+			idx, top, err = topRows(sel, b, keys, live, int(end), s.params)
+		} else if err = project(b, live, s.params); err == nil {
+			idx, err = sortRows(sel, b, keys, live, s.params)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
-
-	live, err = applyLimit(b, live, s.params)
-	if err != nil {
-		return nil, err
+	if limitErr != nil {
+		return nil, limitErr
+	}
+	n := int64(len(live))
+	if idx != nil {
+		n = int64(len(idx))
+	}
+	lo, hi := min(offset, n), n
+	if end >= 0 {
+		hi = min(end, n)
 	}
 
-	// Every row is a capped view of the slab projection wrote. When DISTINCT
-	// or LIMIT kept fewer than half the projected rows, the survivors move
-	// to a slab of their own, so a short result (which the result cache
-	// weighs by its own rows) does not pin the rows it dropped. The header
-	// is the binding's, shared read-only by every result.
-	res := &Result{Columns: b.header, Rows: make([][]sqlval.Value, len(live))}
-	if k := len(b.header); 2*len(live) < len(out) {
-		slab := make([]sqlval.Value, len(live)*k)
-		for i, r := range live {
+	// A projected row is a capped view of the slab projection wrote. When
+	// DISTINCT or LIMIT kept fewer than half the projected rows, the
+	// survivors move to a slab of their own, so a short result (which the
+	// result cache weighs by its own rows) does not pin the rows it
+	// dropped; a row not projected yet projects straight into that slab.
+	// The header is the binding's, shared read-only by every result.
+	res := &Result{Columns: b.header, Rows: make([][]sqlval.Value, hi-lo)}
+	k := len(b.header)
+	projected := len(live) == 0 || live[0].vals != nil
+	var slab []sqlval.Value
+	if !projected || 2*len(res.Rows) < len(out) {
+		slab = make([]sqlval.Value, len(res.Rows)*k)
+	}
+	ev := env{params: s.params}
+	for i := range res.Rows {
+		j := int(lo) + i
+		r := live[j]
+		if idx != nil {
+			r = live[idx[j]]
+		}
+		switch {
+		case slab == nil:
+			res.Rows[i] = r.vals
+		case projected:
 			res.Rows[i] = slabRow(slab, i, k)
 			copy(res.Rows[i], r.vals)
-		}
-	} else {
-		for i, r := range live {
-			res.Rows[i] = r.vals
+		default:
+			pv := slabRow(slab, i, k)
+			ev.row, ev.aggs = r.row, r.aggs
+			if err := projectOne(b, &ev, pv); err != nil {
+				return nil, err
+			}
+			// An output column ORDER BY read holds the value it was
+			// ordered by, even where a second evaluation (RAND()) differs.
+			for ki, key := range keys {
+				if key.pos >= 0 {
+					pv[key.pos] = top[j*len(keys)+ki]
+				}
+			}
+			res.Rows[i] = pv
 		}
 	}
 	return res, nil
@@ -138,18 +191,38 @@ func (s *Session) selectNoFrom(sel *sqlparser.Select, b *binding) (*Result, erro
 	return &Result{Columns: b.header, Rows: [][]sqlval.Value{row}}, nil
 }
 
-// singleTableRows materializes a one-table FROM clause. Unlike the join
-// path, rows are used as stored — no pad-to-width copy — because the engine
-// never mutates a stored row in place (updates replace the whole slice).
-// The access planner turns indexable WHERE conjuncts into rowid candidates,
-// the WHERE clause is applied during the scan, and a LIMIT stops the scan as
-// soon as enough rows matched whenever no later stage reorders, merges or
-// dedups rows — including ORDER BY satisfied by an ordered-index scan, the
-// top-k path: rows then stream out of the index in final order and the scan
-// halts after LIMIT+OFFSET live-at-epoch matches. rows is an empty list
-// whose storage the matches reuse. The returned flag reports that the row
-// order already satisfies ORDER BY.
-func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView, rows [][]sqlval.Value) ([][]sqlval.Value, bool, error) {
+// rowSink takes the rows a producer yields, WHERE already applied. A
+// grouped query folds each into its group as it comes; any other keeps it
+// in rows. A transient row lives in the producer's scratch and is copied
+// before it is kept.
+type rowSink struct {
+	rows    [][]sqlval.Value
+	grouped bool
+	g       grouper
+}
+
+func (k *rowSink) add(row []sqlval.Value, transient bool) error {
+	if k.grouped {
+		return k.g.add(row, transient)
+	}
+	if transient {
+		row = slices.Clone(row)
+	}
+	k.rows = append(k.rows, row)
+	return nil
+}
+
+// singleTableRows produces a one-table FROM clause into sink. Unlike the
+// join path, rows are yielded as stored — no pad-to-join-width copy —
+// because the engine never mutates a stored row in place (updates replace
+// the whole slice). The access planner turns indexable WHERE conjuncts into
+// rowid candidates, the WHERE clause is applied during the scan, and a LIMIT
+// stops the scan as soon as enough rows matched whenever no later stage
+// reorders, merges or dedups rows — including ORDER BY satisfied by an
+// ordered-index scan: rows then stream out of the index in final order and
+// the scan halts after LIMIT+OFFSET live-at-epoch matches. The returned flag
+// reports that the row order already satisfies ORDER BY.
+func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView, sink *rowSink) (bool, error) {
 	src := b.srcs[0]
 	t := src.t
 	e := s.engine
@@ -169,10 +242,11 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 		budget = scanBudget(b, s.params)
 	}
 	if budget == 0 {
-		return rows, op.done, nil
+		return op.done, nil
 	}
 
 	var evalErr error
+	var yielded int64
 	ev := &env{params: s.params}
 	add := func(row []sqlval.Value) bool {
 		if b.where != nil {
@@ -186,8 +260,12 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 				return true
 			}
 		}
-		rows = append(rows, row)
-		return budget < 0 || int64(len(rows)) < budget
+		if err := sink.add(row, false); err != nil {
+			evalErr = err
+			return false
+		}
+		yielded++
+		return budget < 0 || yielded < budget
 	}
 
 	// Path choice. With a LIMIT, the ordered scan is the top-k play: it
@@ -226,15 +304,17 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 			}
 			return evalErr == nil
 		})
-		return rows, true, evalErr
+		return true, evalErr
 	}
 
 	if plan.indexed {
-		n := int64(len(plan.refs))
-		if budget >= 0 {
-			n = min(n, budget)
+		if !sink.grouped {
+			n := int64(len(plan.refs))
+			if budget >= 0 {
+				n = min(n, budget)
+			}
+			sink.rows = grown(sink.rows, int(n))
 		}
-		rows = grown(rows, int(n))
 		for _, ch := range plan.refs {
 			if row := rv.resolve(ch); row != nil {
 				if !add(row) {
@@ -245,53 +325,75 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 	} else {
 		t.scanSnap(rv, add)
 	}
-	return rows, op.done, evalErr
+	return op.done, evalErr
 }
 
 // scanBudget is the LIMIT pushdown budget: offset+limit WHERE survivors
 // suffice when no later stage reorders, merges or dedups rows (callers
 // check that). It is -1 when there is no usable LIMIT.
 func scanBudget(b *binding, params []sqlval.Value) int64 {
-	if b.limit == nil {
+	_, end, err := limits(b, params)
+	if err != nil {
 		return -1
+	}
+	return end
+}
+
+// limits evaluates LIMIT and OFFSET into the window [offset, end) of the
+// ordered rows. end is -1 when there is no LIMIT or it is negative, and
+// saturates at MaxInt64; offset is 0 when there is no LIMIT or the OFFSET
+// is negative.
+func limits(b *binding, params []sqlval.Value) (offset, end int64, err error) {
+	if b.limit == nil {
+		return 0, -1, nil
 	}
 	ev := &env{params: params}
 	lv, err := ev.eval(b.limit)
 	if err != nil {
-		return -1
+		return 0, -1, err
 	}
-	budget, err := lv.AsInt()
-	if err != nil || budget < 0 {
-		return -1
+	limit, err := lv.AsInt()
+	if err != nil {
+		return 0, -1, err
 	}
 	if b.offset != nil {
-		if ov, err := ev.eval(b.offset); err == nil {
-			if off, err := ov.AsInt(); err == nil && off > 0 {
-				budget += off
-			}
+		ov, err := ev.eval(b.offset)
+		if err != nil {
+			return 0, -1, err
 		}
+		if offset, err = ov.AsInt(); err != nil {
+			return 0, -1, err
+		}
+		offset = max(offset, 0)
 	}
-	return budget
+	if limit < 0 {
+		return offset, -1, nil
+	}
+	if limit > math.MaxInt64-offset {
+		return offset, math.MaxInt64, nil
+	}
+	return offset, offset + limit, nil
 }
 
-// joinRows materializes the FROM clause with nested-loop joins, using a hash
-// index for equi-joins when one is available. Rows grow left to right: the
-// base table's rows are used as stored, and each later stage assembles every
-// candidate pair in one full-width scratch row, evaluates ON there and clones
-// only the survivors, at the width joined so far. Positions of tables not
-// joined yet stay NULL in the scratch row, as in a padded row. The last stage
-// applies WHERE before cloning and, when no later stage reorders, merges or
-// dedups rows, stops after offset+limit survivors. rows is an empty list
-// whose storage the base table's rows reuse; each later stage builds a list
-// of its own.
-func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, rows [][]sqlval.Value) ([][]sqlval.Value, error) {
+// joinRows produces the FROM clause into sink with nested-loop joins, using
+// a hash index for equi-joins when one is available. Rows grow left to
+// right: the base table's rows are used as stored, and each later stage
+// assembles every candidate pair in one full-width scratch row, evaluates ON
+// there and clones only the survivors, at the width joined so far.
+// Positions of tables not joined yet stay NULL in the scratch row, as in a
+// padded row. The last stage applies WHERE and hands the scratch row to the
+// sink, which copies what it keeps (a grouped query: a group's first row
+// only); when no later stage reorders, merges or dedups rows, it stops after
+// offset+limit survivors.
+func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink *rowSink) error {
 	// WHERE conjuncts on the base table narrow it through the access
 	// planner; the full WHERE clause still filters at the last stage, so
 	// this only prunes rows that could never survive it (valid for LEFT JOIN
 	// too, since the base is the preserved side).
 	base := b.srcs[0]
+	var rows [][]sqlval.Value
 	if plan := planAccess(s.engine, base.t, b.conj, s.params); plan.indexed {
-		rows = grown(rows, len(plan.refs))
+		rows = make([][]sqlval.Value, 0, len(plan.refs))
 		for _, ch := range plan.refs {
 			if r := rv.resolve(ch); r != nil {
 				rows = append(rows, r)
@@ -309,11 +411,12 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, rows 
 		budget = scanBudget(b, s.params)
 	}
 	if budget == 0 {
-		return nil, nil
+		return nil
 	}
 	scratch := make([]sqlval.Value, b.width)
 	ev := &env{row: scratch, params: s.params}
 	noIndex := s.engine.noIndexPlan.Load()
+	var kept int64 // rows the last stage gave the sink
 	for i := 1; i < len(b.srcs) && len(rows) > 0; i++ {
 		src := b.srcs[i]
 		stage := &b.joins[i-1]
@@ -324,10 +427,14 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, rows 
 		var evalErr error
 		matched, full := false, false
 
-		// keep clones the scratch row if it survives WHERE (last stage only)
-		// and reports whether the stage should go on.
+		// keep passes the scratch row on if it survives WHERE (last stage
+		// only) and reports whether the stage should go on.
 		keep := func() bool {
-			if last && b.where != nil {
+			if !last {
+				next = append(next, slices.Clone(scratch[:width]))
+				return true
+			}
+			if b.where != nil {
 				m, err := ev.eval(b.where)
 				if err != nil {
 					evalErr = err
@@ -337,8 +444,12 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, rows 
 					return true
 				}
 			}
-			next = append(next, slices.Clone(scratch[:width]))
-			full = last && budget >= 0 && int64(len(next)) >= budget
+			if err := sink.add(scratch[:width], true); err != nil {
+				evalErr = err
+				return false
+			}
+			kept++
+			full = budget >= 0 && kept >= budget
 			return !full
 		}
 		try := func(r []sqlval.Value) bool {
@@ -383,7 +494,7 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, rows 
 				keep()
 			}
 			if evalErr != nil {
-				return nil, evalErr
+				return evalErr
 			}
 			if full {
 				break
@@ -391,7 +502,7 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, rows 
 		}
 		rows = next
 	}
-	return rows, nil
+	return nil
 }
 
 // slabRow is row i of a slab of k-value rows, capped at its own length so
@@ -400,108 +511,153 @@ func slabRow(slab []sqlval.Value, i, k int) []sqlval.Value {
 	return slab[i*k : (i+1)*k : (i+1)*k]
 }
 
-// projectRows evaluates the select list for each row of a non-grouped
-// query, in one reused environment, into one slab of len(rows)·k values.
-// out is an empty list whose storage the projected rows reuse.
-func projectRows(b *binding, rows [][]sqlval.Value, params []sqlval.Value, out []outRow) ([]outRow, error) {
+// project evaluates the select list for each of out's rows, in one reused
+// environment, into one slab of len(out)·k values. Rows are projected all
+// together or not at all, and a second call does nothing.
+func project(b *binding, out []outRow, params []sqlval.Value) error {
+	if len(out) == 0 || out[0].vals != nil {
+		return nil
+	}
 	k := len(b.header)
-	slab := make([]sqlval.Value, len(rows)*k)
-	out = grown(out, len(rows))[:len(rows)]
+	slab := make([]sqlval.Value, len(out)*k)
 	ev := env{params: params}
-	for i, r := range rows {
-		ev.row = r
+	for i := range out {
+		ev.row, ev.aggs = out[i].row, out[i].aggs
 		vals := slabRow(slab, i, k)
 		if err := projectOne(b, &ev, vals); err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = outRow{vals: vals, row: r}
+		out[i].vals = vals
 	}
-	return out, nil
+	return nil
 }
 
-// groupedRows implements GROUP BY / aggregate evaluation. A first pass
-// numbers each row's group in first-seen order through one key set whose
-// key is built in a reused scratch buffer, so no group allocates its key.
-// A second pass folds every row into its group's accumulators — one
-// per aggregate, all groups' in one slab sized once the groups are known —
-// and moves each group's first row to the front of rows (group g's first
-// row is never before row g, so the move overwrites only rows already
-// read). HAVING then evaluates once per group, and the groups it keeps
-// project into one slab, all in one reused environment; out is an empty
-// list whose storage they reuse.
-func groupedRows(sel *sqlparser.Select, b *binding, rows [][]sqlval.Value, params []sqlval.Value, out []outRow) ([]outRow, error) {
+// distinctRows keeps the first of every set of equal projected rows, in
+// place. A one-column row is numbered by its value, any other by its
+// composite key built in a reused buffer, so no row allocates.
+func distinctRows(live []outRow, k int) []outRow {
+	var seen groupTable
+	var key []byte
+	dedup := live[:0]
+	for _, r := range live {
+		var added bool
+		if k == 1 {
+			_, added = seen.addValue(r.vals[0])
+		} else {
+			key = appendRowKey(key[:0], r.vals)
+			_, added = seen.addKey(key)
+		}
+		if added {
+			dedup = append(dedup, r)
+		}
+	}
+	return dedup
+}
+
+// grouper implements GROUP BY / aggregate evaluation in one pass: the
+// producer hands it each row as it yields it, and the row is folded into
+// its group's accumulators there — one per aggregate, all groups' in one
+// slab that grows as groups appear. A group is numbered in first-seen order
+// through a group table, by its one key's value or by its keys' composite
+// key built in a reused buffer, so no group allocates its key. The group
+// keeps its first row, not its rows: a stored row as it is, since stored
+// rows are immutable, and a transient join row copied into a slab that
+// grows by doubling.
+type grouper struct {
+	b      *binding
+	ev     env
+	table  groupTable
+	key    []byte           // composite key scratch
+	firsts [][]sqlval.Value // group g's first row
+	accs   []aggAcc         // group g's accumulators are accs[g*na:(g+1)*na]
+	copies []sqlval.Value   // transient first rows, copied
+}
+
+// init readies g for b's rows; it fails for an aggregate call with the
+// wrong number of arguments.
+func (g *grouper) init(b *binding, params []sqlval.Value) error {
 	for _, ae := range b.aggs {
 		if !countsRows(ae.x) && len(ae.args) != 1 {
-			return nil, errf("%s expects one argument", ae.x.Func)
+			return errf("%s expects one argument", ae.x.Func)
 		}
+	}
+	g.b, g.ev.params = b, params
+	return nil
+}
+
+// add folds row into its group, opening the group when row is its first.
+func (g *grouper) add(row []sqlval.Value, transient bool) error {
+	b := g.b
+	g.ev.row = row
+	// Without GROUP BY every row is in group 0.
+	id, added := int32(0), len(g.firsts) == 0
+	switch len(b.groupBy) {
+	case 0:
+	case 1:
+		v, err := g.ev.eval(b.groupBy[0])
+		if err != nil {
+			return err
+		}
+		id, added = g.table.addValue(v)
+	default:
+		g.key = g.key[:0]
+		for _, x := range b.groupBy {
+			v, err := g.ev.eval(x)
+			if err != nil {
+				return err
+			}
+			g.key = appendKeyPart(g.key, v)
+		}
+		id, added = g.table.addKey(g.key)
 	}
 	na := len(b.aggs)
-	ev := env{params: params}
-
-	// Without GROUP BY every row is in group 0, and that one group exists
-	// even over no rows (COUNT(*) of an empty table is 0).
-	ngroups := 1
-	var gids []int32 // row i is in group gids[i]
-	if len(b.groupBy) > 0 {
-		gids = make([]int32, len(rows))
-		var groups keySet
-		var key []byte
-		for i, r := range rows {
-			ev.row = r
-			key = key[:0]
-			for _, g := range b.groupBy {
-				v, err := ev.eval(g)
-				if err != nil {
-					return nil, err
-				}
-				key = appendKeyPart(key, v)
-			}
-			gids[i], _ = groups.add(key)
+	if added {
+		if transient {
+			g.copies = append(g.copies, row...)
+			n := len(g.copies)
+			row = g.copies[n-len(row) : n : n]
 		}
-		ngroups = groups.len()
+		g.firsts = append(g.firsts, row)
+		for j := 0; j < na; j++ {
+			g.accs = append(g.accs, aggAcc{})
+		}
 	}
+	accs := g.accs[int(id)*na : (int(id)+1)*na]
+	for j, ae := range b.aggs {
+		if err := accs[j].add(ae, &g.ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	accs := make([]aggAcc, ngroups*na) // group g's accumulators are accs[g*na:(g+1)*na]
-	firsts := rows[:0]                 // group g's first row is firsts[g]
-	var scratch []byte                 // DISTINCT keys
-	for i, r := range rows {
-		g := 0
-		if gids != nil {
-			g = int(gids[i])
-		}
-		if g == len(firsts) {
-			firsts = append(firsts, r)
-		}
-		ev.row = r
+// groups ends the fold. Each group's aggregates are computed into one slab
+// and HAVING evaluates once per group; the groups it keeps are listed, in
+// first-seen order and not projected, in out, an empty list whose storage
+// they reuse. A bound aggregate call reads its slot of the group's values.
+func (g *grouper) groups(out []outRow) ([]outRow, error) {
+	b, na := g.b, len(g.b.aggs)
+	// The implicit group over no rows exists (COUNT(*) of an empty table is
+	// 0), and its row is all NULL, so a bare column in the select list or
+	// HAVING reads NULL.
+	if len(b.groupBy) == 0 && len(g.firsts) == 0 {
+		g.firsts = [][]sqlval.Value{make([]sqlval.Value, b.width)}
+		g.accs = make([]aggAcc, na)
+	}
+	vals := make([]sqlval.Value, len(g.firsts)*na)
+	out = grown(out, len(g.firsts))
+	for i, first := range g.firsts {
+		gv := vals[i*na : (i+1)*na : (i+1)*na]
 		for j, ae := range b.aggs {
-			if err := accs[g*na+j].add(ae, &ev, &scratch); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// The implicit group over no rows has an all-NULL row, so a bare column
-	// in the select list or HAVING reads NULL. It gets a list of its own:
-	// firsts may write only where rows already did.
-	if len(b.groupBy) == 0 && len(rows) == 0 {
-		firsts = [][]sqlval.Value{make([]sqlval.Value, b.width)}
-	}
-
-	// The groups HAVING keeps move to the front, with their aggregates.
-	vals := make([]sqlval.Value, ngroups*na)
-	aggs := make([][]sqlval.Value, ngroups)
-	kept := 0
-	for g, first := range firsts {
-		gv := vals[g*na : (g+1)*na : (g+1)*na]
-		for j, ae := range b.aggs {
-			v, err := accs[g*na+j].result(ae.x)
+			v, err := g.accs[i*na+j].result(ae.x)
 			if err != nil {
 				return nil, err
 			}
 			gv[j] = v
 		}
 		if b.having != nil {
-			ev.row, ev.aggs = first, gv
-			m, err := ev.eval(b.having)
+			g.ev.row, g.ev.aggs = first, gv
+			m, err := g.ev.eval(b.having)
 			if err != nil {
 				return nil, err
 			}
@@ -509,20 +665,7 @@ func groupedRows(sel *sqlparser.Select, b *binding, rows [][]sqlval.Value, param
 				continue
 			}
 		}
-		firsts[kept], aggs[kept] = first, gv
-		kept++
-	}
-
-	k := len(b.header)
-	slab := make([]sqlval.Value, kept*k)
-	out = grown(out, kept)[:kept]
-	for g := range out {
-		ev.row, ev.aggs = firsts[g], aggs[g]
-		pv := slabRow(slab, g, k)
-		if err := projectOne(b, &ev, pv); err != nil {
-			return nil, err
-		}
-		out[g] = outRow{vals: pv, row: firsts[g], aggs: aggs[g]}
+		out = append(out, outRow{row: first, aggs: gv})
 	}
 	return out, nil
 }
@@ -536,19 +679,19 @@ func countsRows(ae *sqlparser.Expr) bool {
 // aggAcc is one aggregate's running state within one group. count is the
 // number of non-NULL (for DISTINCT: distinct) inputs, or of rows for
 // COUNT(*); SUM and AVG add into sum, and into the exact sumInt while every
-// input is an integer; MIN and MAX keep the extreme input in ext.
+// input is an integer and the integer sum does not overflow; MIN and MAX
+// keep the extreme input in ext.
 type aggAcc struct {
-	count  int64
-	sum    float64
-	sumInt int64
-	mixed  bool // a non-integer was summed: SUM answers sum, not sumInt
-	ext    sqlval.Value
-	seen   *keySet // DISTINCT only: keys of the inputs counted
+	count   int64
+	sum     float64
+	sumInt  int64
+	inexact bool // a non-integer was summed or sumInt overflowed: SUM answers sum
+	ext     sqlval.Value
+	seen    *groupTable // DISTINCT only: the inputs counted
 }
 
-// add folds the current row of ev into the accumulator. scratch is a
-// reusable buffer for DISTINCT keys.
-func (a *aggAcc) add(ae *bexpr, ev *env, scratch *[]byte) error {
+// add folds the current row of ev into the accumulator.
+func (a *aggAcc) add(ae *bexpr, ev *env) error {
 	if countsRows(ae.x) {
 		a.count++
 		return nil
@@ -559,10 +702,9 @@ func (a *aggAcc) add(ae *bexpr, ev *env, scratch *[]byte) error {
 	}
 	if ae.x.Distinct {
 		if a.seen == nil {
-			a.seen = new(keySet)
+			a.seen = new(groupTable)
 		}
-		*scratch = v.AppendKey((*scratch)[:0])
-		if _, added := a.seen.add(*scratch); !added {
+		if _, added := a.seen.addValue(v); !added {
 			return nil
 		}
 	}
@@ -573,10 +715,12 @@ func (a *aggAcc) add(ae *bexpr, ev *env, scratch *[]byte) error {
 			return err
 		}
 		a.sum += f
-		if v.K == sqlval.KindInt {
-			a.sumInt += v.I
+		// The sum overflows exactly when adding a positive (negative)
+		// value does not make it larger (smaller).
+		if s := a.sumInt + v.I; v.K == sqlval.KindInt && (s > a.sumInt) == (v.I > 0) {
+			a.sumInt = s
 		} else {
-			a.mixed = true
+			a.inexact = true
 		}
 	case "MIN":
 		if a.count == 0 || sqlval.Compare(v, a.ext) < 0 {
@@ -600,7 +744,7 @@ func (a *aggAcc) result(ae *sqlparser.Expr) (sqlval.Value, error) {
 		if a.count == 0 {
 			return sqlval.Null, nil
 		}
-		if !a.mixed {
+		if !a.inexact {
 			return sqlval.Int(a.sumInt), nil
 		}
 		return sqlval.Float(a.sum), nil
@@ -679,14 +823,10 @@ type orderKey struct {
 	expr *bexpr
 }
 
-// orderRows sorts out in place according to ORDER BY. Keys resolve first to
-// output aliases, then to positional integers, then evaluate on the row's
-// source row and aggregates, in one reused environment. Key extraction is
-// hoisted out of the comparator (decorate-sort-undecorate): each row's keys
-// are resolved exactly once — O(n·k) evaluations — into one slab, a stable
-// sort orders an index over it, and the rows then follow the index in
-// place. The sort allocates the keys, the slab and the index.
-func orderRows(sel *sqlparser.Select, b *binding, out []outRow, params []sqlval.Value) error {
+// orderKeys resolves ORDER BY's keys: to output aliases (bound), then to
+// positional integers, else to expressions evaluated on a row's source row
+// and aggregates.
+func orderKeys(sel *sqlparser.Select, b *binding, params []sqlval.Value) ([]orderKey, error) {
 	keys := make([]orderKey, len(sel.OrderBy))
 	for i, oi := range sel.OrderBy {
 		keys[i] = b.order[i]
@@ -695,96 +835,170 @@ func orderRows(sel *sqlparser.Select, b *binding, out []outRow, params []sqlval.
 			if lit.K == sqlval.KindInt {
 				pos := int(lit.I) - 1
 				if pos < 0 || pos >= len(b.header) {
-					return errf("ORDER BY position %d out of range", lit.I)
+					return nil, errf("ORDER BY position %d out of range", lit.I)
 				}
 				keys[i].pos = pos
 			}
 		}
 	}
-	nk := len(keys)
-	dec := make([]sqlval.Value, len(out)*nk)
-	ev := env{params: params}
-	for r := range out {
-		for i, k := range keys {
-			if k.pos >= 0 {
-				dec[r*nk+i] = out[r].vals[k.pos]
-				continue
-			}
-			ev.row, ev.aggs = out[r].row, out[r].aggs
-			v, err := ev.eval(k.expr)
-			if err != nil {
-				return err
-			}
-			dec[r*nk+i] = v
+	return keys, nil
+}
+
+// rowKeys evaluates r's ORDER BY keys into dst. An output column reads r's
+// projection, or evaluates its select item when r is not projected.
+func rowKeys(b *binding, keys []orderKey, ev *env, r outRow, dst []sqlval.Value) error {
+	ev.row, ev.aggs = r.row, r.aggs
+	for i, k := range keys {
+		var err error
+		switch {
+		case k.pos < 0:
+			dst[i], err = ev.eval(k.expr)
+		case r.vals != nil:
+			dst[i] = r.vals[k.pos]
+		default:
+			dst[i], err = outputValue(b, ev, k.pos)
 		}
-	}
-	idx := make([]int, len(out))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		ka, kb := dec[a*nk:(a+1)*nk], dec[b*nk:(b+1)*nk]
-		for i := range ka {
-			if c := sqlval.Compare(ka[i], kb[i]); c != 0 {
-				if sel.OrderBy[i].Desc {
-					return -c
-				}
-				return c
-			}
+		if err != nil {
+			return err
 		}
-		return 0
-	})
-	// Row j takes the row at idx[j]: follow each cycle of the permutation
-	// once, marking settled positions in idx.
-	for i := range idx {
-		if idx[i] == i {
-			continue
-		}
-		first, j := out[i], i
-		for idx[j] != i {
-			next := idx[j]
-			out[j], idx[j] = out[next], j
-			j = next
-		}
-		out[j], idx[j] = first, j
 	}
 	return nil
 }
 
-// applyLimit applies LIMIT/OFFSET.
-func applyLimit(b *binding, out []outRow, params []sqlval.Value) ([]outRow, error) {
-	if b.limit == nil {
-		return out, nil
+// outputValue is output column pos of the row in ev, as projectOne would
+// write it.
+func outputValue(b *binding, ev *env, pos int) (sqlval.Value, error) {
+	for i, it := range b.items {
+		if it == nil {
+			sp := b.stars[i]
+			if pos < sp.hi-sp.lo {
+				return ev.row[sp.lo+pos], nil
+			}
+			pos -= sp.hi - sp.lo
+			continue
+		}
+		if pos == 0 {
+			return ev.eval(it)
+		}
+		pos--
 	}
-	ev := &env{params: params}
-	lv, err := ev.eval(b.limit)
-	if err != nil {
-		return nil, err
+	return sqlval.Null, errf("output column %d out of range", pos)
+}
+
+// compareKeys orders two rows' decorated keys under ORDER BY.
+func compareKeys(order []sqlparser.OrderItem, ka, kb []sqlval.Value) int {
+	for i := range ka {
+		if c := sqlval.Compare(ka[i], kb[i]); c != 0 {
+			if order[i].Desc {
+				return -c
+			}
+			return c
+		}
 	}
-	limit, err := lv.AsInt()
-	if err != nil {
-		return nil, err
-	}
-	var offset int64
-	if b.offset != nil {
-		ov, err := ev.eval(b.offset)
-		if err != nil {
+	return 0
+}
+
+// sortRows lists live's rows in ORDER BY order, every row projected. Key
+// extraction is hoisted out of the comparator (decorate-sort-undecorate):
+// each row's keys are resolved exactly once into one slab, in one reused
+// environment, and a stable sort orders an index over it. The sort
+// allocates the keys, the slab and the index.
+func sortRows(sel *sqlparser.Select, b *binding, keys []orderKey, live []outRow, params []sqlval.Value) ([]int, error) {
+	nk := len(keys)
+	dec := make([]sqlval.Value, len(live)*nk)
+	ev := env{params: params}
+	for r := range live {
+		if err := rowKeys(b, keys, &ev, live[r], dec[r*nk:(r+1)*nk]); err != nil {
 			return nil, err
 		}
-		offset, err = ov.AsInt()
-		if err != nil {
-			return nil, err
+	}
+	idx := make([]int, len(live))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(x, y int) int {
+		return compareKeys(sel.OrderBy, dec[x*nk:(x+1)*nk], dec[y*nk:(y+1)*nk])
+	})
+	return idx, nil
+}
+
+// topRows is sortRows for ORDER BY … LIMIT when only the first m < len(live)
+// rows can be returned (top-K). Every row's keys are still evaluated, in
+// order, but only the m least rows seen so far are kept, in a max-heap
+// ordered by (keys, position): the root is the row a lesser one evicts, and
+// a later row with equal keys never does, so the m kept are exactly the
+// stable sort's first m. Only they are sorted (heapsort), and the rows are
+// not projected. It returns the kept rows' positions in order and their
+// keys, m at a time.
+func topRows(sel *sqlparser.Select, b *binding, keys []orderKey, live []outRow, m int, params []sqlval.Value) ([]int, []sqlval.Value, error) {
+	// Entries 0..m-1 are the heap, entry m the row being considered.
+	h := topHeap{order: sel.OrderBy, nk: len(keys), pos: make([]int, m+1), dec: make([]sqlval.Value, (m+1)*len(keys))}
+	ev := env{params: params}
+	for i := range live {
+		e := min(i, m)
+		if err := rowKeys(b, keys, &ev, live[i], h.keys(e)); err != nil {
+			return nil, nil, err
+		}
+		h.pos[e] = i
+		switch {
+		case i == m-1: // the first m rows are in: order them into a heap
+			for p := m/2 - 1; p >= 0; p-- {
+				h.down(p, m)
+			}
+		case i >= m && h.cmp(m, 0) < 0:
+			h.pos[0] = h.pos[m]
+			copy(h.keys(0), h.keys(m))
+			h.down(0, m)
 		}
 	}
-	if offset < 0 {
-		offset = 0
+	for last := m - 1; last > 0; last-- {
+		h.swap(0, last)
+		h.down(0, last)
 	}
-	if offset >= int64(len(out)) {
-		return nil, nil
+	return h.pos[:m], h.dec[:m*h.nk], nil
+}
+
+// topHeap is topRows' heap: entry e is row pos[e] with keys
+// dec[e*nk:(e+1)*nk].
+type topHeap struct {
+	order []sqlparser.OrderItem
+	nk    int
+	pos   []int
+	dec   []sqlval.Value
+}
+
+func (h *topHeap) keys(e int) []sqlval.Value { return h.dec[e*h.nk : (e+1)*h.nk] }
+
+// cmp orders entries by keys, then by position.
+func (h *topHeap) cmp(x, y int) int {
+	if c := compareKeys(h.order, h.keys(x), h.keys(y)); c != 0 {
+		return c
 	}
-	out = out[offset:]
-	if limit >= 0 && int64(len(out)) > limit {
-		out = out[:limit]
+	return h.pos[x] - h.pos[y]
+}
+
+func (h *topHeap) swap(x, y int) {
+	h.pos[x], h.pos[y] = h.pos[y], h.pos[x]
+	kx, ky := h.keys(x), h.keys(y)
+	for i := range kx {
+		kx[i], ky[i] = ky[i], kx[i]
 	}
-	return out, nil
+}
+
+// down restores the heap of entries [0, n) below entry e.
+func (h *topHeap) down(e, n int) {
+	for {
+		c := 2*e + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.cmp(c+1, c) > 0 {
+			c++
+		}
+		if h.cmp(c, e) <= 0 {
+			return
+		}
+		h.swap(e, c)
+		e = c
+	}
 }

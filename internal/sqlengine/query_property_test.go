@@ -2,11 +2,13 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
+	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
 )
 
@@ -114,10 +116,10 @@ func refAggregate(fn string, distinct bool, arg *aggArg, rows [][]sqlval.Value) 
 	for _, v := range vals {
 		f, _ := v.AsFloat()
 		sum += f
-		if v.K == sqlval.KindInt {
-			sumInt += v.I
-		} else {
+		if v.K != sqlval.KindInt || v.I > 0 && sumInt > math.MaxInt64-v.I || v.I < 0 && sumInt < math.MinInt64-v.I {
 			allInt = false
+		} else {
+			sumInt += v.I
 		}
 	}
 	if fn == "AVG" {
@@ -132,14 +134,17 @@ func refAggregate(fn string, distinct bool, arg *aggArg, rows [][]sqlval.Value) 
 // TestPropertyGroupByMatchesReference checks grouped and aggregate queries
 // against a brute-force reference kept in the test, over randomized tables
 // with NULLs in every column: every aggregate with and without DISTINCT,
-// integer/float mixes, GROUP BY on columns and on an expression, HAVING on
-// aggregates inside and outside the select list, and empty input. Groups
-// come out in the order their first row was scanned.
+// integer/float mixes, GROUP BY on columns and on expressions — one of them
+// mixing INTEGER, integral and non-integral FLOAT, BOOLEAN and NULL keys,
+// where 1, 1.0 and TRUE are one group — HAVING on aggregates inside and
+// outside the select list, ORDER BY an aggregate DESC with LIMIT/OFFSET,
+// and empty input. Groups come out in the order their first row was
+// scanned, or in the stable sort's.
 func TestPropertyGroupByMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	e := New("groupprop")
 	s := e.NewSession()
-	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, i INTEGER, f FLOAT, s VARCHAR)")
+	mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, i INTEGER, f FLOAT, s VARCHAR, b BOOLEAN)")
 	var model [][]sqlval.Value
 	for id := 0; id < 120; id++ {
 		r := []sqlval.Value{
@@ -148,10 +153,11 @@ func TestPropertyGroupByMatchesReference(t *testing.T) {
 			randVal(rng, 5, sqlval.Int(-3), sqlval.Int(0), sqlval.Int(1), sqlval.Int(2), sqlval.Int(6)),
 			randVal(rng, 3, sqlval.Float(-2.5), sqlval.Float(0.5), sqlval.Float(1), sqlval.Float(2), sqlval.Float(3.25)),
 			randVal(rng, 5, sqlval.String_("a"), sqlval.String_("b"), sqlval.String_("B"), sqlval.String_("c")),
+			randVal(rng, 3, sqlval.Bool(true), sqlval.Bool(false)),
 		}
 		model = append(model, r)
-		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, k, i, f, s) VALUES (%s, %s, %s, %s, %s)",
-			r[0].SQLLiteral(), r[1].SQLLiteral(), r[2].SQLLiteral(), r[3].SQLLiteral(), r[4].SQLLiteral()))
+		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, k, i, f, s, b) VALUES (%s, %s, %s, %s, %s, %s)",
+			r[0].SQLLiteral(), r[1].SQLLiteral(), r[2].SQLLiteral(), r[3].SQLLiteral(), r[4].SQLLiteral(), r[5].SQLLiteral()))
 	}
 
 	type keyExpr struct {
@@ -165,7 +171,16 @@ func TestPropertyGroupByMatchesReference(t *testing.T) {
 		v, _ := sqlval.Mod(r[1], sqlval.Int(3))
 		return v
 	}}
-	groupings := [][]keyExpr{nil, {col("k", 1)}, {kMod3}, {col("s", 4)}, {col("k", 1), col("s", 4)}}
+	// The first non-NULL of f, i and b: every key class of one column.
+	mixed := keyExpr{"COALESCE(f, i, b)", func(r []sqlval.Value) sqlval.Value {
+		for _, v := range []sqlval.Value{r[3], r[2], r[5]} {
+			if !v.IsNull() {
+				return v
+			}
+		}
+		return sqlval.Null
+	}}
+	groupings := [][]keyExpr{nil, {col("k", 1)}, {kMod3}, {col("s", 4)}, {col("k", 1), col("s", 4)}, {mixed}, {mixed, col("s", 4)}}
 	wheres := []struct {
 		sql  string
 		keep func(r []sqlval.Value) bool
@@ -283,6 +298,17 @@ func TestPropertyGroupByMatchesReference(t *testing.T) {
 			if having(g.rows, aggs) {
 				want = append(want, append(append([]sqlval.Value(nil), g.key...), aggs...))
 			}
+		}
+		// ORDER BY an aggregate DESC, cut by LIMIT/OFFSET: the stable sort
+		// of the groups, then the window.
+		if rng.Intn(3) == 0 {
+			j := rng.Intn(len(calls))
+			limit, offset := rng.Intn(5), rng.Intn(3)
+			sql += fmt.Sprintf(" ORDER BY %s DESC LIMIT %d OFFSET %d", callSQL(calls[j]), limit, offset)
+			col := len(keys) + j
+			sort.SliceStable(want, func(a, b int) bool { return sqlval.Compare(want[a][col], want[b][col]) > 0 })
+			want = want[min(offset, len(want)):]
+			want = want[:min(limit, len(want))]
 		}
 		sameRows(t, sql, mustExec(t, s, sql), want)
 	}
@@ -521,5 +547,213 @@ func TestPropertyJoinMatchesNestedLoop(t *testing.T) {
 			}
 		}
 		sameRows(t, sql, mustExec(t, s, sql), projected)
+	}
+}
+
+// mustExecParams executes sql with its placeholders bound to params.
+func mustExecParams(t *testing.T, s *Session, sql string, params ...sqlval.Value) *Result {
+	t.Helper()
+	st, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	res, err := s.Exec(&sqlparser.Bound{Stmt: st, SQL: sql, Params: params})
+	if err != nil {
+		t.Fatalf("exec %q %v: %v", sql, params, err)
+	}
+	return res
+}
+
+// TestSumOverflowAnswersFloat: an integer SUM whose running sum leaves
+// int64 answers the float sum, as a SUM over mixed input does, instead of
+// wrapping around. A sum that stays in range at every step stays an exact
+// integer, even where it passes through an extreme.
+func TestSumOverflowAnswersFloat(t *testing.T) {
+	s := New("sumoverflow").NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE o (id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)")
+	for i, r := range [][2]int64{
+		{1, math.MaxInt64}, {1, 1},
+		{2, math.MinInt64}, {2, -1},
+		{3, math.MaxInt64}, {3, 0}, {3, math.MinInt64},
+	} {
+		mustExecParams(t, s, "INSERT INTO o (id, g, v) VALUES (?, ?, ?)", sqlval.Int(int64(i)), sqlval.Int(r[0]), sqlval.Int(r[1]))
+	}
+	sql := "SELECT g, SUM(v) FROM o GROUP BY g"
+	sameRows(t, sql, mustExec(t, s, sql), [][]sqlval.Value{
+		{sqlval.Int(1), sqlval.Float(float64(math.MaxInt64) + 1)},
+		{sqlval.Int(2), sqlval.Float(float64(math.MinInt64) - 1)},
+		{sqlval.Int(3), sqlval.Int(-1)},
+	})
+	sql = "SELECT SUM(v), SUM(DISTINCT v) FROM o WHERE g = 1"
+	sameRows(t, sql, mustExec(t, s, sql), [][]sqlval.Value{
+		{sqlval.Float(float64(math.MaxInt64) + 1), sqlval.Float(float64(math.MaxInt64) + 1)},
+	})
+}
+
+// TestPropertyTopKMatchesStableSort checks ORDER BY … LIMIT … OFFSET
+// against the full stable sort of the same rows, cut afterwards. The rows
+// come from the same statement with no ORDER BY and no LIMIT, extended by
+// the ORDER BY keys the select list does not carry, and are sorted here.
+// Tables are random with heavy ties and NULLs; ORDER BY has 1–3 keys, ASC
+// and DESC, naming an output alias, an output position or an expression
+// outside the select list; LIMIT is 0, 1, below, at and above the row
+// count, OFFSET up to beyond it, as literals and as parameters; statements
+// are grouped and ungrouped, over one table and a join, with and without
+// DISTINCT.
+func TestPropertyTopKMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	type family struct {
+		from     string
+		items    []string // the select list; item i is aliased c<i+1>
+		groupBy  string
+		distinct bool
+		hidden   []string // ORDER BY keys outside the select list
+	}
+	families := []family{
+		{from: "t", items: []string{"id", "a", "b", "c"}, hidden: []string{"c", "a + id", "b"}},
+		{from: "t", items: []string{"a", "b"}, distinct: true},
+		{from: "t", items: []string{"a", "COUNT(*)", "SUM(c)"}, groupBy: "a", hidden: []string{"MAX(id)", "MIN(b)"}},
+		{from: "t", items: []string{"b", "a", "COUNT(c)"}, groupBy: "b, a", hidden: []string{"SUM(id)"}},
+		{from: "t", items: []string{"COUNT(*)", "a"}, groupBy: "a", distinct: true},
+		{from: "t JOIN u ON t.a = u.k", items: []string{"t.id", "u.id", "u.w", "t.b"}, hidden: []string{"t.c", "u.w - t.a"}},
+		{from: "t LEFT JOIN u ON t.id = u.tid", items: []string{"t.id", "u.w", "t.a"}, hidden: []string{"u.id"}},
+		{from: "t LEFT JOIN u ON t.a = u.k", items: []string{"t.b", "COUNT(u.id)", "MAX(u.w)"}, groupBy: "t.b", hidden: []string{"SUM(t.id)"}},
+		{from: "t JOIN u ON t.id = u.tid", items: []string{"u.w", "t.a"}, distinct: true},
+	}
+	ints := func(n int) []sqlval.Value {
+		vals := make([]sqlval.Value, n)
+		for i := range vals {
+			vals[i] = sqlval.Int(int64(i))
+		}
+		return vals
+	}
+	for _, n := range []int{0, 1, 5, 17, 40} {
+		e := New("topk")
+		s := e.NewSession()
+		mustExec(t, s, "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b VARCHAR, c FLOAT)")
+		mustExec(t, s, "CREATE TABLE u (id INTEGER PRIMARY KEY, tid INTEGER, k INTEGER, w INTEGER)")
+		mustExec(t, s, "CREATE INDEX u_tid ON u (tid)")
+		for id := 0; id < n; id++ {
+			mustExecParams(t, s, "INSERT INTO t (id, a, b, c) VALUES (?, ?, ?, ?)", sqlval.Int(int64(id)),
+				randVal(rng, 5, ints(3)...), randVal(rng, 5, sqlval.String_("x"), sqlval.String_("y")),
+				randVal(rng, 4, sqlval.Float(0.5), sqlval.Float(1)))
+			mustExecParams(t, s, "INSERT INTO u (id, tid, k, w) VALUES (?, ?, ?, ?)", sqlval.Int(int64(id)),
+				randVal(rng, 6, ints(n)...), randVal(rng, 5, ints(3)...), randVal(rng, 5, ints(4)...))
+		}
+
+		for q := 0; q < 150; q++ {
+			f := families[rng.Intn(len(families))]
+			items := make([]string, len(f.items))
+			for i, it := range f.items {
+				items[i] = fmt.Sprintf("%s AS c%d", it, i+1)
+			}
+			head := "SELECT "
+			if f.distinct {
+				head += "DISTINCT "
+			}
+			tail := " FROM " + f.from
+			if rng.Intn(3) == 0 {
+				tail += " WHERE t.id % 3 <> 1"
+			}
+			if f.groupBy != "" {
+				tail += " GROUP BY " + f.groupBy
+			}
+
+			// The keys, each with the column of the reference row it reads.
+			type key struct {
+				col  int
+				desc bool
+			}
+			var keys []key
+			var keySQL, extra []string
+			for i := 1 + rng.Intn(3); i > 0; i-- {
+				k := key{desc: rng.Intn(2) == 0}
+				var sql string
+				if f.distinct || rng.Intn(3) == 0 {
+					k.col = rng.Intn(len(items))
+					sql = fmt.Sprintf("c%d", k.col+1)
+					if rng.Intn(2) == 0 {
+						sql = fmt.Sprint(k.col + 1)
+					}
+				} else {
+					k.col = len(items) + len(extra)
+					sql = f.hidden[rng.Intn(len(f.hidden))]
+					extra = append(extra, sql)
+				}
+				if k.desc {
+					sql += " DESC"
+				}
+				keys, keySQL = append(keys, k), append(keySQL, sql)
+			}
+			ordered := rng.Intn(8) != 0
+
+			ref := mustExec(t, s, head+strings.Join(append(append([]string(nil), items...), extra...), ", ")+tail).Rows
+			want := make([][]sqlval.Value, len(ref))
+			copy(want, ref)
+			if ordered {
+				sort.SliceStable(want, func(i, j int) bool {
+					for _, k := range keys {
+						if c := sqlval.Compare(want[i][k.col], want[j][k.col]); c != 0 {
+							return c < 0 != k.desc
+						}
+					}
+					return false
+				})
+			}
+			for i := range want {
+				want[i] = want[i][:len(items)]
+			}
+
+			m := len(want)
+			limit := []int{0, 1, m / 2, max(m-1, 0), m, m + 2}[rng.Intn(6)]
+			offset := []int{-1, 0, 0, 1, m / 3, m, m + 3}[rng.Intn(7)]
+			sql := head + strings.Join(items, ", ") + tail
+			if ordered {
+				sql += " ORDER BY " + strings.Join(keySQL, ", ")
+			}
+			var params []sqlval.Value
+			if rng.Intn(2) == 0 {
+				sql += " LIMIT ?"
+				params = append(params, sqlval.Int(int64(limit)))
+				if offset >= 0 {
+					sql += " OFFSET ?"
+					params = append(params, sqlval.Int(int64(offset)))
+				}
+			} else {
+				sql += fmt.Sprintf(" LIMIT %d", limit)
+				if offset >= 0 {
+					sql += fmt.Sprintf(" OFFSET %d", offset)
+				}
+			}
+			lo := min(max(offset, 0), m)
+			sameRows(t, fmt.Sprintf("%s %v", sql, params), mustExecParams(t, s, sql, params...), want[lo:min(lo+limit, m)])
+		}
+		s.Close()
+	}
+}
+
+// TestTopKReturnsTheValuesItOrderedBy: a grouped top-K projects only the
+// groups it keeps, after ordering them, so an output column ORDER BY read
+// must come out as the value it was ordered by, even when evaluating its
+// item again gives another (RAND()).
+func TestTopKReturnsTheValuesItOrderedBy(t *testing.T) {
+	s := New("topkrand").NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE r (id INTEGER PRIMARY KEY, g INTEGER)")
+	for i := 0; i < 60; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO r (id, g) VALUES (%d, %d)", i, i%20))
+	}
+	for _, sql := range []string{
+		"SELECT g, RAND() AS x FROM r GROUP BY g ORDER BY x LIMIT 10",
+		"SELECT g, RAND() FROM r GROUP BY g ORDER BY 2 DESC LIMIT 5 OFFSET 3",
+	} {
+		res := mustExec(t, s, sql)
+		desc := strings.Contains(sql, "DESC")
+		for i := 1; i < len(res.Rows); i++ {
+			if c := sqlval.Compare(res.Rows[i-1][1], res.Rows[i][1]); c != 0 && c > 0 != desc {
+				t.Fatalf("%s: rows %d and %d out of order: %v", sql, i-1, i, res.Rows)
+			}
+		}
 	}
 }

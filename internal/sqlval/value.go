@@ -291,18 +291,31 @@ func Compare(a, b Value) int {
 // Equal reports whether a and b compare equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// IntKey reports the integer whose key v shares: an INTEGER's or a
+// BOOLEAN's own, and an integral FLOAT's below 1e15 in magnitude, so 1,
+// 1.0 and TRUE are one key. Every other value has none. It is the integer
+// class of Key and AppendKey.
+func (v Value) IntKey() (int64, bool) {
+	switch v.K {
+	case KindInt, KindBool:
+		return v.I, true
+	case KindFloat:
+		if f := v.Float64(); f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return int64(f), true
+		}
+	}
+	return 0, false
+}
+
 // Key returns a map key that is equal for values that Compare equal within
 // the same kind class, used for hash indexes and GROUP BY.
 func (v Value) Key() string {
 	switch v.K {
 	case KindNull:
 		return "\x00N"
-	case KindInt, KindBool:
-		return "\x00i" + strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		if f := v.Float64(); f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			// Integral floats hash like the equal integer.
-			return "\x00i" + strconv.FormatInt(int64(f), 10)
+	case KindInt, KindBool, KindFloat:
+		if i, ok := v.IntKey(); ok {
+			return "\x00i" + strconv.FormatInt(i, 10)
 		}
 		return "\x00f" + strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case KindTime:
@@ -323,11 +336,9 @@ func (v Value) AppendKey(b []byte) []byte {
 	switch v.K {
 	case KindNull:
 		return append(b, 0, 'N')
-	case KindInt, KindBool:
-		return strconv.AppendInt(append(b, 0, 'i'), v.I, 10)
-	case KindFloat:
-		if f := v.Float64(); f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			return strconv.AppendInt(append(b, 0, 'i'), int64(f), 10)
+	case KindInt, KindBool, KindFloat:
+		if i, ok := v.IntKey(); ok {
+			return strconv.AppendInt(append(b, 0, 'i'), i, 10)
 		}
 		return strconv.AppendFloat(append(b, 0, 'f'), v.Float64(), 'g', -1, 64)
 	case KindTime:
