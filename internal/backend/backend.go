@@ -90,10 +90,12 @@ type Config struct {
 // out of the worker pool until the engine grants it. The
 // engine's per-table FIFO of tickets then grants conflicting writes —
 // including auto-commit/transactional pairs — in the same order on every
-// replica; non-conflicting writes commute, so their order is free. Drivers
-// whose connections cannot reserve (remote backends) fall back to
-// execution-time locking and rely on their database's own lock queueing,
-// as C-JDBC did.
+// replica; non-conflicting writes commute, so their order is free. All of
+// this needs a Reserving connection. A plain driver's writes (the nested
+// controller's, or any database reached through its ordinary driver) lock
+// at execution time on pooled connections and rely on the database's own
+// lock queueing, as C-JDBC did; the first auto-commit write learns which
+// kind the driver is.
 type Backend struct {
 	name     string
 	weight   int
@@ -117,8 +119,9 @@ type Backend struct {
 	// engine lock ticket, and runs ready tasks on a fixed set of workers
 	// with lane work-stealing. autoSem bounds queued-plus-running
 	// auto-commit tasks (the backpressure the bounded FIFO queue used to
-	// provide). noTickets caches that the driver's connections cannot
-	// reserve, so the pre-bind probe is not repeated per write.
+	// provide). noTickets caches the driver's kind: set when the first
+	// pre-bind finds a plain connection, so the probe is not repeated per
+	// write.
 	pool      *conflictsched.Pool
 	autoSem   chan struct{}
 	noTickets atomic.Bool
@@ -127,9 +130,9 @@ type Backend struct {
 	// write's enqueue-time lock ticket needs a connection of its own (the
 	// ticket lives from enqueue to apply), but opening a fresh session per
 	// write puts session setup and teardown on the broadcast path; instead a
-	// finished task resets its connection (ConnResetter) and parks it here
-	// for the next enqueue.
-	prebound chan Conn
+	// finished task resets its connection and parks it here for the next
+	// enqueue.
+	prebound chan Reserving
 	// preGen is the free-list generation: the disable teardown bumps it and
 	// drains the list, and a task releasing its pre-bound connection re-parks
 	// it only when the generation still matches the one it was drawn under —
@@ -181,7 +184,7 @@ type writeTask struct {
 	// ticket from enqueue to apply (auto-commit path); nil means the task
 	// checks a pooled connection out at execution time instead. gen is the
 	// free-list generation conn was drawn under.
-	conn Conn
+	conn Reserving
 	gen  uint64
 }
 
@@ -240,7 +243,7 @@ func New(cfg Config) *Backend {
 		// At least 2: a write parked on a remote driver's locks must not starve the rest.
 		pool:     conflictsched.NewPool(max(2, runtime.GOMAXPROCS(0))),
 		autoSem:  make(chan struct{}, 4096),
-		prebound: make(chan Conn, cfg.MaxConns),
+		prebound: make(chan Reserving, cfg.MaxConns),
 		closed:   make(chan struct{}),
 	}
 	return b
@@ -352,8 +355,8 @@ drained:
 	}
 	b.mu.Unlock()
 	for _, d := range list {
-		if k, ok := d.tc.conn.(ConnKiller); ok {
-			k.Kill()
+		if r, ok := d.tc.conn.(Reserving); ok {
+			r.Kill()
 		}
 	}
 	for _, d := range list {
@@ -382,8 +385,8 @@ func (b *Backend) reapTxIfDisabled(txID uint64) {
 	tc.dead = true
 	b.pending.Add(1)
 	b.mu.Unlock()
-	if k, ok := tc.conn.(ConnKiller); ok {
-		k.Kill()
+	if r, ok := tc.conn.(Reserving); ok {
+		r.Kill()
 	}
 	done := make(chan WriteOutcome, 1)
 	tc.queue <- &writeTask{txID: txID, class: sqlparser.ClassRollback, sql: "ROLLBACK", done: done}
@@ -821,9 +824,9 @@ func (b *Backend) EnqueueWriteClassTo(txID uint64, class sqlparser.StatementClas
 			// Reserve the write lock now, in cluster submission order, so
 			// conflicting transactions take their locks in the same order
 			// on every replica (§2.4.1 total write order).
-			if r, ok := tc.conn.(LockReserver); ok && t.st != nil {
+			if r, ok := tc.conn.(Reserving); ok && t.st != nil {
 				if tbl, isWrite := sqlparser.WriteTarget(t.st); isWrite {
-					r.ReserveWriteLock(tbl)
+					r.ReserveWriteLockNotify(tbl, nil)
 				}
 			}
 			tc.queue <- t
@@ -903,8 +906,8 @@ func (b *Backend) EnqueueWriteClassTo(txID uint64, class sqlparser.StatementClas
 	// close its session — while the reservation is still being placed. A
 	// grant that arrives first is remembered by the pool (Release before
 	// SubmitGated).
-	if reserver, tbl := b.prebind(t); reserver != nil {
-		reserver.ReserveWriteLockNotify(tbl, t)
+	if tbl, ok := b.prebind(t); ok {
+		t.conn.ReserveWriteLockNotify(tbl, t)
 		b.pool.SubmitGated(&t.Task, t, tables, global, ticketEscape)
 		return
 	}
@@ -932,67 +935,64 @@ func (t *writeTask) TicketGranted() { t.b.pool.Release(&t.Task) }
 // ticketEscape + the engine lock timeout, never wedge the backend).
 const ticketEscape = time.Second
 
-// prebind opens the dedicated connection an auto-commit write holds from
-// enqueue to apply, returning its ticket interface and target table. It
-// returns nil when the statement has no single write target (parse failure:
-// a lane barrier) or the driver's connections cannot reserve — those tasks
-// fall back to execution-time locking on a pooled connection.
-func (b *Backend) prebind(t *writeTask) (TicketReserver, string) {
+// prebind binds t.conn, the dedicated connection an auto-commit write holds
+// from enqueue to apply, and returns the write's target table. It reports
+// false when the statement has no single write target (parse failure: a lane
+// barrier) or the driver is plain — those tasks fall back to execution-time
+// locking on a pooled connection. The first connection it opens learns the
+// driver's kind.
+func (b *Backend) prebind(t *writeTask) (string, bool) {
 	if t.st == nil || b.noTickets.Load() {
-		return nil, ""
+		return "", false
 	}
 	tbl, ok := sqlparser.WriteTarget(t.st)
 	if !ok {
-		return nil, ""
+		return "", false
 	}
 	gen := b.preGen.Load()
-	var c Conn
 	select {
-	case c = <-b.prebound:
+	case t.conn = <-b.prebound:
 	default:
-		var err error
-		c, err = b.driver.Open()
+		c, err := b.driver.Open()
 		if err != nil {
 			// Surface the failure at execution time, as the pooled path would.
-			return nil, ""
+			return "", false
 		}
+		r, ok := c.(Reserving)
+		if !ok {
+			b.noTickets.Store(true)
+			_ = c.Close()
+			return "", false
+		}
+		t.conn = r
 	}
-	r, ok := c.(TicketReserver)
-	if !ok {
-		b.noTickets.Store(true)
-		_ = c.Close()
-		return nil, ""
-	}
-	t.conn = c
 	t.gen = gen
-	return r, tbl
+	return tbl, true
 }
 
 // releasePrebound returns a task's dedicated connection to the free-list
 // after resetting it — which releases the task's lock ticket (granted or
 // not) exactly as closing would — or closes it when the free-list is full,
 // the backend is shutting down, the free-list generation moved (a disable
-// invalidated pre-disable sessions), or the connection cannot reset. The
-// generation check and the park happen under preMu, serialized against the
-// teardown's bump-and-drain, so a stale connection can never slip back in
-// after the drain.
-func (b *Backend) releasePrebound(c Conn, gen uint64) {
-	if r, ok := c.(ConnResetter); ok {
-		select {
-		case <-b.closed:
-		default:
-			if r.Reset() == nil {
-				b.preMu.Lock()
-				if gen == b.preGen.Load() {
-					select {
-					case b.prebound <- c:
-						b.preMu.Unlock()
-						return
-					default:
-					}
+// invalidated pre-disable sessions), or the reset failed. The generation
+// check and the park happen under preMu, serialized against the teardown's
+// bump-and-drain, so a stale connection can never slip back in after the
+// drain.
+func (b *Backend) releasePrebound(c Reserving, gen uint64) {
+	select {
+	case <-b.closed:
+	default:
+		if c.Reset() == nil {
+			b.preMu.Lock()
+			if gen == b.preGen.Load() {
+				select {
+				case b.prebound <- c:
+					b.preMu.Unlock()
+					return
+				default:
 				}
-				b.preMu.Unlock()
 			}
+			b.preMu.Unlock()
 		}
 	}
 	_ = c.Close()
@@ -1019,7 +1019,7 @@ func (b *Backend) execAuto(t *writeTask) (*Result, error) {
 	if b.State() == StateDisabled {
 		return nil, ErrDisabled
 	}
-	c := t.conn
+	var c Conn = t.conn
 	if c == nil {
 		pc, err := b.checkout()
 		if err != nil {

@@ -501,3 +501,118 @@ func TestLaneOrdersInsertSelectBehindParkedWrite(t *testing.T) {
 		t.Fatalf("a.v = %d, want 11: INSERT ... SELECT overtook the parked update of b it reads", got)
 	}
 }
+
+// plainDriver hands out connections that are only Conn: the plain kind of
+// driver (a nested controller, or any database reached through its ordinary
+// driver), which neither reserves tickets nor resets nor can be killed.
+type plainDriver struct{ d Driver }
+
+type plainConn struct{ Conn }
+
+func (p plainDriver) Open() (Conn, error) {
+	c, err := p.d.Open()
+	if err != nil {
+		return nil, err
+	}
+	return plainConn{c}, nil
+}
+
+// TestPlainDriverWritesAndTeardown runs the backend over a plain driver:
+// auto-commit writes lock at execution time on pooled connections, a
+// transaction applies on its own connection, and a disable in the middle of
+// a transaction still delivers one terminal outcome per write and rolls the
+// transaction back without a Kill.
+func TestPlainDriverWritesAndTeardown(t *testing.T) {
+	if _, ok := Conn(plainConn{}).(Reserving); ok {
+		t.Fatal("plainConn must not be Reserving")
+	}
+	e := sqlengine.New("plain")
+	s := e.NewSession()
+	if _, err := s.ExecSQL("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	const maxConns = 4
+	pd := &countingDriver{d: plainDriver{&EngineDriver{Engine: e}}}
+	b := New(Config{Name: "plain", Driver: pd, MaxConns: maxConns})
+	b.Enable()
+	t.Cleanup(b.Close)
+
+	const writes = 50
+	for i := 0; i < writes; i++ {
+		if out := <-b.EnqueueWrite(0, sqlparser.ClassWrite, nil, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'a')", i)); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+	}
+	// One probe learns the kind; sequential writes then share one pooled
+	// connection.
+	if n := pd.opens.Load(); n > 2 {
+		t.Fatalf("%d opens for %d sequential writes: a connection per write", n, writes)
+	}
+
+	if out := <-b.EnqueueWrite(1, sqlparser.ClassWrite, nil, "INSERT INTO t (id, v) VALUES (100, 'tx')"); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if out := <-b.EnqueueWrite(1, sqlparser.ClassCommit, nil, "COMMIT"); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+
+	// Transaction 2 holds t's engine lock when the disable comes; its later
+	// writes and a burst of auto-commit writes are queued behind it.
+	if out := <-b.EnqueueWrite(2, sqlparser.ClassWrite, nil, "INSERT INTO t (id, v) VALUES (1000, 'tx')"); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	var inflight []<-chan WriteOutcome
+	var auto []bool
+	for i := 1; i <= 3; i++ {
+		inflight = append(inflight, b.EnqueueWrite(2, sqlparser.ClassWrite, nil, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'tx')", 1000+i)))
+		auto = append(auto, false)
+	}
+	for i := 0; i < 8; i++ {
+		inflight = append(inflight, b.EnqueueWrite(0, sqlparser.ClassWrite, nil, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'a')", 2000+i)))
+		auto = append(auto, true)
+	}
+	b.Disable()
+	applied := 0
+	for i, w := range inflight {
+		select {
+		case out := <-w:
+			if out.Err != nil && !errors.Is(out.Err, ErrDisabled) {
+				t.Fatalf("write %d: %v", i, out.Err)
+			}
+			if auto[i] && out.Err == nil {
+				applied++
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("write %d never delivered an outcome after the disable", i)
+		}
+	}
+	if out := <-b.EnqueueWrite(2, sqlparser.ClassCommit, nil, "COMMIT"); !errors.Is(out.Err, ErrDisabled) {
+		t.Fatalf("commit after the disable: %v, want ErrDisabled", out.Err)
+	}
+	drained := make(chan struct{})
+	go func() { b.DrainWrites(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the disabled transaction never ended")
+	}
+	b.Enable()
+
+	res, err := b.Read(0, nil, "SELECT COUNT(*) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Rows[0][0].I, int64(writes+1+applied); got != want {
+		t.Fatalf("%d rows, want %d (%d auto-commit writes, the committed transaction, %d applied in flight)", got, want, writes, applied)
+	}
+	res, err = b.Read(0, nil, "SELECT COUNT(*) FROM t WHERE id >= 1000 AND id < 2000")
+	if err != nil || res.Rows[0][0].I != 0 {
+		t.Fatalf("the disabled transaction was not rolled back: %v %v", res, err)
+	}
+	// The pool, the one probe, and one dedicated connection per transaction.
+	if n := pd.opens.Load(); n > maxConns+1+2 {
+		t.Fatalf("%d opens, want at most %d", n, maxConns+1+2)
+	}
+	t.Logf("%d opens, %d of 8 in-flight auto-commit writes applied", pd.opens.Load(), applied)
+}

@@ -44,24 +44,32 @@ type Driver interface {
 	Open() (Conn, error)
 }
 
-// LockReserver is implemented by connections that support queueing a write
-// lock request in cluster submission order ahead of executing the
-// statement. The in-process engine supports it; remote drivers rely on
-// their database's own lock queueing.
-type LockReserver interface {
-	ReserveWriteLock(table string)
-}
-
-// TicketReserver is implemented by connections whose enqueue-time lock
-// tickets can report their grant asynchronously. The backend's auto-commit
-// worker pool uses it to pre-bind a connection per write at enqueue time and
-// park the task until the engine grants its ticket, so a write queued behind
-// a transaction's lock never occupies a pool worker while it waits.
-type TicketReserver interface {
-	// ReserveWriteLockNotify queues an exclusive lock ticket for table and
-	// tells n exactly once when the ticket is granted (possibly
-	// synchronously) or dropped unconsumed.
+// Reserving is the connection of a driver that reserves lock tickets: the
+// in-process engine. Every other driver is plain — its connections are only
+// Conn, and the backend runs its writes with execution-time locking on pooled
+// connections, relying on the database's own lock queueing, as C-JDBC did.
+// A reserving connection makes three promises:
+//
+//   - ReserveWriteLockNotify queues an exclusive lock ticket for table in
+//     call order, ahead of executing the statement, and tells n exactly once
+//     when the ticket is granted (possibly synchronously) or dropped
+//     unconsumed. A nil n asks for no notification. The backend reserves
+//     every write in cluster submission order, so conflicting writes apply
+//     in that order on every replica.
+//   - Reset restores the just-opened state — open transaction rolled back,
+//     locks and tickets released, session-local state dropped — without
+//     closing, so an auto-commit write's dedicated connection is reused. A
+//     non-nil error means the connection is unusable and must be closed.
+//   - Kill may be called from another goroutine: an in-flight statement
+//     aborts (including one parked in a lock wait) and later statements
+//     fail, while Rollback and Close still work. A crash-consistent disable
+//     kills each in-flight transaction's connection, then rolls it back
+//     through the transaction's own worker.
+type Reserving interface {
+	Conn
 	ReserveWriteLockNotify(table string, n TicketNotifier)
+	Reset() error
+	Kill()
 }
 
 // TicketNotifier is told that a lock ticket was granted or dropped. A write
@@ -70,34 +78,22 @@ type TicketNotifier interface {
 	TicketGranted()
 }
 
-// ConnResetter is implemented by connections that can be returned to a
-// clean baseline state — open transaction rolled back, locks and lock
-// tickets released, session-local state dropped — without closing. The
-// backend's auto-commit write path uses it to keep a free-list of dedicated
-// pre-bound connections instead of opening and closing one per write.
-type ConnResetter interface {
-	// Reset restores the connection to its just-opened state. A non-nil
-	// error means the connection is unusable and must be closed instead.
-	Reset() error
-}
-
-// ConnKiller is implemented by connections that can be marked dead from
-// another goroutine: an in-flight statement aborts (including one parked in
-// a lock wait) and subsequent statements fail, while rollback and close
-// still work so the owner goroutine can tear the connection down. The
-// backend's crash-consistent disable kills each in-flight transaction's
-// connection, then drives a rollback through the transaction's own worker.
-type ConnKiller interface {
-	Kill()
-}
+// The four interfaces Reserving replaced, kept only as names of it because
+// the benchmark module still spells them. They go once it says Reserving.
+type (
+	LockReserver   = Reserving
+	TicketReserver = Reserving
+	ConnResetter   = Reserving
+	ConnKiller     = Reserving
+)
 
 // SchemaProvider is implemented by drivers that can describe their tables,
 // the DatabaseMetaData facility of the paper used for dynamic schema
-// gathering and checkpoint dumps.
+// gathering and checkpoint dumps. It speaks SQL: a table is the CREATE
+// TABLE that recreates it, plus its rows in that statement's column order.
 type SchemaProvider interface {
 	TableNames() ([]string, error)
-	TableSchema(name string) (*sqlengine.Schema, error)
-	SnapshotTable(name string) (*sqlengine.Schema, [][]sqlval.Value, error)
+	SnapshotTable(name string) (*sqlparser.CreateTable, [][]sqlval.Value, error)
 	Indexes(name string) ([]*sqlparser.CreateIndex, error)
 }
 
@@ -108,6 +104,7 @@ type EngineDriver struct {
 
 var _ Driver = (*EngineDriver)(nil)
 var _ SchemaProvider = (*EngineDriver)(nil)
+var _ Reserving = (*engineConn)(nil)
 
 // Open creates a new engine session.
 func (d *EngineDriver) Open() (Conn, error) {
@@ -117,14 +114,17 @@ func (d *EngineDriver) Open() (Conn, error) {
 // TableNames lists the engine's tables.
 func (d *EngineDriver) TableNames() ([]string, error) { return d.Engine.TableNames(), nil }
 
-// TableSchema returns a table's schema.
-func (d *EngineDriver) TableSchema(name string) (*sqlengine.Schema, error) {
-	return d.Engine.TableSchema(name)
-}
-
-// SnapshotTable returns a table's schema and rows for dumps.
-func (d *EngineDriver) SnapshotTable(name string) (*sqlengine.Schema, [][]sqlval.Value, error) {
-	return d.Engine.SnapshotTable(name)
+// SnapshotTable returns the CREATE TABLE of a table and its rows, for dumps.
+func (d *EngineDriver) SnapshotTable(name string) (*sqlparser.CreateTable, [][]sqlval.Value, error) {
+	schema, rows, err := d.Engine.SnapshotTable(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	create := &sqlparser.CreateTable{Table: schema.Name, Columns: make([]sqlparser.ColumnDef, len(schema.Columns))}
+	for i, c := range schema.Columns {
+		create.Columns[i] = sqlparser.ColumnDef(c)
+	}
+	return create, rows, nil
 }
 
 // Indexes returns a table's secondary indexes for dumps.
@@ -149,9 +149,6 @@ func (c *engineConn) Exec(st sqlparser.Statement, sql string) (*Result, error) {
 	}
 	return (*Result)(res), nil
 }
-
-// ReserveWriteLock queues a write lock ticket in submission order.
-func (c *engineConn) ReserveWriteLock(table string) { c.s.ReserveWriteLock(table) }
 
 // ReserveWriteLockNotify queues a write lock ticket and reports its grant.
 func (c *engineConn) ReserveWriteLockNotify(table string, n TicketNotifier) {

@@ -14,9 +14,11 @@ import (
 
 // gateDriver wraps the engine driver and blocks Exec calls whose SQL
 // matches a prefix until the gate channel is closed, standing in for an
-// arbitrarily slow replica. Reservation calls pass straight through: the
-// gate delays execution, never ticket issuance — exactly the window in
-// which a replica could reorder writes before this PR.
+// arbitrarily slow replica. Reservation, reset and kill pass straight
+// through, so the backend runs the program it runs on the engine's own
+// driver: the gate delays execution, never ticket issuance — exactly the
+// window in which a replica would reorder writes without enqueue-time
+// tickets.
 type gateDriver struct {
 	inner backend.Driver
 	match string
@@ -28,32 +30,19 @@ func (d *gateDriver) Open() (backend.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &gateConn{inner: c, d: d}, nil
+	return &gateConn{Reserving: c.(backend.Reserving), d: d}, nil
 }
 
 type gateConn struct {
-	inner backend.Conn
-	d     *gateDriver
+	backend.Reserving
+	d *gateDriver
 }
 
 func (c *gateConn) Exec(st sqlparser.Statement, sql string) (*backend.Result, error) {
 	if strings.HasPrefix(sql, c.d.match) {
 		<-c.d.gate
 	}
-	return c.inner.Exec(st, sql)
-}
-
-func (c *gateConn) Begin() error    { return c.inner.Begin() }
-func (c *gateConn) Commit() error   { return c.inner.Commit() }
-func (c *gateConn) Rollback() error { return c.inner.Rollback() }
-func (c *gateConn) Close() error    { return c.inner.Close() }
-
-func (c *gateConn) ReserveWriteLock(table string) {
-	c.inner.(backend.LockReserver).ReserveWriteLock(table)
-}
-
-func (c *gateConn) ReserveWriteLockNotify(table string, n backend.TicketNotifier) {
-	c.inner.(backend.TicketReserver).ReserveWriteLockNotify(table, n)
+	return c.Reserving.Exec(st, sql)
 }
 
 // TestAutoCommitTransactionalPairAppliesInSequencerOrder is the

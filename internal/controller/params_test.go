@@ -93,11 +93,11 @@ func (d *vectorDriver) Open() (backend.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &vectorConn{Conn: c, track: d.track}, nil
+	return &vectorConn{Reserving: c.(backend.Reserving), track: d.track}, nil
 }
 
 type vectorConn struct {
-	backend.Conn
+	backend.Reserving
 	track func([]sqlval.Value)
 }
 
@@ -105,18 +105,8 @@ func (c *vectorConn) Exec(st sqlparser.Statement, sql string) (*backend.Result, 
 	if b, ok := st.(*sqlparser.Bound); ok {
 		c.track(b.Params)
 	}
-	return c.Conn.Exec(st, sql)
+	return c.Reserving.Exec(st, sql)
 }
-
-func (c *vectorConn) ReserveWriteLock(table string) {
-	c.Conn.(backend.LockReserver).ReserveWriteLock(table)
-}
-
-func (c *vectorConn) ReserveWriteLockNotify(table string, n backend.TicketNotifier) {
-	c.Conn.(backend.TicketReserver).ReserveWriteLockNotify(table, n)
-}
-
-func (c *vectorConn) Reset() error { return c.Conn.(backend.ConnResetter).Reset() }
 
 // TestFinishedWriteKeepsNothingAlive: once every write has finished on
 // every replica, no layer still references one — not the pool's key map,

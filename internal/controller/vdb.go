@@ -13,7 +13,7 @@ import (
 	"cjdbc/internal/cache"
 	"cjdbc/internal/plancache"
 	"cjdbc/internal/recovery"
-	"cjdbc/internal/sqlengine"
+	"cjdbc/internal/senterr"
 	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
 )
@@ -782,7 +782,7 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 // changes. Exported for the wire protocol, which carries the class to the
 // client so that it also survives a controller-to-controller hop.
 func IsSemanticError(err error) bool {
-	return errors.Is(err, sqlengine.ErrSemantic) ||
+	return errors.Is(err, senterr.ErrSemantic) ||
 		errors.Is(err, sqlparser.ErrParse) ||
 		errors.Is(err, sqlval.ErrValue) ||
 		errors.Is(err, backend.ErrStatement)

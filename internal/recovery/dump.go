@@ -113,7 +113,7 @@ func TakeDumpHosted(name string, src backend.SchemaProvider, hosted HostFilter) 
 	}
 	d := &Dump{Name: name, Taken: time.Now()}
 	for _, t := range tables {
-		schema, rows, err := src.SnapshotTable(t)
+		create, rows, err := src.SnapshotTable(t)
 		if err != nil {
 			return nil, fmt.Errorf("recovery: dump table %s: %w", t, err)
 		}
@@ -121,11 +121,10 @@ func TakeDumpHosted(name string, src backend.SchemaProvider, hosted HostFilter) 
 		if err != nil {
 			return nil, fmt.Errorf("recovery: dump indexes of %s: %w", t, err)
 		}
-		create := &sqlparser.CreateTable{Table: schema.Name}
-		for _, c := range schema.Columns {
-			create.Columns = append(create.Columns, sqlparser.ColumnDef(c))
+		td := TableDump{Name: create.Table, DDL: []string{sqlparser.Render(create)}, Columns: make([]string, len(create.Columns))}
+		for i, c := range create.Columns {
+			td.Columns[i] = c.Name
 		}
-		td := TableDump{Name: schema.Name, DDL: []string{sqlparser.Render(create)}, Columns: schema.ColumnNames()}
 		for _, ix := range indexes {
 			td.DDL = append(td.DDL, sqlparser.Render(ix))
 		}

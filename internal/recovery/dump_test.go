@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,10 +19,12 @@ func engineOf(b *backend.Backend) *sqlengine.Engine {
 // was dumped, not just its columns and rows. Its secondary indexes come
 // back, a UNIQUE one still refuses a duplicate, and a column default still
 // fills an omitted value. A copy without them diverges silently: the
-// duplicate insert the source refuses succeeds on it.
+// duplicate insert the source refuses succeeds on it. The dump's format is
+// pinned: its JSON is byte for byte the one earlier versions wrote, and the
+// copy is restored from that literal, so an old dump restores unchanged.
 func TestRestoreKeepsIndexesAndDefaults(t *testing.T) {
 	src := mkBackend(t, "isrc",
-		"CREATE TABLE u (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, tag VARCHAR DEFAULT 'none')",
+		"CREATE TABLE u (id INTEGER PRIMARY KEY AUTO_INCREMENT, a INTEGER NOT NULL, b INTEGER, tag VARCHAR DEFAULT 'none')",
 		"CREATE UNIQUE INDEX ux ON u (a)",
 		"CREATE INDEX ib ON u (b)",
 		"INSERT INTO u (id, a, b) VALUES (1, 10, 100)")
@@ -28,11 +32,29 @@ func TestRestoreKeepsIndexesAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	const ddl = "CREATE TABLE u (id INTEGER PRIMARY KEY AUTO_INCREMENT, a INTEGER NOT NULL, b INTEGER, tag VARCHAR DEFAULT 'none')"
+	if got := d.Tables[0].DDL[0]; got != ddl {
+		t.Fatalf("dumped DDL = %q, want %q", got, ddl)
+	}
+	if got := strings.Join(d.Tables[0].Columns, ","); got != "id,a,b,tag" {
+		t.Fatalf("dumped columns = %s, want id,a,b,tag", got)
+	}
+	const pinned = `{"name":"idx","taken":"2024-01-02T03:04:05Z","tables":[{"name":"u","ddl":[` +
+		`"CREATE TABLE u (id INTEGER PRIMARY KEY AUTO_INCREMENT, a INTEGER NOT NULL, b INTEGER, tag VARCHAR DEFAULT 'none')",` +
+		`"CREATE INDEX ib ON u (b)","CREATE UNIQUE INDEX ux ON u (a)"],"columns":["id","a","b","tag"],` +
+		`"rows":[[{"k":"i","v":"1"},{"k":"i","v":"10"},{"k":"i","v":"100"},{"k":"s","v":"none"}]]}]}`
+	d.Taken = time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
+	var buf, compact bytes.Buffer
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if d, err = ReadDump(&buf); err != nil {
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if compact.String() != pinned {
+		t.Fatalf("dump JSON changed:\n got %s\nwant %s", compact.String(), pinned)
+	}
+	if d, err = ReadDump(strings.NewReader(pinned)); err != nil {
 		t.Fatal(err)
 	}
 	dst := mkBackend(t, "idst")

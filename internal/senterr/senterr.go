@@ -6,6 +6,16 @@
 // is broken" without sniffing message text.
 package senterr
 
+import "errors"
+
+// ErrSemantic is the errors.Is sentinel for statement-level failures of a
+// database: errors that are a property of the statement and the
+// (replicated) data, so every replica fails identically — bad SQL
+// semantics, missing tables or columns, constraint violations, lock
+// timeouts, transaction-state misuse. It lives here, not in the engine, so
+// the middleware classifies a database's errors without naming the engine.
+var ErrSemantic = errors.New("engine: semantic statement error")
+
 // Wrap returns an error that reports err's message, unwraps to err, and
 // for which errors.Is(result, sentinel) holds.
 func Wrap(sentinel, err error) error {

@@ -772,22 +772,16 @@ func (s *Session) statShard() *statShard {
 	return &s.engine.stats[s.shard&s.engine.mu.mask]
 }
 
-// ReserveWriteLock queues an exclusive lock ticket for a table without
+// ReserveWriteLockNotify queues an exclusive lock ticket for a table without
 // blocking. The clustering middleware calls it at dispatch time, in cluster
 // submission order, so that conflicting writes are granted in the same
 // order on every replica. Temporary tables are session-private and are not
-// reserved.
-func (s *Session) ReserveWriteLock(table string) {
-	s.ReserveWriteLockNotify(table, nil)
-}
-
-// ReserveWriteLockNotify is ReserveWriteLock with a grant notification:
-// notify (when non-nil) is told exactly once, as soon as the ticket is
-// granted — possibly synchronously, before this call returns — or when the
-// ticket leaves the queue ungranted (dropped unconsumed, or its lock wait
-// timed out or was killed). A scheduler uses it to park
-// the write bound to this ticket until the engine reaches it in the FIFO,
-// instead of blocking a worker on the wait.
+// reserved. notify (when non-nil) is told exactly once, as soon as the
+// ticket is granted — possibly synchronously, before this call returns — or
+// when the ticket leaves the queue ungranted (dropped unconsumed, or its lock
+// wait timed out or was killed). A scheduler uses it to park the write bound
+// to this ticket until the engine reaches it in the FIFO, instead of
+// blocking a worker on the wait.
 func (s *Session) ReserveWriteLockNotify(table string, notify TicketNotifier) {
 	table = strings.ToLower(table)
 	if _, isTemp := s.tempGet(table); isTemp {

@@ -7,16 +7,13 @@ import (
 	"cjdbc/internal/senterr"
 )
 
-// ErrSemantic is the errors.Is sentinel for statement-level failures:
-// errors that are a property of the statement and the (replicated) data, so
-// every replica fails identically — bad SQL semantics, missing tables or
-// columns, constraint violations, lock timeouts, transaction-state misuse.
-// The clustering middleware uses it to separate "the statement is wrong"
-// from "this backend is broken": semantic errors must never trigger
-// failover or disable a backend. Every error the engine constructs carries
-// this sentinel; match with errors.Is(err, ErrSemantic) instead of sniffing
-// the "engine:" message prefix.
-var ErrSemantic = errors.New("engine: semantic statement error")
+// ErrSemantic is the errors.Is sentinel for statement-level failures, the
+// same value as senterr.ErrSemantic. The clustering middleware uses it to
+// separate "the statement is wrong" from "this backend is broken": semantic
+// errors must never trigger failover or disable a backend. Every error the
+// engine constructs carries this sentinel; match with errors.Is(err,
+// ErrSemantic) instead of sniffing the "engine:" message prefix.
+var ErrSemantic = senterr.ErrSemantic
 
 // ErrKilled is returned by statements (and in-flight lock waits) of a
 // session that was killed via Session.Kill. It deliberately does NOT carry

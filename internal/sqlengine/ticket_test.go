@@ -118,7 +118,7 @@ func TestExecutionTimeAcquisitionJoinsTicketQueue(t *testing.T) {
 	// first holds an enqueue-time ticket (granted: table is free).
 	first := e.NewSession()
 	defer first.Close()
-	first.ReserveWriteLock("t")
+	first.ReserveWriteLockNotify("t", nil)
 
 	// second writes without a reservation: its execution-time ticket joins
 	// the queue behind first's granted ticket and must wait.
@@ -178,11 +178,11 @@ func TestHolderTicketQueuedBehindWaiterIsGranted(t *testing.T) {
 	if _, err := tx.ExecSQL("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	tx.ReserveWriteLock("t")
+	tx.ReserveWriteLockNotify("t", nil)
 	other := e.NewSession()
 	defer other.Close()
-	other.ReserveWriteLock("t")
-	tx.ReserveWriteLock("t")
+	other.ReserveWriteLockNotify("t", nil)
+	tx.ReserveWriteLockNotify("t", nil)
 	if _, err := holder.ExecSQL("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestLockManagerQuiescesUnderRandomSchedules(t *testing.T) {
 				case 0:
 					s.ReserveWriteLockNotify(tbl, notified())
 				case 1:
-					s.ReserveWriteLock(tbl)
+					s.ReserveWriteLockNotify(tbl, nil)
 				case 2, 3:
 					// Consumes this session's oldest reservation on tbl, or
 					// issues an execution-time ticket when it has none.

@@ -135,46 +135,37 @@ func (d *meteredDriver) charge(units float64) { d.units.Add(int64(math.Round(uni
 // demand returns the cost units charged so far.
 func (d *meteredDriver) demand() float64 { return float64(d.units.Load()) / demandScale }
 
-// engineConn is everything the backend type-asserts on a connection. The
-// engine's connection implements all of it, and the meter's must too: a
-// backend that finds TicketReserver or ConnResetter missing falls back to
-// execution-time locking on pooled connections, which is a different program.
-type engineConn interface {
-	backend.Conn
-	backend.LockReserver
-	backend.TicketReserver
-	backend.ConnResetter
-	backend.ConnKiller
-}
-
 func (d *meteredDriver) Open() (backend.Conn, error) {
 	c, err := d.EngineDriver.Open()
 	if err != nil {
 		return nil, err
 	}
-	return &meteredConn{engineConn: c.(engineConn), d: d}, nil
+	return &meteredConn{Reserving: c.(backend.Reserving), d: d}, nil
 }
 
+// meteredConn keeps the engine connection's kind: a backend over a plain
+// connection locks at execution time on pooled connections, which is a
+// different program from the one the figures price.
 type meteredConn struct {
-	engineConn
+	backend.Reserving
 	d *meteredDriver
 }
 
 func (c *meteredConn) Exec(st sqlparser.Statement, sql string) (*backend.Result, error) {
 	c.d.charge(cost(st))
-	return c.engineConn.Exec(st, sql)
+	return c.Reserving.Exec(st, sql)
 }
 
 // Commit and Rollback are charged by class: the backend ends a transaction
 // without a statement, and a forced abort has none to give.
 func (c *meteredConn) Commit() error {
 	c.d.charge(txOverhead)
-	return c.engineConn.Commit()
+	return c.Reserving.Commit()
 }
 
 func (c *meteredConn) Rollback() error {
 	c.d.charge(txOverhead)
-	return c.engineConn.Rollback()
+	return c.Reserving.Rollback()
 }
 
 // The controller's CPU per request, per cache hit and per invalidated cache
