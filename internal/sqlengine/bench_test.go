@@ -362,9 +362,21 @@ func BenchmarkGroupBySum(b *testing.B) {
 }
 
 // BenchmarkJoinLikeLimit is TPC-W's author search: a LIKE on the joined
-// table's column, LIMIT 50 with no ORDER BY. The join filters each pair
-// before it copies it and stops after the fiftieth match.
+// table's column, LIMIT 50 with no ORDER BY, over 1 000 items by 250
+// authors. The author table is scanned once and only the authors the LIKE
+// keeps are probed; the join stops after the fiftieth match. ln1% keeps
+// 111 authors and stops early, ln137% keeps one author's four items, so
+// every item is probed.
 func BenchmarkJoinLikeLimit(b *testing.B) {
+	for _, c := range []struct {
+		pattern string
+		rows    int
+	}{{"ln1%", 50}, {"ln137%", 4}} {
+		b.Run(c.pattern, func(b *testing.B) { benchJoinLike(b, c.pattern, c.rows) })
+	}
+}
+
+func benchJoinLike(b *testing.B, pattern string, rows int) {
 	e := New("bench-join-like")
 	s := e.NewSession()
 	for _, q := range []string{
@@ -385,7 +397,7 @@ func BenchmarkJoinLikeLimit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	st := mustParse(b, "SELECT i_id, i_title FROM item JOIN author ON i_a_id = a_id WHERE a_lname LIKE 'ln1%' LIMIT 50")
+	st := mustParse(b, "SELECT i_id, i_title FROM item JOIN author ON i_a_id = a_id WHERE a_lname LIKE '"+pattern+"' LIMIT 50")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -393,7 +405,38 @@ func BenchmarkJoinLikeLimit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) != 50 {
+		if len(res.Rows) != rows {
+			b.Fatalf("rows = %d", len(res.Rows))
+		}
+	}
+}
+
+// BenchmarkLikeScan is TPC-W's title search: a contains-LIKE over 1 000
+// titles that one matches, LIMIT 50. The pattern is classified and folded
+// once per execution, and each title is matched byte by byte.
+func BenchmarkLikeScan(b *testing.B) {
+	e := New("bench-like")
+	s := e.NewSession()
+	if _, err := s.ExecSQL("CREATE TABLE item (i_id INTEGER PRIMARY KEY, i_title VARCHAR, i_subject VARCHAR)"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := s.ExecSQL(fmt.Sprintf("INSERT INTO item (i_id, i_title, i_subject) VALUES (%d, 'Book %d of the series', 'ARTS')", i, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := &sqlparser.Bound{
+		Stmt:   mustParse(b, "SELECT i_id, i_title FROM item WHERE i_title LIKE ? LIMIT 50"),
+		Params: []sqlval.Value{sqlval.String_("%Book 417 %")},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
 			b.Fatalf("rows = %d", len(res.Rows))
 		}
 	}

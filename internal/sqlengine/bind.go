@@ -85,6 +85,18 @@ type joinStage struct {
 	build int    // the indexed column of the new table
 }
 
+// onIsProbe reports whether ON is exactly the probe equality — the probe
+// column = the build column of src, either way round — which cannot fail.
+func (st *joinStage) onIsProbe(src srcTable) bool {
+	on := st.on
+	if st.ix == nil || on == nil || on.x.Kind != sqlparser.ExprBinary || on.x.Op != "=" ||
+		on.l.x.Kind != sqlparser.ExprColumn || on.r.x.Kind != sqlparser.ExprColumn {
+		return false
+	}
+	l, r, build := on.l.slot, on.r.slot, src.offset+st.build
+	return l == st.probe && r == build || l == build && r == st.probe
+}
+
 // conjunct is a top-level AND conjunct of WHERE in a shape an index can
 // answer: col op operand, where the operands are literals or parameters.
 type conjunct struct {
@@ -452,7 +464,7 @@ func (bd *binder) conjuncts(where *sqlparser.Expr, src srcTable) []conjunct {
 }
 
 // flipped is the operator that holds with the operands swapped.
-var flipped = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+var flipped = map[string]string{"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 // joinProbe inspects an ON clause for left.col = right.col where the new
 // table src has an index on its side's column, returning that index, the

@@ -179,21 +179,6 @@ func (e *Engine) TableNames() []string {
 	return out
 }
 
-// TableSchema returns a copy of the named table's schema, for metadata
-// gathering (the JDBC DatabaseMetaData of the paper).
-func (e *Engine) TableSchema(name string) (*Schema, error) {
-	sh := e.rshard()
-	e.mu.RLock(sh)
-	defer e.mu.RUnlock(sh)
-	t, ok := e.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, &TableNotFoundError{Table: name}
-	}
-	cp := *t.schema
-	cp.Columns = append([]Column(nil), t.schema.Columns...)
-	return &cp, nil
-}
-
 // RowCount returns the number of live rows in a table, for tests and dumps.
 func (e *Engine) RowCount(name string) (int, error) {
 	sh := e.rshard()
@@ -708,6 +693,12 @@ type Session struct {
 	killCh chan struct{}
 
 	closed bool
+
+	// filt is the WHERE of the SELECT executing now, compiled; like the
+	// working lists it is the session's, reused, and cleared after use. It
+	// is made by the first SELECT that needs it, so a session that only
+	// writes does not carry it.
+	filt *filter
 }
 
 // NewSession opens a session on the engine.

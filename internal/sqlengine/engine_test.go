@@ -490,14 +490,14 @@ func TestShowTablesAndMetadata(t *testing.T) {
 	if len(r.Rows) != 2 {
 		t.Fatalf("show tables: %v", r.Rows)
 	}
-	sch, err := e.TableSchema("item")
+	sch, _, err := e.SnapshotTable("item")
 	if err != nil || len(sch.Columns) != 4 || sch.Columns[0].Name != "i_id" {
 		t.Fatalf("schema: %+v, %v", sch, err)
 	}
 	if !sch.Columns[0].PrimaryKey {
 		t.Error("i_id should be primary key")
 	}
-	if _, err := e.TableSchema("none"); err == nil {
+	if _, _, err := e.SnapshotTable("none"); err == nil {
 		t.Error("missing table schema should fail")
 	}
 }

@@ -70,6 +70,29 @@ func (ev *env) eval(e *bexpr) (sqlval.Value, error) {
 	return sqlval.Null, errf("cannot evaluate expression kind %d", x.Kind)
 }
 
+// decides reports whether one operand decides OR (a TRUE) or AND (a
+// FALSE, or=false) whatever the other is.
+func decides(v sqlval.Value, or bool) bool { return !v.IsNull() && v.AsBool() == or }
+
+// undecided is OR's or AND's value when neither operand decides it: NULL
+// when either is NULL.
+func undecided(l, r sqlval.Value, or bool) sqlval.Value {
+	if l.IsNull() || r.IsNull() {
+		return sqlval.Null
+	}
+	return sqlval.Bool(!or)
+}
+
+// operand is eval with a resolved column read in line, for the
+// expressions evaluated once per row that are usually plain columns: a
+// GROUP BY key and an aggregate's argument.
+func (ev *env) operand(e *bexpr) (sqlval.Value, error) {
+	if e.x.Kind == sqlparser.ExprColumn && e.slot >= 0 {
+		return ev.row[e.slot], nil
+	}
+	return ev.eval(e)
+}
+
 func (ev *env) evalUnary(e *bexpr) (sqlval.Value, error) {
 	v, err := ev.eval(e.l)
 	if err != nil {
@@ -100,45 +123,23 @@ func (ev *env) evalUnary(e *bexpr) (sqlval.Value, error) {
 func (ev *env) evalBinary(e *bexpr) (sqlval.Value, error) {
 	// AND/OR evaluate lazily with Kleene semantics.
 	op := e.x.Op
-	switch op {
-	case "AND":
+	if op == "AND" || op == "OR" {
+		or := op == "OR"
 		l, err := ev.eval(e.l)
 		if err != nil {
 			return sqlval.Null, err
 		}
-		if !l.IsNull() && !l.AsBool() {
-			return sqlval.Bool(false), nil
+		if decides(l, or) {
+			return sqlval.Bool(or), nil
 		}
 		r, err := ev.eval(e.r)
 		if err != nil {
 			return sqlval.Null, err
 		}
-		if !r.IsNull() && !r.AsBool() {
-			return sqlval.Bool(false), nil
+		if decides(r, or) {
+			return sqlval.Bool(or), nil
 		}
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		return sqlval.Bool(true), nil
-	case "OR":
-		l, err := ev.eval(e.l)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if !l.IsNull() && l.AsBool() {
-			return sqlval.Bool(true), nil
-		}
-		r, err := ev.eval(e.r)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if !r.IsNull() && r.AsBool() {
-			return sqlval.Bool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		return sqlval.Bool(false), nil
+		return undecided(l, r, or), nil
 	}
 	l, err := ev.eval(e.l)
 	if err != nil {

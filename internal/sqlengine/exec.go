@@ -195,9 +195,14 @@ func (s *Session) execCreateTable(ct *sqlparser.CreateTable) (*Result, error) {
 			return nil, err
 		}
 	}
-	e.mu.Lock()
+	// A temporary table is published into the session's own namespace,
+	// which no other session reads and which is swapped atomically, so the
+	// shared catalog lock resolveLocked needs suffices: the CREATE neither
+	// waits for other sessions' SELECTs nor blocks them. A permanent table
+	// changes the catalog and takes it exclusively.
+	s.lockCatalog(ct.Temporary)
+	defer s.unlockCatalog(ct.Temporary)
 	if s.resolveLocked(name) != nil {
-		e.mu.Unlock()
 		if ct.IfNotExists {
 			return &Result{}, nil
 		}
@@ -210,23 +215,44 @@ func (s *Session) execCreateTable(ct *sqlparser.CreateTable) (*Result, error) {
 		e.catalogEpoch++
 	}
 	s.undo = append(s.undo, undoOp{kind: 'c', table: name, tbl: tbl})
-	e.mu.Unlock()
 	return &Result{RowsAffected: int64(len(rows))}, nil
+}
+
+// lockCatalog takes the catalog lock: shared when the session's own
+// temporary namespace is all a statement changes, exclusively otherwise.
+func (s *Session) lockCatalog(temporary bool) {
+	if temporary {
+		s.engine.mu.RLock(s.shard)
+	} else {
+		s.engine.mu.Lock()
+	}
+}
+
+// unlockCatalog releases what lockCatalog(temporary) took.
+func (s *Session) unlockCatalog(temporary bool) {
+	if temporary {
+		s.engine.mu.RUnlock(s.shard)
+	} else {
+		s.engine.mu.Unlock()
+	}
 }
 
 func (s *Session) execDropTable(dt *sqlparser.DropTable) (*Result, error) {
 	name := strings.ToLower(dt.Table)
 	e := s.engine
-	if _, isTemp := s.tempGet(name); isTemp {
+	_, isTemp := s.tempGet(name)
+	if isTemp {
 		s.engine.locks.cancelReservations(s, name)
 	} else {
 		if err := s.lockTable(name, s.lockDeadline()); err != nil {
 			return nil, err
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := s.tempGet(name); ok {
+	// Only this session's statements change its temporary namespace, so a
+	// temporary table found above is still there.
+	s.lockCatalog(isTemp)
+	defer s.unlockCatalog(isTemp)
+	if isTemp {
 		// Temporary tables are session-private and non-durable; dropping
 		// one is not transactional (it cannot be observed by anyone else).
 		s.tempDelete(name)

@@ -39,27 +39,12 @@ type keyEntry struct {
 // it yet; added reports that it was new. key is copied, so the caller may
 // reuse its buffer.
 func (s *keySet) add(key []byte) (id int32, added bool) {
-	var h uint64
-	if s.hash != nil {
-		h = s.hash(key)
-	} else {
-		h = maphash.Bytes(keySeed, key)
+	h, id, found, ok := s.lookup(key)
+	if found {
+		return id, false
 	}
 	if s.first == nil {
 		s.first = make(map[uint64]int32)
-	}
-	id, ok := s.first[h]
-	if ok {
-		for {
-			if bytes.Equal(s.key(id), key) {
-				return id, false
-			}
-			next := s.keys[id].next
-			if next < 0 {
-				break
-			}
-			id = next
-		}
 	}
 	n := int32(len(s.keys))
 	if ok {
@@ -70,6 +55,35 @@ func (s *keySet) add(key []byte) (id int32, added bool) {
 	s.arena = append(s.arena, key...)
 	s.keys = append(s.keys, keyEntry{end: len(s.arena), next: -1})
 	return n, true
+}
+
+// find returns key's id, or ok=false when the set does not hold it.
+func (s *keySet) find(key []byte) (id int32, ok bool) {
+	_, id, found, _ := s.lookup(key)
+	return id, found
+}
+
+// lookup hashes key and walks its hash chain: found reports that id is
+// key's; otherwise ok reports that the chain exists and id is its tail.
+func (s *keySet) lookup(key []byte) (h uint64, id int32, found, ok bool) {
+	if s.hash != nil {
+		h = s.hash(key)
+	} else {
+		h = maphash.Bytes(keySeed, key)
+	}
+	if id, ok = s.first[h]; !ok {
+		return h, 0, false, false
+	}
+	for {
+		if bytes.Equal(s.key(id), key) {
+			return h, id, true, true
+		}
+		next := s.keys[id].next
+		if next < 0 {
+			return h, id, false, true
+		}
+		id = next
+	}
 }
 
 // key returns the bytes of key id.
@@ -116,6 +130,20 @@ func (t *groupTable) addValue(v sqlval.Value) (id int32, added bool) {
 	}
 	t.buf = v.AppendKey(t.buf[:0])
 	return t.addKey(t.buf)
+}
+
+// find returns v's id, or ok=false when the table does not hold v.
+func (t *groupTable) find(v sqlval.Value) (id int32, ok bool) {
+	if i, isInt := v.IntKey(); isInt {
+		id, ok = t.ints[i]
+		return id, ok
+	}
+	t.buf = v.AppendKey(t.buf[:0])
+	sid, ok := t.set.find(t.buf)
+	if !ok {
+		return 0, false
+	}
+	return t.ids[sid], true
 }
 
 // addKey is addValue for a key already in bytes. A table takes either

@@ -65,7 +65,8 @@ func TestLikeMatchLinear(t *testing.T) {
 	}
 }
 
-// TestLikeMatchAllocs: folding case copies nothing.
+// TestLikeMatchAllocs: folding case copies nothing, and neither does a
+// compiled matcher, nor compiling into a buffer with room.
 func TestLikeMatchAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		likeMatch("%BOOK 1%", "Some Book 12 Title")
@@ -73,6 +74,55 @@ func TestLikeMatchAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("likeMatch allocates %v times per call pair, want 0", allocs)
+	}
+	buf := make([]byte, 0, 64)
+	allocs = testing.AllocsPerRun(100, func() {
+		for _, c := range [][2]string{
+			{"%BOOK 1%", "Some Book 12 Title"},
+			{"ln1%", "LN17"},
+			{"Ωmega", "ωMEGA"},
+			{"%É%", "café"},
+			{"_MEGA%", "Ωmega Point"},
+		} {
+			m, _ := compileLike(c[0], buf[:0])
+			if !m.match(c[1]) {
+				t.Fatalf("compileLike(%q).match(%q) = false", c[0], c[1])
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("compiled LIKE allocates %v times per five matches, want 0", allocs)
+	}
+}
+
+// TestCompileLikeKinds: a pattern is classified once, from its folded
+// runes; only exact, prefix and contains patterns skip likeMatch.
+func TestCompileLikeKinds(t *testing.T) {
+	for _, c := range []struct {
+		pattern string
+		kind    likeKind
+		needle  string
+	}{
+		{"", likeExact, ""},
+		{"ABC", likeExact, "abc"},
+		{"ln1%", likePrefix, "ln1"},
+		{"ln1%%", likePrefix, "ln1"},
+		{"%Book 1%", likeContains, "book 1"},
+		{"%", likeContains, ""},
+		{"%%", likeContains, ""},
+		{"%É%", likeContains, "é"},
+		{"\u212a%", likePrefix, "k"}, // KELVIN SIGN
+		{"%İ%", likeContains, "i"},
+		{"%abc", likeOther, ""},
+		{"a%c", likeOther, ""},
+		{"a_c", likeOther, ""},
+		{"_%", likeOther, ""},
+		{"%a%b%", likeOther, ""},
+	} {
+		m, _ := compileLike(c.pattern, nil)
+		if m.kind != c.kind || string(m.needle) != c.needle {
+			t.Errorf("compileLike(%q) = kind %d needle %q, want kind %d needle %q", c.pattern, m.kind, m.needle, c.kind, c.needle)
+		}
 	}
 }
 
@@ -115,8 +165,10 @@ func likeRefRunes(p, s []rune) bool {
 	return len(s) == 0
 }
 
-// FuzzLikeMatch checks likeMatch against likeReference on inputs of at most
-// twelve runes each.
+// FuzzLikeMatch checks likeMatch and the compiled matcher against
+// likeReference on inputs of at most twelve runes each. The seeds include
+// runes that fold to ASCII (KELVIN SIGN to k, İ to i) in either the
+// pattern or the haystack, and invalid bytes, which fold to RuneError.
 func FuzzLikeMatch(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"%Book 17%", "The Book 172"},
@@ -127,6 +179,17 @@ func FuzzLikeMatch(f *testing.F) {
 		{"a_c%", "AéC"},
 		{"%%_", ""},
 		{"\xff%", "\xfe"},
+		{"%k%", "\u212a"},
+		{"\u212a", "K"},
+		{"K%", "\u212aelvin"},
+		{"%i%", "x\u0130y"},
+		{"\u0130%", "ix"},
+		{"%\xff%", "a\xffb"},
+		{"\xff", "\ufffd"},
+		{"%%", "abc"},
+		{"_%", ""},
+		{"", ""},
+		{"", "a"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
@@ -134,8 +197,13 @@ func FuzzLikeMatch(f *testing.F) {
 		if utf8.RuneCountInString(pattern) > 12 || utf8.RuneCountInString(s) > 12 {
 			return
 		}
-		if got, want := likeMatch(pattern, s), likeReference(pattern, s); got != want {
+		want := likeReference(pattern, s)
+		if got := likeMatch(pattern, s); got != want {
 			t.Fatalf("likeMatch(%q, %q) = %v, reference %v", pattern, s, got, want)
+		}
+		m, _ := compileLike(pattern, nil)
+		if got := m.match(s); got != want {
+			t.Fatalf("compileLike(%q).match(%q) = %v (kind %d), reference %v", pattern, s, got, m.kind, want)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
@@ -49,7 +50,15 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	// replaced is simply dropped.
 	sink := rowSink{rows: s.selRows[:0], grouped: b.grouped}
 	out := s.selOut[:0]
-	defer func() { s.selRows, s.selOut = truncated(sink.rows), truncated(out) }()
+	defer func() {
+		s.selRows, s.selOut = truncated(sink.rows), truncated(out)
+		if s.filt != nil {
+			s.filt.release()
+		}
+		if sink.grouped {
+			sink.g.release()
+		}
+	}()
 	if b.grouped {
 		if err := sink.g.init(b, s.params); err != nil {
 			return nil, err
@@ -191,6 +200,14 @@ func (s *Session) selectNoFrom(sel *sqlparser.Select, b *binding) (*Result, erro
 	return &Result{Columns: b.header, Rows: [][]sqlval.Value{row}}, nil
 }
 
+// filter is the session's compiled WHERE, made on first use.
+func (s *Session) filter() *filter {
+	if s.filt == nil {
+		s.filt = new(filter)
+	}
+	return s.filt
+}
+
 // rowSink takes the rows a producer yields, WHERE already applied. A
 // grouped query folds each into its group as it comes; any other keeps it
 // in rows. A transient row lives in the producer's scratch and is copied
@@ -247,16 +264,15 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 
 	var evalErr error
 	var yielded int64
-	ev := &env{params: s.params}
+	f := s.filter()
 	add := func(row []sqlval.Value) bool {
 		if b.where != nil {
-			ev.row = row
-			m, err := ev.eval(b.where)
+			m, err := f.match(row)
 			if err != nil {
 				evalErr = err
 				return false
 			}
-			if !m.AsBool() {
+			if !m {
 				return true
 			}
 		}
@@ -283,6 +299,9 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 		op.scan = false
 		op.done = false
 	}
+	// WHERE compiles unless the plan narrowed the scan to one row at most
+	// (a point read), where compiling would cost more than it saves.
+	f.reset(b.where, s.params, !plan.indexed || len(plan.refs) > 1)
 
 	if op.scan {
 		// Ordered-index scan: nodes stream in key order (reversed for
@@ -400,6 +419,7 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 			}
 		}
 	} else {
+		rows = make([][]sqlval.Value, 0, base.t.scanLen())
 		base.t.scanSnap(rv, func(r []sqlval.Value) bool {
 			rows = append(rows, r)
 			return true
@@ -415,6 +435,8 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 	}
 	scratch := make([]sqlval.Value, b.width)
 	ev := &env{row: scratch, params: s.params}
+	f := s.filter()
+	f.reset(b.where, s.params, true)
 	noIndex := s.engine.noIndexPlan.Load()
 	var kept int64 // rows the last stage gave the sink
 	for i := 1; i < len(b.srcs) && len(rows) > 0; i++ {
@@ -435,12 +457,12 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 				return true
 			}
 			if b.where != nil {
-				m, err := ev.eval(b.where)
+				m, err := f.match(scratch)
 				if err != nil {
 					evalErr = err
 					return false
 				}
-				if !m.AsBool() {
+				if !m {
 					return true
 				}
 			}
@@ -469,8 +491,17 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 		}
 
 		// An indexed equi-join (ON left.col = right.col with the new
-		// table's column indexed) probes the index the binding chose.
+		// table's column indexed) probes the index the binding chose. The
+		// last stage probes its filtered build side instead when it has one.
 		useIndex := stage.ix != nil && !noIndex
+		var bs *buildSide
+		if last && useIndex && sel.From[i].Join == sqlparser.JoinInner && stage.onIsProbe(src) && src.t.scanLen() <= len(rows) {
+			if leaf := f.stageLeaf(src.offset, width); leaf >= 0 {
+				bs = new(buildSide)
+				bs.build(src.t, rv, f, leaf, src.offset, stage.build)
+			}
+		}
+		buildType := src.t.schema.Columns[stage.build].Type
 		for _, left := range rows {
 			copy(scratch, left)
 			matched = false
@@ -479,7 +510,9 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 			// against an INTEGER column) can compare equal through the
 			// textual fallback while hashing differently, so they scan.
 			// Probed refs run in rowid order, the order a scan meets them.
-			if useIndex && keyCompatible(src.t.schema.Columns[stage.build].Type, scratch[stage.probe]) {
+			if bs != nil {
+				bs.probe(scratch[stage.probe], keyCompatible(buildType, scratch[stage.probe]), try)
+			} else if useIndex && keyCompatible(buildType, scratch[stage.probe]) {
 				for _, ch := range rowidOrder(stage.ix.lookup(src.t, scratch[stage.probe])) {
 					if r := rv.resolve(ch); r != nil && !try(r) {
 						break
@@ -562,7 +595,8 @@ func distinctRows(live []outRow, k int) []outRow {
 // key built in a reused buffer, so no group allocates its key. The group
 // keeps its first row, not its rows: a stored row as it is, since stored
 // rows are immutable, and a transient join row copied into a slab that
-// grows by doubling.
+// grows by doubling. The integer group map, the first rows and the
+// accumulators are a groupMem from a shared pool.
 type grouper struct {
 	b      *binding
 	ev     env
@@ -571,10 +605,33 @@ type grouper struct {
 	firsts [][]sqlval.Value // group g's first row
 	accs   []aggAcc         // group g's accumulators are accs[g*na:(g+1)*na]
 	copies []sqlval.Value   // transient first rows, copied
+	mem    *groupMem        // where ints, firsts and accs came from
 }
 
-// init readies g for b's rows; it fails for an aggregate call with the
-// wrong number of arguments.
+// groupMem is GROUP BY's working memory between statements: a grouping
+// that ends gives its integer group map, first-row list and accumulator
+// slab back to groupMems cleared, so the next grouping does not regrow and
+// rehash them — unless it had room for more than groupMemCap groups, and
+// then it goes to the collector: a statement that once grouped many rows
+// does not pin their memory.
+type groupMem struct {
+	ints   map[int64]int32
+	firsts [][]sqlval.Value
+	accs   []aggAcc
+}
+
+// groupMems is the pool every engine's groupings share. It is not a field
+// of Engine: the runtime lists every pool in use until two collections
+// after its last use, and a pool inside an engine would keep the whole
+// engine, its tables included, alive that long after it is dropped.
+var groupMems sync.Pool
+
+// groupMemCap bounds the groups a recycled groupMem holds room for.
+// TPC-W's bestSellers has at most one group per item, 1 000.
+const groupMemCap = 2048
+
+// init readies g for b's rows, with working memory from groupMems; it
+// fails for an aggregate call with the wrong number of arguments.
 func (g *grouper) init(b *binding, params []sqlval.Value) error {
 	for _, ae := range b.aggs {
 		if !countsRows(ae.x) && len(ae.args) != 1 {
@@ -582,7 +639,30 @@ func (g *grouper) init(b *binding, params []sqlval.Value) error {
 		}
 	}
 	g.b, g.ev.params = b, params
+	g.mem, _ = groupMems.Get().(*groupMem)
+	if g.mem == nil {
+		g.mem = new(groupMem)
+	}
+	g.table.ints, g.firsts, g.accs = g.mem.ints, g.mem.firsts, g.mem.accs
 	return nil
+}
+
+// release gives g's working memory back to groupMems, cleared, unless it
+// grew past groupMemCap.
+func (g *grouper) release() {
+	m := g.mem
+	if m == nil {
+		return
+	}
+	g.mem = nil
+	if cap(g.firsts) > groupMemCap {
+		return
+	}
+	clear(g.table.ints)
+	clear(g.firsts)
+	clear(g.accs)
+	m.ints, m.firsts, m.accs = g.table.ints, g.firsts[:0], g.accs[:0]
+	groupMems.Put(m)
 }
 
 // add folds row into its group, opening the group when row is its first.
@@ -594,7 +674,7 @@ func (g *grouper) add(row []sqlval.Value, transient bool) error {
 	switch len(b.groupBy) {
 	case 0:
 	case 1:
-		v, err := g.ev.eval(b.groupBy[0])
+		v, err := g.ev.operand(b.groupBy[0])
 		if err != nil {
 			return err
 		}
@@ -641,8 +721,8 @@ func (g *grouper) groups(out []outRow) ([]outRow, error) {
 	// 0), and its row is all NULL, so a bare column in the select list or
 	// HAVING reads NULL.
 	if len(b.groupBy) == 0 && len(g.firsts) == 0 {
-		g.firsts = [][]sqlval.Value{make([]sqlval.Value, b.width)}
-		g.accs = make([]aggAcc, na)
+		g.firsts = append(g.firsts, make([]sqlval.Value, b.width))
+		g.accs = append(g.accs, make([]aggAcc, na)...)
 	}
 	vals := make([]sqlval.Value, len(g.firsts)*na)
 	out = grown(out, len(g.firsts))
@@ -696,7 +776,7 @@ func (a *aggAcc) add(ae *bexpr, ev *env) error {
 		a.count++
 		return nil
 	}
-	v, err := ev.eval(ae.args[0])
+	v, err := ev.operand(ae.args[0])
 	if err != nil || v.IsNull() {
 		return err
 	}

@@ -319,3 +319,67 @@ func TestOppositeOrderJoinsDoNotDeadlockWithWriters(t *testing.T) {
 		t.Fatal("opposite-order joins deadlocked against pending writers")
 	}
 }
+
+// TestTempTableDDLDoesNotWaitForReaders: creating and dropping a temporary
+// table change only the session's own namespace, so they take the catalog
+// lock shared and complete while another session's SELECT holds it; a
+// permanent CREATE TABLE changes the catalog and waits for the reader.
+func TestTempTableDDLDoesNotWaitForReaders(t *testing.T) {
+	e := New("tmpddl")
+	s := e.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE src (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, s, "INSERT INTO src (id, v) VALUES (1, 10), (2, 20), (3, 10)")
+
+	// A reader on another shard holds the catalog lock shared, as a
+	// SELECT in flight does.
+	reader := (s.shard + 1) & e.mu.mask
+	e.mu.RLock(reader)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			e.mu.RUnlock(reader)
+		}
+	}
+	defer release()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.ExecSQL("CREATE TEMPORARY TABLE tmp AS SELECT v, COUNT(*) AS n FROM src GROUP BY v")
+		if err == nil {
+			var res *Result
+			if res, err = s.ExecSQL("SELECT n FROM tmp WHERE v = 10"); err == nil && (len(res.Rows) != 1 || res.Rows[0][0].I != 2) {
+				err = fmt.Errorf("temporary table rows: %v", res.Rows)
+			}
+		}
+		if err == nil {
+			_, err = s.ExecSQL("DROP TABLE tmp")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		release()
+		<-done
+		t.Fatal("temporary CREATE … AS SELECT or DROP waited for a reader")
+	}
+
+	go func() {
+		_, err := s.ExecSQL("CREATE TABLE perm (id INTEGER)")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("permanent CREATE TABLE did not wait for the reader (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -331,3 +331,61 @@ func TestLimitedResultDoesNotPinSlab(t *testing.T) {
 		runtime.KeepAlive(res)
 	}
 }
+
+// TestGroupingPoolReuse: GROUP BY's working memory goes back to a shared
+// pool after a statement, so a grouping that follows a larger one
+// reuses it; what comes back must read as new. Every query returns on a
+// used engine exactly what it returns on a fresh one, and a grouping past
+// groupMemCap groups is not kept.
+func TestGroupingPoolReuse(t *testing.T) {
+	load := func() (*Engine, *Session) {
+		e := New("pool")
+		s := e.NewSession()
+		mustExec(t, s, "CREATE TABLE g (id INTEGER PRIMARY KEY, k INTEGER, c INTEGER, name VARCHAR, v INTEGER)")
+		for i := 0; i < 3000; i++ {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO g (id, k, c, name, v) VALUES (%d, %d, %d, 'n%d', %d)", i, i, i%10, (i*7919)%3000, i%13))
+		}
+		return e, s
+	}
+	big := "SELECT k, COUNT(*), SUM(v), MIN(name) FROM g GROUP BY k"
+	queries := []string{
+		"SELECT c, COUNT(*), SUM(v), MIN(name), MAX(v), AVG(v), COUNT(DISTINCT v) FROM g GROUP BY c",
+		"SELECT k % 1000 AS m, SUM(v) FROM g GROUP BY k % 1000 ORDER BY m DESC LIMIT 5",
+		"SELECT c, v, COUNT(*) FROM g GROUP BY c, v ORDER BY c, v",
+		"SELECT COUNT(*), SUM(v), MAX(name) FROM g",
+		"SELECT COUNT(*), SUM(v) FROM g WHERE id < 0",
+		"SELECT c, MAX(v) FROM g WHERE id < 0 GROUP BY c",
+	}
+
+	_, us := load()
+	for groupMems.Get() != nil { // what earlier groupings left
+	}
+	res := mustExec(t, us, big)
+	if len(res.Rows) != 3000 {
+		t.Fatalf("%s: %d groups", big, len(res.Rows))
+	}
+	if m, _ := groupMems.Get().(*groupMem); m != nil {
+		t.Fatalf("a grouping of 3000 groups was kept (room for %d)", cap(m.firsts))
+	}
+	_, fs := load()
+	for round := 0; round < 2; round++ {
+		for _, q := range queries {
+			got, want := mustExec(t, us, q), mustExec(t, fs, q)
+			if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+				t.Fatalf("%s: used engine %v, fresh engine %v", q, got.Rows, want.Rows)
+			}
+		}
+		// What the pool keeps is empty.
+		if m, _ := groupMems.Get().(*groupMem); m != nil {
+			if len(m.ints) != 0 || len(m.firsts) != 0 || len(m.accs) != 0 || cap(m.firsts) > groupMemCap {
+				t.Fatalf("pooled grouping memory not cleared: %d keys, %d groups, %d accumulators, room for %d", len(m.ints), len(m.firsts), len(m.accs), cap(m.firsts))
+			}
+			for _, a := range m.accs[:cap(m.accs)] {
+				if a != (aggAcc{}) {
+					t.Fatalf("pooled accumulator not cleared: %+v", a)
+				}
+			}
+			groupMems.Put(m)
+		}
+	}
+}

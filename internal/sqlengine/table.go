@@ -390,6 +390,10 @@ func (t *table) scanSnap(rv readView, f func(row []sqlval.Value) bool) {
 	}
 }
 
+// scanLen is the number of chains in the scan order: the rows a scan
+// visits, at least the rows live at any snapshot.
+func (t *table) scanLen() int { return int(t.order.Load().n.Load()) }
+
 // lookup returns the chain refs under v's key. It runs on the latch-free
 // read path: the probe key is built in a stack buffer and idxMu is held
 // only for the probe. The slice returned is the bucket's own, capped at its

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cjdbc/internal/sqlparser"
+	"cjdbc/internal/sqlval"
 )
 
 // runBothPlans executes the query twice against the same snapshot — once
@@ -51,7 +54,7 @@ func TestSnapshotPlannedEqualsFullScan(t *testing.T) {
 	e := New("prop")
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE p (id INTEGER PRIMARY KEY, cat INTEGER, val INTEGER)")
-	mustExec(t, s, "CREATE TABLE q (id INTEGER PRIMARY KEY, pid INTEGER, w INTEGER)")
+	mustExec(t, s, "CREATE TABLE q (id INTEGER PRIMARY KEY, pid INTEGER, w INTEGER, tag VARCHAR)")
 	mustExec(t, s, "CREATE INDEX p_cat ON p (cat)")
 	mustExec(t, s, "CREATE INDEX q_pid ON q (pid)")
 
@@ -86,10 +89,53 @@ func TestSnapshotPlannedEqualsFullScan(t *testing.T) {
 		"SELECT a.id, q.id, b.id FROM p a JOIN q ON q.pid = a.id LEFT JOIN p b ON b.cat = a.cat LIMIT 20",
 		"SELECT p.cat, COUNT(*), SUM(q.w), MIN(q.id) FROM p JOIN q ON q.pid = p.id GROUP BY p.cat ORDER BY p.cat",
 		"SELECT p.id, q.w FROM p JOIN q ON q.pid = p.id ORDER BY q.w DESC LIMIT 5",
+		// Conjuncts on the last stage's own columns: q is smaller than p,
+		// so the planned join scans q once and probes the rows the
+		// conjunct keeps; with p as the inner table, larger than q, it
+		// probes p's index.
+		"SELECT p.id, q.id, q.tag FROM p JOIN q ON q.pid = p.id WHERE q.tag LIKE 't1%'",
+		"SELECT p.id, q.id FROM p JOIN q ON p.id = q.pid WHERE q.tag NOT LIKE '%3%' AND q.w >= 20",
+		"SELECT p.id, q.id FROM p JOIN q ON q.pid = p.id WHERE q.w > 50 LIMIT 7",
+		"SELECT p.id, q.id FROM p JOIN q ON q.pid = p.id WHERE p.cat = 2 AND q.tag LIKE '%T2_'",
+		"SELECT p.id, q.id FROM p JOIN q ON q.pid = p.id WHERE p.val > 20 AND q.tag LIKE '%1%' AND q.w < p.val",
+		"SELECT q.id, p.id FROM q JOIN p ON p.id = q.pid WHERE p.val > 50",
+		"SELECT q.id, p.id, p.cat FROM q JOIN p ON p.cat = q.pid WHERE p.cat >= 3 AND q.tag LIKE 't%'",
+		"SELECT p.id, q.id, q.tag FROM p LEFT JOIN q ON q.pid = p.id WHERE q.tag LIKE 't%'",
+		"SELECT p.cat, COUNT(*), SUM(q.w) FROM p JOIN q ON q.pid = p.id WHERE q.tag LIKE '%2' GROUP BY p.cat ORDER BY p.cat",
+	}
+	// Bound parameters, including a NULL pattern, and a stage's own
+	// conjunct behind one that fails: the division's error must surface
+	// whether or not the conjunct could have pruned the row.
+	bound := []struct {
+		sql    string
+		params []sqlval.Value
+	}{
+		{"SELECT p.id, q.id FROM p JOIN q ON q.pid = p.id WHERE q.tag LIKE ?", []sqlval.Value{sqlval.Null}},
+		{"SELECT p.id, q.id FROM p JOIN q ON q.pid = p.id WHERE q.tag NOT LIKE ?", []sqlval.Value{sqlval.Null}},
+		{"SELECT p.id, q.id FROM p JOIN q ON q.pid = p.id WHERE q.tag LIKE ? AND q.w < ?", []sqlval.Value{sqlval.String_("T%"), sqlval.Int(60)}},
+		{"SELECT id, cat FROM p WHERE ? < val AND cat <> ?", []sqlval.Value{sqlval.Int(30), sqlval.Int(4)}},
+		{"SELECT p.id, q.id FROM p JOIN q ON q.pid = p.id WHERE 1 / (q.w - q.w) > 0 AND q.tag LIKE 'zzz'", nil},
+		{"SELECT p.id, q.id FROM p JOIN q ON q.pid = p.id WHERE q.tag LIKE 'zzz' AND 1 / (q.w - q.w) > 0", nil},
 	}
 	check := func() {
 		for _, q := range queries {
 			runBothPlans(t, e, s, q)
+		}
+		for _, b := range bound {
+			var st sqlparser.Statement = parseOrFail(t, b.sql)
+			if b.params != nil {
+				st = &sqlparser.Bound{Stmt: st, SQL: b.sql, Params: b.params}
+			}
+			planned, perr := s.Exec(st)
+			e.noIndexPlan.Store(true)
+			scanned, serr := s.Exec(st)
+			e.noIndexPlan.Store(false)
+			if fmt.Sprint(perr) != fmt.Sprint(serr) {
+				t.Fatalf("%q: planned error %v, full scan error %v", b.sql, perr, serr)
+			}
+			if perr == nil && fmt.Sprint(planned.Rows) != fmt.Sprint(scanned.Rows) {
+				t.Fatalf("%q: planned %v, full scan %v", b.sql, planned.Rows, scanned.Rows)
+			}
 		}
 	}
 
@@ -105,7 +151,11 @@ func TestSnapshotPlannedEqualsFullScan(t *testing.T) {
 				}
 				mustExec(t, s, fmt.Sprintf("INSERT INTO p (id, cat, val) VALUES (%d, %s, %d)", nextID, cat, rng.Intn(100)))
 				if rng.Intn(2) == 0 {
-					mustExec(t, s, fmt.Sprintf("INSERT INTO q (id, pid, w) VALUES (%d, %d, %d)", nextID, rng.Intn(nextID+1), rng.Intn(100)))
+					tag := [...]string{"'t%d'", "'T%d'", "'%dt'", "NULL"}[rng.Intn(4)]
+					if tag != "NULL" {
+						tag = fmt.Sprintf(tag, rng.Intn(40))
+					}
+					mustExec(t, s, fmt.Sprintf("INSERT INTO q (id, pid, w, tag) VALUES (%d, %d, %d, %s)", nextID, rng.Intn(nextID+1), rng.Intn(100), tag))
 				}
 				nextID++
 			case 2:
