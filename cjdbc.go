@@ -60,9 +60,10 @@ type VirtualDatabaseConfig struct {
 	Users map[string]string
 
 	// PartialReplication maps table -> backend names hosting it (RAIDb-2,
-	// §2.4.3). Empty means full replication unless a backend declares a
-	// hosted-table subset with WithTables. Declared tables keep their
-	// placement authoritative: dynamic schema gathering never overrides it.
+	// §2.4.3). Empty means full replication unless PartialByTables is set;
+	// a backend declaring a hosted-table subset with WithTables needs one of
+	// the two. Declared tables keep their placement authoritative: dynamic
+	// schema gathering never overrides it.
 	// Tables found on backends at enable time are merged in (dynamic schema
 	// gathering); tables in neither source replicate fully.
 	PartialReplication map[string][]string
@@ -171,7 +172,7 @@ type VirtualDatabase struct {
 
 // CreateVirtualDatabase registers a virtual database on the controller.
 func (c *Controller) CreateVirtualDatabase(cfg VirtualDatabaseConfig) (*VirtualDatabase, error) {
-	var repl balancer.Replication
+	var repl *balancer.PartialReplication
 	if len(cfg.PartialReplication) > 0 || cfg.PartialByTables {
 		repl = balancer.NewPartialReplication(cfg.PartialReplication)
 	}

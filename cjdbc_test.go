@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cjdbc/internal/sqlengine"
 )
 
 func newTestCluster(t *testing.T, n int, cfg VirtualDatabaseConfig) (*Controller, *VirtualDatabase) {
@@ -611,6 +613,53 @@ func TestPartialReplicationConfig(t *testing.T) {
 	rows, err := sess.Query("SELECT COUNT(*) FROM hot")
 	if err != nil || rows.Len() != 1 {
 		t.Fatalf("read on partial table: %v", err)
+	}
+}
+
+// TestPartialByTablesThroughPublicAPI: PartialByTables with WithTables is
+// the public switch to RAIDb-2 placement declared per backend, and without
+// partial replication a backend declaring a subset is refused.
+func TestPartialByTablesThroughPublicAPI(t *testing.T) {
+	ctrl := NewController("pbt", 4)
+	defer ctrl.Close()
+	vdb, err := ctrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "pbt", PartialByTables: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0, e1 := sqlengine.New("db0"), sqlengine.New("db1")
+	if err := vdb.AddEngineBackend("db0", e0, WithTables("account", "session")); err != nil {
+		t.Fatal(err)
+	}
+	if err := vdb.AddEngineBackend("db1", e1, WithTables("account")); err != nil {
+		t.Fatal(err)
+	}
+	if err := vdb.ValidatePlacement(); err != nil {
+		t.Fatalf("ValidatePlacement: %v", err)
+	}
+	sess, err := vdb.OpenSession("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, q := range []string{"CREATE TABLE account (id INTEGER PRIMARY KEY)", "CREATE TABLE session (id INTEGER PRIMARY KEY)"} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if got := fmt.Sprint(e0.TableNames()); got != "[account session]" {
+		t.Errorf("db0 tables = %s, want [account session]", got)
+	}
+	if got := fmt.Sprint(e1.TableNames()); got != "[account]" {
+		t.Errorf("db1 tables = %s, want [account] (session is declared on db0 alone)", got)
+	}
+
+	full, err := ctrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "full"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = full.AddInMemoryBackend("db0", WithTables("account"))
+	if err == nil || !strings.Contains(err.Error(), "declared subsets need partial replication") {
+		t.Fatalf("declared subset under full replication: err = %v", err)
 	}
 }
 

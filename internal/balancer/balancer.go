@@ -1,7 +1,8 @@
 // Package balancer implements C-JDBC's read load-balancing algorithms
 // (round robin, weighted round robin, least pending requests first) and the
-// replication policies (full and per-table partial replication) that decide
-// which backends can serve a read and which must apply a write (§2.4.3).
+// table placement (per-table partial replication, whose nil value is full
+// replication) that decides which backends can serve a read and which must
+// apply a write (§2.4.3).
 package balancer
 
 import (
@@ -173,89 +174,18 @@ func New(name string) (Balancer, error) {
 	return nil, fmt.Errorf("balancer: unknown policy %q", name)
 }
 
-// Replication decides which backends host which tables.
-type Replication interface {
-	// Name identifies the policy.
-	Name() string
-	// RequiresParsing reports whether requests must be parsed to route
-	// (full replication does not, §2.4.3).
-	RequiresParsing() bool
-	// ReadCandidates returns the enabled backends hosting all the tables
-	// a read references. The result may be all itself: callers must not
-	// modify it.
-	ReadCandidates(tables []string, all []*backend.Backend) []*backend.Backend
-	// WriteTargets returns the enabled backends that must apply a write
-	// affecting the given tables, in the order of all. The result may be all
-	// itself: callers must not modify it.
-	WriteTargets(tables []string, all []*backend.Backend) []*backend.Backend
-	// NoteCreate records a newly created table and its hosts, keeping the
-	// dynamically gathered schema accurate (§2.4.3).
-	NoteCreate(table string, hosts []string)
-	// NoteDrop removes a dropped table from the schema.
-	NoteDrop(table string)
-	// Hosts lists the backends hosting a table (empty for full replication,
-	// meaning "all").
-	Hosts(table string) []string
-}
-
-// Placement is the optional interface a replication policy implements when
-// table placement is explicit (RAIDb-2 partial replication). The controller
-// type-asserts it to declare per-backend table subsets, build recovery host
-// filters, and validate configurations; full replication does not implement
-// it, so every placement-aware path degrades to "host everything".
-type Placement interface {
-	// DeclareHost pins a table to an additional host. Declared placement is
-	// authoritative: dynamic schema gathering never overrides it.
-	DeclareHost(table, host string)
-	// Hosted reports whether a backend hosts a table. Tables absent from
-	// the placement map count as hosted everywhere.
-	Hosted(table, host string) bool
-	// ReattachHost records that a re-integrated backend hosts the given
-	// tables (the ones its restored state actually contains).
-	ReattachHost(host string, tables []string)
-	// RemoveHost atomically removes a backend from a table's host set. It
-	// fails with a *LastHostError if the removal would leave the table
-	// hostless, and with a plain error if the backend does not host the
-	// table (or the table is unknown, i.e. implicitly hosted everywhere).
-	RemoveHost(table, host string) error
-	// Validate checks the placement against the cluster's backend names.
-	Validate(backends []string) error
-}
-
-// FullReplication hosts every table on every backend.
-type FullReplication struct{}
-
-// Name returns "full".
-func (FullReplication) Name() string { return "full" }
-
-// RequiresParsing returns false: any backend can execute any query.
-func (FullReplication) RequiresParsing() bool { return false }
-
-// ReadCandidates returns all enabled backends.
-func (FullReplication) ReadCandidates(_ []string, all []*backend.Backend) []*backend.Backend {
-	return enabledOf(all)
-}
-
-// WriteTargets returns all enabled backends.
-func (FullReplication) WriteTargets(_ []string, all []*backend.Backend) []*backend.Backend {
-	return enabledOf(all)
-}
-
-// NoteCreate is a no-op under full replication.
-func (FullReplication) NoteCreate(string, []string) {}
-
-// NoteDrop is a no-op under full replication.
-func (FullReplication) NoteDrop(string) {}
-
-// Hosts returns nil, meaning every backend.
-func (FullReplication) Hosts(string) []string { return nil }
-
 // PartialReplication maps tables to the backends hosting them, configured
 // per table and updated dynamically on CREATE/DROP (§2.4.3). Declared
 // (pinned) tables — those in the initial map or added through DeclareHost —
 // keep their operator-chosen placement: a CREATE observed while some host
 // is down must not shrink the replica set, and a replayed DROP must not
 // erase where the table belongs on re-create.
+//
+// A nil *PartialReplication is full replication (RAIDb-1): every table on
+// every backend. Its routing methods answer "every enabled backend", Hosted
+// is true, Hosts and Tables are nil and NoteCreate/NoteDrop do nothing, so
+// the controller calls them without a check; the mutators (DeclareHost,
+// ReattachHost, RemoveHost, Validate) need a non-nil placement.
 type PartialReplication struct {
 	mu     sync.RWMutex
 	hosts  map[string]map[string]bool // table -> backend name set
@@ -280,16 +210,14 @@ func NewPartialReplication(tables map[string][]string) *PartialReplication {
 	return p
 }
 
-// Name returns "partial".
-func (*PartialReplication) Name() string { return "partial" }
-
-// RequiresParsing returns true: routing needs the referenced tables.
-func (*PartialReplication) RequiresParsing() bool { return true }
-
 // ReadCandidates returns enabled backends hosting every referenced table.
 // Unknown tables (e.g. just-created temporary tables of another session)
-// exclude a backend unless it hosts them.
+// exclude a backend unless it hosts them. The result may be all itself:
+// callers must not modify it.
 func (p *PartialReplication) ReadCandidates(tables []string, all []*backend.Backend) []*backend.Backend {
+	if p == nil {
+		return enabledOf(all)
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	var out []*backend.Backend
@@ -321,8 +249,12 @@ func (p *PartialReplication) ReadCandidates(tables []string, all []*backend.Back
 // For a CREATE of a not-yet-known table the hosts of the other referenced
 // tables decide (CREATE TEMPORARY TABLE ... AS SELECT under partial
 // replication runs only where its sources live, which is what limits the
-// TPC-W best-seller temp table to two backends in Figure 10).
+// TPC-W best-seller temp table to two backends in Figure 10). The result is
+// in the order of all and may be all itself: callers must not modify it.
 func (p *PartialReplication) WriteTargets(tables []string, all []*backend.Backend) []*backend.Backend {
+	if p == nil {
+		return enabledOf(all)
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	known := false
@@ -361,6 +293,9 @@ func (p *PartialReplication) WriteTargets(tables []string, all []*backend.Backen
 // NoteCreate records a new table's hosts. Pinned tables are left alone:
 // their placement is declared, not observed.
 func (p *PartialReplication) NoteCreate(table string, hosts []string) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := strings.ToLower(table)
@@ -377,6 +312,9 @@ func (p *PartialReplication) NoteCreate(table string, hosts []string) {
 // NoteDrop removes a dynamically gathered table. A pinned table keeps its
 // declared placement across DROP/CREATE cycles.
 func (p *PartialReplication) NoteDrop(table string) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := strings.ToLower(table)
@@ -405,6 +343,9 @@ func (p *PartialReplication) DeclareHost(table, host string) {
 // placement map were created before gathering or dropped since — they count
 // as hosted everywhere, matching full-replication behavior.
 func (p *PartialReplication) Hosted(table, host string) bool {
+	if p == nil {
+		return true
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	set, known := p.hosts[strings.ToLower(table)]
@@ -432,10 +373,13 @@ func (p *PartialReplication) ReattachHost(host string, tables []string) {
 	}
 }
 
-// RemoveHost atomically removes a backend from a table's host set. The
-// check-and-remove runs under one lock acquisition so concurrent removals
-// of the same table cannot race past the last-host guard. The table stays
-// pinned: its (shrunken) placement remains operator-declared.
+// RemoveHost atomically removes a backend from a table's host set. It fails
+// with a *LastHostError if the removal would leave the table hostless, and
+// with a plain error if the backend does not host the table (or the table
+// is unknown, i.e. implicitly hosted everywhere). The check-and-remove runs
+// under one lock acquisition so concurrent removals of the same table
+// cannot race past the last-host guard. The table stays pinned: its
+// (shrunken) placement remains operator-declared.
 func (p *PartialReplication) RemoveHost(table, host string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -482,8 +426,12 @@ func (p *PartialReplication) Validate(backends []string) error {
 	return nil
 }
 
-// Hosts returns the sorted backend names hosting a table.
+// Hosts returns the sorted backend names hosting a table: empty for a table
+// unknown to the placement, nil under full replication (meaning "all").
 func (p *PartialReplication) Hosts(table string) []string {
+	if p == nil {
+		return nil
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	set := p.hosts[strings.ToLower(table)]
@@ -495,8 +443,11 @@ func (p *PartialReplication) Hosts(table string) []string {
 	return out
 }
 
-// Tables returns the sorted known table names.
+// Tables returns the sorted known table names, nil under full replication.
 func (p *PartialReplication) Tables() []string {
+	if p == nil {
+		return nil
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	out := make([]string, 0, len(p.hosts))

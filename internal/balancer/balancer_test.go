@@ -99,21 +99,37 @@ func TestBalancerFactory(t *testing.T) {
 	}
 }
 
+// TestFullReplicationRouting pins the nil placement's contract: full
+// replication is a nil *PartialReplication, and every method the controller
+// calls without a nil check answers "every table on every backend".
 func TestFullReplicationRouting(t *testing.T) {
 	bs := mkBackends(t, 3)
-	var f FullReplication
-	if f.RequiresParsing() {
-		t.Error("full replication must not require parsing")
+	var f *PartialReplication
+	// Every backend enabled: the routing sets are the given slice itself, so
+	// a full-replication read allocates nothing to route.
+	if got := f.ReadCandidates([]string{"any"}, bs); len(got) != 3 || &got[0] != &bs[0] {
+		t.Errorf("read candidates = %v, want the given slice", names(got))
 	}
-	if got := f.ReadCandidates([]string{"any"}, bs); len(got) != 3 {
-		t.Errorf("read candidates = %d", len(got))
+	if got := f.WriteTargets([]string{"any"}, bs); len(got) != 3 || &got[0] != &bs[0] {
+		t.Errorf("write targets = %v, want the given slice", names(got))
 	}
-	if got := f.WriteTargets([]string{"any"}, bs); len(got) != 3 {
-		t.Errorf("write targets = %d", len(got))
+	if !f.Hosted("any", "db1") {
+		t.Error("full replication must host every table everywhere")
 	}
+	if got := f.Hosts("any"); got != nil {
+		t.Errorf("hosts = %v, want nil (meaning all)", got)
+	}
+	if got := f.Tables(); got != nil {
+		t.Errorf("tables = %v, want nil", got)
+	}
+	f.NoteCreate("any", []string{"db0"})
+	f.NoteDrop("any")
 	bs[1].Disable()
-	if got := f.ReadCandidates(nil, bs); len(got) != 2 {
-		t.Errorf("disabled backend still candidate: %d", len(got))
+	if got := f.ReadCandidates(nil, bs); len(got) != 2 || got[0].Name() != "db0" || got[1].Name() != "db2" {
+		t.Errorf("read candidates with db1 disabled = %v", names(got))
+	}
+	if got := f.WriteTargets(nil, bs); len(got) != 2 || got[0].Name() != "db0" || got[1].Name() != "db2" {
+		t.Errorf("write targets with db1 disabled = %v", names(got))
 	}
 }
 
@@ -124,9 +140,6 @@ func TestPartialReplicationReads(t *testing.T) {
 		"order_line": {"db0", "db1"},
 		"customer":   {"db2"},
 	})
-	if !p.RequiresParsing() {
-		t.Error("partial replication must require parsing")
-	}
 	// Query touching item+order_line can run on db0/db1 only.
 	got := p.ReadCandidates([]string{"item", "order_line"}, bs)
 	if len(got) != 2 || got[0].Name() != "db0" || got[1].Name() != "db1" {

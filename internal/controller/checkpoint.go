@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"cjdbc/internal/backend"
-	"cjdbc/internal/balancer"
 	"cjdbc/internal/recovery"
 )
 
@@ -247,9 +246,9 @@ func (v *VirtualDatabase) catchUp(b *backend.Backend, seq uint64, tables recover
 // track of while it was down) and enable it.
 func (v *VirtualDatabase) enable(b *backend.Backend) func() error {
 	return func() error {
-		if pl, ok := v.repl.(balancer.Placement); ok {
+		if v.repl != nil {
 			if names, err := b.TableNames(); err == nil {
-				pl.ReattachHost(b.Name(), names)
+				v.repl.ReattachHost(b.Name(), names)
 			}
 		}
 		b.Enable()

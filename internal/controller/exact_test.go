@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"cjdbc/internal/backend"
-	"cjdbc/internal/balancer"
 	"cjdbc/internal/recovery"
 	"cjdbc/internal/sqlengine"
 )
@@ -90,7 +89,7 @@ func (f *exactFixture) run() error { return f.c.run(f.v, f.dump) }
 
 // published reports whether db1's copy of a is in routing.
 func (f *exactFixture) published() bool {
-	return f.target.Enabled() && f.v.Replication().(balancer.Placement).Hosted("a", "db1")
+	return f.target.Enabled() && f.v.Replication().Hosted("a", "db1")
 }
 
 // lastSeq is the log's current end.

@@ -467,7 +467,7 @@ func TestRecoveryStreamHostedSubset(t *testing.T) {
 
 	// Replay db0's hosted stream from the log's origin onto a fresh engine
 	// seeded like db0 was: must apply only a and d entries.
-	pl := v.Replication().(balancer.Placement)
+	pl := v.Replication()
 	fresh := seedPartialEngine(t, "replay0", []string{"a"}, 2)
 	fb := backend.New(backend.Config{Name: "replay0", Driver: &backend.EngineDriver{Engine: fresh}})
 	t.Cleanup(fb.Close)

@@ -29,7 +29,7 @@ import (
 // Errors reported by placement moves.
 var (
 	// ErrNoPlacement is returned for placement moves on a virtual database
-	// whose replication policy has no explicit placement (full replication).
+	// under full replication, which has no explicit placement.
 	ErrNoPlacement = errors.New("controller: replication policy has no explicit placement; moves need partial replication")
 	// ErrAlreadyHosted is returned when AddTableHost targets a backend that
 	// already hosts the table.
@@ -81,7 +81,7 @@ func (m *placementManager) start() {
 	if m.cfg.ObserveWindow <= 0 {
 		return
 	}
-	if _, ok := m.v.repl.(balancer.Placement); !ok {
+	if m.v.repl == nil {
 		return
 	}
 	m.wg.Add(1)
@@ -117,17 +117,12 @@ func (v *VirtualDatabase) PlacementMoves() int64 { return v.placer.moves.Load() 
 
 // PlacementTables lists the tables with explicit placement, or nil under
 // full replication.
-func (v *VirtualDatabase) PlacementTables() []string {
-	if tp, ok := v.repl.(interface{ Tables() []string }); ok {
-		return tp.Tables()
-	}
-	return nil
-}
+func (v *VirtualDatabase) PlacementTables() []string { return v.repl.Tables() }
 
 func (m *placementManager) addHost(table, backendName string) error {
 	v := m.v
-	pl, ok := v.repl.(balancer.Placement)
-	if !ok {
+	pl := v.repl
+	if pl == nil {
 		return ErrNoPlacement
 	}
 	table = strings.ToLower(table)
@@ -203,8 +198,8 @@ func (m *placementManager) addHost(table, backendName string) error {
 
 func (m *placementManager) removeHost(table, backendName string) error {
 	v := m.v
-	pl, ok := v.repl.(balancer.Placement)
-	if !ok {
+	pl := v.repl
+	if pl == nil {
 		return ErrNoPlacement
 	}
 	table = strings.ToLower(table)
@@ -231,12 +226,12 @@ func (m *placementManager) removeHost(table, backendName string) error {
 // last-host rule, which only counts declared hosts), removes the host from
 // the placement atomically, and drains the backend so every write enqueued
 // before the flip has executed before the copy is dropped.
-func (m *placementManager) flipAwayAndDrain(pl balancer.Placement, table string, b *backend.Backend) error {
+func (m *placementManager) flipAwayAndDrain(pl *balancer.PartialReplication, table string, b *backend.Backend) error {
 	if !pl.Hosted(table, b.Name()) {
 		return fmt.Errorf("controller: backend %s does not host table %s", b.Name(), table)
 	}
 	remaining := false
-	for _, h := range m.v.repl.Hosts(table) {
+	for _, h := range pl.Hosts(table) {
 		if h == b.Name() {
 			continue
 		}
@@ -296,8 +291,8 @@ func (m *placementManager) run() {
 // replica of a cold table. Returns whether a move completed.
 func (m *placementManager) propose(loads []balancer.TableLoad) bool {
 	v := m.v
-	pl, ok := v.repl.(balancer.Placement)
-	if !ok {
+	pl := v.repl
+	if pl == nil {
 		return false
 	}
 	if m.cfg.HotTableThreshold > 0 {
@@ -317,12 +312,12 @@ func (m *placementManager) propose(loads []balancer.TableLoad) bool {
 		for _, tl := range loads {
 			byTable[tl.Table] = tl
 		}
-		for _, table := range v.PlacementTables() {
+		for _, table := range pl.Tables() {
 			tl := byTable[table] // zero traffic if absent: coldest possible
 			if tl.Reads+tl.Writes > m.cfg.ColdTableThreshold {
 				continue
 			}
-			hosts := v.repl.Hosts(table)
+			hosts := pl.Hosts(table)
 			if len(hosts) < 2 {
 				continue
 			}
@@ -344,8 +339,8 @@ func (m *placementManager) propose(loads []balancer.TableLoad) bool {
 // spreadTarget picks the enabled backend with the fewest executed operations
 // among those not hosting the table, or "" when the table is already
 // everywhere (or unknown to the placement map).
-func (m *placementManager) spreadTarget(pl balancer.Placement, table string) string {
-	if len(m.v.repl.Hosts(table)) == 0 {
+func (m *placementManager) spreadTarget(pl *balancer.PartialReplication, table string) string {
+	if len(pl.Hosts(table)) == 0 {
 		return "" // unknown table: implicitly hosted everywhere already
 	}
 	var target *backend.Backend

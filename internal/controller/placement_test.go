@@ -38,7 +38,7 @@ func TestPlacementAddHostBootstrapAndFlip(t *testing.T) {
 	if err := v.AddTableHost("a", "db2"); err != nil {
 		t.Fatalf("AddTableHost: %v", err)
 	}
-	pl := v.Replication().(balancer.Placement)
+	pl := v.Replication()
 	if !pl.Hosted("a", "db2") {
 		t.Fatal("db2 not hosted after AddTableHost")
 	}
@@ -93,7 +93,7 @@ func TestPlacementRemoveHostAndLastHostGuard(t *testing.T) {
 	if err := v.RemoveTableHost("a", "db0"); err != nil {
 		t.Fatalf("RemoveTableHost: %v", err)
 	}
-	pl := v.Replication().(balancer.Placement)
+	pl := v.Replication()
 	if pl.Hosted("a", "db0") {
 		t.Fatal("db0 still hosted after removal")
 	}
@@ -288,7 +288,7 @@ func runPlacementChangeConsistency(t *testing.T, seed int64) {
 	go func() {
 		defer moverWG.Done()
 		rng := rand.New(rand.NewSource(seed * 77))
-		pl := v.Replication().(balancer.Placement)
+		pl := v.Replication()
 		for {
 			select {
 			case <-writersDone:
@@ -376,7 +376,7 @@ func TestPlacementPolicyHotAndCold(t *testing.T) {
 	if err := v.ValidatePlacement(); err != nil {
 		t.Fatal(err)
 	}
-	pl := v.Replication().(balancer.Placement)
+	pl := v.Replication()
 	s := openSession(t, v)
 
 	// Phase 1: hot. Hammer reads until the policy replicates onto db1.

@@ -34,13 +34,13 @@ var (
 type VDBConfig struct {
 	Name          string
 	ControllerID  uint16
-	Replication   balancer.Replication // nil means full replication
-	Balancer      balancer.Balancer    // nil means least-pending-requests-first
-	Cache         *cache.ResultCache   // nil disables result caching
-	RecoveryLog   recovery.Log         // nil disables logging
-	EarlyResponse ResponsePolicy       // applies to update/commit/abort
-	ParallelTx    bool                 // §2.4.4 parallel transactions
-	Auth          *AuthManager         // nil accepts everyone
+	Replication   *balancer.PartialReplication // nil means full replication
+	Balancer      balancer.Balancer            // nil means least-pending-requests-first
+	Cache         *cache.ResultCache           // nil disables result caching
+	RecoveryLog   recovery.Log                 // nil disables logging
+	EarlyResponse ResponsePolicy               // applies to update/commit/abort
+	ParallelTx    bool                         // §2.4.4 parallel transactions
+	Auth          *AuthManager                 // nil accepts everyone
 	// Health configures failure containment and automatic re-integration
 	// (§3: "tools to automatically re-integrate failed backends"). The zero
 	// value keeps the classic behavior: one-strike disable, no probing, no
@@ -69,7 +69,7 @@ type Stats struct {
 type VirtualDatabase struct {
 	name  string
 	auth  *AuthManager
-	repl  balancer.Replication
+	repl  *balancer.PartialReplication // nil: full replication
 	bal   balancer.Balancer
 	cache *cache.ResultCache
 	plans *plancache.Cache
@@ -81,14 +81,12 @@ type VirtualDatabase struct {
 	// configured (probe interval or auto-reintegration).
 	health *healthMonitor
 
-	// dynamic is set when the replication policy supports placement
-	// changes; loads is the per-table per-backend read/write counter
-	// feeding the dynamic-placement policy (nil unless dynamic); placer
+	// loads is the per-table per-backend read/write counter feeding the
+	// dynamic-placement policy (nil under full replication); placer
 	// executes placement moves (always non-nil, its policy goroutine runs
 	// only when configured).
-	dynamic bool
-	loads   *balancer.LoadStats
-	placer  *placementManager
+	loads  *balancer.LoadStats
+	placer *placementManager
 
 	// lastDump caches the most recent successful backup so automatic
 	// re-integration can restore a failed backend without re-dumping a
@@ -125,10 +123,6 @@ type Distributor interface {
 
 // NewVirtualDatabase builds a virtual database from its configuration.
 func NewVirtualDatabase(cfg VDBConfig) *VirtualDatabase {
-	repl := cfg.Replication
-	if repl == nil {
-		repl = balancer.FullReplication{}
-	}
 	bal := cfg.Balancer
 	if bal == nil {
 		bal = &balancer.LeastPending{}
@@ -140,19 +134,18 @@ func NewVirtualDatabase(cfg VDBConfig) *VirtualDatabase {
 	v := &VirtualDatabase{
 		name:  cfg.Name,
 		auth:  auth,
-		repl:  repl,
+		repl:  cfg.Replication,
 		bal:   bal,
 		cache: cfg.Cache,
 		plans: plancache.New(plancache.DefaultMaxEntries),
 		log:   cfg.RecoveryLog,
 		sched: NewScheduler(cfg.ControllerID, cfg.EarlyResponse, cfg.ParallelTx),
 	}
-	if _, ok := repl.(balancer.Placement); ok {
+	if v.repl != nil {
 		// Load accounting and the read barrier only serve dynamic
 		// placement; full-replication vdbs never consult either, so they
 		// skip the per-read costs entirely (loads stays nil: the Note
 		// methods no-op on a nil receiver).
-		v.dynamic = true
 		v.loads = balancer.NewLoadStats()
 	}
 	v.health = newHealthMonitor(v, cfg.Health)
@@ -188,8 +181,8 @@ func (v *VirtualDatabase) PlanCache() *plancache.Cache { return v.plans }
 // RecoveryLog returns the recovery log, or nil.
 func (v *VirtualDatabase) RecoveryLog() recovery.Log { return v.log }
 
-// Replication returns the replication policy.
-func (v *VirtualDatabase) Replication() balancer.Replication { return v.repl }
+// Replication returns the table placement, nil under full replication.
+func (v *VirtualDatabase) Replication() *balancer.PartialReplication { return v.repl }
 
 // LoadStats returns the per-table per-backend traffic counters.
 func (v *VirtualDatabase) LoadStats() *balancer.LoadStats { return v.loads }
@@ -203,8 +196,8 @@ func (v *VirtualDatabase) SetDistributor(d Distributor) {
 
 // AddBackend attaches a backend, wires its failure callback, gathers its
 // schema (dynamic schema gathering, §2.4.3) and enables it. A backend
-// declaring a hosted-table subset (RAIDb-2) pins that placement on the
-// replication policy before gathering, so the declaration — not the
+// declaring a hosted-table subset (RAIDb-2) pins that placement before
+// gathering, so the declaration — not the
 // backend's current contents — is what routing trusts. Nothing is changed
 // when it fails.
 func (v *VirtualDatabase) AddBackend(b *backend.Backend) error {
@@ -212,18 +205,16 @@ func (v *VirtualDatabase) AddBackend(b *backend.Backend) error {
 		return err
 	}
 	var names []string
-	if v.repl.RequiresParsing() {
+	if v.repl != nil {
 		var err error
 		if names, err = b.TableNames(); err != nil {
 			return fmt.Errorf("controller: gather schema of %s: %w", b.Name(), err)
 		}
-	}
-	b.OnWriteFailure(v.writeFailureCallback)
-	if pl, ok := v.repl.(balancer.Placement); ok {
 		for _, t := range b.DeclaredTables() {
-			pl.DeclareHost(t, b.Name())
+			v.repl.DeclareHost(t, b.Name())
 		}
 	}
+	b.OnWriteFailure(v.writeFailureCallback)
 	for _, t := range names {
 		v.repl.NoteCreate(t, append(v.repl.Hosts(t), b.Name()))
 	}
@@ -235,12 +226,12 @@ func (v *VirtualDatabase) AddBackend(b *backend.Backend) error {
 	return nil
 }
 
-// checkDeclared rejects a backend declaring a hosted-table subset on a
-// replication policy that has no placement to pin it on.
+// checkDeclared rejects a backend declaring a hosted-table subset under
+// full replication, which has no placement to pin it on.
 func (v *VirtualDatabase) checkDeclared(b *backend.Backend) error {
-	if _, ok := v.repl.(balancer.Placement); !ok && len(b.DeclaredTables()) > 0 {
-		return fmt.Errorf("controller: backend %s declares hosted tables but virtual database %s uses %s replication; declared subsets need partial replication",
-			b.Name(), v.name, v.repl.Name())
+	if v.repl == nil && len(b.DeclaredTables()) > 0 {
+		return fmt.Errorf("controller: backend %s declares hosted tables but virtual database %s uses full replication; declared subsets need partial replication",
+			b.Name(), v.name)
 	}
 	return nil
 }
@@ -249,8 +240,7 @@ func (v *VirtualDatabase) checkDeclared(b *backend.Backend) error {
 // attached backends (every declared table hosted by at least one of them,
 // no unknown host names). A no-op under full replication.
 func (v *VirtualDatabase) ValidatePlacement() error {
-	pl, ok := v.repl.(balancer.Placement)
-	if !ok {
+	if v.repl == nil {
 		return nil
 	}
 	bs := v.Backends()
@@ -258,15 +248,15 @@ func (v *VirtualDatabase) ValidatePlacement() error {
 	for i, b := range bs {
 		names[i] = b.Name()
 	}
-	return pl.Validate(names)
+	return v.repl.Validate(names)
 }
 
 // hostFilter returns the recovery host filter restricting a backend's
 // checkpoint and replay streams to its hosted tables, or nil (host
-// everything) when the replication policy has no explicit placement.
+// everything) under full replication.
 func (v *VirtualDatabase) hostFilter(b *backend.Backend) recovery.HostFilter {
-	pl, ok := v.repl.(balancer.Placement)
-	if !ok {
+	pl := v.repl
+	if pl == nil {
 		return nil
 	}
 	name := b.Name()
@@ -653,7 +643,7 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 func (v *VirtualDatabase) writeTargets(tables []string) ([]*backend.Backend, error) {
 	targets := v.repl.WriteTargets(tables, v.backendList())
 	if len(targets) == 0 {
-		if _, ok := v.repl.(balancer.Placement); ok {
+		if v.repl != nil {
 			// Placement, not health, is the cause: name the footprint so the
 			// client can tell a routing impossibility from a dead cluster.
 			return nil, fmt.Errorf("%w: %w", ErrNoWriteTarget, &balancer.NoHostError{Tables: tables})
@@ -705,10 +695,13 @@ func (v *VirtualDatabase) dispatchWrite(txID uint64, plan *plancache.Plan, st sq
 // execRead is the read path: result cache, then load-balanced read-one.
 // The plan supplies the precomputed table and column footprint, so a cache
 // admission does not re-analyze the statement, and the cache keys on the
-// plan's text and params (st is plan.Stmt, or it bound to params).
+// plan's text and params (st is plan.Stmt, or it bound to params). A read
+// with a NOW()/RAND()-style macro answers per execution, not per data
+// state, so it neither hits nor fills the cache.
 func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlparser.Statement, params []sqlval.Value) (*backend.Result, error) {
 	v.reads.Add(1)
-	if v.cache != nil && txID == 0 {
+	cacheable := v.cache != nil && txID == 0 && !plan.HasMacros
+	if cacheable {
 		if res := v.cache.GetParams(plan.SQL, params); res != nil {
 			v.cacheHits.Add(1)
 			return res, nil
@@ -716,7 +709,7 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 		v.cacheMisses.Add(1)
 	}
 
-	if v.dynamic {
+	if v.repl != nil {
 		// The read barrier only matters when a placement move may drop a
 		// copy out from under a routed read; static vdbs skip it.
 		v.sched.BeginRead()
@@ -737,7 +730,7 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 			if lastErr != nil {
 				return nil, lastErr
 			}
-			if _, ok := v.repl.(balancer.Placement); ok && len(cands) == 0 {
+			if v.repl != nil && len(cands) == 0 {
 				// No enabled backend hosts the read's full footprint (a
 				// cross-partition join, or every host of a table down):
 				// report the placement failure, not a generic no-backend.
@@ -748,7 +741,7 @@ func (v *VirtualDatabase) execRead(txID uint64, plan *plancache.Plan, st sqlpars
 		res, err := b.Read(txID, st, plan.SQL)
 		if err == nil {
 			v.loads.NoteRead(tables, b.Name())
-			if v.cache != nil && txID == 0 {
+			if cacheable {
 				v.cache.PutParams(plan.SQL, params, plan.Tables, plan.ReadCols, plan.ReadColsOK, res)
 			}
 			return res, nil

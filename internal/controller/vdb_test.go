@@ -323,6 +323,37 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 	}
 }
 
+// TestMacroReadsBypassCache: a read calling NOW(), CURRENT_TIMESTAMP(),
+// CURRENT_DATE() or RAND() answers per execution, not per data state, so the
+// result cache neither serves nor keeps it; a plain read still hits.
+func TestMacroReadsBypassCache(t *testing.T) {
+	rc := cache.New(cache.Config{Granularity: cache.GranTable})
+	v, _ := mkVDB(t, 2, VDBConfig{Cache: rc, ParallelTx: true}, seedSchema...)
+	s := openSession(t, v)
+	for _, q := range []string{
+		"SELECT i_id, NOW() FROM item WHERE i_id = 1",
+		"SELECT i_id, CURRENT_TIMESTAMP() FROM item WHERE i_id = 1",
+		"SELECT i_id, CURRENT_DATE() FROM item WHERE i_id = 1",
+		"SELECT i_id FROM item ORDER BY RAND() LIMIT 1",
+	} {
+		for i := 0; i < 3; i++ {
+			exec(t, s, q)
+		}
+	}
+	if st := v.StatsSnapshot(); st.CacheHits != 0 {
+		t.Errorf("macro reads served from the cache: %+v", st)
+	}
+	if n := rc.Len(); n != 0 {
+		t.Errorf("macro reads cached: %d entries", n)
+	}
+	q := "SELECT i_title FROM item WHERE i_id = 1"
+	exec(t, s, q)
+	exec(t, s, q)
+	if st := v.StatsSnapshot(); st.CacheHits != 1 || rc.Len() != 1 {
+		t.Errorf("plain read: hits=%d len=%d, want 1 and 1", st.CacheHits, rc.Len())
+	}
+}
+
 func TestInTransactionReadsBypassCache(t *testing.T) {
 	rc := cache.New(cache.Config{Granularity: cache.GranTable})
 	v, _ := mkVDB(t, 1, VDBConfig{Cache: rc, ParallelTx: true}, seedSchema...)
