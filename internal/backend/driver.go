@@ -28,9 +28,9 @@ type Result struct {
 // paper. Connections are not safe for concurrent use.
 type Conn interface {
 	// Exec runs one statement. st may be nil, in which case the
-	// implementation parses sql itself. A *sqlparser.Bound carries the
-	// statement's parameter vector; sql is then the bound text the recovery
-	// log keeps (writes) or the statement's own text (reads).
+	// implementation parses sql itself. sql is always the statement's own
+	// text; a *sqlparser.Bound carries the parameter vector, and sql is then
+	// its text with the placeholders in it.
 	Exec(st sqlparser.Statement, sql string) (*Result, error)
 	// Begin/Commit/Rollback demarcate a transaction on this connection.
 	Begin() error

@@ -1,9 +1,13 @@
 package controller
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,11 +36,12 @@ var kvSchema = []string{
 // listed its ties, the backend re-wrapped the engine's result and the
 // engine's working lists lived on the heap). A result-cache hit costs
 // nothing, and a write on two replicas allocates only what outlives the
-// call: the owned vector, its log text, the Bound and the outcome channel,
-// and per replica the task, the lock ticket, the new row version and the
-// result (54 objects while each layer rebuilt its bookkeeping per write; 72
-// for an insert, 32 inside a transaction; 17, 31 and 17 while each replica's
-// result was wrapped twice). An insert also builds its row and index
+// call: the owned vector, the Bound (which the recovery log keeps as it is)
+// and the outcome channel, and per replica the task, the lock ticket, the
+// new row version and the result (54 objects while each layer rebuilt its
+// bookkeeping per write; 72 for an insert, 32 inside a transaction; 17, 31
+// and 17 while each replica's result was wrapped twice; 15, 29 and 15 while
+// the log kept a rendered text). An insert also builds its row and index
 // entries.
 func TestParamAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
@@ -50,9 +55,9 @@ func TestParamAllocationBudget(t *testing.T) {
 	}{
 		{"point read", false, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 3},
 		{"cache hit", true, false, false, "SELECT id, v, pad FROM kv WHERE id = ?", []sqlval.Value{sqlval.Int(2)}, 0},
-		{"point write", false, false, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 15},
-		{"insert", false, false, true, "INSERT INTO kv (id, v, pad) VALUES (?, ?, ?)", []sqlval.Value{sqlval.Int(1000), sqlval.Int(1), sqlval.String_("p")}, 29},
-		{"write in a transaction", false, true, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 15},
+		{"point write", false, false, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 14},
+		{"insert", false, false, true, "INSERT INTO kv (id, v, pad) VALUES (?, ?, ?)", []sqlval.Value{sqlval.Int(1000), sqlval.Int(1), sqlval.String_("p")}, 26},
+		{"write in a transaction", false, true, false, "UPDATE kv SET v = v + ? WHERE id = ?", []sqlval.Value{sqlval.Int(1), sqlval.Int(3)}, 14},
 	} {
 		cfg := VDBConfig{ParallelTx: true, RecoveryLog: recovery.NewMemoryLog()}
 		if tc.cache {
@@ -111,7 +116,8 @@ func (c *vectorConn) Exec(st sqlparser.Statement, sql string) (*backend.Result, 
 // TestFinishedWriteKeepsNothingAlive: once every write has finished on
 // every replica, no layer still references one — not the pool's key map,
 // a kept lock queue, a session's reused reservation, undo or dirty list,
-// nor the pooled render buffer. A session outside the cluster holds db1's
+// nor, once its chunk is forgotten, the recovery log, whose memory store
+// keeps each bound write's Bound. A session outside the cluster holds db1's
 // table lock, so there two sessions' tickets queue and are granted by a
 // pump, a transaction's second ticket is granted to it as the holder past
 // another session's, and one transaction's ticket is abandoned by its lock
@@ -248,6 +254,13 @@ func TestFinishedWriteKeepsNothingAlive(t *testing.T) {
 	if n := tracked.Load(); n != 24 {
 		t.Fatalf("tracked %d vectors, want 24", n)
 	}
+	// The memory log holds the chunk it is filling: push it one full chunk
+	// (4096 entries) of literal writes past the tracked ones, so the chunk
+	// that holds them fills and is forgotten.
+	for i := 0; i < 4096; i++ {
+		exec(t, a, "UPDATE kv SET v = v WHERE id = 3")
+	}
+	waitFor("the literal writes", settled)
 	// One collection: what survives it is referenced (a sync.Pool keeps its
 	// contents through the first one), and finalizers run after it.
 	runtime.GC()
@@ -275,33 +288,144 @@ var boundWrites = []struct {
 	{"DELETE FROM kv WHERE id IN (?, ?) OR pad = ?", []sqlval.Value{sqlval.Int(13), sqlval.Int(-1), sqlval.String_("''")}},
 }
 
-// TestBoundWriteLogTextIsTheBoundRendering: the recovery log records every
-// parameterised write as exactly the text a clone of its plan, bound and
-// rendered, would give — byte for byte, so logs, replay and dumps read the
-// same as before the vector travelled unbound.
+// TestBoundWriteLogTextIsTheBoundRendering: the memory log keeps every
+// parameterised write as what the replicas executed — the plan's text and
+// the write's own vector, not a copy of the caller's — and its rendering is
+// exactly the text a clone of the plan, bound and rendered, would give,
+// byte for byte. A file log stores exactly that rendering, so a reopened
+// file, replay and dumps read the same as before the log kept vectors.
 func TestBoundWriteLogTextIsTheBoundRendering(t *testing.T) {
+	mem := recovery.NewMemoryLog()
+	path := filepath.Join(t.TempDir(), "recovery.log")
+	file, err := recovery.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wants []string
+	for _, log := range []recovery.Log{mem, file} {
+		v, _ := mkVDB(t, 2, VDBConfig{ParallelTx: true, RecoveryLog: log}, kvSchema...)
+		s := openSession(t, v)
+		for i, w := range boundWrites {
+			params := slices.Clone(w.params)
+			if _, err := s.Exec(w.sql, params); err != nil {
+				t.Fatalf("%s %v: %v", w.sql, w.params, err)
+			}
+			st, err := sqlparser.Parse(w.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sqlparser.BindParams(st, w.params); err != nil {
+				t.Fatal(err)
+			}
+			want := sqlparser.Render(st)
+			entries, err := log.Since(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := entries[len(entries)-1]
+			if log == file {
+				if e.Bound != nil || e.SQL != want {
+					t.Errorf("write %d stored in the file as\n  %q (bound %v)\nwant the bound rendering\n  %q", i, e.SQL, e.Bound != nil, want)
+				}
+				continue
+			}
+			wants = append(wants, want)
+			if e.Bound == nil || e.SQL != w.sql || e.Bound.SQL != w.sql {
+				t.Fatalf("write %d logged as %q, bound %v; want its plan's text %q and its Bound", i, e.SQL, e.Bound != nil, w.sql)
+			}
+			clear(params) // the caller's slice is not the logged vector
+			if !slices.Equal(e.Bound.Params, w.params) {
+				t.Errorf("write %d logged the vector %v, want %v", i, e.Bound.Params, w.params)
+			}
+			if got := e.Text(); got != want {
+				t.Errorf("write %d renders as\n  %q\nwant the bound rendering\n  %q", i, got, want)
+			}
+		}
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := recovery.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	entries, err := reopened.Since(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := entries[len(entries)-len(wants):]
+	for i, want := range wants {
+		if got[i].SQL != want {
+			t.Errorf("reopened file holds write %d as\n  %q\nwant\n  %q", i, got[i].SQL, want)
+		}
+	}
+}
+
+// TestReplayFromMemoryLogIsExact: the memory log keeps each parameterised
+// write's vector, so replay applies the values the replicas applied, also
+// those with no exact SQL literal — NaN and the infinities, which render as
+// text that does not parse, an integral float, which renders as an integer,
+// and a time and a BLOB, which render as strings. A fresh copy that replays
+// the whole log from the memory log must dump byte for byte what the live
+// replica dumps, kinds and time zones included.
+func TestReplayFromMemoryLogIsExact(t *testing.T) {
 	log := recovery.NewMemoryLog()
-	v, _ := mkVDB(t, 2, VDBConfig{ParallelTx: true, RecoveryLog: log}, kvSchema...)
+	v, engines := mkVDB(t, 2, VDBConfig{ParallelTx: true, RecoveryLog: log})
 	s := openSession(t, v)
-	for i, w := range boundWrites {
-		if _, err := s.Exec(w.sql, w.params); err != nil {
-			t.Fatalf("%s %v: %v", w.sql, w.params, err)
+	exec(t, s, "CREATE TABLE edge (id INTEGER PRIMARY KEY, f FLOAT, s VARCHAR, ts TIMESTAMP, bl BLOB)")
+	zoned := time.Date(2004, 6, 27, 12, 0, 0, 5, time.FixedZone("", 5*3600+1800))
+	floatCols := []string{"f", "s", "bl"}
+	for i, w := range []struct {
+		x    sqlval.Value
+		cols []string // the columns that accept x
+	}{
+		{sqlval.Float(math.NaN()), floatCols},
+		{sqlval.Float(math.Inf(1)), floatCols},
+		{sqlval.Float(math.Inf(-1)), floatCols},
+		{sqlval.Float(3), floatCols},
+		{sqlval.Time(zoned), []string{"s", "ts", "bl"}},
+		{sqlval.Bytes([]byte{0, 'x', 0xff}), []string{"s", "bl"}},
+	} {
+		// x into every column that takes it, in a new row, and then over
+		// the previous row's values by one UPDATE per column.
+		id := int64(i + 1)
+		params := []sqlval.Value{sqlval.Int(id)}
+		for range w.cols {
+			params = append(params, w.x)
 		}
-		st, err := sqlparser.Parse(w.sql)
+		sqls := []string{fmt.Sprintf("INSERT INTO edge (id, %s) VALUES (?%s)", strings.Join(w.cols, ", "), strings.Repeat(", ?", len(w.cols)))}
+		vecs := [][]sqlval.Value{params}
+		for _, c := range w.cols {
+			sqls = append(sqls, fmt.Sprintf("UPDATE edge SET %s = ? WHERE id = ?", c))
+			vecs = append(vecs, []sqlval.Value{w.x, sqlval.Int(id - 1)})
+		}
+		for j, q := range sqls {
+			if _, err := s.Exec(q, vecs[j]); err != nil {
+				t.Fatalf("%s %v: %v", q, vecs[j], err)
+			}
+		}
+	}
+
+	fresh := sqlengine.New("fresh")
+	copyB := backend.New(backend.Config{Name: "fresh", Driver: &backend.EngineDriver{Engine: fresh}})
+	t.Cleanup(copyB.Close)
+	if _, err := recovery.ReplayParallel(log, 0, copyB, 1); err != nil {
+		t.Fatal(err)
+	}
+	dump := func(e *sqlengine.Engine) string {
+		d, err := recovery.TakeDump("exact", &backend.EngineDriver{Engine: e})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sqlparser.BindParams(st, w.params); err != nil {
-			t.Fatal(err)
-		}
-		want := sqlparser.Render(st)
-		entries, err := log.Since(0)
+		b, err := json.Marshal(d.Tables)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := entries[len(entries)-1].SQL; got != want {
-			t.Errorf("write %d logged as\n  %q\nwant the bound rendering\n  %q", i, got, want)
-		}
+		return string(b) + "\n" + sortedTableDump(t, e, "edge")
+	}
+	if want, got := dump(engines[0]), dump(fresh); got != want {
+		t.Fatalf("replayed copy differs from the live replica:\n--- live:\n%s\n--- copy:\n%s", want, got)
 	}
 }
 

@@ -506,11 +506,12 @@ func (v *VirtualDatabase) dispatchEndTx(txID uint64, class sqlparser.StatementCl
 
 // execWrite is the update path: macro rewriting, recovery logging, ordered
 // dispatch to all backends hosting the affected tables, cache invalidation,
-// then the early-response wait. The log records the statement's literal
-// text, rendered from the shared tree and params; the backends execute the
-// tree with params. Under early response the write outlives this call, so
-// it owns a copy of params. Macro rewriting mutates the tree, so a statement
-// with macros is cloned, bound and rewritten instead.
+// then the early-response wait. A parameterised write reaches the backends
+// and the recovery log as one Bound: the shared tree, its text and params.
+// Under early response the write outlives this call, so it owns a copy of
+// params. Macro rewriting mutates the tree, so a statement with macros is
+// cloned, bound, rewritten and rendered instead. Only the distributed
+// broadcast, which carries text, renders a bound write.
 func (s *Session) execWrite(plan *plancache.Plan, params []sqlval.Value) (*backend.Result, error) {
 	v := s.vdb
 	v.writes.Add(1)
@@ -525,12 +526,13 @@ func (s *Session) execWrite(plan *plancache.Plan, params []sqlval.Value) (*backe
 		v.sched.RewriteMacros(st)
 		sql = sqlparser.Render(st)
 	case len(params) > 0:
-		own := slices.Clone(params)
-		sql = sqlparser.RenderParams(plan.Stmt, own)
-		st = &sqlparser.Bound{Stmt: plan.Stmt, SQL: plan.SQL, Params: own}
+		st = &sqlparser.Bound{Stmt: plan.Stmt, SQL: plan.SQL, Params: slices.Clone(params)}
 	}
 
 	if d := v.distributorSnapshot(); d != nil {
+		if b, ok := st.(*sqlparser.Bound); ok {
+			sql = sqlparser.RenderParams(b.Stmt, b.Params)
+		}
 		return d.SubmitWrite(s.txID, sqlparser.ClassWrite, sql)
 	}
 
@@ -625,7 +627,8 @@ func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementCla
 			// remains an ordering barrier.
 			logTables = footprint
 		}
-		if _, err := v.log.Append(recovery.Entry{User: user, TxID: txID, Class: lc, SQL: sql, Tables: logTables, Global: global, V: recovery.FootprintVersion}); err != nil {
+		bound, _ := st.(*sqlparser.Bound)
+		if _, err := v.log.Append(recovery.Entry{User: user, TxID: txID, Class: lc, SQL: sql, Bound: bound, Tables: logTables, Global: global, V: recovery.FootprintVersion}); err != nil {
 			return backend.Outcomes{}, err
 		}
 	}

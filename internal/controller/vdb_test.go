@@ -354,6 +354,42 @@ func TestMacroReadsBypassCache(t *testing.T) {
 	}
 }
 
+// TestBareMacrosRewriteAndBypassCache: the bare forms CURRENT_TIMESTAMP and
+// CURRENT_DATE are macros like their call forms. A write using them is
+// rewritten to one value, so both replicas store the same timestamps, and a
+// read using them is neither served from nor stored in the result cache.
+func TestBareMacrosRewriteAndBypassCache(t *testing.T) {
+	rc := cache.New(cache.Config{Granularity: cache.GranTable})
+	v, engines := mkVDB(t, 2, VDBConfig{Cache: rc, ParallelTx: true},
+		"CREATE TABLE ev (id INTEGER PRIMARY KEY, t TIMESTAMP, d TIMESTAMP)",
+		"INSERT INTO ev (id) VALUES (1), (2)")
+	s := openSession(t, v)
+	exec(t, s, "UPDATE ev SET t = CURRENT_TIMESTAMP, d = current_date WHERE id = 1")
+	if _, err := s.Exec("UPDATE ev SET t = CURRENT_TIMESTAMP WHERE id = ?", []sqlval.Value{sqlval.Int(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := sortedTableDump(t, engines[0], "ev"), sortedTableDump(t, engines[1], "ev"); a != b {
+		t.Fatalf("replicas diverged:\n--- db0:\n%s\n--- db1:\n%s", a, b)
+	}
+	if n := countOn(t, engines[0], "SELECT COUNT(*) FROM ev WHERE t IS NULL"); n != 0 {
+		t.Fatalf("%d rows without a timestamp", n)
+	}
+	for _, q := range []string{
+		"SELECT id, CURRENT_TIMESTAMP FROM ev WHERE id = 1",
+		"SELECT id FROM ev WHERE d = CURRENT_DATE",
+	} {
+		for i := 0; i < 3; i++ {
+			exec(t, s, q)
+		}
+	}
+	if st := v.StatsSnapshot(); st.CacheHits != 0 {
+		t.Errorf("bare macro reads served from the cache: %+v", st)
+	}
+	if n := rc.Len(); n != 0 {
+		t.Errorf("bare macro reads cached: %d entries", n)
+	}
+}
+
 func TestInTransactionReadsBypassCache(t *testing.T) {
 	rc := cache.New(cache.Config{Granularity: cache.GranTable})
 	v, _ := mkVDB(t, 1, VDBConfig{Cache: rc, ParallelTx: true}, seedSchema...)

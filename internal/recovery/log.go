@@ -15,6 +15,8 @@ import (
 	"os"
 	"slices"
 	"sync"
+
+	"cjdbc/internal/sqlparser"
 )
 
 // ErrLogTruncated is returned by Since and Pin for a position below the
@@ -46,8 +48,16 @@ type Entry struct {
 	User  string     `json:"user"`
 	TxID  uint64     `json:"tx"`
 	Class EntryClass `json:"class"`
-	SQL   string     `json:"sql,omitempty"`
-	Name  string     `json:"name,omitempty"` // checkpoint marker name
+	// SQL is the statement's own text: for a parameterised write, its
+	// placeholders included, with Bound carrying the vector.
+	SQL string `json:"sql,omitempty"`
+	// Bound is the statement a parameterised write was executed as: the
+	// plan's shared tree, SQL and the write's owned vector, the very value
+	// the backends were handed. The memory store keeps it, and replay
+	// executes it without parsing; the file store writes Text in its place
+	// and reads back text only.
+	Bound *sqlparser.Bound `json:"-"`
+	Name  string           `json:"name,omitempty"` // checkpoint marker name
 	// Tables is the conflict footprint the operation was sequenced under:
 	// a write's table set, or a demarcation's accumulated transaction
 	// footprint. Empty with Global unset means "touched nothing" for
@@ -62,6 +72,15 @@ type Entry struct {
 	// footprint means "touched nothing". Entries with V=0 were appended
 	// without a footprint and theirs is unknown.
 	V uint8 `json:"v,omitempty"`
+}
+
+// Text returns the statement as literal SQL: SQL itself, or for a bound
+// entry its vector rendered into it.
+func (e *Entry) Text() string {
+	if e.Bound == nil {
+		return e.SQL
+	}
+	return sqlparser.RenderParams(e.Bound.Stmt, e.Bound.Params)
 }
 
 // FootprintVersion is the V stamped on entries whose footprint fields are
@@ -366,7 +385,15 @@ type fileStore struct {
 	end int64
 }
 
+// put renders a bound entry into its literal text and drops the Bound, so
+// the file holds the same records as before the log kept vectors and a
+// reopened log replays them by parsing. The rendering runs here, under the
+// sequencer mutex next to the JSON encoding, until the file record carries
+// the vector itself.
 func (s *fileStore) put(e Entry) error {
+	if e.Bound != nil {
+		e.SQL, e.Bound = e.Text(), nil
+	}
 	b, err := json.Marshal(e)
 	if err != nil {
 		return err

@@ -10,12 +10,15 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
 	"cjdbc/internal/backend"
 	"cjdbc/internal/sqlengine"
+	"cjdbc/internal/sqlparser"
+	"cjdbc/internal/sqlval"
 )
 
 // logStorages are the two stores behind the one sequencer. at binds an
@@ -517,6 +520,56 @@ func TestMemoryLogPutNeverCopies(t *testing.T) {
 	requirePrefix(t, all)
 }
 
+// TestMemoryLogForgetsVectorsWithTheirChunk: a bound entry keeps its
+// write's vector for as long as the memory store keeps the entry, and not
+// longer. While its chunk is being filled every vector stays reachable; once
+// the chunk fills and, with nothing pinned, is forgotten, a collection frees
+// them all.
+func TestMemoryLogForgetsVectorsWithTheirChunk(t *testing.T) {
+	const sql, tracked = "UPDATE t SET a = ? WHERE id = ?", 10
+	st, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewMemoryLog()
+	var freed atomic.Int32
+	for i := 0; i < tracked; i++ {
+		params := []sqlval.Value{sqlval.Int(int64(i)), sqlval.Int(1)}
+		runtime.SetFinalizer(&params[0], func(*sqlval.Value) { freed.Add(1) })
+		b := &sqlparser.Bound{Stmt: st, SQL: sql, Params: params}
+		if _, err := l.Append(Entry{Class: ClassWrite, SQL: sql, Bound: b, Tables: []string{"t"}, V: FootprintVersion}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gcAndWait := func(d time.Duration, until func() bool) {
+		runtime.GC()
+		for deadline := time.Now().Add(d); !until() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	gcAndWait(50*time.Millisecond, func() bool { return freed.Load() > 0 })
+	if f := freed.Load(); f != 0 {
+		t.Fatalf("%d vectors freed while the log still holds their entries", f)
+	}
+	all, err := l.Since(0)
+	if err != nil || len(all) != tracked {
+		t.Fatalf("Since(0) = %d entries, %v; want %d", len(all), err, tracked)
+	}
+	for i, e := range all {
+		if e.Bound == nil || e.Bound.Params[0] != sqlval.Int(int64(i)) {
+			t.Fatalf("entry %d lost its vector: %+v", i, e)
+		}
+	}
+	appendN(t, l, chunkEntries-tracked)
+	if n := heldChunks(l); n != 0 {
+		t.Fatalf("the full chunk is still held (%d chunks)", n)
+	}
+	gcAndWait(2*time.Second, func() bool { return freed.Load() == tracked })
+	if f := freed.Load(); f != tracked {
+		t.Fatalf("%d of %d vectors still reachable after their chunk was forgotten", tracked-f, tracked)
+	}
+}
+
 // noRelease stands in for a pin a reader did not take.
 func noRelease() {}
 
@@ -783,6 +836,34 @@ func TestReplayErrorsSurfaceSQL(t *testing.T) {
 	_, err := ReplayParallel(l, 0, b, 1)
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("replay error: %v", err)
+	}
+}
+
+// TestReplayErrorsSurfaceBoundRendering: a bound entry replays as its
+// statement and vector, and a replay error names it by its rendering, so it
+// reads as a logged text always did.
+func TestReplayErrorsSurfaceBoundRendering(t *testing.T) {
+	const sql = "INSERT INTO t (a, s) VALUES (?, ?)"
+	st, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewMemoryLog()
+	for _, a := range []int64{8, 7} {
+		b := &sqlparser.Bound{Stmt: st, SQL: sql, Params: []sqlval.Value{sqlval.Int(a), sqlval.String_("it's")}}
+		if _, err := l.Append(Entry{Class: ClassWrite, SQL: sql, Bound: b, Tables: []string{"t"}, V: FootprintVersion}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := mkBackend(t, "eb", "CREATE TABLE t (a INTEGER PRIMARY KEY, s VARCHAR)", "INSERT INTO t (a, s) VALUES (7, 'x')")
+	applied, err := ReplayParallel(l, 0, b, 1)
+	const want = "recovery: replay seq 2 (INSERT INTO t (a, s) VALUES (7, 'it''s')): "
+	if err == nil || !strings.HasPrefix(err.Error(), want) || applied != 1 {
+		t.Fatalf("replay applied %d: %v; want 1 and an error starting %q", applied, err, want)
+	}
+	res, err := b.Read(0, nil, "SELECT s FROM t WHERE a = 8")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "it's" {
+		t.Fatalf("the bound entry replayed as %v, %v", res, err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"cjdbc/internal/backend"
 	"cjdbc/internal/conflictsched"
+	"cjdbc/internal/sqlparser"
 )
 
 // HostFilter restricts replay to a backend's hosted tables under RAIDb-2
@@ -174,7 +175,13 @@ func ReplayPassHosted(l Log, from uint64, b *backend.Backend, workers int, hoste
 			if failed.Load() {
 				return
 			}
-			if _, execErr := b.DirectExec(nil, e.SQL); execErr != nil {
+			// Only an entry without its Bound is parsed: a typed-nil
+			// *Bound would read as a statement to execute.
+			var st sqlparser.Statement
+			if e.Bound != nil {
+				st = e.Bound
+			}
+			if _, execErr := b.DirectExec(st, e.SQL); execErr != nil {
 				recordFailure(e, execErr)
 				return
 			}
@@ -205,5 +212,5 @@ func replayKeys(e *Entry) (keys []string, barrier bool) {
 }
 
 func replayErr(e *Entry, err error) error {
-	return fmt.Errorf("recovery: replay seq %d (%s): %w", e.Seq, e.SQL, err)
+	return fmt.Errorf("recovery: replay seq %d (%s): %w", e.Seq, e.Text(), err)
 }

@@ -11,8 +11,10 @@ import (
 // placeholders stand for. It is how a parameterised request travels from the
 // request manager to a backend without a per-execution copy of the tree:
 // the engine reads each placeholder from Params when it evaluates it, a
-// nested controller receives SQL and Params as they are, and Render turns
-// the pair into the literal text the recovery log keeps.
+// nested controller receives SQL and Params as they are, the in-memory
+// recovery log keeps the write's Bound itself, and Render turns the pair
+// into literal text where text is still needed (a log file, the
+// distributed broadcast).
 //
 // Stmt is shared by every execution of the plan and is never mutated
 // through a Bound. The analysis functions of this package (Classify,

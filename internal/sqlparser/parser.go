@@ -914,6 +914,11 @@ func (p *parser) parsePrimary() (*Expr, error) {
 			}
 			return &Expr{Kind: ExprColumn, Table: strings.ToLower(name), Column: strings.ToLower(col)}, nil
 		}
+		// The SQL-standard bare forms are the same macro calls as
+		// CURRENT_TIMESTAMP() and CURRENT_DATE().
+		if strings.EqualFold(name, "CURRENT_TIMESTAMP") || strings.EqualFold(name, "CURRENT_DATE") {
+			return &Expr{Kind: ExprFunc, Func: strings.ToUpper(name)}, nil
+		}
 		return &Expr{Kind: ExprColumn, Column: strings.ToLower(name)}, nil
 	}
 	return nil, p.errorf("unexpected token %q", t.text)

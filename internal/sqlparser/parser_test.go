@@ -266,6 +266,31 @@ func TestCurrentDateRewritesToMidnight(t *testing.T) {
 	}
 }
 
+// TestBareDateTimeMacrosAreCalls: the SQL-standard bare forms
+// CURRENT_TIMESTAMP and CURRENT_DATE are the same macro calls as their
+// parenthesised forms, in any case and in every clause, so HasMacros sees
+// them; a qualified t.current_date stays a column.
+func TestBareDateTimeMacrosAreCalls(t *testing.T) {
+	for _, tc := range []struct{ bare, call string }{
+		{"SELECT i_id, CURRENT_TIMESTAMP FROM item", "SELECT i_id, CURRENT_TIMESTAMP() FROM item"},
+		{"SELECT current_date, i_id FROM item WHERE i_pub < Current_Date", "SELECT CURRENT_DATE(), i_id FROM item WHERE i_pub < CURRENT_DATE()"},
+		{"UPDATE item SET i_pub = CURRENT_TIMESTAMP WHERE i_id = ?", "UPDATE item SET i_pub = CURRENT_TIMESTAMP() WHERE i_id = ?"},
+		{"INSERT INTO orders (o_id, o_date) VALUES (1, CURRENT_DATE)", "INSERT INTO orders (o_id, o_date) VALUES (1, CURRENT_DATE())"},
+	} {
+		bare, call := mustParse(t, tc.bare), mustParse(t, tc.call)
+		if !reflect.DeepEqual(bare, call) {
+			t.Errorf("%s parses as %s, want the tree of %s", tc.bare, Render(bare), tc.call)
+		}
+		if !HasMacros(bare) {
+			t.Errorf("%s: HasMacros false", tc.bare)
+		}
+	}
+	st := mustParse(t, "SELECT o.current_date FROM orders o")
+	if e := st.(*Select).Items[0].Expr; e.Kind != ExprColumn || e.Table != "o" || e.Column != "current_date" {
+		t.Errorf("o.current_date parses as %s", Render(st))
+	}
+}
+
 func TestBindParams(t *testing.T) {
 	st := mustParse(t, "UPDATE t SET a = ?, b = ? WHERE c = ?")
 	err := BindParams(st, []sqlval.Value{sqlval.Int(1), sqlval.String_("x"), sqlval.Int(3)})

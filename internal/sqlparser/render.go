@@ -17,10 +17,10 @@ func Render(st Statement) string { return RenderParams(st, nil) }
 // RenderParams renders st with each placeholder params covers written as
 // that value's literal, and every other placeholder as ?. The text is
 // byte-identical to rendering a clone of st after BindParams(clone, params),
-// without the clone: the write path renders the recovery log's text this
-// way from the shared tree of a cached plan. The text is rendered into a
-// pooled buffer and returned as an exact-size copy: the recovery log keeps
-// every string it is given, so spare capacity would stay live with it.
+// without the clone: a log file's record and the distributed broadcast
+// render a bound write this way from the shared tree of a cached plan. The
+// text is rendered into a pooled buffer and returned as an exact-size copy,
+// so no spare capacity stays live with a string its caller keeps.
 func RenderParams(st Statement, params []sqlval.Value) string {
 	r := renderers.Get().(*renderer)
 	r.params = params

@@ -1,13 +1,17 @@
 package cjdbc
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"cjdbc/internal/backend"
+	"cjdbc/internal/recovery"
 	"cjdbc/internal/sqlengine"
 	"cjdbc/internal/sqlparser"
 )
@@ -176,8 +180,8 @@ func TestLocalPointReadAllocationBudget(t *testing.T) {
 // call's arguments into one reused vector, cleared after the call. Under
 // early response an UPDATE returns before its slow replica applies it, and
 // the next call refills the vector at once; the slow replica must still
-// apply, and the recovery log record, the values the UPDATE was issued
-// with.
+// apply, and the recovery log entry must still render to, the values the
+// UPDATE was issued with.
 func TestEarlyResponseWriteSurvivesVectorReuse(t *testing.T) {
 	ctrl := NewController("reuse", 1)
 	t.Cleanup(ctrl.Close)
@@ -241,10 +245,89 @@ func TestEarlyResponseWriteSurvivesVectorReuse(t *testing.T) {
 	var logged []string
 	for _, en := range entries {
 		if strings.HasPrefix(en.SQL, "UPDATE") {
-			logged = append(logged, en.SQL)
+			logged = append(logged, en.Text())
 		}
 	}
 	if got := strings.Join(logged, "; "); got != "UPDATE kv SET v = 'issued' WHERE (id = 1); UPDATE kv SET v = 'next' WHERE (id = 2)" {
 		t.Errorf("logged %s", got)
+	}
+}
+
+// TestFileLogReplaysParameterisedWrites: a virtual database configured with
+// a file log stores each parameterised write as its rendering, so after the
+// controller closes, a reopened log replays every write, parsed from its
+// text, into a fresh copy that holds exactly what the live replica holds.
+// The BLOB is valid UTF-8: the file's JSON lines replace invalid UTF-8 in a
+// rendered literal with U+FFFD, so bytes such as 0xff do not survive the
+// file log (a known limit of its text record).
+func TestFileLogReplaysParameterisedWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "recovery.log")
+	ctrl := NewController("filelog", 1)
+	vdb, err := ctrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "filelog", RecoveryLogPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := sqlengine.New("db0")
+	t.Cleanup(live.Close)
+	if err := vdb.AddEngineBackend("db0", live); err != nil {
+		t.Fatal(err)
+	}
+	if err := vdb.AddInMemoryBackend("db1"); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := vdb.OpenSession("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec("CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER, f FLOAT, s VARCHAR, ts TIMESTAMP, bl BLOB)"); err != nil {
+		t.Fatal(err)
+	}
+	ts := time.Date(2004, 6, 27, 12, 0, 0, 5, time.UTC)
+	for _, w := range []struct {
+		sql  string
+		args []any
+	}{
+		{"INSERT INTO kv (id, v, f, s, ts, bl) VALUES (?, ?, ?, ?, ?, ?)", []any{1, math.MinInt64, -2.5e-7, `it's a \ "quote"`, ts, []byte{0, 'x', 0x7f}}},
+		{"INSERT INTO kv (id, v, s) VALUES (?, ?, ?)", []any{2, nil, "ctl\x00\x01\n\t\x7f"}},
+		{"INSERT INTO kv (id, v, s) VALUES (?, ?, ?)", []any{3, math.MaxInt64, "''"}},
+		{"UPDATE kv SET v = v + ?, s = ? WHERE id = ?", []any{-7, true, 3}},
+		{"UPDATE kv SET f = ? WHERE id >= ? AND id < ?", []any{1e300, 2, "4"}},
+		{"DELETE FROM kv WHERE id IN (?, ?) OR s = ?", []any{2, -1, "none"}},
+	} {
+		if _, err := sess.Exec(w.sql, w.args...); err != nil {
+			t.Fatalf("%s %v: %v", w.sql, w.args, err)
+		}
+	}
+	sess.Close()
+	ctrl.Close()
+	if err := vdb.Internal().RecoveryLog().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := recovery.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	fresh := sqlengine.New("fresh")
+	t.Cleanup(fresh.Close)
+	copyB := backend.New(backend.Config{Name: "fresh", Driver: &backend.EngineDriver{Engine: fresh}})
+	t.Cleanup(copyB.Close)
+	if applied, err := recovery.ReplayParallel(log, 0, copyB, 1); err != nil || applied != 7 {
+		t.Fatalf("replay applied %d of 7: %v", applied, err)
+	}
+	dump := func(e *sqlengine.Engine) string {
+		d, err := recovery.TakeDump("file", &backend.EngineDriver{Engine: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(d.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if want, got := dump(live), dump(fresh); got != want {
+		t.Fatalf("replayed copy differs from the live replica:\n--- live:\n%s\n--- copy:\n%s", want, got)
 	}
 }
