@@ -23,6 +23,7 @@ package cjdbc
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"cjdbc/internal/backend"
@@ -40,6 +41,9 @@ import (
 type Controller struct {
 	inner  *controller.Controller
 	server *netproto.Server
+
+	mu   sync.Mutex
+	logs []recovery.Log // the recovery logs CreateVirtualDatabase opened; Close closes them
 }
 
 // NewController creates a controller. The numeric id must be unique among
@@ -198,17 +202,6 @@ func (c *Controller) CreateVirtualDatabase(cfg VirtualDatabaseConfig) (*VirtualD
 			Staleness:   cfg.Cache.Staleness,
 		})
 	}
-	var log recovery.Log
-	switch cfg.RecoveryLogPath {
-	case "":
-	case "memory":
-		log = recovery.NewMemoryLog()
-	default:
-		log, err = recovery.OpenFileLog(cfg.RecoveryLogPath)
-		if err != nil {
-			return nil, err
-		}
-	}
 	var early controller.ResponsePolicy
 	switch strings.ToLower(cfg.EarlyResponse) {
 	case "", "all":
@@ -244,6 +237,18 @@ func (c *Controller) CreateVirtualDatabase(cfg VirtualDatabaseConfig) (*VirtualD
 			Cooldown:           cfg.Placement.Cooldown,
 		}
 	}
+	// The log opens last, so that only AddVirtualDatabase can fail after it.
+	var log recovery.Log
+	switch cfg.RecoveryLogPath {
+	case "":
+	case "memory":
+		log = recovery.NewMemoryLog()
+	default:
+		log, err = recovery.OpenFileLog(cfg.RecoveryLogPath)
+		if err != nil {
+			return nil, err
+		}
+	}
 	inner, err := c.inner.AddVirtualDatabase(controller.VDBConfig{
 		Name:          cfg.Name,
 		Replication:   repl,
@@ -257,7 +262,15 @@ func (c *Controller) CreateVirtualDatabase(cfg VirtualDatabaseConfig) (*VirtualD
 		Placement:     placement,
 	})
 	if err != nil {
+		if log != nil {
+			_ = log.Close() // err is the failure to report
+		}
 		return nil, err
+	}
+	if log != nil {
+		c.mu.Lock()
+		c.logs = append(c.logs, log)
+		c.mu.Unlock()
 	}
 	return &VirtualDatabase{inner: inner}, nil
 }
@@ -280,12 +293,19 @@ func (c *Controller) ListenAndServe(addr string) (string, error) {
 	return c.server.Listen(addr)
 }
 
-// Close shuts down the network server (if any) and every backend.
+// Close shuts down the network server (if any) and every backend, then
+// closes the recovery logs CreateVirtualDatabase opened.
 func (c *Controller) Close() {
 	if c.server != nil {
 		c.server.Close()
 	}
 	c.inner.Close()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, log := range c.logs {
+		_ = log.Close() // Close has no error to return it in
+	}
+	c.logs = nil
 }
 
 // Internal exposes the underlying controller for advanced wiring (admin

@@ -3,6 +3,8 @@ package cjdbc
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -758,5 +760,25 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 	if _, err := ctrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "x", Cache: &CacheConfig{Granularity: "row"}}); err == nil {
 		t.Error("unknown granularity accepted")
+	}
+}
+
+// TestControllerCloseClosesItsFileLog: the file log CreateVirtualDatabase
+// opens from RecoveryLogPath is the controller's, and Close closes it. A
+// second virtual database of the same name fails after opening its own log
+// (which it closes) and leaves the first one's in place.
+func TestControllerCloseClosesItsFileLog(t *testing.T) {
+	dir := t.TempDir()
+	ctrl := NewController("closelog", 1)
+	vdb, err := ctrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "logged", RecoveryLogPath: filepath.Join(dir, "a.log")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctrl.CreateVirtualDatabase(VirtualDatabaseConfig{Name: "logged", RecoveryLogPath: filepath.Join(dir, "b.log")}); err == nil {
+		t.Fatal("a second virtual database of the same name was created")
+	}
+	ctrl.Close()
+	if err := vdb.Internal().RecoveryLog().Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("closing the log after the controller closed: %v, want os.ErrClosed", err)
 	}
 }

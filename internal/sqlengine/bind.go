@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"math"
 	"slices"
 	"strings"
 
@@ -25,17 +26,24 @@ type srcTable struct {
 	offset int    // column offset in the combined row
 }
 
-// bexpr is an expression bound to one FROM shape: a column reference knows
-// its position in the combined row and an aggregate call its index among
-// the query's aggregates, so evaluating it looks nothing up by name.
+// bexpr is an expression bound to one FROM shape: each node knows what
+// evaluating it does (op), a column reference knows its position in the
+// combined row and an aggregate call its index among the query's
+// aggregates, so evaluating it looks nothing up by name.
 type bexpr struct {
-	x *sqlparser.Expr // the parsed node: kind, operator, literal, parameter, function
-	// slot is a column's position in the combined row, or -1 when no FROM
-	// entry has the column (evaluation reports it); for an aggregate call
+	x  *sqlparser.Expr // the parsed node: literal, parameter, NOT, DISTINCT, and the names errors report
+	op opcode
+	// fn is a call's index in builtins (opFunc), an aggregate's kind (opAgg)
+	// or a LIKE leaf's matcher in env.like (opLikeConst).
+	fn  uint8
+	cmp uint8 // opCmp, opCmpConst: the outcomes of sqlval.Compare that make it true
+	// slot is a column's position in the combined row (opColumn, and for a
+	// leaf — opCmpConst, opLikeConst — its column's); for an aggregate call
 	// of a grouped query's select list, HAVING or ORDER BY, its index in
-	// env.aggs, and -1 for every other call.
-	slot int
-	l, r *bexpr   // Left and Right
+	// env.aggs, and -1 for every other call. An int32, so that with op, fn
+	// and cmp it fits in one word and a node stays 56 bytes.
+	slot int32
+	l, r *bexpr   // Left and Right; a leaf's column and constant
 	args []*bexpr // Args; List for IN; Low and High for BETWEEN
 }
 
@@ -44,6 +52,12 @@ type bexpr struct {
 type binding struct {
 	epoch uint64
 	srcs  []srcTable
+
+	// like holds a matcher per LIKE leaf: compiled here for a literal
+	// pattern, compiled by each execution for the leaves in likeParams,
+	// whose pattern is a parameter (Session.likes).
+	like       []likeMatcher
+	likeParams []*bexpr
 
 	where *bexpr
 	conj  []conjunct // WHERE's indexable conjuncts on srcs[0]
@@ -85,33 +99,25 @@ type joinStage struct {
 	build int    // the indexed column of the new table
 }
 
-// onIsProbe reports whether ON is exactly the probe equality — the probe
-// column = the build column of src, either way round — which cannot fail.
-func (st *joinStage) onIsProbe(src srcTable) bool {
-	on := st.on
-	if st.ix == nil || on == nil || on.x.Kind != sqlparser.ExprBinary || on.x.Op != "=" ||
-		on.l.x.Kind != sqlparser.ExprColumn || on.r.x.Kind != sqlparser.ExprColumn {
-		return false
-	}
-	l, r, build := on.l.slot, on.r.slot, src.offset+st.build
-	return l == st.probe && r == build || l == build && r == st.probe
-}
-
 // conjunct is a top-level AND conjunct of WHERE in a shape an index can
-// answer: col op operand, where the operands are literals or parameters.
+// answer: a leaf comparing the column by =, <, <=, > or >= with its
+// operand r, col IN args or col BETWEEN args[0] AND args[1], where the
+// operands are literals or parameters.
 type conjunct struct {
-	op  string            // =, <, <=, >, >= (column on the left), IN or BETWEEN
-	col int               // the access table's column
-	ops []*sqlparser.Expr // the operand; IN's list; BETWEEN's low and high
-	ix  *index            // the column's single-column index, nil when none
+	n   *bexpr // the bound conjunct: opCmpConst, opIn or opBetween
+	col int    // the access table's column
+	ix  *index // the column's single-column index, nil when none
 }
 
 // binder builds one binding.
 type binder struct {
-	srcs []srcTable
-	aggs []*sqlparser.Expr // the aggregate calls slots number
-	free []bexpr           // nodes not handed out yet
-	made int               // nodes allocated so far
+	srcs       []srcTable
+	aggs       []*sqlparser.Expr // the aggregate calls slots number
+	free       []bexpr           // nodes not handed out yet
+	made       int               // nodes allocated so far
+	like       []likeMatcher     // binding.like
+	likeParams []*bexpr          // binding.likeParams
+	needle     []byte            // the literal patterns' folded needles
 }
 
 // cachedBinding returns the binding slot holds for this engine when it is
@@ -209,11 +215,10 @@ func (s *Session) bindSelect(sel *sqlparser.Select) (*binding, error) {
 	b.limit = bd.expr(sel.Limit)
 	b.offset = bd.expr(sel.Offset)
 
-	b.conj = bd.conjuncts(sel.Where, b.srcs[0])
+	b.conj = conjuncts(nil, b.where, b.srcs[0])
 	for i := 1; i < len(b.srcs); i++ {
-		on := sel.From[i].On
-		st := joinStage{on: bd.expr(on)}
-		st.ix, st.probe, st.build = bd.joinProbe(on, b.srcs[i])
+		st := joinStage{on: bd.expr(sel.From[i].On)}
+		st.ix, st.probe, st.build = joinProbe(st.on, b.srcs[i])
 		b.joins = append(b.joins, st)
 	}
 	b.header, b.stars, b.headerErr = outputColumns(sel, b.srcs)
@@ -227,6 +232,7 @@ func (s *Session) bindSelect(sel *sqlparser.Select) (*binding, error) {
 			}
 		}
 	}
+	b.like, b.likeParams = bd.like, bd.likeParams
 	s.keep(sel.Bind, b)
 	return b, nil
 }
@@ -325,7 +331,8 @@ func (s *Session) bindWrite(slot *sqlparser.Bindings, name string, where *sqlpar
 		b.set[i] = bd.expr(a.Value)
 	}
 	b.where = bd.expr(where)
-	b.conj = bd.conjuncts(where, b.srcs[0])
+	b.conj = conjuncts(nil, b.where, b.srcs[0])
+	b.like, b.likeParams = bd.like, bd.likeParams
 	s.keep(slot, b)
 	return b, nil
 }
@@ -349,22 +356,94 @@ func (bd *binder) expr(x *sqlparser.Expr) *bexpr {
 	}
 	n := bd.node()
 	n.x, n.slot = x, -1
-	switch x.Kind {
-	case sqlparser.ExprColumn:
-		n.slot = bd.column(x)
-	case sqlparser.ExprFunc:
-		if sqlparser.IsAggregate(x.Func) {
-			n.slot = slices.Index(bd.aggs, x)
-		}
-		n.args = bd.exprs(x.Args)
-	case sqlparser.ExprIn:
-		n.args = bd.exprs(x.List)
-	case sqlparser.ExprBetween:
-		n.args = []*bexpr{bd.expr(x.Low), bd.expr(x.High)}
-	}
 	n.l = bd.expr(x.Left)
 	n.r = bd.expr(x.Right)
+	switch x.Kind {
+	case sqlparser.ExprLiteral:
+		n.op = opLit
+	case sqlparser.ExprParam:
+		n.op = opParam
+	case sqlparser.ExprColumn:
+		n.op, n.slot = opColumn, int32(bd.column(x))
+		if n.slot < 0 {
+			n.op = opNoColumn
+		}
+	case sqlparser.ExprStar:
+		n.op = opStar
+	case sqlparser.ExprUnary:
+		n.op = unaryOps[x.Op]
+	case sqlparser.ExprBinary:
+		bo := binaryOps[x.Op]
+		n.op, n.cmp = bo.op, bo.cmp
+		bd.leaf(n)
+	case sqlparser.ExprFunc:
+		n.args = bd.exprs(x.Args)
+		n.op, n.fn = opFunc, funcIndex[x.Func]
+		if sqlparser.IsAggregate(x.Func) {
+			n.op, n.fn, n.slot = opAgg, aggKind(x), int32(slices.Index(bd.aggs, x))
+		}
+	case sqlparser.ExprIn:
+		n.op, n.args = opIn, bd.exprs(x.List)
+	case sqlparser.ExprBetween:
+		n.op, n.args = opBetween, []*bexpr{bd.expr(x.Low), bd.expr(x.High)}
+	case sqlparser.ExprIsNull:
+		n.op = opIsNull
+	}
 	return n
+}
+
+// unaryOps and binaryOps resolve an operator: its opcode and, for a
+// comparison, the outcomes of sqlval.Compare that make it true. An operator
+// neither lists binds to opInvalid.
+var unaryOps = map[string]opcode{"-": opNeg, "NOT": opNot}
+
+var binaryOps = map[string]struct {
+	op  opcode
+	cmp uint8
+}{
+	"AND": {op: opAnd}, "OR": {op: opOr}, "LIKE": {op: opLike}, "||": {op: opConcat},
+	"+": {op: opAdd}, "-": {op: opSub}, "*": {op: opMul}, "/": {op: opDiv}, "%": {op: opMod},
+	"=": {opCmp, cmpEqual}, "<>": {opCmp, cmpLess | cmpGreater}, "<": {opCmp, cmpLess},
+	"<=": {opCmp, cmpLess | cmpEqual}, ">": {opCmp, cmpGreater}, ">=": {opCmp, cmpGreater | cmpEqual},
+}
+
+// funcIndex maps each built-in's names to its index in builtins; any other
+// name is fnUnknown.
+var funcIndex = map[string]uint8{"CURRENT_TIMESTAMP": fnNow, "CEILING": fnCeil, "IFNULL": fnCoalesce, "SUBSTRING": fnSubstr}
+
+func init() {
+	for i := fnUnknown + 1; int(i) < len(builtins); i++ {
+		funcIndex[builtins[i].name] = i
+	}
+}
+
+// leaf turns n, a comparison or LIKE, into a leaf when it compares a
+// resolved column with a literal or a parameter (either way round for a
+// comparison): the leaf reads the column's slot and its constant, r, with
+// no further evaluation, and a LIKE leaf keeps a matcher in the binding.
+func (bd *binder) leaf(n *bexpr) {
+	col, c, cmp := n.l, n.r, n.cmp
+	if n.op == opCmp && col.op != opColumn {
+		col, c, cmp = c, col, flipCmp(cmp)
+	}
+	switch {
+	case n.op != opCmp && n.op != opLike, col.op != opColumn, !isConst(c):
+		return
+	case n.op == opCmp:
+		n.op, n.cmp = opCmpConst, cmp
+	case len(bd.like) > math.MaxUint8:
+		return // the leaf's fn cannot number its matcher
+	default:
+		var m likeMatcher
+		if c.op == opLit && !c.x.Lit.IsNull() {
+			m, bd.needle = compileLike(c.x.Lit.AsString(), bd.needle)
+		} else if c.op == opParam {
+			bd.likeParams = append(bd.likeParams, n)
+		}
+		n.op, n.fn = opLikeConst, uint8(len(bd.like))
+		bd.like = append(bd.like, m)
+	}
+	n.l, n.r, n.slot = col, c, col.slot
 }
 
 func (bd *binder) exprs(xs []*sqlparser.Expr) []*bexpr {
@@ -407,91 +486,47 @@ func (bd *binder) column(x *sqlparser.Expr) int {
 	return first
 }
 
-// local resolves a column reference to a column of src, or ok=false when it
-// names some other FROM entry's column (or none).
-func (bd *binder) local(x *sqlparser.Expr, src srcTable) (int, bool) {
-	p := bd.column(x)
-	if p < src.offset || p >= src.offset+len(src.t.schema.Columns) {
-		return 0, false
+// isConst reports whether n is a literal or a parameter, which reads as
+// one (Expr.LitValue): a leaf's constant, an index probe's operand.
+func isConst(n *bexpr) bool { return n.op == opLit || n.op == opParam }
+
+// conjuncts appends to out the top-level AND conjuncts of where that an
+// index of src could answer: a leaf comparing a column of src by =, <, <=,
+// > or >=, and col IN (v, ...) and col BETWEEN v AND w, each v a literal or
+// a parameter.
+func conjuncts(out []conjunct, where *bexpr, src srcTable) []conjunct {
+	if where == nil {
+		return out
 	}
-	return p - src.offset, true
-}
-
-// isOperand reports whether x can be an index probe's operand: a literal,
-// or a parameter, which reads as one (Expr.LitValue).
-func isOperand(x *sqlparser.Expr) bool {
-	return x.Kind == sqlparser.ExprLiteral || x.Kind == sqlparser.ExprParam
-}
-
-// conjuncts collects WHERE's top-level conjuncts an index of src could
-// answer: col = v, col IN (v, ...), col BETWEEN v AND w, and </<=/>/>=
-// comparisons of a column with v, either way round (5 < v is v > 5).
-func (bd *binder) conjuncts(where *sqlparser.Expr, src srcTable) []conjunct {
-	var out []conjunct
-	add := func(op string, col *sqlparser.Expr, ops ...*sqlparser.Expr) {
-		if ci, ok := bd.local(col, src); ok {
-			out = append(out, conjunct{op: op, col: ci, ops: ops, ix: src.t.indexOn(ci)})
-		}
+	if where.op == opAnd {
+		return conjuncts(conjuncts(out, where.l, src), where.r, src)
 	}
-	walkConjuncts(where, func(ex *sqlparser.Expr) {
-		switch {
-		case ex.Kind == sqlparser.ExprBinary && (ex.Op == "=" || ex.Op == "<" || ex.Op == "<=" || ex.Op == ">" || ex.Op == ">="):
-			op, col, operand := ex.Op, ex.Left, ex.Right
-			if col.Kind != sqlparser.ExprColumn {
-				col, operand = operand, col
-				op = flipped[op]
-			}
-			if col.Kind == sqlparser.ExprColumn && isOperand(operand) {
-				add(op, col, operand)
-			}
-		case ex.Kind == sqlparser.ExprIn && !ex.Not:
-			if ex.Left == nil || ex.Left.Kind != sqlparser.ExprColumn {
-				return
-			}
-			for _, item := range ex.List {
-				if !isOperand(item) {
-					return
-				}
-			}
-			add("IN", ex.Left, ex.List...)
-		case ex.Kind == sqlparser.ExprBetween && !ex.Not:
-			if ex.Left != nil && ex.Left.Kind == sqlparser.ExprColumn && ex.Low != nil && ex.High != nil && isOperand(ex.Low) && isOperand(ex.High) {
-				add("BETWEEN", ex.Left, ex.Low, ex.High)
-			}
-		}
-	})
-	return out
+	switch {
+	case where.op == opCmpConst && where.cmp != cmpLess|cmpGreater:
+	case where.op == opIn && !where.x.Not && !slices.ContainsFunc(where.args, func(n *bexpr) bool { return !isConst(n) }):
+	case where.op == opBetween && !where.x.Not && isConst(where.args[0]) && isConst(where.args[1]):
+	default:
+		return out
+	}
+	ci := int(where.l.slot) - src.offset
+	if where.l.op != opColumn || ci < 0 || ci >= len(src.t.schema.Columns) {
+		return out
+	}
+	return append(out, conjunct{n: where, col: ci, ix: src.t.indexOn(ci)})
 }
 
-// flipped is the operator that holds with the operands swapped.
-var flipped = map[string]string{"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-// joinProbe inspects an ON clause for left.col = right.col where the new
-// table src has an index on its side's column, returning that index, the
-// other side's position in the combined row and the indexed column.
-func (bd *binder) joinProbe(on *sqlparser.Expr, src srcTable) (ix *index, probe, build int) {
-	if on == nil || on.Kind != sqlparser.ExprBinary || on.Op != "=" {
+// joinProbe inspects a bound ON clause for an equality of a column of the
+// new table src with a column of a table joined before it, where an index
+// covers the new table's column, returning that index, the other column's
+// position in the combined row and the indexed column. ON's columns are
+// resolved as evaluating ON reads them, so a probe answers exactly ON.
+func joinProbe(on *bexpr, src srcTable) (ix *index, probe, build int) {
+	if on == nil || on.op != opCmp || on.cmp != cmpEqual || on.l.op != opColumn || on.r.op != opColumn {
 		return nil, 0, 0
 	}
-	l, r := on.Left, on.Right
-	if l.Kind != sqlparser.ExprColumn || r.Kind != sqlparser.ExprColumn {
-		return nil, 0, 0
-	}
-	// inNew: the column, when e names one of the new table's.
-	inNew := func(e *sqlparser.Expr) (int, bool) {
-		if e.Table != "" && e.Table != src.alias && e.Table != src.name {
-			return 0, false
-		}
-		idx := src.t.schema.ColumnIndex(e.Column)
-		return idx, idx >= 0
-	}
-	width := len(src.t.schema.Columns)
-	for _, side := range [2][2]*sqlparser.Expr{{r, l}, {l, r}} {
-		bc, isNew := inNew(side[0])
-		if !isNew {
-			continue
-		}
-		if p := bd.column(side[1]); p >= 0 && (p < src.offset || p >= src.offset+width) {
+	for _, side := range [2][2]*bexpr{{on.r, on.l}, {on.l, on.r}} {
+		bc, p := int(side[0].slot)-src.offset, int(side[1].slot)
+		if bc >= 0 && bc < len(src.t.schema.Columns) && p < src.offset {
 			if ix := src.t.indexOn(bc); ix != nil {
 				return ix, p, bc
 			}

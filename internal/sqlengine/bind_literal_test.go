@@ -410,7 +410,9 @@ func TestBindEqualsLiteralEdgeValues(t *testing.T) {
 // TestBoundPlanSharedAcrossSessions: many sessions execute one shared
 // parameterised plan at once, each with its own vector, so a placeholder
 // read from the wrong statement's vector, or any write to the shared tree,
-// shows as a wrong row here or as a race under -race.
+// shows as a wrong row here or as a race under -race. A shared LIKE ? plan
+// runs with each session's own prefix and contains patterns, so a matcher
+// compiled into the shared binding rather than the session shows too.
 func TestBoundPlanSharedAcrossSessions(t *testing.T) {
 	const sessions, rounds = 8, 200
 	e := sqlengine.New("shared")
@@ -433,6 +435,7 @@ func TestBoundPlanSharedAcrossSessions(t *testing.T) {
 	}
 	read := plan("SELECT v, pad FROM kv WHERE id = ? AND v >= ? ORDER BY ? LIMIT ?")
 	write := plan("UPDATE kv SET v = ?, pad = ? WHERE id = ?")
+	like := plan("SELECT id FROM kv WHERE pad LIKE ?")
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
 	for i := 0; i < sessions; i++ {
@@ -457,6 +460,17 @@ func TestBoundPlanSharedAcrossSessions(t *testing.T) {
 				if len(res.Rows) != 1 || res.Rows[0][0].I != r || res.Rows[0][1].S != pad {
 					errs <- fmt.Errorf("session %d round %d read %v", id, r, res.Rows)
 					return
+				}
+				for _, pat := range []string{fmt.Sprintf("S%d'r%%", id), fmt.Sprintf("%%%d'R%d%%", id, r)} {
+					res, err := s.Exec(&sqlparser.Bound{Stmt: like.Stmt, SQL: like.SQL, Params: []sqlval.Value{sqlval.String_(pat)}})
+					if err != nil {
+						errs <- err
+						return
+					}
+					if len(res.Rows) != 1 || res.Rows[0][0].I != id {
+						errs <- fmt.Errorf("session %d round %d: pad LIKE %q read %v", id, r, pat, res.Rows)
+						return
+					}
 				}
 			}
 		}(int64(i))

@@ -694,11 +694,11 @@ type Session struct {
 
 	closed bool
 
-	// filt is the WHERE of the SELECT executing now, compiled; like the
-	// working lists it is the session's, reused, and cleared after use. It
-	// is made by the first SELECT that needs it, so a session that only
-	// writes does not carry it.
-	filt *filter
+	// like and needle are the LIKE matchers of the statement executing now
+	// when a pattern is a parameter, and their folded needles
+	// (Session.likes); reused, and cleared after use.
+	like   []likeMatcher
+	needle []byte
 }
 
 // NewSession opens a session on the engine.

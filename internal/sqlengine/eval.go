@@ -3,128 +3,91 @@ package sqlengine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
-	"unicode"
-	"unicode/utf8"
 
-	"cjdbc/internal/sqlparser"
 	"cjdbc/internal/sqlval"
 )
 
 // env is the evaluation environment of one (joined) row. Expressions are
 // bound (bexpr): a column reads its slot of row, an aggregate call its slot
-// of aggs.
+// of aggs, a LIKE leaf its matcher in like.
 type env struct {
 	row    []sqlval.Value // the combined row
 	aggs   []sqlval.Value // one group's aggregate values, grouped queries only
 	params []sqlval.Value // the statement's parameter vector
+	like   []likeMatcher  // the execution's LIKE matchers (Session.likes)
 }
+
+// opcode is what eval does with a node. The binder resolves it once from
+// the parsed node's kind, operator and function name, so evaluating a row
+// compares no strings.
+type opcode uint8
+
+const (
+	opInvalid   opcode = iota // an operator or kind eval does not know
+	opLit                     // a literal
+	opParam                   // a parameter
+	opColumn                  // a resolved column: row[slot]
+	opNoColumn                // a column no FROM entry has
+	opStar                    // '*' outside COUNT(*)
+	opNeg                     // unary -
+	opNot                     // NOT
+	opAnd                     // AND, Kleene
+	opOr                      // OR, Kleene
+	opAdd                     // +
+	opSub                     // -
+	opMul                     // *
+	opDiv                     // /
+	opMod                     // %
+	opConcat                  // ||
+	opCmp                     // a comparison: its outcomes are cmp
+	opCmpConst                // a comparison of column slot with the literal or parameter r
+	opLike                    // [NOT] LIKE
+	opLikeConst               // column slot [NOT] LIKE the literal or parameter r, matcher like[fn]
+	opIn                      // [NOT] IN (args)
+	opBetween                 // [NOT] BETWEEN args[0] AND args[1]
+	opIsNull                  // IS [NOT] NULL
+	opFunc                    // a call of builtins[fn]
+	opAgg                     // an aggregate call, of kind fn: aggs[slot]
+)
+
+// The outcomes of sqlval.Compare, as bits: outcome c is cmpLess<<(c+1).
+const (
+	cmpLess uint8 = 1 << iota
+	cmpEqual
+	cmpGreater
+)
+
+// flipCmp is the outcome set of a comparison with its operands swapped.
+func flipCmp(m uint8) uint8 { return m&cmpEqual | (m&cmpLess)<<2 | (m&cmpGreater)>>2 }
 
 // eval evaluates a bound expression tree against the environment.
 // Comparisons involving NULL yield NULL (three-valued logic); AND/OR follow
 // Kleene semantics.
 func (ev *env) eval(e *bexpr) (sqlval.Value, error) {
-	x := e.x
-	switch x.Kind {
-	case sqlparser.ExprLiteral, sqlparser.ExprParam:
-		if v, ok := x.LitValue(ev.params); ok {
-			return v, nil
+	switch e.op {
+	case opColumn:
+		return ev.row[e.slot], nil
+	case opLit:
+		return e.x.Lit, nil
+	case opParam:
+		if i := e.x.ParamIdx; i < len(ev.params) {
+			return ev.params[i], nil
 		}
-		return sqlval.Null, errf("unbound parameter ?%d", x.ParamIdx+1)
-	case sqlparser.ExprColumn:
-		if e.slot < 0 {
-			key := x.Column
-			if x.Table != "" {
-				key = x.Table + "." + x.Column
+		return sqlval.Null, errf("unbound parameter ?%d", e.x.ParamIdx+1)
+	case opCmpConst, opLikeConst:
+		c := &e.r.x.Lit
+		if i := e.r.x.ParamIdx; e.r.op == opParam {
+			if i >= len(ev.params) {
+				return ev.eval(e.r) // reports the unbound parameter
 			}
-			return sqlval.Null, errf("unknown column %q", key)
+			c = &ev.params[i]
 		}
-		return ev.row[e.slot], nil
-	case sqlparser.ExprStar:
-		return sqlval.Null, errf("'*' outside COUNT(*)")
-	case sqlparser.ExprUnary:
-		return ev.evalUnary(e)
-	case sqlparser.ExprBinary:
-		return ev.evalBinary(e)
-	case sqlparser.ExprFunc:
-		if e.slot >= 0 && ev.aggs != nil {
-			return ev.aggs[e.slot], nil
-		}
-		return ev.evalFunc(e)
-	case sqlparser.ExprIn:
-		return ev.evalIn(e)
-	case sqlparser.ExprBetween:
-		return ev.evalBetween(e)
-	case sqlparser.ExprIsNull:
-		v, err := ev.eval(e.l)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		res := v.IsNull()
-		if x.Not {
-			res = !res
-		}
-		return sqlval.Bool(res), nil
-	}
-	return sqlval.Null, errf("cannot evaluate expression kind %d", x.Kind)
-}
-
-// decides reports whether one operand decides OR (a TRUE) or AND (a
-// FALSE, or=false) whatever the other is.
-func decides(v sqlval.Value, or bool) bool { return !v.IsNull() && v.AsBool() == or }
-
-// undecided is OR's or AND's value when neither operand decides it: NULL
-// when either is NULL.
-func undecided(l, r sqlval.Value, or bool) sqlval.Value {
-	if l.IsNull() || r.IsNull() {
-		return sqlval.Null
-	}
-	return sqlval.Bool(!or)
-}
-
-// operand is eval with a resolved column read in line, for the
-// expressions evaluated once per row that are usually plain columns: a
-// GROUP BY key and an aggregate's argument.
-func (ev *env) operand(e *bexpr) (sqlval.Value, error) {
-	if e.x.Kind == sqlparser.ExprColumn && e.slot >= 0 {
-		return ev.row[e.slot], nil
-	}
-	return ev.eval(e)
-}
-
-func (ev *env) evalUnary(e *bexpr) (sqlval.Value, error) {
-	v, err := ev.eval(e.l)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	switch e.x.Op {
-	case "-":
-		if v.IsNull() {
-			return sqlval.Null, nil
-		}
-		if v.K == sqlval.KindInt {
-			return sqlval.Int(-v.I), nil
-		}
-		f, err := v.AsFloat()
-		if err != nil {
-			return sqlval.Null, err
-		}
-		return sqlval.Float(-f), nil
-	case "NOT":
-		if v.IsNull() {
-			return sqlval.Null, nil
-		}
-		return sqlval.Bool(!v.AsBool()), nil
-	}
-	return sqlval.Null, errf("unknown unary operator %q", e.x.Op)
-}
-
-func (ev *env) evalBinary(e *bexpr) (sqlval.Value, error) {
-	// AND/OR evaluate lazily with Kleene semantics.
-	op := e.x.Op
-	if op == "AND" || op == "OR" {
-		or := op == "OR"
+		return ev.test(e, &ev.row[e.slot], c), nil
+	case opAnd, opOr:
+		or := e.op == opOr
 		l, err := ev.eval(e.l)
 		if err != nil {
 			return sqlval.Null, err
@@ -140,7 +103,98 @@ func (ev *env) evalBinary(e *bexpr) (sqlval.Value, error) {
 			return sqlval.Bool(or), nil
 		}
 		return undecided(l, r, or), nil
+	case opNeg, opNot:
+		return ev.evalUnary(e)
+	case opAdd, opSub, opMul, opDiv, opMod, opConcat, opCmp, opLike:
+		return ev.evalBinary(e)
+	case opIn:
+		return ev.evalIn(e)
+	case opBetween:
+		return ev.evalBetween(e)
+	case opIsNull:
+		v, err := ev.eval(e.l)
+		if err != nil {
+			return sqlval.Null, err
+		}
+		return sqlval.Bool(v.IsNull() != e.x.Not), nil
+	case opFunc:
+		return ev.evalFunc(e)
+	case opAgg:
+		if e.slot >= 0 && ev.aggs != nil {
+			return ev.aggs[e.slot], nil
+		}
+		return sqlval.Null, errf("aggregate %s outside grouped query", e.x.Func)
+	case opNoColumn:
+		key := e.x.Column
+		if e.x.Table != "" {
+			key = e.x.Table + "." + e.x.Column
+		}
+		return sqlval.Null, errf("unknown column %q", key)
+	case opStar:
+		return sqlval.Null, errf("'*' outside COUNT(*)")
 	}
+	return sqlval.Null, errf("unknown operator %q", e.x.Op) // opInvalid: no parsed tree holds one
+}
+
+// holds reports whether the condition c — a WHERE or ON clause, nil for
+// none — is TRUE on row, which ev then holds.
+func (ev *env) holds(c *bexpr, row []sqlval.Value) (bool, error) {
+	ev.row = row
+	if c == nil {
+		return true, nil
+	}
+	m, err := ev.eval(c)
+	return m.AsBool(), err
+}
+
+// test evaluates the leaf n — opCmpConst or opLikeConst — on its column's
+// value v and its constant c.
+func (ev *env) test(n *bexpr, v, c *sqlval.Value) sqlval.Value {
+	if v.IsNull() || c.IsNull() {
+		return sqlval.Null
+	}
+	if n.op == opLikeConst {
+		s := v.S
+		if v.K != sqlval.KindString && v.K != sqlval.KindBytes {
+			s = v.AsString()
+		}
+		return sqlval.Bool(ev.like[n.fn].match(s) != n.x.Not)
+	}
+	return sqlval.Bool(n.cmp&(cmpLess<<(sqlval.Compare(*v, *c)+1)) != 0)
+}
+
+// decides reports whether one operand decides OR (a TRUE) or AND (a
+// FALSE, or=false) whatever the other is.
+func decides(v sqlval.Value, or bool) bool { return !v.IsNull() && v.AsBool() == or }
+
+// undecided is OR's or AND's value when neither operand decides it: NULL
+// when either is NULL.
+func undecided(l, r sqlval.Value, or bool) sqlval.Value {
+	if l.IsNull() || r.IsNull() {
+		return sqlval.Null
+	}
+	return sqlval.Bool(!or)
+}
+
+func (ev *env) evalUnary(e *bexpr) (sqlval.Value, error) {
+	v, err := ev.eval(e.l)
+	if err != nil || v.IsNull() {
+		return sqlval.Null, err
+	}
+	if e.op == opNot {
+		return sqlval.Bool(!v.AsBool()), nil
+	}
+	if v.K == sqlval.KindInt {
+		return sqlval.Int(-v.I), nil
+	}
+	f, err := v.AsFloat()
+	if err != nil {
+		return sqlval.Null, err
+	}
+	return sqlval.Float(-f), nil
+}
+
+func (ev *env) evalBinary(e *bexpr) (sqlval.Value, error) {
 	l, err := ev.eval(e.l)
 	if err != nil {
 		return sqlval.Null, err
@@ -149,57 +203,28 @@ func (ev *env) evalBinary(e *bexpr) (sqlval.Value, error) {
 	if err != nil {
 		return sqlval.Null, err
 	}
-	switch op {
-	case "+", "-", "*", "/", "%":
-		switch op {
-		case "+":
-			return sqlval.Add(l, r)
-		case "-":
-			return sqlval.Sub(l, r)
-		case "*":
-			return sqlval.Mul(l, r)
-		case "/":
-			return sqlval.Div(l, r)
-		default:
-			return sqlval.Mod(l, r)
-		}
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		return sqlval.String_(l.AsString() + r.AsString()), nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		c := sqlval.Compare(l, r)
-		var res bool
-		switch op {
-		case "=":
-			res = c == 0
-		case "<>":
-			res = c != 0
-		case "<":
-			res = c < 0
-		case "<=":
-			res = c <= 0
-		case ">":
-			res = c > 0
-		case ">=":
-			res = c >= 0
-		}
-		return sqlval.Bool(res), nil
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		m := likeMatch(r.AsString(), l.AsString())
-		if e.x.Not {
-			m = !m
-		}
-		return sqlval.Bool(m), nil
+	switch e.op {
+	case opAdd:
+		return sqlval.Add(l, r)
+	case opSub:
+		return sqlval.Sub(l, r)
+	case opMul:
+		return sqlval.Mul(l, r)
+	case opDiv:
+		return sqlval.Div(l, r)
+	case opMod:
+		return sqlval.Mod(l, r)
 	}
-	return sqlval.Null, errf("unknown operator %q", op)
+	if l.IsNull() || r.IsNull() {
+		return sqlval.Null, nil
+	}
+	switch e.op {
+	case opConcat:
+		return sqlval.String_(l.AsString() + r.AsString()), nil
+	case opCmp:
+		return sqlval.Bool(e.cmp&(cmpLess<<(sqlval.Compare(l, r)+1)) != 0), nil
+	}
+	return sqlval.Bool(likeMatch(r.AsString(), l.AsString()) != e.x.Not), nil
 }
 
 func (ev *env) evalIn(e *bexpr) (sqlval.Value, error) {
@@ -247,20 +272,62 @@ func (ev *env) evalBetween(e *bexpr) (sqlval.Value, error) {
 		return sqlval.Null, nil
 	}
 	in := sqlval.Compare(v, lo) >= 0 && sqlval.Compare(v, hi) <= 0
-	if e.x.Not {
-		in = !in
-	}
-	return sqlval.Bool(in), nil
+	return sqlval.Bool(in != e.x.Not), nil
 }
 
+// builtin is one scalar function: its name, how many arguments it takes
+// (max < 0: any number) and whether a NULL argument makes it NULL.
+type builtin struct {
+	name     string
+	min, max int
+	strict   bool
+}
+
+// The built-ins' indexes in builtins; a call of any other name binds to
+// fnUnknown.
+const (
+	fnUnknown uint8 = iota
+	fnNow
+	fnCurrentDate
+	fnRand
+	fnLength
+	fnUpper
+	fnLower
+	fnAbs
+	fnFloor
+	fnCeil
+	fnRound
+	fnCoalesce
+	fnNullif
+	fnConcat
+	fnSubstr
+	fnMod
+)
+
+var builtins = [...]builtin{
+	fnNow:         {"NOW", 0, -1, false},
+	fnCurrentDate: {"CURRENT_DATE", 0, -1, false},
+	fnRand:        {"RAND", 0, -1, false},
+	fnLength:      {"LENGTH", 1, 1, true},
+	fnUpper:       {"UPPER", 1, 1, true},
+	fnLower:       {"LOWER", 1, 1, true},
+	fnAbs:         {"ABS", 1, 1, true},
+	fnFloor:       {"FLOOR", 1, 1, true},
+	fnCeil:        {"CEIL", 1, 1, true},
+	fnRound:       {"ROUND", 1, 1, true},
+	fnCoalesce:    {"COALESCE", 0, -1, false},
+	fnNullif:      {"NULLIF", 2, 2, false},
+	fnConcat:      {"CONCAT", 0, -1, true},
+	fnSubstr:      {"SUBSTR", 2, 3, false},
+	fnMod:         {"MOD", 2, 2, false},
+}
+
+// evalFunc calls a built-in. Its arguments evaluate first, so their errors
+// come before an unknown name's or a wrong argument count's.
 func (ev *env) evalFunc(e *bexpr) (sqlval.Value, error) {
-	fn := e.x.Func
-	if sqlparser.IsAggregate(fn) {
-		return sqlval.Null, errf("aggregate %s outside grouped query", fn)
-	}
-	// Every built-in but the variadic CONCAT and COALESCE takes at most
-	// three arguments: they evaluate into an array on the stack, so a
-	// function applied once per row allocates no argument slice.
+	// Every built-in but the variadic ones takes at most three arguments:
+	// they evaluate into an array on the stack, so a function applied once
+	// per row allocates no argument slice.
 	var buf [4]sqlval.Value
 	args := buf[:0]
 	if len(e.args) > len(buf) {
@@ -273,52 +340,35 @@ func (ev *env) evalFunc(e *bexpr) (sqlval.Value, error) {
 		}
 		args = append(args, v)
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return errf("%s expects %d argument(s), got %d", fn, n, len(args))
-		}
-		return nil
+	if e.fn == fnUnknown {
+		return sqlval.Null, errf("unknown function %s", e.x.Func)
 	}
-	switch fn {
-	case "NOW", "CURRENT_TIMESTAMP":
+	fn := &builtins[e.fn]
+	if n := len(args); fn.max >= 0 && (n < fn.min || n > fn.max) {
+		if fn.min == fn.max {
+			return sqlval.Null, errf("%s expects %d argument(s), got %d", e.x.Func, fn.min, n)
+		}
+		return sqlval.Null, errf("%s expects %d or %d arguments", fn.name, fn.min, fn.max)
+	}
+	if fn.strict && slices.ContainsFunc(args, sqlval.Value.IsNull) {
+		return sqlval.Null, nil
+	}
+	switch e.fn {
+	case fnNow:
 		return sqlval.Time(time.Now()), nil
-	case "CURRENT_DATE":
+	case fnCurrentDate:
 		// Midnight UTC, as sqlparser.RewriteMacros writes it.
 		return sqlval.Time(time.Now().Truncate(24 * time.Hour)), nil
-	case "RAND":
+	case fnRand:
 		return sqlval.Float(rand.Float64()), nil
-	case "LENGTH":
-		if err := need(1); err != nil {
-			return sqlval.Null, err
-		}
-		if args[0].IsNull() {
-			return sqlval.Null, nil
-		}
+	case fnLength:
 		return sqlval.Int(int64(len(args[0].AsString()))), nil
-	case "UPPER":
-		if err := need(1); err != nil {
-			return sqlval.Null, err
-		}
-		if args[0].IsNull() {
-			return sqlval.Null, nil
-		}
+	case fnUpper:
 		return sqlval.String_(strings.ToUpper(args[0].AsString())), nil
-	case "LOWER":
-		if err := need(1); err != nil {
-			return sqlval.Null, err
-		}
-		if args[0].IsNull() {
-			return sqlval.Null, nil
-		}
+	case fnLower:
 		return sqlval.String_(strings.ToLower(args[0].AsString())), nil
-	case "ABS":
-		if err := need(1); err != nil {
-			return sqlval.Null, err
-		}
-		if args[0].IsNull() {
-			return sqlval.Null, nil
-		}
-		if args[0].K == sqlval.KindInt {
+	case fnAbs, fnFloor, fnCeil, fnRound:
+		if e.fn == fnAbs && args[0].K == sqlval.KindInt {
 			if args[0].I < 0 {
 				return sqlval.Int(-args[0].I), nil
 			}
@@ -328,137 +378,70 @@ func (ev *env) evalFunc(e *bexpr) (sqlval.Value, error) {
 		if err != nil {
 			return sqlval.Null, err
 		}
-		return sqlval.Float(math.Abs(f)), nil
-	case "FLOOR", "CEIL", "CEILING", "ROUND":
-		if err := need(1); err != nil {
-			return sqlval.Null, err
-		}
-		if args[0].IsNull() {
-			return sqlval.Null, nil
-		}
-		f, err := args[0].AsFloat()
-		if err != nil {
-			return sqlval.Null, err
-		}
-		switch fn {
-		case "FLOOR":
-			return sqlval.Int(int64(math.Floor(f))), nil
-		case "ROUND":
-			return sqlval.Int(int64(math.Round(f))), nil
+		switch e.fn {
+		case fnAbs:
+			return sqlval.Float(math.Abs(f)), nil
+		case fnFloor:
+			f = math.Floor(f)
+		case fnCeil:
+			f = math.Ceil(f)
 		default:
-			return sqlval.Int(int64(math.Ceil(f))), nil
+			f = math.Round(f)
 		}
-	case "COALESCE", "IFNULL":
+		return sqlval.Int(int64(f)), nil
+	case fnCoalesce:
 		for _, a := range args {
 			if !a.IsNull() {
 				return a, nil
 			}
 		}
 		return sqlval.Null, nil
-	case "NULLIF":
-		if err := need(2); err != nil {
-			return sqlval.Null, err
-		}
+	case fnNullif:
 		if !args[0].IsNull() && !args[1].IsNull() && sqlval.Equal(args[0], args[1]) {
 			return sqlval.Null, nil
 		}
 		return args[0], nil
-	case "CONCAT":
+	case fnConcat:
 		var b strings.Builder
 		for _, a := range args {
-			if a.IsNull() {
-				return sqlval.Null, nil
-			}
 			b.WriteString(a.AsString())
 		}
 		return sqlval.String_(b.String()), nil
-	case "SUBSTR", "SUBSTRING":
-		if len(args) != 2 && len(args) != 3 {
-			return sqlval.Null, errf("SUBSTR expects 2 or 3 arguments")
-		}
-		if args[0].IsNull() {
-			return sqlval.Null, nil
-		}
-		s := args[0].AsString()
-		start, err := args[1].AsInt()
+	case fnSubstr:
+		return substr(args)
+	}
+	return sqlval.Mod(args[0], args[1]) // fnMod
+}
+
+// substr is SUBSTR(s, start[, n]): NULL when s is; start counts bytes from
+// 1, and anything before 1 is 1.
+func substr(args []sqlval.Value) (sqlval.Value, error) {
+	if args[0].IsNull() {
+		return sqlval.Null, nil
+	}
+	s := args[0].AsString()
+	start, err := args[1].AsInt()
+	if err != nil {
+		return sqlval.Null, err
+	}
+	if start < 1 {
+		start = 1
+	}
+	if int(start) > len(s) {
+		return sqlval.String_(""), nil
+	}
+	out := s[start-1:]
+	if len(args) == 3 {
+		n, err := args[2].AsInt()
 		if err != nil {
 			return sqlval.Null, err
 		}
-		if start < 1 {
-			start = 1
+		if n < 0 {
+			n = 0
 		}
-		if int(start) > len(s) {
-			return sqlval.String_(""), nil
+		if int(n) < len(out) {
+			out = out[:n]
 		}
-		out := s[start-1:]
-		if len(args) == 3 {
-			n, err := args[2].AsInt()
-			if err != nil {
-				return sqlval.Null, err
-			}
-			if n < 0 {
-				n = 0
-			}
-			if int(n) < len(out) {
-				out = out[:n]
-			}
-		}
-		return sqlval.String_(out), nil
-	case "MOD":
-		if err := need(2); err != nil {
-			return sqlval.Null, err
-		}
-		return sqlval.Mod(args[0], args[1])
 	}
-	return sqlval.Null, errf("unknown function %s", fn)
-}
-
-// likeMatch implements SQL LIKE: '%' matches any run of characters, '_'
-// exactly one character (a rune, not a byte). Matching is case-insensitive,
-// as MySQL's default collation is: runes compare after unicode.ToLower, one
-// at a time, so nothing is copied. It is the iterative wildcard match: on a
-// mismatch it backtracks only to the most recent '%', which then swallows
-// one more character, so the cost is at most len(pattern)·len(s) steps
-// however many '%' the pattern holds.
-func likeMatch(pattern, s string) bool {
-	p, i := 0, 0 // byte offsets into pattern and s
-	star, mark := -1, 0
-	for i < len(s) {
-		if p < len(pattern) {
-			pr, pw := foldRune(pattern, p)
-			if pr == '%' {
-				star, mark = p+pw, i
-				p += pw
-				continue
-			}
-			if sr, sw := foldRune(s, i); pr == '_' || pr == sr {
-				p, i = p+pw, i+sw
-				continue
-			}
-		}
-		if star < 0 {
-			return false
-		}
-		// Let the last '%' swallow one more character and retry from there.
-		_, sw := foldRune(s, mark)
-		mark += sw
-		p, i = star, mark
-	}
-	for p < len(pattern) && pattern[p] == '%' {
-		p++
-	}
-	return p == len(pattern)
-}
-
-// foldRune decodes the rune at s[i:] lower-cased, with its width in bytes.
-// An invalid byte decodes as utf8.RuneError of width 1.
-func foldRune(s string, i int) (rune, int) {
-	if c := s[i]; c < utf8.RuneSelf {
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		return rune(c), 1
-	}
-	r, w := utf8.DecodeRuneInString(s[i:])
-	return unicode.ToLower(r), w
+	return sqlval.String_(out), nil
 }

@@ -105,7 +105,7 @@ func (s *Session) Exec(st sqlparser.Statement) (*Result, error) {
 		s.params = nil
 		return nil, errf("unsupported statement %T", st)
 	}
-	s.params = nil
+	s.params, s.like = nil, truncated(s.like)
 	if err := s.endStatement(err); err != nil {
 		return nil, err
 	}
@@ -513,7 +513,7 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 	setIdx := b.cols
 
 	refs := candidateRefs(e, t, b.conj, s.params)
-	ev := &env{params: s.params}
+	ev := &env{params: s.params, like: s.likes(b)}
 	var affected int64
 	for _, ch := range refs {
 		// Writer view: the chain head is committed or this session's own.
@@ -521,15 +521,12 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 		if row == nil {
 			continue
 		}
-		ev.row = row
-		if b.where != nil {
-			m, err := ev.eval(b.where)
-			if err != nil {
-				return nil, err
-			}
-			if !m.AsBool() {
-				continue
-			}
+		m, err := ev.holds(b.where, row)
+		if err != nil {
+			return nil, err
+		}
+		if !m {
+			continue
 		}
 		// Copy-on-write: the stored version is immutable once published, so
 		// the new image is built on a fresh slice and pushed as a new version.
@@ -574,22 +571,19 @@ func (s *Session) execDelete(del *sqlparser.Delete) (*Result, error) {
 	t.store.Lock()
 	defer t.store.Unlock()
 	refs := candidateRefs(e, t, b.conj, s.params)
-	ev := &env{params: s.params}
+	ev := &env{params: s.params, like: s.likes(b)}
 	var affected int64
 	for _, ch := range refs {
 		row := ch.latestRow()
 		if row == nil {
 			continue
 		}
-		if b.where != nil {
-			ev.row = row
-			m, err := ev.eval(b.where)
-			if err != nil {
-				return nil, err
-			}
-			if !m.AsBool() {
-				continue
-			}
+		m, err := ev.holds(b.where, row)
+		if err != nil {
+			return nil, err
+		}
+		if !m {
+			continue
 		}
 		// A delete is a tombstone version; the old image stays on the chain
 		// for older snapshots and for undo.

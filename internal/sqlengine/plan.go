@@ -85,19 +85,6 @@ func (r *colRange) tightenHi(b rangeBound) {
 	}
 }
 
-// walkConjuncts calls f for every top-level AND conjunct of where.
-func walkConjuncts(where *sqlparser.Expr, f func(ex *sqlparser.Expr)) {
-	if where == nil {
-		return
-	}
-	if where.Kind == sqlparser.ExprBinary && where.Op == "AND" {
-		walkConjuncts(where.Left, f)
-		walkConjuncts(where.Right, f)
-		return
-	}
-	f(where)
-}
-
 // extractRanges collects the per-column range bounds the conjuncts imply:
 // </<=/>/>= comparisons and BETWEEN whose operands params reads. Each bound
 // passes the keyCompatible guard. Shared by candidate narrowing
@@ -116,25 +103,21 @@ func extractRanges(t *table, conj []conjunct, params []sqlval.Value) []colRange 
 	for i := range conj {
 		c := &conj[i]
 		ct := t.schema.Columns[c.col].Type
-		switch c.op {
-		case "<", "<=", ">", ">=":
-			lit, ok := c.ops[0].LitValue(params)
+		switch n := c.n; {
+		case n.op == opCmpConst && n.cmp != cmpEqual: // <, <=, > or >=
+			lit, ok := n.r.x.LitValue(params)
 			if !ok || !keyCompatible(ct, lit) {
 				continue
 			}
-			switch c.op {
-			case "<":
-				rangeOf(c).tightenHi(rangeBound{v: lit, incl: false})
-			case "<=":
-				rangeOf(c).tightenHi(rangeBound{v: lit, incl: true})
-			case ">":
-				rangeOf(c).tightenLo(rangeBound{v: lit, incl: false})
-			case ">=":
-				rangeOf(c).tightenLo(rangeBound{v: lit, incl: true})
+			b := rangeBound{v: lit, incl: n.cmp&cmpEqual != 0}
+			if n.cmp&cmpLess != 0 {
+				rangeOf(c).tightenHi(b)
+			} else {
+				rangeOf(c).tightenLo(b)
 			}
-		case "BETWEEN":
-			lo, okLo := c.ops[0].LitValue(params)
-			hi, okHi := c.ops[1].LitValue(params)
+		case n.op == opBetween:
+			lo, okLo := n.args[0].x.LitValue(params)
+			hi, okHi := n.args[1].x.LitValue(params)
 			if !okLo || !okHi || !keyCompatible(ct, lo) || !keyCompatible(ct, hi) {
 				continue
 			}
@@ -178,15 +161,15 @@ func planAccess(e *Engine, t *table, conj []conjunct, params []sqlval.Value) acc
 			continue
 		}
 		ct := t.schema.Columns[c.col].Type
-		switch c.op {
-		case "=":
-			if lit, ok := c.ops[0].LitValue(params); ok && keyCompatible(ct, lit) {
+		switch n := c.n; {
+		case n.op == opCmpConst && n.cmp == cmpEqual:
+			if lit, ok := n.r.x.LitValue(params); ok && keyCompatible(ct, lit) {
 				consider(c.ix.lookup(t, lit))
 			}
-		case "IN":
+		case n.op == opIn:
 			usable := true
-			for _, item := range c.ops {
-				if v, ok := item.LitValue(params); !ok || !keyCompatible(ct, v) {
+			for _, item := range n.args {
+				if v, ok := item.x.LitValue(params); !ok || !keyCompatible(ct, v) {
 					usable = false
 					break
 				}
@@ -195,8 +178,8 @@ func planAccess(e *Engine, t *table, conj []conjunct, params []sqlval.Value) acc
 				continue
 			}
 			var union []*rowChain
-			for _, item := range c.ops {
-				v, _ := item.LitValue(params)
+			for _, item := range n.args {
+				v, _ := item.x.LitValue(params)
 				union = append(union, c.ix.lookup(t, v)...)
 			}
 			consider(union)
@@ -266,8 +249,8 @@ func planOrder(e *Engine, t *table, b *binding, sel *sqlparser.Select, params []
 	// same key value.
 	pinned := func(ci int) bool {
 		for i := range b.conj {
-			if c := &b.conj[i]; c.op == "=" && c.col == ci {
-				if _, ok := c.ops[0].LitValue(params); ok {
+			if c := &b.conj[i]; c.n.op == opCmpConst && c.n.cmp == cmpEqual && c.col == ci {
+				if _, ok := c.n.r.x.LitValue(params); ok {
 					return true
 				}
 			}
@@ -284,10 +267,10 @@ func planOrder(e *Engine, t *table, b *binding, sel *sqlparser.Select, params []
 			}
 			ex = b.items[pos]
 		}
-		if ex == nil || ex.x.Kind != sqlparser.ExprColumn || ex.slot < 0 {
+		if ex == nil || ex.op != opColumn {
 			return orderPlan{}
 		}
-		ci := ex.slot
+		ci := int(ex.slot)
 		if pinned(ci) {
 			continue // constant column: satisfied by any order
 		}

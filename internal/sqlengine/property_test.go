@@ -326,3 +326,31 @@ func TestJoinIndexProbeCrossClass(t *testing.T) {
 		t.Fatalf("1 should not join 5: %v", res.Rows)
 	}
 }
+
+// TestJoinIndexProbeResolvesColumnsAsOnDoes: an index probe answers ON with
+// ON's own columns. Unqualified, x names the first FROM entry's column, so
+// ON x = a.id compares a.x with a.id, and every b row joins an a row where
+// they are equal; a probe of b's index on x would keep only the b rows
+// whose own x equals a.id.
+func TestJoinIndexProbeResolvesColumnsAsOnDoes(t *testing.T) {
+	e := New("onresolve")
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER)")
+	mustExec(t, s, "CREATE TABLE b (id INTEGER PRIMARY KEY, x INTEGER)")
+	mustExec(t, s, "CREATE INDEX b_x ON b (x)")
+	mustExec(t, s, "INSERT INTO a (id, x) VALUES (1, 1), (2, 5)")
+	mustExec(t, s, "INSERT INTO b (id, x) VALUES (10, 1), (11, 2), (12, 1)")
+	for _, q := range []string{
+		"SELECT a.id, b.id FROM a JOIN b ON x = a.id ORDER BY a.id, b.id",
+		"SELECT a.id, b.id FROM a JOIN b ON a.id = x ORDER BY a.id, b.id",
+		"SELECT a.id, b.id FROM a JOIN b ON x = a.id WHERE b.id > 0 ORDER BY a.id, b.id",
+	} {
+		planned := mustExec(t, s, q)
+		e.noIndexPlan.Store(true)
+		scanned := mustExec(t, s, q)
+		e.noIndexPlan.Store(false)
+		if fmt.Sprint(planned.Rows) != fmt.Sprint(scanned.Rows) || len(scanned.Rows) != 3 {
+			t.Errorf("%s: indexed join %v, nested loop %v", q, planned.Rows, scanned.Rows)
+		}
+	}
+}

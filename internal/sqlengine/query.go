@@ -43,6 +43,7 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 		return s.selectNoFrom(sel, b)
 	}
 	rv := readView{stamp: s.stamp, ep: s.snapshotEpoch()}
+	ev := env{params: s.params, like: s.likes(b)}
 
 	// The working lists — the WHERE survivors of an ungrouped query and the
 	// rows to order — grow in the session's scratch and go back to it
@@ -52,15 +53,12 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	out := s.selOut[:0]
 	defer func() {
 		s.selRows, s.selOut = truncated(sink.rows), truncated(out)
-		if s.filt != nil {
-			s.filt.release()
-		}
 		if sink.grouped {
 			sink.g.release()
 		}
 	}()
 	if b.grouped {
-		if err := sink.g.init(b, s.params); err != nil {
+		if err := sink.g.init(b, ev); err != nil {
 			return nil, err
 		}
 	}
@@ -69,9 +67,9 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	// to the sink, which a grouped query folds into its group there.
 	var orderDone bool
 	if len(b.srcs) == 1 {
-		orderDone, err = s.singleTableRows(sel, b, rv, &sink)
+		orderDone, err = s.singleTableRows(sel, b, rv, &sink, ev)
 	} else {
-		err = s.joinRows(sel, b, rv, &sink)
+		err = s.joinRows(sel, b, rv, &sink, ev)
 	}
 	if err != nil {
 		return nil, err
@@ -90,7 +88,7 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 		for _, r := range sink.rows {
 			out = append(out, outRow{row: r})
 		}
-		err = project(b, out, s.params)
+		err = project(b, out, ev)
 	}
 	if err != nil {
 		return nil, err
@@ -99,7 +97,7 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	// DISTINCT, ORDER BY and LIMIT narrow and reorder live, a view of out.
 	live := out
 	if sel.Distinct {
-		if err := project(b, live, s.params); err != nil {
+		if err := project(b, live, ev); err != nil {
 			return nil, err
 		}
 		live = distinctRows(live, len(b.header))
@@ -118,9 +116,9 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 			return nil, err
 		}
 		if limitErr == nil && end >= 0 && end < int64(len(live)) {
-			idx, top, err = topRows(sel, b, keys, live, int(end), s.params)
-		} else if err = project(b, live, s.params); err == nil {
-			idx, err = sortRows(sel, b, keys, live, s.params)
+			idx, top, err = topRows(sel, b, keys, live, int(end), ev)
+		} else if err = project(b, live, ev); err == nil {
+			idx, err = sortRows(sel, b, keys, live, ev)
 		}
 		if err != nil {
 			return nil, err
@@ -151,7 +149,6 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	if !projected || 2*len(res.Rows) < len(out) {
 		slab = make([]sqlval.Value, len(res.Rows)*k)
 	}
-	ev := env{params: s.params}
 	for i := range res.Rows {
 		j := int(lo) + i
 		r := live[j]
@@ -200,14 +197,6 @@ func (s *Session) selectNoFrom(sel *sqlparser.Select, b *binding) (*Result, erro
 	return &Result{Columns: b.header, Rows: [][]sqlval.Value{row}}, nil
 }
 
-// filter is the session's compiled WHERE, made on first use.
-func (s *Session) filter() *filter {
-	if s.filt == nil {
-		s.filt = new(filter)
-	}
-	return s.filt
-}
-
 // rowSink takes the rows a producer yields, WHERE already applied. A
 // grouped query folds each into its group as it comes; any other keeps it
 // in rows. A transient row lives in the producer's scratch and is copied
@@ -239,7 +228,7 @@ func (k *rowSink) add(row []sqlval.Value, transient bool) error {
 // ordered-index scan: rows then stream out of the index in final order and
 // the scan halts after LIMIT+OFFSET live-at-epoch matches. The returned flag
 // reports that the row order already satisfies ORDER BY.
-func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView, sink *rowSink) (bool, error) {
+func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView, sink *rowSink, ev env) (bool, error) {
 	src := b.srcs[0]
 	t := src.t
 	e := s.engine
@@ -264,17 +253,14 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 
 	var evalErr error
 	var yielded int64
-	f := s.filter()
 	add := func(row []sqlval.Value) bool {
-		if b.where != nil {
-			m, err := f.match(row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !m {
-				return true
-			}
+		m, err := ev.holds(b.where, row)
+		if err != nil {
+			evalErr = err
+			return false
+		}
+		if !m {
+			return true
 		}
 		if err := sink.add(row, false); err != nil {
 			evalErr = err
@@ -299,9 +285,6 @@ func (s *Session) singleTableRows(sel *sqlparser.Select, b *binding, rv readView
 		op.scan = false
 		op.done = false
 	}
-	// WHERE compiles unless the plan narrowed the scan to one row at most
-	// (a point read), where compiling would cost more than it saves.
-	f.reset(b.where, s.params, !plan.indexed || len(plan.refs) > 1)
 
 	if op.scan {
 		// Ordered-index scan: nodes stream in key order (reversed for
@@ -404,7 +387,7 @@ func limits(b *binding, params []sqlval.Value) (offset, end int64, err error) {
 // sink, which copies what it keeps (a grouped query: a group's first row
 // only); when no later stage reorders, merges or dedups rows, it stops after
 // offset+limit survivors.
-func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink *rowSink) error {
+func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink *rowSink, ev env) error {
 	// WHERE conjuncts on the base table narrow it through the access
 	// planner; the full WHERE clause still filters at the last stage, so
 	// this only prunes rows that could never survive it (valid for LEFT JOIN
@@ -434,9 +417,6 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 		return nil
 	}
 	scratch := make([]sqlval.Value, b.width)
-	ev := &env{row: scratch, params: s.params}
-	f := s.filter()
-	f.reset(b.where, s.params, true)
 	noIndex := s.engine.noIndexPlan.Load()
 	var kept int64 // rows the last stage gave the sink
 	for i := 1; i < len(b.srcs) && len(rows) > 0; i++ {
@@ -456,15 +436,13 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 				next = append(next, slices.Clone(scratch[:width]))
 				return true
 			}
-			if b.where != nil {
-				m, err := f.match(scratch)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if !m {
-					return true
-				}
+			m, err := ev.holds(b.where, scratch)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if !m {
+				return true
 			}
 			if err := sink.add(scratch[:width], true); err != nil {
 				evalErr = err
@@ -476,15 +454,13 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 		}
 		try := func(r []sqlval.Value) bool {
 			copy(part, r)
-			if stage.on != nil {
-				m, err := ev.eval(stage.on)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if !m.AsBool() {
-					return true
-				}
+			m, err := ev.holds(stage.on, scratch)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if !m {
+				return true
 			}
 			matched = true
 			return keep()
@@ -495,10 +471,10 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 		// last stage probes its filtered build side instead when it has one.
 		useIndex := stage.ix != nil && !noIndex
 		var bs *buildSide
-		if last && useIndex && sel.From[i].Join == sqlparser.JoinInner && stage.onIsProbe(src) && src.t.scanLen() <= len(rows) {
-			if leaf := f.stageLeaf(src.offset, width); leaf >= 0 {
+		if last && useIndex && sel.From[i].Join == sqlparser.JoinInner && src.t.scanLen() <= len(rows) {
+			if leaf, _ := stageLeaf(b.where, s.params, src.offset, width); leaf != nil {
 				bs = new(buildSide)
-				bs.build(src.t, rv, f, leaf, src.offset, stage.build)
+				bs.build(src.t, rv, &ev, leaf, src.offset, stage.build)
 			}
 		}
 		buildType := src.t.schema.Columns[stage.build].Type
@@ -538,6 +514,106 @@ func (s *Session) joinRows(sel *sqlparser.Select, b *binding, rv readView, sink 
 	return nil
 }
 
+// stageLeaf returns a leaf of where over the columns [lo, hi) of the
+// combined row alone that decides WHERE whenever it is FALSE: a top-level
+// AND conjunct, first or preceded only by leaves, whose constant params
+// binds, so that neither it nor a leaf before it can fail. When such a leaf
+// is FALSE the conjuncts before it evaluated without error, so WHERE is
+// FALSE without error. It returns nil when there is none; stop reports
+// that a node which may fail came first.
+func stageLeaf(where *bexpr, params []sqlval.Value, lo, hi int) (leaf *bexpr, stop bool) {
+	switch {
+	case where == nil:
+		return nil, true
+	case where.op == opAnd:
+		if leaf, stop = stageLeaf(where.l, params, lo, hi); leaf != nil || stop {
+			return leaf, stop
+		}
+		return stageLeaf(where.r, params, lo, hi)
+	case where.op != opCmpConst && where.op != opLikeConst:
+		return nil, true
+	}
+	if _, ok := where.r.x.LitValue(params); !ok {
+		return nil, true
+	}
+	if int(where.slot) < lo || int(where.slot) >= hi {
+		return nil, false
+	}
+	return where, false
+}
+
+// buildSide is the filtered build side of a join's last stage: the rows of
+// the stage's table visible at the snapshot whose stage leaf is not FALSE,
+// in scan order — rowid order — keyed by the build column as index.lookup
+// keys it (by IntKey, else by AppendKey bytes), each key's rows chained in
+// that order. It takes the group table's storage and two slabs, however
+// many keys there are.
+type buildSide struct {
+	keys    groupTable
+	chains  []buildChain // key id's first and last entry
+	entries []buildEntry // the kept rows, in scan order
+}
+
+type buildChain struct{ first, last int32 }
+
+type buildEntry struct {
+	row  []sqlval.Value
+	next int32 // the key's next entry, or -1
+}
+
+// build scans t at rv and keeps the rows on which leaf, a stage leaf over
+// t's columns (offset off in the combined row), is TRUE or NULL in ev,
+// keyed by column col.
+func (bs *buildSide) build(t *table, rv readView, ev *env, leaf *bexpr, off, col int) {
+	c, _ := ev.eval(leaf.r) // stageLeaf found it bound
+	slot := int(leaf.slot) - off
+	size := t.scanLen()
+	bs.entries = make([]buildEntry, 0, size)
+	bs.chains = make([]buildChain, 0, size)
+	if ct := t.schema.Columns[col].Type; ct == sqlval.KindInt || ct == sqlval.KindBool {
+		bs.keys.ints = make(map[int64]int32, size)
+	}
+	t.scanSnap(rv, func(row []sqlval.Value) bool {
+		if m := ev.test(leaf, &row[slot], &c); !m.IsNull() && !m.AsBool() {
+			return true
+		}
+		e := int32(len(bs.entries))
+		bs.entries = append(bs.entries, buildEntry{row: row, next: -1})
+		id, added := bs.keys.addValue(row[col])
+		if added {
+			bs.chains = append(bs.chains, buildChain{e, e})
+		} else {
+			bs.entries[bs.chains[id].last].next = e
+			bs.chains[id].last = e
+		}
+		return true
+	})
+}
+
+// probe calls try for each kept row under v's key, in rowid order, until
+// it returns false. A probe of another key class than the build column's
+// (keyCompatible false) may equal rows under other keys, so it tries every
+// kept row, in scan order.
+func (bs *buildSide) probe(v sqlval.Value, compatible bool, try func(row []sqlval.Value) bool) {
+	if !compatible {
+		for _, e := range bs.entries {
+			if !try(e.row) {
+				return
+			}
+		}
+		return
+	}
+	id, ok := bs.keys.find(v)
+	if !ok {
+		return
+	}
+	for e := bs.chains[id].first; e >= 0; e = bs.entries[e].next {
+		if !try(bs.entries[e].row) {
+			return
+		}
+	}
+}
+
 // slabRow is row i of a slab of k-value rows, capped at its own length so
 // that appending to it cannot write into row i+1.
 func slabRow(slab []sqlval.Value, i, k int) []sqlval.Value {
@@ -547,13 +623,12 @@ func slabRow(slab []sqlval.Value, i, k int) []sqlval.Value {
 // project evaluates the select list for each of out's rows, in one reused
 // environment, into one slab of len(out)·k values. Rows are projected all
 // together or not at all, and a second call does nothing.
-func project(b *binding, out []outRow, params []sqlval.Value) error {
+func project(b *binding, out []outRow, ev env) error {
 	if len(out) == 0 || out[0].vals != nil {
 		return nil
 	}
 	k := len(b.header)
 	slab := make([]sqlval.Value, len(out)*k)
-	ev := env{params: params}
 	for i := range out {
 		ev.row, ev.aggs = out[i].row, out[i].aggs
 		vals := slabRow(slab, i, k)
@@ -630,15 +705,16 @@ var groupMems sync.Pool
 // TPC-W's bestSellers has at most one group per item, 1 000.
 const groupMemCap = 2048
 
-// init readies g for b's rows, with working memory from groupMems; it
-// fails for an aggregate call with the wrong number of arguments.
-func (g *grouper) init(b *binding, params []sqlval.Value) error {
+// init readies g for b's rows, evaluated in ev, with working memory from
+// groupMems; it fails for an aggregate call with the wrong number of
+// arguments.
+func (g *grouper) init(b *binding, ev env) error {
 	for _, ae := range b.aggs {
-		if !countsRows(ae.x) && len(ae.args) != 1 {
+		if ae.fn != aggCountRows && len(ae.args) != 1 {
 			return errf("%s expects one argument", ae.x.Func)
 		}
 	}
-	g.b, g.ev.params = b, params
+	g.b, g.ev = b, ev
 	g.mem, _ = groupMems.Get().(*groupMem)
 	if g.mem == nil {
 		g.mem = new(groupMem)
@@ -674,7 +750,7 @@ func (g *grouper) add(row []sqlval.Value, transient bool) error {
 	switch len(b.groupBy) {
 	case 0:
 	case 1:
-		v, err := g.ev.operand(b.groupBy[0])
+		v, err := g.ev.eval(b.groupBy[0])
 		if err != nil {
 			return err
 		}
@@ -729,11 +805,7 @@ func (g *grouper) groups(out []outRow) ([]outRow, error) {
 	for i, first := range g.firsts {
 		gv := vals[i*na : (i+1)*na : (i+1)*na]
 		for j, ae := range b.aggs {
-			v, err := g.accs[i*na+j].result(ae.x)
-			if err != nil {
-				return nil, err
-			}
-			gv[j] = v
+			gv[j] = g.accs[i*na+j].result(ae.fn)
 		}
 		if b.having != nil {
 			g.ev.row, g.ev.aggs = first, gv
@@ -750,11 +822,25 @@ func (g *grouper) groups(out []outRow) ([]outRow, error) {
 	return out, nil
 }
 
-// countsRows reports whether an aggregate counts rows rather than values:
-// COUNT(*) and COUNT().
-func countsRows(ae *sqlparser.Expr) bool {
-	return ae.Func == "COUNT" && (len(ae.Args) == 0 || len(ae.Args) == 1 && ae.Args[0].Kind == sqlparser.ExprStar)
+// The aggregate kinds an aggregate call binds to (bexpr.fn).
+const (
+	aggCount     uint8 = iota
+	aggCountRows       // COUNT(*) and COUNT(): counts rows, not values
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+// aggKind is the kind of the aggregate call x.
+func aggKind(x *sqlparser.Expr) uint8 {
+	if x.Func == "COUNT" && (len(x.Args) == 0 || len(x.Args) == 1 && x.Args[0].Kind == sqlparser.ExprStar) {
+		return aggCountRows
+	}
+	return aggKinds[x.Func]
 }
+
+var aggKinds = map[string]uint8{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
 
 // aggAcc is one aggregate's running state within one group. count is the
 // number of non-NULL (for DISTINCT: distinct) inputs, or of rows for
@@ -772,11 +858,11 @@ type aggAcc struct {
 
 // add folds the current row of ev into the accumulator.
 func (a *aggAcc) add(ae *bexpr, ev *env) error {
-	if countsRows(ae.x) {
+	if ae.fn == aggCountRows {
 		a.count++
 		return nil
 	}
-	v, err := ev.operand(ae.args[0])
+	v, err := ev.eval(ae.args[0])
 	if err != nil || v.IsNull() {
 		return err
 	}
@@ -788,8 +874,8 @@ func (a *aggAcc) add(ae *bexpr, ev *env) error {
 			return nil
 		}
 	}
-	switch ae.x.Func {
-	case "SUM", "AVG":
+	switch ae.fn {
+	case aggSum, aggAvg:
 		f, err := v.AsFloat()
 		if err != nil {
 			return err
@@ -802,11 +888,11 @@ func (a *aggAcc) add(ae *bexpr, ev *env) error {
 		} else {
 			a.inexact = true
 		}
-	case "MIN":
+	case aggMin:
 		if a.count == 0 || sqlval.Compare(v, a.ext) < 0 {
 			a.ext = v
 		}
-	case "MAX":
+	case aggMax:
 		if a.count == 0 || sqlval.Compare(v, a.ext) > 0 {
 			a.ext = v
 		}
@@ -815,28 +901,23 @@ func (a *aggAcc) add(ae *bexpr, ev *env) error {
 	return nil
 }
 
-// result is the aggregate's value over everything added.
-func (a *aggAcc) result(ae *sqlparser.Expr) (sqlval.Value, error) {
-	switch ae.Func {
-	case "COUNT":
-		return sqlval.Int(a.count), nil
-	case "SUM":
-		if a.count == 0 {
-			return sqlval.Null, nil
+// result is the value of an aggregate of kind fn over everything added.
+func (a *aggAcc) result(fn uint8) sqlval.Value {
+	switch fn {
+	case aggCount, aggCountRows:
+		return sqlval.Int(a.count)
+	case aggSum, aggAvg:
+		switch {
+		case a.count == 0:
+			return sqlval.Null
+		case fn == aggAvg:
+			return sqlval.Float(a.sum / float64(a.count))
+		case !a.inexact:
+			return sqlval.Int(a.sumInt)
 		}
-		if !a.inexact {
-			return sqlval.Int(a.sumInt), nil
-		}
-		return sqlval.Float(a.sum), nil
-	case "AVG":
-		if a.count == 0 {
-			return sqlval.Null, nil
-		}
-		return sqlval.Float(a.sum / float64(a.count)), nil
-	case "MIN", "MAX":
-		return a.ext, nil // NULL when nothing was added
+		return sqlval.Float(a.sum)
 	}
-	return sqlval.Null, errf("unknown aggregate %s", ae.Func)
+	return a.ext // MIN, MAX: NULL when nothing was added
 }
 
 // projectOne evaluates the select list in ev into dst, which is exactly
@@ -983,10 +1064,9 @@ func compareKeys(order []sqlparser.OrderItem, ka, kb []sqlval.Value) int {
 // each row's keys are resolved exactly once into one slab, in one reused
 // environment, and a stable sort orders an index over it. The sort
 // allocates the keys, the slab and the index.
-func sortRows(sel *sqlparser.Select, b *binding, keys []orderKey, live []outRow, params []sqlval.Value) ([]int, error) {
+func sortRows(sel *sqlparser.Select, b *binding, keys []orderKey, live []outRow, ev env) ([]int, error) {
 	nk := len(keys)
 	dec := make([]sqlval.Value, len(live)*nk)
-	ev := env{params: params}
 	for r := range live {
 		if err := rowKeys(b, keys, &ev, live[r], dec[r*nk:(r+1)*nk]); err != nil {
 			return nil, err
@@ -1010,10 +1090,9 @@ func sortRows(sel *sqlparser.Select, b *binding, keys []orderKey, live []outRow,
 // stable sort's first m. Only they are sorted (heapsort), and the rows are
 // not projected. It returns the kept rows' positions in order and their
 // keys, m at a time.
-func topRows(sel *sqlparser.Select, b *binding, keys []orderKey, live []outRow, m int, params []sqlval.Value) ([]int, []sqlval.Value, error) {
+func topRows(sel *sqlparser.Select, b *binding, keys []orderKey, live []outRow, m int, ev env) ([]int, []sqlval.Value, error) {
 	// Entries 0..m-1 are the heap, entry m the row being considered.
 	h := topHeap{order: sel.OrderBy, nk: len(keys), pos: make([]int, m+1), dec: make([]sqlval.Value, (m+1)*len(keys))}
-	ev := env{params: params}
 	for i := range live {
 		e := min(i, m)
 		if err := rowKeys(b, keys, &ev, live[i], h.keys(e)); err != nil {

@@ -300,9 +300,6 @@ func TestFileLogReplaysParameterisedWrites(t *testing.T) {
 	}
 	sess.Close()
 	ctrl.Close()
-	if err := vdb.Internal().RecoveryLog().Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	log, err := recovery.OpenFileLog(path)
 	if err != nil {
