@@ -749,6 +749,34 @@ func TestAuthOverNetwork(t *testing.T) {
 	}
 }
 
+// TestLimitColumnOverTheWire: a column in LIMIT fails the statement with
+// the engine's error; the controller serving the connection stays up and
+// the same session answers its next statement.
+func TestLimitColumnOverTheWire(t *testing.T) {
+	ctrl, _ := newTestCluster(t, 2, VirtualDatabaseConfig{})
+	addr, err := ctrl.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := Connect(fmt.Sprintf("cjdbc://%s/mydb", addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, q := range []string{"CREATE TABLE item (i_id INTEGER PRIMARY KEY)", "INSERT INTO item (i_id) VALUES (1)"} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sess.Query("SELECT i_id FROM item LIMIT i_id"); err == nil || !strings.Contains(err.Error(), `engine: unknown column "i_id"`) {
+		t.Fatalf("LIMIT i_id: error %v, want unknown column \"i_id\"", err)
+	}
+	rows, err := sess.Query("SELECT 1")
+	if err != nil || rows.Len() != 1 {
+		t.Fatalf("SELECT 1 after the refused LIMIT: %v", err)
+	}
+}
+
 func TestBadConfigRejected(t *testing.T) {
 	ctrl := NewController("bad", 9)
 	defer ctrl.Close()

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -39,6 +40,46 @@ func TestRestoreBackendKeepsTimestampPrecision(t *testing.T) {
 	}
 	if want, got := sortedTableDump(t, engines[0], "ts"), sortedTableDump(t, engines[1], "ts"); got != want {
 		t.Fatalf("replica rebuilt from the log differs:\n--- live:\n%s\n--- rebuilt:\n%s", want, got)
+	}
+}
+
+// TestMacroWritesReplayExactly: a copy rebuilt from the memory log holds
+// what the live replicas hold after writes that call macros, column types
+// included. The log keeps each such write's Bound — the slotted tree and
+// the vector every replica applied — and replay executes it as it is, so
+// the CTAS's NOW() and CURRENT_DATE() columns come back TIMESTAMP, not the
+// VARCHAR their rendered literals would make. A file log still keeps the
+// rendered text, and still loses those types, until its record carries
+// the vector.
+func TestMacroWritesReplayExactly(t *testing.T) {
+	v, engines := mkVDB(t, 2, VDBConfig{RecoveryLog: recovery.NewMemoryLog(), ParallelTx: true},
+		"CREATE TABLE ts (id INTEGER PRIMARY KEY, at TIMESTAMP)")
+	s := openSession(t, v)
+	dump, err := v.BackupBackend("db0", "cp-macros")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.DisableBackend("db1")
+	exec(t, s, "CREATE TABLE c AS SELECT NOW() AS at, RAND() AS r, CURRENT_DATE() AS d")
+	exec(t, s, "INSERT INTO ts (id, at) VALUES (1, NOW())")
+	if err := v.RestoreBackend("db1", dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"c", "ts"} {
+		want, wantRows, err := engines[0].SnapshotTable(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotRows, err := engines[1].SnapshotTable(name)
+		if err != nil {
+			t.Fatalf("rebuilt copy: %v", err)
+		}
+		if !reflect.DeepEqual(got.Columns, want.Columns) {
+			t.Errorf("%s: rebuilt copy has columns %+v, live replica %+v", name, got.Columns, want.Columns)
+		}
+		if !reflect.DeepEqual(gotRows, wantRows) {
+			t.Errorf("%s: rebuilt copy holds %v, live replica %v", name, gotRows, wantRows)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"cjdbc/internal/backend"
 	"cjdbc/internal/sqlparser"
+	"cjdbc/internal/sqlval"
 )
 
 // ResponsePolicy selects when a write (update, commit or abort) is
@@ -50,8 +51,8 @@ func (p ResponsePolicy) String() string {
 // relative order. The invariant replicas need is not "one global order" but
 // "every pair of conflicting writes is enqueued to all backends in the same
 // relative order"; writes on disjoint table sets commute, so their relative
-// order is free. The scheduler also rewrites non-deterministic macros and
-// allocates transaction identifiers.
+// order is free. The scheduler also fills non-deterministic macros' slots
+// and allocates transaction identifiers.
 type Scheduler struct {
 	// gate is the global ordering point: per-class lockers hold it shared,
 	// global operations (DDL, unknown footprints, checkpoint quiesce — and
@@ -83,7 +84,6 @@ type Scheduler struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-	clock func() time.Time
 }
 
 // classLock is one table's write-sequencing lock, reference-counted so the
@@ -111,7 +111,6 @@ func NewScheduler(controllerID uint16, early ResponsePolicy, parallelTx bool) *S
 		early:        early,
 		txBase:       uint64(controllerID) << 48,
 		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
-		clock:        time.Now,
 	}
 }
 
@@ -124,17 +123,13 @@ func (s *Scheduler) NextTxID() uint64 {
 // Policy returns the early-response policy.
 func (s *Scheduler) Policy() ResponsePolicy { return s.early }
 
-// RewriteMacros replaces NOW()/RAND() style macros with values computed
-// once by the scheduler, so every backend stores exactly the same data.
-func (s *Scheduler) RewriteMacros(st sqlparser.Statement) {
-	if !sqlparser.HasMacros(st) {
-		return
-	}
+// FillSlots returns a write's owned vector: params with its macro slots
+// filled (sqlparser.FillSlots), NOW() and CURRENT_DATE from one instant and
+// each RAND() from one draw under the scheduler's lock.
+func (s *Scheduler) FillSlots(slots []sqlparser.Slot, params []sqlval.Value) []sqlval.Value {
 	s.rngMu.Lock()
-	now := s.clock()
-	rng := s.rng
-	sqlparser.RewriteMacros(st, now, rng)
-	s.rngMu.Unlock()
+	defer s.rngMu.Unlock()
+	return sqlparser.FillSlots(slots, params, time.Now(), s.rng)
 }
 
 // WriteTicket is one held conflict-class critical section. Logging and

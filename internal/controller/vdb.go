@@ -387,9 +387,8 @@ func (s *Session) Close() {
 // parsing cache (§2.4.2): the cached plan carries the parsed tree plus its
 // precomputed class, table list, read columns and placeholder count. The
 // plan's shared tree goes down as it is, with params beside it in a
-// sqlparser.Bound; only a write renders the pair, for the recovery log.
-// params must fill the statement's placeholders exactly: a missing or an
-// extra value is refused with a *sqlparser.BindError.
+// sqlparser.Bound. params must fill the statement's placeholders exactly:
+// a missing or an extra value is refused with a *sqlparser.BindError.
 func (s *Session) Exec(sql string, params []sqlval.Value) (*backend.Result, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
@@ -435,6 +434,11 @@ func (v *VirtualDatabase) planFor(sql string) (*plancache.Plan, error) {
 		return nil, err
 	}
 	p := plancache.Build(key, st)
+	if p.HasMacros && p.Class == sqlparser.ClassWrite {
+		// Not in Build, whose plans bind with the client's vector alone;
+		// a read's macros stay calls the engine evaluates per row.
+		p.Slots, p.SlotSQL = sqlparser.SlotMacros(st), sqlparser.Render(st)
+	}
 	// Offer, not Put: literal-bound one-off statements pass the admission
 	// doorkeeper so they cannot churn the LRU.
 	v.plans.Offer(p)
@@ -504,29 +508,24 @@ func (v *VirtualDatabase) dispatchEndTx(txID uint64, class sqlparser.StatementCl
 	return outs
 }
 
-// execWrite is the update path: macro rewriting, recovery logging, ordered
-// dispatch to all backends hosting the affected tables, cache invalidation,
-// then the early-response wait. A parameterised write reaches the backends
-// and the recovery log as one Bound: the shared tree, its text and params.
-// Under early response the write outlives this call, so it owns a copy of
-// params. Macro rewriting mutates the tree, so a statement with macros is
-// cloned, bound, rewritten and rendered instead. Only the distributed
-// broadcast, which carries text, renders a bound write.
+// execWrite is the update path: recovery logging, ordered dispatch to all
+// backends hosting the affected tables, cache invalidation, then the
+// early-response wait. A write with parameters or macro slots reaches the
+// backends and the recovery log as one Bound: the shared tree, its text and
+// a vector the write owns, since under early response it outlives this
+// call. Only the distributed broadcast, which carries text, renders it.
 func (s *Session) execWrite(plan *plancache.Plan, params []sqlval.Value) (*backend.Result, error) {
 	v := s.vdb
 	v.writes.Add(1)
 
 	st, sql := plan.Stmt, plan.SQL
-	switch {
-	case plan.HasMacros:
-		st = st.Clone()
-		if err := sqlparser.BindParams(st, params); err != nil {
-			return nil, err
-		}
-		v.sched.RewriteMacros(st)
-		sql = sqlparser.Render(st)
-	case len(params) > 0:
-		st = &sqlparser.Bound{Stmt: plan.Stmt, SQL: plan.SQL, Params: slices.Clone(params)}
+	if plan.Slots != nil {
+		sql, params = plan.SlotSQL, v.sched.FillSlots(plan.Slots, params)
+	} else {
+		params = slices.Clone(params)
+	}
+	if len(params) > 0 {
+		st = &sqlparser.Bound{Stmt: plan.Stmt, SQL: sql, Params: params}
 	}
 
 	if d := v.distributorSnapshot(); d != nil {
@@ -556,7 +555,7 @@ func (s *Session) execWrite(plan *plancache.Plan, params []sqlval.Value) (*backe
 // relative order; disjoint classes run this section concurrently.
 //
 // A write's conflict class and table footprint come from its plan (st is
-// plan.Stmt, bound or macro-rewritten); a demarcation has no plan and locks
+// plan.Stmt or a Bound of it); a demarcation has no plan and locks
 // its transaction's accumulated footprint instead.
 func (v *VirtualDatabase) orderedWrite(txID uint64, class sqlparser.StatementClass, plan *plancache.Plan, st sqlparser.Statement, sql, user string) (backend.Outcomes, error) {
 	var tables []string
@@ -795,10 +794,11 @@ func (v *VirtualDatabase) distributorSnapshot() Distributor {
 // distributed applier calls it once per delivery, in delivery order, so
 // every controller sequences the same operations in the same order. The
 // parsing cache is consulted but not populated: ordered writes arrive with
-// parameters already rendered as literals, so their texts rarely repeat and
-// would only churn the LRU. It returns at the enqueue, never waiting on
-// backend execution, so a transactional write waiting on database locks
-// cannot stall the delivery of the commit that would release them.
+// parameters and macro slots rendered as literals, so their texts rarely
+// repeat and would only churn the LRU, and no plan cached under one has
+// Slots to fill. It returns at the enqueue, never waiting on backend
+// execution, so a transactional write waiting on database locks cannot
+// stall the delivery of the commit that would release them.
 func (v *VirtualDatabase) ApplyDelivery(txID uint64, class sqlparser.StatementClass, sql, user string) (backend.Outcomes, error) {
 	switch class {
 	case sqlparser.ClassCommit:

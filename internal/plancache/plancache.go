@@ -4,10 +4,11 @@
 // routing metadata. Combined with the result cache this keeps the
 // controller's per-request overhead to a hash lookup on repeat statements.
 //
-// Cached plans are immutable by contract: a parameterised execution reads
-// its values beside the tree (sqlparser.Bound), and the one caller that
-// mutates a tree, macro rewriting, clones it first via Statement.Clone. The cache itself is a sharded LRU — per-shard mutex and
-// recency list — so concurrent sessions do not serialize on one lock.
+// Cached plans are immutable by contract: an execution reads its values
+// beside the tree (sqlparser.Bound), and a write's macros become parameter
+// slots before its plan is shared. The cache itself is a sharded LRU —
+// per-shard mutex and recency list — so concurrent sessions do not
+// serialize on one lock.
 package plancache
 
 import (
@@ -42,9 +43,14 @@ type Plan struct {
 	ReadColsOK bool
 	// NumParams is the number of ? placeholders.
 	NumParams int
-	// HasMacros reports whether the tree contains NOW()/RAND()-style macros
-	// the scheduler must rewrite per execution.
+	// HasMacros reports whether the text calls a NOW()/RAND()-style macro:
+	// a read that does bypasses the result cache, a write's calls are Slots.
 	HasMacros bool
+	// Slots, on a write that calls a macro, says what fills each parameter
+	// of Stmt, whose macro calls SlotMacros made parameters; SlotSQL is
+	// Stmt's text. Build leaves both unset.
+	Slots   []sqlparser.Slot
+	SlotSQL string
 	// ConflictTables / ConflictGlobal are the statement's precomputed
 	// conflict class (sorted, deduplicated table footprint, or
 	// conflicts-with-everything) for the scheduler's conflict-class write

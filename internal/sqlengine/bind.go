@@ -212,8 +212,10 @@ func (s *Session) bindSelect(sel *sqlparser.Select) (*binding, error) {
 	b.where = bd.expr(sel.Where)
 	b.groupBy = bd.exprs(sel.GroupBy)
 	b.having = bd.expr(sel.Having)
-	b.limit = bd.expr(sel.Limit)
-	b.offset = bd.expr(sel.Offset)
+	// LIMIT and OFFSET are evaluated with no row: like VALUES, they see no
+	// columns, and a reference to one fails when it is evaluated.
+	var nb binder
+	b.limit, b.offset = nb.expr(sel.Limit), nb.expr(sel.Offset)
 
 	b.conj = conjuncts(nil, b.where, b.srcs[0])
 	for i := 1; i < len(b.srcs); i++ {

@@ -32,6 +32,10 @@ import (
 //   - literal: the clone's rendering, parsed afresh — the text the recovery
 //     log keeps and replay executes.
 //
+// A write that calls a macro runs as the request manager sends it: the
+// plan's slotted tree with the vector its slots fill (sqlparser.SlotMacros,
+// FillSlots); the tree engine binds the clone to that vector.
+//
 // The literal engine must end in the same state, value for value and kind
 // for kind, and must answer every read whose values have an exact SQL
 // literal with the same rows. It also checks that RenderParams(tree,
@@ -81,6 +85,10 @@ func (tr *triplet) plan(sql string) (*plancache.Plan, error) {
 		return nil, err
 	}
 	p := plancache.Build(key, st)
+	if p.HasMacros && p.Class == sqlparser.ClassWrite {
+		// As the request manager plans a write that calls a macro.
+		p.Slots, p.SlotSQL = sqlparser.SlotMacros(st), sqlparser.Render(st)
+	}
 	tr.plans[key] = p
 	return p, nil
 }
@@ -115,22 +123,26 @@ func (tr *triplet) exec(sql string, params []sqlval.Value) (*sqlengine.Result, e
 	if err != nil {
 		return nil, err
 	}
-	clone := p.Stmt.Clone()
-	if err := sqlparser.BindParams(clone, params); err != nil {
+	if err := sqlparser.CheckParams(p.NumParams, len(params)); err != nil {
 		return nil, err
 	}
-	var boundSt sqlparser.Statement = &sqlparser.Bound{Stmt: p.Stmt, SQL: p.SQL, Params: params}
-	if p.HasMacros {
-		// The request manager rewrites macros on a bound clone, once, for
-		// every replica.
-		sqlparser.RewriteMacros(clone, tr.now, tr.rng)
-		boundSt = clone
-	} else if got, want := sqlparser.RenderParams(p.Stmt, params), sqlparser.Render(clone); got != want {
-		t.Errorf("%s %v renders as\n  %q\nbound clone renders as\n  %q", sql, params, got, want)
+	vec, boundSQL := params, p.SQL
+	if p.Slots != nil {
+		// The request manager fills a write's macro slots once, for every
+		// replica.
+		vec, boundSQL = sqlparser.FillSlots(p.Slots, params, tr.now, tr.rng), p.SlotSQL
+	}
+	clone := p.Stmt.Clone()
+	if err := sqlparser.BindParams(clone, vec); err != nil {
+		return nil, err
+	}
+	boundSt := &sqlparser.Bound{Stmt: p.Stmt, SQL: boundSQL, Params: vec}
+	if got, want := sqlparser.RenderParams(p.Stmt, vec), sqlparser.Render(clone); got != want {
+		t.Errorf("%s %v renders as\n  %q\nbound clone renders as\n  %q", sql, vec, got, want)
 	}
 	text := sqlparser.Render(clone)
 	var literalSt sqlparser.Statement = clone.Clone()
-	if slices.ContainsFunc(params, unrenderable) {
+	if slices.ContainsFunc(vec, unrenderable) {
 		tr.unrenderable++
 	} else if literalSt, err = sqlparser.Parse(text); err != nil {
 		t.Errorf("%s %v: the rendered text %q does not parse: %v", sql, params, text, err)
@@ -143,7 +155,7 @@ func (tr *triplet) exec(sql string, params []sqlval.Value) (*sqlengine.Result, e
 	if !sameOutcome(res, err, treeRes, treeErr, identical) {
 		t.Errorf("%s %v: bound %s, bound clone %s", sql, params, describe(res, err), describe(treeRes, treeErr))
 	}
-	exact := !slices.ContainsFunc(params, func(v sqlval.Value) bool { return !hasLiteral(v) })
+	exact := !slices.ContainsFunc(vec, func(v sqlval.Value) bool { return !hasLiteral(v) })
 	if exact && !sameOutcome(res, err, litRes, litErr, identical) {
 		t.Errorf("%s %v: bound %s, literal text %q %s", sql, params, describe(res, err), text, describe(litRes, litErr))
 	}

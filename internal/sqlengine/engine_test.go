@@ -847,3 +847,30 @@ func TestErrorMessagesNameTheTable(t *testing.T) {
 		t.Errorf("error should name the table: %v", err)
 	}
 }
+
+// TestLimitSeesNoColumns: LIMIT and OFFSET are evaluated once, with no
+// row, so a column in either fails the statement with the unknown-column
+// error a VALUES row gives, over no matching rows and over one, instead of
+// reading a row that is not there.
+func TestLimitSeesNoColumns(t *testing.T) {
+	_, s := testDB(t)
+	for _, q := range []string{
+		"SELECT i_id FROM item WHERE i_id = %d LIMIT i_id",
+		"SELECT i_id FROM item WHERE i_id = %d LIMIT 1 OFFSET i_id",
+		"SELECT i_id FROM item WHERE i_id = %d ORDER BY i_id LIMIT i_id",
+	} {
+		for _, id := range []int{999, 1} {
+			sql := fmt.Sprintf(q, id)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s panics: %v", sql, r)
+					}
+				}()
+				if _, err := s.ExecSQL(sql); err == nil || err.Error() != `engine: unknown column "i_id"` {
+					t.Errorf("%s: error %v, want unknown column \"i_id\"", sql, err)
+				}
+			}()
+		}
+	}
+}

@@ -357,7 +357,7 @@ func (ev *env) evalFunc(e *bexpr) (sqlval.Value, error) {
 	case fnNow:
 		return sqlval.Time(time.Now()), nil
 	case fnCurrentDate:
-		// Midnight UTC, as sqlparser.RewriteMacros writes it.
+		// Midnight UTC, as sqlparser.FillSlots fills a write's slot.
 		return sqlval.Time(time.Now().Truncate(24 * time.Hour)), nil
 	case fnRand:
 		return sqlval.Float(rand.Float64()), nil

@@ -96,9 +96,9 @@ func (s *Session) Exec(st sqlparser.Statement) (*Result, error) {
 	case *sqlparser.Insert:
 		res, err = s.execInsert(t)
 	case *sqlparser.Update:
-		res, err = s.execUpdate(t)
+		res, err = s.execChange(t.Table, t.Bind, t.Where, t.Set)
 	case *sqlparser.Delete:
-		res, err = s.execDelete(t)
+		res, err = s.execChange(t.Table, t.Bind, t.Where, nil)
 	case *sqlparser.Select:
 		res, err = s.execSelect(t)
 	default:
@@ -494,29 +494,30 @@ func (s *Session) execInsert(ins *sqlparser.Insert) (*Result, error) {
 	return &Result{RowsAffected: inserted, LastInsertID: lastID}, nil
 }
 
-func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
-	name := strings.ToLower(up.Table)
+// execChange runs an UPDATE, or a DELETE when set is nil, of table: under
+// the table lock and the table's latch it pushes a new version onto every
+// candidate chain whose writer view — the head, committed or this
+// session's own — holds WHERE: the row with SET applied, or a tombstone.
+// Either way the old image stays on the chain for older snapshots, and
+// undo pops the new version.
+func (s *Session) execChange(table string, slot *sqlparser.Bindings, where *sqlparser.Expr, set []sqlparser.Assignment) (*Result, error) {
+	name := strings.ToLower(table)
 	if err := s.lockTable(name, s.lockDeadline()); err != nil {
 		return nil, err
 	}
 	e := s.engine
 	e.mu.RLock(s.shard)
 	defer e.mu.RUnlock(s.shard)
-	b, err := s.bindWrite(up.Bind, name, up.Where, up.Set)
+	b, err := s.bindWrite(slot, name, where, set)
 	if err != nil {
 		return nil, err
 	}
 	t := b.srcs[0].t
 	t.store.Lock()
 	defer t.store.Unlock()
-	schema := t.schema
-	setIdx := b.cols
-
-	refs := candidateRefs(e, t, b.conj, s.params)
 	ev := &env{params: s.params, like: s.likes(b)}
 	var affected int64
-	for _, ch := range refs {
-		// Writer view: the chain head is committed or this session's own.
+	for _, ch := range candidateRefs(e, t, b.conj, s.params) {
 		row := ch.latestRow()
 		if row == nil {
 			continue
@@ -528,67 +529,29 @@ func (s *Session) execUpdate(up *sqlparser.Update) (*Result, error) {
 		if !m {
 			continue
 		}
-		// Copy-on-write: the stored version is immutable once published, so
-		// the new image is built on a fresh slice and pushed as a new version.
-		// No old-image clone is needed for undo — the previous version stays
-		// on the chain and undo simply pops ours.
-		newRow := slices.Clone(row)
-		for i, set := range b.set {
-			v, err := ev.eval(set)
-			if err != nil {
+		op := undoOp{kind: 'd', table: name, ch: ch}
+		var v *rowVersion
+		if set == nil {
+			v = t.deleteRow(ch, s.stamp)
+		} else {
+			// Copy-on-write: the stored version is immutable once
+			// published, so the new image is built on a fresh slice.
+			newRow := slices.Clone(row)
+			for i, x := range b.set {
+				val, err := ev.eval(x)
+				if err != nil {
+					return nil, err
+				}
+				if newRow[b.cols[i]], err = coerce(val, &t.schema.Columns[b.cols[i]]); err != nil {
+					return nil, err
+				}
+			}
+			if v, err = t.updateRow(ch, newRow, s.stamp); err != nil {
 				return nil, err
 			}
-			cv, err := coerce(v, &schema.Columns[setIdx[i]])
-			if err != nil {
-				return nil, err
-			}
-			newRow[setIdx[i]] = cv
+			op.kind = 'u'
 		}
-		v, err := t.updateRow(ch, newRow, s.stamp)
-		if err != nil {
-			return nil, err
-		}
-		s.undo = append(s.undo, undoOp{kind: 'u', table: name, ch: ch})
-		s.dirty = append(s.dirty, v)
-		affected++
-	}
-	return &Result{RowsAffected: affected}, nil
-}
-
-func (s *Session) execDelete(del *sqlparser.Delete) (*Result, error) {
-	name := strings.ToLower(del.Table)
-	if err := s.lockTable(name, s.lockDeadline()); err != nil {
-		return nil, err
-	}
-	e := s.engine
-	e.mu.RLock(s.shard)
-	defer e.mu.RUnlock(s.shard)
-	b, err := s.bindWrite(del.Bind, name, del.Where, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := b.srcs[0].t
-	t.store.Lock()
-	defer t.store.Unlock()
-	refs := candidateRefs(e, t, b.conj, s.params)
-	ev := &env{params: s.params, like: s.likes(b)}
-	var affected int64
-	for _, ch := range refs {
-		row := ch.latestRow()
-		if row == nil {
-			continue
-		}
-		m, err := ev.holds(b.where, row)
-		if err != nil {
-			return nil, err
-		}
-		if !m {
-			continue
-		}
-		// A delete is a tombstone version; the old image stays on the chain
-		// for older snapshots and for undo.
-		v := t.deleteRow(ch, s.stamp)
-		s.undo = append(s.undo, undoOp{kind: 'd', table: name, ch: ch})
+		s.undo = append(s.undo, op)
 		s.dirty = append(s.dirty, v)
 		affected++
 	}

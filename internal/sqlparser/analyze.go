@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"time"
 
@@ -56,8 +57,9 @@ func Classify(st Statement) StatementClass {
 	}
 }
 
-// macroFuncs are the non-deterministic SQL functions the scheduler rewrites
-// on the fly so that every backend stores exactly the same data (§2.4.1).
+// macroFuncs are the non-deterministic SQL functions a write's vector
+// fills once per execution (SlotMacros) so that every backend stores
+// exactly the same data (§2.4.1).
 var macroFuncs = map[string]bool{
 	"NOW": true, "RAND": true, "CURRENT_TIMESTAMP": true, "CURRENT_DATE": true,
 }
@@ -125,25 +127,54 @@ func HasMacros(st Statement) bool {
 	return found
 }
 
-// RewriteMacros replaces every NOW()/CURRENT_TIMESTAMP with the fixed time
-// now, every CURRENT_DATE with now's day at midnight UTC (what the engine
-// evaluates it to) and every RAND() with a float drawn from rng, mutating
-// st in place. The scheduler calls this once per write so that all
-// replicas apply identical values.
-func RewriteMacros(st Statement, now time.Time, rng *rand.Rand) {
+// Slot is what fills one parameter of a tree SlotMacros rewrote: the
+// client's parameter Param, or the value of the macro Macro names.
+type Slot struct {
+	Macro string // NOW, CURRENT_TIMESTAMP, CURRENT_DATE or RAND; "" for Param
+	Param int
+}
+
+// SlotMacros turns every macro call in st into a parameter and renumbers
+// all of st's parameters in the order WalkExprs visits them, which is the
+// order Render writes them, mutating st in place. It returns what fills
+// each parameter. The request manager slots a freshly parsed write once and
+// fills its vector per execution (FillSlots), so every backend stores
+// exactly the same data (§2.4.1); and Render(st) holds one ? per vector
+// entry in vector order, which is how a nested controller numbers them.
+func SlotMacros(st Statement) []Slot {
+	var slots []Slot
 	WalkExprs(st, func(e *Expr) {
-		if e.Kind != ExprFunc || !macroFuncs[e.Func] {
+		switch {
+		case e.Kind == ExprParam:
+			slots = append(slots, Slot{Param: e.ParamIdx})
+		case e.Kind == ExprFunc && macroFuncs[e.Func]:
+			slots = append(slots, Slot{Macro: e.Func})
+		default:
 			return
 		}
-		switch e.Func {
-		case "NOW", "CURRENT_TIMESTAMP":
-			*e = Expr{Kind: ExprLiteral, Lit: sqlval.Time(now)}
-		case "CURRENT_DATE":
-			*e = Expr{Kind: ExprLiteral, Lit: sqlval.Time(now.Truncate(24 * time.Hour))}
-		case "RAND":
-			*e = Expr{Kind: ExprLiteral, Lit: sqlval.Float(rng.Float64())}
-		}
+		*e = Expr{Kind: ExprParam, ParamIdx: len(slots) - 1}
 	})
+	return slots
+}
+
+// FillSlots returns the vector of a tree SlotMacros rewrote: each client
+// parameter from params, NOW() and CURRENT_TIMESTAMP as now, CURRENT_DATE
+// as now's day at midnight UTC (what the engine evaluates it to) and each
+// RAND() as one draw from rng.
+func FillSlots(slots []Slot, params []sqlval.Value, now time.Time, rng *rand.Rand) []sqlval.Value {
+	vec := make([]sqlval.Value, len(slots))
+	for i, sl := range slots {
+		vec[i] = sqlval.Time(now)
+		switch sl.Macro {
+		case "":
+			vec[i] = params[sl.Param]
+		case "CURRENT_DATE":
+			vec[i] = sqlval.Time(now.Truncate(24 * time.Hour))
+		case "RAND":
+			vec[i] = sqlval.Float(rng.Float64())
+		}
+	}
+	return vec
 }
 
 // WriteTarget returns the single table a write statement will take an
@@ -236,8 +267,8 @@ func NumParams(st Statement) int {
 // BindParams replaces every ? placeholder with the corresponding literal,
 // mutating st in place, and refuses a vector that leaves a placeholder
 // unbound or holds more values than st has placeholders. The request
-// manager binds this way only for statements with macros; every other
-// statement travels as a Bound and is rendered with RenderParams.
+// manager never binds this way: a statement travels as a Bound and is
+// rendered with RenderParams.
 func BindParams(st Statement, params []sqlval.Value) error {
 	var bindErr error
 	n := 0
@@ -284,29 +315,7 @@ type BindError struct {
 // Error implements the error interface.
 func (e *BindError) Error() string {
 	if e.Index < e.Have {
-		return "sql: statement takes " + itoa(e.Index) + " parameters (" + itoa(e.Have) + " provided)"
+		return "sql: statement takes " + strconv.Itoa(e.Index) + " parameters (" + strconv.Itoa(e.Have) + " provided)"
 	}
-	return "sql: statement parameter " + itoa(e.Index+1) + " not bound (" + itoa(e.Have) + " provided)"
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	var b [20]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
-	}
-	if neg {
-		n--
-		b[n] = '-'
-	}
-	return string(b[n:])
+	return "sql: statement parameter " + strconv.Itoa(e.Index+1) + " not bound (" + strconv.Itoa(e.Have) + " provided)"
 }

@@ -14,8 +14,8 @@ type Statement interface {
 	// replication and cache invalidation.
 	Tables() []string
 	// Clone returns a deep copy of the statement. The parsing cache shares
-	// one parsed tree across executions; a mutating operation (macro
-	// rewriting, with BindParams before it) works on a clone.
+	// one parsed tree across executions; a mutating operation (BindParams)
+	// works on a clone.
 	Clone() Statement
 }
 

@@ -37,7 +37,7 @@ func cloneStrings(ss []string) []string {
 
 // Clone implementations. The parsing cache hands the same parsed Statement
 // to every execution of a SQL text; any caller that needs to mutate the tree
-// (parameter binding, macro rewriting) must clone first.
+// (parameter binding) must clone first.
 
 // Clone deep-copies the statement.
 func (s *CreateTable) Clone() Statement {

@@ -232,37 +232,40 @@ func TestMacroDetectionAndRewrite(t *testing.T) {
 		t.Fatal("macros not detected")
 	}
 	now := time.Date(2004, 6, 27, 12, 0, 0, 0, time.UTC)
-	RewriteMacros(st, now, rand.New(rand.NewSource(42)))
+	slots := SlotMacros(st)
 	if HasMacros(st) {
-		t.Fatal("macros survived rewrite")
+		t.Fatal("macros survived slotting")
 	}
-	ins := st.(*Insert)
-	if ins.Rows[0][0].Lit.K != sqlval.KindTime || !ins.Rows[0][0].Lit.Time().Equal(now) {
-		t.Error("NOW() not rewritten to fixed time")
+	if want := []Slot{{Macro: "NOW"}, {Macro: "RAND"}}; !reflect.DeepEqual(slots, want) {
+		t.Fatalf("slots %v, want %v", slots, want)
 	}
-	if ins.Rows[0][1].Lit.K != sqlval.KindFloat {
-		t.Error("RAND() not rewritten to float")
+	vec := FillSlots(slots, nil, now, rand.New(rand.NewSource(42)))
+	if vec[0].K != sqlval.KindTime || !vec[0].Time().Equal(now) {
+		t.Error("NOW() slot not filled with the fixed time")
+	}
+	if vec[1].K != sqlval.KindFloat {
+		t.Error("RAND() slot not filled with a float")
 	}
 
-	// Two rewrites with the same seed produce the same SQL: determinism
+	// Two fills with the same seed produce the same SQL: determinism
 	// across replicas, the property §2.4.1 requires.
 	st2 := mustParse(t, "INSERT INTO orders (o_date, o_disc) VALUES (NOW(), RAND())")
-	RewriteMacros(st2, now, rand.New(rand.NewSource(42)))
-	if Render(st) != Render(st2) {
-		t.Error("macro rewriting is not deterministic")
+	vec2 := FillSlots(SlotMacros(st2), nil, now, rand.New(rand.NewSource(42)))
+	if RenderParams(st, vec) != RenderParams(st2, vec2) {
+		t.Error("macro slot filling is not deterministic")
 	}
 }
 
-// TestCurrentDateRewritesToMidnight: CURRENT_DATE() is a date, so its
-// rewrite is the day of now at midnight UTC, not now with its time of day.
+// TestCurrentDateRewritesToMidnight: CURRENT_DATE() is a date, so its slot
+// is filled with the day of now at midnight UTC, not now with its time of
+// day.
 func TestCurrentDateRewritesToMidnight(t *testing.T) {
 	st := mustParse(t, "INSERT INTO orders (o_date) VALUES (CURRENT_DATE())")
 	now := time.Date(2004, 6, 27, 12, 30, 5, 7, time.UTC)
-	RewriteMacros(st, now, rand.New(rand.NewSource(1)))
-	got := st.(*Insert).Rows[0][0]
+	vec := FillSlots(SlotMacros(st), nil, now, rand.New(rand.NewSource(1)))
 	want := time.Date(2004, 6, 27, 0, 0, 0, 0, time.UTC)
-	if got.Kind != ExprLiteral || got.Lit.K != sqlval.KindTime || !got.Lit.Time().Equal(want) {
-		t.Fatalf("CURRENT_DATE() rewritten to %s, want %v", Render(st), want)
+	if got := vec[0]; len(vec) != 1 || got.K != sqlval.KindTime || !got.Time().Equal(want) {
+		t.Fatalf("CURRENT_DATE() filled as %s, want %v", RenderParams(st, vec), want)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Render turns a parsed statement back into SQL text: RenderParams with no
 // vector (a Bound renders with its own). The output is accepted by Parse
 // (round-trip property), which the recovery log, the wire protocol and
-// macro rewriting rely on.
+// the slotted text of a write with macros (SlotMacros) rely on.
 func Render(st Statement) string { return RenderParams(st, nil) }
 
 // RenderParams renders st with each placeholder params covers written as

@@ -140,6 +140,39 @@ func TestNestedControllerGetsTextAndVector(t *testing.T) {
 	if !rows.Next() || rows.Scan(&name) != nil || name != quoted {
 		t.Fatalf("leaf stores %q, want %q", name, quoted)
 	}
+
+	// A write that calls a macro reaches the leaf as its slotted text plus
+	// the filled vector: one text for every execution, so the leaf's plan
+	// cache hits after the first, one value for both leaf replicas, and
+	// each value where the leaf, numbering the text's ? in order, reads it.
+	if _, err := top.Exec("CREATE TABLE stamps (id INTEGER PRIMARY KEY, at TIMESTAMP, r FLOAT)"); err != nil {
+		t.Fatal(err)
+	}
+	plans := leafVDB.Internal().PlanCache()
+	before := plans.StatsSnapshot().Hits
+	for id := 1; id <= 6; id++ {
+		if _, err := top.Exec("INSERT INTO stamps (at, id, r) VALUES (NOW(), ?, RAND())", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits := plans.StatsSnapshot().Hits - before; hits != 5 {
+		t.Errorf("the leaf's plan cache hit %d times over 6 macro INSERTs, want 5", hits)
+	}
+	var held [2]string
+	for i, name := range []string{"l0", "l1"} {
+		b, err := leafVDB.Internal().Backend(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.DirectExec(nil, "SELECT id, at, r FROM stamps ORDER BY id")
+		if err != nil || len(res.Rows) != 6 {
+			t.Fatalf("%s: %v, %v", name, res, err)
+		}
+		held[i] = fmt.Sprint(res.Rows)
+	}
+	if held[0] != held[1] {
+		t.Errorf("leaf replicas differ:\n l0 %s\n l1 %s", held[0], held[1])
+	}
 }
 
 // TestLocalPointReadAllocationBudget: an in-process point read through the
