@@ -777,6 +777,32 @@ func TestLimitColumnOverTheWire(t *testing.T) {
 	}
 }
 
+// TestNonASCIIIdentifierOverTheWire: an unquoted non-ASCII identifier is
+// a parse error the client receives; the controller serving the
+// connection stays up and the same session answers its next statement.
+func TestNonASCIIIdentifierOverTheWire(t *testing.T) {
+	ctrl, _ := newTestCluster(t, 2, VirtualDatabaseConfig{})
+	addr, err := ctrl.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := Connect(fmt.Sprintf("cjdbc://%s/mydb", addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Query("SELECT prénom FROM t"); err == nil || !strings.Contains(err.Error(), "offset 9") {
+		t.Fatalf("SELECT prénom FROM t: error %v, want a parse error at offset 9", err)
+	}
+	rows, err := sess.Query("SELECT 1")
+	if err != nil || rows.Len() != 1 {
+		t.Fatalf("SELECT 1 after the refused statement: %v", err)
+	}
+}
+
 func TestBadConfigRejected(t *testing.T) {
 	ctrl := NewController("bad", 9)
 	defer ctrl.Close()

@@ -201,14 +201,6 @@ func (s *Session) bindSelect(sel *sqlparser.Select) (*binding, error) {
 			b.items[i] = bd.expr(it.Expr)
 		}
 	}
-	if len(b.srcs) == 0 {
-		b.header = make([]string, len(sel.Items))
-		for i, it := range sel.Items {
-			b.header[i] = itemName(it, i)
-		}
-		s.keep(sel.Bind, b)
-		return b, nil
-	}
 	b.where = bd.expr(sel.Where)
 	b.groupBy = bd.exprs(sel.GroupBy)
 	b.having = bd.expr(sel.Having)
@@ -216,6 +208,16 @@ func (s *Session) bindSelect(sel *sqlparser.Select) (*binding, error) {
 	// columns, and a reference to one fails when it is evaluated.
 	var nb binder
 	b.limit, b.offset = nb.expr(sel.Limit), nb.expr(sel.Offset)
+	if len(b.srcs) == 0 {
+		// Without FROM every clause was bound against no table, so each
+		// sees no columns either.
+		b.header = make([]string, len(sel.Items))
+		for i, it := range sel.Items {
+			b.header[i] = itemName(it, i)
+		}
+		s.keep(sel.Bind, b)
+		return b, nil
+	}
 
 	b.conj = conjuncts(nil, b.where, b.srcs[0])
 	for i := 1; i < len(b.srcs); i++ {

@@ -874,3 +874,47 @@ func TestLimitSeesNoColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectWithoutFromBindsEveryClause: a SELECT without FROM yields one
+// row, which WHERE, HAVING, LIMIT and OFFSET filter as they filter the
+// rows of a table. HAVING without GROUP BY tests that one row, as WHERE
+// does, and a filtered-out row's items are never evaluated. Every clause
+// sees no columns, so a column in any of them fails the statement with
+// the unknown-column error.
+func TestSelectWithoutFromBindsEveryClause(t *testing.T) {
+	_, s := testDB(t)
+	for _, tc := range []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT 1", 1},
+		{"SELECT 1 WHERE 1 = 1", 1},
+		{"SELECT 1 WHERE 1 = 0", 0},
+		{"SELECT 1 WHERE NULL", 0},
+		{"SELECT 1 / 0 WHERE 1 = 0", 0},
+		{"SELECT 1 HAVING 1 = 1", 1},
+		{"SELECT 1 HAVING 1 = 0", 0},
+		{"SELECT 1 LIMIT 0", 0},
+		{"SELECT 1 LIMIT 1", 1},
+		{"SELECT 1 LIMIT -1", 1},
+		{"SELECT 1 LIMIT 1 OFFSET 0", 1},
+		{"SELECT 1 LIMIT 5 OFFSET 1", 0},
+		{"SELECT 1 LIMIT 1, 5", 0},
+	} {
+		res := mustExec(t, s, tc.sql)
+		if len(res.Rows) != tc.rows || len(res.Columns) != 1 {
+			t.Errorf("%s: %d rows and columns %v, want %d rows and one column", tc.sql, len(res.Rows), res.Columns, tc.rows)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT 1 LIMIT nope",
+		"SELECT 1 LIMIT 1 OFFSET nope",
+		"SELECT 1 WHERE nope = 1",
+		"SELECT 1 WHERE 1 = 0 LIMIT nope",
+		"SELECT 1 HAVING nope = 1",
+	} {
+		if _, err := s.ExecSQL(sql); err == nil || err.Error() != `engine: unknown column "nope"` {
+			t.Errorf("%s: error %v, want unknown column \"nope\"", sql, err)
+		}
+	}
+}

@@ -34,12 +34,15 @@ const maxSkipLevel = 16
 // skipNode is one distinct key of an ordered index. key and the tower size
 // are immutable after publication; the embedded bucket is the key's ref
 // list, the same one the index's hash map holds for the key; next/prev are
-// traversed latch-free.
+// traversed latch-free. A node of level 1 or 2 — three in four — keeps its
+// tower in low, and next points into it: with the first ref inline too, a
+// key held by one row is this one object.
 type skipNode struct {
 	key sqlval.Value
 	idBucket
 	prev atomic.Pointer[skipNode]   // level-0 backward link; nil at the first node
 	next []atomic.Pointer[skipNode] // tower; len(next) == the node's level
+	low  [2]atomic.Pointer[skipNode]
 }
 
 // ordIndex is the ordered view of one single-column index. The head sentinel
@@ -111,7 +114,13 @@ func (ox *ordIndex) insert(t *table, v sqlval.Value, ch *rowChain) *idBucket {
 		return &succ.idBucket
 	}
 	lvl := ox.randLevel()
-	node := &skipNode{key: v, idBucket: idBucket{refs: []*rowChain{ch}}, next: make([]atomic.Pointer[skipNode], lvl)}
+	node := &skipNode{key: v}
+	node.init(ch)
+	if lvl <= len(node.low) {
+		node.next = node.low[:lvl]
+	} else {
+		node.next = make([]atomic.Pointer[skipNode], lvl)
+	}
 	for i := 0; i < lvl; i++ {
 		node.next[i].Store(preds[i].next[i].Load())
 	}
@@ -263,14 +272,14 @@ func (ox *ordIndex) collectRange(t *table, lo, hi *rangeBound, limit int) ([]*ro
 }
 
 // gcLocked prunes refs to reclaimed chains (their rowids left t.rows),
-// unlinks nodes whose ref lists emptied and deletes their keys from m, the
-// index's hash map, which shares the nodes' lists. Caller holds the table
-// latch exclusively, so no insert races; in-flight latch-free readers are
-// safe because an unlinked node keeps its own next/prev links — a reader
-// standing on it traverses onward, and any row it could still resolve was
-// already below every pinned snapshot's epoch (that is what made the chain
-// reclaimable).
-func (ox *ordIndex) gcLocked(t *table, m map[string]*idBucket) {
+// unlinks nodes whose ref lists emptied and deletes their keys from the
+// hash maps of ix, whose ordered view ox is and which share the nodes'
+// lists. Caller holds the table latch exclusively, so no insert races;
+// in-flight latch-free readers are safe because an unlinked node keeps its
+// own next/prev links — a reader standing on it traverses onward, and any
+// row it could still resolve was already below every pinned snapshot's
+// epoch (that is what made the chain reclaimable).
+func (ox *ordIndex) gcLocked(t *table, ix *index) {
 	var dead map[*skipNode]bool
 	var kb [48]byte
 	for n := ox.head.next[0].Load(); n != nil; n = n.next[0].Load() {
@@ -289,7 +298,7 @@ func (ox *ordIndex) gcLocked(t *table, m map[string]*idBucket) {
 		t.idxMu.Lock()
 		n.refs = kept
 		if len(kept) == 0 {
-			delete(m, string(n.key.AppendKey(kb[:0])))
+			ix.put(valueKey(kb[:0], n.key), nil)
 		}
 		t.idxMu.Unlock()
 		if len(kept) == 0 {

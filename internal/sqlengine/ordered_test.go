@@ -136,14 +136,14 @@ func TestSkiplistDuplicateAndRepeatedInsert(t *testing.T) {
 // unlink, their keys leave the hash map that shares their ref lists, and
 // the prev chain and tail are rewired over the survivors.
 func TestSkiplistGCUnlinksEmptyNodes(t *testing.T) {
-	ix := &index{columns: []int{0}, m: map[string]*idBucket{}, ord: newOrdIndex()}
+	ix := &index{columns: []int{0}, ord: newOrdIndex()}
 	ox := ix.ord
 	tbl := skipTestTable()
 	for i := int64(0); i < 20; i++ {
 		c := &rowChain{id: i}
 		tbl.rows[i] = c
 		row := []sqlval.Value{sqlval.Int(i % 5)} // keys 0..4, 4 rows each
-		ix.addRef(tbl, row[0].AppendKey(nil), row, c)
+		ix.addRef(tbl, valueKey(nil, row[0]), row, c)
 	}
 	// Reclaim every row of keys 1 and 3, and one row of key 2.
 	for i := int64(0); i < 20; i++ {
@@ -151,10 +151,10 @@ func TestSkiplistGCUnlinksEmptyNodes(t *testing.T) {
 			delete(tbl.rows, i)
 		}
 	}
-	ox.gcLocked(tbl, ix.m)
+	ox.gcLocked(tbl, ix)
 	for k := int64(0); k < 5; k++ {
-		bkt, ok := ix.m[string(sqlval.Int(k).AppendKey(nil))]
-		if want := k%2 == 0; ok != want {
+		bkt := ix.get(valueKey(nil, sqlval.Int(k)))
+		if ok, want := bkt != nil, k%2 == 0; ok != want {
 			t.Errorf("key %d in the hash map after GC: %v, want %v", k, ok, want)
 		} else if ok && bkt != &ox.seekGE(&rangeBound{v: sqlval.Int(k), incl: true}).idBucket {
 			t.Errorf("key %d: the hash map's bucket is not the node's", k)
@@ -409,7 +409,7 @@ func TestPlannedAccessLeavesIndexRefsInPlace(t *testing.T) {
 	ix := e.tables["p"].indexes["p_cat"]
 	key := sqlval.Int(3)
 	refsNow := func() (bucket, node []*rowChain) {
-		bucket = slices.Clone(ix.m[string(key.AppendKey(nil))].refs)
+		bucket = slices.Clone(ix.get(valueKey(nil, key)).refs)
 		node = slices.Clone(ix.ord.seekGE(&rangeBound{v: key, incl: true}).refs)
 		return bucket, node
 	}

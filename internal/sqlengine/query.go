@@ -180,21 +180,39 @@ func (s *Session) execSelect(sel *sqlparser.Select) (*Result, error) {
 	return res, nil
 }
 
-// selectNoFrom evaluates a FROM-less select (SELECT 1, SELECT NOW()).
+// selectNoFrom evaluates a FROM-less select (SELECT 1, SELECT NOW()): one
+// row, kept when WHERE and HAVING hold and the LIMIT and OFFSET window
+// covers it. Its items are evaluated only when it is kept.
 func (s *Session) selectNoFrom(sel *sqlparser.Select, b *binding) (*Result, error) {
+	if slices.ContainsFunc(sel.Items, func(it sqlparser.SelectItem) bool { return it.Star }) {
+		return nil, errf("SELECT * requires FROM")
+	}
+	offset, end, err := limits(b, s.params)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Columns: b.header}
 	ev := &env{params: s.params}
-	row := make([]sqlval.Value, 0, len(sel.Items))
-	for i, it := range sel.Items {
-		if it.Star {
-			return nil, errf("SELECT * requires FROM")
-		}
-		v, err := ev.eval(b.items[i])
+	for _, c := range []*bexpr{b.where, b.having} {
+		ok, err := ev.holds(c, nil)
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, v)
+		if !ok {
+			return res, nil
+		}
 	}
-	return &Result{Columns: b.header, Rows: [][]sqlval.Value{row}}, nil
+	if offset > 0 || end == 0 {
+		return res, nil
+	}
+	row := make([]sqlval.Value, len(sel.Items))
+	for i := range sel.Items {
+		if row[i], err = ev.eval(b.items[i]); err != nil {
+			return nil, err
+		}
+	}
+	res.Rows = [][]sqlval.Value{row}
+	return res, nil
 }
 
 // rowSink takes the rows a producer yields, WHERE already applied. A

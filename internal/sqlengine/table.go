@@ -60,25 +60,112 @@ func (s *Schema) ColumnNames() []string {
 // through the key it had then. Stale refs are harmless — every access path
 // re-evaluates its full predicate against the resolved row — and the
 // garbage collector prunes refs whose chains it reclaims. Buckets are held
-// by pointer so the hot add path mutates in place: with the byte-scratch
-// key building, inserting into an existing bucket costs no string
-// allocation (Go elides the string(b) copy for map lookups), and only a
-// brand-new key materializes a string.
+// by pointer so the hot add path mutates in place.
+//
+// A key lives in one of two maps, which get and put pick between. A
+// single-column index keeps an integer-class key — sqlval.Value.IntKey ok:
+// an INTEGER, a BOOLEAN or an integral FLOAT — in ints, as the int64
+// itself, so the key costs no string and the write path builds no bytes
+// for it. Every other key is its bytes in m: a value's AppendKey bytes, or
+// a multi-column index's composite key. The classes are the ones the key
+// bytes draw (only an integer-class key's bytes begin "\x00i"), so two
+// values share a bucket exactly when their key bytes are equal. Probing m
+// with scratch bytes costs no string (Go elides the string(b) copy for map
+// lookups); only a brand-new key materializes one.
 type index struct {
 	name    string
 	columns []int // column positions
 	unique  bool
-	m       map[string]*idBucket // value key -> chain refs
+	ints    map[int64]*idBucket  // integer-class keys of a single-column index
+	m       map[string]*idBucket // every other key, as its bytes
 	// ord is the ordered view of a single-column index: a skiplist keyed by
 	// sqlval collation order, serving range predicates and ORDER BY ...
-	// LIMIT scans. Its nodes own the ref lists: m maps each key to its
-	// node's bucket, so a key's refs are stored once. Multi-column indexes
-	// stay hash-only and own their buckets. See ordered.go.
+	// LIMIT scans. Its nodes own the ref lists: ints and m map each key to
+	// its node's bucket, so a key's refs are stored once. Multi-column
+	// indexes stay hash-only and own their buckets. See ordered.go.
 	ord *ordIndex
 }
 
-// idBucket is one key's chain-ref list, guarded by table.idxMu.
-type idBucket struct{ refs []*rowChain }
+// ixKey is one index key: an integer-class key of a single-column index as
+// the int64 i (isInt), any other as its bytes b.
+type ixKey struct {
+	b     []byte
+	i     int64
+	isInt bool
+}
+
+// valueKey is v's key in a single-column index. Only a key that is not
+// integer-class appends to buf.
+func valueKey(buf []byte, v sqlval.Value) ixKey {
+	if i, ok := v.IntKey(); ok {
+		return ixKey{i: i, isInt: true}
+	}
+	return ixKey{b: v.AppendKey(buf)}
+}
+
+// keyOf is ix's key of row, laid out as lookup builds it from a probe
+// value: a single-column key is valueKey's, a multi-column key is composite
+// (appendKeyPart) bytes appended to buf.
+func (ix *index) keyOf(buf []byte, row []sqlval.Value) ixKey {
+	if len(ix.columns) == 1 {
+		return valueKey(buf, row[ix.columns[0]])
+	}
+	for _, c := range ix.columns {
+		buf = appendKeyPart(buf, row[c])
+	}
+	return ixKey{b: buf}
+}
+
+// equal reports whether k and o are one key.
+func (k ixKey) equal(o ixKey) bool {
+	return k.isInt == o.isInt && k.i == o.i && string(k.b) == string(o.b)
+}
+
+// get returns the bucket under k, or nil. Latch-free readers hold idxMu
+// around it; the writer, the only one to mutate the maps, need not.
+func (ix *index) get(k ixKey) *idBucket {
+	if k.isInt {
+		return ix.ints[k.i]
+	}
+	return ix.m[string(k.b)]
+}
+
+// put publishes bkt under k, or deletes k when bkt is nil. Caller holds the
+// table latch exclusively and idxMu.
+func (ix *index) put(k ixKey, bkt *idBucket) {
+	switch {
+	case k.isInt && bkt == nil:
+		delete(ix.ints, k.i)
+	case k.isInt:
+		if ix.ints == nil {
+			ix.ints = make(map[int64]*idBucket)
+		}
+		ix.ints[k.i] = bkt
+	case bkt == nil:
+		delete(ix.m, string(k.b))
+	default:
+		if ix.m == nil {
+			ix.m = make(map[string]*idBucket)
+		}
+		ix.m[string(k.b)] = bkt
+	}
+}
+
+// idBucket is one key's chain-ref list, guarded by table.idxMu. A new
+// bucket stores its first ref inline (init), so a key held by one row costs
+// no list of its own; the second ref's append finds no capacity and moves
+// the list out. Nothing writes into one once the bucket is published:
+// latch-free readers hold refs[:n:n].
+type idBucket struct {
+	refs []*rowChain
+	one  [1]*rowChain
+}
+
+// init makes ch the bucket's only ref, stored inline.
+func (b *idBucket) init(ch *rowChain) {
+	b.one[0] = ch
+	b.refs = b.one[:1:1]
+}
 
 // add appends ch unless the list already holds it (re-updating a row back
 // to a key it had must not duplicate the ref, or scans through the bucket
@@ -103,20 +190,6 @@ func (b *idBucket) live(t *table) []*rowChain {
 	refs := b.refs[:len(b.refs):len(b.refs)]
 	t.idxMu.RUnlock()
 	return refs
-}
-
-// appendKey appends the index key of row to b and returns the extended
-// buffer. The layout matches what lookup builds from a probe value: a
-// single-column key is the value's AppendKey bytes, a multi-column key is
-// composite (appendKeyPart).
-func (ix *index) appendKey(b []byte, row []sqlval.Value) []byte {
-	if len(ix.columns) == 1 {
-		return row[ix.columns[0]].AppendKey(b)
-	}
-	for _, c := range ix.columns {
-		b = appendKeyPart(b, row[c])
-	}
-	return b
 }
 
 // appendKeyPart appends v to b as one part of a composite key: the
@@ -155,8 +228,8 @@ func appendRowKey(b []byte, vals []sqlval.Value) []byte {
 // presence alone proves nothing: each candidate's current row is resolved
 // and its key rebuilt for comparison. Caller holds the table latch
 // exclusively.
-func (ix *index) liveConflict(self *rowChain, key []byte) bool {
-	bkt := ix.m[string(key)]
+func (ix *index) liveConflict(self *rowChain, key ixKey) bool {
+	bkt := ix.get(key)
 	if bkt == nil {
 		return false
 	}
@@ -165,12 +238,7 @@ func (ix *index) liveConflict(self *rowChain, key []byte) bool {
 		if ch == self {
 			continue
 		}
-		row := ch.latestRow()
-		if row == nil {
-			continue
-		}
-		b := ix.appendKey(sb[:0], row)
-		if string(b) == string(key) {
+		if row := ch.latestRow(); row != nil && ix.keyOf(sb[:0], row).equal(key) {
 			return true
 		}
 	}
@@ -201,7 +269,7 @@ type table struct {
 	// so neither side ever holds it for a statement's duration.
 	idxMu   sync.RWMutex
 	indexes map[string]*index
-	keyBuf  []byte // reusable index-key scratch for the write path
+	keyBuf  [2][]byte // reusable index-key scratch for the write path (see key)
 	// purge lists the versions updates and deletes pushed, oldest first
 	// (see purgeLocked); dead counts chains retired from rows since the
 	// last compaction. Both guarded by store exclusive.
@@ -229,7 +297,7 @@ func newTable(schema *Schema) *table {
 		}
 	}
 	if len(pkCols) > 0 {
-		pk := &index{name: "__pk", columns: pkCols, unique: true, m: map[string]*idBucket{}}
+		pk := &index{name: "__pk", columns: pkCols, unique: true}
 		if len(pkCols) == 1 {
 			pk.ord = newOrdIndex()
 		}
@@ -261,19 +329,31 @@ func (t *table) appendOrder(ch *rowChain) {
 	slab.n.Store(int64(n + 1))
 }
 
+// key builds ix's key of row in write scratch buffer i, 0 or 1, so that a
+// caller can hold two keys at once. Caller holds the table latch
+// exclusively.
+func (t *table) key(i int, ix *index, row []sqlval.Value) ixKey {
+	k := ix.keyOf(t.keyBuf[i][:0], row)
+	if k.b != nil {
+		t.keyBuf[i] = k.b
+	}
+	return k
+}
+
 // addRef records ch under key, the index key of row. A known key appends to
 // its bucket; a new key gets a bucket — for a single-column index, the
 // bucket of the skiplist node ordIndex.insert links for it — and the map
 // publishes it. Caller holds the table latch exclusively; idxMu is taken
 // around the mutations because readers probe buckets with no latch.
-func (ix *index) addRef(t *table, key []byte, row []sqlval.Value, ch *rowChain) {
-	if bkt := ix.m[string(key)]; bkt != nil {
+func (ix *index) addRef(t *table, key ixKey, row []sqlval.Value, ch *rowChain) {
+	if bkt := ix.get(key); bkt != nil {
 		bkt.add(t, ch)
 		return
 	}
 	var bkt *idBucket
 	if ix.ord == nil {
-		bkt = &idBucket{refs: []*rowChain{ch}}
+		bkt = new(idBucket)
+		bkt.init(ch)
 	} else {
 		// Sharing one list between the map and the skiplist relies on the
 		// map's key equality and the skiplist's Compare == 0 being one
@@ -284,7 +364,7 @@ func (ix *index) addRef(t *table, key []byte, row []sqlval.Value, ch *rowChain) 
 		bkt = ix.ord.insert(t, row[ix.columns[0]], ch)
 	}
 	t.idxMu.Lock()
-	ix.m[string(key)] = bkt
+	ix.put(key, bkt)
 	t.idxMu.Unlock()
 }
 
@@ -294,11 +374,7 @@ func (ix *index) addRef(t *table, key []byte, row []sqlval.Value, ch *rowChain) 
 func (t *table) insertRow(row []sqlval.Value, stamp uint64) (*rowChain, *rowVersion, error) {
 	// Check all unique indexes before mutating any.
 	for _, ix := range t.indexes {
-		if !ix.unique {
-			continue
-		}
-		t.keyBuf = ix.appendKey(t.keyBuf[:0], row)
-		if ix.liveConflict(nil, t.keyBuf) {
+		if ix.unique && ix.liveConflict(nil, t.key(0, ix, row)) {
 			return nil, nil, errf("unique constraint violation on %s.%s", t.schema.Name, ix.name)
 		}
 	}
@@ -307,8 +383,7 @@ func (t *table) insertRow(row []sqlval.Value, stamp uint64) (*rowChain, *rowVers
 	v := ch.push(stamp, row)
 	t.rows[ch.id] = ch
 	for _, ix := range t.indexes {
-		t.keyBuf = ix.appendKey(t.keyBuf[:0], row)
-		ix.addRef(t, t.keyBuf, row, ch)
+		ix.addRef(t, t.key(0, ix, row), row, ch)
 	}
 	t.appendOrder(ch)
 	return ch, v, nil
@@ -330,13 +405,7 @@ func (t *table) updateRow(ch *rowChain, newRow []sqlval.Value, stamp uint64) (*r
 		if !ix.unique {
 			continue
 		}
-		nb := ix.appendKey(t.keyBuf[:0], newRow)
-		ob := ix.appendKey(nb, old) // old key appended after the new one
-		t.keyBuf = ob
-		if string(nb) == string(ob[len(nb):]) {
-			continue
-		}
-		if ix.liveConflict(ch, nb) {
+		if nk := t.key(0, ix, newRow); !nk.equal(t.key(1, ix, old)) && ix.liveConflict(ch, nk) {
 			return nil, errf("unique constraint violation on %s.%s", t.schema.Name, ix.name)
 		}
 	}
@@ -345,13 +414,9 @@ func (t *table) updateRow(ch *rowChain, newRow []sqlval.Value, stamp uint64) (*r
 	// Publish the new key in every index whose key changed; the old ref
 	// stays behind for older snapshots.
 	for _, ix := range t.indexes {
-		nb := ix.appendKey(t.keyBuf[:0], newRow)
-		ob := ix.appendKey(nb, old)
-		t.keyBuf = ob
-		if string(nb) == string(ob[len(nb):]) {
-			continue
+		if nk := t.key(0, ix, newRow); !nk.equal(t.key(1, ix, old)) {
+			ix.addRef(t, nk, newRow, ch)
 		}
-		ix.addRef(t, nb, newRow, ch)
 	}
 	return v, nil
 }
@@ -395,16 +460,16 @@ func (t *table) scanSnap(rv readView, f func(row []sqlval.Value) bool) {
 func (t *table) scanLen() int { return int(t.order.Load().n.Load()) }
 
 // lookup returns the chain refs under v's key. It runs on the latch-free
-// read path: the probe key is built in a stack buffer and idxMu is held
-// only for the probe. The slice returned is the bucket's own, capped at its
-// current length (see idBucket.live). Refs may be stale; callers must
-// resolve each chain and re-check their predicate. ix is a single-column
-// index of t.
+// read path: a probe key that is not integer-class is built in a stack
+// buffer, and idxMu is held only for the probe. The slice returned is the
+// bucket's own, capped at its current length (see idBucket.live). Refs may
+// be stale; callers must resolve each chain and re-check their predicate.
+// ix is a single-column index of t.
 func (ix *index) lookup(t *table, v sqlval.Value) (refs []*rowChain) {
 	var buf [48]byte
-	b := v.AppendKey(buf[:0])
+	k := valueKey(buf[:0], v)
 	t.idxMu.RLock()
-	if bkt := ix.m[string(b)]; bkt != nil {
+	if bkt := ix.get(k); bkt != nil {
 		refs = bkt.refs[:len(bkt.refs):len(bkt.refs)]
 	}
 	t.idxMu.RUnlock()
@@ -446,40 +511,32 @@ func (t *table) indexOn(colIdx int) *index {
 // pinned before the index existed may plan through it and must still find
 // its older versions. Chains are visited in the scan order, which is rowid
 // order, so every ref list comes out sorted and replicas holding the same
-// chains draw the same skiplist towers. Uniqueness is checked against live
-// (latest) rows only. Caller holds the engine lock exclusively, so no
-// reader runs.
+// chains draw the same skiplist towers. Uniqueness is checked once the
+// index is built, against live (latest) rows only; a violation drops the
+// index unpublished. Caller holds the engine lock exclusively, so no reader
+// runs.
 func (t *table) addIndex(name string, cols []int, unique bool) error {
 	if _, dup := t.indexes[name]; dup {
 		return errf("index %s already exists on %s", name, t.schema.Name)
 	}
-	ix := &index{name: name, columns: cols, unique: unique, m: map[string]*idBucket{}}
+	ix := &index{name: name, columns: cols, unique: unique}
 	if len(cols) == 1 {
 		ix.ord = newOrdIndex()
 	}
 	slab := t.order.Load()
 	chains := slab.entries[:slab.n.Load()]
-	if unique {
-		seen := make(map[string]struct{}, len(chains))
-		for _, ch := range chains {
-			row := ch.latestRow()
-			if row == nil {
-				continue
-			}
-			t.keyBuf = ix.appendKey(t.keyBuf[:0], row)
-			if _, dup := seen[string(t.keyBuf)]; dup {
-				return errf("unique constraint violation on %s.%s", t.schema.Name, ix.name)
-			}
-			seen[string(t.keyBuf)] = struct{}{}
-		}
-	}
 	for _, ch := range chains {
 		for v := ch.head.Load(); v != nil; v = v.prev.Load() {
-			if v.row == nil {
-				continue
+			if v.row != nil {
+				ix.addRef(t, t.key(0, ix, v.row), v.row, ch)
 			}
-			t.keyBuf = ix.appendKey(t.keyBuf[:0], v.row)
-			ix.addRef(t, t.keyBuf, v.row, ch)
+		}
+	}
+	if unique {
+		for _, ch := range chains {
+			if row := ch.latestRow(); row != nil && ix.liveConflict(ch, t.key(0, ix, row)) {
+				return errf("unique constraint violation on %s.%s", t.schema.Name, ix.name)
+			}
 		}
 	}
 	t.indexes[name] = ix

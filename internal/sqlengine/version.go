@@ -441,7 +441,7 @@ func (t *table) compactLocked() {
 		if ix.ord != nil {
 			// A single-column index's hash buckets are its skiplist nodes'
 			// ref lists: one walk prunes both.
-			ix.ord.gcLocked(t, ix.m)
+			ix.ord.gcLocked(t, ix)
 			continue
 		}
 		type bucketEdit struct {

@@ -9,10 +9,7 @@
 // GROUP BY/HAVING, ORDER BY and LIMIT, and transaction demarcation.
 package sqlparser
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
 // tokenKind classifies lexer output.
 type tokenKind uint8
@@ -61,7 +58,7 @@ type lexer struct {
 }
 
 // lex tokenizes src. It returns a descriptive error with byte offset on any
-// malformed literal.
+// malformed literal and on any byte it cannot start a token with.
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	for {
@@ -81,7 +78,10 @@ func lex(src string) ([]token, error) {
 			l.toks = append(l.toks, token{kind: tokString, text: s, pos: start})
 		case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 			l.toks = append(l.toks, token{kind: tokNumber, text: l.lexNumber(), pos: start})
-		case isIdentStart(rune(c)), c == '`', c == '"':
+		case c >= 0x80:
+			// Identifiers are ASCII unless quoted.
+			return nil, parseErrf("non-ASCII byte %#x at offset %d outside quotes", c, start)
+		case isIdentStart(c), c == '`', c == '"':
 			id, err := l.lexIdent()
 			if err != nil {
 				return nil, err
@@ -101,6 +101,11 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 			l.toks = append(l.toks, token{kind: tokOp, text: op, pos: start})
+		}
+		if l.pos == start {
+			// Every token consumes input, or lex would append empty tokens
+			// at one offset forever.
+			return nil, parseErrf("empty token at offset %d", start)
 		}
 	}
 }
@@ -130,8 +135,8 @@ func (l *lexer) skipSpace() {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+func isIdentStart(c byte) bool {
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
 func isIdentPart(c byte) bool {
