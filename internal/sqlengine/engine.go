@@ -72,8 +72,9 @@ type Engine struct {
 
 	// clock is the global commit-epoch clock; writerSeq hands each session
 	// a unique uncommitted-version stamp; pins registers sessions for the
-	// GC watermark; gcDebt accrues superseded versions until a step drains
-	// the purge lists (gcBusy serializes steps).
+	// GC watermark; gcDebt accrues superseded versions until it reaches
+	// gcEvery (gcThreshold; in-package tests set it before use) and a step
+	// drains the purge lists (gcBusy serializes steps).
 	clock     epochClock
 	writerSeq atomic.Uint64
 	pins      []pinShard
@@ -109,20 +110,6 @@ func WithLockTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.lockTimeout = d }
 }
 
-// WithGCThreshold sets how many superseded row versions may accrue before a
-// statement end drains the tables' purge lists (gcStep); the default, 256,
-// leaves at most ≈ 35 KB of versions per engine. Session close runs the
-// exact whole-catalog sweep (GC) whenever any debt is outstanding, whatever
-// the threshold. Tests lower it to exercise reclamation, or raise it to
-// isolate the close trigger.
-func WithGCThreshold(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.gcEvery = int64(n)
-		}
-	}
-}
-
 // New creates an empty database engine with the given name.
 func New(name string, opts ...Option) *Engine {
 	e := &Engine{
@@ -130,7 +117,7 @@ func New(name string, opts ...Option) *Engine {
 		mu:          newBRWMutex(),
 		tables:      make(map[string]*table),
 		lockTimeout: 2 * time.Second,
-		gcEvery:     256,
+		gcEvery:     gcThreshold,
 	}
 	e.stats = make([]statShard, len(e.mu.shards))
 	e.pins = make([]pinShard, len(e.mu.shards))

@@ -9,23 +9,25 @@ import (
 // This file is the ordered half of the engine's secondary indexes: a
 // skiplist keyed by sqlval collation order (sqlval.Compare, NULL-first) that
 // coexists with MVCC under the same discipline as the hash buckets. Each node
-// is one key and owns that key's insert-only chain-ref list, which the
-// index's hash map shares (index.addRef): updates and deletes never unlink a
-// ref, so a reader pinned at an older epoch still finds old versions through
-// the key they had then, and every access path re-filters candidates through
-// its full predicate at the pinned epoch. The tower links are atomics
-// published bottom-up, so latch-free snapshot readers traverse a consistent
-// list while the single writer (the table-latch holder) inserts; the level-0
-// list is doubly linked so ORDER BY ... DESC scans walk backwards from the
-// tail without materializing the table.
+// is one key and owns that key's chain-ref list, which the index's hash map
+// shares (index.addRef). A ref stays while a version on its chain holds the
+// node's key, so a reader pinned at an older epoch still finds old versions
+// through the key they had then; the purge that cuts the last such version
+// drops the ref, and unlinks the node it empties (ordIndex.remove). Every
+// access path re-filters candidates through its full predicate at the
+// pinned epoch. The tower links are atomics published bottom-up, so
+// latch-free snapshot readers traverse a consistent list while the single
+// writer (the table-latch holder) inserts and removes; the level-0 list is
+// doubly linked so ORDER BY ... DESC scans walk backwards from the tail
+// without materializing the table.
 //
-// Why stale refs stay harmless here, exactly as in the hash indexes: a node
-// emits a row only when the row's current column value (resolved at the
-// reader's pinned epoch) compares equal to the node key, so a row whose key
-// changed is emitted once, at the node of the value the snapshot sees, and
-// skipped everywhere else. Columns are coerced to their declared kind on
-// insert, so within one column sqlval.Compare is a total order and
-// "compares equal" means "is this node's key".
+// Why refs to versions a reader does not see stay harmless, exactly as in
+// the hash indexes: a node emits a row only when the row's current column
+// value (resolved at the reader's pinned epoch) compares equal to the node
+// key, so a row whose key changed is emitted once, at the node of the value
+// the snapshot sees, and skipped everywhere else. Columns are coerced to
+// their declared kind on insert, so within one column sqlval.Compare is a
+// total order and "compares equal" means "is this node's key".
 
 // maxSkipLevel bounds tower height; 2^16 expected keys per level-16 node is
 // far beyond any in-memory table this engine serves.
@@ -138,6 +140,30 @@ func (ox *ordIndex) insert(t *table, v sqlval.Value, ch *rowChain) *idBucket {
 		ox.tail.Store(node)
 	}
 	return &node.idBucket
+}
+
+// remove unlinks the node keyed v, whose ref list has emptied. Caller holds
+// the table latch exclusively, so no insert races. In-flight latch-free
+// readers are safe because the unlinked node keeps its own next and prev
+// links: a reader standing on it walks onward to the nodes that were its
+// neighbours, and from them to every node still linked. Such a reader misses
+// only nodes linked after its pin, and those hold no version it can see: a
+// key its snapshot sees is held by a version no purge can cut yet, so that
+// key's node stays linked throughout.
+func (ox *ordIndex) remove(v sqlval.Value) {
+	var preds [maxSkipLevel]*skipNode
+	n := ox.findPreds(v, &preds)
+	if n == nil || sqlval.Compare(n.key, v) != 0 {
+		return
+	}
+	for i := len(n.next) - 1; i >= 0; i-- {
+		preds[i].next[i].Store(n.next[i].Load())
+	}
+	if succ := n.next[0].Load(); succ != nil {
+		succ.prev.Store(n.prev.Load())
+	} else {
+		ox.tail.Store(n.prev.Load())
+	}
 }
 
 // rangeBound is one end of a key range; a nil *rangeBound is unbounded.
@@ -269,78 +295,4 @@ func (ox *ordIndex) collectRange(t *table, lo, hi *rangeBound, limit int) ([]*ro
 		return true
 	})
 	return out, true
-}
-
-// gcLocked prunes refs to reclaimed chains (their rowids left t.rows),
-// unlinks nodes whose ref lists emptied and deletes their keys from the
-// hash maps of ix, whose ordered view ox is and which share the nodes'
-// lists. Caller holds the table latch exclusively, so no insert races;
-// in-flight latch-free readers are safe because an unlinked node keeps its
-// own next/prev links — a reader standing on it traverses onward, and any
-// row it could still resolve was already below every pinned snapshot's
-// epoch (that is what made the chain reclaimable).
-func (ox *ordIndex) gcLocked(t *table, ix *index) {
-	var dead map[*skipNode]bool
-	var kb [48]byte
-	for n := ox.head.next[0].Load(); n != nil; n = n.next[0].Load() {
-		kept := n.refs[:0:0]
-		dirty := false
-		for _, ch := range n.refs {
-			if _, ok := t.rows[ch.id]; ok {
-				kept = append(kept, ch)
-			} else {
-				dirty = true
-			}
-		}
-		if !dirty {
-			continue
-		}
-		t.idxMu.Lock()
-		n.refs = kept
-		if len(kept) == 0 {
-			ix.put(valueKey(kb[:0], n.key), nil)
-		}
-		t.idxMu.Unlock()
-		if len(kept) == 0 {
-			if dead == nil {
-				dead = make(map[*skipNode]bool)
-			}
-			dead[n] = true
-		}
-	}
-	if dead == nil {
-		return
-	}
-	// Bypass dead nodes level by level, then rewire the level-0 prev links
-	// and the tail over the surviving list.
-	for i := maxSkipLevel - 1; i >= 0; i-- {
-		pred := ox.head
-		for {
-			nx := pred.next[i].Load()
-			if nx == nil {
-				break
-			}
-			if dead[nx] {
-				sk := nx
-				for sk != nil && dead[sk] {
-					sk = sk.next[i].Load()
-				}
-				pred.next[i].Store(sk)
-				continue
-			}
-			pred = nx
-		}
-	}
-	var last *skipNode
-	for n := ox.head.next[0].Load(); n != nil; n = n.next[0].Load() {
-		if last == nil {
-			if n.prev.Load() != nil {
-				n.prev.Store(nil)
-			}
-		} else if n.prev.Load() != last {
-			n.prev.Store(last)
-		}
-		last = n
-	}
-	ox.tail.Store(last)
 }

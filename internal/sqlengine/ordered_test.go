@@ -14,9 +14,9 @@ import (
 // --- skiplist structure tests (standalone index, minimal table) ------------
 
 // skipTestTable builds the minimal table an ordIndex needs: idxMu for ref
-// copies and a rows map for gcLocked's liveness check.
+// copies.
 func skipTestTable() *table {
-	return &table{rows: make(map[int64]*rowChain)}
+	return &table{}
 }
 
 func skipKeys(ox *ordIndex, t *table, lo, hi *rangeBound, desc bool) []sqlval.Value {
@@ -39,14 +39,10 @@ func TestSkiplistOrderAndBounds(t *testing.T) {
 	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 	id := int64(0)
 	for _, v := range vals {
-		ch := &rowChain{id: id}
-		tbl.rows[id] = ch
-		ox.insert(tbl, sqlval.Int(v), ch)
+		ox.insert(tbl, sqlval.Int(v), &rowChain{id: id})
 		id++
 	}
-	chNull := &rowChain{id: id}
-	tbl.rows[id] = chNull
-	ox.insert(tbl, sqlval.Null, chNull)
+	ox.insert(tbl, sqlval.Null, &rowChain{id: id})
 
 	asc := skipKeys(ox, tbl, nil, nil, false)
 	if len(asc) != 11 || !asc[0].IsNull() {
@@ -112,15 +108,11 @@ func TestSkiplistOrderAndBounds(t *testing.T) {
 func TestSkiplistDuplicateAndRepeatedInsert(t *testing.T) {
 	ox := newOrdIndex()
 	tbl := skipTestTable()
-	ch := func(id int64) *rowChain {
-		c := &rowChain{id: id}
-		tbl.rows[id] = c
-		return c
-	}
-	ox.insert(tbl, sqlval.Int(1), ch(30))
-	ox.insert(tbl, sqlval.Int(1), ch(10))
-	ox.insert(tbl, sqlval.Int(1), ch(20))
-	ox.insert(tbl, sqlval.Int(1), tbl.rows[10]) // update back to same key: no dup
+	ch10 := &rowChain{id: 10}
+	ox.insert(tbl, sqlval.Int(1), &rowChain{id: 30})
+	ox.insert(tbl, sqlval.Int(1), ch10)
+	ox.insert(tbl, sqlval.Int(1), &rowChain{id: 20})
+	ox.insert(tbl, sqlval.Int(1), ch10) // update back to same key: no dup
 	var refs []*rowChain
 	ox.scan(tbl, nil, nil, false, func(_ sqlval.Value, rs []*rowChain) bool {
 		refs = rs
@@ -131,55 +123,128 @@ func TestSkiplistDuplicateAndRepeatedInsert(t *testing.T) {
 	}
 }
 
-// TestSkiplistGCUnlinksEmptyNodes deletes every row of some keys and runs
-// the index sweep: refs to reclaimed chains disappear, emptied nodes
-// unlink, their keys leave the hash map that shares their ref lists, and
-// the prev chain and tail are rewired over the survivors.
+// TestSkiplistGCUnlinksEmptyNodes removes refs the way the purge does
+// (index.removeRef) from a FLOAT index, whose integral keys live in ints and
+// the others in m: a ref leaves its list through a fresh slice (a reader's
+// copy stays as it was), a node whose list empties is unlinked alone
+// (ordIndex.remove) and its key leaves whichever map held it, and the
+// survivors keep their order both ways, their prev links and the tail — at
+// every tower level, after unlinking the tail and then the first node.
 func TestSkiplistGCUnlinksEmptyNodes(t *testing.T) {
 	ix := &index{columns: []int{0}, ord: newOrdIndex()}
 	ox := ix.ord
 	tbl := skipTestTable()
-	for i := int64(0); i < 20; i++ {
-		c := &rowChain{id: i}
-		tbl.rows[i] = c
-		row := []sqlval.Value{sqlval.Int(i % 5)} // keys 0..4, 4 rows each
-		ix.addRef(tbl, valueKey(nil, row[0]), row, c)
+	type ref struct {
+		row []sqlval.Value
+		ch  *rowChain
 	}
-	// Reclaim every row of keys 1 and 3, and one row of key 2.
-	for i := int64(0); i < 20; i++ {
-		if k := i % 5; k == 1 || k == 3 || (k == 2 && i == 2) {
-			delete(tbl.rows, i)
+	var refs []ref
+	for i := int64(0); i < 40; i++ {
+		// Keys 0, 0.5, 1, 1.5 and 2, eight rows each.
+		r := ref{[]sqlval.Value{sqlval.Float(float64(i%5) / 2)}, &rowChain{id: i}}
+		refs = append(refs, r)
+		ix.addRef(tbl, valueKey(nil, r.row[0]), r.row, r.ch)
+	}
+	remove := func(keep func(id int64) bool) {
+		for _, r := range refs {
+			if !keep(r.ch.id) {
+				ix.removeRef(tbl, valueKey(nil, r.row[0]), r.row, r.ch)
+			}
 		}
 	}
-	ox.gcLocked(tbl, ix)
-	for k := int64(0); k < 5; k++ {
-		bkt := ix.get(valueKey(nil, sqlval.Int(k)))
-		if ok, want := bkt != nil, k%2 == 0; ok != want {
-			t.Errorf("key %d in the hash map after GC: %v, want %v", k, ok, want)
-		} else if ok && bkt != &ox.seekGE(&rangeBound{v: sqlval.Int(k), incl: true}).idBucket {
-			t.Errorf("key %d: the hash map's bucket is not the node's", k)
+	// check asserts the index holds exactly want: key → its refs' rowids.
+	check := func(step string, want map[float64][]int64) {
+		t.Helper()
+		var keys []float64
+		for k := range want {
+			keys = append(keys, k)
 		}
+		slices.Sort(keys)
+		var asc []float64
+		var last *skipNode
+		for n := ox.head.next[0].Load(); n != nil; n = n.next[0].Load() {
+			asc = append(asc, n.key.Float64())
+			if n.prev.Load() != last {
+				t.Errorf("%s: node %v has the wrong prev link", step, n.key)
+			}
+			var ids []int64
+			for _, ch := range n.refs {
+				ids = append(ids, ch.id)
+			}
+			if !slices.Equal(ids, want[n.key.Float64()]) {
+				t.Errorf("%s: node %v holds rowids %v, want %v", step, n.key, ids, want[n.key.Float64()])
+			}
+			if ix.get(valueKey(nil, n.key)) != &n.idBucket {
+				t.Errorf("%s: key %v does not map to its node's list", step, n.key)
+			}
+			last = n
+		}
+		if !slices.Equal(asc, keys) {
+			t.Fatalf("%s: ascending keys %v, want %v", step, asc, keys)
+		}
+		if ox.tail.Load() != last {
+			t.Errorf("%s: the tail is not the last node", step)
+		}
+		var desc []float64
+		for _, k := range skipKeys(ox, tbl, nil, nil, true) {
+			desc = append(desc, k.Float64())
+		}
+		slices.Reverse(desc)
+		if !slices.Equal(desc, keys) {
+			t.Errorf("%s: descending keys reversed %v, want %v", step, desc, keys)
+		}
+		for lvl := 1; lvl < maxSkipLevel; lvl++ {
+			for n := ox.head.next[lvl].Load(); n != nil; n = n.next[lvl].Load() {
+				if _, ok := want[n.key.Float64()]; !ok {
+					t.Errorf("%s: unlinked key %v still reachable at level %d", step, n.key, lvl)
+				}
+			}
+		}
+		ints := 0
+		for _, k := range keys {
+			if k == float64(int64(k)) {
+				ints++
+			}
+		}
+		if len(ix.ints) != ints || len(ix.m) != len(keys)-ints {
+			t.Errorf("%s: %d int keys and %d byte keys, want %d and %d", step, len(ix.ints), len(ix.m), ints, len(keys)-ints)
+		}
+	}
+	idsOf := func(k int64, keep func(id int64) bool) []int64 {
+		var ids []int64
+		for id := k; id < 40; id += 5 {
+			if keep(id) {
+				ids = append(ids, id)
+			}
+		}
+		return ids
 	}
 
-	asc := skipKeys(ox, tbl, nil, nil, false)
-	if len(asc) != 3 || asc[0].I != 0 || asc[1].I != 2 || asc[2].I != 4 {
-		t.Fatalf("surviving keys = %v, want 0,2,4", asc)
+	// Every ref of 0.5 (a byte key), 1 and 2 (integer keys; 2 is the tail)
+	// goes, and one ref of 0 (rowid 10) and of 1.5 (rowid 3).
+	held := ix.get(valueKey(nil, sqlval.Float(0))).live(tbl)
+	heldIDs := idsOf(0, func(int64) bool { return true })
+	keep := func(id int64) bool { k := id % 5; return (k == 0 && id != 10) || (k == 3 && id != 3) }
+	remove(keep)
+	remove(keep) // removing an absent ref changes nothing
+	check("first removal", map[float64][]int64{0: idsOf(0, keep), 1.5: idsOf(3, keep)})
+	var got []int64
+	for _, ch := range held {
+		got = append(got, ch.id)
 	}
-	desc := skipKeys(ox, tbl, nil, nil, true)
-	if len(desc) != 3 || desc[0].I != 4 || desc[2].I != 0 {
-		t.Fatalf("desc keys after GC = %v, want 4,2,0", desc)
+	if !slices.Equal(got, heldIDs) {
+		t.Errorf("a reader's list changed under it: %v, want %v", got, heldIDs)
 	}
-	if tail := ox.tail.Load(); tail == nil || tail.key.I != 4 {
-		t.Fatalf("tail after GC = %v", tail)
-	}
-	total := 0
-	ox.scan(tbl, nil, nil, false, func(_ sqlval.Value, rs []*rowChain) bool {
-		total += len(rs)
-		return true
-	})
-	if total != 11 { // 4 + 3 + 4 surviving refs
-		t.Fatalf("surviving refs = %d, want 11", total)
-	}
+
+	// Then every ref of 0, the first node.
+	keep2 := func(id int64) bool { return keep(id) && id%5 != 0 }
+	remove(keep2)
+	check("first node removed", map[float64][]int64{1.5: idsOf(3, keep2)})
+
+	// A removed key comes back as a new node.
+	r := ref{[]sqlval.Value{sqlval.Float(0.5)}, &rowChain{id: 99}}
+	ix.addRef(tbl, valueKey(nil, r.row[0]), r.row, r.ch)
+	check("key re-added", map[float64][]int64{0.5: {99}, 1.5: idsOf(3, keep2)})
 }
 
 // TestSkiplistLevelDeterminism: two indexes fed the same insertion sequence
@@ -264,13 +329,18 @@ func TestOrderedRangeMatchesFullScanRandom(t *testing.T) {
 }
 
 // TestOrderedTopKUnderConcurrentWriters runs the planned==full-scan oracle
-// while writer goroutines churn the indexed key. Each comparison executes
-// inside one reader transaction, so both plans resolve against the same
-// pinned epoch and must agree byte-for-byte no matter what commits around
-// them. Run under -race this also exercises the latch-free skiplist reads
-// against concurrent inserts and the background of index GC.
+// while writer goroutines insert, delete and move keys — the indexed column
+// and the primary key both — with a purge step every 64 superseded
+// versions, so refs leave their buckets and emptied nodes unlink while
+// readers traverse. Each reader transaction pins one epoch and runs several
+// comparisons in it, so both plans resolve against the same snapshot and
+// must agree byte-for-byte no matter what commits or is purged around them.
+// Run under -race this also exercises the latch-free skiplist reads against
+// concurrent inserts and unlinks. Once the writers stop, a GC leaves
+// exactly one primary-key node per row.
 func TestOrderedTopKUnderConcurrentWriters(t *testing.T) {
-	e := New("ordrace", WithGCThreshold(64))
+	e := New("ordrace")
+	e.gcEvery = 64
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE hot (id INTEGER PRIMARY KEY, k INTEGER, pad VARCHAR)")
 	mustExec(t, s, "CREATE INDEX hot_k ON hot (k)")
@@ -278,15 +348,22 @@ func TestOrderedTopKUnderConcurrentWriters(t *testing.T) {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO hot (id, k, pad) VALUES (%d, %d, 'p')", i, i%50))
 	}
 
+	const writers = 3
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			ws := e.NewSession()
 			defer ws.Close()
 			wr := rand.New(rand.NewSource(seed))
+			// own holds the primary keys of the rows this writer moves and
+			// deletes; fresh keys come from its own range.
+			var own []int64
+			for id := seed - 1; id < 300; id += writers {
+				own = append(own, id)
+			}
 			next := 1000 + seed*100000
 			for {
 				select {
@@ -295,14 +372,23 @@ func TestOrderedTopKUnderConcurrentWriters(t *testing.T) {
 				default:
 				}
 				var err error
-				switch wr.Intn(4) {
+				i := wr.Intn(len(own))
+				switch wr.Intn(5) {
 				case 0:
 					_, err = ws.ExecSQL(fmt.Sprintf("INSERT INTO hot (id, k, pad) VALUES (%d, %d, 'w')", next, wr.Intn(50)))
+					own = append(own, next)
 					next++
 				case 1, 2:
 					_, err = ws.ExecSQL(fmt.Sprintf("UPDATE hot SET k = %d WHERE id = %d", wr.Intn(50), wr.Int63n(300)))
 				case 3:
-					_, err = ws.ExecSQL(fmt.Sprintf("DELETE FROM hot WHERE id = %d", 1000+wr.Int63n(next-999)))
+					_, err = ws.ExecSQL(fmt.Sprintf("UPDATE hot SET id = %d, k = %d WHERE id = %d", next, wr.Intn(50), own[i]))
+					own[i] = next
+					next++
+				case 4:
+					if len(own) > 50 {
+						_, err = ws.ExecSQL(fmt.Sprintf("DELETE FROM hot WHERE id = %d", own[i]))
+						own = slices.Delete(own, i, i+1)
+					}
 				}
 				if err != nil {
 					t.Errorf("writer: %v", err)
@@ -312,21 +398,51 @@ func TestOrderedTopKUnderConcurrentWriters(t *testing.T) {
 		}(int64(w) + 1)
 	}
 
-	queries := []string{
-		"SELECT id, k FROM hot ORDER BY k LIMIT 10",
-		"SELECT id, k FROM hot ORDER BY k DESC LIMIT 10",
-		"SELECT id, k FROM hot WHERE k BETWEEN 10 AND 20",
-		"SELECT id, k FROM hot WHERE k >= 40 ORDER BY k LIMIT 5",
-		"SELECT COUNT(*) FROM hot WHERE k < 25",
+	rng := rand.New(rand.NewSource(7))
+	queries := []func() string{
+		func() string { return "SELECT id, k FROM hot ORDER BY k LIMIT 10" },
+		func() string { return "SELECT id, k FROM hot ORDER BY k DESC LIMIT 10" },
+		func() string { return "SELECT id, k FROM hot WHERE k BETWEEN 10 AND 20" },
+		func() string { return "SELECT id, k FROM hot WHERE k >= 40 ORDER BY k LIMIT 5" },
+		func() string { return "SELECT COUNT(*) FROM hot WHERE k < 25" },
+		func() string { return fmt.Sprintf("SELECT id, k FROM hot WHERE k = %d", rng.Intn(50)) },
+		func() string { return "SELECT id, k FROM hot ORDER BY id DESC LIMIT 10" },
+		func() string {
+			lo := 1000 + int64(1+rng.Intn(writers))*100000
+			return fmt.Sprintf("SELECT id, k FROM hot WHERE id >= %d AND id < %d", lo, lo+200)
+		},
+		func() string {
+			id := rng.Intn(300)
+			if rng.Intn(2) == 0 {
+				id = 1000 + (1+rng.Intn(writers))*100000 + rng.Intn(200)
+			}
+			return fmt.Sprintf("SELECT id, k FROM hot WHERE id = %d", id)
+		},
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for i := 0; time.Now().Before(deadline); i++ {
+	for time.Now().Before(deadline) {
 		mustExec(t, s, "BEGIN")
-		runBothPlans(t, e, s, queries[i%len(queries)])
+		for i := 0; i < 3; i++ {
+			runBothPlans(t, e, s, queries[rng.Intn(len(queries))]())
+		}
 		mustExec(t, s, "COMMIT")
 	}
 	close(stop)
 	wg.Wait()
+
+	e.GC()
+	tbl := e.tables["hot"]
+	checkSharedBuckets(t, tbl)
+	rows := mustExec(t, s, "SELECT COUNT(*) FROM hot").Rows[0][0].I
+	if keys, nodes := indexShape(tbl.indexes["__pk"]); int64(keys) != rows || int64(nodes) != rows {
+		t.Errorf("__pk after the writers stop: %d keys on %d nodes for %d rows", keys, nodes, rows)
+	}
+	if keys, _ := indexShape(tbl.indexes["hot_k"]); keys > 50 {
+		t.Errorf("hot_k after the writers stop: %d keys, want at most 50", keys)
+	}
+	for _, q := range queries {
+		runBothPlans(t, e, s, q())
+	}
 }
 
 // TestUpdateDeleteCandidateSets drives twin engines — one planning through

@@ -135,12 +135,13 @@ func extractRanges(t *table, conj []conjunct, params []sqlval.Value) []colRange 
 // </<=/>/>=/BETWEEN, most selective (fewest candidates) wins. The returned
 // candidate list is sorted by rowid, so iterating it is deterministic
 // (rowids are assigned in insertion order). A point probe's list is the
-// index bucket's own insert-only slice (index.lookup), returned as is when
-// already in order; otherwise the planner sorts and dedups a copy, never
-// the bucket. Either way iterating it is safe while writers keep appending
-// refs. Candidates may be stale — index entries are insert-only — which is
-// fine: every caller resolves each chain through its read view and
-// re-evaluates the full WHERE clause. params is the statement's parameter
+// index bucket's own slice (index.lookup), returned as is when already in
+// order; otherwise the planner sorts and dedups a copy, never the bucket.
+// Either way iterating it is safe while writers keep appending refs.
+// Candidates may be stale — a ref stays while any version on its chain
+// holds the key, not only the version the reader sees — which is fine:
+// every caller resolves each chain through its read view and re-evaluates
+// the full WHERE clause. params is the statement's parameter
 // vector, which a placeholder operand probes with exactly as a literal
 // would.
 func planAccess(e *Engine, t *table, conj []conjunct, params []sqlval.Value) accessPlan {

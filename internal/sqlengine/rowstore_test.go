@@ -214,7 +214,8 @@ func TestAddIndexOnPopulatedTableKeepsRowidOrder(t *testing.T) {
 // too.
 func TestAddIndexIsDeterministic(t *testing.T) {
 	heights := func() []int {
-		e := New("det", WithGCThreshold(1<<20))
+		e := New("det")
+		e.gcEvery = 1 << 20
 		s := e.NewSession()
 		mustExec(t, s, "CREATE TABLE p (id INTEGER PRIMARY KEY, k INTEGER)")
 		for i := 0; i < 500; i++ {

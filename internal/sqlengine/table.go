@@ -54,13 +54,15 @@ func (s *Schema) ColumnNames() []string {
 	return out
 }
 
-// index is a hash index over one or more columns. Buckets hold chain refs
-// and are insert-only: updates and deletes never remove entries, because a
-// reader pinned at an older epoch must still find the old version of a row
-// through the key it had then. Stale refs are harmless — every access path
-// re-evaluates its full predicate against the resolved row — and the
-// garbage collector prunes refs whose chains it reclaims. Buckets are held
-// by pointer so the hot add path mutates in place.
+// index is a hash index over one or more columns. Buckets hold chain refs,
+// and a ref lives exactly as long as a version on its chain holds its key:
+// updates and deletes leave the old key's ref, because a reader pinned at an
+// older epoch must still find the old version of a row through the key it
+// had then, and the purge that cuts the last version holding a key drops
+// the ref (table.unindex). Refs to versions a reader does not see are
+// harmless — every access path re-evaluates its full predicate against the
+// resolved row. Buckets are held by pointer so the hot add path mutates in
+// place.
 //
 // A key lives in one of two maps, which get and put pick between. A
 // single-column index keeps an integer-class key — sqlval.Value.IntKey ok:
@@ -181,10 +183,11 @@ func (b *idBucket) add(t *table, ch *rowChain) {
 	t.idxMu.Unlock()
 }
 
-// live returns the bucket's own ref slice capped at its current length.
-// Buckets are insert-only, so no entry below that length is ever rewritten
-// and a writer's append lands past the cap: callers may hold and iterate it
-// while writers keep appending, but must copy it before they reorder it.
+// live returns the bucket's own ref slice capped at its current length. No
+// entry below that length is ever rewritten — a writer's append lands past
+// the cap, and removeRef publishes a fresh list — so callers may hold and
+// iterate it while writers keep appending, but must copy it before they
+// reorder it.
 func (b *idBucket) live(t *table) []*rowChain {
 	t.idxMu.RLock()
 	refs := b.refs[:len(b.refs):len(b.refs)]
@@ -224,10 +227,10 @@ func appendRowKey(b []byte, vals []sqlval.Value) []byte {
 }
 
 // liveConflict reports whether some row other than self is currently live
-// (writer view) under the given key. Because buckets keep stale refs,
-// presence alone proves nothing: each candidate's current row is resolved
-// and its key rebuilt for comparison. Caller holds the table latch
-// exclusively.
+// (writer view) under the given key. A bucket keeps the refs of rows whose
+// older versions held the key, so presence alone proves nothing: each
+// candidate's current row is resolved and its key rebuilt for comparison.
+// Caller holds the table latch exclusively.
 func (ix *index) liveConflict(self *rowChain, key ixKey) bool {
 	bkt := ix.get(key)
 	if bkt == nil {
@@ -246,7 +249,7 @@ func (ix *index) liveConflict(self *rowChain, key ixKey) bool {
 }
 
 // table is the storage for one table: schema, version chains keyed by
-// rowid, an atomically published scan order, and insert-only hash indexes.
+// rowid, an atomically published scan order, and hash indexes.
 //
 // Locking: store is the per-table storage latch, held exclusively by DML,
 // undo replay and GC — never by readers. SELECT resolves rows through the
@@ -368,6 +371,35 @@ func (ix *index) addRef(t *table, key ixKey, row []sqlval.Value, ch *rowChain) {
 	t.idxMu.Unlock()
 }
 
+// removeRef drops ch from the bucket under key, the index key of row. The
+// bucket gets a fresh list, since latch-free readers may hold the old one;
+// a bucket it empties leaves the map, and its skiplist node the list.
+// Caller holds the table latch exclusively.
+func (ix *index) removeRef(t *table, key ixKey, row []sqlval.Value, ch *rowChain) {
+	bkt := ix.get(key)
+	if bkt == nil {
+		return
+	}
+	i := slices.Index(bkt.refs, ch)
+	if i < 0 {
+		return
+	}
+	var refs []*rowChain
+	if len(bkt.refs) > 1 {
+		refs = make([]*rowChain, 0, len(bkt.refs)-1)
+		refs = append(append(refs, bkt.refs[:i]...), bkt.refs[i+1:]...)
+	}
+	t.idxMu.Lock()
+	bkt.refs = refs
+	if refs == nil {
+		ix.put(key, nil)
+	}
+	t.idxMu.Unlock()
+	if refs == nil && ix.ord != nil {
+		ix.ord.remove(row[ix.columns[0]])
+	}
+}
+
 // insertRow adds a row as a new version chain stamped with the writer's
 // stamp, maintains all indexes, and returns the chain and the version (for
 // the session's undo log and commit-stamping dirty list).
@@ -390,7 +422,8 @@ func (t *table) insertRow(row []sqlval.Value, stamp uint64) (*rowChain, *rowVers
 }
 
 // deleteRow pushes a tombstone version onto a live row's chain. Index refs
-// stay: older snapshots still resolve the previous versions through them.
+// stay until the purge cuts the versions that hold them: older snapshots
+// still resolve those versions through them.
 func (t *table) deleteRow(ch *rowChain, stamp uint64) *rowVersion {
 	v := ch.push(stamp, nil)
 	t.purge = append(t.purge, purgeEntry{ch, v})
@@ -412,7 +445,7 @@ func (t *table) updateRow(ch *rowChain, newRow []sqlval.Value, stamp uint64) (*r
 	v := ch.push(stamp, newRow)
 	t.purge = append(t.purge, purgeEntry{ch, v})
 	// Publish the new key in every index whose key changed; the old ref
-	// stays behind for older snapshots.
+	// stays behind for older snapshots until the purge cuts the old version.
 	for _, ix := range t.indexes {
 		if nk := t.key(0, ix, newRow); !nk.equal(t.key(1, ix, old)) {
 			ix.addRef(t, nk, newRow, ch)
@@ -422,15 +455,16 @@ func (t *table) updateRow(ch *rowChain, newRow []sqlval.Value, stamp uint64) (*r
 }
 
 // popVersion undoes the newest version of a row if it carries the given
-// writer stamp (rollback / failed-statement undo). Undo runs newest first
-// while the table lock is still held, so a popped update or delete is the
-// purge list's tail entry; a popped insert leaves an empty chain, retired
-// at once.
+// writer stamp (rollback / failed-statement undo), and drops the refs only
+// that version held. Undo runs newest first while the table lock is still
+// held, so a popped update or delete is the purge list's tail entry; a
+// popped insert leaves an empty chain, retired at once.
 func (t *table) popVersion(ch *rowChain, stamp uint64) {
 	v := ch.pop(stamp)
 	if v == nil {
 		return
 	}
+	t.unindex(ch, v, v.prev.Load())
 	if n := len(t.purge) - 1; n >= 0 && t.purge[n].v == v {
 		t.purge[n] = purgeEntry{}
 		t.purge = t.purge[:n]
@@ -438,6 +472,36 @@ func (t *table) popVersion(ch *rowChain, stamp uint64) {
 	if ch.head.Load() == nil {
 		t.retire(ch)
 	}
+}
+
+// unindex drops ch from the bucket of every key that only the versions
+// leaving its chain held: cut and the versions below it, down to but not
+// including stop. Every cut of a chain — the purge, GC's truncateChain and
+// undo's popVersion — comes through here, and nothing else takes a ref
+// out, so a ref lives exactly as long as a version on the chain holds its
+// key. Caller holds the table latch exclusively and has already cut.
+func (t *table) unindex(ch *rowChain, cut, stop *rowVersion) {
+	for _, ix := range t.indexes {
+		for v := cut; v != stop; v = v.prev.Load() {
+			if v.row == nil {
+				continue
+			}
+			if k := t.key(0, ix, v.row); !t.holds(ix, ch, k) {
+				ix.removeRef(t, k, v.row, ch)
+			}
+		}
+	}
+}
+
+// holds reports whether a version on ch has key k in ix. It builds keys in
+// write scratch buffer 1. Caller holds the table latch exclusively.
+func (t *table) holds(ix *index, ch *rowChain, k ixKey) bool {
+	for v := ch.head.Load(); v != nil; v = v.prev.Load() {
+		if v.row != nil && t.key(1, ix, v.row).equal(k) {
+			return true
+		}
+	}
+	return false
 }
 
 // scanSnap calls f for each row visible to the read view, in insertion

@@ -35,10 +35,11 @@ type rowVersion struct {
 // pointer itself is stable for the life of the rowid and carries the rowid:
 // the scan order and index ref lists hold bare chain pointers, so readers
 // resolve visibility and order refs by rowid without touching the rows map.
-// Index entries are insert-only — updates and deletes leave stale refs
-// behind so readers pinned at older epochs can still find old versions
-// through them; lookups always re-evaluate the full predicate, which makes
-// stale refs harmless.
+// A chain keeps its ref under every key a version on it holds — updates and
+// deletes leave the old key's ref behind so readers pinned at older epochs
+// can still find old versions through it — and loses the ref when the last
+// such version is cut (table.unindex); lookups always re-evaluate the full
+// predicate, so a ref to a version the reader does not see is harmless.
 type rowChain struct {
 	id   int64 // immutable
 	head atomic.Pointer[rowVersion]
@@ -252,6 +253,12 @@ func (e *Engine) deregisterSession(s *Session) {
 	sh.mu.Unlock()
 }
 
+// gcThreshold is how many superseded row versions may accrue before a
+// statement end drains the tables' purge lists (gcStep): at most ≈ 35 KB of
+// versions per engine. Session close runs the exact whole-catalog sweep
+// (GC) whenever any debt is outstanding, whatever the threshold.
+const gcThreshold = 256
+
 // noteGarbage accrues superseded-version debt; once it crosses the engine's
 // GC threshold the debt is handed to gcStep, inline, which drains the
 // tables' purge lists — so a writer's statement end pays for the garbage
@@ -307,7 +314,7 @@ func (e *Engine) GC() {
 		t.store.Lock()
 		t.purgeLocked(w)
 		for _, ch := range t.rows {
-			if truncateChain(ch, w) {
+			if t.truncateChain(ch, w) {
 				t.retire(ch)
 			}
 		}
@@ -347,15 +354,20 @@ func (e *Engine) VersionStatsSnapshot() VersionStats {
 }
 
 // truncateChain drops the versions of one chain that no snapshot pinned at
-// or after watermark w can reach: everything strictly older than the newest
-// version committed at or below w. It reports whether nothing a future
-// snapshot could see survives — an undone insert's empty chain, or a
-// committed tombstone at the head — so callers can retire the rowid.
-func truncateChain(ch *rowChain, w uint64) (dead bool) {
+// or after watermark w can reach — everything strictly older than the newest
+// version committed at or below w — and the refs only they held. It reports
+// whether nothing a future snapshot could see survives — an undone insert's
+// empty chain, or a committed tombstone at the head — so callers can retire
+// the rowid. Caller holds the latch exclusively.
+func (t *table) truncateChain(ch *rowChain, w uint64) (dead bool) {
 	head := ch.head.Load()
 	for v := head; v != nil; v = v.prev.Load() {
 		if f := v.from.Load(); f&uncommittedBit == 0 && f <= w {
+			cut := v.prev.Load()
 			v.prev.Store(nil)
+			if cut != nil {
+				t.unindex(ch, cut, nil)
+			}
 			return v == head && v.row == nil
 		}
 	}
@@ -373,13 +385,13 @@ type purgeEntry struct {
 
 // purgeLocked reclaims the purge list from the front while the entry's
 // version is committed at or below w: it cuts the version off from what it
-// superseded, and retires the chain when the version is a tombstone. Push
-// order is commit order within a table (exclusive locks are held to
-// commit), so the first entry that is not reclaimable ends the drain; were
-// that order to break, entries would only wait longer. Retired chains leave
-// rows at once, and the scan order and indexes drop them in one compaction
-// once they are a quarter of the slab: a delete costs amortized O(1).
-// Caller holds the latch exclusively.
+// superseded, drops the index refs only the cut versions held, and retires
+// the chain when the version is a tombstone. Push order is commit order
+// within a table (exclusive locks are held to commit), so the first entry
+// that is not reclaimable ends the drain; were that order to break, entries
+// would only wait longer. Retired chains leave rows at once, and the scan
+// order drops them in one compaction once they are a quarter of the slab:
+// a delete costs amortized O(1). Caller holds the latch exclusively.
 func (t *table) purgeLocked(w uint64) {
 	i := 0
 	for ; i < len(t.purge); i++ {
@@ -387,7 +399,10 @@ func (t *table) purgeLocked(w uint64) {
 		if f := p.v.from.Load(); f&uncommittedBit != 0 || f > w {
 			break
 		}
-		p.v.prev.Store(nil)
+		if cut := p.v.prev.Load(); cut != nil {
+			p.v.prev.Store(nil)
+			t.unindex(p.ch, cut, nil)
+		}
 		if p.v.row == nil {
 			t.retire(p.ch)
 		}
@@ -409,8 +424,9 @@ func (t *table) purgeLocked(w uint64) {
 }
 
 // retire removes a chain no future snapshot can see from rows: a
-// committed tombstone below the watermark, or an undone insert. Its slab
-// entry and index refs stay, resolving to nothing, until compactLocked.
+// committed tombstone below the watermark, or an undone insert. The cut that
+// made it so dropped its index refs; its slab entry stays, resolving to
+// nothing, until compactLocked.
 func (t *table) retire(ch *rowChain) {
 	if _, ok := t.rows[ch.id]; ok {
 		delete(t.rows, ch.id)
@@ -418,13 +434,11 @@ func (t *table) retire(ch *rowChain) {
 	}
 }
 
-// compactLocked drops retired chains from the scan order and the indexes.
-// Caller holds the table latch exclusively; index buckets are swapped
-// wholesale under idxMu so latch-free readers always see a complete bucket.
+// compactLocked drops retired chains from the scan order: it builds a fresh
+// slab of the live chains, and readers keep iterating the slab they loaded.
+// Caller holds the table latch exclusively.
 func (t *table) compactLocked() {
 	t.dead = 0
-	// Compact the scan order into a fresh slab (readers keep iterating the
-	// slab they loaded) and prune index refs to removed chains.
 	slab := t.order.Load()
 	n := int(slab.n.Load())
 	live := make([]*rowChain, 0, len(t.rows))
@@ -436,44 +450,4 @@ func (t *table) compactLocked() {
 	ns := &orderSlab{entries: live[:cap(live)]}
 	ns.n.Store(int64(len(live)))
 	t.order.Store(ns)
-
-	for _, ix := range t.indexes {
-		if ix.ord != nil {
-			// A single-column index's hash buckets are its skiplist nodes'
-			// ref lists: one walk prunes both.
-			ix.ord.gcLocked(t, ix)
-			continue
-		}
-		type bucketEdit struct {
-			key  string
-			refs []*rowChain // nil = delete the bucket
-		}
-		var edits []bucketEdit
-		for key, bkt := range ix.m {
-			dirty := false
-			kept := bkt.refs[:0:0]
-			for _, ch := range bkt.refs {
-				if _, ok := t.rows[ch.id]; ok {
-					kept = append(kept, ch)
-				} else {
-					dirty = true
-				}
-			}
-			if dirty {
-				edits = append(edits, bucketEdit{key: key, refs: kept})
-			}
-		}
-		if len(edits) == 0 {
-			continue
-		}
-		t.idxMu.Lock()
-		for _, ed := range edits {
-			if len(ed.refs) == 0 {
-				delete(ix.m, ed.key)
-			} else {
-				ix.m[ed.key] = &idBucket{refs: ed.refs}
-			}
-		}
-		t.idxMu.Unlock()
-	}
 }

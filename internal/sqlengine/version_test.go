@@ -211,7 +211,8 @@ func TestTransactionSnapshotStability(t *testing.T) {
 // pinned reader holds the GC watermark back while a writer churns versions;
 // once the reader drains, the next sweep reclaims every superseded version.
 func TestGCReclaimsVersionsAfterReadersDrain(t *testing.T) {
-	e := New("gc", WithGCThreshold(1)) // sweep at every opportunity
+	e := New("gc")
+	e.gcEvery = 1 // sweep at every opportunity
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE g (id INTEGER PRIMARY KEY, v INTEGER)")
 	const rows = 8
@@ -255,7 +256,8 @@ func TestGCReclaimsVersionsAfterReadersDrain(t *testing.T) {
 // holding the watermark back, its Close runs the sweep — no later write is
 // needed for reclamation.
 func TestGCSweepOnSessionClose(t *testing.T) {
-	e := New("gcclose", WithGCThreshold(1000000)) // never sweep on threshold
+	e := New("gcclose")
+	e.gcEvery = 1000000 // never sweep on threshold
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE g (id INTEGER PRIMARY KEY, v INTEGER)")
 	mustExec(t, s, "INSERT INTO g (id, v) VALUES (1, 0)")
@@ -315,7 +317,8 @@ func onChain(ch *rowChain, v *rowVersion) bool {
 // the undo has to find its own entries at the tail.
 func TestPurgeListExactUnderUndo(t *testing.T) {
 	const rows = 10
-	e := New("undo", WithGCThreshold(1<<20)) // steps run only when called
+	e := New("undo")
+	e.gcEvery = 1 << 20 // steps run only when called
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE g (id INTEGER PRIMARY KEY, v INTEGER)")
 	for i := 0; i < rows; i++ {
@@ -376,13 +379,14 @@ func TestPurgeListExactUnderUndo(t *testing.T) {
 
 // TestPurgeDeleteCompactionIsAmortized: deleting half of a table one row
 // per statement, with a step after every statement, retires each chain at
-// once but compacts the scan order and the indexes only when dead chains
+// once but compacts the scan order only when dead chains
 // reach a fixed fraction of the slab — O(log n) compactions, not one per
 // step. Deletes append nothing to the slab, so each new slab pointer is one
 // compaction.
 func TestPurgeDeleteCompactionIsAmortized(t *testing.T) {
 	const rows = 20000
-	e := New("compact", WithGCThreshold(1))
+	e := New("compact")
+	e.gcEvery = 1
 	s := e.NewSession()
 	mustExec(t, s, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER, pad VARCHAR)")
 	for lo := 0; lo < rows; lo += 500 {
@@ -417,7 +421,8 @@ func TestPurgeDeleteCompactionIsAmortized(t *testing.T) {
 // also checks that the lists are touched only under their table's latch.
 func TestPurgeUnderConcurrentWriters(t *testing.T) {
 	const writers, rows, iters = 4, 50, 300
-	e := New("purgerace", WithGCThreshold(1))
+	e := New("purgerace")
+	e.gcEvery = 1
 	s := e.NewSession()
 	models := make([]map[int]int, writers)
 	for w := range models {
