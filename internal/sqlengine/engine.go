@@ -853,14 +853,28 @@ func (s *Session) applyUndo() {
 		e.mu.RLock(s.shard)
 		defer e.mu.RUnlock(s.shard)
 	}
+	var held *table // a run of pops on one table drops refs once, at its end
+	release := func() {
+		if held != nil {
+			held.dropRefs()
+			held.store.Unlock()
+			held = nil
+		}
+	}
 	for i := len(s.undo) - 1; i >= 0; i-- {
 		op := s.undo[i]
+		if op.kind != 'i' && op.kind != 'd' && op.kind != 'u' {
+			release()
+		}
 		switch op.kind {
 		case 'i', 'd', 'u': // pop the session's uncommitted version
 			if t := s.resolveLocked(op.table); t != nil {
-				t.store.Lock()
+				if t != held {
+					release()
+					t.store.Lock()
+					held = t
+				}
 				t.popVersion(op.ch, s.stamp)
-				t.store.Unlock()
 			}
 		case 'c': // undo create table: drop it
 			if t, ok := s.tempGet(op.table); ok && op.tbl != nil && t == op.tbl {
@@ -884,6 +898,7 @@ func (s *Session) applyUndo() {
 			}
 		}
 	}
+	release()
 	s.undo = truncated(s.undo)
 	s.dirty = truncated(s.dirty)
 }

@@ -2,8 +2,11 @@ package sqlengine
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"cjdbc/internal/sqlval"
 )
@@ -319,11 +322,150 @@ func TestIndexRefsDeleteUnlinksAtPurge(t *testing.T) {
 	runBothPlans(t, e, s, "SELECT id FROM d WHERE id >= 80 ORDER BY id DESC")
 }
 
+// TestIndexRefsSharedKeyDrain empties one key held by thousands of rows in
+// a single purge, three ways: a DELETE of the key's rows, an UPDATE moving
+// them all to another key, and a rolled-back INSERT of them. Each drain
+// rebuilds the shared bucket once, so the purge (or the rollback) allocates
+// about one list, not one list per ref it drops — which would be
+// 4·rows² bytes, 64 MB here.
+func TestIndexRefsSharedKeyDrain(t *testing.T) {
+	const rows = 4000
+	const budget = 2 << 20 // bytes a drain may allocate
+	measure := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	setup := func(name string) (*Engine, *Session, *table) {
+		e := New(name)
+		e.gcEvery = 1 << 20 // steps run only when called
+		s := e.NewSession()
+		mustExec(t, s, "CREATE TABLE d (id INTEGER PRIMARY KEY, k INTEGER)")
+		mustExec(t, s, "CREATE INDEX d_k ON d (k)")
+		mustExec(t, s, "INSERT INTO d (id, k) VALUES (-1, 0)")
+		return e, s, e.tables["d"]
+	}
+	insertAll := func(s *Session) {
+		var b strings.Builder
+		b.WriteString("INSERT INTO d (id, k) VALUES ")
+		for i := 0; i < rows; i++ {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, 1)", i)
+		}
+		mustExec(t, s, b.String())
+	}
+	check := func(step string, tbl *table, wantK1, wantK2, wantPK int) {
+		t.Helper()
+		if got := len(bucketIDs(tbl, "d_k", sqlval.Int(1))); got != wantK1 {
+			t.Errorf("%s: d_k[1] holds %d refs, want %d", step, got, wantK1)
+		}
+		if got := len(bucketIDs(tbl, "d_k", sqlval.Int(2))); got != wantK2 {
+			t.Errorf("%s: d_k[2] holds %d refs, want %d", step, got, wantK2)
+		}
+		wantKeys := 1
+		for _, n := range []int{wantK1, wantK2} {
+			if n > 0 {
+				wantKeys++
+			}
+		}
+		if keys, nodes := indexShape(tbl.indexes["d_k"]); keys != wantKeys || nodes != wantKeys {
+			t.Errorf("%s: d_k has %d keys on %d nodes, want %d on %d", step, keys, nodes, wantKeys, wantKeys)
+		}
+		if keys, nodes := indexShape(tbl.indexes["__pk"]); keys != wantPK || nodes != wantPK {
+			t.Errorf("%s: __pk has %d keys on %d nodes, want %d on %d", step, keys, nodes, wantPK, wantPK)
+		}
+		checkSharedBuckets(t, tbl)
+	}
+
+	t.Run("delete", func(t *testing.T) {
+		e, s, tbl := setup("drain-delete")
+		insertAll(s)
+		mustExec(t, s, "DELETE FROM d WHERE k = 1")
+		check("deleted", tbl, rows, 0, rows+1)
+		if b := measure(e.GC); b > budget {
+			t.Errorf("the purge of %d deletes under one key allocated %d bytes, want at most %d", rows, b, budget)
+		}
+		check("purged", tbl, 0, 0, 1)
+		runBothPlans(t, e, s, "SELECT id, k FROM d WHERE k <= 1 ORDER BY k DESC LIMIT 5")
+	})
+	t.Run("move", func(t *testing.T) {
+		e, s, tbl := setup("drain-move")
+		insertAll(s)
+		mustExec(t, s, "UPDATE d SET k = 2 WHERE k = 1")
+		check("moved", tbl, rows, rows, rows+1)
+		if b := measure(e.GC); b > budget {
+			t.Errorf("the purge of %d key moves off one key allocated %d bytes, want at most %d", rows, b, budget)
+		}
+		check("purged", tbl, 0, rows, rows+1)
+		runBothPlans(t, e, s, "SELECT id, k FROM d WHERE k BETWEEN 1 AND 2 ORDER BY k DESC LIMIT 5")
+	})
+	t.Run("rollback", func(t *testing.T) {
+		e, s, tbl := setup("drain-rollback")
+		mustExec(t, s, "BEGIN")
+		insertAll(s)
+		check("inserted", tbl, rows, 0, rows+1)
+		if b := measure(func() { mustExec(t, s, "ROLLBACK") }); b > budget {
+			t.Errorf("the rollback of %d inserts under one key allocated %d bytes, want at most %d", rows, b, budget)
+		}
+		check("rolled back", tbl, 0, 0, 1)
+		e.GC()
+		check("after GC", tbl, 0, 0, 1)
+		runBothPlans(t, e, s, "SELECT id, k FROM d WHERE k <= 1 ORDER BY k DESC LIMIT 5")
+	})
+}
+
+// TestIndexRefsPinnedDrain holds a reader pinned across 10 000 key moves of
+// one row, then drains them all in one GC. Each cut key is checked against
+// the versions the row keeps after the whole drain — one — not against the
+// versions still above it when its entry is drained, which would make the
+// drain quadratic in the moves. The drain must take less time than the
+// UPDATE statements that made the garbage; the quadratic one took some
+// thirty times longer.
+func TestIndexRefsPinnedDrain(t *testing.T) {
+	const moves = 10000
+	e := New("pinned-drain")
+	e.gcEvery = 1 << 30 // steps run only when called
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE m (id INTEGER PRIMARY KEY, k INTEGER)")
+	mustExec(t, s, "CREATE INDEX m_k ON m (k)")
+	mustExec(t, s, "INSERT INTO m (id, k) VALUES (1, 0)")
+	r := e.NewSession()
+	mustExec(t, r, "BEGIN")
+	mustExec(t, r, "SELECT k FROM m WHERE id = 1")
+	start := time.Now()
+	for i := 1; i <= moves; i++ {
+		mustExec(t, s, fmt.Sprintf("UPDATE m SET k = %d WHERE id = 1", i))
+	}
+	updates := time.Since(start)
+	if res := mustExec(t, r, "SELECT k FROM m WHERE k = 0"); len(res.Rows) != 1 {
+		t.Fatalf("the pinned reader sees %d rows under k = 0, want its snapshot's one", len(res.Rows))
+	}
+	tbl := e.tables["m"]
+	if keys, nodes := indexShape(tbl.indexes["m_k"]); keys != moves+1 || nodes != moves+1 {
+		t.Fatalf("pinned: m_k has %d keys on %d nodes, want %d on %d", keys, nodes, moves+1, moves+1)
+	}
+	mustExec(t, r, "COMMIT")
+	start = time.Now()
+	e.GC()
+	if drain := time.Since(start); drain > updates {
+		t.Errorf("the drain of %d key moves took %v, longer than the %v their UPDATEs took", moves, drain, updates)
+	}
+	wantBucket(t, "drained", tbl, "m_k", sqlval.Int(moves), rowidOf(t, tbl, 1))
+	if keys, nodes := indexShape(tbl.indexes["m_k"]); keys != 1 || nodes != 1 {
+		t.Errorf("drained: m_k has %d keys on %d nodes, want 1 on 1", keys, nodes)
+	}
+	checkSharedBuckets(t, tbl)
+}
+
 // TestTruncateChainDropsRefs cuts a key-moved row's chain with GC's
-// truncateChain alone, the purge list left undrained: the cut drops the
-// refs of the keys only the cut versions held. The GC that follows then
-// drains the list, whose entries name versions already off the chain, and
-// changes nothing.
+// truncateChain alone, the purge list left undrained: the cuts queue, and
+// dropRefs drops, the refs of the keys only the cut versions held. The GC
+// that follows then drains the list, whose entries name versions already
+// off the chain, and changes nothing.
 func TestTruncateChainDropsRefs(t *testing.T) {
 	e := New("truncate")
 	e.gcEvery = 1 << 20 // steps run only when called
@@ -351,6 +493,7 @@ func TestTruncateChainDropsRefs(t *testing.T) {
 	for _, ch := range tbl.rows {
 		tbl.truncateChain(ch, w)
 	}
+	tbl.dropRefs()
 	tbl.store.Unlock()
 	if len(tbl.purge) != 50 {
 		t.Fatalf("purge list holds %d entries, want the 50 updates undrained", len(tbl.purge))

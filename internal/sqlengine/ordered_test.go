@@ -124,7 +124,7 @@ func TestSkiplistDuplicateAndRepeatedInsert(t *testing.T) {
 }
 
 // TestSkiplistGCUnlinksEmptyNodes removes refs the way the purge does
-// (index.removeRef) from a FLOAT index, whose integral keys live in ints and
+// (index.removeRefs) from a FLOAT index, whose integral keys live in ints and
 // the others in m: a ref leaves its list through a fresh slice (a reader's
 // copy stays as it was), a node whose list empties is unlinked alone
 // (ordIndex.remove) and its key leaves whichever map held it, and the
@@ -145,11 +145,19 @@ func TestSkiplistGCUnlinksEmptyNodes(t *testing.T) {
 		refs = append(refs, r)
 		ix.addRef(tbl, valueKey(nil, r.row[0]), r.row, r.ch)
 	}
+	// remove drops the refs keep refuses, one key at a time, as dropRefs
+	// rebuilds each bucket once; every ref is asked about exactly once.
 	remove := func(keep func(id int64) bool) {
-		for _, r := range refs {
-			if !keep(r.ch.id) {
-				ix.removeRef(tbl, valueKey(nil, r.row[0]), r.row, r.ch)
-			}
+		for k := int64(0); k < 5; k++ {
+			r := refs[k]
+			asked := map[int64]bool{}
+			ix.removeRefs(tbl, valueKey(nil, r.row[0]), r.row, func(ch *rowChain) bool {
+				if asked[ch.id] {
+					t.Errorf("ref %d asked about twice", ch.id)
+				}
+				asked[ch.id] = true
+				return !keep(ch.id)
+			})
 		}
 	}
 	// check asserts the index holds exactly want: key → its refs' rowids.

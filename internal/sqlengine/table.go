@@ -185,7 +185,7 @@ func (b *idBucket) add(t *table, ch *rowChain) {
 
 // live returns the bucket's own ref slice capped at its current length. No
 // entry below that length is ever rewritten — a writer's append lands past
-// the cap, and removeRef publishes a fresh list — so callers may hold and
+// the cap, and removeRefs publishes a fresh list — so callers may hold and
 // iterate it while writers keep appending, but must copy it before they
 // reorder it.
 func (b *idBucket) live(t *table) []*rowChain {
@@ -278,6 +278,7 @@ type table struct {
 	// last compaction. Both guarded by store exclusive.
 	purge []purgeEntry
 	dead  int
+	drops []dropRef // refs cuts may have orphaned, until dropRefs
 	// defaults holds the columns' bound DEFAULT expressions (nil where a
 	// column has none). The engine has no ALTER TABLE, so they are bound
 	// once, when the table is created.
@@ -371,23 +372,27 @@ func (ix *index) addRef(t *table, key ixKey, row []sqlval.Value, ch *rowChain) {
 	t.idxMu.Unlock()
 }
 
-// removeRef drops ch from the bucket under key, the index key of row. The
-// bucket gets a fresh list, since latch-free readers may hold the old one;
-// a bucket it empties leaves the map, and its skiplist node the list.
-// Caller holds the table latch exclusively.
-func (ix *index) removeRef(t *table, key ixKey, row []sqlval.Value, ch *rowChain) {
+// removeRefs drops from the bucket under key, the index key of row, every
+// ref gone reports, asking once per ref, into one fresh list (latch-free
+// readers may hold the old one); a bucket it empties leaves the map, and
+// its skiplist node the list. Caller holds the table latch exclusively.
+func (ix *index) removeRefs(t *table, key ixKey, row []sqlval.Value, gone func(*rowChain) bool) {
 	bkt := ix.get(key)
 	if bkt == nil {
 		return
 	}
-	i := slices.Index(bkt.refs, ch)
+	i := slices.IndexFunc(bkt.refs, gone)
 	if i < 0 {
 		return
 	}
-	var refs []*rowChain
-	if len(bkt.refs) > 1 {
-		refs = make([]*rowChain, 0, len(bkt.refs)-1)
-		refs = append(append(refs, bkt.refs[:i]...), bkt.refs[i+1:]...)
+	refs := append(make([]*rowChain, 0, len(bkt.refs)-1), bkt.refs[:i]...)
+	for _, ch := range bkt.refs[i+1:] {
+		if !gone(ch) {
+			refs = append(refs, ch)
+		}
+	}
+	if len(refs) == 0 {
+		refs = nil
 	}
 	t.idxMu.Lock()
 	bkt.refs = refs
@@ -455,10 +460,10 @@ func (t *table) updateRow(ch *rowChain, newRow []sqlval.Value, stamp uint64) (*r
 }
 
 // popVersion undoes the newest version of a row if it carries the given
-// writer stamp (rollback / failed-statement undo), and drops the refs only
-// that version held. Undo runs newest first while the table lock is still
-// held, so a popped update or delete is the purge list's tail entry; a
-// popped insert leaves an empty chain, retired at once.
+// writer stamp (rollback / failed-statement undo), and queues the refs only
+// that version held for the undo's dropRefs. Undo runs newest first while
+// the table lock is still held, so a popped update or delete is the purge
+// list's tail entry; a popped insert leaves an empty chain, retired at once.
 func (t *table) popVersion(ch *rowChain, stamp uint64) {
 	v := ch.pop(stamp)
 	if v == nil {
@@ -474,23 +479,74 @@ func (t *table) popVersion(ch *rowChain, stamp uint64) {
 	}
 }
 
-// unindex drops ch from the bucket of every key that only the versions
-// leaving its chain held: cut and the versions below it, down to but not
-// including stop. Every cut of a chain — the purge, GC's truncateChain and
-// undo's popVersion — comes through here, and nothing else takes a ref
-// out, so a ref lives exactly as long as a version on the chain holds its
-// key. Caller holds the table latch exclusively and has already cut.
+// unindex queues a drop of ch from the bucket of each key a version
+// leaving its chain holds — cut and the versions below it, down to but not
+// including stop — unless the head, which no cut takes, holds it too: an
+// update that kept its keys queues nothing. Every cut of a chain — the
+// purge, GC's truncateChain and undo's popVersion — comes through here, and
+// the cutter calls dropRefs once its batch of cuts is done. Caller holds
+// the table latch exclusively and has already cut.
 func (t *table) unindex(ch *rowChain, cut, stop *rowVersion) {
-	for _, ix := range t.indexes {
-		for v := cut; v != stop; v = v.prev.Load() {
-			if v.row == nil {
-				continue
-			}
-			if k := t.key(0, ix, v.row); !t.holds(ix, ch, k) {
-				ix.removeRef(t, k, v.row, ch)
+	head := ch.latestRow()
+	for v := cut; v != stop; v = v.prev.Load() {
+		for _, ix := range t.indexes {
+			if v.row != nil && (head == nil || !t.key(0, ix, v.row).equal(t.key(1, ix, head))) {
+				t.drops = append(t.drops, dropRef{ix, ch, v})
 			}
 		}
 	}
+}
+
+// dropRef is ch's ref under ix's key of v, a version cut off ch.
+type dropRef struct {
+	ix *index
+	ch *rowChain
+	v  *rowVersion
+}
+
+// bucketRef is chain ch's ref in bucket b.
+type bucketRef struct {
+	b  *idBucket
+	ch *rowChain
+}
+
+// dropRefs takes out each queued ref whose key no version left on its chain
+// holds, and nothing else takes a ref out: a ref lives exactly as long as a
+// version on its chain holds its key. Run after the whole batch of cuts, a
+// ref's check walks only the versions its chain kept — one, unless later
+// updates of the row wait in the purge list — and a bucket is rebuilt once
+// however many refs it loses. Caller holds the table latch exclusively.
+func (t *table) dropRefs() {
+	var gone map[bucketRef]bool
+	for _, d := range t.drops {
+		k := t.key(0, d.ix, d.v.row)
+		switch b := d.ix.get(k); {
+		case b == nil || t.holds(d.ix, d.ch, k):
+		case len(b.refs) == 1: // a row alone under its key: no bookkeeping
+			d.ix.removeRefs(t, k, d.v.row, func(ch *rowChain) bool { return ch == d.ch })
+		default:
+			if gone == nil {
+				gone = make(map[bucketRef]bool)
+			}
+			gone[bucketRef{b, d.ch}] = true
+		}
+	}
+	// Rebuild a bucket at its first drop; the filter deletes what it takes
+	// from gone, so the bucket's later drops find nothing left to do.
+	for _, d := range t.drops {
+		if len(gone) == 0 {
+			break
+		}
+		k := t.key(0, d.ix, d.v.row)
+		if b := d.ix.get(k); b != nil && gone[bucketRef{b, d.ch}] {
+			d.ix.removeRefs(t, k, d.v.row, func(ch *rowChain) bool {
+				r := bucketRef{b, ch}
+				defer delete(gone, r)
+				return gone[r]
+			})
+		}
+	}
+	t.drops = truncated(t.drops)
 }
 
 // holds reports whether a version on ch has key k in ix. It builds keys in

@@ -275,7 +275,8 @@ func (e *Engine) noteGarbage(n int) {
 
 // gcStep drains every table's purge list below one watermark. Its work is
 // the reclaimable garbage plus O(1) per table: a list held back by a pinned
-// reader stops at its first entry. Steps are serialized by gcBusy; a
+// reader stops at its first entry, a cut version compares its keys with its
+// row's head, and only a key the head lost costs more (see dropRefs). Steps are serialized by gcBusy; a
 // trigger that finds a step in flight simply drops its turn (the running
 // step is already draining the same lists).
 func (e *Engine) gcStep() {
@@ -318,6 +319,7 @@ func (e *Engine) GC() {
 				t.retire(ch)
 			}
 		}
+		t.dropRefs()
 		if t.dead > 0 {
 			t.compactLocked()
 		}
@@ -355,7 +357,8 @@ func (e *Engine) VersionStatsSnapshot() VersionStats {
 
 // truncateChain drops the versions of one chain that no snapshot pinned at
 // or after watermark w can reach — everything strictly older than the newest
-// version committed at or below w — and the refs only they held. It reports
+// version committed at or below w — and queues the refs only they held for
+// the caller's dropRefs. It reports
 // whether nothing a future snapshot could see survives — an undone insert's
 // empty chain, or a committed tombstone at the head — so callers can retire
 // the rowid. Caller holds the latch exclusively.
@@ -385,13 +388,15 @@ type purgeEntry struct {
 
 // purgeLocked reclaims the purge list from the front while the entry's
 // version is committed at or below w: it cuts the version off from what it
-// superseded, drops the index refs only the cut versions held, and retires
-// the chain when the version is a tombstone. Push order is commit order
+// superseded and retires the chain when the version is a tombstone, then
+// drops the index refs only the cut versions held, each bucket rebuilt once
+// (dropRefs). Push order is commit order
 // within a table (exclusive locks are held to commit), so the first entry
 // that is not reclaimable ends the drain; were that order to break, entries
 // would only wait longer. Retired chains leave rows at once, and the scan
 // order drops them in one compaction once they are a quarter of the slab:
-// a delete costs amortized O(1). Caller holds the latch exclusively.
+// a delete costs the scan order amortized O(1). Caller holds the latch
+// exclusively.
 func (t *table) purgeLocked(w uint64) {
 	i := 0
 	for ; i < len(t.purge); i++ {
@@ -407,6 +412,7 @@ func (t *table) purgeLocked(w uint64) {
 			t.retire(p.ch)
 		}
 	}
+	t.dropRefs()
 	// Keep the array, and keep the drained slots from pinning versions:
 	// move what is left to the front when that costs no more than the
 	// drain did, otherwise step past the drained prefix.
